@@ -89,7 +89,6 @@ class _SearchSpace:
         # one-dimensional cells with their two boundary cocircuits, for the
         # crossing-cocircuit rule; computed once per search
         edge_rank = self.rank - 2
-        cocircs = sorted(system.cocircuits(), key=str)
         self.edge_cells: list[tuple[SignVector, SignVector, SignVector]] = []
         for f in sorted(system.covectors, key=str):
             if self.lattice.rank_of.get(f.zero_set()) != edge_rank:

@@ -142,13 +142,6 @@ class GeometricLattice:
     def meet(self, x: frozenset[str], y: frozenset[str]) -> frozenset[str]:
         return x & y
 
-    def atoms(self) -> tuple[frozenset[str], ...]:
-        return tuple(f for f in self.flats if self.rank_of[f] == 1)
-
-    def coatoms(self) -> tuple[frozenset[str], ...]:
-        r = self.rank()
-        return tuple(f for f in self.flats if self.rank_of[f] == r - 1)
-
     def flats_of_rank(self, r: int) -> tuple[frozenset[str], ...]:
         if self._flats_by_rank is None:
             byr: dict[int, list[frozenset[str]]] = {}
@@ -312,11 +305,3 @@ class GeometricLattice:
 def build_lattice(system: CovectorSystem) -> GeometricLattice:
     """The lattice of zero sets of the covectors."""
     return GeometricLattice(system.ground, system.flats())
-
-
-def whitney(lattice: GeometricLattice) -> tuple[int, ...]:
-    return lattice.whitney()
-
-
-def is_supersolvable(lattice: GeometricLattice) -> Optional[MChain]:
-    return lattice.is_supersolvable()

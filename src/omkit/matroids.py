@@ -14,7 +14,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .posets import FinitePoset, PosetMap
-from .signs import SignVector, compose_masks, separator_masks
+from .signs import GroundSetMismatchError, SignVector, compose_masks, separator_masks
 
 
 class NotAFlatError(ValueError):
@@ -23,6 +23,27 @@ class NotAFlatError(ValueError):
 
 class DegenerateArrangementError(ValueError):
     pass
+
+
+def section_lift(alpha: SignVector, v: SignVector) -> SignVector:
+    """The lift of v along the section at alpha: v's entries on z(alpha),
+    alpha's entries everywhere else.
+
+    v lives on the localization at z(alpha), so its labels must be the
+    zero set of alpha in ground-set order.
+    """
+    spots = [i for i in range(len(alpha.labels)) if alpha.zero_mask >> i & 1]
+    if v.labels != tuple(alpha.labels[i] for i in spots):
+        raise GroundSetMismatchError(
+            f"{v.labels} is not the zero set of {alpha} in ground order"
+        )
+    plus, minus = alpha.plus, alpha.minus
+    for j, i in enumerate(spots):
+        if v.plus >> j & 1:
+            plus |= 1 << i
+        elif v.minus >> j & 1:
+            minus |= 1 << i
+    return SignVector(alpha.labels, plus, minus)
 
 
 @dataclass(frozen=True)
@@ -324,20 +345,10 @@ class CovectorSystem:
         """The section iota_alpha of the localization at z(alpha)."""
         if alpha not in self:
             raise ValueError("alpha is not a covector of this system")
-        x = alpha.zero_set()
-        loc, _rho = self.localization(x)
-        keep = [lab for lab in self.ground if lab in x]
-        idx = {lab: i for i, lab in enumerate(self.ground)}
+        loc, _rho = self.localization(alpha.zero_set())
         assignment = {}
         for c in loc.covectors:
-            plus, minus = alpha.plus, alpha.minus
-            for j, lab in enumerate(keep):
-                bit = 1 << idx[lab]
-                if c.plus >> j & 1:
-                    plus |= bit
-                elif c.minus >> j & 1:
-                    minus |= bit
-            lifted = SignVector(self.ground, plus, minus)
+            lifted = section_lift(alpha, c)
             if lifted not in self:
                 raise ValueError(
                     f"section image {lifted} is not a covector; alpha invalid"
@@ -588,23 +599,3 @@ def from_arrangement(arrangement: RationalArrangement) -> CovectorSystem:
 
     scan(0)
     return CovectorSystem(arrangement.labels, found)
-
-
-def check_axioms(system: CovectorSystem) -> AxiomReport:
-    return system.check_axioms()
-
-
-def simplify(system: CovectorSystem) -> SimplifyResult:
-    return system.simplify()
-
-
-def topes(system: CovectorSystem) -> frozenset[SignVector]:
-    return system.topes()
-
-
-def rank(system: CovectorSystem) -> int:
-    return system.rank()
-
-
-def cocircuits(system: CovectorSystem) -> frozenset[SignVector]:
-    return system.cocircuits()

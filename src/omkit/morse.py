@@ -115,14 +115,6 @@ class Matching:
         return "\n".join(lines)
 
 
-def is_acyclic(matching: Matching) -> AcyclicityReport:
-    return matching.is_acyclic()
-
-
-def critical_cells(matching: Matching) -> frozenset[str]:
-    return matching.critical_cells()
-
-
 def patchwork(f: PosetMap, per_fiber: dict[str, Matching]) -> Matching:
     """Union of acyclic matchings on the discrete fibers f^{-1}(q).
 

@@ -61,6 +61,9 @@ def parse_om_text(text: str) -> OMFile:
             continue
         if line.startswith("ground:"):
             ground = tuple(line[len("ground:"):].split())
+            dup = next((lab for i, lab in enumerate(ground) if lab in ground[:i]), None)
+            if dup is not None:
+                raise OMFileError(f"duplicate ground label {dup!r}")
             continue
         if line in ("covectors:", "topes:", "arrangement:"):
             section = line[:-1]

@@ -9,7 +9,7 @@ construction.  All objects are immutable after construction.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 class PosetError(ValueError):
@@ -66,12 +66,6 @@ class FinitePoset:
                     raise PosetError(f"transitivity fails at ({x!r}, {y!r})")
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_le(cls, elements: Iterable[str], le: Callable[[str, str], bool]) -> "FinitePoset":
-        elems = tuple(elements)
-        pairs = [(x, y) for x in elems for y in elems if x != y and le(x, y)]
-        return cls(elems, pairs)
 
     @classmethod
     def from_covers(
@@ -191,16 +185,6 @@ class FinitePoset:
             out |= self._below[g]
         return frozenset(out)
 
-    def order_filter(self, generators: Iterable[str]) -> frozenset[str]:
-        gens = list(generators)
-        unknown = set(gens).difference(self._above)
-        if unknown:
-            raise PosetError(f"unknown elements: {sorted(unknown)}")
-        out: set[str] = set()
-        for g in gens:
-            out |= self._above[g]
-        return frozenset(out)
-
     def is_ideal(self, subset: Iterable[str]) -> bool:
         sub = set(subset)
         return all(self._below[x] <= sub for x in sub)
@@ -243,25 +227,6 @@ class FinitePoset:
         if len(out) != len(self.elements):
             raise PosetError("linear extension failed")
         return out
-
-    def linear_extensions(self) -> Iterator[list[str]]:
-        """All linear extensions; exponential, for small oracles only."""
-        n = len(self.elements)
-
-        def rec(done: list[str], remaining: set[str]) -> Iterator[list[str]]:
-            if not remaining:
-                yield list(done)
-                return
-            placed = set(done)
-            for x in sorted(remaining):
-                if all(y in placed or y == x for y in self._below[x]):
-                    done.append(x)
-                    remaining.discard(x)
-                    yield from rec(done, remaining)
-                    remaining.add(x)
-                    done.pop()
-
-        yield from rec([], set(self.elements))
 
     def chains(self) -> Iterator[tuple[str, ...]]:
         """All nonempty chains, each as a tuple in increasing order."""
@@ -338,9 +303,6 @@ class SimplicialComplexRecord:
             return ()
         return tuple(len(byd.get(d, ())) for d in range(max(byd) + 1))
 
-    def dimension(self) -> int:
-        return max((len(f) - 1 for f in self.faces), default=-1)
-
 
 class PosetMap:
     """An order preserving map between finite posets."""
@@ -408,27 +370,3 @@ class PosetMap:
             {x: self.assignment[fx] for x, fx in other.assignment.items()},
             _validated=True,
         )
-
-
-def covers(poset: FinitePoset) -> frozenset[tuple[str, str]]:
-    return poset.covers()
-
-
-def order_ideal(poset: FinitePoset, generators: Iterable[str]) -> frozenset[str]:
-    return poset.order_ideal(generators)
-
-
-def linear_extension_ideal_first(poset: FinitePoset, ideal: Iterable[str]) -> list[str]:
-    return poset.linear_extension_ideal_first(ideal)
-
-
-def order_complex(poset: FinitePoset) -> SimplicialComplexRecord:
-    return poset.order_complex()
-
-
-def poset_fiber(f: PosetMap, q: str) -> FinitePoset:
-    return f.fiber(q)
-
-
-def dual(poset: FinitePoset) -> FinitePoset:
-    return poset.dual()

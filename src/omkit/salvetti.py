@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .lattices import build_lattice, GeometricLattice
-from .matroids import CovectorSystem, NotAFlatError
+from .matroids import CovectorSystem, NotAFlatError, section_lift
 from .posets import FinitePoset, PosetMap
 from .signs import SignVector
 
@@ -52,24 +52,20 @@ class SalvettiPoset:
     __slots__ = ("system", "cells", "poset", "by_id")
 
     def __init__(self, system: CovectorSystem, restrict_positive: Optional[str] = None):
-        topes = sorted(system.topes(), key=str)
-        cells: list[SalvettiCell] = []
-        if restrict_positive is None:
-            for t in topes:
-                for c in sorted(system.covectors, key=str):
-                    if c.leq(t):
-                        cells.append(SalvettiCell(c, t))
-        else:
-            g = restrict_positive
-            if g not in system.ground:
-                raise ValueError(f"unknown label {g!r}")
-            i = system.ground.index(g)
-            for t in topes:
-                if not (t.plus >> i & 1):
-                    continue
-                for c in sorted(system.covectors, key=str):
-                    if (c.plus >> i & 1) and c.leq(t):
-                        cells.append(SalvettiCell(c, t))
+        covs = sorted(system.covectors, key=str)
+        if restrict_positive is not None:
+            if restrict_positive not in system.ground:
+                raise ValueError(f"unknown label {restrict_positive!r}")
+            # c <= T with c positive on g forces T positive on g, so
+            # filtering the faces suffices
+            i = system.ground.index(restrict_positive)
+            covs = [c for c in covs if c.plus >> i & 1]
+        cells = [
+            SalvettiCell(c, t)
+            for t in sorted(system.topes(), key=str)
+            for c in covs
+            if c.leq(t)
+        ]
         pairs = []
         for x in cells:
             sx, tx = x
@@ -102,8 +98,8 @@ class SalvettiPoset:
         return len(self.cells)
 
     def dimension_of(self, cid: str) -> int:
-        c = self.by_id[cid]
-        return len(c.face.zero_set())
+        """The dimension of a cell: its height in the Salvetti poset."""
+        return self.poset.heights()[cid]
 
 
 def salvetti(system: CovectorSystem) -> SalvettiPoset:
@@ -130,22 +126,11 @@ class SalvettiLocalization:
         """The section induced by a covector with zero set equal to the flat."""
         if alpha not in self.system or alpha.zero_set() != self.flat:
             raise ValueError("alpha must be a covector with zero set the flat")
-        keep = [lab for lab in self.system.ground if lab in self.flat]
-        idx = {lab: i for i, lab in enumerate(self.system.ground)}
-
-        def lift(v: SignVector) -> SignVector:
-            plus, minus = alpha.plus, alpha.minus
-            for j, lab in enumerate(keep):
-                bit = 1 << idx[lab]
-                if v.plus >> j & 1:
-                    plus |= bit
-                elif v.minus >> j & 1:
-                    minus |= bit
-            return SignVector(self.system.ground, plus, minus)
-
         assignment = {}
         for cell in self.target.cells:
-            lifted = SalvettiCell(lift(cell.face), lift(cell.tope))
+            lifted = SalvettiCell(
+                section_lift(alpha, cell.face), section_lift(alpha, cell.tope)
+            )
             if lifted.id not in self.source.by_id:
                 raise AssertionError(f"section image {lifted.id} not a cell")
             assignment[cell.id] = lifted.id
@@ -178,10 +163,6 @@ def salvetti_localization(
         assignment[cell.id] = image.id
     pmap = PosetMap(source.poset, target.poset, assignment)
     return SalvettiLocalization(system, x, localized, source, target, pmap)
-
-
-def salvetti_fiber(loc: SalvettiLocalization, cell: str | SalvettiCell) -> FinitePoset:
-    return loc.fiber(cell)
 
 
 def principal_ideal_iso(
@@ -280,7 +261,9 @@ def stratify_fiber(
         raise AssertionError("corank-one flat must carry exactly two covectors")
     alpha = anchors[0]
     # iota_alpha(B') = B' on X, alpha elsewhere
-    t0 = _lift_base(system, loc, base_tope, alpha)
+    t0 = section_lift(alpha, base_tope)
+    if t0 not in system:
+        raise AssertionError("lifted base tope is not a covector")
     string = sorted(fiber_topes, key=lambda t: len(t.separator(t0)))
     # the induced order must be a chain: distances 0..k and nested separators
     for i, t in enumerate(string):
@@ -327,27 +310,6 @@ def stratify_fiber(
         tuple(strata),
         tuple(filters),
     )
-
-
-def _lift_base(
-    system: CovectorSystem,
-    loc: SalvettiLocalization,
-    base_tope: SignVector,
-    alpha: SignVector,
-) -> SignVector:
-    keep = [lab for lab in system.ground if lab in loc.flat]
-    idx = {lab: i for i, lab in enumerate(system.ground)}
-    plus, minus = alpha.plus, alpha.minus
-    for j, lab in enumerate(keep):
-        bit = 1 << idx[lab]
-        if base_tope.plus >> j & 1:
-            plus |= bit
-        elif base_tope.minus >> j & 1:
-            minus |= bit
-    lifted = SignVector(system.ground, plus, minus)
-    if lifted not in system:
-        raise AssertionError("lifted base tope is not a covector")
-    return lifted
 
 
 def fiber_rank2_model(

@@ -220,30 +220,6 @@ class SignVector:
         return hash((self.labels, self.plus, self.minus))
 
 
-def compose(a: SignVector, b: SignVector) -> SignVector:
-    return a.compose(b)
-
-
-def separator(a: SignVector, b: SignVector) -> frozenset[str]:
-    return a.separator(b)
-
-
-def zero_set(a: SignVector) -> frozenset[str]:
-    return a.zero_set()
-
-
-def opposite(a: SignVector) -> SignVector:
-    return a.opposite()
-
-
-def restrict(a: SignVector, sub: Iterable[str]) -> SignVector:
-    return a.restrict(sub)
-
-
-def leq(a: SignVector, b: SignVector) -> bool:
-    return a.leq(b)
-
-
 # Mask-level kernels used by hot loops (axiom checks, closure, search).
 # They operate on (plus, minus) pairs without building SignVector objects.
 

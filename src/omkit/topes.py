@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
 from .posets import FinitePoset
-from .signs import SignVector
+from .signs import SignVector, separator_masks
 
 
 class NotATopeError(ValueError):
@@ -44,35 +44,17 @@ def halfspace(system: CovectorSystem, label: str, sign: int) -> frozenset[SignVe
     )
 
 
-class TopePoset:
+def tope_poset(system: CovectorSystem, base: SignVector) -> FinitePoset:
     """Topes ordered by containment of separators from a base tope."""
-
-    __slots__ = ("system", "base", "poset")
-
-    def __init__(self, system: CovectorSystem, base: SignVector):
-        _require_tope(system, base)
-        topes = sorted(system.topes(), key=str)
-        pairs = []
-        for r in topes:
-            sr = base.separator_mask(r)
-            for t in topes:
-                if r is not t and (sr & ~base.separator_mask(t)) == 0:
-                    pairs.append((str(r), str(t)))
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(
-            self, "poset", FinitePoset([str(t) for t in topes], pairs, _validated=True)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TopePoset is immutable")
-
-    def rank(self, t: SignVector) -> int:
-        return dist(self.base, t)
-
-
-def tope_poset(system: CovectorSystem, base: SignVector) -> TopePoset:
-    return TopePoset(system, base)
+    _require_tope(system, base)
+    topes = sorted(system.topes(), key=str)
+    pairs = []
+    for r in topes:
+        sr = base.separator_mask(r)
+        for t in topes:
+            if r is not t and (sr & ~base.separator_mask(t)) == 0:
+                pairs.append((str(r), str(t)))
+    return FinitePoset([str(t) for t in topes], pairs, _validated=True)
 
 
 # -- convexity ---------------------------------------------------------------
@@ -98,17 +80,16 @@ def convex_hull(system: CovectorSystem, q: Iterable[SignVector]) -> frozenset[Si
 def _is_convex_betweenness(
     system: CovectorSystem, qset: frozenset[SignVector]
 ) -> bool:
-    # T, R in Q and dist(T,W) + dist(W,R) = dist(T,R) forces W in Q
-    topes = system.topes()
-    qlist = sorted(qset, key=str)
-    for t in qlist:
-        for r in qlist:
-            d = dist(t, r)
-            for w in topes:
-                if w in qset:
-                    continue
-                if dist(t, w) + dist(w, r) == d:
-                    return False
+    # T, R in Q and dist(T,W) + dist(W,R) = dist(T,R) forces W in Q.  For
+    # topes S(T,R) is the symmetric difference of S(T,W) and S(W,R), so W
+    # lies between T and R exactly when S(T,W) is a subset of S(T,R).
+    outside = [(w.plus, w.minus) for w in system.topes() if w not in qset]
+    for t in qset:
+        to_outside = [separator_masks(t.plus, t.minus, p, m) for p, m in outside]
+        for r in qset:
+            s = t.separator_mask(r)
+            if any(not (sw & ~s) for sw in to_outside):
+                return False
     return True
 
 
@@ -159,11 +140,11 @@ def convex_first_extension(
         raise ValueError("base tope must belong to Q")
     if not is_convex(system, qset):
         raise ValueError("Q is not convex")
-    tp = TopePoset(system, base)
+    tp = tope_poset(system, base)
     ids = [str(t) for t in qset]
-    if not tp.poset.is_ideal(ids):
+    if not tp.is_ideal(ids):
         raise AssertionError("convex set is not an ideal of the tope poset")
-    order = tp.poset.linear_extension_ideal_first(ids)
+    order = tp.linear_extension_ideal_first(ids)
     by_text = {str(t): t for t in system.topes()}
     return [by_text[x] for x in order]
 
@@ -208,11 +189,6 @@ def sphere_poset(system: CovectorSystem) -> FinitePoset:
     return system.covector_poset(include_zero=False)
 
 
-def ball_poset(system: CovectorSystem) -> FinitePoset:
-    """Face poset of the dual covector ball (all covectors, order reversed)."""
-    return system.covector_poset(include_zero=True, dual=True)
-
-
 # -- shellings ---------------------------------------------------------------
 
 
@@ -240,14 +216,10 @@ def shelling_order_from_extension(
     """Order the sphere's maximal cells by a linear extension of the tope
     poset at base; optionally with a convex prefix first."""
     _require_tope(system, base)
-    tp = TopePoset(system, base)
+    tp = tope_poset(system, base)
     ideal = [str(t) for t in (prefix if prefix is not None else [])] or [str(base)]
-    order = tp.poset.linear_extension_ideal_first(ideal)
+    order = tp.linear_extension_ideal_first(ideal)
     return ShellingOrder(tuple(order))
-
-
-def _complex_dims(complex_poset: FinitePoset) -> dict[str, int]:
-    return complex_poset.heights()
 
 
 def verify_shelling(
@@ -262,7 +234,7 @@ def verify_shelling(
     the complex dimension gives the full check).
     """
     cells = list(order.cells if isinstance(order, ShellingOrder) else order)
-    dims = _complex_dims(complex_poset)
+    dims = complex_poset.heights()
     maximal = complex_poset.maximal_elements()
     if set(cells) != set(maximal) or len(cells) != len(maximal):
         return ShellingReport(False, "order is not a permutation of the maximal cells")

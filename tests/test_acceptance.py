@@ -177,7 +177,7 @@ def test_criterion_6_shellings(all_corpus):
         for _ in range(50):
             base = rng.choice(topes)
             tp = tope_poset(system, base)
-            order = _random_linear_extension(tp.poset, rng)
+            order = _random_linear_extension(tp, rng)
             ok = ok and verify_shelling(poset, order, depth=3).ok
         # shellable-ball certificates for the convex pairs
         convex_sets = all_convex_tope_sets(system)

@@ -61,6 +61,8 @@ def test_parse_rejects_malformed():
         parse_om_text("ground: a b\ncovectors:\n++\n++\n")  # duplicate
     with pytest.raises(OMFileError):
         parse_om_text("ground: a b\ncovectors:\n++\n")  # zero missing
+    with pytest.raises(OMFileError, match="duplicate ground label 'a'"):
+        parse_om_text("ground: a a\ncovectors:\n00\n++\n--\n")
 
 
 def test_corpus_pipe_check_axioms(capsys):
@@ -123,6 +125,7 @@ def test_salvetti_command(capsys):
     code, out = run(capsys, ["salvetti"], stdin=om_text("sec3-arrangement"))
     assert code == 0
     assert "cells: 148" in out
+    assert "cells_by_dim: 0:18 1:56 2:56 3:18" in out
 
 
 def test_localize_fiber_stratify(capsys):

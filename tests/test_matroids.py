@@ -10,8 +10,9 @@ from omkit.matroids import (
     NotAFlatError,
     RationalArrangement,
     from_arrangement,
+    section_lift,
 )
-from omkit.signs import SignVector
+from omkit.signs import GroundSetMismatchError, SignVector
 
 
 def test_rank1_axioms(rank1):
@@ -135,6 +136,9 @@ def test_section_iota_identity(five_planes):
             left = by_full[lift[str(a.compose(b))]]
             right = by_full[lift[str(a)]].compose(by_full[lift[str(b)]])
             assert left == right
+    # the lift takes only vectors over z(alpha) in ground order
+    with pytest.raises(GroundSetMismatchError):
+        section_lift(alpha, five_planes.zero)
 
 
 def test_section_iota_identity_extreme(rank1):

@@ -40,6 +40,9 @@ def test_salvetti_pure(all_corpus):
         up_heights = s.poset.dual().heights()
         for cid in s.poset.elements:
             assert heights[cid] + up_heights[cid] == system.rank(), (name, cid)
+        dims = [s.dimension_of(cid) for cid in s.poset.elements]
+        assert max(dims) == system.rank(), name
+        assert sum((-1) ** d for d in dims) == 0, name
 
 
 def test_cell_ids_round_trip(five_planes):

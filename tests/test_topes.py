@@ -39,7 +39,7 @@ def test_dist_extremes(five_planes):
 def test_rank1_tope_poset(rank1):
     plus = rank1.vector("+")
     tp = tope_poset(rank1, plus)
-    assert tp.poset.covers() == {("+", "-")}
+    assert tp.covers() == {("+", "-")}
 
 
 def test_tope_poset_requires_tope(five_planes):
@@ -235,7 +235,7 @@ def test_tope_poset_graded_with_single_flip_covers(all_corpus):
         for base in sorted(system.topes(), key=str)[:3]:
             tp = tope_poset(system, base)
             by_text = system.by_text()
-            for r, t in tp.poset.covers():
+            for r, t in tp.covers():
                 tr, tt = by_text[r], by_text[t]
                 assert dist(base, tt) == dist(base, tr) + 1, name
                 assert dist(tr, tt) == 1, name
