@@ -2,8 +2,10 @@
 
 Commands read a covector file on stdin (or --input) and write either a
 covector file or a report to stdout; the exit status is zero exactly
-when every clause of the report passed.  `corpus` and `from-arrangement`
-produce covector files, so commands compose as pipelines.
+when every clause of the report passed, 1 when a clause failed, 2 on bad
+input and 3 when an internal invariant breaks.  `corpus` and
+`from-arrangement` produce covector files, so commands compose as
+pipelines.
 """
 
 from __future__ import annotations
@@ -493,6 +495,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except AssertionError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

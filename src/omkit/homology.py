@@ -1,10 +1,19 @@
-"""Integral homology over the order complex, plus the derived checks.
+"""Integral homology of face posets and simplicial complexes, plus the
+derived checks.
 
-Homology is computed on the order complex of a face poset (the
-barycentric model), so no cell orientations are ever needed.  Boundary
-matrices are reduced by exact integer elimination: unit pivots first
-(which keeps everything integral and sparse), then a textbook Smith
-reduction of whatever small core remains, so torsion is exact.
+A `FinitePoset` is read as the face poset of a regular CW complex (Salvetti
+posets, their localization fibers, covector spheres and balls): the cells
+of dimension d are the elements of height d, and the incidence signs of
+the cellular boundary are read off the poset.  Building them certifies
+regularity: every cover climbs one height, every edge has two vertices,
+every codimension-2 face of a cell lies in exactly two of its facets, and
+the signs propagated across those faces agree (`NotRegularError` names
+the cell otherwise).  A `SimplicialComplexRecord` gets its simplicial
+chain complex with ordered-vertex orientations.  Both boundary families
+are checked to square to zero, then reduced by exact integer elimination:
+unit pivots first (which keeps everything integral and sparse), then a
+textbook Smith reduction of whatever small core remains, so torsion is
+exact.  The order complex of a poset is the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -154,15 +163,118 @@ def rank_and_torsion(
 # -- chain complexes and homology ----------------------------------------------
 
 
+class NotRegularError(ValueError):
+    """The poset is not the face poset of a regular CW complex."""
+
+
 @dataclass(frozen=True)
 class ChainComplexRecord:
-    """Ordered simplex bases per dimension with integer boundary maps."""
+    """Ordered bases per dimension with integer boundary maps.
 
-    bases: tuple[tuple[tuple[str, ...], ...], ...]
+    A basis element is a poset element (cellular) or a tuple of vertices
+    in vertex order (simplicial)."""
+
+    bases: tuple[tuple[Union[str, tuple[str, ...]], ...], ...]
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
 
 
-def chain_complex(complex_record: SimplicialComplexRecord) -> ChainComplexRecord:
+def chain_complex(
+    target: Union[SimplicialComplexRecord, FinitePoset]
+) -> ChainComplexRecord:
+    """The cellular chain complex of a face poset, or the simplicial chain
+    complex of a simplicial complex; either way checked to square to zero."""
+    if isinstance(target, FinitePoset):
+        rec = _cellular_chain_complex(target)
+    else:
+        rec = _simplicial_chain_complex(target)
+    _check_boundary_squares(rec)
+    return rec
+
+
+def _incidences(poset: FinitePoset) -> dict[str, dict[str, int]]:
+    """The signed facets of every cell of a regular CW face poset.
+
+    An edge gets -1 on the vertex whose id sorts first and +1 on the
+    other.  A higher cell gets +1 on its first facet, and the signs spread
+    across its codimension-2 faces so that the two facets over each such
+    face cancel in the boundary of the boundary.
+    """
+    heights = poset.heights()
+    facets = {
+        c: sorted(f for f in poset.below(c) if heights[f] == heights[c] - 1)
+        for c in poset.elements
+    }
+    signs: dict[str, dict[str, int]] = {}
+    for c in sorted(poset.elements, key=heights.__getitem__):
+        fs = facets[c]
+        # below c and below none of its facets: only through a cover that
+        # skips a height, and the highest such element is that cover
+        missed = poset.below(c).difference(
+            {c}, *(poset.below(f) for f in fs)
+        )
+        if missed:
+            low = max(missed, key=lambda x: (heights[x], x))
+            raise NotRegularError(
+                f"cell {c!r}: the cover {low!r} < {c!r} skips a height"
+            )
+        if heights[c] == 1:
+            if len(fs) != 2:
+                raise NotRegularError(f"edge {c!r} has vertices {fs}, not exactly 2")
+            signs[c] = {fs[0]: -1, fs[1]: 1}
+            continue
+        over: dict[str, list[str]] = {}
+        for f in fs:
+            for g in facets[f]:
+                over.setdefault(g, []).append(f)
+        across: dict[str, list[tuple[str, str]]] = {f: [] for f in fs}
+        for g, pair in sorted(over.items()):
+            if len(pair) != 2:
+                raise NotRegularError(
+                    f"cell {c!r}: its face {g!r} lies in {len(pair)} of its facets, not 2"
+                )
+            f1, f2 = pair
+            across[f1].append((f2, g))
+            across[f2].append((f1, g))
+        sign = {fs[0]: 1} if fs else {}
+        stack = list(sign)
+        while stack:
+            f = stack.pop()
+            for f2, g in across[f]:
+                want = -sign[f] * signs[f][g] * signs[f2][g]
+                if f2 not in sign:
+                    sign[f2] = want
+                    stack.append(f2)
+                elif sign[f2] != want:
+                    raise NotRegularError(
+                        f"cell {c!r}: incidence signs disagree across its face {g!r}"
+                    )
+        if len(sign) != len(fs):
+            raise NotRegularError(f"cell {c!r}: its facet graph is disconnected")
+        signs[c] = sign
+    return signs
+
+
+def _cellular_chain_complex(poset: FinitePoset) -> ChainComplexRecord:
+    signs = _incidences(poset)
+    heights = poset.heights()
+    bases: list[list[str]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
+    for c in poset.elements:
+        bases[heights[c]].append(c)
+    index = [{c: i for i, c in enumerate(level)} for level in bases]
+    boundaries: list[dict[int, dict[int, int]]] = [{}]
+    for d in range(1, len(bases)):
+        boundaries.append(
+            {
+                j: {index[d - 1][f]: s for f, s in signs[c].items()}
+                for j, c in enumerate(bases[d])
+            }
+        )
+    return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
+
+
+def _simplicial_chain_complex(
+    complex_record: SimplicialComplexRecord,
+) -> ChainComplexRecord:
     byd = complex_record.by_dimension()
     dim = max(byd, default=-1)
     vertex_order = {v: i for i, v in enumerate(complex_record.vertices)}
@@ -185,9 +297,7 @@ def chain_complex(complex_record: SimplicialComplexRecord) -> ChainComplexRecord
                 col[index[d - 1][face]] = 1 if k % 2 == 0 else -1
             mat[j] = col
         boundaries.append(mat)
-    rec = ChainComplexRecord(tuple(bases), tuple(boundaries))
-    _check_boundary_squares(rec)
-    return rec
+    return ChainComplexRecord(tuple(bases), tuple(boundaries))
 
 
 def _check_boundary_squares(rec: ChainComplexRecord) -> None:
@@ -215,12 +325,11 @@ class HomologyResult:
 def homology(
     target: Union[SimplicialComplexRecord, FinitePoset]
 ) -> HomologyResult:
-    """Exact integral homology (Betti numbers and torsion coefficients)."""
-    if isinstance(target, FinitePoset):
-        target = target.order_complex()
-    if not target.faces:
-        return HomologyResult((), ())
+    """Exact integral homology (Betti numbers and torsion coefficients) of
+    a regular CW face poset or a simplicial complex."""
     rec = chain_complex(target)
+    if not rec.bases:
+        return HomologyResult((), ())
     dim = len(rec.bases) - 1
     sizes = [len(b) for b in rec.bases]
     ranks = [0] * (dim + 2)

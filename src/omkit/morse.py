@@ -23,10 +23,10 @@ from .salvetti import (
 )
 from .signs import SignVector
 from .topes import (
+    NotConvexError,
     ShellingOrder,
     convex_first_extension,
     dual_subcomplex,
-    is_convex,
     subcomplex_LQ,
 )
 
@@ -260,8 +260,6 @@ def matching_convex_critical(
     qset = frozenset(q)
     if not qset:
         raise MatchingError("Q must be nonempty")
-    if not is_convex(system, qset):
-        raise MatchingError("Q must be convex")
     ball = system.covector_poset(include_zero=True, dual=True)
     topes = system.topes()
     rest = topes - qset
@@ -272,7 +270,10 @@ def matching_convex_critical(
         # is an extension of the tope poset at the opposite base in which
         # the complement comes first; its prefix shells the ball L(T\Q)
         base = min(qset, key=str)
-        ext = convex_first_extension(system, base, qset)
+        try:
+            ext = convex_first_extension(system, base, qset)
+        except NotConvexError:
+            raise MatchingError("Q must be convex") from None
         shell_order = [str(t) for t in reversed(ext) if t in rest]
         lq = subcomplex_LQ(system, rest) - {system.zero}
         sub = system.covector_poset(include_zero=False).subposet(
@@ -312,11 +313,7 @@ def matching_salvetti_fiber(
     a contraction's dual ball, matched through the isomorphism induced by
     restriction; the patchwork map glues along the tope string.
     """
-    a = (
-        target_cell
-        if isinstance(target_cell, SalvettiCell)
-        else loc.target.by_id[target_cell]
-    )
+    a = loc.target_cell(target_cell)
     strat = stratify_fiber(loc, base_tope, lattice)
     system = loc.system
     keep = [lab for lab in system.ground if lab in loc.flat]

@@ -140,11 +140,16 @@ class SalvettiLocalization:
                 raise AssertionError("section identity fails")
         return out
 
-    def fiber(self, cell: str | SalvettiCell) -> FinitePoset:
+    def target_cell(self, cell: str | SalvettiCell) -> SalvettiCell:
+        """The cell of the localized poset with this id (or equal to this
+        cell); ValueError if there is none."""
         cid = cell.id if isinstance(cell, SalvettiCell) else cell
         if cid not in self.target.by_id:
             raise ValueError(f"unknown cell {cid!r} of the localized poset")
-        return self.map.fiber(cid)
+        return self.target.by_id[cid]
+
+    def fiber(self, cell: str | SalvettiCell) -> FinitePoset:
+        return self.map.fiber(self.target_cell(cell).id)
 
 
 def salvetti_localization(

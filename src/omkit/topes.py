@@ -21,6 +21,10 @@ class NotATopeError(ValueError):
     pass
 
 
+class NotConvexError(ValueError):
+    pass
+
+
 def _require_tope(system: CovectorSystem, t: SignVector) -> None:
     if t not in system.topes():
         raise NotATopeError(f"{t} is not a tope")
@@ -139,7 +143,7 @@ def convex_first_extension(
     if base not in qset:
         raise ValueError("base tope must belong to Q")
     if not is_convex(system, qset):
-        raise ValueError("Q is not convex")
+        raise NotConvexError("Q is not convex")
     tp = tope_poset(system, base)
     ids = [str(t) for t in qset]
     if not tp.is_ideal(ids):

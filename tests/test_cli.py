@@ -291,3 +291,29 @@ def test_unknown_corpus_name(capsys):
 def test_error_reporting(capsys):
     code, _ = run(capsys, ["modular", "H1,H9"], stdin=om_text("sec3-arrangement"))
     assert code == 2
+
+
+def test_morse_fiber_names_an_unknown_cell(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(om_text("sec3-arrangement")))
+    code = main([
+        "morse", "--construction", "fiber", "--flat", "H1,H2,H3",
+        "--cell", "(+00;+++)", "--tope", "+++",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: unknown cell '(+00;+++)' of the localized poset\n"
+    )
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    import omkit.cli
+
+    def broken(args):
+        raise AssertionError("boundary square nonzero in dimension 2")
+
+    monkeypatch.setattr(omkit.cli, "cmd_lattice", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(om_text("rank1")))
+    assert main(["lattice"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: boundary square nonzero in dimension 2\n"

@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from omkit.homology import (
+    NotRegularError,
     betti_numbers,
+    chain_complex,
     graph_free_rank,
     graph_rank_report,
     h1_rank_check,
@@ -43,16 +47,125 @@ def test_two_sphere():
     assert homology(sphere).betti == (1, 0, 1)
 
 
-def test_projective_plane_torsion():
+def rp2():
     # minimal triangulation on six vertices: torsion Z/2 in dimension one
     facets = [
         [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
         [2, 3, 5], [3, 5, 6], [3, 4, 6], [2, 4, 6], [2, 4, 5],
     ]
-    rp2 = SimplicialComplexRecord.from_facets([[str(v) for v in f] for f in facets])
-    res = homology(rp2)
-    assert res.betti == (1, 0, 0)
-    assert res.torsion[1] == (2,)
+    return SimplicialComplexRecord.from_facets([[str(v) for v in f] for f in facets])
+
+
+def face_poset(complex_record):
+    """The face poset of a simplicial complex, faces named 'a,b,...'."""
+    name = {f: ",".join(sorted(f)) for f in complex_record.faces}
+    covers = [(name[f - {v}], name[f]) for f in complex_record.faces if len(f) > 1 for v in f]
+    return FinitePoset.from_covers(name.values(), covers)
+
+
+def test_projective_plane_torsion():
+    # through the simplicial path and through the cellular path of its face poset
+    for target in (rp2(), face_poset(rp2())):
+        res = homology(target)
+        assert res.betti == (1, 0, 0)
+        assert res.torsion[1] == (2,)
+
+
+def order_complex_homology(poset):
+    """The oracle: homology of the barycentric subdivision."""
+    return homology(poset.order_complex())
+
+
+def test_cellular_matches_order_complex_on_corpus(all_corpus):
+    for name, system in all_corpus.items():
+        if name == "non-pappus":  # about 18 s through the order complex
+            continue
+        poset = salvetti(system).poset
+        assert homology(poset) == order_complex_homology(poset), name
+
+
+def test_cellular_matches_order_complex_on_fibers(five_planes):
+    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    for cid in sorted(loc.target.poset.elements):
+        fib = loc.fiber(cid)
+        assert homology(fib) == order_complex_homology(fib), cid
+
+
+def test_poset_homology_does_not_subdivide(monkeypatch, five_planes):
+    def refuse(self):
+        raise AssertionError("order complex built")
+
+    poset = salvetti(five_planes).poset
+    monkeypatch.setattr(FinitePoset, "order_complex", refuse)
+    assert homology(poset).betti == (1, 5, 8, 4)
+
+
+def test_cellular_boundary_signs():
+    # a square disk: edges run from the vertex that sorts first, and the
+    # 2-cell's boundary is the cycle through its four edges
+    disk = FinitePoset.from_covers(
+        ("a", "b", "c", "d", "ab", "bc", "cd", "ad", "f"),
+        [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc"), ("c", "cd"),
+         ("d", "cd"), ("a", "ad"), ("d", "ad"),
+         ("ab", "f"), ("bc", "f"), ("cd", "f"), ("ad", "f")],
+    )
+    rec = chain_complex(disk)
+    assert rec.bases == (("a", "b", "c", "d"), ("ab", "ad", "bc", "cd"), ("f",))
+    assert rec.boundaries[1][0] == {0: -1, 1: 1}  # ab = b - a
+    assert rec.boundaries[2][0] == {0: 1, 1: -1, 2: 1, 3: 1}  # ab + bc + cd - ad
+    assert homology(disk).betti == (1, 0, 0)
+
+
+def two_digons():
+    # a 2-cell whose boundary is two disjoint circles
+    return FinitePoset.from_covers(
+        ("a", "b", "c", "d", "e1", "e2", "e3", "e4", "f"),
+        [(v, e) for e in ("e1", "e2") for v in ("a", "b")]
+        + [(v, e) for e in ("e3", "e4") for v in ("c", "d")]
+        + [(e, "f") for e in ("e1", "e2", "e3", "e4")],
+    )
+
+
+def theta_cell():
+    # a 2-cell on a theta graph: each vertex lies in three of its edges
+    return FinitePoset.from_covers(
+        ("p", "q", "e1", "e2", "e3", "f"),
+        [(v, e) for e in ("e1", "e2", "e3") for v in ("p", "q")]
+        + [(e, "f") for e in ("e1", "e2", "e3")],
+    )
+
+
+def skipping_cover():
+    # the vertex u is covered by the 2-cell c directly
+    return FinitePoset.from_covers(
+        ("v", "w", "u", "e", "c"),
+        [("v", "e"), ("w", "e"), ("e", "c"), ("u", "c")],
+    )
+
+
+def rp2_ball():
+    # a 3-cell glued along RP^2, which cannot bound it
+    faces = face_poset(rp2())
+    tops = sorted(faces.maximal_elements())
+    return FinitePoset.from_covers(
+        list(faces.elements) + ["ball"],
+        list(faces.covers()) + [(t, "ball") for t in tops],
+    )
+
+
+@pytest.mark.parametrize(
+    "poset, message",
+    [
+        (skipping_cover, "cell 'c': the cover 'u' < 'c' skips a height"),
+        (lambda: FinitePoset.from_covers(("v", "e"), [("v", "e")]), "edge 'e' has vertices"),
+        (theta_cell, "cell 'f': its face 'p' lies in 3 of its facets"),
+        (rp2_ball, "cell 'ball': incidence signs disagree"),
+        (two_digons, "cell 'f': its facet graph is disconnected"),
+    ],
+)
+def test_regularity_failures_name_the_cell(poset, message):
+    with pytest.raises(NotRegularError, match=re.escape(message)):
+        homology(poset())
 
 
 def test_rank1_salvetti_circle(rank1):

@@ -171,6 +171,31 @@ def test_convex_critical_path_of_three(uniform23):
     assert len(m.critical_cells()) == 3
 
 
+def test_convex_critical_refuses_non_convex(uniform23):
+    # a tope and its opposite: every other tope lies between them
+    topes = sorted(uniform23.topes(), key=str)
+    t = topes[0]
+    far = next(r for r in topes if len(t.separator(r)) == len(uniform23.ground))
+    with pytest.raises(MatchingError, match="Q must be convex"):
+        matching_convex_critical(uniform23, {t, far})
+
+
+def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
+    import omkit.topes
+
+    seen = []
+    real = omkit.topes.is_convex
+
+    def counting(system, q):
+        seen.append(frozenset(q))
+        return real(system, q)
+
+    monkeypatch.setattr(omkit.topes, "is_convex", counting)
+    q = frozenset(sorted(five_planes.topes(), key=str)[:1])
+    matching_convex_critical(five_planes, q)
+    assert seen == [q]
+
+
 def test_fiber_matchings_exhaustive(five_planes):
     lat = build_lattice(five_planes)
     x = frozenset({"H1", "H2", "H3"})
