@@ -4,6 +4,10 @@ A covector system is a finite set of sign vectors over an ordered ground
 set.  The four covector axioms are checked exhaustively and on failure a
 concrete witness is reported; failures are data here, not exceptions,
 because the extension search uses the axiom check as its validity arbiter.
+
+The covector order is built once per system, by one scan over the
+(plus, minus) masks, and cached like the topes and the cocircuits; the
+dual ball, the sphere and the Salvetti poset are all read off it.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ class CovectorSystem:
         "_rank",
         "_by_text",
         "_cocircuits",
+        "_poset",
     )
 
     def __init__(self, ground: Iterable[str], covectors: Iterable[SignVector]):
@@ -116,6 +121,7 @@ class CovectorSystem:
         object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_by_text", None)
         object.__setattr__(self, "_cocircuits", None)
+        object.__setattr__(self, "_poset", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CovectorSystem is immutable")
@@ -379,27 +385,31 @@ class CovectorSystem:
 
     # -- poset views ----------------------------------------------------------
 
-    def covector_poset(
-        self, include_zero: bool = True, dual: bool = False
-    ) -> FinitePoset:
-        covs = [
-            c for c in self.covectors if include_zero or not c.is_zero()
-        ]
-        ids = [str(c) for c in covs]
-        pairs = []
-        for a in covs:
-            sa = str(a)
-            for b in covs:
-                if a is not b and a.leq(b):
-                    pairs.append((str(b), sa) if dual else (sa, str(b)))
-        return FinitePoset(ids, pairs, _validated=True)
+    def covector_poset(self) -> FinitePoset:
+        """The covectors under the product order, built once per system.
+
+        Every other covector order is a view of this one: the dual ball is
+        its `.dual()`, the sphere its subposet without the zero vector, and
+        the Salvetti poset reads its principal ideals off it.
+        """
+        if self._poset is None:
+            items = [(t, c.plus, c.minus) for t, c in self.by_text().items()]
+            pairs = [
+                (a, b)
+                for a, pa, ma in items
+                for b, pb, mb in items
+                if not (pa & ~pb or ma & ~mb)
+            ]
+            poset = FinitePoset(self.by_text(), pairs, _validated=True)
+            object.__setattr__(self, "_poset", poset)
+        return self._poset
 
     def big_face_lattice_map(self) -> PosetMap:
         """z as an order preserving map from the dual covector poset to flats."""
         from .lattices import build_lattice, flat_id
 
         lat = build_lattice(self)
-        src = self.covector_poset(dual=True)
+        src = self.covector_poset().dual()
         assignment = {str(c): flat_id(c.zero_set(), self.ground) for c in self.covectors}
         return PosetMap(src, lat.poset(), assignment)
 
@@ -411,19 +421,6 @@ class AffineCovectorSystem:
     base: CovectorSystem
     positive_element: str
     covectors_plus: frozenset[SignVector]
-
-    def topes(self) -> frozenset[SignVector]:
-        return frozenset(t for t in self.base.topes() if t in self.covectors_plus)
-
-    def poset(self) -> FinitePoset:
-        ids = [str(c) for c in self.covectors_plus]
-        pairs = [
-            (str(a), str(b))
-            for a in self.covectors_plus
-            for b in self.covectors_plus
-            if a is not b and a.leq(b)
-        ]
-        return FinitePoset(ids, pairs, _validated=True)
 
 
 # -- realizable construction ----------------------------------------------

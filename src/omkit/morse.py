@@ -260,7 +260,7 @@ def matching_convex_critical(
     qset = frozenset(q)
     if not qset:
         raise MatchingError("Q must be nonempty")
-    ball = system.covector_poset(include_zero=True, dual=True)
+    ball = system.covector_poset().dual()
     topes = system.topes()
     rest = topes - qset
     if not rest:
@@ -276,9 +276,7 @@ def matching_convex_critical(
             raise MatchingError("Q must be convex") from None
         shell_order = [str(t) for t in reversed(ext) if t in rest]
         lq = subcomplex_LQ(system, rest) - {system.zero}
-        sub = system.covector_poset(include_zero=False).subposet(
-            [str(c) for c in lq]
-        )
+        sub = system.covector_poset().subposet([str(c) for c in lq])
         vertex = min(
             (x for x in sub.minimal_elements() if sub.leq(x, shell_order[0])),
         )

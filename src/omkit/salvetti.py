@@ -1,8 +1,9 @@
 """The Salvetti poset of a covector system and its localization maps.
 
 Cells are pairs (sigma, T) with sigma below the tope T, ordered by
-(sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T.  Cell ids
-render canonically as "(sigma;T)" in sign-vector text form.  The fiber
+(sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
+below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
+covector poset, and each cell id "(sigma;T)" is rendered once.  The fiber
 stratification over a modular corank-one flat is the combinatorial heart
 of the quasi-fibration certificates.
 """
@@ -15,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 from .lattices import build_lattice, GeometricLattice
 from .matroids import CovectorSystem, NotAFlatError, section_lift
 from .posets import FinitePoset, PosetMap
-from .signs import SignVector
+from .signs import SignVector, compose_masks
 
 
 class StratificationError(ValueError):
@@ -28,7 +29,7 @@ class SalvettiCell(NamedTuple):
 
     @property
     def id(self) -> str:
-        return f"({self.face};{self.tope})"
+        return cell_id(self.face, self.tope)
 
 
 def cell_id(face: SignVector, tope: SignVector) -> str:
@@ -51,45 +52,36 @@ class SalvettiPoset:
 
     __slots__ = ("system", "cells", "poset", "by_id")
 
-    def __init__(self, system: CovectorSystem, restrict_positive: Optional[str] = None):
-        covs = sorted(system.covectors, key=str)
-        if restrict_positive is not None:
-            if restrict_positive not in system.ground:
-                raise ValueError(f"unknown label {restrict_positive!r}")
-            # c <= T with c positive on g forces T positive on g, so
-            # filtering the faces suffices
-            i = system.ground.index(restrict_positive)
-            covs = [c for c in covs if c.plus >> i & 1]
-        cells = [
-            SalvettiCell(c, t)
-            for t in sorted(system.topes(), key=str)
-            for c in covs
-            if c.leq(t)
-        ]
+    def __init__(self, system: CovectorSystem):
+        order = system.covector_poset()
+        vec = system.by_text()
+        topes = {(t.plus, t.minus): str(t) for t in system.topes()}
+        ids = {
+            (c, t): f"({c};{t})"
+            for t in sorted(topes.values())
+            for c in sorted(order.below(t))
+        }
         pairs = []
-        for x in cells:
-            sx, tx = x
-            for y in cells:
-                if x is y:
-                    continue
-                sy, ty = y
-                # x <= y iff sx >= sy and sx o ty = tx
-                if sy.leq(sx) and sx.compose(ty) == tx:
-                    pairs.append((x.id, y.id))
-        poset = FinitePoset([c.id for c in cells], pairs)
+        for (g, r), y in ids.items():
+            for f in sorted(order.above(g)):
+                fr = compose_masks(vec[f].plus, vec[f].minus, vec[r].plus, vec[r].minus)
+                if fr not in topes:
+                    bad = SignVector(system.ground, *fr)
+                    what = "tope" if bad in system else "covector"
+                    raise ValueError(f"composition {f} o {r} = {bad} is not a {what}")
+                pairs.append((ids[f, topes[fr]], y))
+        cells = [SalvettiCell(vec[c], vec[t]) for c, t in ids]
+        poset = FinitePoset(ids.values(), pairs)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "cells", tuple(cells))
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "by_id", {c.id: c for c in cells})
+        object.__setattr__(self, "by_id", dict(zip(ids.values(), cells)))
         # sanity of the construction: extremes are as forced by the order
-        zero = system.zero
-        maximal = {c.id for c in cells if c.face == zero}
-        minimal = {c.id for c in cells if c.face == c.tope}
-        if restrict_positive is None:
-            if poset.maximal_elements() != frozenset(maximal):
-                raise AssertionError("maximal cells are not the (0, T)")
-            if poset.minimal_elements() != frozenset(minimal):
-                raise AssertionError("minimal cells are not the (T, T)")
+        zero = str(system.zero)
+        if poset.maximal_elements() != {y for (g, _), y in ids.items() if g == zero}:
+            raise AssertionError("maximal cells are not the (0, T)")
+        if poset.minimal_elements() != {y for (g, r), y in ids.items() if g == r}:
+            raise AssertionError("minimal cells are not the (T, T)")
 
     def __setattr__(self, name, value):
         raise AttributeError("SalvettiPoset is immutable")
@@ -106,9 +98,11 @@ def salvetti(system: CovectorSystem) -> SalvettiPoset:
     return SalvettiPoset(system)
 
 
-def affine_salvetti(system: CovectorSystem, g: str) -> SalvettiPoset:
-    """Cells (sigma, T) with sigma and T positive on g."""
-    return SalvettiPoset(system, restrict_positive=g)
+def affine_salvetti(system: CovectorSystem, g: str) -> FinitePoset:
+    """The subposet on the cells whose face (hence tope) is positive on g."""
+    bit = system.label_mask([g])
+    salv = SalvettiPoset(system)
+    return salv.poset.subposet(cid for cid, c in salv.by_id.items() if c.face.plus & bit)
 
 
 @dataclass(frozen=True)
@@ -162,10 +156,10 @@ def salvetti_localization(
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
     keep = [lab for lab in system.ground if lab in x]
-    assignment = {}
-    for cell in source.cells:
-        image = SalvettiCell(cell.face.restrict(keep), cell.tope.restrict(keep))
-        assignment[cell.id] = image.id
+    assignment = {
+        cid: cell_id(c.face.restrict(keep), c.tope.restrict(keep))
+        for cid, c in source.by_id.items()
+    }
     pmap = PosetMap(source.poset, target.poset, assignment)
     return SalvettiLocalization(system, x, localized, source, target, pmap)
 
@@ -181,7 +175,7 @@ def principal_ideal_iso(
         raise ValueError(f"{top_id} is not a cell")
     ideal_ids = salv.poset.below(top_id)
     ideal = salv.poset.subposet(ideal_ids)
-    dual = system.covector_poset(include_zero=True, dual=True)
+    dual = system.covector_poset().dual()
     fwd = {cid: str(salv.by_id[cid].face) for cid in ideal_ids}
     bwd = {
         str(c): cell_id(c, c.compose(tope)) for c in system.covectors

@@ -190,7 +190,9 @@ def dual_subcomplex(
 
 def sphere_poset(system: CovectorSystem) -> FinitePoset:
     """Face poset of the covector sphere (zero vector removed)."""
-    return system.covector_poset(include_zero=False)
+    poset = system.covector_poset()
+    zero = str(system.zero)
+    return poset.subposet(x for x in poset.elements if x != zero)
 
 
 # -- shellings ---------------------------------------------------------------

@@ -317,3 +317,17 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: boundary square nonzero in dimension 2\n"
+
+
+def test_salvetti_commands_refuse_a_composition_outside_the_system(capsys, monkeypatch):
+    # ROADMAP 4(b): the opposite of ++0 is missing, so ++0 o --- = ++- is
+    # not a covector; both commands used to report on such input
+    text = "ground: a b c\ncovectors:\n000\n+++\n---\n++0\n"
+    for command in ("salvetti", "homology"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: composition ++0 o --- = ++- is not a covector\n"
+        )

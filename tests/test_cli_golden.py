@@ -1,0 +1,94 @@
+"""Byte-for-byte CLI transcript: stdout, stderr and exit status of a fixed
+command list, compared against `golden/cli_transcript.json`.
+
+The transcript pins every report a refactor must leave unchanged.  To
+re-record it after an intended change of output, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of the JSON file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from omkit.cli import main
+from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.omfile import format_system
+
+GOLDEN = Path(__file__).with_name("golden") / "cli_transcript.json"
+
+# (corpus member, flat) pairs for the localization commands
+LOCALIZED = (("sec3-arrangement", "H1,H2,H3"), ("braid3", "12,13,23"))
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(corpus member read on stdin, argv) for every recorded command."""
+    out = []
+    for name in CORPUS_NAMES:
+        system = corpus(name)
+        topes = sorted(str(t) for t in system.topes())
+        halfspace = [t for t in topes if t[0] == "+"]
+        out += [
+            (name, ["salvetti"]),
+            (name, ["homology"]),
+            (name, ["ranks"]),
+            (name, ["shelling", f"--base={topes[0]}"]),
+            (name, ["morse", "--construction", "convex", "--topes", ",".join(halfspace)]),
+        ]
+    for name, flat in LOCALIZED:
+        system = corpus(name)
+        loc = system.restriction(flat.split(","))
+        loc_topes = sorted(loc.topes(), key=str)
+        cells = sorted(
+            f"({c};{t})" for t in loc_topes for c in loc.covectors if c.leq(t)
+        )
+        out.append((name, ["certify-qf", "--flat", flat, "--exhaustive"]))
+        out += [(name, ["stratify", "--flat", flat, f"--tope={t}"]) for t in loc_topes]
+        for cell in cells:
+            out.append((name, ["fiber", "--flat", flat, "--cell", cell]))
+            out.append((name, ["homology", "--target", "fiber", "--flat", flat, "--cell", cell]))
+        bp = str(loc_topes[0])
+        out.append(
+            (name, ["morse", "--construction", "fiber", "--flat", flat,
+                    "--cell", f"({bp};{bp})", f"--tope={bp}"])
+        )
+    return out
+
+
+def run_cli(name: str, argv: list[str]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(format_system(corpus(name)))
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            status = main(argv)
+    finally:
+        sys.stdin = old
+    return {
+        "input": name,
+        "argv": argv,
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+        "status": status,
+    }
+
+
+def test_cli_transcript_is_byte_identical():
+    golden = json.loads(GOLDEN.read_text())
+    assert [(g["input"], g["argv"]) for g in golden] == commands()
+    for want in golden:
+        got = run_cli(want["input"], want["argv"])
+        assert got == want, (want["input"], want["argv"])
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    records = [run_cli(name, argv) for name, argv in commands()]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"{len(records)} commands -> {GOLDEN}")

@@ -17,6 +17,7 @@ from omkit.homology import (
 )
 from omkit.posets import FinitePoset, SimplicialComplexRecord
 from omkit.salvetti import salvetti, salvetti_localization
+from omkit.topes import sphere_poset
 
 
 def test_rank_and_torsion_basics():
@@ -222,7 +223,7 @@ def test_graph_rank_disconnected_reports_components():
 
 def test_graph_rank_rejects_high_dimension(five_planes):
     with pytest.raises(ValueError):
-        graph_free_rank(five_planes.covector_poset(include_zero=False))
+        graph_free_rank(sphere_poset(five_planes))
 
 
 def test_minimal_fiber_rank(five_planes):

@@ -176,3 +176,26 @@ def test_zaslavsky_on_corpus(all_corpus):
     for name, system in all_corpus.items():
         lat = build_lattice(system)
         assert sum(lat.whitney()) == len(system.topes()), name
+
+
+def test_modular_chain_scan_fallback(all_corpus, monkeypatch):
+    # with the recursive search disabled, is_supersolvable falls back to
+    # the scan over chains of fully modular flats, which finds the chain
+    # the recursive search finds
+    from omkit.lattices import GeometricLattice
+
+    found = {}
+    for name, system in all_corpus.items():
+        chain = build_lattice(system).is_supersolvable()
+        found[name] = None if chain is None else chain.flats
+    monkeypatch.setattr(GeometricLattice, "_ss_chain", lambda self, top: None)
+    for name, system in all_corpus.items():
+        lat = build_lattice(system)
+        chain = lat.is_supersolvable()
+        if name == "non-pappus":
+            assert chain is None
+            continue
+        assert chain is not None, name
+        assert len(chain.flats) == lat.rank() + 1, name
+        assert all(lat.is_modular_flat(f).ok for f in chain.flats), name
+        assert chain.flats == found[name], name

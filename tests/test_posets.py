@@ -4,6 +4,7 @@ import pytest
 
 from omkit.posets import FinitePoset, PosetError, PosetMap
 from omkit.corpus import corpus
+from omkit.topes import sphere_poset
 
 
 def chain_abc():
@@ -108,7 +109,7 @@ def test_order_complex_counts_match_brute_force():
 
 
 def test_order_complex_of_reduced_rank1_sphere(rank1):
-    poset = rank1.covector_poset(include_zero=False)
+    poset = sphere_poset(rank1)
     assert poset.order_complex().f_vector() == (2,)  # two points
 
 

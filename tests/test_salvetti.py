@@ -1,8 +1,9 @@
 import pytest
 
 from omkit.lattices import build_lattice
-from omkit.matroids import NotAFlatError
+from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.salvetti import (
+    SalvettiPoset,
     affine_salvetti,
     cell_id,
     fiber_rank2_model,
@@ -13,6 +14,48 @@ from omkit.salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
+from omkit.topes import sphere_poset
+
+
+def definition_order(system):
+    """The Salvetti order straight from its definition, over all pairs of
+    cells: (sigma, T) <= (tau, R) iff sigma >= tau and sigma o R = T."""
+    covs = system.covectors
+    topes = [t for t in covs if not any(t != d and t.leq(d) for d in covs)]
+    cells = [(c, t) for t in topes for c in covs if c.leq(t)]
+    return frozenset(
+        (cell_id(sigma, t), cell_id(tau, r))
+        for sigma, t in cells
+        for tau, r in cells
+        if tau.leq(sigma) and sigma.compose(r) == t
+    )
+
+
+def test_salvetti_order_matches_definition(all_corpus, five_planes):
+    for name, system in all_corpus.items():
+        assert salvetti(system).poset.pairs() == definition_order(system), name
+    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    assert loc.target.poset.pairs() == definition_order(loc.localized)
+
+
+def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus):
+    for name, system in all_corpus.items():
+        poset = system.covector_poset()
+        assert system.covector_poset() is poset, name
+        covs = system.covectors
+        order = {(str(a), str(b)) for a in covs for b in covs if a.leq(b)}
+        assert poset.pairs() == order, name
+        assert poset.dual().pairs() == {(b, a) for a, b in order}, name
+        zero = str(system.zero)
+        sphere = {(a, b) for a, b in order if zero not in (a, b)}
+        assert sphere_poset(system).pairs() == sphere, name
+
+
+def test_salvetti_refuses_a_composition_outside_the_system():
+    # the opposite of ++0 is missing, so ++0 o --- = ++- is no covector
+    system = CovectorSystem.from_strings("abc", ["000", "+++", "---", "++0"])
+    with pytest.raises(ValueError, match=r"composition \+\+0 o --- = \+\+- is not a covector"):
+        SalvettiPoset(system)
 
 
 def test_rank1_salvetti_is_a_circle(rank1):
@@ -105,7 +148,7 @@ def test_localization_square(five_planes):
 
 def test_affine_salvetti_is_graph(uniform23):
     aff = affine_salvetti(uniform23, "e1")
-    heights = aff.poset.heights()
+    heights = aff.heights()
     assert max(heights.values()) <= 1
 
 
