@@ -24,8 +24,8 @@ from .homology import (
 from .lattices import build_lattice, flat_id, parse_flat
 from .matroids import CovectorSystem, RationalArrangement, from_arrangement
 from .morse import (
+    collapse_ball,
     matching_convex_critical,
-    matching_from_shelling,
     matching_salvetti_fiber,
     morse_reduction_certificate,
 )
@@ -43,13 +43,7 @@ from .salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
-from .topes import (
-    ShellingOrder,
-    shelling_order_from_extension,
-    sphere_poset,
-    subcomplex_LQ,
-    verify_shelling,
-)
+from .topes import shelling_order_from_extension, sphere_poset, verify_shelling
 
 
 def _read_system(args) -> CovectorSystem:
@@ -238,16 +232,9 @@ def cmd_morse(args) -> int:
         _require(args, ["base"])
         base = system.vector(args.base)
         order = shelling_order_from_extension(system, base)
-        poset = sphere_poset(system)
         # collapse the ball left of the last cell: use all topes but one
-        cells = list(order.cells)
-        ball_cells = cells[:-1]
-        by_text = system.by_text()
-        sub_ids = [str(c) for c in subcomplex_LQ(system, [by_text[t] for t in ball_cells]) if not c.is_zero()]
-        sub = poset.subposet(sub_ids)
-        vertex = min(x for x in sub.minimal_elements() if sub.leq(x, ball_cells[0]))
-        matching = matching_from_shelling(sub, ShellingOrder(tuple(ball_cells)), vertex)
-        cert = morse_reduction_certificate(sub, {vertex}, matching)
+        matching, vertex = collapse_ball(system, order.cells[:-1])
+        cert = morse_reduction_certificate(matching.host, {vertex}, matching)
         report.note("pairs", len(matching.pairs))
         report.note("critical", vertex)
         report.add("matching.acyclic", True)
@@ -266,7 +253,7 @@ def cmd_morse(args) -> int:
         loc = salvetti_localization(system, x)
         cell = parse_cell_id(args.cell, loc.localized)
         bp = loc.localized.vector(args.tope)
-        matching = matching_salvetti_fiber(loc, cell.id, bp)
+        matching = matching_salvetti_fiber(stratify_fiber(loc, bp), cell.id)
         cert = morse_reduction_certificate(
             matching.host, loc.fiber(cell.id).elements, matching
         )

@@ -89,40 +89,40 @@ class _SearchSpace:
         # one-dimensional cells with their two boundary cocircuits, for the
         # crossing-cocircuit rule; computed once per search
         edge_rank = self.rank - 2
+        poset = system.covector_poset()
+        by_text = system.by_text()
+        cocirc_ids = frozenset(str(y) for y in cocircs)
         self.edge_cells: list[tuple[SignVector, SignVector, SignVector]] = []
-        for f in sorted(system.covectors, key=str):
+        for fid in sorted(by_text):
+            f = by_text[fid]
             if self.lattice.rank_of.get(f.zero_set()) != edge_rank:
                 continue
-            below = [y for y in cocircs if y.leq(f)]
+            below = sorted(poset.below(fid) & cocirc_ids)
             if len(below) != 2:
                 raise ExtensionError(f"cell {f} has {len(below)} vertices")
-            self.edge_cells.append((f, below[0], below[1]))
+            self.edge_cells.append((f, by_text[below[0]], by_text[below[1]]))
 
     # -- rank-two contractions as cycles ----------------------------------
 
     def _cocircuit_cycle(self, contraction: CovectorSystem) -> list[SignVector]:
-        cocircs = sorted(contraction.cocircuits(), key=str)
-        topes = sorted(contraction.topes(), key=str)
-        below: dict[str, list[SignVector]] = {str(t): [] for t in topes}
-        for y in cocircs:
-            for t in topes:
-                if y.leq(t):
-                    below[str(t)].append(y)
-        for t, ys in below.items():
+        poset = contraction.covector_poset()
+        by_text = contraction.by_text()
+        cocirc_ids = frozenset(str(y) for y in contraction.cocircuits())
+        adj: dict[str, list[str]] = {y: [] for y in cocirc_ids}
+        for t in sorted(poset.maximal_elements()):
+            ys = sorted(poset.below(t) & cocirc_ids)
             if len(ys) != 2:
                 raise ExtensionError(
                     f"tope {t} of a rank-two contraction has {len(ys)} vertices"
                 )
-        adj: dict[str, list[SignVector]] = {str(y): [] for y in cocircs}
-        for t in topes:
-            a, b = below[str(t)]
-            adj[str(a)].append(b)
-            adj[str(b)].append(a)
-        start = cocircs[0]
+            a, b = ys
+            adj[a].append(b)
+            adj[b].append(a)
+        start = min(cocirc_ids)
         cycle = [start]
-        prev: Optional[SignVector] = None
+        prev: Optional[str] = None
         while True:
-            nxts = [y for y in adj[str(cycle[-1])] if prev is None or y != prev]
+            nxts = [y for y in adj[cycle[-1]] if prev is None or y != prev]
             if not nxts:
                 raise ExtensionError("cocircuit adjacency walk dead-ends")
             nxt = nxts[0]
@@ -130,8 +130,9 @@ class _SearchSpace:
                 break
             prev = cycle[-1]
             cycle.append(nxt)
-        if len(cycle) != len(cocircs):
+        if len(cycle) != len(cocirc_ids):
             raise ExtensionError("cocircuit adjacency is not a single cycle")
+        cycle = [by_text[y] for y in cycle]
         m = len(cycle) // 2
         for i in range(m):
             if cycle[i + m] != cycle[i].opposite():

@@ -24,7 +24,12 @@ from typing import Iterable, Optional, Union
 from .lattices import GeometricLattice, build_lattice, flat_id
 from .matroids import CovectorSystem
 from .posets import FinitePoset, SimplicialComplexRecord
-from .salvetti import SalvettiLocalization, salvetti, salvetti_localization
+from .salvetti import (
+    SalvettiLocalization,
+    salvetti,
+    salvetti_localization,
+    stratify_fiber,
+)
 
 
 # -- exact Smith data ---------------------------------------------------------
@@ -555,13 +560,17 @@ def quasi_fibration_certify(
             c, len(fib), tuple(betti[:2]), res.is_torsion_free()
         )
 
+    # one stratification per ambient cell, shared by every matching into it
+    strat_for = {
+        amb: stratify_fiber(loc, loc.target.by_id[amb].tope, lat)
+        for amb in sorted({ambient_for[b] for _a, b in pairs_all})
+    }
     matching_ok: dict[tuple[str, str], bool] = {}
 
     def matching_valid(cell: str, ambient: str) -> bool:
         key = (cell, ambient)
         if key not in matching_ok:
-            bp = loc.target.by_id[ambient].tope
-            m = matching_salvetti_fiber(loc, cell, bp, lat)
+            m = matching_salvetti_fiber(strat_for[ambient], cell)
             cert = morse_reduction_certificate(
                 m.host, loc.fiber(cell).elements, m
             )

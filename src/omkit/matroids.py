@@ -6,8 +6,10 @@ concrete witness is reported; failures are data here, not exceptions,
 because the extension search uses the axiom check as its validity arbiter.
 
 The covector order is built once per system, by one scan over the
-(plus, minus) masks, and cached like the topes and the cocircuits; the
-dual ball, the sphere and the Salvetti poset are all read off it.
+(plus, minus) masks, and cached.  Every other order question is read off
+it: the topes are its maximal elements, the rank its height, the
+cocircuits the nonzero elements with only zero below, and the dual ball,
+the sphere and the Salvetti poset are views of it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,6 @@ class CovectorSystem:
         "covectors",
         "_mask_set",
         "_topes",
-        "_rank",
         "_by_text",
         "_cocircuits",
         "_poset",
@@ -118,7 +119,6 @@ class CovectorSystem:
             self, "_mask_set", frozenset((c.plus, c.minus) for c in covs)
         )
         object.__setattr__(self, "_topes", None)
-        object.__setattr__(self, "_rank", None)
         object.__setattr__(self, "_by_text", None)
         object.__setattr__(self, "_cocircuits", None)
         object.__setattr__(self, "_poset", None)
@@ -161,30 +161,18 @@ class CovectorSystem:
         return mask
 
     def topes(self) -> frozenset[SignVector]:
-        """The maximal covectors."""
+        """The maximal covectors of the covector order."""
         if self._topes is None:
-            covs = sorted(self.covectors, key=lambda c: str(c))
-            tops = []
-            for c in covs:
-                if not any(c is not d and c.leq(d) for d in self.covectors):
-                    tops.append(c)
-            object.__setattr__(self, "_topes", frozenset(tops))
+            by_text = self.by_text()
+            tops = frozenset(
+                by_text[x] for x in self.covector_poset().maximal_elements()
+            )
+            object.__setattr__(self, "_topes", tops)
         return self._topes
 
     def rank(self) -> int:
         """Length of a maximal chain in the covector poset."""
-        if self._rank is None:
-            order = sorted(
-                self.covectors, key=lambda c: bin(c.support_mask).count("1")
-            )
-            best: dict[SignVector, int] = {}
-            for c in order:
-                best[c] = max(
-                    (best[d] + 1 for d in best if d is not c and d.leq(c)),
-                    default=0,
-                )
-            object.__setattr__(self, "_rank", max(best.values(), default=0))
-        return self._rank
+        return self.covector_poset().height()
 
     def loops(self) -> tuple[str, ...]:
         full = (1 << len(self.ground)) - 1
@@ -363,13 +351,15 @@ class CovectorSystem:
         return PosetMap(loc.covector_poset(), self.covector_poset(), assignment)
 
     def cocircuits(self) -> frozenset[SignVector]:
-        """The minimal nonzero covectors."""
+        """The minimal nonzero covectors: nothing but zero lies below them."""
         if self._cocircuits is None:
-            nonzero = [c for c in self.covectors if not c.is_zero()]
+            poset = self.covector_poset()
+            zero = str(self.zero)
+            by_text = self.by_text()
             out = frozenset(
-                c
-                for c in nonzero
-                if not any(d is not c and d.leq(c) for d in nonzero)
+                by_text[x]
+                for x in poset.elements
+                if x != zero and poset.below(x) <= {x, zero}
             )
             object.__setattr__(self, "_cocircuits", out)
         return self._cocircuits

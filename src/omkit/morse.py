@@ -10,24 +10,17 @@ the theory that motivated it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .lattices import GeometricLattice
 from .matroids import CovectorSystem
 from .posets import FinitePoset, PosetMap
-from .salvetti import (
-    SalvettiCell,
-    SalvettiLocalization,
-    cell_id,
-    stratify_fiber,
-)
+from .salvetti import FiberStratification, SalvettiCell, cell_id
 from .signs import SignVector
 from .topes import (
     NotConvexError,
     ShellingOrder,
     convex_first_extension,
     dual_subcomplex,
-    subcomplex_LQ,
 )
 
 
@@ -245,6 +238,23 @@ def matching_from_shelling(
     return out
 
 
+def collapse_ball(
+    system: CovectorSystem, shelled: Sequence[str]
+) -> tuple[Matching, str]:
+    """Collapse the ball L(Q) of the covector sphere onto one vertex.
+
+    The topes of Q are given by id in shelling order.  The ball is the
+    ideal below them without the zero vector, and the vertex is the least
+    minimal cell below the first tope.  Returns the collapse and the vertex.
+    """
+    if not shelled:
+        raise MatchingError("the ball has no tope to collapse")
+    poset = system.covector_poset()
+    ball = poset.subposet(poset.order_ideal(shelled) - {str(system.zero)})
+    vertex = min(x for x in ball.minimal_elements() if ball.leq(x, shelled[0]))
+    return matching_from_shelling(ball, ShellingOrder(tuple(shelled)), vertex), vertex
+
+
 # -- the matchings with prescribed critical subcomplexes ----------------------
 
 
@@ -275,12 +285,7 @@ def matching_convex_critical(
         except NotConvexError:
             raise MatchingError("Q must be convex") from None
         shell_order = [str(t) for t in reversed(ext) if t in rest]
-        lq = subcomplex_LQ(system, rest) - {system.zero}
-        sub = system.covector_poset().subposet([str(c) for c in lq])
-        vertex = min(
-            (x for x in sub.minimal_elements() if sub.leq(x, shell_order[0])),
-        )
-        collapse = matching_from_shelling(sub, ShellingOrder(tuple(shell_order)), vertex)
+        collapse, vertex = collapse_ball(system, shell_order)
         dual_pairs = frozenset((b, a) for a, b in collapse.pairs)
         zero_id = str(system.zero)
         out = Matching(ball, dual_pairs | {(vertex, zero_id)})
@@ -298,24 +303,22 @@ def matching_convex_critical(
 
 
 def matching_salvetti_fiber(
-    loc: SalvettiLocalization,
-    target_cell: str | SalvettiCell,
-    base_tope: SignVector,
-    lattice: Optional[GeometricLattice] = None,
+    strat: FiberStratification, target_cell: str | SalvettiCell
 ) -> Matching:
-    """An acyclic matching on the fiber over (0, B') whose critical cells
-    are exactly the fiber over a smaller cell of the localized poset.
+    """An acyclic matching on the stratified fiber over (0, B') whose
+    critical cells are exactly the fiber over a smaller cell of the
+    localized poset.
 
     Built stratum by stratum: the bottom stratum is the dual ball with a
     convex-critical matching; each later stratum is an isomorphic copy of
     a contraction's dual ball, matched through the isomorphism induced by
     restriction; the patchwork map glues along the tope string.
     """
+    loc = strat.loc
     a = loc.target_cell(target_cell)
-    strat = stratify_fiber(loc, base_tope, lattice)
     system = loc.system
     keep = [lab for lab in system.ground if lab in loc.flat]
-    top_id = cell_id(loc.localized.zero, base_tope)
+    top_id = cell_id(loc.localized.zero, strat.base_tope)
     if not loc.target.poset.leq(a.id, top_id):
         raise MatchingError(f"{a.id} does not lie below {top_id}")
     sigma_a = a.face
@@ -349,8 +352,10 @@ def matching_salvetti_fiber(
     n0 = fiber.subposet(strat.strata[0])
     per_fiber["t0"] = Matching(n0, pairs0)
 
-    # later strata: copies of contraction balls through the restriction iso
-    loc_topes = loc.localized.topes()
+    # later strata: copies of contraction balls through the restriction iso,
+    # all matched by the one convex-critical matching of the localization
+    qi = frozenset(t for t in loc.localized.topes() if sigma_a.leq(t))
+    mi = matching_convex_critical(loc.localized, qi)
     for i in range(1, len(string)):
         e = next(iter(strat.separators[i - 1]))
         ei = system.ground.index(e)
@@ -365,8 +370,6 @@ def matching_salvetti_fiber(
             iso[key] = c
         if set(iso) != {str(c) for c in loc.localized.covectors}:
             raise AssertionError("restriction is not onto the localization")
-        qi = frozenset(t for t in loc_topes if sigma_a.leq(t))
-        mi = matching_convex_critical(loc.localized, qi)
         ti = string[i]
         pairs_i = frozenset(
             (cell_id(iso[x], iso[x].compose(ti)), cell_id(iso[y], iso[y].compose(ti)))

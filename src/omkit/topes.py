@@ -51,14 +51,16 @@ def halfspace(system: CovectorSystem, label: str, sign: int) -> frozenset[SignVe
 def tope_poset(system: CovectorSystem, base: SignVector) -> FinitePoset:
     """Topes ordered by containment of separators from a base tope."""
     _require_tope(system, base)
-    topes = sorted(system.topes(), key=str)
-    pairs = []
-    for r in topes:
-        sr = base.separator_mask(r)
-        for t in topes:
-            if r is not t and (sr & ~base.separator_mask(t)) == 0:
-                pairs.append((str(r), str(t)))
-    return FinitePoset([str(t) for t in topes], pairs, _validated=True)
+    ids = sorted(system.covector_poset().maximal_elements())
+    by_text = system.by_text()
+    seps = [base.separator_mask(by_text[x]) for x in ids]
+    pairs = [
+        (ids[i], ids[j])
+        for i, si in enumerate(seps)
+        for j, sj in enumerate(seps)
+        if i != j and not si & ~sj
+    ]
+    return FinitePoset(ids, pairs, _validated=True)
 
 
 # -- convexity ---------------------------------------------------------------
@@ -149,7 +151,7 @@ def convex_first_extension(
     if not tp.is_ideal(ids):
         raise AssertionError("convex set is not an ideal of the tope poset")
     order = tp.linear_extension_ideal_first(ids)
-    by_text = {str(t): t for t in system.topes()}
+    by_text = system.by_text()
     return [by_text[x] for x in order]
 
 
@@ -163,9 +165,9 @@ def subcomplex_LQ(
     qset = frozenset(q)
     for t in qset:
         _require_tope(system, t)
-    return frozenset(
-        c for c in system.covectors if any(c.leq(t) for t in qset)
-    )
+    by_text = system.by_text()
+    ideal = system.covector_poset().order_ideal(str(t) for t in qset)
+    return frozenset(by_text[x] for x in ideal)
 
 
 def dual_subcomplex(
@@ -176,10 +178,12 @@ def dual_subcomplex(
     for t in qset:
         _require_tope(system, t)
     topes = system.topes()
+    poset = system.covector_poset()
+    tope_ids = poset.maximal_elements()
+    q_ids = {str(t) for t in qset}
+    by_text = system.by_text()
     out = frozenset(
-        c
-        for c in system.covectors
-        if all(t in qset for t in topes if c.leq(t))
+        by_text[x] for x in poset.elements if (poset.above(x) & tope_ids) <= q_ids
     )
     # the complementary description must agree
     complement = system.covectors - subcomplex_LQ(system, topes - qset)

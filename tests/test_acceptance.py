@@ -138,9 +138,9 @@ def test_criterion_5_matching_constructions(five_planes, uniform23):
         for x in modular_coatoms:
             loc = salvetti_localization(system, x)
             for top in sorted(loc.target.poset.maximal_elements()):
-                bp = loc.target.by_id[top].tope
+                strat = stratify_fiber(loc, loc.target.by_id[top].tope, lat)
                 for a in sorted(loc.target.poset.below(top)):
-                    m = matching_salvetti_fiber(loc, a, bp, lat)
+                    m = matching_salvetti_fiber(strat, a)
                     ok = ok and m.is_acyclic().acyclic
                     ok = ok and m.critical_cells() == frozenset(
                         loc.fiber(a).elements

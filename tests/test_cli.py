@@ -305,6 +305,15 @@ def test_morse_fiber_names_an_unknown_cell(capsys, monkeypatch):
     )
 
 
+def test_morse_shelling_refuses_a_ball_without_topes(capsys, monkeypatch):
+    # one tope: the ball left of the last shelled cell is empty
+    monkeypatch.setattr("sys.stdin", io.StringIO("ground: a\ncovectors:\n0\n"))
+    assert main(["morse", "--construction", "shelling", "--base", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the ball has no tope to collapse\n"
+
+
 def test_broken_invariant_exits_3(capsys, monkeypatch):
     import omkit.cli
 

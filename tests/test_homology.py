@@ -266,6 +266,26 @@ def test_quasi_fibration_five_planes(five_planes):
     assert len(cert.pairs) == sum(1 for _ in _comparable_pairs(five_planes))
 
 
+def test_quasi_fibration_stratifies_each_ambient_fiber_once(monkeypatch, five_planes):
+    import importlib
+
+    # the package re-exports homology(), which hides the module attribute
+    module = importlib.import_module("omkit.homology")
+    seen = []
+    real = module.stratify_fiber
+
+    def counting(loc, base_tope, lattice=None):
+        seen.append(str(base_tope))
+        return real(loc, base_tope, lattice)
+
+    monkeypatch.setattr(module, "stratify_fiber", counting)
+    cert = quasi_fibration_certify(five_planes, {"H1", "H2", "H3"})
+    assert cert.ok
+    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    ambient = loc.target.poset.maximal_elements()
+    assert sorted(seen) == sorted(str(loc.target.by_id[m].tope) for m in ambient)
+
+
 def _comparable_pairs(system):
     loc = salvetti_localization(system, {"H1", "H2", "H3"})
     for b in loc.target.poset.elements:

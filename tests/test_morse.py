@@ -11,7 +11,7 @@ from omkit.morse import (
     patchwork,
 )
 from omkit.posets import FinitePoset, PosetMap
-from omkit.salvetti import salvetti_localization
+from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.topes import ShellingOrder, all_convex_tope_sets, dual_subcomplex
 
 
@@ -207,7 +207,7 @@ def test_fiber_matchings_exhaustive(five_planes):
             if not loc.target.poset.leq(a, top):
                 continue
             bp = loc.target.by_id[top].tope
-            m = matching_salvetti_fiber(loc, a, bp, lat)
+            m = matching_salvetti_fiber(stratify_fiber(loc, bp, lat), a)
             assert m.is_acyclic().acyclic
             assert m.critical_cells() == frozenset(loc.fiber(a).elements)
 
@@ -217,7 +217,7 @@ def test_fiber_matching_maximal_cell_is_empty(five_planes):
     loc = salvetti_localization(five_planes, x)
     top = sorted(loc.target.poset.maximal_elements())[0]
     bp = loc.target.by_id[top].tope
-    m = matching_salvetti_fiber(loc, top, bp)
+    m = matching_salvetti_fiber(stratify_fiber(loc, bp), top)
     assert m.pairs == frozenset()
 
 
@@ -228,7 +228,7 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
     loc = salvetti_localization(five_planes, x)
     bottom = sorted(loc.target.poset.minimal_elements())[0]
     tope = loc.target.by_id[bottom].tope
-    m = matching_salvetti_fiber(loc, bottom, tope)
+    m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
     fib = loc.fiber(bottom)
     assert m.critical_cells() == frozenset(fib.elements)
     assert graph_free_rank(fib) == 2
@@ -242,7 +242,7 @@ def test_morse_certificate(five_planes):
     bp = loc.target.by_id[top].tope
     host_fiber = loc.fiber(top)
     if loc.target.poset.leq(bottom, top):
-        m = matching_salvetti_fiber(loc, bottom, bp)
+        m = matching_salvetti_fiber(stratify_fiber(loc, bp), bottom)
         cert = morse_reduction_certificate(m.host, loc.fiber(bottom).elements, m)
         assert cert.ok
         # drop one pair: criticality clause must fail with a witness

@@ -38,8 +38,18 @@ def test_salvetti_order_matches_definition(all_corpus, five_planes):
     assert loc.target.poset.pairs() == definition_order(loc.localized)
 
 
+def definition_rank(covs):
+    """Length of a longest chain, by scanning every pair of covectors."""
+    best = {}
+    for c in sorted(covs, key=lambda c: bin(c.support_mask).count("1")):
+        best[c] = max((best[d] + 1 for d in best if d != c and d.leq(c)), default=0)
+    return max(best.values(), default=0)
+
+
 def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus):
-    for name, system in all_corpus.items():
+    # the ROADMAP 4(b) probe is no covector system, but it is a poset
+    probe = CovectorSystem.from_strings("abc", ["000", "+++", "---", "++0"])
+    for name, system in [*all_corpus.items(), ("4(b) probe", probe)]:
         poset = system.covector_poset()
         assert system.covector_poset() is poset, name
         covs = system.covectors
@@ -49,6 +59,16 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
         zero = str(system.zero)
         sphere = {(a, b) for a, b in order if zero not in (a, b)}
         assert sphere_poset(system).pairs() == sphere, name
+        topes = {c for c in covs if not any(c != d and c.leq(d) for d in covs)}
+        assert system.topes() == topes, name
+        assert system.rank() == definition_rank(covs), name
+        nonzero = [c for c in covs if not c.is_zero()]
+        cocircuits = {
+            c for c in nonzero if not any(d != c and d.leq(c) for d in nonzero)
+        }
+        assert system.cocircuits() == cocircuits, name
+    assert probe.rank() == 2
+    assert {str(c) for c in probe.cocircuits()} == {"++0", "---"}
 
 
 def test_salvetti_refuses_a_composition_outside_the_system():

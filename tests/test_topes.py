@@ -241,7 +241,15 @@ def test_tope_poset_graded_with_single_flip_covers(all_corpus):
                 assert dist(tr, tt) == 1, name
 
 
-def test_subcomplexes(five_planes):
+def test_subcomplexes(five_planes, braid3):
+    # both ideals against their all-pairs definitions on every convex set
+    for system in (five_planes, braid3):
+        covs, topes = system.covectors, system.topes()
+        for q in all_convex_tope_sets(system):
+            lq = {c for c in covs if any(c.leq(t) for t in q)}
+            assert subcomplex_LQ(system, q) == lq
+            dual = {c for c in covs if all(t in q for t in topes if c.leq(t))}
+            assert dual_subcomplex(system, q) == dual
     topes = five_planes.topes()
     assert subcomplex_LQ(five_planes, topes) == five_planes.covectors
     assert dual_subcomplex(five_planes, topes) == five_planes.covectors
@@ -256,3 +264,4 @@ def test_subcomplexes(five_planes):
         c for c in five_planes.covectors if base.leq(c.restrict(keep))
     }
     assert got == fiber
+
