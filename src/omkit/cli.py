@@ -19,6 +19,7 @@ from .homology import (
     betti_numbers,
     homology,
     quasi_fibration_certify,
+    salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
 from .lattices import build_lattice, flat_id, parse_flat
@@ -43,7 +44,12 @@ from .salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
-from .topes import shelling_order_from_extension, sphere_poset, verify_shelling
+from .topes import (
+    dual_subcomplex,
+    shelling_order_from_extension,
+    sphere_poset,
+    verify_shelling,
+)
 
 
 def _read_system(args) -> CovectorSystem:
@@ -149,7 +155,7 @@ def cmd_shelling(args) -> int:
     check = verify_shelling(poset, order, depth=args.depth)
     report = Report("shelling")
     report.note("base", args.base)
-    report.note("order", " ".join(order.cells))
+    report.note("order", " ".join(poset.names[c] for c in order.cells))
     report.add("shelling.verified", check.ok, check.witness)
     return _finish(report)
 
@@ -161,8 +167,8 @@ def cmd_salvetti(args) -> int:
     report.note("cells", len(s))
     report.note("height", s.poset.height())
     by_dim: dict[int, int] = {}
-    for cid in s.poset.elements:
-        by_dim[s.dimension_of(cid)] = by_dim.get(s.dimension_of(cid), 0) + 1
+    for k in s.poset.elements:
+        by_dim[s.dimension_of(k)] = by_dim.get(s.dimension_of(k), 0) + 1
     report.note("cells_by_dim", " ".join(f"{d}:{n}" for d, n in sorted(by_dim.items())))
     report.add("pure", s.poset.height() == system.rank(),
                f"height {s.poset.height()} != rank {system.rank()}")
@@ -181,7 +187,7 @@ def cmd_fiber(args) -> int:
     x = parse_flat(args.flat, system.ground)
     loc = salvetti_localization(system, x)
     cell = parse_cell_id(args.cell, loc.localized)
-    fib = loc.fiber(cell.id)
+    fib = loc.fiber(loc.target_cell(cell))
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))
     report.note("cell", cell.id)
@@ -203,7 +209,7 @@ def cmd_stratify(args) -> int:
     report.note("string", " < ".join(str(t) for t in strat.tope_string))
     for i, s in enumerate(strat.separators):
         report.note(f"separator.{i}", ",".join(sorted(s)))
-    report.note("strata_sizes", " ".join(str(len(s)) for s in strat.strata))
+    report.note("strata_sizes", " ".join(str(s.bit_count()) for s in strat.strata))
     report.add(
         "separators.singletons",
         all(len(s) == 1 for s in strat.separators),
@@ -211,7 +217,7 @@ def cmd_stratify(args) -> int:
     )
     report.add(
         "strata.cover",
-        sum(len(s) for s in strat.strata) == len(strat.fiber.elements),
+        sum(s.bit_count() for s in strat.strata) == len(strat.fiber),
         "strata do not partition the fiber",
     )
     return _finish(report)
@@ -234,9 +240,9 @@ def cmd_morse(args) -> int:
         order = shelling_order_from_extension(system, base)
         # collapse the ball left of the last cell: use all topes but one
         matching, vertex = collapse_ball(system, order.cells[:-1])
-        cert = morse_reduction_certificate(matching.host, {vertex}, matching)
+        cert = morse_reduction_certificate(matching.host, 1 << vertex, matching)
         report.note("pairs", len(matching.pairs))
-        report.note("critical", vertex)
+        report.note("critical", matching.host.names[vertex])
         report.add("matching.acyclic", True)
         report.add("critical.single_vertex", cert.ok, "critical set not the vertex")
     elif args.construction == "convex":
@@ -244,21 +250,22 @@ def cmd_morse(args) -> int:
         by_text = system.by_text()
         q = frozenset(by_text[t] for t in args.topes.split(","))
         matching = matching_convex_critical(system, q)
+        cert = morse_reduction_certificate(matching.host, dual_subcomplex(system, q), matching)
         report.note("pairs", len(matching.pairs))
-        report.note("critical", len(matching.critical_cells()))
-        report.add("matching.acyclic", bool(matching.is_acyclic()))
+        report.note("critical", cert.critical.bit_count())
+        report.add("matching.acyclic", True)
+        if not cert.ok:  # the dual subcomplex of a convex set is an ideal
+            report.add("critical.is_subcomplex", False, "the dual subcomplex is not an ideal")
     else:
         _require(args, ["flat", "cell", "tope"])
         x = parse_flat(args.flat, system.ground)
         loc = salvetti_localization(system, x)
-        cell = parse_cell_id(args.cell, loc.localized)
+        cell = loc.target_cell(parse_cell_id(args.cell, loc.localized))
         bp = loc.localized.vector(args.tope)
-        matching = matching_salvetti_fiber(stratify_fiber(loc, bp), cell.id)
-        cert = morse_reduction_certificate(
-            matching.host, loc.fiber(cell.id).elements, matching
-        )
+        matching = matching_salvetti_fiber(stratify_fiber(loc, bp), cell)
+        cert = morse_reduction_certificate(matching.host, loc.fiber(cell).members, matching)
         report.note("pairs", len(matching.pairs))
-        report.note("critical", len(matching.critical_cells()))
+        report.note("critical", cert.critical.bit_count())
         report.add("matching.acyclic", True)
         report.add("critical.is_fiber", cert.ok, "critical set is not the fiber")
     sys.stdout.write(matching.serialize() + "\n")
@@ -266,19 +273,18 @@ def cmd_morse(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    system = None
+    check = None
     report = Report("homology")
     if args.target == "salvetti":
-        system = _read_system(args)
-        poset = salvetti(system).poset
-        res = homology(poset)
+        check = salvetti_betti_match_whitney(_read_system(args))
+        res = check.homology
     elif args.target == "fiber":
         system = _read_system(args)
         _require(args, ["flat", "cell"])
         x = parse_flat(args.flat, system.ground)
         loc = salvetti_localization(system, x)
         cell = parse_cell_id(args.cell, loc.localized)
-        res = homology(loc.fiber(cell.id))
+        res = homology(loc.fiber(loc.target_cell(cell)))
     else:
         _require(args, ["complex_file"])
         facets = [
@@ -292,13 +298,11 @@ def cmd_homology(args) -> int:
         "torsion",
         "; ".join(",".join(map(str, t)) or "-" for t in res.torsion),
     )
-    if system is not None and args.target == "salvetti":
-        w = build_lattice(system).whitney()
-        betti = list(res.betti) + [0] * (len(w) - len(res.betti))
+    if check is not None:
         report.add(
             "betti.match_whitney",
-            tuple(betti[: len(w)]) == w and res.is_torsion_free(),
-            f"betti {tuple(betti)} vs whitney {w}",
+            check.ok,
+            f"betti {check.betti} vs whitney {check.whitney}",
         )
     else:
         report.add("computed", True)
@@ -315,18 +319,19 @@ def cmd_certify_qf(args) -> int:
     report.note("mode", cert.mode)
     report.note("pairs", len(cert.pairs))
     report.note("fiber_rank", cert.expected_rank)
+    names = cert.loc.target.poset.names
     bad_pairs = [p for p in cert.pairs if not p.ok]
     report.add(
         "pairs.certified",
         not bad_pairs,
-        bad_pairs and f"{bad_pairs[0].lower} <= {bad_pairs[0].upper}" or None,
+        bad_pairs and f"{names[bad_pairs[0].lower]} <= {names[bad_pairs[0].upper]}" or None,
     )
     want = (1, cert.expected_rank)
     bad_fibers = [f for f in cert.fibers if f.betti != want or not f.torsion_free]
     report.add(
         "fibers.homology",
         not bad_fibers,
-        bad_fibers and f"{bad_fibers[0].cell}: {bad_fibers[0].betti}" or None,
+        bad_fibers and f"{names[bad_fibers[0].cell]}: {bad_fibers[0].betti}" or None,
     )
     report.add("fibers.graph_rank", cert.graph_rank_ok, "minimal fiber rank mismatch")
     return _finish(report)

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional
 
 from .lattices import GeometricLattice, build_lattice, flat_id
 from .matroids import CovectorSystem
+from .posets import bits
 from .signs import SignVector, compose_masks
 
 
@@ -90,37 +91,36 @@ class _SearchSpace:
         # crossing-cocircuit rule; computed once per search
         edge_rank = self.rank - 2
         poset = system.covector_poset()
-        by_text = system.by_text()
-        cocirc_ids = frozenset(str(y) for y in cocircs)
+        vectors = system.vectors()
+        cocirc = system.mask(cocircs)
         self.edge_cells: list[tuple[SignVector, SignVector, SignVector]] = []
-        for fid in sorted(by_text):
-            f = by_text[fid]
-            if self.lattice.rank_of.get(f.zero_set()) != edge_rank:
+        for f, v in enumerate(vectors):
+            if self.lattice.rank_of.get(v.zero_set()) != edge_rank:
                 continue
-            below = sorted(poset.below(fid) & cocirc_ids)
+            below = bits(poset.below(f) & cocirc)
             if len(below) != 2:
-                raise ExtensionError(f"cell {f} has {len(below)} vertices")
-            self.edge_cells.append((f, by_text[below[0]], by_text[below[1]]))
+                raise ExtensionError(f"cell {v} has {len(below)} vertices")
+            self.edge_cells.append((v, vectors[below[0]], vectors[below[1]]))
 
     # -- rank-two contractions as cycles ----------------------------------
 
     def _cocircuit_cycle(self, contraction: CovectorSystem) -> list[SignVector]:
         poset = contraction.covector_poset()
-        by_text = contraction.by_text()
-        cocirc_ids = frozenset(str(y) for y in contraction.cocircuits())
-        adj: dict[str, list[str]] = {y: [] for y in cocirc_ids}
-        for t in sorted(poset.maximal_elements()):
-            ys = sorted(poset.below(t) & cocirc_ids)
+        vectors = contraction.vectors()
+        cocirc = contraction.mask(contraction.cocircuits())
+        adj: dict[int, list[int]] = {y: [] for y in bits(cocirc)}
+        for t in bits(poset.maximal_elements()):
+            ys = bits(poset.below(t) & cocirc)
             if len(ys) != 2:
                 raise ExtensionError(
-                    f"tope {t} of a rank-two contraction has {len(ys)} vertices"
+                    f"tope {vectors[t]} of a rank-two contraction has {len(ys)} vertices"
                 )
             a, b = ys
             adj[a].append(b)
             adj[b].append(a)
-        start = min(cocirc_ids)
+        start = min(adj)
         cycle = [start]
-        prev: Optional[str] = None
+        prev: Optional[int] = None
         while True:
             nxts = [y for y in adj[cycle[-1]] if prev is None or y != prev]
             if not nxts:
@@ -130,9 +130,9 @@ class _SearchSpace:
                 break
             prev = cycle[-1]
             cycle.append(nxt)
-        if len(cycle) != len(cocirc_ids):
+        if len(cycle) != len(adj):
             raise ExtensionError("cocircuit adjacency is not a single cycle")
-        cycle = [by_text[y] for y in cycle]
+        cycle = [vectors[y] for y in cycle]
         m = len(cycle) // 2
         for i in range(m):
             if cycle[i + m] != cycle[i].opposite():

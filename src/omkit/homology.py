@@ -19,11 +19,11 @@ exact.  The order complex of a poset is the tests' independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .lattices import GeometricLattice, build_lattice, flat_id
 from .matroids import CovectorSystem
-from .posets import FinitePoset, SimplicialComplexRecord
+from .posets import FinitePoset, SimplicialComplexRecord, bits
 from .salvetti import (
     SalvettiLocalization,
     salvetti,
@@ -179,7 +179,7 @@ class ChainComplexRecord:
     A basis element is a poset element (cellular) or a tuple of vertices
     in vertex order (simplicial)."""
 
-    bases: tuple[tuple[Union[str, tuple[str, ...]], ...], ...]
+    bases: tuple[tuple[Union[int, tuple[str, ...]], ...], ...]
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
 
 
@@ -196,46 +196,49 @@ def chain_complex(
     return rec
 
 
-def _incidences(poset: FinitePoset) -> dict[str, dict[str, int]]:
+def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     """The signed facets of every cell of a regular CW face poset.
 
-    An edge gets -1 on the vertex whose id sorts first and +1 on the
-    other.  A higher cell gets +1 on its first facet, and the signs spread
-    across its codimension-2 faces so that the two facets over each such
-    face cancel in the boundary of the boundary.
+    An edge gets -1 on its first vertex and +1 on the other.  A higher
+    cell gets +1 on its first facet, and the signs spread across its
+    codimension-2 faces so that the two facets over each such face cancel
+    in the boundary of the boundary.
     """
     heights = poset.heights()
+    names = poset.names
     facets = {
-        c: sorted(f for f in poset.below(c) if heights[f] == heights[c] - 1)
+        c: [f for f in bits(poset.below(c)) if heights[f] == heights[c] - 1]
         for c in poset.elements
     }
-    signs: dict[str, dict[str, int]] = {}
+    signs: dict[int, dict[int, int]] = {}
     for c in sorted(poset.elements, key=heights.__getitem__):
         fs = facets[c]
         # below c and below none of its facets: only through a cover that
         # skips a height, and the highest such element is that cover
-        missed = poset.below(c).difference(
-            {c}, *(poset.below(f) for f in fs)
-        )
+        missed = poset.below(c) ^ 1 << c
+        for f in fs:
+            missed &= ~poset.below(f)
         if missed:
-            low = max(missed, key=lambda x: (heights[x], x))
+            low = max(bits(missed), key=lambda x: (heights[x], x))
             raise NotRegularError(
-                f"cell {c!r}: the cover {low!r} < {c!r} skips a height"
+                f"cell {names[c]!r}: the cover {names[low]!r} < {names[c]!r} skips a height"
             )
         if heights[c] == 1:
             if len(fs) != 2:
-                raise NotRegularError(f"edge {c!r} has vertices {fs}, not exactly 2")
+                raise NotRegularError(
+                    f"edge {names[c]!r} has vertices {[names[f] for f in fs]}, not exactly 2"
+                )
             signs[c] = {fs[0]: -1, fs[1]: 1}
             continue
-        over: dict[str, list[str]] = {}
+        over: dict[int, list[int]] = {}
         for f in fs:
             for g in facets[f]:
                 over.setdefault(g, []).append(f)
-        across: dict[str, list[tuple[str, str]]] = {f: [] for f in fs}
+        across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
         for g, pair in sorted(over.items()):
             if len(pair) != 2:
                 raise NotRegularError(
-                    f"cell {c!r}: its face {g!r} lies in {len(pair)} of its facets, not 2"
+                    f"cell {names[c]!r}: its face {names[g]!r} lies in {len(pair)} of its facets, not 2"
                 )
             f1, f2 = pair
             across[f1].append((f2, g))
@@ -251,10 +254,10 @@ def _incidences(poset: FinitePoset) -> dict[str, dict[str, int]]:
                     stack.append(f2)
                 elif sign[f2] != want:
                     raise NotRegularError(
-                        f"cell {c!r}: incidence signs disagree across its face {g!r}"
+                        f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
                     )
         if len(sign) != len(fs):
-            raise NotRegularError(f"cell {c!r}: its facet graph is disconnected")
+            raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
         signs[c] = sign
     return signs
 
@@ -262,7 +265,7 @@ def _incidences(poset: FinitePoset) -> dict[str, dict[str, int]]:
 def _cellular_chain_complex(poset: FinitePoset) -> ChainComplexRecord:
     signs = _incidences(poset)
     heights = poset.heights()
-    bases: list[list[str]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
+    bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
     for c in poset.elements:
         bases[heights[c]].append(c)
     index = [{c: i for i, c in enumerate(level)} for level in bases]
@@ -388,16 +391,16 @@ def graph_rank_report(graph: FinitePoset) -> GraphRankReport:
     edges = [x for x, h in heights.items() if h == 1]
     parent = {v: v for v in vertices}
 
-    def find(v: str) -> str:
+    def find(v: int) -> int:
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
 
     for e in edges:
-        ends = [v for v in graph.below(e) if v != e]
+        ends = bits(graph.below(e) ^ 1 << e)
         if len(ends) != 2:
-            raise ValueError(f"edge {e!r} has {len(ends)} endpoints")
+            raise ValueError(f"edge {graph.names[e]!r} has {len(ends)} endpoints")
         a, b = (find(v) for v in ends)
         if a != b:
             parent[a] = b
@@ -408,25 +411,20 @@ def graph_rank_report(graph: FinitePoset) -> GraphRankReport:
 # -- spec-level checks ----------------------------------------------------------
 
 
-def salvetti_betti_match_whitney(system: CovectorSystem) -> tuple[bool, tuple, tuple]:
+class WhitneyCheck(NamedTuple):
+    ok: bool
+    betti: tuple[int, ...]  # padded with zeros to the length of whitney
+    whitney: tuple[int, ...]
+    homology: HomologyResult
+
+
+def salvetti_betti_match_whitney(system: CovectorSystem) -> WhitneyCheck:
     """The global cross-oracle: Betti numbers of the Salvetti poset must
-    equal the unsigned Whitney numbers."""
-    lat = build_lattice(system)
-    w = lat.whitney()
+    equal the unsigned Whitney numbers, with no torsion."""
+    w = build_lattice(system).whitney()
     res = homology(salvetti(system).poset)
-    betti = list(res.betti)
-    while len(betti) < len(w):
-        betti.append(0)
-    return tuple(betti[: len(w)]) == w and res.is_torsion_free(), tuple(betti), w
-
-
-def h1_rank_check(system: CovectorSystem) -> bool:
-    """First Betti number of the Salvetti poset equals the ground size."""
-    if not system.is_simple():
-        raise ValueError("check applies to simple systems")
-    res = homology(salvetti(system).poset)
-    b1 = res.betti[1] if len(res.betti) > 1 else 0
-    return b1 == len(system.ground)
+    betti = res.betti + (0,) * (len(w) - len(res.betti))
+    return WhitneyCheck(betti[: len(w)] == w and res.is_torsion_free(), betti, w, res)
 
 
 def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
@@ -451,7 +449,7 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiberEvidence:
-    cell: str
+    cell: int
     fiber_size: int
     betti: tuple[int, ...]
     torsion_free: bool
@@ -459,9 +457,9 @@ class FiberEvidence:
 
 @dataclass(frozen=True)
 class PairEvidence:
-    lower: str
-    upper: str
-    ambient_tope: str
+    lower: int
+    upper: int
+    ambient_tope: int  # the maximal cell whose fiber hosts both matchings
     inclusion_ok: bool
     lower_matching_ok: bool
     upper_matching_ok: bool
@@ -479,6 +477,9 @@ class PairEvidence:
 
 @dataclass(frozen=True)
 class QuasiFibrationCertificate:
+    """Evidence over the cells of `loc.target`, by number."""
+
+    loc: SalvettiLocalization
     flat: frozenset[str]
     mode: str
     expected_rank: int
@@ -527,12 +528,8 @@ def quasi_fibration_certify(
     loc = localization or salvetti_localization(system, x)
     expected = len(system.ground) - len(x)
 
-    cells = sorted(loc.target.poset.elements)
-    pairs_all = [
-        (a, b)
-        for b in cells
-        for a in loc.target.poset.below(b)
-    ]
+    poset = loc.target.poset
+    pairs_all = [(a, b) for b in poset.elements for a in bits(poset.below(b))]
     if mode == "sampled":
         import random
 
@@ -541,17 +538,16 @@ def quasi_fibration_certify(
     elif mode != "exhaustive":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
 
-    max_cells = sorted(loc.target.poset.maximal_elements())
-    ambient_for: dict[str, str] = {}
-    for b in cells:
-        ambient_for[b] = next(m for m in max_cells if loc.target.poset.leq(b, m))
+    # each cell's ambient is the least maximal cell above it
+    maximal = poset.maximal_elements()
+    ambient_for = {b: bits(poset.above(b) & maximal)[0] for b in poset.elements}
 
     needed = sorted({c for pair in pairs_all for c in pair})
-    fiber_evidence: dict[str, FiberEvidence] = {}
-    fiber_cells: dict[str, frozenset[str]] = {}
+    fiber_evidence: dict[int, FiberEvidence] = {}
+    fiber_cells: dict[int, int] = {}
     for c in needed:
         fib = loc.fiber(c)
-        fiber_cells[c] = frozenset(fib.elements)
+        fiber_cells[c] = fib.members
         res = homology(fib)
         betti = list(res.betti)
         while len(betti) < 2:
@@ -562,18 +558,16 @@ def quasi_fibration_certify(
 
     # one stratification per ambient cell, shared by every matching into it
     strat_for = {
-        amb: stratify_fiber(loc, loc.target.by_id[amb].tope, lat)
+        amb: stratify_fiber(loc, loc.target.cells[amb].tope, lat)
         for amb in sorted({ambient_for[b] for _a, b in pairs_all})
     }
-    matching_ok: dict[tuple[str, str], bool] = {}
+    matching_ok: dict[tuple[int, int], bool] = {}
 
-    def matching_valid(cell: str, ambient: str) -> bool:
+    def matching_valid(cell: int, ambient: int) -> bool:
         key = (cell, ambient)
         if key not in matching_ok:
             m = matching_salvetti_fiber(strat_for[ambient], cell)
-            cert = morse_reduction_certificate(
-                m.host, loc.fiber(cell).elements, m
-            )
+            cert = morse_reduction_certificate(m.host, fiber_cells[cell], m)
             matching_ok[key] = cert.ok
         return matching_ok[key]
 
@@ -584,7 +578,7 @@ def quasi_fibration_certify(
             a,
             b,
             amb,
-            fiber_cells[a] <= fiber_cells[b],
+            not fiber_cells[a] & ~fiber_cells[b],
             matching_valid(a, amb),
             matching_valid(b, amb),
             fiber_evidence[a].betti == fiber_evidence[b].betti
@@ -594,13 +588,12 @@ def quasi_fibration_certify(
         pair_evidence.append(ev)
 
     # the minimal-cell fibers are graphs; their free rank is the fiber rank
-    graph_ok = True
-    for m in sorted(loc.target.poset.minimal_elements()):
-        fib = loc.fiber(m)
-        if graph_free_rank(fib) != expected:
-            graph_ok = False
+    graph_ok = all(
+        graph_free_rank(loc.fiber(m)) == expected for m in bits(poset.minimal_elements())
+    )
 
     return QuasiFibrationCertificate(
+        loc,
         x,
         mode,
         expected,

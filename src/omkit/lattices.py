@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .matroids import CovectorSystem, NotAFlatError
-from .posets import FinitePoset, PosetMap
+from .posets import FinitePoset, PosetMap, mask_of
 
 
 def flat_id(flat: Iterable[str], ground: tuple[str, ...]) -> str:
@@ -61,6 +61,7 @@ class GeometricLattice:
         "rank_of",
         "mobius",
         "_poset",
+        "_index",
         "_flats_by_rank",
         "_join_table",
     )
@@ -95,6 +96,7 @@ class GeometricLattice:
                 mob[x] = -sum(mob[y] for y in flist if y < x)
         object.__setattr__(self, "mobius", mob)
         object.__setattr__(self, "_poset", None)
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_flats_by_rank", None)
         object.__setattr__(self, "_join_table", None)
         # semimodularity of the rank function, checked once
@@ -151,22 +153,27 @@ class GeometricLattice:
         return tuple(self._flats_by_rank.get(r, ()))
 
     def poset(self) -> FinitePoset:
+        """The flats under inclusion, numbered in the order of their ids."""
         if self._poset is None:
-            ids = [self.id(f) for f in self.flats]
-            pairs = [
-                (self.id(x), self.id(y))
-                for x in self.flats
-                for y in self.flats
-                if x < y
-            ]
-            object.__setattr__(
-                self, "_poset", FinitePoset(ids, pairs, _validated=True)
-            )
+            named = sorted((self.id(f), f) for f in self.flats)
+            flats = [f for _, f in named]
+            below = {
+                j: mask_of(i for i, x in enumerate(flats) if x <= y)
+                for j, y in enumerate(flats)
+            }
+            poset = FinitePoset([t for t, _ in named], below, _validated=True)
+            object.__setattr__(self, "_index", {f: i for i, f in enumerate(flats)})
+            object.__setattr__(self, "_poset", poset)
         return self._poset
+
+    def index(self, flat: frozenset[str]) -> int:
+        """The element of `poset()` that is this flat."""
+        self.poset()
+        return self._index[self.check_flat(flat)]
 
     def interval(self, lo: frozenset[str], hi: frozenset[str]) -> FinitePoset:
         lo, hi = self.check_flat(lo), self.check_flat(hi)
-        cells = [self.id(f) for f in self.flats if lo <= f <= hi]
+        cells = mask_of(self.index(f) for f in self.flats if lo <= f <= hi)
         return self.poset().subposet(cells)
 
     def whitney(self) -> tuple[int, ...]:
@@ -286,11 +293,11 @@ class GeometricLattice:
         down = {}
         for f in self.flats:
             if y <= f <= self.join(x, y):
-                down[self.id(f)] = self.id(f & x)
+                down[self.index(f)] = self.index(f & x)
         up = {}
         for f in self.flats:
             if (x & y) <= f <= x:
-                up[self.id(f)] = self.id(self.join(f, y))
+                up[self.index(f)] = self.index(self.join(f, y))
         p_x = PosetMap(top_int, bot_int, down)
         s_y = PosetMap(bot_int, top_int, up)
         for e in top_int.elements:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional
 
-from .posets import FinitePoset, PosetMap
+from .posets import FinitePoset, PosetMap, bits, mask_of
 from .signs import GroundSetMismatchError, SignVector, compose_masks, separator_masks
 
 
@@ -100,9 +100,10 @@ class CovectorSystem:
         "covectors",
         "_mask_set",
         "_topes",
-        "_by_text",
         "_cocircuits",
         "_poset",
+        "_vectors",
+        "_numbering",
     )
 
     def __init__(self, ground: Iterable[str], covectors: Iterable[SignVector]):
@@ -119,9 +120,10 @@ class CovectorSystem:
             self, "_mask_set", frozenset((c.plus, c.minus) for c in covs)
         )
         object.__setattr__(self, "_topes", None)
-        object.__setattr__(self, "_by_text", None)
         object.__setattr__(self, "_cocircuits", None)
         object.__setattr__(self, "_poset", None)
+        object.__setattr__(self, "_vectors", None)
+        object.__setattr__(self, "_numbering", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CovectorSystem is immutable")
@@ -147,9 +149,8 @@ class CovectorSystem:
         return SignVector.from_string(text, self.ground)
 
     def by_text(self) -> dict[str, SignVector]:
-        if self._by_text is None:
-            object.__setattr__(self, "_by_text", {str(c): c for c in self.covectors})
-        return self._by_text
+        """The covectors by their sign text, for parsing input."""
+        return dict(zip(self.covector_poset().names, self.vectors()))
 
     def label_mask(self, labels: Iterable[str]) -> int:
         idx = {lab: i for i, lab in enumerate(self.ground)}
@@ -163,9 +164,9 @@ class CovectorSystem:
     def topes(self) -> frozenset[SignVector]:
         """The maximal covectors of the covector order."""
         if self._topes is None:
-            by_text = self.by_text()
+            vectors = self.vectors()
             tops = frozenset(
-                by_text[x] for x in self.covector_poset().maximal_elements()
+                vectors[x] for x in bits(self.covector_poset().maximal_elements())
             )
             object.__setattr__(self, "_topes", tops)
         return self._topes
@@ -329,37 +330,41 @@ class CovectorSystem:
         if not self.is_flat(x):
             raise NotAFlatError(f"{sorted(x)} is not a flat")
         loc = self.restriction(x)
-        src = self.covector_poset()
-        tgt = loc.covector_poset()
         keep = [lab for lab in self.ground if lab in x]
-        assignment = {str(c): str(c.restrict(keep)) for c in self.covectors}
-        return loc, PosetMap(src, tgt, assignment, _validated=True)
+        number = loc.numbering()
+        assignment = {}
+        for i, c in enumerate(self.vectors()):
+            r = c.restrict(keep)
+            assignment[i] = number[r.plus, r.minus]
+        return loc, PosetMap(self.covector_poset(), loc.covector_poset(), assignment, _validated=True)
 
     def section_iota(self, alpha: SignVector) -> PosetMap:
         """The section iota_alpha of the localization at z(alpha)."""
         if alpha not in self:
             raise ValueError("alpha is not a covector of this system")
         loc, _rho = self.localization(alpha.zero_set())
+        number = self.numbering()
         assignment = {}
-        for c in loc.covectors:
+        for i, c in enumerate(loc.vectors()):
             lifted = section_lift(alpha, c)
             if lifted not in self:
                 raise ValueError(
                     f"section image {lifted} is not a covector; alpha invalid"
                 )
-            assignment[str(c)] = str(lifted)
+            assignment[i] = number[lifted.plus, lifted.minus]
         return PosetMap(loc.covector_poset(), self.covector_poset(), assignment)
 
     def cocircuits(self) -> frozenset[SignVector]:
         """The minimal nonzero covectors: nothing but zero lies below them."""
         if self._cocircuits is None:
             poset = self.covector_poset()
-            zero = str(self.zero)
-            by_text = self.by_text()
+            zero = self.numbering().get((0, 0))
+            floor = 0 if zero is None else 1 << zero
+            vectors = self.vectors()
             out = frozenset(
-                by_text[x]
+                vectors[x]
                 for x in poset.elements
-                if x != zero and poset.below(x) <= {x, zero}
+                if x != zero and poset.below(x) & ~floor == 1 << x
             )
             object.__setattr__(self, "_cocircuits", out)
         return self._cocircuits
@@ -378,29 +383,47 @@ class CovectorSystem:
     def covector_poset(self) -> FinitePoset:
         """The covectors under the product order, built once per system.
 
-        Every other covector order is a view of this one: the dual ball is
-        its `.dual()`, the sphere its subposet without the zero vector, and
-        the Salvetti poset reads its principal ideals off it.
+        Element i is `vectors()[i]`, numbered in the order of the sign
+        texts.  Every other covector order is a view of this one: the dual
+        ball is its `.dual()`, the sphere its subposet without the zero
+        vector, and the Salvetti poset reads its principal ideals off it.
         """
         if self._poset is None:
-            items = [(t, c.plus, c.minus) for t, c in self.by_text().items()]
-            pairs = [
-                (a, b)
-                for a, pa, ma in items
-                for b, pb, mb in items
-                if not (pa & ~pb or ma & ~mb)
-            ]
-            poset = FinitePoset(self.by_text(), pairs, _validated=True)
+            named = sorted((str(c), c) for c in self.covectors)
+            vectors = tuple(c for _, c in named)
+            masks = [(c.plus, c.minus) for c in vectors]
+            below = {
+                j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
+                for j, (pb, mb) in enumerate(masks)
+            }
+            poset = FinitePoset([t for t, _ in named], below, _validated=True)
+            object.__setattr__(self, "_vectors", vectors)
+            object.__setattr__(self, "_numbering", {m: i for i, m in enumerate(masks)})
             object.__setattr__(self, "_poset", poset)
         return self._poset
 
+    def vectors(self) -> tuple[SignVector, ...]:
+        """The covectors in the numbering of the covector poset."""
+        self.covector_poset()
+        return self._vectors
+
+    def numbering(self) -> dict[tuple[int, int], int]:
+        """The number of each covector, keyed by its (plus, minus) masks."""
+        self.covector_poset()
+        return self._numbering
+
+    def mask(self, vectors: Iterable[SignVector]) -> int:
+        """The mask of the given covectors in the covector poset."""
+        number = self.numbering()
+        return mask_of(number[v.plus, v.minus] for v in vectors)
+
     def big_face_lattice_map(self) -> PosetMap:
         """z as an order preserving map from the dual covector poset to flats."""
-        from .lattices import build_lattice, flat_id
+        from .lattices import build_lattice
 
         lat = build_lattice(self)
         src = self.covector_poset().dual()
-        assignment = {str(c): flat_id(c.zero_set(), self.ground) for c in self.covectors}
+        assignment = {i: lat.index(c.zero_set()) for i, c in enumerate(self.vectors())}
         return PosetMap(src, lat.poset(), assignment)
 
 

@@ -1,154 +1,198 @@
 """Finite posets, poset maps, order complexes.
 
-Elements are opaque strings.  The order relation is stored explicitly as
-the full set of comparable pairs; everything here is small enough that
-explicitness wins, and it makes the poset axioms directly checkable on
-construction.  All objects are immutable after construction.
+Elements are the integers 0..n-1, numbered in the sorted order of their
+names, so integer order is name order and every tie-break picks what it
+would pick on names.  The names tuple is read only to parse input and to
+write reports and error messages.  The order is kept as per-element
+bitmasks of the elements below and above.  A subposet, an order ideal or
+a fiber is a mask over its parent's numbering, so derived posets need no
+index translation.  The constructor checks the poset axioms; derived
+posets inherit them.  All objects are immutable.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class PosetError(ValueError):
     pass
 
 
-class FinitePoset:
-    """A finite partially ordered set over string element ids.
+def bits(mask: int) -> list[int]:
+    """The elements of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    The relation is kept as per-element "below" and "above" frozensets
-    (reflexive).  Covers are derived and cached.
+
+def mask_of(elements: Iterable[int]) -> int:
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+class FinitePoset:
+    """A finite partially ordered set on a mask of integer elements.
+
+    `names[i]` is the name of element i, shared by every poset derived
+    from the same root.  The relation is kept as per-element reflexive
+    "below" and "above" masks; covers and heights are derived and cached.
     """
 
-    __slots__ = ("elements", "_below", "_above", "_covers", "_heights")
+    __slots__ = ("names", "members", "_below", "_above", "_elements", "_covers", "_heights", "_dual")
 
-    def __init__(
-        self,
-        elements: Iterable[str],
-        pairs: Iterable[tuple[str, str]],
-        _validated: bool = False,
-    ):
-        elems = tuple(sorted(set(elements)))
-        index = set(elems)
-        below: dict[str, set[str]] = {x: {x} for x in elems}
-        above: dict[str, set[str]] = {x: {x} for x in elems}
-        for x, y in pairs:
-            if x not in index or y not in index:
-                raise PosetError(f"relation pair ({x!r}, {y!r}) mentions unknown element")
-            below[y].add(x)
-            above[x].add(y)
-        fbelow = {x: frozenset(s) for x, s in below.items()}
-        fabove = {x: frozenset(s) for x, s in above.items()}
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_below", fbelow)
-        object.__setattr__(self, "_above", fabove)
-        object.__setattr__(self, "_covers", None)
-        object.__setattr__(self, "_heights", None)
+    def __init__(self, names: Iterable[str], below: Mapping[int, int], _validated: bool = False):
+        """`below[x]` is a mask of elements below x, for each element x.
+        The names must be distinct and sorted."""
+        names = tuple(names)
+        for a, b in zip(names, names[1:]):
+            if not a < b:
+                raise PosetError(f"names are not distinct and sorted: {a!r}, {b!r}")
+        if any(not 0 <= x < len(names) for x in below):
+            raise PosetError("an element has no name")
+        members = mask_of(below)
+        lo = [0] * len(names)
+        up = [0] * len(names)
+        for y, m in below.items():
+            if m & ~members:
+                raise PosetError(f"an element below {names[y]!r} is unknown")
+            lo[y] = m | 1 << y
+            for x in bits(lo[y]):
+                up[x] |= 1 << y
+        self._set(names, members, lo, up)
         if not _validated:
-            self._validate()
+            for x in self.elements:
+                # antisymmetry: nothing both above and below except x itself
+                if lo[x] & up[x] != 1 << x:
+                    raise PosetError(f"antisymmetry fails at {names[x]!r}: {self.names_of(lo[x] & up[x])}")
+                # transitivity: below sets are downward closed
+                for y in bits(lo[x]):
+                    if lo[y] & ~lo[x]:
+                        raise PosetError(f"transitivity fails at ({names[y]!r}, {names[x]!r})")
+
+    def _set(self, *values) -> None:
+        for slot, value in zip(self.__slots__, values + (None,) * 4):
+            object.__setattr__(self, slot, value)
+
+    def _derive(self, members: int, below: list[int], above: list[int]) -> "FinitePoset":
+        out = object.__new__(FinitePoset)
+        out._set(self.names, members, below, above)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
-
-    def _validate(self) -> None:
-        for x in self.elements:
-            ab = self._above[x]
-            # antisymmetry: nothing both above and below except x itself
-            meet = ab & self._below[x]
-            if meet != {x}:
-                raise PosetError(f"antisymmetry fails at {x!r}: {sorted(meet)}")
-            # transitivity: above sets are upward closed
-            for y in ab:
-                if not self._above[y] <= ab:
-                    raise PosetError(f"transitivity fails at ({x!r}, {y!r})")
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def from_covers(
-        cls, elements: Iterable[str], covers: Iterable[tuple[str, str]]
+        cls, names: Iterable[str], covers: Iterable[tuple[str, str]]
     ) -> "FinitePoset":
-        elems = tuple(elements)
-        up: dict[str, set[str]] = {x: set() for x in elems}
-        for a, b in covers:
-            up[a].add(b)
-        # transitive closure by DFS from each element
-        pairs = []
-        for x in elems:
-            seen: set[str] = set()
-            stack = list(up[x])
-            while stack:
-                y = stack.pop()
-                if y in seen:
-                    continue
-                seen.add(y)
-                stack.extend(up[y])
-            pairs.extend((x, y) for y in seen)
-        return cls(elems, pairs)
+        """The transitive closure of the given cover pairs."""
+        names = sorted(set(names))
+        index = {a: i for i, a in enumerate(names)}
+        below = [1 << i for i in range(len(names))]
+        for x, y in covers:
+            if x not in index or y not in index:
+                raise PosetError(f"cover ({x!r}, {y!r}) mentions unknown element")
+            below[index[y]] |= 1 << index[x]
+        changed = True
+        while changed:
+            changed = False
+            for y, m in enumerate(below):
+                for x in bits(m):
+                    below[y] |= below[x]
+                changed |= below[y] != m
+        return cls(names, dict(enumerate(below)))
 
     @classmethod
-    def chain(cls, elements: Iterable[str]) -> "FinitePoset":
-        elems = tuple(elements)
-        return cls(elems, [(elems[i], elems[j]) for i in range(len(elems)) for j in range(i + 1, len(elems))])
+    def chain(cls, names: Iterable[str]) -> "FinitePoset":
+        """The names ordered as given."""
+        names = tuple(names)
+        return cls.from_covers(names, zip(names, names[1:]))
 
     @classmethod
-    def antichain(cls, elements: Iterable[str]) -> "FinitePoset":
-        return cls(tuple(elements), [])
+    def antichain(cls, names: Iterable[str]) -> "FinitePoset":
+        return cls.from_covers(names, [])
+
+    def names_of(self, mask: int) -> list[str]:
+        """The names of the elements of a mask, for reports and messages."""
+        return [self.names[x] for x in bits(mask)]
 
     # -- basic queries --------------------------------------------------
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(bits(self.members)))
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.members.bit_count()
 
-    def __contains__(self, x: str) -> bool:
-        return x in self._below
+    def __contains__(self, x: int) -> bool:
+        return self.members >> x & 1 == 1
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
-    def leq(self, x: str, y: str) -> bool:
-        return x in self._below[y]
+    def leq(self, x: int, y: int) -> bool:
+        return self._below[y] >> x & 1 == 1
 
-    def lt(self, x: str, y: str) -> bool:
-        return x != y and x in self._below[y]
+    def lt(self, x: int, y: int) -> bool:
+        return x != y and self._below[y] >> x & 1 == 1
 
-    def below(self, x: str) -> frozenset[str]:
+    def below(self, x: int) -> int:
         return self._below[x]
 
-    def above(self, x: str) -> frozenset[str]:
+    def above(self, x: int) -> int:
         return self._above[x]
 
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        """The stored relation: all pairs (x, y) with x <= y, reflexive."""
-        return frozenset((x, y) for y in self.elements for x in self._below[y])
+    def is_cover(self, x: int, y: int) -> bool:
+        """x is covered by y."""
+        return x != y and self._above[x] & self._below[y] == 1 << x | 1 << y
 
-    def covers(self) -> frozenset[tuple[str, str]]:
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The stored relation: all pairs (x, y) with x <= y, reflexive."""
+        return frozenset((x, y) for y in self.elements for x in bits(self._below[y]))
+
+    def covers(self) -> frozenset[tuple[int, int]]:
         """All pairs (x, y) with x covered by y."""
         if self._covers is None:
-            covs = frozenset(
-                (x, y)
-                for y in self.elements
-                for x in self._below[y]
-                if x != y and len(self._above[x] & self._below[y]) == 2
-            )
-            object.__setattr__(self, "_covers", covs)
+            below = self._below
+            out = []
+            for y in self.elements:
+                strict = below[y] ^ 1 << y
+                reached = 0
+                for x in bits(strict):
+                    reached |= below[x] ^ 1 << x
+                out.extend((x, y) for x in bits(strict & ~reached))
+            object.__setattr__(self, "_covers", frozenset(out))
         return self._covers
 
-    def maximal_elements(self) -> frozenset[str]:
-        return frozenset(x for x in self.elements if len(self._above[x]) == 1)
+    def maximal_elements(self) -> int:
+        return mask_of(x for x in self.elements if self._above[x] == 1 << x)
 
-    def minimal_elements(self) -> frozenset[str]:
-        return frozenset(x for x in self.elements if len(self._below[x]) == 1)
+    def minimal_elements(self) -> int:
+        return mask_of(x for x in self.elements if self._below[x] == 1 << x)
 
-    def heights(self) -> dict[str, int]:
+    def heights(self) -> dict[int, int]:
         """Length of a longest chain ending at each element."""
         if self._heights is None:
-            h: dict[str, int] = {}
-            for x in sorted(self.elements, key=lambda e: len(self._below[e])):
-                h[x] = max((h[y] + 1 for y in self._below[x] if y != x), default=0)
+            # peel off the minimal elements of what is left, layer by layer
+            h: dict[int, int] = {}
+            left, level = self.members, 0
+            while left:
+                layer = [x for x in bits(left) if self._below[x] & left == 1 << x]
+                h.update(dict.fromkeys(layer, level))
+                left &= ~mask_of(layer)
+                level += 1
             object.__setattr__(self, "_heights", h)
         return self._heights
 
@@ -159,89 +203,78 @@ class FinitePoset:
     # -- derived posets --------------------------------------------------
 
     def dual(self) -> "FinitePoset":
-        pairs = [(y, x) for y in self.elements for x in self._below[y] if x != y]
-        return FinitePoset(self.elements, pairs, _validated=True)
+        if self._dual is None:
+            dual = self._derive(self.members, self._above, self._below)
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
 
-    def subposet(self, subset: Iterable[str]) -> "FinitePoset":
-        sub = set(subset)
-        unknown = sub.difference(self._below)
+    def _check_mask(self, mask: int) -> None:
+        unknown = bits(mask & ~self.members)
         if unknown:
-            raise PosetError(f"unknown elements: {sorted(unknown)}")
-        pairs = [
-            (x, y)
-            for y in sub
-            for x in self._below[y]
-            if x != y and x in sub
-        ]
-        return FinitePoset(tuple(sub), pairs, _validated=True)
+            shown = [self.names[x] if x < len(self.names) else x for x in unknown[:4]]
+            raise PosetError(f"unknown elements: {shown}")
 
-    def order_ideal(self, generators: Iterable[str]) -> frozenset[str]:
-        gens = list(generators)
-        unknown = set(gens).difference(self._below)
-        if unknown:
-            raise PosetError(f"unknown elements: {sorted(unknown)}")
-        out: set[str] = set()
-        for g in gens:
+    def subposet(self, mask: int) -> "FinitePoset":
+        """The induced subposet on a mask of elements."""
+        self._check_mask(mask)
+        below = [0] * len(self.names)
+        above = [0] * len(self.names)
+        for x in bits(mask):
+            below[x] = self._below[x] & mask
+            above[x] = self._above[x] & mask
+        return self._derive(mask, below, above)
+
+    def order_ideal(self, generators: int) -> int:
+        self._check_mask(generators)
+        out = 0
+        for g in bits(generators):
             out |= self._below[g]
-        return frozenset(out)
+        return out
 
-    def is_ideal(self, subset: Iterable[str]) -> bool:
-        sub = set(subset)
-        return all(self._below[x] <= sub for x in sub)
+    def is_ideal(self, mask: int) -> bool:
+        return all(not self._below[x] & ~mask for x in bits(mask))
 
-    def linear_extension_ideal_first(self, ideal: Iterable[str]) -> list[str]:
+    def linear_extension_ideal_first(self, ideal: int) -> list[int]:
         """A linear extension where the given order ideal comes first.
 
-        Tie-breaking is lexicographic on element ids, so the output is
-        deterministic and reproducible downstream (shelling orders,
-        matchings).
+        Ties go to the least element, so the output is deterministic and
+        reproducible downstream (shelling orders, matchings).
         """
-        iset = set(ideal)
-        unknown = iset.difference(self._below)
-        if unknown:
-            raise PosetError(f"unknown elements: {sorted(unknown)}")
-        if not self.is_ideal(iset):
+        self._check_mask(ideal)
+        if not self.is_ideal(ideal):
             raise PosetError("the given set is not an order ideal")
-        out: list[str] = []
-        placed: set[str] = set()
-        for part in (iset, set(self.elements) - iset):
-            remaining = set(part)
-            ready = [
-                x
-                for x in part
-                if all(y == x or y in placed for y in self._below[x])
-            ]
+        below, above = self._below, self._above
+        out: list[int] = []
+        placed = 0
+        for part in (ideal, self.members & ~ideal):
+            ready = [x for x in bits(part) if not below[x] & ~placed & ~(1 << x)]
             heapq.heapify(ready)
             while ready:
                 x = heapq.heappop(ready)
-                if x not in remaining:
+                if placed >> x & 1:
                     continue
                 out.append(x)
-                placed.add(x)
-                remaining.discard(x)
-                for y in self._above[x]:
-                    if y in remaining and all(
-                        z == y or z in placed for z in self._below[y]
-                    ):
+                placed |= 1 << x
+                for y in bits(above[x] & part & ~placed):
+                    if not below[y] & ~placed & ~(1 << y):
                         heapq.heappush(ready, y)
-        if len(out) != len(self.elements):
+        if len(out) != len(self):
             raise PosetError("linear extension failed")
         return out
 
-    def chains(self) -> Iterator[tuple[str, ...]]:
+    def chains(self) -> Iterator[tuple[int, ...]]:
         """All nonempty chains, each as a tuple in increasing order."""
-        strict_above = {
-            x: sorted(y for y in self._above[x] if y != x) for x in self.elements
-        }
+        strict_above = {x: bits(self._above[x] ^ 1 << x) for x in self.elements}
 
-        def extend(chain: list[str]) -> Iterator[tuple[str, ...]]:
+        def extend(chain: list[int]) -> Iterator[tuple[int, ...]]:
             yield tuple(chain)
             for y in strict_above[chain[-1]]:
                 chain.append(y)
                 yield from extend(chain)
                 chain.pop()
 
-        for x in sorted(self.elements):
+        for x in self.elements:
             yield from extend([x])
 
     def order_complex(self) -> "SimplicialComplexRecord":
@@ -307,66 +340,62 @@ class SimplicialComplexRecord:
 class PosetMap:
     """An order preserving map between finite posets."""
 
-    __slots__ = ("source", "target", "assignment")
+    __slots__ = ("source", "target", "assignment", "_preimages")
 
     def __init__(
         self,
         source: FinitePoset,
         target: FinitePoset,
-        assignment: dict[str, str],
+        assignment: dict[int, int],
         _validated: bool = False,
     ):
-        missing = set(source.elements).difference(assignment)
-        if missing:
-            raise PosetError(f"assignment not total; missing {sorted(missing)[:4]}")
         for x, fx in assignment.items():
             if x not in source:
                 raise PosetError(f"unknown source element {x!r}")
             if fx not in target:
-                raise PosetError(f"image {fx!r} of {x!r} not in target")
+                raise PosetError(f"image {fx!r} of {source.names[x]!r} not in target")
+        missing = source.members & ~mask_of(assignment)
+        if missing:
+            raise PosetError(f"assignment not total; missing {source.names_of(missing)[:4]}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", dict(assignment))
+        object.__setattr__(self, "_preimages", None)
         if not _validated:
             for y in source.elements:
                 fy = assignment[y]
-                for x in source.below(y):
+                for x in bits(source.below(y)):
                     if not target.leq(assignment[x], fy):
                         raise PosetError(
-                            f"not order preserving: {x!r} <= {y!r} but "
-                            f"{assignment[x]!r} !<= {fy!r}"
+                            f"not order preserving: {source.names[x]!r} <= {source.names[y]!r} "
+                            f"but {target.names[assignment[x]]!r} !<= {target.names[fy]!r}"
                         )
 
     def __setattr__(self, name, value):
         raise AttributeError("PosetMap is immutable")
 
-    def __call__(self, x: str) -> str:
+    def __call__(self, x: int) -> int:
         return self.assignment[x]
 
-    def fiber(self, q: str) -> FinitePoset:
+    def preimage(self, q: int) -> int:
+        if self._preimages is None:
+            pre = [0] * len(self.target.names)
+            for x in self.source.elements:
+                pre[self.assignment[x]] |= 1 << x
+            object.__setattr__(self, "_preimages", pre)
+        return self._preimages[q]
+
+    def fiber(self, q: int) -> FinitePoset:
         """The poset fiber over q: the induced subposet on f^{-1}(target_{<=q})."""
         if q not in self.target:
             raise PosetError(f"unknown target element {q!r}")
-        down = self.target.below(q)
-        cells = [x for x in self.source.elements if self.assignment[x] in down]
-        return self.source.subposet(cells)
+        mask = 0
+        for y in bits(self.target.below(q)):
+            mask |= self.preimage(y)
+        return self.source.subposet(mask)
 
-    def preimage(self, q: str) -> frozenset[str]:
-        return frozenset(x for x in self.source.elements if self.assignment[x] == q)
-
-    def image(self) -> frozenset[str]:
-        return frozenset(self.assignment.values())
+    def image(self) -> int:
+        return mask_of(self.assignment.values())
 
     def is_surjective(self) -> bool:
-        return self.image() == frozenset(self.target.elements)
-
-    def compose(self, other: "PosetMap") -> "PosetMap":
-        """self after other (other first)."""
-        if other.target is not self.source and other.target.elements != self.source.elements:
-            raise PosetError("composition type mismatch")
-        return PosetMap(
-            other.source,
-            self.target,
-            {x: self.assignment[fx] for x, fx in other.assignment.items()},
-            _validated=True,
-        )
+        return self.image() == self.target.members

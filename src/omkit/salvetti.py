@@ -3,9 +3,11 @@
 Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 (sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
-covector poset, and each cell id "(sigma;T)" is rendered once.  The fiber
-stratification over a modular corank-one flat is the combinatorial heart
-of the quasi-fibration certificates.
+covector poset.  Cell k is the pair `keys[k]` of covector numbers; cells
+are numbered in the order of their ids "(sigma;T)", which are rendered
+once, as the poset's names.  The fiber stratification over a modular
+corank-one flat is the combinatorial heart of the quasi-fibration
+certificates.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .lattices import build_lattice, GeometricLattice
-from .matroids import CovectorSystem, NotAFlatError, section_lift
-from .posets import FinitePoset, PosetMap
+from .matroids import CovectorSystem, section_lift
+from .posets import FinitePoset, PosetMap, bits, mask_of
 from .signs import SignVector, compose_masks
 
 
@@ -33,6 +35,7 @@ class SalvettiCell(NamedTuple):
 
 
 def cell_id(face: SignVector, tope: SignVector) -> str:
+    """The display name of a cell."""
     return f"({face};{tope})"
 
 
@@ -50,37 +53,42 @@ def parse_cell_id(text: str, system: CovectorSystem) -> SalvettiCell:
 class SalvettiPoset:
     """Face poset of the Salvetti complex of a covector system."""
 
-    __slots__ = ("system", "cells", "poset", "by_id")
+    __slots__ = ("system", "cells", "keys", "index", "poset")
 
     def __init__(self, system: CovectorSystem):
         order = system.covector_poset()
-        vec = system.by_text()
-        topes = {(t.plus, t.minus): str(t) for t in system.topes()}
-        ids = {
-            (c, t): f"({c};{t})"
-            for t in sorted(topes.values())
-            for c in sorted(order.below(t))
-        }
-        pairs = []
-        for (g, r), y in ids.items():
-            for f in sorted(order.above(g)):
-                fr = compose_masks(vec[f].plus, vec[f].minus, vec[r].plus, vec[r].minus)
-                if fr not in topes:
-                    bad = SignVector(system.ground, *fr)
-                    what = "tope" if bad in system else "covector"
-                    raise ValueError(f"composition {f} o {r} = {bad} is not a {what}")
-                pairs.append((ids[f, topes[fr]], y))
-        cells = [SalvettiCell(vec[c], vec[t]) for c, t in ids]
-        poset = FinitePoset(ids.values(), pairs)
+        names = order.names
+        vectors = system.vectors()
+        number = system.numbering()
+        topes = order.maximal_elements()
+        keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
+        index = {key: k for k, key in enumerate(keys)}
+        below = {}
+        for r in bits(topes):
+            vr = vectors[r]
+            for g in bits(order.below(r)):
+                m = 0
+                for f in bits(order.above(g)):
+                    vf = vectors[f]
+                    fr = compose_masks(vf.plus, vf.minus, vr.plus, vr.minus)
+                    t = number.get(fr, -1)
+                    if t < 0 or not topes >> t & 1:
+                        bad = SignVector(system.ground, *fr)
+                        what = "tope" if bad in system else "covector"
+                        raise ValueError(f"composition {names[f]} o {names[r]} = {bad} is not a {what}")
+                    m |= 1 << index[f, t]
+                below[index[g, r]] = m
+        poset = FinitePoset([f"({names[c]};{names[t]})" for c, t in keys], below)
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "cells", tuple(SalvettiCell(vectors[c], vectors[t]) for c, t in keys))
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "by_id", dict(zip(ids.values(), cells)))
         # sanity of the construction: extremes are as forced by the order
-        zero = str(system.zero)
-        if poset.maximal_elements() != {y for (g, _), y in ids.items() if g == zero}:
+        zero = number.get((0, 0), -1)
+        if poset.maximal_elements() != mask_of(k for k, (g, _) in enumerate(keys) if g == zero):
             raise AssertionError("maximal cells are not the (0, T)")
-        if poset.minimal_elements() != {y for (g, r), y in ids.items() if g == r}:
+        if poset.minimal_elements() != mask_of(k for k, (g, r) in enumerate(keys) if g == r):
             raise AssertionError("minimal cells are not the (T, T)")
 
     def __setattr__(self, name, value):
@@ -89,9 +97,16 @@ class SalvettiPoset:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def dimension_of(self, cid: str) -> int:
+    def cell_number(self, face: SignVector, tope: SignVector) -> Optional[int]:
+        """The cell (face, tope), or None when it is not a cell."""
+        number = self.system.numbering()
+        return self.index.get(
+            (number.get((face.plus, face.minus)), number.get((tope.plus, tope.minus)))
+        )
+
+    def dimension_of(self, cell: int) -> int:
         """The dimension of a cell: its height in the Salvetti poset."""
-        return self.poset.heights()[cid]
+        return self.poset.heights()[cell]
 
 
 def salvetti(system: CovectorSystem) -> SalvettiPoset:
@@ -102,12 +117,13 @@ def affine_salvetti(system: CovectorSystem, g: str) -> FinitePoset:
     """The subposet on the cells whose face (hence tope) is positive on g."""
     bit = system.label_mask([g])
     salv = SalvettiPoset(system)
-    return salv.poset.subposet(cid for cid, c in salv.by_id.items() if c.face.plus & bit)
+    return salv.poset.subposet(mask_of(k for k, c in enumerate(salv.cells) if c.face.plus & bit))
 
 
 @dataclass(frozen=True)
 class SalvettiLocalization:
-    """The localization map between Salvetti posets at a flat."""
+    """The localization map between Salvetti posets at a flat, with the
+    covector-level localization `rho` it is induced by."""
 
     system: CovectorSystem
     flat: frozenset[str]
@@ -115,53 +131,52 @@ class SalvettiLocalization:
     source: SalvettiPoset
     target: SalvettiPoset
     map: PosetMap
+    rho: PosetMap
 
     def section(self, alpha: SignVector) -> PosetMap:
         """The section induced by a covector with zero set equal to the flat."""
         if alpha not in self.system or alpha.zero_set() != self.flat:
             raise ValueError("alpha must be a covector with zero set the flat")
+        number = self.system.numbering()
+        lift = []
+        for v in self.localized.vectors():
+            w = section_lift(alpha, v)
+            lift.append(number.get((w.plus, w.minus)))
         assignment = {}
-        for cell in self.target.cells:
-            lifted = SalvettiCell(
-                section_lift(alpha, cell.face), section_lift(alpha, cell.tope)
-            )
-            if lifted.id not in self.source.by_id:
-                raise AssertionError(f"section image {lifted.id} not a cell")
-            assignment[cell.id] = lifted.id
+        for k, (f, t) in enumerate(self.target.keys):
+            cell = self.source.index.get((lift[f], lift[t]))
+            if cell is None:
+                raise AssertionError(f"section image of {self.target.poset.names[k]} not a cell")
+            assignment[k] = cell
         out = PosetMap(self.target.poset, self.source.poset, assignment)
-        for cid in self.target.poset.elements:
-            if self.map.assignment[out.assignment[cid]] != cid:
+        for k in self.target.poset.elements:
+            if self.map.assignment[assignment[k]] != k:
                 raise AssertionError("section identity fails")
         return out
 
-    def target_cell(self, cell: str | SalvettiCell) -> SalvettiCell:
-        """The cell of the localized poset with this id (or equal to this
-        cell); ValueError if there is none."""
-        cid = cell.id if isinstance(cell, SalvettiCell) else cell
-        if cid not in self.target.by_id:
-            raise ValueError(f"unknown cell {cid!r} of the localized poset")
-        return self.target.by_id[cid]
+    def target_cell(self, cell: SalvettiCell) -> int:
+        """The number of a cell of the localized poset; ValueError if it is
+        not one."""
+        k = self.target.cell_number(cell.face, cell.tope)
+        if k is None:
+            raise ValueError(f"unknown cell {cell.id!r} of the localized poset")
+        return k
 
-    def fiber(self, cell: str | SalvettiCell) -> FinitePoset:
-        return self.map.fiber(self.target_cell(cell).id)
+    def fiber(self, cell: int) -> FinitePoset:
+        return self.map.fiber(cell)
 
 
 def salvetti_localization(
     system: CovectorSystem, flat: Iterable[str]
 ) -> SalvettiLocalization:
     x = frozenset(flat)
-    if not system.is_flat(x):
-        raise NotAFlatError(f"{sorted(x)} is not a flat")
-    localized = system.restriction(x)
+    localized, rho = system.localization(x)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
-    keep = [lab for lab in system.ground if lab in x]
-    assignment = {
-        cid: cell_id(c.face.restrict(keep), c.tope.restrict(keep))
-        for cid, c in source.by_id.items()
-    }
+    r = rho.assignment
+    assignment = {k: target.index[r[f], r[t]] for k, (f, t) in enumerate(source.keys)}
     pmap = PosetMap(source.poset, target.poset, assignment)
-    return SalvettiLocalization(system, x, localized, source, target, pmap)
+    return SalvettiLocalization(system, x, localized, source, target, pmap, rho)
 
 
 def principal_ideal_iso(
@@ -170,22 +185,24 @@ def principal_ideal_iso(
     """The isomorphism between the ideal below (0, T) and the dual covector
     poset: (F, R) maps to F, with inverse F maps to (F, F o T)."""
     system = salv.system
-    top_id = cell_id(system.zero, tope)
-    if top_id not in salv.by_id:
-        raise ValueError(f"{top_id} is not a cell")
-    ideal_ids = salv.poset.below(top_id)
-    ideal = salv.poset.subposet(ideal_ids)
+    top = salv.cell_number(system.zero, tope)
+    if top is None:
+        raise ValueError(f"{cell_id(system.zero, tope)} is not a cell")
+    ideal_mask = salv.poset.below(top)
+    ideal = salv.poset.subposet(ideal_mask)
     dual = system.covector_poset().dual()
-    fwd = {cid: str(salv.by_id[cid].face) for cid in ideal_ids}
+    number = system.numbering()
+    fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
     bwd = {
-        str(c): cell_id(c, c.compose(tope)) for c in system.covectors
+        c: salv.index[c, number[compose_masks(v.plus, v.minus, tope.plus, tope.minus)]]
+        for c, v in enumerate(system.vectors())
     }
     to_dual = PosetMap(ideal, dual, fwd)
     from_dual = PosetMap(dual, ideal, bwd)
-    if len(ideal_ids) != len(system.covectors):
+    if len(ideal) != len(system.covectors):
         raise AssertionError("principal ideal has the wrong size")
-    for cid in ideal_ids:
-        if bwd[fwd[cid]] != cid:
+    for k in ideal.elements:
+        if bwd[fwd[k]] != k:
             raise AssertionError("principal-ideal maps are not mutually inverse")
     return to_dual, from_dual
 
@@ -196,32 +213,35 @@ def localization_square_commutes(
     """Check cell-by-cell that localization restricted to the ideal below
     (0, T) matches the covector-level localization under the ideal
     isomorphisms."""
-    system = loc.system
-    keep = [lab for lab in system.ground if lab in loc.flat]
+    keep = [lab for lab in loc.system.ground if lab in loc.flat]
     to_dual, _ = principal_ideal_iso(loc.source, tope)
-    tope_loc = tope.restrict(keep)
-    to_dual_loc, _ = principal_ideal_iso(loc.target, tope_loc)
-    for cid in to_dual.source.elements:
-        down = loc.map.assignment[cid]
-        via_target = to_dual_loc.assignment[down]
-        via_dual = str(loc.source.by_id[cid].face.restrict(keep))
-        if via_target != via_dual:
-            return False
-    return True
+    to_dual_loc, _ = principal_ideal_iso(loc.target, tope.restrict(keep))
+    return all(
+        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho.assignment[face]
+        for k, face in to_dual.assignment.items()
+    )
 
 
 @dataclass(frozen=True)
 class FiberStratification:
     """The stratification of a maximal-cell fiber over a modular
-    corank-one flat into copies of contraction balls."""
+    corank-one flat into copies of contraction balls.
+
+    `lifts[0]` sends each covector c to its cell (c, c o T_0) of stratum
+    0; for i > 0, `lifts[i]` sends each localized covector to the cell
+    (c, c o T_i) of stratum i whose face c restricts to it.  `projection`
+    sends each fiber cell to its stratum, on the chain of strata."""
 
     loc: SalvettiLocalization
     base_tope: SignVector  # B' in the localized system
+    top: int  # the cell (0, B') of the localized poset
     fiber: FinitePoset
     tope_string: tuple[SignVector, ...]
     separators: tuple[frozenset[str], ...]  # S(T_{i-1}, T_i), singletons
-    strata: tuple[frozenset[str], ...]  # cell ids, N_0, ..., N_k
+    strata: tuple[int, ...]  # masks of cells, N_0, ..., N_k
     filters: tuple[frozenset[frozenset[str]], ...]  # J_i as sets of flats
+    lifts: tuple[tuple[int, ...], ...]
+    projection: PosetMap
 
 
 def stratify_fiber(
@@ -248,14 +268,15 @@ def stratify_fiber(
     if base_tope not in loc.localized.topes():
         raise ValueError(f"{base_tope} is not a tope of the localization")
 
-    keep = [lab for lab in system.ground if lab in x]
-    fiber_topes = sorted(
-        (t for t in system.topes() if t.restrict(keep) == base_tope), key=str
-    )
+    order = system.covector_poset()
+    vectors = system.vectors()
+    number = system.numbering()
+    rho = loc.rho.assignment
+    b = loc.localized.numbering()[base_tope.plus, base_tope.minus]
+    fiber_topes = [vectors[t] for t in bits(order.maximal_elements()) if rho[t] == b]
     # the two covectors with zero set X; the lex-smaller one anchors the string
-    anchors = sorted(
-        (c for c in system.covectors if c.zero_set() == x), key=str
-    )
+    xmask = system.label_mask(x)
+    anchors = [v for v in vectors if v.zero_mask == xmask]
     if len(anchors) != 2:
         raise AssertionError("corank-one flat must carry exactly two covectors")
     alpha = anchors[0]
@@ -277,37 +298,60 @@ def stratify_fiber(
         if len(s) != 1:
             raise AssertionError(f"consecutive fiber topes separate by {sorted(s)}")
 
-    top_cell = cell_id(loc.localized.zero, base_tope)
-    fiber = loc.fiber(top_cell)
-    zero = system.zero
-    ideals = [
-        loc.source.poset.below(cell_id(zero, t)) for t in string
-    ]
-    strata: list[frozenset[str]] = []
-    used: set[str] = set()
-    for i, ideal in enumerate(ideals):
-        stratum = frozenset(ideal - used)
-        strata.append(stratum)
+    top = loc.target.cell_number(loc.localized.zero, base_tope)
+    fiber = loc.fiber(top)
+    source = loc.source
+    zero = number[0, 0]
+    tnum = [number[t.plus, t.minus] for t in string]
+    strata: list[int] = []
+    used = 0
+    for t in tnum:
+        ideal = source.poset.below(source.index[zero, t])
+        strata.append(ideal & ~used)
         used |= ideal
-    if frozenset(used) != frozenset(fiber.elements):
+    if used != fiber.members:
         raise AssertionError("strata do not cover the fiber exactly")
     # J_i: flats meeting every separator from earlier topes; principal
-    filters: list[frozenset[frozenset[str]]] = []
-    all_flats = frozenset(lattice.flats)
-    for i in range(len(string)):
-        if i == 0:
-            filters.append(all_flats)
-        else:
-            e = next(iter(separators[i - 1]))
-            filters.append(frozenset(f for f in lattice.flats if e in f))
+    filters = [frozenset(lattice.flats)] + [
+        frozenset(f for f in lattice.flats if s <= f) for s in separators
+    ]
+
+    def cell_over(c: int, t: int) -> int:
+        vc, vt = vectors[c], vectors[t]
+        return source.index[c, number[compose_masks(vc.plus, vc.minus, vt.plus, vt.minus)]]
+
+    lifts = [tuple(cell_over(c, tnum[0]) for c in order.elements)]
+    width = len(loc.localized.covectors)
+    for i in range(1, len(string)):
+        ebit = system.label_mask(separators[i - 1])
+        iso: dict[int, int] = {}
+        for c in order.elements:
+            if vectors[c].support_mask & ebit:
+                continue
+            if rho[c] in iso:
+                raise AssertionError("restriction is not injective on the stratum")
+            iso[rho[c]] = c
+        if len(iso) != width:
+            raise AssertionError("restriction is not onto the localization")
+        lifts.append(tuple(cell_over(iso[y], tnum[i]) for y in range(width)))
+
+    digits = len(str(len(string) - 1))
+    chain = FinitePoset(
+        [f"t{i:0{digits}d}" for i in range(len(string))],
+        {i: (2 << i) - 1 for i in range(len(string))},
+    )
+    stratum_of = {c: i for i, s in enumerate(strata) for c in bits(s)}
     return FiberStratification(
         loc,
         base_tope,
+        top,
         fiber,
         tuple(string),
         separators,
         tuple(strata),
         tuple(filters),
+        tuple(lifts),
+        PosetMap(fiber, chain, stratum_of),
     )
 
 

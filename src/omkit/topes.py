@@ -4,7 +4,8 @@ The reduced covector poset is the face poset of a regular cell
 decomposition of a sphere, and every linear extension of a tope poset
 orders its maximal cells as a shelling.  Convex tope sets are order
 ideals of tope posets, which is what produces shellable balls and, later,
-the matchings with prescribed critical subcomplexes.
+the matchings with prescribed critical subcomplexes.  Tope posets,
+subcomplexes and shellings are in the numbering of the covector poset.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
-from .posets import FinitePoset
+from .posets import FinitePoset, bits, mask_of
 from .signs import SignVector, separator_masks
 
 
@@ -51,16 +52,11 @@ def halfspace(system: CovectorSystem, label: str, sign: int) -> frozenset[SignVe
 def tope_poset(system: CovectorSystem, base: SignVector) -> FinitePoset:
     """Topes ordered by containment of separators from a base tope."""
     _require_tope(system, base)
-    ids = sorted(system.covector_poset().maximal_elements())
-    by_text = system.by_text()
-    seps = [base.separator_mask(by_text[x]) for x in ids]
-    pairs = [
-        (ids[i], ids[j])
-        for i, si in enumerate(seps)
-        for j, sj in enumerate(seps)
-        if i != j and not si & ~sj
-    ]
-    return FinitePoset(ids, pairs, _validated=True)
+    order = system.covector_poset()
+    vectors = system.vectors()
+    seps = [(t, base.separator_mask(vectors[t])) for t in bits(order.maximal_elements())]
+    below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
+    return FinitePoset(order.names, below, _validated=True)
 
 
 # -- convexity ---------------------------------------------------------------
@@ -135,7 +131,7 @@ def all_convex_tope_sets(system: CovectorSystem) -> list[frozenset[SignVector]]:
 
 def convex_first_extension(
     system: CovectorSystem, base: SignVector, q: Iterable[SignVector]
-) -> list[SignVector]:
+) -> list[int]:
     """A linear extension of the tope poset at base with Q as a prefix.
 
     Q must be convex and contain the base; convexity makes Q an order
@@ -147,47 +143,35 @@ def convex_first_extension(
     if not is_convex(system, qset):
         raise NotConvexError("Q is not convex")
     tp = tope_poset(system, base)
-    ids = [str(t) for t in qset]
-    if not tp.is_ideal(ids):
+    ideal = system.mask(qset)
+    if not tp.is_ideal(ideal):
         raise AssertionError("convex set is not an ideal of the tope poset")
-    order = tp.linear_extension_ideal_first(ids)
-    by_text = system.by_text()
-    return [by_text[x] for x in order]
+    return tp.linear_extension_ideal_first(ideal)
 
 
 # -- subcomplexes of the covector sphere --------------------------------------
 
 
-def subcomplex_LQ(
-    system: CovectorSystem, q: Iterable[SignVector]
-) -> frozenset[SignVector]:
-    """All covectors below some tope of Q (an order ideal of the poset)."""
+def subcomplex_LQ(system: CovectorSystem, q: Iterable[SignVector]) -> int:
+    """The mask of covectors below some tope of Q (an order ideal)."""
     qset = frozenset(q)
     for t in qset:
         _require_tope(system, t)
-    by_text = system.by_text()
-    ideal = system.covector_poset().order_ideal(str(t) for t in qset)
-    return frozenset(by_text[x] for x in ideal)
+    return system.covector_poset().order_ideal(system.mask(qset))
 
 
-def dual_subcomplex(
-    system: CovectorSystem, q: Iterable[SignVector]
-) -> frozenset[SignVector]:
-    """Covectors all of whose topes lie in Q (a subcomplex of the dual)."""
+def dual_subcomplex(system: CovectorSystem, q: Iterable[SignVector]) -> int:
+    """The mask of covectors all of whose topes lie in Q (a subcomplex of
+    the dual)."""
     qset = frozenset(q)
     for t in qset:
         _require_tope(system, t)
-    topes = system.topes()
     poset = system.covector_poset()
-    tope_ids = poset.maximal_elements()
-    q_ids = {str(t) for t in qset}
-    by_text = system.by_text()
-    out = frozenset(
-        by_text[x] for x in poset.elements if (poset.above(x) & tope_ids) <= q_ids
-    )
+    topes = poset.maximal_elements()
+    outside = topes & ~system.mask(qset)
+    out = mask_of(x for x in poset.elements if not poset.above(x) & outside)
     # the complementary description must agree
-    complement = system.covectors - subcomplex_LQ(system, topes - qset)
-    if out != complement:
+    if out != poset.members & ~subcomplex_LQ(system, system.topes() - qset):
         raise AssertionError("dual subcomplex identities disagree")
     return out
 
@@ -195,8 +179,8 @@ def dual_subcomplex(
 def sphere_poset(system: CovectorSystem) -> FinitePoset:
     """Face poset of the covector sphere (zero vector removed)."""
     poset = system.covector_poset()
-    zero = str(system.zero)
-    return poset.subposet(x for x in poset.elements if x != zero)
+    zero = system.numbering().get((0, 0))
+    return poset.subposet(poset.members if zero is None else poset.members & ~(1 << zero))
 
 
 # -- shellings ---------------------------------------------------------------
@@ -206,7 +190,7 @@ def sphere_poset(system: CovectorSystem) -> FinitePoset:
 class ShellingOrder:
     """An ordering of the maximal cells of a pure regular complex."""
 
-    cells: tuple[str, ...]
+    cells: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -227,14 +211,13 @@ def shelling_order_from_extension(
     poset at base; optionally with a convex prefix first."""
     _require_tope(system, base)
     tp = tope_poset(system, base)
-    ideal = [str(t) for t in (prefix if prefix is not None else [])] or [str(base)]
-    order = tp.linear_extension_ideal_first(ideal)
-    return ShellingOrder(tuple(order))
+    ideal = system.mask(prefix if prefix is not None else []) or system.mask([base])
+    return ShellingOrder(tuple(tp.linear_extension_ideal_first(ideal)))
 
 
 def verify_shelling(
     complex_poset: FinitePoset,
-    order: Sequence[str] | ShellingOrder,
+    order: Sequence[int] | ShellingOrder,
     depth: int,
 ) -> ShellingReport:
     """Check the shelling conditions on a pure regular complex.
@@ -246,38 +229,38 @@ def verify_shelling(
     cells = list(order.cells if isinstance(order, ShellingOrder) else order)
     dims = complex_poset.heights()
     maximal = complex_poset.maximal_elements()
-    if set(cells) != set(maximal) or len(cells) != len(maximal):
+    if mask_of(cells) != maximal or len(cells) != maximal.bit_count():
         return ShellingReport(False, "order is not a permutation of the maximal cells")
     d = dims[cells[0]]
-    if any(dims[c] != d for c in maximal):
+    if any(dims[c] != d for c in bits(maximal)):
         return ShellingReport(False, "complex is not pure")
     return _verify_shelling_inner(complex_poset, dims, cells, depth)
 
 
+def _boundary(complex_poset: FinitePoset, c: int) -> int:
+    return complex_poset.below(c) ^ 1 << c
+
+
 def _verify_shelling_inner(
     complex_poset: FinitePoset,
-    dims: dict[str, int],
-    cells: list[str],
+    dims: dict[int, int],
+    cells: list[int],
     depth: int,
 ) -> ShellingReport:
     d = dims[cells[0]]
     if d == 0:
         return ShellingReport(True)
-    boundaries = {
-        c: frozenset(x for x in complex_poset.below(c) if x != c) for c in cells
-    }
-    union: set[str] = set()
+    union = 0
     for j, c in enumerate(cells):
+        boundary = _boundary(complex_poset, c)
         if j > 0:
-            inter = boundaries[c] & union
+            inter = boundary & union
             bad = _purity_failure(complex_poset, inter, dims, d - 1)
             if bad is not None:
                 return ShellingReport(False, f"condition (i) fails at position {j + 1}: {bad}")
             if depth > 0:
-                sub = complex_poset.subposet(boundaries[c])
-                prefix = frozenset(
-                    x for x in inter if dims[x] == d - 1
-                )
+                sub = complex_poset.subposet(boundary)
+                prefix = mask_of(x for x in bits(inter) if dims[x] == d - 1)
                 if not _exists_shelling_with_prefix(sub, prefix, depth - 1):
                     return ShellingReport(
                         False,
@@ -285,37 +268,35 @@ def _verify_shelling_inner(
                         f"of the boundary starts with the shared facets",
                     )
         elif depth > 0:
-            sub = complex_poset.subposet(boundaries[c])
-            if not _exists_shelling_with_prefix(sub, frozenset(), depth - 1):
+            sub = complex_poset.subposet(boundary)
+            if not _exists_shelling_with_prefix(sub, 0, depth - 1):
                 return ShellingReport(False, "condition (iii) fails: first boundary not shellable")
-        union |= boundaries[c]
+        union |= boundary
     return ShellingReport(True)
 
 
 def _purity_failure(
     complex_poset: FinitePoset,
-    subset: frozenset[str],
-    dims: dict[str, int],
+    subset: int,
+    dims: dict[int, int],
     want: int,
 ) -> Optional[str]:
     """None when the subset is nonempty and pure of the wanted dimension."""
     if not subset:
         return "intersection is empty"
-    maximal = [
-        x for x in subset if len(complex_poset.above(x) & subset) == 1
-    ]
+    maximal = [x for x in bits(subset) if complex_poset.above(x) & subset == 1 << x]
     if all(dims[x] == want for x in maximal):
         return None
     off = next(x for x in maximal if dims[x] != want)
-    return f"maximal cell {off} has dimension {dims[off]}, wanted {want}"
+    return f"maximal cell {complex_poset.names[off]} has dimension {dims[off]}, wanted {want}"
 
 
 def _exists_shelling_with_prefix(
-    complex_poset: FinitePoset, prefix: frozenset[str], depth: int
+    complex_poset: FinitePoset, prefix: int, depth: int
 ) -> bool:
     """Backtracking search for a shelling whose first cells are the given set."""
     dims = complex_poset.heights()
-    maximal = sorted(complex_poset.maximal_elements())
+    maximal = bits(complex_poset.maximal_elements())
     if not maximal:
         return not prefix
     d = dims[maximal[0]]
@@ -323,31 +304,30 @@ def _exists_shelling_with_prefix(
         return False
     if d == 0:
         return True
-    boundaries = {
-        c: frozenset(x for x in complex_poset.below(c) if x != c) for c in maximal
-    }
+    boundaries = {c: _boundary(complex_poset, c) for c in maximal}
 
-    def ok_step(c: str, union: set[str], first: bool) -> bool:
+    def ok_step(c: int, union: int, first: bool) -> bool:
         if first:
             if depth > 0:
                 sub = complex_poset.subposet(boundaries[c])
-                return _exists_shelling_with_prefix(sub, frozenset(), depth - 1)
+                return _exists_shelling_with_prefix(sub, 0, depth - 1)
             return True
         inter = boundaries[c] & union
         if _purity_failure(complex_poset, inter, dims, d - 1) is not None:
             return False
         if depth > 0:
             sub = complex_poset.subposet(boundaries[c])
-            pre = frozenset(x for x in inter if dims[x] == d - 1)
+            pre = mask_of(x for x in bits(inter) if dims[x] == d - 1)
             return _exists_shelling_with_prefix(sub, pre, depth - 1)
         return True
 
     target = len(maximal)
+    prefix_size = prefix.bit_count()
 
-    def search(chosen: list[str], union: set[str], pool: set[str]) -> bool:
+    def search(chosen: list[int], union: int, pool: set[int]) -> bool:
         if len(chosen) == target:
             return True
-        stage = [c for c in sorted(pool) if c in prefix] if len(chosen) < len(prefix) else sorted(pool)
+        stage = [c for c in sorted(pool) if prefix >> c & 1] if len(chosen) < prefix_size else sorted(pool)
         for c in stage:
             if ok_step(c, union, not chosen):
                 chosen.append(c)
@@ -358,4 +338,4 @@ def _exists_shelling_with_prefix(
                 chosen.pop()
         return False
 
-    return search([], set(), set(maximal))
+    return search([], 0, set(maximal))

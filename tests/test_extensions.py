@@ -11,6 +11,7 @@ from omkit.extensions import (
 )
 from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem
+from omkit.salvetti import salvetti_localization
 from omkit.signs import SignVector, compose_masks
 
 
@@ -198,11 +199,12 @@ def test_extension_output_carries_the_fibration_structure(non_pappus):
     ]
     assert coatoms
     x = coatoms[0]
-    cert = quasi_fibration_certify(
-        result.final, x, mode="sampled", sample=6, lattice=lat
-    )
+    cert = quasi_fibration_certify(result.final, x, mode="exhaustive", lattice=lat)
     assert cert.ok
     assert cert.expected_rank == len(result.final.ground) - len(x)
+    # exhaustive: one pair per comparable pair a <= b of the localized poset
+    loc = salvetti_localization(result.final, x)
+    assert len(cert.pairs) == len(loc.target.poset.pairs())
 
 
 def test_rank3_dfs_matches_raw_scan(five_planes):

@@ -8,14 +8,13 @@ from omkit.homology import (
     chain_complex,
     graph_free_rank,
     graph_rank_report,
-    h1_rank_check,
     homology,
     quasi_fibration_certify,
     rank_and_torsion,
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
-from omkit.posets import FinitePoset, SimplicialComplexRecord
+from omkit.posets import FinitePoset, SimplicialComplexRecord, bits
 from omkit.salvetti import salvetti, salvetti_localization
 from omkit.topes import sphere_poset
 
@@ -111,7 +110,8 @@ def test_cellular_boundary_signs():
          ("ab", "f"), ("bc", "f"), ("cd", "f"), ("ad", "f")],
     )
     rec = chain_complex(disk)
-    assert rec.bases == (("a", "b", "c", "d"), ("ab", "ad", "bc", "cd"), ("f",))
+    named = tuple(tuple(disk.names[c] for c in level) for level in rec.bases)
+    assert named == (("a", "b", "c", "d"), ("ab", "ad", "bc", "cd"), ("f",))
     assert rec.boundaries[1][0] == {0: -1, 1: 1}  # ab = b - a
     assert rec.boundaries[2][0] == {0: 1, 1: -1, 2: 1, 3: 1}  # ab + bc + cd - ad
     assert homology(disk).betti == (1, 0, 0)
@@ -147,10 +147,11 @@ def skipping_cover():
 def rp2_ball():
     # a 3-cell glued along RP^2, which cannot bound it
     faces = face_poset(rp2())
-    tops = sorted(faces.maximal_elements())
+    tops = faces.names_of(faces.maximal_elements())
+    covers = [(faces.names[a], faces.names[b]) for a, b in faces.covers()]
     return FinitePoset.from_covers(
-        list(faces.elements) + ["ball"],
-        list(faces.covers()) + [(t, "ball") for t in tops],
+        list(faces.names) + ["ball"],
+        covers + [(t, "ball") for t in tops],
     )
 
 
@@ -174,20 +175,20 @@ def test_rank1_salvetti_circle(rank1):
 
 
 def test_uniform23_salvetti(uniform23):
-    ok, betti, w = salvetti_betti_match_whitney(uniform23)
+    ok, betti, w, _ = salvetti_betti_match_whitney(uniform23)
     assert ok
     assert w == (1, 3, 2)
     assert betti == (1, 3, 2)
 
 
 def test_boolean3_salvetti_torus(boolean3):
-    ok, betti, w = salvetti_betti_match_whitney(boolean3)
+    ok, betti, w, _ = salvetti_betti_match_whitney(boolean3)
     assert ok
     assert betti == (1, 3, 3, 1)
 
 
 def test_five_planes_salvetti(five_planes):
-    ok, betti, w = salvetti_betti_match_whitney(five_planes)
+    ok, betti, w, _ = salvetti_betti_match_whitney(five_planes)
     assert ok
     assert betti == (1, 5, 8, 4)
 
@@ -228,7 +229,7 @@ def test_graph_rank_rejects_high_dimension(five_planes):
 
 def test_minimal_fiber_rank(five_planes):
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
-    for cid in sorted(loc.target.poset.minimal_elements()):
+    for cid in bits(loc.target.poset.minimal_elements()):
         assert graph_free_rank(loc.fiber(cid)) == 2  # |E \ X| = 2
 
 
@@ -241,21 +242,6 @@ def test_semidirect_rank_sequences(rank1, boolean3, five_planes):
 def test_semidirect_rank_requires_supersolvable(non_pappus):
     with pytest.raises(ValueError):
         semidirect_rank_sequence(non_pappus)
-
-
-def test_h1_rank(rank1, five_planes, braid3):
-    assert h1_rank_check(rank1)
-    assert h1_rank_check(five_planes)
-    assert h1_rank_check(braid3)
-    from omkit.matroids import CovectorSystem
-    from omkit.signs import SignVector
-
-    with_loop = CovectorSystem(
-        ("e1", "e2"),
-        [SignVector.from_string(s, ("e1", "e2")) for s in ("00", "+0", "-0")],
-    )
-    with pytest.raises(ValueError):
-        h1_rank_check(with_loop)
 
 
 def test_quasi_fibration_five_planes(five_planes):
@@ -283,13 +269,34 @@ def test_quasi_fibration_stratifies_each_ambient_fiber_once(monkeypatch, five_pl
     assert cert.ok
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
     ambient = loc.target.poset.maximal_elements()
-    assert sorted(seen) == sorted(str(loc.target.by_id[m].tope) for m in ambient)
+    assert sorted(seen) == sorted(str(loc.target.cells[m].tope) for m in bits(ambient))
+
+
+def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch, five_planes):
+    import omkit.morse as morse
+
+    built, walked = [], []
+    real_fiber, real_walk = morse.matching_salvetti_fiber, morse.Matching.is_acyclic
+
+    def building(strat, cell):
+        built.append(real_fiber(strat, cell))
+        return built[-1]
+
+    def walking(self):
+        walked.append(self)
+        return real_walk(self)
+
+    monkeypatch.setattr(morse, "matching_salvetti_fiber", building)
+    monkeypatch.setattr(morse.Matching, "is_acyclic", walking)
+    cert = quasi_fibration_certify(five_planes, {"H1", "H2", "H3"})
+    assert cert.ok
+    assert built and walked == built
 
 
 def _comparable_pairs(system):
     loc = salvetti_localization(system, {"H1", "H2", "H3"})
     for b in loc.target.poset.elements:
-        for a in loc.target.poset.below(b):
+        for a in bits(loc.target.poset.below(b)):
             yield a, b
 
 
@@ -318,9 +325,9 @@ def test_morse_reduction_preserves_homology(five_planes):
     # critical complexes of the fiber matchings have the homology of the
     # ambient fiber they retract
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
-    tops = sorted(loc.target.poset.maximal_elements())
+    tops = bits(loc.target.poset.maximal_elements())
     top = tops[0]
     ambient = loc.fiber(top)
-    for a in sorted(loc.target.poset.below(top)):
+    for a in bits(loc.target.poset.below(top)):
         sub = loc.fiber(a)
         assert betti_numbers(sub) == betti_numbers(ambient)

@@ -129,13 +129,15 @@ def test_section_iota_identity(five_planes):
     for cid in iota.source.elements:
         assert rho.assignment[iota.assignment[cid]] == cid
     # the section preserves composition
-    lift = iota.assignment
-    by_full = five_planes.by_text()
+    number = loc.numbering()
+    full = five_planes.vectors()
+
+    def lift(v):
+        return full[iota.assignment[number[v.plus, v.minus]]]
+
     for a in sorted(loc.covectors, key=str):
         for b in sorted(loc.covectors, key=str):
-            left = by_full[lift[str(a.compose(b))]]
-            right = by_full[lift[str(a)]].compose(by_full[lift[str(b)]])
-            assert left == right
+            assert lift(a.compose(b)) == lift(a).compose(lift(b))
     # the lift takes only vectors over z(alpha) in ground order
     with pytest.raises(GroundSetMismatchError):
         section_lift(alpha, five_planes.zero)
@@ -192,7 +194,7 @@ def test_zero_map_cover_preserving(five_planes):
     # z is order reversing, surjective onto the flats, and sends covers to covers
     lat = build_lattice(five_planes)
     zmap = five_planes.big_face_lattice_map()
-    assert zmap.image() == frozenset(zmap.target.elements)
+    assert zmap.image() == zmap.target.members
     lat_covers = zmap.target.covers()
     for a, b in zmap.source.covers():
         fa, fb = zmap.assignment[a], zmap.assignment[b]

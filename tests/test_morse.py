@@ -10,7 +10,7 @@ from omkit.morse import (
     morse_reduction_certificate,
     patchwork,
 )
-from omkit.posets import FinitePoset, PosetMap
+from omkit.posets import FinitePoset, PosetMap, bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.topes import ShellingOrder, all_convex_tope_sets, dual_subcomplex
 
@@ -29,32 +29,42 @@ def square_boundary():
 def square_disk():
     # one 2-cell glued onto the square boundary
     sq = square_boundary()
-    elements = list(sq.elements) + ["f"]
-    covers = list(sq.covers()) + [("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f")]
+    elements = list(sq.names) + ["f"]
+    covers = [(sq.names[a], sq.names[b]) for a, b in sq.covers()]
+    covers += [("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f")]
     return FinitePoset.from_covers(elements, covers)
+
+
+def pairs(poset, named):
+    """Named pairs as element pairs."""
+    return frozenset((poset.names.index(a), poset.names.index(b)) for a, b in named)
+
+
+def names(poset, mask):
+    return set(poset.names_of(mask))
 
 
 def test_empty_matching_acyclic():
     sq = square_boundary()
     m = Matching(sq, frozenset())
     assert m.is_acyclic()
-    assert m.critical_cells() == frozenset(sq.elements)
+    assert m.critical_cells() == sq.members
 
 
 def test_two_pair_matching_acyclic():
     sq = square_boundary()
-    m = Matching(sq, frozenset({("v1", "e12"), ("v2", "e23")}))
+    m = Matching(sq, pairs(sq, {("v1", "e12"), ("v2", "e23")}))
     report = m.is_acyclic()
     assert report.acyclic
     assert report.topological_order is not None
-    assert m.critical_cells() == {"v3", "v4", "e34", "e41"}
+    assert names(sq, m.critical_cells()) == {"v3", "v4", "e34", "e41"}
 
 
 def test_clockwise_matching_cyclic():
     sq = square_boundary()
     m = Matching(
         sq,
-        frozenset({("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
+        pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
     )
     report = m.is_acyclic()
     assert not report.acyclic
@@ -65,15 +75,15 @@ def test_clockwise_matching_cyclic():
 def test_matching_validation():
     sq = square_boundary()
     with pytest.raises(MatchingError):
-        Matching(sq, frozenset({("v1", "e23")}))  # not a cover
+        Matching(sq, pairs(sq, {("v1", "e23")}))  # not a cover
     with pytest.raises(MatchingError):
-        Matching(sq, frozenset({("v1", "e12"), ("v1", "e41")}))  # reused cell
+        Matching(sq, pairs(sq, {("v1", "e12"), ("v1", "e41")}))  # reused cell
 
 
 def test_perfect_matching_no_critical():
     chain = FinitePoset.chain(("a", "b"))
-    m = Matching(chain, frozenset({("a", "b")}))
-    assert m.critical_cells() == frozenset()
+    m = Matching(chain, pairs(chain, {("a", "b")}))
+    assert m.critical_cells() == 0
 
 
 def test_dual_matching_equivalence(five_planes):
@@ -87,35 +97,57 @@ def test_dual_matching_equivalence(five_planes):
 def test_patchwork_rejects_bad_local_data():
     sq = square_boundary()
     point = FinitePoset.antichain(("q",))
-    const = PosetMap(sq, point, {x: "q" for x in sq.elements})
+    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
     cyclic = Matching(
         sq,
-        frozenset({("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
+        pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
     )
     with pytest.raises(MatchingError):
-        patchwork(const, {"q": cyclic})
+        patchwork(const, {0: cyclic})
     # a matching escaping its fiber is rejected too
     two = FinitePoset.chain(("a", "b"))
-    split = PosetMap(
-        sq,
-        two,
-        {x: ("a" if x in ("v1", "v2", "e12") else "b") for x in sq.elements},
-    )
-    local = Matching(sq, frozenset({("v2", "e23")}))  # e23 lies in fiber b
+    in_a = mask_of(sq.names.index(x) for x in ("v1", "v2", "e12"))
+    split = PosetMap(sq, two, {x: 0 if in_a >> x & 1 else 1 for x in sq.elements})
+    local = Matching(sq, pairs(sq, {("v2", "e23")}))  # e23 lies in fiber b
     with pytest.raises(MatchingError):
-        patchwork(split, {"a": local})
+        patchwork(split, {0: local})
+    # a matching numbered by another root is rejected, even where its
+    # mask fits inside the fiber
+    root = FinitePoset.from_covers(("a", "b", "c", "d", "x", "y"), [("x", "a"), ("y", "a")])
+    other = root.subposet(split.preimage(0))
+    foreign = Matching(other, pairs(other, {("x", "a")}))
+    with pytest.raises(MatchingError, match="different poset"):
+        patchwork(split, {0: foreign})
+
+
+def test_patchwork_checks_the_union_once(monkeypatch):
+    sq = square_boundary()
+    point = FinitePoset.antichain(("q",))
+    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
+    runs = []
+    real = Matching.is_acyclic
+
+    def counting(self):
+        runs.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Matching, "is_acyclic", counting)
+    local = Matching(sq, pairs(sq, {("v1", "e12")}))
+    out = patchwork(const, {0: local})
+    morse_reduction_certificate(sq, out.critical_cells(), out)
+    assert runs == [out]
 
 
 def test_patchwork_constant_and_injective():
     sq = square_boundary()
     point = FinitePoset.antichain(("q",))
-    const = PosetMap(sq, point, {x: "q" for x in sq.elements})
-    local = Matching(sq, frozenset({("v1", "e12")}))
-    out = patchwork(const, {"q": local})
+    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
+    local = Matching(sq, pairs(sq, {("v1", "e12")}))
+    out = patchwork(const, {0: local})
     assert out.pairs == local.pairs
     # injective map: all fibers singletons, so only empty matchings fit
     ident = PosetMap(sq, sq, {x: x for x in sq.elements})
-    out2 = patchwork(ident, {x: Matching(sq.subposet([x]), frozenset()) for x in sq.elements})
+    out2 = patchwork(ident, {x: Matching(sq.subposet(1 << x), frozenset()) for x in sq.elements})
     assert out2.pairs == frozenset()
 
 
@@ -123,28 +155,29 @@ def test_matching_from_shelling_edge():
     edge = FinitePoset.from_covers(
         ("v1", "v2", "e"), [("v1", "e"), ("v2", "e")]
     )
-    m = matching_from_shelling(edge, ShellingOrder(("e",)), "v1")
-    assert m.pairs == {("v2", "e")}
-    assert m.critical_cells() == {"v1"}
+    m = matching_from_shelling(edge, ShellingOrder((edge.names.index("e"),)), edge.names.index("v1"))
+    assert m.pairs == pairs(edge, {("v2", "e")})
+    assert names(edge, m.critical_cells()) == {"v1"}
 
 
 def test_matching_from_shelling_square_disk():
     disk = square_disk()
-    m = matching_from_shelling(disk, ShellingOrder(("f",)), "v1")
-    assert m.critical_cells() == {"v1"}
+    m = matching_from_shelling(disk, ShellingOrder((disk.names.index("f"),)), disk.names.index("v1"))
+    assert names(disk, m.critical_cells()) == {"v1"}
     assert len(m.pairs) == 4  # (9 - 1) / 2 cells paired
+    assert morse_reduction_certificate(disk, m.critical_cells(), m).ok
 
 
 def test_matching_from_shelling_rejects_outside_vertex():
     disk = square_disk()
     with pytest.raises(MatchingError):
-        matching_from_shelling(disk, ShellingOrder(("f",)), "nope")
+        matching_from_shelling(disk, ShellingOrder((disk.names.index("f"),)), len(disk.names))
 
 
 def test_convex_critical_trivial(five_planes):
     m = matching_convex_critical(five_planes, five_planes.topes())
     assert m.pairs == frozenset()
-    assert m.critical_cells() == {str(c) for c in five_planes.covectors}
+    assert m.critical_cells() == five_planes.mask(five_planes.covectors)
 
 
 def test_convex_critical_all_instances(five_planes, uniform23):
@@ -152,8 +185,7 @@ def test_convex_critical_all_instances(five_planes, uniform23):
         for q in all_convex_tope_sets(system):
             m = matching_convex_critical(system, q)
             assert m.is_acyclic().acyclic
-            want = {str(c) for c in dual_subcomplex(system, q)}
-            assert m.critical_cells() == want
+            assert m.critical_cells() == dual_subcomplex(system, q)
 
 
 def test_convex_critical_path_of_three(uniform23):
@@ -168,7 +200,7 @@ def test_convex_critical_path_of_three(uniform23):
         if pair:
             break
     m = matching_convex_critical(uniform23, pair)
-    assert len(m.critical_cells()) == 3
+    assert m.critical_cells().bit_count() == 3
 
 
 def test_convex_critical_refuses_non_convex(uniform23):
@@ -200,23 +232,23 @@ def test_fiber_matchings_exhaustive(five_planes):
     lat = build_lattice(five_planes)
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    cells = sorted(loc.target.poset.elements)
-    max_cells = sorted(loc.target.poset.maximal_elements())
+    cells = loc.target.poset.elements
+    max_cells = bits(loc.target.poset.maximal_elements())
     for a in cells:
         for top in max_cells:
             if not loc.target.poset.leq(a, top):
                 continue
-            bp = loc.target.by_id[top].tope
+            bp = loc.target.cells[top].tope
             m = matching_salvetti_fiber(stratify_fiber(loc, bp, lat), a)
             assert m.is_acyclic().acyclic
-            assert m.critical_cells() == frozenset(loc.fiber(a).elements)
+            assert m.critical_cells() == loc.fiber(a).members
 
 
 def test_fiber_matching_maximal_cell_is_empty(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    top = sorted(loc.target.poset.maximal_elements())[0]
-    bp = loc.target.by_id[top].tope
+    top = bits(loc.target.poset.maximal_elements())[0]
+    bp = loc.target.cells[top].tope
     m = matching_salvetti_fiber(stratify_fiber(loc, bp), top)
     assert m.pairs == frozenset()
 
@@ -226,33 +258,36 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
 
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    bottom = sorted(loc.target.poset.minimal_elements())[0]
-    tope = loc.target.by_id[bottom].tope
+    bottom = bits(loc.target.poset.minimal_elements())[0]
+    tope = loc.target.cells[bottom].tope
     m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
     fib = loc.fiber(bottom)
-    assert m.critical_cells() == frozenset(fib.elements)
+    assert m.critical_cells() == fib.members
     assert graph_free_rank(fib) == 2
 
 
 def test_morse_certificate(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    top = sorted(loc.target.poset.maximal_elements())[0]
-    bottom = sorted(loc.target.poset.minimal_elements())[0]
-    bp = loc.target.by_id[top].tope
+    top = bits(loc.target.poset.maximal_elements())[0]
+    bottom = bits(loc.target.poset.minimal_elements())[0]
+    bp = loc.target.cells[top].tope
     host_fiber = loc.fiber(top)
     if loc.target.poset.leq(bottom, top):
         m = matching_salvetti_fiber(stratify_fiber(loc, bp), bottom)
-        cert = morse_reduction_certificate(m.host, loc.fiber(bottom).elements, m)
+        cert = morse_reduction_certificate(m.host, loc.fiber(bottom).members, m)
         assert cert.ok
         # drop one pair: criticality clause must fail with a witness
         short = Matching(m.host, frozenset(sorted(m.pairs)[1:]))
         with pytest.raises(MatchingError):
-            morse_reduction_certificate(m.host, loc.fiber(bottom).elements, short)
+            morse_reduction_certificate(m.host, loc.fiber(bottom).members, short)
 
 
 def test_certificate_trivial_full_complex():
     sq = square_boundary()
     m = Matching(sq, frozenset())
-    cert = morse_reduction_certificate(sq, sq.elements, m)
+    cert = morse_reduction_certificate(sq, sq.members, m)
     assert cert.ok
+    # a pair inside the subcomplex leaves two of its cells uncritical
+    with pytest.raises(MatchingError, match="missing"):
+        morse_reduction_certificate(sq, sq.members, Matching(sq, pairs(sq, {("v1", "e12")})))

@@ -14,7 +14,8 @@ from omkit.salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
-from omkit.topes import sphere_poset
+from omkit.posets import bits, mask_of
+from omkit.topes import sphere_poset, tope_poset
 
 
 def definition_order(system):
@@ -31,11 +32,16 @@ def definition_order(system):
     )
 
 
+def named(poset, pairs):
+    return {(poset.names[x], poset.names[y]) for x, y in pairs}
+
+
 def test_salvetti_order_matches_definition(all_corpus, five_planes):
     for name, system in all_corpus.items():
-        assert salvetti(system).poset.pairs() == definition_order(system), name
+        poset = salvetti(system).poset
+        assert named(poset, poset.pairs()) == definition_order(system), name
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
-    assert loc.target.poset.pairs() == definition_order(loc.localized)
+    assert named(loc.target.poset, loc.target.poset.pairs()) == definition_order(loc.localized)
 
 
 def definition_rank(covs):
@@ -54,11 +60,11 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
         assert system.covector_poset() is poset, name
         covs = system.covectors
         order = {(str(a), str(b)) for a in covs for b in covs if a.leq(b)}
-        assert poset.pairs() == order, name
-        assert poset.dual().pairs() == {(b, a) for a, b in order}, name
+        assert named(poset, poset.pairs()) == order, name
+        assert named(poset, poset.dual().pairs()) == {(b, a) for a, b in order}, name
         zero = str(system.zero)
         sphere = {(a, b) for a, b in order if zero not in (a, b)}
-        assert sphere_poset(system).pairs() == sphere, name
+        assert named(poset, sphere_poset(system).pairs()) == sphere, name
         topes = {c for c in covs if not any(c != d and c.leq(d) for d in covs)}
         assert system.topes() == topes, name
         assert system.rank() == definition_rank(covs), name
@@ -69,6 +75,59 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
         assert system.cocircuits() == cocircuits, name
     assert probe.rank() == 2
     assert {str(c) for c in probe.cocircuits()} == {"++0", "---"}
+
+
+def assert_numbered_by_name(poset):
+    """Element order is the sorted order of the element names."""
+    named = [poset.names[x] for x in poset.elements]
+    assert named == sorted(named)
+    assert len(set(named)) == len(named)
+
+
+def induced(pairs, mask):
+    """The relation restricted to a mask, from the relation alone."""
+    return {(x, y) for x, y in pairs if mask >> x & 1 and mask >> y & 1}
+
+
+def assert_views_match_relation(poset):
+    """subposet and order_ideal against their definitions from pairs()."""
+    pairs = poset.pairs()
+    for step in (2, 3):
+        mask = mask_of(poset.elements[::step])
+        sub = poset.subposet(mask)
+        assert sub.members == mask
+        assert sub.pairs() == induced(pairs, mask)
+        assert_numbered_by_name(sub)
+        ideal = {x for x, y in pairs if mask >> y & 1}
+        assert poset.order_ideal(mask) == mask_of(ideal)
+
+
+def test_numbering_follows_names_on_the_corpus(all_corpus):
+    for name, system in all_corpus.items():
+        base = sorted(system.topes(), key=str)[0]
+        salv = salvetti(system)
+        assert [c.id for c in salv.cells] == list(salv.poset.names), name
+        for poset in (system.covector_poset(), salv.poset, tope_poset(system, base)):
+            assert_numbered_by_name(poset)
+            assert_views_match_relation(poset)
+        assert [str(v) for v in system.vectors()] == list(system.covector_poset().names)
+
+
+def test_numbering_follows_names_on_the_localization(five_planes):
+    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    for poset in (loc.source.poset, loc.target.poset):
+        assert_numbered_by_name(poset)
+        assert_views_match_relation(poset)
+    for pmap in (loc.map, loc.rho):
+        source_pairs, target_pairs = pmap.source.pairs(), pmap.target.pairs()
+        for q in pmap.target.elements:
+            over = mask_of(x for x in pmap.source.elements if (pmap(x), q) in target_pairs)
+            fiber = pmap.fiber(q)
+            assert fiber.members == over
+            assert fiber.pairs() == induced(source_pairs, over)
+            assert_numbered_by_name(fiber)
+            if pmap is loc.map:
+                assert loc.fiber(q).pairs() == fiber.pairs()
 
 
 def test_salvetti_refuses_a_composition_outside_the_system():
@@ -110,9 +169,12 @@ def test_salvetti_pure(all_corpus):
 
 def test_cell_ids_round_trip(five_planes):
     s = salvetti(five_planes)
-    for cid in sorted(s.poset.elements)[:10]:
+    for k in s.poset.elements[:10]:
+        cid = s.poset.names[k]
         cell = parse_cell_id(cid, five_planes)
         assert cell.id == cid
+        assert s.cells[k] == cell
+        assert s.cell_number(cell.face, cell.tope) == k
 
 
 def test_localization_map(five_planes):
@@ -148,7 +210,7 @@ def test_fibers_connected(five_planes, braid3):
         (braid3, {"12", "13", "23"}),
     ):
         loc = salvetti_localization(system, flat)
-        for cid in sorted(loc.target.poset.elements):
+        for cid in loc.target.poset.elements:
             assert betti_numbers(loc.fiber(cid))[0] == 1
 
 
@@ -157,7 +219,7 @@ def test_principal_ideal_isomorphism(five_planes, rank1):
         s = salvetti(system)
         for tope in sorted(system.topes(), key=str)[:3]:
             to_dual, from_dual = principal_ideal_iso(s, tope)
-            assert len(to_dual.source.elements) == len(system.covectors)
+            assert len(to_dual.source) == len(system.covectors)
 
 
 def test_localization_square(five_planes):
@@ -175,14 +237,13 @@ def test_affine_salvetti_is_graph(uniform23):
 def test_fiber_of_minimal_cell_contains_it(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    for cid in sorted(loc.target.poset.minimal_elements()):
-        cell = loc.target.by_id[cid]
+    for cid in bits(loc.target.poset.minimal_elements()):
         lifted = loc.section(
             sorted(
                 (c for c in five_planes.covectors if c.zero_set() == x), key=str
             )[0]
         ).assignment[cid]
-        assert lifted in loc.fiber(cid).elements
+        assert lifted in loc.fiber(cid)
 
 
 def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
@@ -190,12 +251,18 @@ def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
     loc = salvetti_localization(five_planes, x)
     bp = sorted(loc.localized.topes(), key=str)[0]
     keep = [lab for lab in five_planes.ground if lab in x]
-    fiber = loc.fiber(cell_id(loc.localized.zero, bp))
-    union = set()
+    fiber = loc.fiber(loc.target.cell_number(loc.localized.zero, bp))
+    union = 0
     for t in five_planes.topes():
         if t.restrict(keep) == bp:
-            union |= loc.source.poset.below(cell_id(five_planes.zero, t))
-    assert set(fiber.elements) == union
+            union |= loc.source.poset.below(loc.source.cell_number(five_planes.zero, t))
+    assert fiber.members == union
+    assert set(fiber.names_of(fiber.members)) == {
+        cell_id(c, c.compose(t))
+        for t in five_planes.topes()
+        if t.restrict(keep) == bp
+        for c in five_planes.covectors
+    }
 
 
 def test_stratification(five_planes):
@@ -206,16 +273,16 @@ def test_stratification(five_planes):
         strat = stratify_fiber(loc, bp, lat)
         assert len(strat.tope_string) == 3
         assert [len(s) for s in strat.separators] == [1, 1]
-        assert len(strat.strata[0]) == len(five_planes.covectors)
+        assert strat.strata[0].bit_count() == len(five_planes.covectors)
         for i, sep in enumerate(strat.separators):
             e = next(iter(sep))
             vanish = sum(
                 1 for c in five_planes.covectors if c.sign(e) == 0
             )
-            assert len(strat.strata[i + 1]) == vanish
+            assert strat.strata[i + 1].bit_count() == vanish
         # strata partition the fiber
-        total = sum(len(s) for s in strat.strata)
-        assert total == len(strat.fiber.elements)
+        total = sum(s.bit_count() for s in strat.strata)
+        assert total == len(strat.fiber)
         # the filters are principal: J_0 everything, J_i flats containing e_i
         assert strat.filters[0] == frozenset(lat.flats)
         for i, sep in enumerate(strat.separators):
@@ -266,10 +333,18 @@ def test_strata_are_contraction_balls(five_planes):
         for i, stratum in enumerate(strat.strata):
             t_i = strat.tope_string[i]
             faces = {}
-            for cid in stratum:
-                cell = loc.source.by_id[cid]
+            for cid in bits(stratum):
+                cell = loc.source.cells[cid]
                 assert cell.tope == cell.face.compose(t_i)
                 faces[cid] = cell.face
+            # the lift of stratum i sends each covector to its cell
+            lifted = set(strat.lifts[i])
+            assert lifted == set(bits(stratum))
+            vectors = system.vectors() if i == 0 else loc.localized.vectors()
+            keep = [lab for lab in system.ground if lab in x]
+            for c, cid in zip(vectors, strat.lifts[i]):
+                face = faces[cid] if i == 0 else faces[cid].restrict(keep)
+                assert face == c
             if i == 0:
                 want = set(system.covectors)
             else:
@@ -278,8 +353,8 @@ def test_strata_are_contraction_balls(five_planes):
             assert set(faces.values()) == want
             # order within the stratum is the dual covector order
             sub = strat.fiber.subposet(stratum)
-            for a in stratum:
-                for b in stratum:
+            for a in bits(stratum):
+                for b in bits(stratum):
                     assert sub.leq(a, b) == faces[b].leq(faces[a])
 
 
