@@ -37,7 +37,7 @@ from .omfile import (
     parse_matrix_text,
     parse_om_text,
 )
-from .posets import SimplicialComplexRecord
+from .posets import SimplicialComplexRecord, mask_of
 from .salvetti import (
     parse_cell_id,
     salvetti,
@@ -58,6 +58,20 @@ def _read_system(args) -> CovectorSystem:
     else:
         text = sys.stdin.read()
     return parse_om_text(text).to_system()
+
+
+def _tope(system: CovectorSystem, text: str) -> int:
+    """The covector number of a tope given by its sign text."""
+    try:
+        v = system.vector(text)
+    except ValueError as exc:
+        raise ValueError(f"{text!r} is not a covector: {exc}") from None
+    x = system.numbering().get((v.plus, v.minus))
+    if x is None:
+        raise ValueError(f"{text!r} is not a covector")
+    if not system.covector_poset().maximal_elements() >> x & 1:
+        raise ValueError(f"{text!r} is a covector but not a tope")
+    return x
 
 
 def _emit(text: str) -> int:
@@ -149,13 +163,12 @@ def cmd_supersolvable(args) -> int:
 
 def cmd_shelling(args) -> int:
     system = _read_system(args)
-    base = system.vector(args.base)
-    order = shelling_order_from_extension(system, base)
+    order = shelling_order_from_extension(system, _tope(system, args.base))
     poset = sphere_poset(system)
     check = verify_shelling(poset, order, depth=args.depth)
     report = Report("shelling")
     report.note("base", args.base)
-    report.note("order", " ".join(poset.names[c] for c in order.cells))
+    report.note("order", " ".join(poset.names[c] for c in order))
     report.add("shelling.verified", check.ok, check.witness)
     return _finish(report)
 
@@ -236,10 +249,9 @@ def cmd_morse(args) -> int:
     report = Report(f"morse.{args.construction}")
     if args.construction == "shelling":
         _require(args, ["base"])
-        base = system.vector(args.base)
-        order = shelling_order_from_extension(system, base)
+        order = shelling_order_from_extension(system, _tope(system, args.base))
         # collapse the ball left of the last cell: use all topes but one
-        matching, vertex = collapse_ball(system, order.cells[:-1])
+        matching, vertex = collapse_ball(system, order[:-1])
         cert = morse_reduction_certificate(matching.host, 1 << vertex, matching)
         report.note("pairs", len(matching.pairs))
         report.note("critical", matching.host.names[vertex])
@@ -247,8 +259,7 @@ def cmd_morse(args) -> int:
         report.add("critical.single_vertex", cert.ok, "critical set not the vertex")
     elif args.construction == "convex":
         _require(args, ["topes"])
-        by_text = system.by_text()
-        q = frozenset(by_text[t] for t in args.topes.split(","))
+        q = mask_of(_tope(system, t) for t in args.topes.split(","))
         matching = matching_convex_critical(system, q)
         cert = morse_reduction_certificate(matching.host, dual_subcomplex(system, q), matching)
         report.note("pairs", len(matching.pairs))

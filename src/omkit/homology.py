@@ -517,6 +517,10 @@ def quasi_fibration_certify(
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if mode == "sampled" and sample < 1:
+        raise ValueError("sample must be at least 1")
     x = frozenset(flat)
     lat = lattice or build_lattice(system)
     if lat.rank_of.get(x) is None:
@@ -535,8 +539,6 @@ def quasi_fibration_certify(
 
         rng = random.Random(0)
         pairs_all = rng.sample(pairs_all, min(sample, len(pairs_all)))
-    elif mode != "exhaustive":
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
 
     # each cell's ambient is the least maximal cell above it
     maximal = poset.maximal_elements()

@@ -148,10 +148,6 @@ class CovectorSystem:
     def vector(self, text: str) -> SignVector:
         return SignVector.from_string(text, self.ground)
 
-    def by_text(self) -> dict[str, SignVector]:
-        """The covectors by their sign text, for parsing input."""
-        return dict(zip(self.covector_poset().names, self.vectors()))
-
     def label_mask(self, labels: Iterable[str]) -> int:
         idx = {lab: i for i, lab in enumerate(self.ground)}
         mask = 0

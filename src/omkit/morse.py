@@ -9,7 +9,9 @@ check on every path that reports a matching, and `patchwork`, which
 glues local matchings, checks its union.  Both read the cached
 `Matching.acyclicity`, so on these paths a matching walks its digraph at
 most once; `Matching.is_acyclic()` is the uncached walk behind it, which
-tests call as an independent oracle.
+tests call as an independent oracle.  Tope sets are masks and shelling
+orders sequences of element numbers, over the numbering of the covector
+poset, as in `omkit.topes`.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .matroids import CovectorSystem
-from .posets import FinitePoset, PosetMap, bits, mask_of
+from .posets import FinitePoset, PosetError, PosetMap, bits, mask_of
 from .salvetti import FiberStratification
-from .signs import SignVector
-from .topes import NotConvexError, ShellingOrder, convex_first_extension
+from .topes import is_convex, shelling_order_from_extension
 
 
 class MatchingError(ValueError):
@@ -146,7 +147,7 @@ def patchwork(f: PosetMap, per_fiber: dict[int, Matching]) -> Matching:
 
 def matching_from_shelling(
     complex_poset: FinitePoset,
-    order: ShellingOrder | Iterable[int],
+    order: Sequence[int],
     vertex: int,
 ) -> Matching:
     """Collapse a shellable ball onto one vertex of its first cell.
@@ -158,7 +159,7 @@ def matching_from_shelling(
     order ever jams, that is reported as a defect rather than patched
     over.
     """
-    cells = list(order.cells if isinstance(order, ShellingOrder) else order)
+    cells = list(order)
     if vertex not in complex_poset:
         raise MatchingError(f"unknown vertex {vertex!r}")
     if cells and not complex_poset.leq(vertex, cells[0]):
@@ -229,41 +230,39 @@ def collapse_ball(
     zero = 1 << system.numbering()[0, 0]
     ball = poset.subposet(poset.order_ideal(mask_of(shelled)) & ~zero)
     vertex = bits(ball.minimal_elements() & ball.below(shelled[0]))[0]
-    return matching_from_shelling(ball, ShellingOrder(tuple(shelled)), vertex), vertex
+    return matching_from_shelling(ball, shelled, vertex), vertex
 
 
 # -- the matchings with prescribed critical subcomplexes ----------------------
 
 
-def matching_convex_critical(
-    system: CovectorSystem, q: Iterable[SignVector]
-) -> Matching:
+def matching_convex_critical(system: CovectorSystem, q: int) -> Matching:
     """An acyclic matching on the dual covector ball whose critical cells
-    are exactly the dual subcomplex of a convex tope set.
+    are exactly the dual subcomplex of a convex tope set (a mask).
 
     Collapses the ball generated by the complementary topes to a vertex,
     dualizes, and matches that vertex with the top dual cell.
     """
-    qset = frozenset(q)
-    if not qset:
+    if not q:
         raise MatchingError("Q must be nonempty")
-    ball = system.covector_poset().dual()
-    number = system.numbering()
-    if not system.topes() - qset:
+    poset = system.covector_poset()
+    ball = poset.dual()
+    if q == poset.maximal_elements():
         return Matching(ball, frozenset())
-    # a Q-first extension of the tope poset at a base in Q, reversed,
-    # is an extension of the tope poset at the opposite base in which
-    # the complement comes first; its prefix shells the ball L(T\Q)
-    inside = system.mask(qset)
-    base = system.vectors()[bits(inside)[0]]
+    if not is_convex(system, q):
+        raise MatchingError("Q must be convex")
+    # a convex Q is an ideal of the tope poset at any of its topes, so a
+    # Q-first extension exists; reversed, it is an extension of the tope
+    # poset at the opposite base in which the complement comes first, and
+    # its prefix shells the ball L(T\Q)
     try:
-        ext = convex_first_extension(system, base, qset)
-    except NotConvexError:
-        raise MatchingError("Q must be convex") from None
-    shell_order = [t for t in reversed(ext) if not inside >> t & 1]
+        ext = shelling_order_from_extension(system, bits(q)[0], q)
+    except PosetError:
+        raise AssertionError("convex set is not an ideal of the tope poset") from None
+    shell_order = [t for t in reversed(ext) if not q >> t & 1]
     collapse, vertex = collapse_ball(system, shell_order)
     dual_pairs = frozenset((b, a) for a, b in collapse.pairs)
-    return Matching(ball, dual_pairs | {(vertex, number[0, 0])})
+    return Matching(ball, dual_pairs | {(vertex, system.numbering()[0, 0])})
 
 
 def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Matching:
@@ -290,8 +289,8 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     # stratum 0: the full dual ball, critical part the fiber of rho_X over sigma_a;
     # later strata: copies of contraction balls through the restriction iso,
     # all matched by the one convex-critical matching of the localization
-    m0 = matching_convex_critical(system, [system.vectors()[t] for t in bits(topes) if above >> rho[t] & 1])
-    mi = matching_convex_critical(localized, [localized.vectors()[t] for t in bits(above & loc_topes)])
+    m0 = matching_convex_critical(system, mask_of(t for t in bits(topes) if above >> rho[t] & 1))
+    mi = matching_convex_critical(localized, above & loc_topes)
     matchings = [m0] + [mi] * (len(strat.strata) - 1)
     per_fiber = {
         i: Matching(strat.fiber.subposet(stratum), frozenset((lift[x], lift[y]) for x, y in m.pairs))

@@ -45,7 +45,7 @@ class FinitePoset:
     "below" and "above" masks; covers and heights are derived and cached.
     """
 
-    __slots__ = ("names", "members", "_below", "_above", "_elements", "_covers", "_heights", "_dual")
+    __slots__ = ("names", "members", "_below", "_above", "_elements", "_covers", "_heights", "_dual", "_maximal")
 
     def __init__(self, names: Iterable[str], below: Mapping[int, int], _validated: bool = False):
         """`below[x]` is a mask of elements below x, for each element x.
@@ -77,7 +77,7 @@ class FinitePoset:
                         raise PosetError(f"transitivity fails at ({names[y]!r}, {names[x]!r})")
 
     def _set(self, *values) -> None:
-        for slot, value in zip(self.__slots__, values + (None,) * 4):
+        for slot, value in zip(self.__slots__, values + (None,) * 5):
             object.__setattr__(self, slot, value)
 
     def _derive(self, members: int, below: list[int], above: list[int]) -> "FinitePoset":
@@ -177,7 +177,10 @@ class FinitePoset:
         return self._covers
 
     def maximal_elements(self) -> int:
-        return mask_of(x for x in self.elements if self._above[x] == 1 << x)
+        if self._maximal is None:
+            maximal = mask_of(x for x in self.elements if self._above[x] == 1 << x)
+            object.__setattr__(self, "_maximal", maximal)
+        return self._maximal
 
     def minimal_elements(self) -> int:
         return mask_of(x for x in self.elements if self._below[x] == 1 << x)

@@ -240,6 +240,36 @@ def test_certify_qf_command(capsys):
     assert "mode: sampled" in out
 
 
+def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):
+    # a sample of no pairs would report PASS having checked nothing
+    for sample in ("0", "-3"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(om_text("sec3-arrangement")))
+        assert main(["certify-qf", "--flat", "H1,H2,H3", "--sample", sample]) == 2
+        captured = capsys.readouterr()
+        assert "verdict:" not in captured.out
+        assert captured.err == "error: sample must be at least 1\n"
+
+
+def test_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
+    convex = ["morse", "--construction", "convex", "--topes"]
+    cases = [
+        (convex + ["+++,zz"], "'zz' is not a covector: sign string 'zz' has length 2, ground set has 3"),
+        (convex + ["+++,+q+"], "'+q+' is not a covector: invalid sign character 'q'"),
+        (convex + ["+++,+0-"], "'+0-' is not a covector"),
+        (convex + ["+++,+0+"], "'+0+' is a covector but not a tope"),
+        (convex + ["+++,---"], "Q must be convex"),
+        (["shelling", "--base", "0++"], "'0++' is a covector but not a tope"),
+        (["shelling", "--base", "0+-"], "'0+-' is not a covector"),
+        (["morse", "--construction", "shelling", "--base", "000"], "'000' is a covector but not a tope"),
+    ]
+    for argv, message in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(om_text("uniform-2-3")))
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_ranks_command(capsys):
     code, out = run(capsys, ["ranks"], stdin=om_text("sec3-arrangement"))
     assert code == 0

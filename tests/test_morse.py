@@ -12,7 +12,7 @@ from omkit.morse import (
 )
 from omkit.posets import FinitePoset, PosetMap, bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
-from omkit.topes import ShellingOrder, all_convex_tope_sets, dual_subcomplex
+from omkit.topes import all_convex_tope_sets, dual_subcomplex
 
 
 def square_boundary():
@@ -42,6 +42,16 @@ def pairs(poset, named):
 
 def names(poset, mask):
     return set(poset.names_of(mask))
+
+
+def all_topes(system):
+    """The mask of all topes."""
+    return system.covector_poset().maximal_elements()
+
+
+def first_tope(system):
+    topes = all_topes(system)
+    return topes & -topes
 
 
 def test_empty_matching_acyclic():
@@ -87,8 +97,7 @@ def test_perfect_matching_no_critical():
 
 
 def test_dual_matching_equivalence(five_planes):
-    q = frozenset(sorted(five_planes.topes(), key=str)[:1])
-    m = matching_convex_critical(five_planes, q)
+    m = matching_convex_critical(five_planes, first_tope(five_planes))
     dual = m.dual()
     assert dual.is_acyclic().acyclic == m.is_acyclic().acyclic
     assert dual.critical_cells() == m.critical_cells()
@@ -155,14 +164,14 @@ def test_matching_from_shelling_edge():
     edge = FinitePoset.from_covers(
         ("v1", "v2", "e"), [("v1", "e"), ("v2", "e")]
     )
-    m = matching_from_shelling(edge, ShellingOrder((edge.names.index("e"),)), edge.names.index("v1"))
+    m = matching_from_shelling(edge, (edge.names.index("e"),), edge.names.index("v1"))
     assert m.pairs == pairs(edge, {("v2", "e")})
     assert names(edge, m.critical_cells()) == {"v1"}
 
 
 def test_matching_from_shelling_square_disk():
     disk = square_disk()
-    m = matching_from_shelling(disk, ShellingOrder((disk.names.index("f"),)), disk.names.index("v1"))
+    m = matching_from_shelling(disk, (disk.names.index("f"),), disk.names.index("v1"))
     assert names(disk, m.critical_cells()) == {"v1"}
     assert len(m.pairs) == 4  # (9 - 1) / 2 cells paired
     assert morse_reduction_certificate(disk, m.critical_cells(), m).ok
@@ -171,11 +180,11 @@ def test_matching_from_shelling_square_disk():
 def test_matching_from_shelling_rejects_outside_vertex():
     disk = square_disk()
     with pytest.raises(MatchingError):
-        matching_from_shelling(disk, ShellingOrder((disk.names.index("f"),)), len(disk.names))
+        matching_from_shelling(disk, (disk.names.index("f"),), len(disk.names))
 
 
 def test_convex_critical_trivial(five_planes):
-    m = matching_convex_critical(five_planes, five_planes.topes())
+    m = matching_convex_critical(five_planes, all_topes(five_planes))
     assert m.pairs == frozenset()
     assert m.critical_cells() == five_planes.mask(five_planes.covectors)
 
@@ -190,42 +199,59 @@ def test_convex_critical_all_instances(five_planes, uniform23):
 
 def test_convex_critical_path_of_three(uniform23):
     # two adjacent topes leave a path of three cells critical
-    topes = sorted(uniform23.topes(), key=str)
-    pair = None
-    for t in topes:
-        for r in topes:
-            if len(t.separator(r)) == 1:
-                pair = frozenset({t, r})
-                break
-        if pair:
-            break
+    vectors = uniform23.vectors()
+    topes = bits(all_topes(uniform23))
+    pair = next(
+        1 << t | 1 << r
+        for t in topes
+        for r in topes
+        if vectors[t].separator_mask(vectors[r]).bit_count() == 1
+    )
     m = matching_convex_critical(uniform23, pair)
     assert m.critical_cells().bit_count() == 3
 
 
 def test_convex_critical_refuses_non_convex(uniform23):
     # a tope and its opposite: every other tope lies between them
-    topes = sorted(uniform23.topes(), key=str)
-    t = topes[0]
-    far = next(r for r in topes if len(t.separator(r)) == len(uniform23.ground))
+    t = bits(all_topes(uniform23))[0]
+    far = uniform23.mask([uniform23.vectors()[t].opposite()])
     with pytest.raises(MatchingError, match="Q must be convex"):
-        matching_convex_critical(uniform23, {t, far})
+        matching_convex_critical(uniform23, 1 << t | far)
 
 
 def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
+    import omkit.morse
     import omkit.topes
 
     seen = []
     real = omkit.topes.is_convex
 
     def counting(system, q):
-        seen.append(frozenset(q))
+        seen.append(q)
         return real(system, q)
 
+    # wherever it is looked up from
     monkeypatch.setattr(omkit.topes, "is_convex", counting)
-    q = frozenset(sorted(five_planes.topes(), key=str)[:1])
+    monkeypatch.setattr(omkit.morse, "is_convex", counting)
+    q = first_tope(five_planes)
     matching_convex_critical(five_planes, q)
     assert seen == [q]
+
+
+def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, uniform23):
+    # a convex set is an ideal of the tope poset at each of its topes;
+    # if the poset says otherwise an invariant broke, which is no input error
+    import omkit.topes
+
+    real = omkit.topes.tope_poset
+
+    def opposite_base(system, base):
+        far = system.vectors()[base].opposite()
+        return real(system, system.numbering()[far.plus, far.minus])
+
+    monkeypatch.setattr(omkit.topes, "tope_poset", opposite_base)
+    with pytest.raises(AssertionError, match="not an ideal of the tope poset"):
+        matching_convex_critical(uniform23, first_tope(uniform23))
 
 
 def test_fiber_matchings_exhaustive(five_planes):

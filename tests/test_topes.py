@@ -3,14 +3,11 @@ import random
 
 import pytest
 
-from omkit.posets import FinitePoset
+from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.topes import (
     NotATopeError,
-    ShellingOrder,
     all_convex_tope_sets,
-    convex_first_extension,
     convex_hull,
-    dist,
     dual_subcomplex,
     halfspace,
     is_convex,
@@ -23,56 +20,79 @@ from omkit.topes import (
 
 
 def fiber_topes(system, flat, base_text):
+    """The mask of the topes restricting to the given tope of the flat."""
     loc, _ = system.localization(flat)
     keep = [lab for lab in system.ground if lab in flat]
     base = loc.vector(base_text)
-    return frozenset(t for t in system.topes() if t.restrict(keep) == base)
+    return system.mask(t for t in system.topes() if t.restrict(keep) == base)
+
+
+def all_topes(system):
+    """The mask of all topes."""
+    return system.covector_poset().maximal_elements()
+
+
+def dist(system, t, r):
+    """Number of elements separating two topes, given by number."""
+    vectors = system.vectors()
+    return vectors[t].separator_mask(vectors[r]).bit_count()
 
 
 def test_dist_extremes(five_planes):
-    topes = sorted(five_planes.topes(), key=str)
-    for t in topes[:5]:
-        assert dist(t, t) == 0
-        assert dist(t, t.opposite()) == len(five_planes.ground)
+    # the distance from the base is the height in its tope poset: 0 at
+    # the base, the size of the ground set at the opposite tope
+    vectors = five_planes.vectors()
+    number = five_planes.numbering()
+    for t in bits(all_topes(five_planes))[:5]:
+        heights = tope_poset(five_planes, t).heights()
+        far = vectors[t].opposite()
+        assert heights[t] == dist(five_planes, t, t) == 0
+        assert heights[number[far.plus, far.minus]] == len(five_planes.ground)
 
 
 def test_rank1_tope_poset(rank1):
-    plus = rank1.vector("+")
+    plus = rank1.covector_poset().names.index("+")
     tp = tope_poset(rank1, plus)
     assert {(tp.names[a], tp.names[b]) for a, b in tp.covers()} == {("+", "-")}
 
 
 def test_tope_poset_requires_tope(five_planes):
-    with pytest.raises(NotATopeError):
-        tope_poset(five_planes, five_planes.zero)
+    with pytest.raises(NotATopeError, match="00000 is not a tope"):
+        tope_poset(five_planes, five_planes.numbering()[0, 0])
 
 
 def test_fiber_tope_distances(five_planes):
-    q = fiber_topes(five_planes, frozenset({"H1", "H2", "H3"}), "+++")
+    q = bits(fiber_topes(five_planes, frozenset({"H1", "H2", "H3"}), "+++"))
     assert len(q) == 3
     # anchor the string at an end tope: distance 2 to the other end
-    ends = [t for t in q if max(len(t.separator(r)) for r in q) == 2]
-    base = sorted(ends, key=str)[0]
-    t0, t1, t2 = sorted(q, key=lambda t: len(t.separator(base)))
-    assert dist(t0, t1) + dist(t1, t2) == dist(t0, t2)
-    assert t0.separator(t2) == {"H4", "H5"}
-    assert t1.separator(t2) in ({"H5"}, {"H4"})
+    ends = [t for t in q if max(dist(five_planes, t, r) for r in q) == 2]
+    base = ends[0]
+    t0, t1, t2 = sorted(q, key=lambda t: dist(five_planes, t, base))
+    assert dist(five_planes, t0, t1) + dist(five_planes, t1, t2) == dist(five_planes, t0, t2)
+    vectors = five_planes.vectors()
+    assert vectors[t0].separator(vectors[t2]) == {"H4", "H5"}
+    assert vectors[t1].separator(vectors[t2]) in ({"H5"}, {"H4"})
 
 
 def test_halfspace(five_planes):
     pos = halfspace(five_planes, "H1", 1)
     neg = halfspace(five_planes, "H1", -1)
-    assert len(pos) == len(neg)
-    assert pos | neg == five_planes.topes()  # H1 is not a loop
-    assert pos & neg == frozenset()
+    assert pos.bit_count() == neg.bit_count()
+    assert pos | neg == all_topes(five_planes)  # H1 is not a loop
+    assert pos & neg == 0
+    vectors = five_planes.vectors()
+    assert all(vectors[t].sign("H1") == 1 for t in bits(pos))
 
 
 def test_convexity_trivial_cases(five_planes):
-    topes = five_planes.topes()
+    topes = all_topes(five_planes)
     assert is_convex(five_planes, topes)
-    single = {sorted(topes, key=str)[0]}
+    assert is_convex(five_planes, 0)
+    single = topes & -topes
     assert is_convex(five_planes, single)
-    assert convex_hull(five_planes, single) == frozenset(single)
+    assert convex_hull(five_planes, single) == single
+    with pytest.raises(NotATopeError):
+        is_convex(five_planes, single | 1 << five_planes.numbering()[0, 0])
 
 
 def test_fiber_topes_convex(five_planes):
@@ -90,7 +110,7 @@ def test_all_localization_fibers_convex_and_match_dual_subcomplex(five_planes):
     loc, _ = five_planes.localization(x)
     topes = five_planes.topes()
     for sigma in sorted(loc.covectors, key=str):
-        q = frozenset(t for t in topes if sigma.leq(t.restrict(keep)))
+        q = five_planes.mask(t for t in topes if sigma.leq(t.restrict(keep)))
         assert is_convex(five_planes, q)
         if q:
             fiber = {
@@ -101,50 +121,62 @@ def test_all_localization_fibers_convex_and_match_dual_subcomplex(five_planes):
 
 def test_convexity_both_ways_on_random_subsets(five_planes):
     rng = random.Random(7)
-    topes = sorted(five_planes.topes(), key=str)
+    topes = bits(all_topes(five_planes))
     for _ in range(120):
         size = rng.randint(1, 6)
-        q = frozenset(rng.sample(topes, size))
+        q = mask_of(rng.sample(topes, size))
         is_convex(five_planes, q)  # raises if the two criteria disagree
 
 
 def test_convex_sets_enumeration_matches_definition(uniform23):
-    # exhaustively against the definition on the small member
-    topes = sorted(uniform23.topes(), key=str)
+    # exhaustively against the definition on the small member, with the
+    # halfspaces rebuilt from sign vectors: the hull and the enumeration
+    # both build on `halfspace`, so it is not trusted here
+    vectors = uniform23.vectors()
+    topes = bits(all_topes(uniform23))
+    sides = [
+        mask_of(t for t in topes if vectors[t].sign(lab) == s)
+        for lab in uniform23.ground for s in (1, -1)
+    ]
     by_def = set()
     for r in range(1, len(topes) + 1):
         for combo in itertools.combinations(topes, r):
-            q = frozenset(combo)
-            if convex_hull(uniform23, q) == q:
+            q = mask_of(combo)
+            hull = all_topes(uniform23)
+            for side in sides:
+                if not q & ~side:
+                    hull &= side
+            assert convex_hull(uniform23, q) == hull
+            if hull == q:
                 by_def.add(q)
-    assert set(all_convex_tope_sets(uniform23)) == by_def
+    convex = all_convex_tope_sets(uniform23)
+    assert set(convex) == by_def
+    names = uniform23.covector_poset().names_of
+    assert convex == sorted(convex, key=lambda q: (q.bit_count(), sorted(names(q))))
 
 
-def test_convex_first_extension(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
-    q = fiber_topes(five_planes, x, "+++")
-    # an end tope of the fiber string works as the base
-    ends = [t for t in q if max(len(t.separator(r)) for r in q) == 2]
-    base = sorted(ends, key=str)[0]
-    vectors = five_planes.vectors()
-    order = [vectors[t] for t in convex_first_extension(five_planes, base, q)]
-    assert frozenset(order[: len(q)]) == q
-    assert order[0] == base
-    with pytest.raises(ValueError):
-        convex_first_extension(five_planes, sorted(five_planes.topes() - q, key=str)[0], q)
-
-
-def test_convex_first_extension_trivial(five_planes):
-    topes = five_planes.topes()
-    base = sorted(topes, key=str)[0]
-    order = convex_first_extension(five_planes, base, {base})
-    assert five_planes.vectors()[order[0]] == base
-    order2 = convex_first_extension(five_planes, base, topes)
-    assert len(order2) == len(topes)
+def test_shelling_order_puts_a_convex_prefix_first(uniform23, five_planes):
+    # every convex set, at every base inside it, comes first in a linear
+    # extension of the tope poset; at a base outside it is no ideal
+    for system in (uniform23, five_planes):
+        topes = all_topes(system)
+        for q in all_convex_tope_sets(system):
+            for base in bits(topes):
+                if not q >> base & 1:
+                    with pytest.raises(PosetError):
+                        shelling_order_from_extension(system, base, q)
+                    continue
+                order = shelling_order_from_extension(system, base, q)
+                assert order[0] == base
+                assert mask_of(order[: q.bit_count()]) == q
+                assert mask_of(order) == topes and len(order) == topes.bit_count()
+                position = {t: i for i, t in enumerate(order)}
+                tp = tope_poset(system, base)
+                assert all(position[a] < position[b] for a, b in tp.covers())
 
 
 def test_rank1_shelling(rank1):
-    base = rank1.vector("+")
+    base = rank1.covector_poset().names.index("+")
     order = shelling_order_from_extension(rank1, base)
     poset = sphere_poset(rank1)
     assert verify_shelling(poset, order, depth=1).ok
@@ -152,14 +184,14 @@ def test_rank1_shelling(rank1):
 
 def test_uniform23_shellings_all_extensions(uniform23):
     poset = sphere_poset(uniform23)
-    for base in sorted(uniform23.topes(), key=str):
+    for base in bits(all_topes(uniform23)):
         order = shelling_order_from_extension(uniform23, base)
         assert verify_shelling(poset, order, depth=2).ok
 
 
 def test_five_planes_shelling_full_depth(five_planes):
     poset = sphere_poset(five_planes)
-    for base in sorted(five_planes.topes(), key=str)[:4]:
+    for base in bits(all_topes(five_planes))[:4]:
         order = shelling_order_from_extension(five_planes, base)
         assert verify_shelling(poset, order, depth=3).ok
 
@@ -177,8 +209,8 @@ def square_complex():
 
 
 def shelling(poset, *cells):
-    """A ShellingOrder of named cells."""
-    return ShellingOrder(tuple(poset.names.index(c) for c in cells))
+    """An order of named cells."""
+    return tuple(poset.names.index(c) for c in cells)
 
 
 def test_square_shelling_orders():
@@ -226,8 +258,8 @@ def test_zero_dimensional_complex_shelling(rank1):
 
 
 def test_shelling_detects_non_ideal_swap(five_planes):
-    base = sorted(five_planes.topes(), key=str)[0]
-    order = list(shelling_order_from_extension(five_planes, base).cells)
+    base = bits(all_topes(five_planes))[0]
+    order = list(shelling_order_from_extension(five_planes, base))
     # move the last tope (the opposite of the base) to the front: breaks (i)
     broken = [order[-1]] + order[:-1]
     report = verify_shelling(sphere_poset(five_planes), broken, depth=0)
@@ -238,29 +270,30 @@ def test_tope_poset_graded_with_single_flip_covers(all_corpus):
     for name, system in all_corpus.items():
         if len(system.topes()) > 24:
             continue
-        for base in sorted(system.topes(), key=str)[:3]:
+        for base in bits(all_topes(system))[:3]:
             tp = tope_poset(system, base)
-            vectors = system.vectors()
             for r, t in tp.covers():
-                tr, tt = vectors[r], vectors[t]
-                assert dist(base, tt) == dist(base, tr) + 1, name
-                assert dist(tr, tt) == 1, name
+                assert dist(system, base, t) == dist(system, base, r) + 1, name
+                assert dist(system, r, t) == 1, name
 
 
 def test_subcomplexes(five_planes, braid3):
     # both ideals against their all-pairs definitions on every convex set
     for system in (five_planes, braid3):
-        covs, topes = system.covectors, system.topes()
+        covs, vectors = system.covectors, system.vectors()
         for q in all_convex_tope_sets(system):
-            lq = {c for c in covs if any(c.leq(t) for t in q)}
+            inside = [vectors[t] for t in bits(q)]
+            lq = {c for c in covs if any(c.leq(t) for t in inside)}
             assert subcomplex_LQ(system, q) == system.mask(lq)
-            dual = {c for c in covs if all(t in q for t in topes if c.leq(t))}
+            dual = {c for c in covs if all(t in inside for t in system.topes() if c.leq(t))}
             assert dual_subcomplex(system, q) == system.mask(dual)
-    topes = five_planes.topes()
+    topes = all_topes(five_planes)
     everything = five_planes.mask(five_planes.covectors)
     assert subcomplex_LQ(five_planes, topes) == everything
     assert dual_subcomplex(five_planes, topes) == everything
-    assert dual_subcomplex(five_planes, frozenset()) == 0
+    assert dual_subcomplex(five_planes, 0) == 0
+    with pytest.raises(NotATopeError):
+        subcomplex_LQ(five_planes, everything)
     x = frozenset({"H1", "H2", "H3"})
     q = fiber_topes(five_planes, x, "+++")
     keep = [lab for lab in five_planes.ground if lab in x]
