@@ -175,6 +175,29 @@ def test_shelling_order_puts_a_convex_prefix_first(uniform23, five_planes):
                 assert all(position[a] < position[b] for a, b in tp.covers())
 
 
+def test_convex_first_extension(five_planes):
+    x = frozenset({"H1", "H2", "H3"})
+    q = fiber_topes(five_planes, x, "+++")
+    # an end tope of the fiber string works as the base
+    ends = [t for t in bits(q) if max(dist(five_planes, t, r) for r in bits(q)) == 2]
+    base = min(ends, key=lambda t: str(five_planes.vectors()[t]))
+    order = shelling_order_from_extension(five_planes, base, q)
+    assert mask_of(order[: q.bit_count()]) == q
+    assert order[0] == base
+    outside = bits(all_topes(five_planes) & ~q)[0]
+    with pytest.raises(ValueError):
+        shelling_order_from_extension(five_planes, outside, q)
+
+
+def test_convex_first_extension_trivial(five_planes):
+    topes = all_topes(five_planes)
+    base = bits(topes)[0]
+    order = shelling_order_from_extension(five_planes, base, 1 << base)
+    assert order[0] == base
+    order2 = shelling_order_from_extension(five_planes, base, topes)
+    assert len(order2) == topes.bit_count()
+
+
 def test_rank1_shelling(rank1):
     base = rank1.covector_poset().names.index("+")
     order = shelling_order_from_extension(rank1, base)
