@@ -60,8 +60,8 @@ def _read_system(args) -> CovectorSystem:
     return parse_om_text(text).to_system()
 
 
-def _tope(system: CovectorSystem, text: str) -> int:
-    """The covector number of a tope given by its sign text."""
+def _covector(system: CovectorSystem, text: str) -> int:
+    """The covector number of a sign text; the library checks for topes."""
     try:
         v = system.vector(text)
     except ValueError as exc:
@@ -69,8 +69,6 @@ def _tope(system: CovectorSystem, text: str) -> int:
     x = system.numbering().get((v.plus, v.minus))
     if x is None:
         raise ValueError(f"{text!r} is not a covector")
-    if not system.covector_poset().maximal_elements() >> x & 1:
-        raise ValueError(f"{text!r} is a covector but not a tope")
     return x
 
 
@@ -163,7 +161,7 @@ def cmd_supersolvable(args) -> int:
 
 def cmd_shelling(args) -> int:
     system = _read_system(args)
-    order = shelling_order_from_extension(system, _tope(system, args.base))
+    order = shelling_order_from_extension(system, _covector(system, args.base))
     poset = sphere_poset(system)
     check = verify_shelling(poset, order, depth=args.depth)
     report = Report("shelling")
@@ -249,7 +247,7 @@ def cmd_morse(args) -> int:
     report = Report(f"morse.{args.construction}")
     if args.construction == "shelling":
         _require(args, ["base"])
-        order = shelling_order_from_extension(system, _tope(system, args.base))
+        order = shelling_order_from_extension(system, _covector(system, args.base))
         # collapse the ball left of the last cell: use all topes but one
         matching, vertex = collapse_ball(system, order[:-1])
         cert = morse_reduction_certificate(matching.host, 1 << vertex, matching)
@@ -259,7 +257,7 @@ def cmd_morse(args) -> int:
         report.add("critical.single_vertex", cert.ok, "critical set not the vertex")
     elif args.construction == "convex":
         _require(args, ["topes"])
-        q = mask_of(_tope(system, t) for t in args.topes.split(","))
+        q = mask_of(_covector(system, t) for t in args.topes.split(","))
         matching = matching_convex_critical(system, q)
         cert = morse_reduction_certificate(matching.host, dual_subcomplex(system, q), matching)
         report.note("pairs", len(matching.pairs))

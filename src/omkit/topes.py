@@ -33,7 +33,9 @@ def _require_topes(system: CovectorSystem, q: int) -> int:
     topes = poset.maximal_elements()
     if q & ~topes:
         x = bits(q & ~topes)[0]
-        raise NotATopeError(f"{poset.names[x] if x < len(poset.names) else x} is not a tope")
+        if x >= len(poset.names):
+            raise NotATopeError(f"{x} is not a covector")
+        raise NotATopeError(f"{poset.names[x]!r} is a covector but not a tope")
     return topes
 
 

@@ -30,6 +30,7 @@ from omkit.salvetti import salvetti, salvetti_localization, stratify_fiber
 from omkit.topes import (
     all_convex_tope_sets,
     dual_subcomplex,
+    is_convex,
     shelling_order_from_extension,
     sphere_poset,
     subcomplex_LQ,
@@ -186,6 +187,9 @@ def test_criterion_6_shellings(all_corpus):
 
 
 def _ball_certificates_ok(system, q, poset) -> bool:
+    # both convexity criteria accept every enumerated set
+    if not is_convex(system, q):
+        return False
     ext = shelling_order_from_extension(system, bits(q)[0], q)
     q_order = [t for t in ext if q >> t & 1]
     rest_order = [t for t in reversed(ext) if not q >> t & 1]

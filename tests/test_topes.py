@@ -57,7 +57,7 @@ def test_rank1_tope_poset(rank1):
 
 
 def test_tope_poset_requires_tope(five_planes):
-    with pytest.raises(NotATopeError, match="00000 is not a tope"):
+    with pytest.raises(NotATopeError, match="'00000' is a covector but not a tope"):
         tope_poset(five_planes, five_planes.numbering()[0, 0])
 
 
