@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus
@@ -38,12 +39,7 @@ from .omfile import (
     parse_om_text,
 )
 from .posets import SimplicialComplexRecord, mask_of
-from .salvetti import (
-    parse_cell_id,
-    salvetti,
-    salvetti_localization,
-    stratify_fiber,
-)
+from .salvetti import SalvettiPoset, salvetti, salvetti_localization, stratify_fiber
 from .topes import (
     dual_subcomplex,
     shelling_order_from_extension,
@@ -70,6 +66,27 @@ def _covector(system: CovectorSystem, text: str) -> int:
     if x is None:
         raise ValueError(f"{text!r} is not a covector")
     return x
+
+
+def _cell(salv: SalvettiPoset, text: str) -> int:
+    """The number of a cell of a localized Salvetti poset, from its id
+    "(sigma;T)": the text is normalised to the id and looked up among the
+    poset's names, which are the sorted ids."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    try:
+        face, tope = body.split(";")
+    except ValueError:
+        raise ValueError(f"malformed cell id {text!r}") from None
+    for part in (face, tope):
+        salv.system.vector(part)  # raises on a malformed sign string
+    name = f"({face};{tope})"
+    names = salv.poset.names
+    k = bisect_left(names, name)
+    if k == len(names) or names[k] != name:
+        raise ValueError(f"unknown cell {name!r} of the localized poset")
+    return k
 
 
 def _emit(text: str) -> int:
@@ -163,6 +180,8 @@ def cmd_shelling(args) -> int:
     system = _read_system(args)
     order = shelling_order_from_extension(system, _covector(system, args.base))
     poset = sphere_poset(system)
+    if not poset.members:
+        raise ValueError("the covector sphere is empty: a rank-0 system has nothing to shell")
     check = verify_shelling(poset, order, depth=args.depth)
     report = Report("shelling")
     report.note("base", args.base)
@@ -197,11 +216,11 @@ def cmd_fiber(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system.ground)
     loc = salvetti_localization(system, x)
-    cell = parse_cell_id(args.cell, loc.localized)
-    fib = loc.fiber(loc.target_cell(cell))
+    cell = _cell(loc.target, args.cell)
+    fib = loc.fiber(cell)
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))
-    report.note("cell", cell.id)
+    report.note("cell", loc.target.poset.names[cell])
     report.note("size", len(fib))
     report.note("betti", " ".join(map(str, betti_numbers(fib))))
     report.add("nonempty", len(fib) > 0, "empty fiber")
@@ -212,18 +231,19 @@ def cmd_stratify(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system.ground)
     loc = salvetti_localization(system, x)
-    bp = loc.localized.vector(args.tope)
-    strat = stratify_fiber(loc, bp)
+    strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
+    names = system.covector_poset().names
     report = Report("stratify")
     report.note("flat", flat_id(x, system.ground))
     report.note("base", args.tope)
-    report.note("string", " < ".join(str(t) for t in strat.tope_string))
+    report.note("string", " < ".join(names[t] for t in strat.tope_string))
     for i, s in enumerate(strat.separators):
-        report.note(f"separator.{i}", ",".join(sorted(s)))
+        labels = sorted(lab for j, lab in enumerate(system.ground) if s >> j & 1)
+        report.note(f"separator.{i}", ",".join(labels))
     report.note("strata_sizes", " ".join(str(s.bit_count()) for s in strat.strata))
     report.add(
         "separators.singletons",
-        all(len(s) == 1 for s in strat.separators),
+        all(s.bit_count() == 1 for s in strat.separators),
         "non-singleton separator",
     )
     report.add(
@@ -269,9 +289,9 @@ def cmd_morse(args) -> int:
         _require(args, ["flat", "cell", "tope"])
         x = parse_flat(args.flat, system.ground)
         loc = salvetti_localization(system, x)
-        cell = loc.target_cell(parse_cell_id(args.cell, loc.localized))
-        bp = loc.localized.vector(args.tope)
-        matching = matching_salvetti_fiber(stratify_fiber(loc, bp), cell)
+        cell = _cell(loc.target, args.cell)
+        strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
+        matching = matching_salvetti_fiber(strat, cell)
         cert = morse_reduction_certificate(matching.host, loc.fiber(cell).members, matching)
         report.note("pairs", len(matching.pairs))
         report.note("critical", cert.critical.bit_count())
@@ -292,8 +312,7 @@ def cmd_homology(args) -> int:
         _require(args, ["flat", "cell"])
         x = parse_flat(args.flat, system.ground)
         loc = salvetti_localization(system, x)
-        cell = parse_cell_id(args.cell, loc.localized)
-        res = homology(loc.fiber(loc.target_cell(cell)))
+        res = homology(loc.fiber(_cell(loc.target, args.cell)))
     else:
         _require(args, ["complex_file"])
         facets = [

@@ -19,9 +19,9 @@ exact.  The order complex of a poset is the tests' independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
-from .lattices import GeometricLattice, build_lattice, flat_id
+from .lattices import build_lattice, flat_id
 from .matroids import CovectorSystem
 from .posets import FinitePoset, SimplicialComplexRecord, bits
 from .salvetti import (
@@ -504,8 +504,6 @@ def quasi_fibration_certify(
     flat: Iterable[str],
     mode: str = "exhaustive",
     sample: int = 24,
-    lattice: Optional[GeometricLattice] = None,
-    localization: Optional[SalvettiLocalization] = None,
 ) -> QuasiFibrationCertificate:
     """Certify that localization of the Salvetti poset at a modular
     corank-one flat behaves as a poset quasi-fibration, at desk scale.
@@ -522,14 +520,14 @@ def quasi_fibration_certify(
     if mode == "sampled" and sample < 1:
         raise ValueError("sample must be at least 1")
     x = frozenset(flat)
-    lat = lattice or build_lattice(system)
+    lat = build_lattice(system)
     if lat.rank_of.get(x) is None:
         raise ValueError(f"{flat_id(x, system.ground)} is not a flat")
     if lat.rank_of[x] != lat.rank() - 1:
         raise ValueError("flat must have corank one")
     if not lat.is_modular_flat(x).ok:
         raise ValueError("flat must be modular")
-    loc = localization or salvetti_localization(system, x)
+    loc = salvetti_localization(system, x)
     expected = len(system.ground) - len(x)
 
     poset = loc.target.poset
@@ -560,7 +558,7 @@ def quasi_fibration_certify(
 
     # one stratification per ambient cell, shared by every matching into it
     strat_for = {
-        amb: stratify_fiber(loc, loc.target.cells[amb].tope, lat)
+        amb: stratify_fiber(loc, loc.target.keys[amb][1], lat)
         for amb in sorted({ambient_for[b] for _a, b in pairs_all})
     }
     matching_ok: dict[tuple[int, int], bool] = {}

@@ -141,9 +141,6 @@ class GeometricLattice:
             object.__setattr__(self, "_join_table", table)
         return self._join_table[(x, y)]
 
-    def meet(self, x: frozenset[str], y: frozenset[str]) -> frozenset[str]:
-        return x & y
-
     def flats_of_rank(self, r: int) -> tuple[frozenset[str], ...]:
         if self._flats_by_rank is None:
             byr: dict[int, list[frozenset[str]]] = {}
@@ -207,23 +204,21 @@ class GeometricLattice:
             raise ValueError("criterion applies to rank-2 flats only")
         return all(x & y for y in self.flats_of_rank(2))
 
-    def modular_flats(self) -> tuple[frozenset[str], ...]:
-        return tuple(f for f in self.flats if self.is_modular_flat(f).ok)
-
     def is_supersolvable(self) -> Optional[MChain]:
         """Search for a maximal chain of modular flats.
 
         Recursive over modular coatoms (modularity checked inside the
         subinterval at each level).  The returned chain is re-verified
-        against the full-definition quantifier in this lattice; if that
-        ever disagreed, the search falls back to a direct scan over chains
-        of fully-modular flats.
+        against the full-definition quantifier in this lattice; a chain
+        that fails it is a broken invariant and raises AssertionError.
         """
         chain = self._ss_chain(frozenset(self.ground))
-        if chain is not None and all(self.is_modular_flat(f).ok for f in chain):
-            return MChain(tuple(chain))
-        chain = self._modular_chain_scan()
-        return None if chain is None else MChain(tuple(chain))
+        if chain is None:
+            return None
+        for f in chain:
+            if not self.is_modular_flat(f).ok:
+                raise AssertionError(f"the modular chain search returned {self.id(f)}, which is not modular")
+        return MChain(tuple(chain))
 
     def _ss_chain(self, top: frozenset[str]) -> Optional[list[frozenset[str]]]:
         r = self.rank_of[top]
@@ -253,30 +248,6 @@ class GeometricLattice:
                 if self.join(z, xy) != self.join(z, x) & y:
                     return False
         return True
-
-    def _modular_chain_scan(self) -> Optional[list[frozenset[str]]]:
-        modular = set(self.modular_flats())
-        target = self.rank()
-
-        def grow(chain: list[frozenset[str]]) -> Optional[list[frozenset[str]]]:
-            top = chain[-1]
-            if self.rank_of[top] == target:
-                return chain
-            nxt = sorted(
-                (
-                    f
-                    for f in modular
-                    if top < f and self.rank_of[f] == self.rank_of[top] + 1
-                ),
-                key=self.id,
-            )
-            for f in nxt:
-                done = grow(chain + [f])
-                if done is not None:
-                    return done
-            return None
-
-        return grow([frozenset()]) if frozenset() in modular else None
 
     def brylawski_iso(
         self, modular: Iterable[str], other: Iterable[str]

@@ -145,9 +145,6 @@ class FinitePoset:
     def leq(self, x: int, y: int) -> bool:
         return self._below[y] >> x & 1 == 1
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self._below[y] >> x & 1 == 1
-
     def below(self, x: int) -> int:
         return self._below[x]
 
@@ -399,6 +396,3 @@ class PosetMap:
 
     def image(self) -> int:
         return mask_of(self.assignment.values())
-
-    def is_surjective(self) -> bool:
-        return self.image() == self.target.members

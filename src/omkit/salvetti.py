@@ -3,17 +3,19 @@
 Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 (sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
-covector poset.  Cell k is the pair `keys[k]` of covector numbers; cells
-are numbered in the order of their ids "(sigma;T)", which are rendered
-once, as the poset's names.  The fiber stratification over a modular
-corank-one flat is the combinatorial heart of the quasi-fibration
-certificates.
+covector poset.  Everything here is by number: a covector or tope is its
+element of `system.covector_poset()`, and cell k is the pair `keys[k]` of
+covector numbers (`index` inverts it).  Cells are numbered in the order of
+their ids "(sigma;T)", which are rendered once, as the poset's names; sign
+text is parsed and rendered only by the command line.  The fiber
+stratification over a modular corank-one flat is the combinatorial heart
+of the quasi-fibration certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .lattices import build_lattice, GeometricLattice
 from .matroids import CovectorSystem, section_lift
@@ -25,35 +27,10 @@ class StratificationError(ValueError):
     """The fiber stratification hypotheses (modular, corank one) fail."""
 
 
-class SalvettiCell(NamedTuple):
-    face: SignVector
-    tope: SignVector
-
-    @property
-    def id(self) -> str:
-        return cell_id(self.face, self.tope)
-
-
-def cell_id(face: SignVector, tope: SignVector) -> str:
-    """The display name of a cell."""
-    return f"({face};{tope})"
-
-
-def parse_cell_id(text: str, system: CovectorSystem) -> SalvettiCell:
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    try:
-        a, b = body.split(";")
-    except ValueError:
-        raise ValueError(f"malformed cell id {text!r}") from None
-    return SalvettiCell(system.vector(a), system.vector(b))
-
-
 class SalvettiPoset:
     """Face poset of the Salvetti complex of a covector system."""
 
-    __slots__ = ("system", "cells", "keys", "index", "poset")
+    __slots__ = ("system", "keys", "index", "poset")
 
     def __init__(self, system: CovectorSystem):
         order = system.covector_poset()
@@ -80,7 +57,6 @@ class SalvettiPoset:
                 below[index[g, r]] = m
         poset = FinitePoset([f"({names[c]};{names[t]})" for c, t in keys], below)
         object.__setattr__(self, "system", system)
-        object.__setattr__(self, "cells", tuple(SalvettiCell(vectors[c], vectors[t]) for c, t in keys))
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "poset", poset)
@@ -95,14 +71,7 @@ class SalvettiPoset:
         raise AttributeError("SalvettiPoset is immutable")
 
     def __len__(self) -> int:
-        return len(self.cells)
-
-    def cell_number(self, face: SignVector, tope: SignVector) -> Optional[int]:
-        """The cell (face, tope), or None when it is not a cell."""
-        number = self.system.numbering()
-        return self.index.get(
-            (number.get((face.plus, face.minus)), number.get((tope.plus, tope.minus)))
-        )
+        return len(self.keys)
 
     def dimension_of(self, cell: int) -> int:
         """The dimension of a cell: its height in the Salvetti poset."""
@@ -116,8 +85,9 @@ def salvetti(system: CovectorSystem) -> SalvettiPoset:
 def affine_salvetti(system: CovectorSystem, g: str) -> FinitePoset:
     """The subposet on the cells whose face (hence tope) is positive on g."""
     bit = system.label_mask([g])
+    vectors = system.vectors()
     salv = SalvettiPoset(system)
-    return salv.poset.subposet(mask_of(k for k, c in enumerate(salv.cells) if c.face.plus & bit))
+    return salv.poset.subposet(mask_of(k for k, (c, _) in enumerate(salv.keys) if vectors[c].plus & bit))
 
 
 @dataclass(frozen=True)
@@ -133,14 +103,17 @@ class SalvettiLocalization:
     map: PosetMap
     rho: PosetMap
 
-    def section(self, alpha: SignVector) -> PosetMap:
-        """The section induced by a covector with zero set equal to the flat."""
-        if alpha not in self.system or alpha.zero_set() != self.flat:
+    def section(self, alpha: int) -> PosetMap:
+        """The section induced by a covector (by number) with zero set
+        equal to the flat."""
+        system = self.system
+        vectors = system.vectors()
+        if alpha not in system.covector_poset() or vectors[alpha].zero_mask != system.label_mask(self.flat):
             raise ValueError("alpha must be a covector with zero set the flat")
-        number = self.system.numbering()
+        number = system.numbering()
         lift = []
         for v in self.localized.vectors():
-            w = section_lift(alpha, v)
+            w = section_lift(vectors[alpha], v)
             lift.append(number.get((w.plus, w.minus)))
         assignment = {}
         for k, (f, t) in enumerate(self.target.keys):
@@ -153,14 +126,6 @@ class SalvettiLocalization:
             if self.map.assignment[assignment[k]] != k:
                 raise AssertionError("section identity fails")
         return out
-
-    def target_cell(self, cell: SalvettiCell) -> int:
-        """The number of a cell of the localized poset; ValueError if it is
-        not one."""
-        k = self.target.cell_number(cell.face, cell.tope)
-        if k is None:
-            raise ValueError(f"unknown cell {cell.id!r} of the localized poset")
-        return k
 
     def fiber(self, cell: int) -> FinitePoset:
         return self.map.fiber(cell)
@@ -179,22 +144,22 @@ def salvetti_localization(
     return SalvettiLocalization(system, x, localized, source, target, pmap, rho)
 
 
-def principal_ideal_iso(
-    salv: SalvettiPoset, tope: SignVector
-) -> tuple[PosetMap, PosetMap]:
+def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:
     """The isomorphism between the ideal below (0, T) and the dual covector
     poset: (F, R) maps to F, with inverse F maps to (F, F o T)."""
     system = salv.system
-    top = salv.cell_number(system.zero, tope)
+    number = system.numbering()
+    zero = number.get((0, 0))
+    top = salv.index.get((zero, tope))
     if top is None:
-        raise ValueError(f"{cell_id(system.zero, tope)} is not a cell")
+        raise ValueError(f"element {tope!r} is not a tope")
     ideal_mask = salv.poset.below(top)
     ideal = salv.poset.subposet(ideal_mask)
     dual = system.covector_poset().dual()
-    number = system.numbering()
+    vt = system.vectors()[tope]
     fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
     bwd = {
-        c: salv.index[c, number[compose_masks(v.plus, v.minus, tope.plus, tope.minus)]]
+        c: salv.index[c, number[compose_masks(v.plus, v.minus, vt.plus, vt.minus)]]
         for c, v in enumerate(system.vectors())
     }
     to_dual = PosetMap(ideal, dual, fwd)
@@ -207,15 +172,12 @@ def principal_ideal_iso(
     return to_dual, from_dual
 
 
-def localization_square_commutes(
-    loc: SalvettiLocalization, tope: SignVector
-) -> bool:
+def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:
     """Check cell-by-cell that localization restricted to the ideal below
     (0, T) matches the covector-level localization under the ideal
     isomorphisms."""
-    keep = [lab for lab in loc.system.ground if lab in loc.flat]
     to_dual, _ = principal_ideal_iso(loc.source, tope)
-    to_dual_loc, _ = principal_ideal_iso(loc.target, tope.restrict(keep))
+    to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho.assignment[tope])
     return all(
         to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho.assignment[face]
         for k, face in to_dual.assignment.items()
@@ -227,29 +189,30 @@ class FiberStratification:
     """The stratification of a maximal-cell fiber over a modular
     corank-one flat into copies of contraction balls.
 
-    `lifts[0]` sends each covector c to its cell (c, c o T_0) of stratum
-    0; for i > 0, `lifts[i]` sends each localized covector to the cell
-    (c, c o T_i) of stratum i whose face c restricts to it.  `projection`
-    sends each fiber cell to its stratum, on the chain of strata."""
+    The tope string T_0, ..., T_k is by covector number; `separators[i-1]`
+    is the ground-bit mask S(T_{i-1}, T_i), a single bit.  `lifts[0]`
+    sends each covector c to its cell (c, c o T_0) of stratum 0; for i > 0,
+    `lifts[i]` sends each localized covector to the cell (c, c o T_i) of
+    stratum i whose face c restricts to it.  `projection` sends each fiber
+    cell to its stratum, on the chain of strata."""
 
     loc: SalvettiLocalization
-    base_tope: SignVector  # B' in the localized system
     top: int  # the cell (0, B') of the localized poset
     fiber: FinitePoset
-    tope_string: tuple[SignVector, ...]
-    separators: tuple[frozenset[str], ...]  # S(T_{i-1}, T_i), singletons
+    tope_string: tuple[int, ...]
+    separators: tuple[int, ...]
     strata: tuple[int, ...]  # masks of cells, N_0, ..., N_k
-    filters: tuple[frozenset[frozenset[str]], ...]  # J_i as sets of flats
     lifts: tuple[tuple[int, ...], ...]
     projection: PosetMap
 
 
 def stratify_fiber(
     loc: SalvettiLocalization,
-    base_tope: SignVector,
+    base: int,
     lattice: Optional[GeometricLattice] = None,
 ) -> FiberStratification:
-    """Order the fiber topes into a string and slice the fiber into strata.
+    """Order the fiber topes over the localized tope `base` (by number)
+    into a string and slice the fiber into strata.
 
     Requires the flat to be modular of corank one; anything else is
     refused since the string structure is exactly what modularity of a
@@ -265,75 +228,69 @@ def stratify_fiber(
         raise StratificationError(
             f"{lattice.id(x)} is not modular; witness {check.witness}"
         )
-    if base_tope not in loc.localized.topes():
-        raise ValueError(f"{base_tope} is not a tope of the localization")
+    loc_order = loc.localized.covector_poset()
+    if not loc_order.maximal_elements() >> base & 1:
+        raise ValueError(f"{loc_order.names[base]} is not a tope of the localization")
 
     order = system.covector_poset()
     vectors = system.vectors()
     number = system.numbering()
     rho = loc.rho.assignment
-    b = loc.localized.numbering()[base_tope.plus, base_tope.minus]
-    fiber_topes = [vectors[t] for t in bits(order.maximal_elements()) if rho[t] == b]
     # the two covectors with zero set X; the lex-smaller one anchors the string
     xmask = system.label_mask(x)
     anchors = [v for v in vectors if v.zero_mask == xmask]
     if len(anchors) != 2:
         raise AssertionError("corank-one flat must carry exactly two covectors")
-    alpha = anchors[0]
     # iota_alpha(B') = B' on X, alpha elsewhere
-    t0 = section_lift(alpha, base_tope)
-    if t0 not in system:
+    v0 = section_lift(anchors[0], loc.localized.vectors()[base])
+    if (v0.plus, v0.minus) not in number:
         raise AssertionError("lifted base tope is not a covector")
-    string = sorted(fiber_topes, key=lambda t: len(t.separator(t0)))
+    dist = {t: v0.separator_mask(vectors[t]) for t in bits(order.maximal_elements()) if rho[t] == base}
+    string = sorted(dist, key=lambda t: dist[t].bit_count())
     # the induced order must be a chain: distances 0..k and nested separators
     for i, t in enumerate(string):
-        if len(t.separator(t0)) != i:
+        if dist[t].bit_count() != i:
             raise AssertionError("fiber topes do not form a string")
-        if i > 0 and not (string[i - 1].separator(t0) < t.separator(t0)):
+        if i > 0 and dist[string[i - 1]] & ~dist[t]:
             raise AssertionError("fiber tope separators are not nested")
     separators = tuple(
-        string[i - 1].separator(string[i]) for i in range(1, len(string))
+        vectors[string[i - 1]].separator_mask(vectors[string[i]]) for i in range(1, len(string))
     )
     for s in separators:
-        if len(s) != 1:
-            raise AssertionError(f"consecutive fiber topes separate by {sorted(s)}")
+        if s.bit_count() != 1:
+            labels = sorted(lab for i, lab in enumerate(system.ground) if s >> i & 1)
+            raise AssertionError(f"consecutive fiber topes separate by {labels}")
 
-    top = loc.target.cell_number(loc.localized.zero, base_tope)
+    top = loc.target.index[loc.localized.numbering()[0, 0], base]
     fiber = loc.fiber(top)
     source = loc.source
     zero = number[0, 0]
-    tnum = [number[t.plus, t.minus] for t in string]
     strata: list[int] = []
     used = 0
-    for t in tnum:
+    for t in string:
         ideal = source.poset.below(source.index[zero, t])
         strata.append(ideal & ~used)
         used |= ideal
     if used != fiber.members:
         raise AssertionError("strata do not cover the fiber exactly")
-    # J_i: flats meeting every separator from earlier topes; principal
-    filters = [frozenset(lattice.flats)] + [
-        frozenset(f for f in lattice.flats if s <= f) for s in separators
-    ]
 
     def cell_over(c: int, t: int) -> int:
         vc, vt = vectors[c], vectors[t]
         return source.index[c, number[compose_masks(vc.plus, vc.minus, vt.plus, vt.minus)]]
 
-    lifts = [tuple(cell_over(c, tnum[0]) for c in order.elements)]
+    lifts = [tuple(cell_over(c, string[0]) for c in order.elements)]
     width = len(loc.localized.covectors)
     for i in range(1, len(string)):
-        ebit = system.label_mask(separators[i - 1])
         iso: dict[int, int] = {}
         for c in order.elements:
-            if vectors[c].support_mask & ebit:
+            if vectors[c].support_mask & separators[i - 1]:
                 continue
             if rho[c] in iso:
                 raise AssertionError("restriction is not injective on the stratum")
             iso[rho[c]] = c
         if len(iso) != width:
             raise AssertionError("restriction is not onto the localization")
-        lifts.append(tuple(cell_over(iso[y], tnum[i]) for y in range(width)))
+        lifts.append(tuple(cell_over(iso[y], string[i]) for y in range(width)))
 
     digits = len(str(len(string) - 1))
     chain = FinitePoset(
@@ -343,23 +300,21 @@ def stratify_fiber(
     stratum_of = {c: i for i, s in enumerate(strata) for c in bits(s)}
     return FiberStratification(
         loc,
-        base_tope,
         top,
         fiber,
         tuple(string),
         separators,
         tuple(strata),
-        tuple(filters),
         tuple(lifts),
         PosetMap(fiber, chain, stratum_of),
     )
 
 
 def fiber_rank2_model(
-    loc: SalvettiLocalization, base_tope: SignVector, g: str = "g"
+    loc: SalvettiLocalization, base: int, g: str = "g"
 ) -> tuple[CovectorSystem, dict[str, str]]:
     """A rank-two system whose decone matches the covector fiber over a
-    tope of the localization.
+    tope of the localization (by number).
 
     The fiber cells keep their values off the flat and gain a positive
     entry on a fresh element; the two covectors supported exactly off the
@@ -371,18 +326,20 @@ def fiber_rank2_model(
     if g in system.ground:
         raise ValueError(f"label {g!r} already in use")
     rest = [lab for lab in system.ground if lab not in x]
-    keep = [lab for lab in system.ground if lab in x]
-    fiber_cells = [c for c in system.covectors if c.restrict(keep) == base_tope]
+    vectors = system.vectors()
+    rho = loc.rho.assignment
     ground = tuple(rest) + (g,)
     gi = len(rest)
     model: set[SignVector] = {SignVector.zero(ground)}
     mapping: dict[str, str] = {}
-    for c in fiber_cells:
-        r = c.restrict(rest)
+    for c, vc in enumerate(vectors):
+        if rho[c] != base:
+            continue
+        r = vc.restrict(rest)
         v = SignVector(ground, r.plus | (1 << gi), r.minus)
         model.add(v)
         model.add(v.opposite())
-        mapping[str(c)] = str(v)
+        mapping[str(vc)] = str(v)
     anchors = sorted((c for c in system.covectors if c.zero_set() == x), key=str)
     for a in anchors:
         r = a.restrict(rest)

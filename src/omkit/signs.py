@@ -111,9 +111,6 @@ class SignVector:
     def zero_mask(self) -> int:
         return ((1 << len(self.labels)) - 1) & ~(self.plus | self.minus)
 
-    def is_zero(self) -> bool:
-        return not (self.plus | self.minus)
-
     def _labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
 
@@ -168,21 +165,6 @@ class SignVector:
                 elif self.minus & bit:
                     minus |= 1 << j
                 j += 1
-        return SignVector(new_labels, plus, minus)
-
-    def reorder(self, new_labels: Iterable[str]) -> "SignVector":
-        """The same vector over a permuted ground set."""
-        new_labels = tuple(new_labels)
-        if sorted(new_labels) != sorted(self.labels):
-            raise ValueError("new labels are not a permutation of the ground set")
-        old = _label_index(self.labels)
-        plus = minus = 0
-        for j, lab in enumerate(new_labels):
-            bit = 1 << old[lab]
-            if self.plus & bit:
-                plus |= 1 << j
-            elif self.minus & bit:
-                minus |= 1 << j
         return SignVector(new_labels, plus, minus)
 
     def leq(self, other: "SignVector") -> bool:

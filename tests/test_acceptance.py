@@ -72,14 +72,15 @@ def test_criterion_2_running_example_fidelity(five_planes):
     # the base tope of the figure: the string must separate first at H4,
     # then at H5; the lexicographically smallest such base is used
     chosen = None
-    for bp in sorted(loc.localized.topes(), key=str):
+    h4, h5 = five_planes.label_mask(["H4"]), five_planes.label_mask(["H5"])
+    for bp in bits(loc.localized.covector_poset().maximal_elements()):
         strat = stratify_fiber(loc, bp, lat)
-        if [sorted(s) for s in strat.separators] == [["H4"], ["H5"]]:
+        if strat.separators == (h4, h5):
             chosen = strat
             break
     ok = ok and chosen is not None
     if chosen:
-        t0, t1, t2 = chosen.tope_string
+        t0, t1, t2 = (five_planes.vectors()[t] for t in chosen.tope_string)
         ok = ok and len(chosen.tope_string) == 3
         ok = ok and t1.separator(t2) == {"H5"}
         ok = ok and t0.separator(t2) == {"H4", "H5"}
@@ -136,7 +137,7 @@ def test_criterion_5_matching_constructions(five_planes, uniform23):
         for x in modular_coatoms:
             loc = salvetti_localization(system, x)
             for top in bits(loc.target.poset.maximal_elements()):
-                strat = stratify_fiber(loc, loc.target.cells[top].tope, lat)
+                strat = stratify_fiber(loc, loc.target.keys[top][1], lat)
                 for a in bits(loc.target.poset.below(top)):
                     m = matching_salvetti_fiber(strat, a)
                     ok = ok and m.is_acyclic().acyclic
@@ -287,7 +288,7 @@ def _localization_laws_ok(system) -> bool:
         if len(system) <= 200 and lat.rank_of[x] >= lat.rank() - 1:
             sloc = salvetti_localization(system, x)
             for alpha in anchors:
-                section = sloc.section(alpha)
+                section = sloc.section(system.numbering()[alpha.plus, alpha.minus])
                 ok = ok and all(
                     sloc.map.assignment[section.assignment[cid]] == cid
                     for cid in section.source.elements

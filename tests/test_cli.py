@@ -344,6 +344,57 @@ def test_morse_shelling_refuses_a_ball_without_topes(capsys, monkeypatch):
     assert captured.err == "error: the ball has no tope to collapse\n"
 
 
+def test_shelling_refuses_the_empty_sphere(capsys, monkeypatch):
+    # rank 0: the zero vector is the one tope, and the sphere has no cell
+    monkeypatch.setattr("sys.stdin", io.StringIO("ground: a\ncovectors:\n0\n"))
+    assert main(["shelling", "--base", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the covector sphere is empty: a rank-0 system has nothing to shell\n"
+    )
+
+
+def test_cell_and_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
+    flat = ["--flat", "H1,H2,H3"]
+    morse_fiber = ["morse", "--construction", "fiber", *flat]
+    bad_cells = [
+        ("(000+++)", "malformed cell id '(000+++)'"),
+        ("(000;+++;+++)", "malformed cell id '(000;+++;+++)'"),
+        ("(00;+++)", "sign string '00' has length 2, ground set has 3"),
+        ("(000;+q+)", "invalid sign character 'q'"),
+        ("(+00;+++)", "unknown cell '(+00;+++)' of the localized poset"),
+        (" +00;+++ ", "unknown cell '(+00;+++)' of the localized poset"),
+    ]
+    bad_topes = [
+        ("zz", "'zz' is not a covector: sign string 'zz' has length 2, ground set has 3"),
+        ("+q+", "'+q+' is not a covector: invalid sign character 'q'"),
+        ("00+", "'00+' is not a covector"),
+        ("0--", "0-- is not a tope of the localization"),
+    ]
+    cases = [
+        (morse_fiber + ["--cell", "(0--;---)", "--tope", "+++"],
+         "(0--;---) does not lie below (000;+++)"),
+    ]
+    for cell, message in bad_cells:
+        cases += [
+            (["fiber", *flat, "--cell", cell], message),
+            (["homology", "--target", "fiber", *flat, "--cell", cell], message),
+            (morse_fiber + ["--cell", cell, "--tope", "+++"], message),
+        ]
+    for tope, message in bad_topes:
+        cases += [
+            (["stratify", *flat, "--tope", tope], message),
+            (morse_fiber + ["--cell", "(+++;+++)", "--tope", tope], message),
+        ]
+    for argv, message in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(om_text("sec3-arrangement")))
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == f"error: {message}\n", argv
+
+
 def test_broken_invariant_exits_3(capsys, monkeypatch):
     import omkit.cli
 

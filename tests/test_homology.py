@@ -260,16 +260,16 @@ def test_quasi_fibration_stratifies_each_ambient_fiber_once(monkeypatch, five_pl
     seen = []
     real = module.stratify_fiber
 
-    def counting(loc, base_tope, lattice=None):
-        seen.append(str(base_tope))
-        return real(loc, base_tope, lattice)
+    def counting(loc, base, lattice=None):
+        seen.append(base)
+        return real(loc, base, lattice)
 
     monkeypatch.setattr(module, "stratify_fiber", counting)
     cert = quasi_fibration_certify(five_planes, {"H1", "H2", "H3"})
     assert cert.ok
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
     ambient = loc.target.poset.maximal_elements()
-    assert sorted(seen) == sorted(str(loc.target.cells[m].tope) for m in bits(ambient))
+    assert sorted(seen) == sorted(loc.target.keys[m][1] for m in bits(ambient))
 
 
 def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch, five_planes):
@@ -308,10 +308,9 @@ def test_quasi_fibration_refuses_bad_flats(five_planes, non_pappus):
     # the non-realizable member has no modular line at all
     from omkit.lattices import build_lattice
 
-    lat = build_lattice(non_pappus)
-    for f in lat.flats_of_rank(2):
+    for f in build_lattice(non_pappus).flats_of_rank(2):
         with pytest.raises(ValueError):
-            quasi_fibration_certify(non_pappus, f, lattice=lat)
+            quasi_fibration_certify(non_pappus, f)
 
 
 def test_quasi_fibration_braid(braid3):

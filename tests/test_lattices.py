@@ -59,8 +59,8 @@ def test_modularity(five_planes):
     assert not check.ok
     z, y = check.witness
     assert z <= y
-    assert lat.join(z, lat.meet(frozenset({"H2", "H4"}), y)) != (
-        lat.meet(lat.join(z, frozenset({"H2", "H4"})), y)
+    assert lat.join(z, frozenset({"H2", "H4"}) & y) != (
+        lat.join(z, frozenset({"H2", "H4"})) & y
     )
     assert lat.is_modular_flat(frozenset()).ok
     assert lat.is_modular_flat(frozenset(five_planes.ground)).ok
@@ -129,10 +129,8 @@ def brute_force_supersolvable(lat):
 
 def test_supersolvable_against_brute_force(all_corpus):
     for name, system in all_corpus.items():
-        if len(system.ground) > 7:
-            continue
         lat = build_lattice(system)
-        assert (lat.is_supersolvable() is not None) == brute_force_supersolvable(lat)
+        assert (lat.is_supersolvable() is not None) == brute_force_supersolvable(lat), name
 
 
 def test_brylawski_iso(five_planes):
@@ -179,24 +177,23 @@ def test_zaslavsky_on_corpus(all_corpus):
         assert sum(lat.whitney()) == len(system.topes()), name
 
 
-def test_modular_chain_scan_fallback(all_corpus, monkeypatch):
-    # with the recursive search disabled, is_supersolvable falls back to
-    # the scan over chains of fully modular flats, which finds the chain
-    # the recursive search finds
-    from omkit.lattices import GeometricLattice
+def test_supersolvable_raises_on_a_non_modular_chain(five_planes, monkeypatch, capsys):
+    # the search's chain is re-checked against the full definition; a
+    # chain through the non-modular line H2,H4 is a broken invariant
+    import io
 
-    found = {}
-    for name, system in all_corpus.items():
-        chain = build_lattice(system).is_supersolvable()
-        found[name] = None if chain is None else chain.flats
-    monkeypatch.setattr(GeometricLattice, "_ss_chain", lambda self, top: None)
-    for name, system in all_corpus.items():
-        lat = build_lattice(system)
-        chain = lat.is_supersolvable()
-        if name == "non-pappus":
-            assert chain is None
-            continue
-        assert chain is not None, name
-        assert len(chain.flats) == lat.rank() + 1, name
-        assert all(lat.is_modular_flat(f).ok for f in chain.flats), name
-        assert chain.flats == found[name], name
+    from omkit.cli import main
+    from omkit.lattices import GeometricLattice
+    from omkit.omfile import format_system
+
+    bad = [frozenset(), frozenset({"H2"}), frozenset({"H2", "H4"}), frozenset(five_planes.ground)]
+    monkeypatch.setattr(GeometricLattice, "_ss_chain", lambda self, top: bad)
+    with pytest.raises(AssertionError, match="returned H2,H4, which is not modular"):
+        build_lattice(five_planes).is_supersolvable()
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_system(five_planes)))
+    assert main(["supersolvable"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: the modular chain search returned H2,H4, which is not modular\n"
+    )

@@ -264,7 +264,7 @@ def test_fiber_matchings_exhaustive(five_planes):
         for top in max_cells:
             if not loc.target.poset.leq(a, top):
                 continue
-            bp = loc.target.cells[top].tope
+            bp = loc.target.keys[top][1]
             m = matching_salvetti_fiber(stratify_fiber(loc, bp, lat), a)
             assert m.is_acyclic().acyclic
             assert m.critical_cells() == loc.fiber(a).members
@@ -274,7 +274,7 @@ def test_fiber_matching_maximal_cell_is_empty(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     top = bits(loc.target.poset.maximal_elements())[0]
-    bp = loc.target.cells[top].tope
+    bp = loc.target.keys[top][1]
     m = matching_salvetti_fiber(stratify_fiber(loc, bp), top)
     assert m.pairs == frozenset()
 
@@ -285,7 +285,7 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bottom = bits(loc.target.poset.minimal_elements())[0]
-    tope = loc.target.cells[bottom].tope
+    tope = loc.target.keys[bottom][1]
     m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
     fib = loc.fiber(bottom)
     assert m.critical_cells() == fib.members
@@ -297,7 +297,7 @@ def test_morse_certificate(five_planes):
     loc = salvetti_localization(five_planes, x)
     top = bits(loc.target.poset.maximal_elements())[0]
     bottom = bits(loc.target.poset.minimal_elements())[0]
-    bp = loc.target.cells[top].tope
+    bp = loc.target.keys[top][1]
     host_fiber = loc.fiber(top)
     if loc.target.poset.leq(bottom, top):
         m = matching_salvetti_fiber(stratify_fiber(loc, bp), bottom)

@@ -5,10 +5,8 @@ from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.salvetti import (
     SalvettiPoset,
     affine_salvetti,
-    cell_id,
     fiber_rank2_model,
     localization_square_commutes,
-    parse_cell_id,
     principal_ideal_iso,
     salvetti,
     salvetti_localization,
@@ -18,6 +16,16 @@ from omkit.posets import bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
 
 
+def tope_numbers(system):
+    """The topes by number, which is their sign-text order."""
+    return bits(system.covector_poset().maximal_elements())
+
+
+def anchor_numbers(system, x):
+    """The covectors (by number) whose zero set is the flat x."""
+    return [c for c, v in enumerate(system.vectors()) if v.zero_set() == x]
+
+
 def definition_order(system):
     """The Salvetti order straight from its definition, over all pairs of
     cells: (sigma, T) <= (tau, R) iff sigma >= tau and sigma o R = T."""
@@ -25,7 +33,7 @@ def definition_order(system):
     topes = [t for t in covs if not any(t != d and t.leq(d) for d in covs)]
     cells = [(c, t) for t in topes for c in covs if c.leq(t)]
     return frozenset(
-        (cell_id(sigma, t), cell_id(tau, r))
+        (f"({sigma};{t})", f"({tau};{r})")
         for sigma, t in cells
         for tau, r in cells
         if tau.leq(sigma) and sigma.compose(r) == t
@@ -68,7 +76,7 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
         topes = {c for c in covs if not any(c != d and c.leq(d) for d in covs)}
         assert system.topes() == topes, name
         assert system.rank() == definition_rank(covs), name
-        nonzero = [c for c in covs if not c.is_zero()]
+        nonzero = [c for c in covs if c.support_mask]
         cocircuits = {
             c for c in nonzero if not any(d != c and d.leq(c) for d in nonzero)
         }
@@ -106,7 +114,9 @@ def test_numbering_follows_names_on_the_corpus(all_corpus):
     for name, system in all_corpus.items():
         base = bits(system.covector_poset().maximal_elements())[0]
         salv = salvetti(system)
-        assert [c.id for c in salv.cells] == list(salv.poset.names), name
+        names = system.covector_poset().names
+        assert [f"({names[c]};{names[t]})" for c, t in salv.keys] == list(salv.poset.names), name
+        assert all(salv.index[key] == k for k, key in enumerate(salv.keys)), name
         for poset in (system.covector_poset(), salv.poset, tope_poset(system, base)):
             assert_numbered_by_name(poset)
             assert_views_match_relation(poset)
@@ -167,20 +177,23 @@ def test_salvetti_pure(all_corpus):
         assert sum((-1) ** d for d in dims) == 0, name
 
 
-def test_cell_ids_round_trip(five_planes):
-    s = salvetti(five_planes)
-    for k in s.poset.elements[:10]:
-        cid = s.poset.names[k]
-        cell = parse_cell_id(cid, five_planes)
-        assert cell.id == cid
-        assert s.cells[k] == cell
-        assert s.cell_number(cell.face, cell.tope) == k
+def test_cell_ids_round_trip(all_corpus):
+    # every cell id parses back to its cell through the command line's
+    # parser, also without the parentheses and with surrounding blanks
+    from omkit.cli import _cell
+
+    for name, system in all_corpus.items():
+        s = salvetti(system)
+        for k in s.poset.elements:
+            cid = s.poset.names[k]
+            assert _cell(s, cid) == k, (name, cid)
+            assert _cell(s, f"  {cid[1:-1]} ") == k, (name, cid)
 
 
 def test_localization_map(five_planes):
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
     assert len(loc.target) == 24
-    assert loc.map.is_surjective()
+    assert loc.map.image() == loc.target.poset.members
     with pytest.raises(NotAFlatError):
         salvetti_localization(five_planes, {"H1", "H4"})
 
@@ -193,9 +206,7 @@ def test_localization_identity_flat(five_planes):
 def test_sections_of_localization(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    anchors = sorted(
-        (c for c in five_planes.covectors if c.zero_set() == x), key=str
-    )
+    anchors = anchor_numbers(five_planes, x)
     assert len(anchors) == 2
     for alpha in anchors:
         section = loc.section(alpha)  # raises if not order preserving or not a section
@@ -217,14 +228,14 @@ def test_fibers_connected(five_planes, braid3):
 def test_principal_ideal_isomorphism(five_planes, rank1):
     for system in (five_planes, rank1):
         s = salvetti(system)
-        for tope in sorted(system.topes(), key=str)[:3]:
+        for tope in tope_numbers(system)[:3]:
             to_dual, from_dual = principal_ideal_iso(s, tope)
             assert len(to_dual.source) == len(system.covectors)
 
 
 def test_localization_square(five_planes):
     loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
-    for tope in sorted(five_planes.topes(), key=str):
+    for tope in tope_numbers(five_planes):
         assert localization_square_commutes(loc, tope)
 
 
@@ -238,30 +249,26 @@ def test_fiber_of_minimal_cell_contains_it(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     for cid in bits(loc.target.poset.minimal_elements()):
-        lifted = loc.section(
-            sorted(
-                (c for c in five_planes.covectors if c.zero_set() == x), key=str
-            )[0]
-        ).assignment[cid]
+        lifted = loc.section(anchor_numbers(five_planes, x)[0]).assignment[cid]
         assert lifted in loc.fiber(cid)
 
 
 def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    bp = sorted(loc.localized.topes(), key=str)[0]
+    bp = tope_numbers(loc.localized)[0]
+    base = loc.localized.vectors()[bp]
     keep = [lab for lab in five_planes.ground if lab in x]
-    fiber = loc.fiber(loc.target.cell_number(loc.localized.zero, bp))
+    zero, zero_loc = five_planes.numbering()[0, 0], loc.localized.numbering()[0, 0]
+    fiber = loc.fiber(loc.target.index[zero_loc, bp])
+    vectors = five_planes.vectors()
+    over = [t for t in tope_numbers(five_planes) if vectors[t].restrict(keep) == base]
     union = 0
-    for t in five_planes.topes():
-        if t.restrict(keep) == bp:
-            union |= loc.source.poset.below(loc.source.cell_number(five_planes.zero, t))
+    for t in over:
+        union |= loc.source.poset.below(loc.source.index[zero, t])
     assert fiber.members == union
     assert set(fiber.names_of(fiber.members)) == {
-        cell_id(c, c.compose(t))
-        for t in five_planes.topes()
-        if t.restrict(keep) == bp
-        for c in five_planes.covectors
+        f"({c};{c.compose(vectors[t])})" for t in over for c in five_planes.covectors
     }
 
 
@@ -269,13 +276,18 @@ def test_stratification(five_planes):
     lat = build_lattice(five_planes)
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    for bp in sorted(loc.localized.topes(), key=str):
+    vectors = five_planes.vectors()
+    for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp, lat)
         assert len(strat.tope_string) == 3
-        assert [len(s) for s in strat.separators] == [1, 1]
+        # consecutive topes of the string differ in exactly the separator bit
+        assert [s.bit_count() for s in strat.separators] == [1, 1]
+        for sep, (a, b) in zip(strat.separators, zip(strat.tope_string, strat.tope_string[1:])):
+            assert vectors[a].separator_mask(vectors[b]) == sep
+        assert all(loc.rho(t) == bp for t in strat.tope_string)
         assert strat.strata[0].bit_count() == len(five_planes.covectors)
         for i, sep in enumerate(strat.separators):
-            e = next(iter(sep))
+            e = five_planes.ground[sep.bit_length() - 1]
             vanish = sum(
                 1 for c in five_planes.covectors if c.sign(e) == 0
             )
@@ -283,13 +295,6 @@ def test_stratification(five_planes):
         # strata partition the fiber
         total = sum(s.bit_count() for s in strat.strata)
         assert total == len(strat.fiber)
-        # the filters are principal: J_0 everything, J_i flats containing e_i
-        assert strat.filters[0] == frozenset(lat.flats)
-        for i, sep in enumerate(strat.separators):
-            e = next(iter(sep))
-            assert strat.filters[i + 1] == frozenset(
-                f for f in lat.flats if e in f
-            )
 
 
 def test_section_lifts_are_string_ends(five_planes):
@@ -301,7 +306,9 @@ def test_section_lifts_are_string_ends(five_planes):
     anchors = sorted(
         (c for c in five_planes.covectors if c.zero_set() == x), key=str
     )
-    for bp in sorted(loc.localized.topes(), key=str):
+    vectors = five_planes.vectors()
+    for bp in tope_numbers(loc.localized):
+        base = loc.localized.vectors()[bp]
         strat = stratify_fiber(loc, bp, lat)
         string = strat.tope_string
         lifts = set()
@@ -310,12 +317,12 @@ def test_section_lifts_are_string_ends(five_planes):
             idx = {lab: i for i, lab in enumerate(five_planes.ground)}
             for j, lab in enumerate(keep):
                 bit = 1 << idx[lab]
-                if bp.plus >> j & 1:
+                if base.plus >> j & 1:
                     plus |= bit
-                elif bp.minus >> j & 1:
+                elif base.minus >> j & 1:
                     minus |= bit
             lifts.add(
-                next(t for t in string if (t.plus, t.minus) == (plus, minus))
+                next(t for t in string if (vectors[t].plus, vectors[t].minus) == (plus, minus))
             )
         assert lifts == {string[0], string[-1]}
 
@@ -328,15 +335,16 @@ def test_strata_are_contraction_balls(five_planes):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     system = five_planes
-    for bp in sorted(loc.localized.topes(), key=str):
+    covs = system.vectors()
+    for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp, lat)
         for i, stratum in enumerate(strat.strata):
-            t_i = strat.tope_string[i]
+            t_i = covs[strat.tope_string[i]]
             faces = {}
             for cid in bits(stratum):
-                cell = loc.source.cells[cid]
-                assert cell.tope == cell.face.compose(t_i)
-                faces[cid] = cell.face
+                face, tope = (covs[c] for c in loc.source.keys[cid])
+                assert tope == face.compose(t_i)
+                faces[cid] = face
             # the lift of stratum i sends each covector to its cell
             lifted = set(strat.lifts[i])
             assert lifted == set(bits(stratum))
@@ -348,7 +356,7 @@ def test_strata_are_contraction_balls(five_planes):
             if i == 0:
                 want = set(system.covectors)
             else:
-                e = next(iter(strat.separators[i - 1]))
+                e = system.ground[strat.separators[i - 1].bit_length() - 1]
                 want = {c for c in system.covectors if c.sign(e) == 0}
             assert set(faces.values()) == want
             # order within the stratum is the dual covector order
@@ -362,11 +370,11 @@ def test_stratification_refuses_bad_flats(five_planes, braid3):
     from omkit.salvetti import StratificationError
 
     loc = salvetti_localization(five_planes, {"H2", "H4"})
-    bp = sorted(loc.localized.topes(), key=str)[0]
+    bp = tope_numbers(loc.localized)[0]
     with pytest.raises(StratificationError):
         stratify_fiber(loc, bp)  # not modular
     loc1 = salvetti_localization(five_planes, {"H1"})
-    bp1 = sorted(loc1.localized.topes(), key=str)[0]
+    bp1 = tope_numbers(loc1.localized)[0]
     with pytest.raises(StratificationError):
         stratify_fiber(loc1, bp1)  # corank 2, not 1
 
@@ -386,7 +394,7 @@ def test_fiber_cells_have_low_dimension(five_planes):
 def test_rank2_model_of_fiber(five_planes, braid3):
     x = frozenset({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    bp = sorted(loc.localized.topes(), key=str)[0]
+    bp = tope_numbers(loc.localized)[0]
     model, mapping = fiber_rank2_model(loc, bp)
     assert model.check_axioms().ok
     assert model.rank() == 2
@@ -396,7 +404,7 @@ def test_rank2_model_of_fiber(five_planes, braid3):
     tope_count = sum(1 for c in aff.covectors_plus if c in model.topes())
     assert tope_count == 3
     locb = salvetti_localization(braid3, {"12", "13", "23"})
-    for bpb in sorted(locb.localized.topes(), key=str):
+    for bpb in tope_numbers(locb.localized):
         model_b, _ = fiber_rank2_model(locb, bpb)
         assert model_b.check_axioms().ok
         assert model_b.rank() == 2
@@ -408,6 +416,6 @@ def test_rank2_string_model_small(rank1):
 
     r22 = from_arrangement(RationalArrangement(("e1", "e2"), [(1, 0), (0, 1)]))
     loc = salvetti_localization(r22, {"e1"})
-    for bp in sorted(loc.localized.topes(), key=str):
+    for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp)
         assert len(strat.tope_string) == 2

@@ -54,13 +54,6 @@ def test_text_round_trip():
         assert str(sv(text)) == text
 
 
-def test_reorder():
-    a = sv("+0-")
-    b = a.reorder(("e3", "e1", "e2"))
-    assert str(b) == "-+0"
-    assert b.reorder(E3) == a
-
-
 signs_st = st.lists(st.sampled_from([1, -1, 0]), min_size=1, max_size=8)
 
 

@@ -79,7 +79,7 @@ def main() -> None:
     # reorder the ground set to L1..L9
     order = tuple(sorted(ext.ground))
     reordered = CovectorSystem(
-        order, {c.reorder(order) for c in ext.covectors}
+        order, {SignVector.from_signs((c.sign(lab) for lab in order), order) for c in ext.covectors}
     )
     assert len(reordered) == len(ext)
     assert reordered.check_axioms().ok
