@@ -58,6 +58,24 @@ def commands() -> list[tuple[str, list[str]]]:
             (name, ["morse", "--construction", "fiber", "--flat", flat,
                     "--cell", f"({bp};{bp})", f"--tope={bp}"])
         )
+    for name in CORPUS_NAMES:
+        # the corank-one flats are the zero sets of the cocircuits
+        coatoms = sorted(
+            {",".join(lab for lab, s in c if s == 0) or "{}" for c in corpus(name).cocircuits()}
+        )
+        out += [(name, ["lattice"]), (name, ["supersolvable"])]
+        out += [(name, ["modular", flat]) for flat in coatoms]
+    for name, flat in LOCALIZED:
+        out.append((name, ["localize", "--flat", flat]))
+    for generic in ([], ["--generic"]):
+        out.append(("sec3-arrangement", ["extend-levi", "--flats", "H2,H4", "H3,H5", *generic]))
+    out += [("non-pappus", ["extend-ss"]), ("sec3-arrangement", ["extend-ss"])]
+    # a label set that is not a flat
+    out += [
+        ("sec3-arrangement", ["modular", "H1,H4"]),
+        ("sec3-arrangement", ["localize", "--flat", "H1,H4"]),
+        ("sec3-arrangement", ["certify-qf", "--flat", "H1,H4"]),
+    ]
     return out
 
 
