@@ -402,8 +402,8 @@ def cmd_extend_ss(args) -> int:
     for i, step in enumerate(result.steps):
         report.note(
             f"step.{i + 1}",
-            f"{step.new_element} through {flat_id(step.pivot, system.ground) if step.pivot <= set(system.ground) else sorted(step.pivot)}"
-            f" and {sorted(step.through)}; disjoint {step.disjoint_before} -> {step.disjoint_after}",
+            f"{step.new_element} through {flat_id(step.pivot, result.final.ground)}"
+            f" and {flat_id(step.through, result.final.ground)}; disjoint {step.disjoint_before} -> {step.disjoint_after}",
         )
     lat = build_lattice(result.final)
     report.note("mchain", " < ".join(lat.id(f) for f in result.chain))
