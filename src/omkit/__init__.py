@@ -3,13 +3,12 @@
 from .signs import SignVector, GroundSetMismatchError
 from .posets import FinitePoset, PosetMap, SimplicialComplexRecord
 from .matroids import (
-    AffineCovectorSystem,
     AxiomReport,
     CovectorSystem,
     RationalArrangement,
     from_arrangement,
 )
-from .lattices import GeometricLattice, MChain, build_lattice, flat_id, parse_flat
+from .lattices import GeometricLattice, MChain, build_lattice
 from .corpus import CORPUS_NAMES, corpus
 from .salvetti import SalvettiPoset, salvetti, salvetti_localization, stratify_fiber
 from .morse import (
@@ -33,7 +32,6 @@ __all__ = [
     "FinitePoset",
     "PosetMap",
     "SimplicialComplexRecord",
-    "AffineCovectorSystem",
     "AxiomReport",
     "CovectorSystem",
     "RationalArrangement",
@@ -41,8 +39,6 @@ __all__ = [
     "GeometricLattice",
     "MChain",
     "build_lattice",
-    "flat_id",
-    "parse_flat",
     "CORPUS_NAMES",
     "corpus",
     "SalvettiPoset",

@@ -6,6 +6,10 @@ when every clause of the report passed, 1 when a clause failed, 2 on bad
 input and 3 when an internal invariant breaks.  `corpus` and
 `from-arrangement` produce covector files, so commands compose as
 pipelines.
+
+The library takes flats as ground-bit masks; their text, labels joined
+by commas in ground order with "{}" for the empty flat, is parsed and
+rendered only here.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .homology import (
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
-from .lattices import build_lattice, flat_id, parse_flat
+from .lattices import build_lattice
 from .matroids import CovectorSystem, RationalArrangement, from_arrangement
 from .morse import (
     collapse_ball,
@@ -54,6 +58,19 @@ def _read_system(args) -> CovectorSystem:
     else:
         text = sys.stdin.read()
     return parse_om_text(text).to_system()
+
+
+def flat_id(flat: int, ground: tuple[str, ...]) -> str:
+    """The text of a ground-bit mask over the given ground."""
+    return ",".join(lab for i, lab in enumerate(ground) if flat >> i & 1) or "{}"
+
+
+def parse_flat(text: str, system: CovectorSystem) -> int:
+    """The ground-bit mask of a flat's text; the library checks flatness."""
+    text = text.strip()
+    if text in ("{}", ""):
+        return 0
+    return system.label_mask(t.strip() for t in text.split(","))
 
 
 def _covector(system: CovectorSystem, text: str) -> int:
@@ -142,7 +159,7 @@ def cmd_lattice(args) -> int:
     report.note("whitney", " ".join(map(str, lat.whitney())))
     for r in range(lat.rank() + 1):
         flats = [
-            f"{lat.id(f)} (mu {lat.mobius[f]})" for f in lat.flats_of_rank(r)
+            f"{flat_id(f, system.ground)} (mu {lat.mobius[f]})" for f in lat.flats_of_rank(r)
         ]
         report.note(f"flats.rank{r}", "; ".join(flats))
     report.add("zaslavsky.topes", sum(lat.whitney()) == len(system.topes()),
@@ -153,14 +170,14 @@ def cmd_lattice(args) -> int:
 def cmd_modular(args) -> int:
     system = _read_system(args)
     lat = build_lattice(system)
-    x = parse_flat(args.flat, system.ground)
+    x = parse_flat(args.flat, system)
     check = lat.is_modular_flat(x)
     report = Report("modular")
-    report.note("flat", lat.id(x))
+    report.note("flat", flat_id(x, system.ground))
     witness = None
     if not check.ok:
         z, y = check.witness
-        witness = f"Z={lat.id(z)} Y={lat.id(y)}"
+        witness = f"Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
     report.add("modular", check.ok, witness)
     return _finish(report)
 
@@ -171,7 +188,7 @@ def cmd_supersolvable(args) -> int:
     chain = lat.is_supersolvable()
     report = Report("supersolvable")
     if chain is not None:
-        report.note("mchain", " < ".join(lat.id(f) for f in chain.flats))
+        report.note("mchain", " < ".join(flat_id(f, system.ground) for f in chain.flats))
     report.add("supersolvable", chain is not None, "no maximal chain of modular flats")
     return _finish(report)
 
@@ -207,14 +224,14 @@ def cmd_salvetti(args) -> int:
 
 def cmd_localize(args) -> int:
     system = _read_system(args)
-    x = parse_flat(args.flat, system.ground)
+    x = parse_flat(args.flat, system)
     loc, _rho = system.localization(x)
     return _emit(format_system(loc))
 
 
 def cmd_fiber(args) -> int:
     system = _read_system(args)
-    x = parse_flat(args.flat, system.ground)
+    x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
     cell = _cell(loc.target, args.cell)
     fib = loc.fiber(cell)
@@ -229,7 +246,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_stratify(args) -> int:
     system = _read_system(args)
-    x = parse_flat(args.flat, system.ground)
+    x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
     strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
     names = system.covector_poset().names
@@ -238,8 +255,7 @@ def cmd_stratify(args) -> int:
     report.note("base", args.tope)
     report.note("string", " < ".join(names[t] for t in strat.tope_string))
     for i, s in enumerate(strat.separators):
-        labels = sorted(lab for j, lab in enumerate(system.ground) if s >> j & 1)
-        report.note(f"separator.{i}", ",".join(labels))
+        report.note(f"separator.{i}", flat_id(s, system.ground))
     report.note("strata_sizes", " ".join(str(s.bit_count()) for s in strat.strata))
     report.add(
         "separators.singletons",
@@ -287,7 +303,7 @@ def cmd_morse(args) -> int:
             report.add("critical.is_subcomplex", False, "the dual subcomplex is not an ideal")
     else:
         _require(args, ["flat", "cell", "tope"])
-        x = parse_flat(args.flat, system.ground)
+        x = parse_flat(args.flat, system)
         loc = salvetti_localization(system, x)
         cell = _cell(loc.target, args.cell)
         strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
@@ -310,7 +326,7 @@ def cmd_homology(args) -> int:
     elif args.target == "fiber":
         system = _read_system(args)
         _require(args, ["flat", "cell"])
-        x = parse_flat(args.flat, system.ground)
+        x = parse_flat(args.flat, system)
         loc = salvetti_localization(system, x)
         res = homology(loc.fiber(_cell(loc.target, args.cell)))
     else:
@@ -339,7 +355,7 @@ def cmd_homology(args) -> int:
 
 def cmd_certify_qf(args) -> int:
     system = _read_system(args)
-    x = parse_flat(args.flat, system.ground)
+    x = parse_flat(args.flat, system)
     mode = "exhaustive" if args.exhaustive else "sampled"
     cert = quasi_fibration_certify(system, x, mode=mode, sample=args.sample)
     report = Report("certify-qf")
@@ -381,8 +397,8 @@ def cmd_extend_levi(args) -> int:
     from .extensions import levi_enlargement
 
     system = _read_system(args)
-    x1 = parse_flat(args.flats[0], system.ground)
-    x2 = parse_flat(args.flats[1], system.ground)
+    x1 = parse_flat(args.flats[0], system)
+    x2 = parse_flat(args.flats[1], system)
     result = levi_enlargement(system, x1, x2, generic=args.generic)
     sys.stderr.write(
         f"# new element {result.new_element} through "
@@ -406,10 +422,11 @@ def cmd_extend_ss(args) -> int:
             f" and {flat_id(step.through, result.final.ground)}; disjoint {step.disjoint_before} -> {step.disjoint_after}",
         )
     lat = build_lattice(result.final)
-    report.note("mchain", " < ".join(lat.id(f) for f in result.chain))
+    report.note("mchain", " < ".join(flat_id(f, result.final.ground) for f in result.chain))
     decreasing = all(s.disjoint_after < s.disjoint_before for s in result.steps)
     report.add("disjoint.strictly_decreasing", decreasing, "a step failed to decrease")
-    restricted = {c.restrict(system.ground) for c in result.final.covectors}
+    # the new labels are appended, so the input is the low bits of the final ground
+    restricted = {c.restrict((1 << len(system.ground)) - 1) for c in result.final.covectors}
     report.add(
         "restriction.identity",
         restricted == system.covectors,

@@ -8,14 +8,18 @@ model of that rank-two contraction.  At a leaf the candidate system is
 constructed outright (extended cocircuits, plus the crossing cocircuits
 supported on the new element, then composition closure) and the covector
 axioms are the final arbiter.  Nothing is emitted unverified.
+
+Flats are ground-bit masks and cocircuits covector numbers.  A new label
+is appended to the ground, so a flat of the base is the same mask in the
+extension, and search orders follow the lattice's flat numbering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .lattices import GeometricLattice, build_lattice, flat_id
+from .lattices import GeometricLattice, build_lattice
 from .matroids import CovectorSystem
 from .posets import bits
 from .signs import SignVector, compose_masks
@@ -32,35 +36,18 @@ class LeviSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExtensionSignature:
-    """Signs on cocircuit pair representatives, extended antisymmetrically."""
-
-    system: CovectorSystem
-    values: dict[str, int]  # representative text -> -1, 0, +1
-
-    def value(self, cocircuit: SignVector) -> int:
-        text = str(cocircuit)
-        if text in self.values:
-            return self.values[text]
-        opp = str(cocircuit.opposite())
-        if opp in self.values:
-            return -self.values[opp]
-        raise KeyError(f"{text} is not a known cocircuit")
-
-
-@dataclass(frozen=True)
 class ExtensionResult:
     base: CovectorSystem
     extended: CovectorSystem
     new_element: str
-    signature: ExtensionSignature
-    flat_lift: dict[frozenset[str], frozenset[str]]
+    signature: dict[int, int]  # coatom flat -> sign of its pair representative
+    flat_lift: dict[int, int]  # flat of the base -> the least flat containing it
 
 
 @dataclass(frozen=True)
 class ExtensionConstraints:
-    zero_flats: frozenset[frozenset[str]] = frozenset()
-    nonzero_flats: frozenset[frozenset[str]] = frozenset()
+    zero_flats: frozenset[int] = frozenset()
+    nonzero_flats: frozenset[int] = frozenset()
 
 
 class _SearchSpace:
@@ -74,33 +61,30 @@ class _SearchSpace:
         self.rank = self.lattice.rank()
         if self.rank not in (2, 3):
             raise ExtensionError("extension search supports rank 2 and 3 only")
-        cocircs = sorted(system.cocircuits(), key=str)
-        self.pair_rep: dict[frozenset[str], SignVector] = {}
-        for y in cocircs:
-            z = y.zero_set()
-            if z not in self.pair_rep:
-                self.pair_rep[z] = y
-        self.coatoms = sorted(self.pair_rep, key=lambda f: flat_id(f, system.ground))
-        self.colines = sorted(
-            self.lattice.flats_of_rank(self.rank - 2),
-            key=lambda f: flat_id(f, system.ground),
-        )
+        # each coatom flat carries one cocircuit pair; the representative is
+        # the cocircuit of least number (covectors are numbered by sign text)
+        vectors = system.vectors()
+        cocirc = system.mask(system.cocircuits())
+        self.pair_rep: dict[int, int] = {}
+        for y in bits(cocirc):
+            self.pair_rep.setdefault(vectors[y].zero_mask, y)
+        index = self.lattice.index
+        self.coatoms = sorted(self.pair_rep, key=index.__getitem__)
+        self.colines = sorted(self.lattice.flats_of_rank(self.rank - 2), key=index.__getitem__)
         self.coline_data = [self._coline_candidates(a) for a in self.colines]
         self.var_order = self.coatoms
         # one-dimensional cells with their two boundary cocircuits, for the
         # crossing-cocircuit rule; computed once per search
         edge_rank = self.rank - 2
         poset = system.covector_poset()
-        vectors = system.vectors()
-        cocirc = system.mask(cocircs)
-        self.edge_cells: list[tuple[SignVector, SignVector, SignVector]] = []
+        self.edge_cells: list[tuple[int, int, int]] = []
         for f, v in enumerate(vectors):
-            if self.lattice.rank_of.get(v.zero_set()) != edge_rank:
+            if self.lattice.rank_of.get(v.zero_mask) != edge_rank:
                 continue
             below = bits(poset.below(f) & cocirc)
             if len(below) != 2:
                 raise ExtensionError(f"cell {v} has {len(below)} vertices")
-            self.edge_cells.append((v, vectors[below[0]], vectors[below[1]]))
+            self.edge_cells.append((f, below[0], below[1]))
 
     # -- rank-two contractions as cycles ----------------------------------
 
@@ -139,7 +123,7 @@ class _SearchSpace:
                 raise ExtensionError("cocircuit cycle is not antipodally symmetric")
         return cycle
 
-    def _coline_candidates(self, coline: frozenset[str]) -> tuple[list[frozenset[str]], list[dict[frozenset[str], int]]]:
+    def _coline_candidates(self, coline: int) -> tuple[list[int], list[dict[int, int]]]:
         """All placements of the new element on one rank-two contraction.
 
         Returns the coatom flats through the coline and the complete list
@@ -150,11 +134,12 @@ class _SearchSpace:
         cycle = self._cocircuit_cycle(contraction)
         n2 = len(cycle)
         m = n2 // 2
-        rest = [lab for lab in system.ground if lab not in coline]
-        flats_here = [x for x in self.coatoms if coline <= x]
+        rest = ((1 << len(system.ground)) - 1) & ~coline
+        flats_here = [x for x in self.coatoms if not coline & ~x]
         # identify each cycle position with a coatom flat and a relative sign
-        pos_flat: list[tuple[frozenset[str], int]] = []
-        restricted = {x: self.pair_rep[x].restrict(rest) for x in flats_here}
+        pos_flat: list[tuple[int, int]] = []
+        vectors = system.vectors()
+        restricted = {x: vectors[self.pair_rep[x]].restrict(rest) for x in flats_here}
         for y in cycle:
             hit = None
             for x in flats_here:
@@ -168,15 +153,10 @@ class _SearchSpace:
                 raise ExtensionError("cycle vertex does not match any coatom")
             pos_flat.append(hit)
 
-        candidates: set[tuple[tuple[str, int], ...]] = set()
+        candidates: set[tuple[int, ...]] = set()
 
-        def freeze(vals: dict[frozenset[str], int]) -> tuple[tuple[str, int], ...]:
-            return tuple(
-                (flat_id(x, system.ground), vals[x]) for x in flats_here
-            )
-
-        def signed_assignment(signs_by_pos: list[int]) -> dict[frozenset[str], int]:
-            vals: dict[frozenset[str], int] = {}
+        def signed_assignment(signs_by_pos: list[int]) -> dict[int, int]:
+            vals: dict[int, int] = {}
             for pos, s in enumerate(signs_by_pos):
                 x, rel = pos_flat[pos]
                 v = s * rel
@@ -187,10 +167,10 @@ class _SearchSpace:
                     vals[x] = v
             return vals
 
-        stored: list[dict[frozenset[str], int]] = []
+        stored: list[dict[int, int]] = []
 
-        def add(vals: dict[frozenset[str], int]) -> None:
-            key = freeze(vals)
+        def add(vals: dict[int, int]) -> None:
+            key = tuple(vals[x] for x in flats_here)
             if key not in candidates:
                 candidates.add(key)
                 stored.append(vals)
@@ -237,40 +217,36 @@ def _closure_from_cocircuits(
 
 def _build_extension(
     space: _SearchSpace,
-    values: dict[frozenset[str], int],
+    values: dict[int, int],
     new_label: str,
 ) -> Optional[ExtensionResult]:
     """Construct the candidate system for a full signature and verify it."""
     system = space.system
+    vectors = system.vectors()
     ground = system.ground + (new_label,)
     gbit = 1 << len(system.ground)
-    signature = ExtensionSignature(
-        system,
-        {str(space.pair_rep[x]): v for x, v in values.items()},
-    )
 
-    def signed_value(y: SignVector) -> int:
-        return signature.value(y)
+    def signed_value(y: int) -> int:
+        x = vectors[y].zero_mask
+        return values[x] if y == space.pair_rep[x] else -values[x]
 
     cocirc_masks: set[tuple[int, int]] = set()
-    for x in space.coatoms:
-        for y in (space.pair_rep[x], space.pair_rep[x].opposite()):
-            v = signed_value(y)
-            plus = y.plus | (gbit if v > 0 else 0)
-            minus = y.minus | (gbit if v < 0 else 0)
-            cocirc_masks.add((plus, minus))
+    for x, y in space.pair_rep.items():
+        v, c = values[x], vectors[y]
+        for plus, minus, s in ((c.plus, c.minus, v), (c.minus, c.plus, -v)):
+            cocirc_masks.add((plus | (gbit if s > 0 else 0), minus | (gbit if s < 0 else 0)))
     # crossing cocircuits: one-dimensional cells (zero set of corank two)
     # whose two vertices land on opposite sides of the new element
     for f, y1, y2 in space.edge_cells:
         v1, v2 = signed_value(y1), signed_value(y2)
         if v1 and v2 and v1 == -v2:
-            cocirc_masks.add((f.plus, f.minus))
+            cocirc_masks.add((vectors[f].plus, vectors[f].minus))
     closure = _closure_from_cocircuits(ground, cocirc_masks)
     covectors = {SignVector(ground, p, m) for p, m in closure}
     candidate = CovectorSystem(ground, covectors)
 
     # cheap rejections first, then the axioms as the single source of truth
-    restricted = {c.restrict(system.ground) for c in candidate.covectors}
+    restricted = {c.restrict(gbit - 1) for c in candidate.covectors}
     if restricted != system.covectors:
         return None
     if not candidate.is_simple():
@@ -280,11 +256,11 @@ def _build_extension(
     if candidate.rank() != space.rank:
         return None
 
-    new_lat = build_lattice(candidate)
-    lift: dict[frozenset[str], frozenset[str]] = {}
-    for fl in space.lattice.flats:
-        lift[fl] = min((g for g in new_lat.flats if fl <= g), key=len)
-    return ExtensionResult(system, candidate, new_label, signature, lift)
+    # flats of the new lattice are sorted by size: the first one over a
+    # base flat is its closure
+    new_flats = build_lattice(candidate).flats
+    lift = {fl: next(g for g in new_flats if not fl & ~g) for fl in space.lattice.flats}
+    return ExtensionResult(system, candidate, new_label, values, lift)
 
 
 def single_element_extensions(
@@ -299,13 +275,11 @@ def single_element_extensions(
     constraints = constraints or ExtensionConstraints()
     for f in constraints.zero_flats | constraints.nonzero_flats:
         if f not in space.pair_rep:
-            raise ExtensionError(
-                f"{flat_id(f, system.ground)} is not a coatom flat"
-            )
+            raise ExtensionError(f"{space.lattice.id(f)} is not a coatom flat")
     if new_label in system.ground:
         raise ExtensionError(f"label {new_label!r} already used")
 
-    domains: dict[frozenset[str], tuple[int, ...]] = {}
+    domains: dict[int, tuple[int, ...]] = {}
     for x in space.coatoms:
         if x in constraints.zero_flats:
             domains[x] = (0,)
@@ -315,11 +289,11 @@ def single_element_extensions(
             domains[x] = (1, -1, 0)
 
     # per-coline active candidate tracking
-    coline_of_flat: dict[frozenset[str], list[int]] = {x: [] for x in space.coatoms}
+    coline_of_flat: dict[int, list[int]] = {x: [] for x in space.coatoms}
     for ci, (flats_here, _cands) in enumerate(space.coline_data):
         for x in flats_here:
             coline_of_flat[x].append(ci)
-    active: list[list[dict[frozenset[str], int]]] = []
+    active: list[list[dict[int, int]]] = []
     for ci, (flats_here, cands) in enumerate(space.coline_data):
         keep = [
             c
@@ -328,10 +302,10 @@ def single_element_extensions(
         ]
         active.append(keep)
 
-    assignment: dict[frozenset[str], int] = {}
+    assignment: dict[int, int] = {}
     order = space.var_order
 
-    def compatible(ci: int) -> list[dict[frozenset[str], int]]:
+    def compatible(ci: int) -> list[dict[int, int]]:
         flats_here, _ = space.coline_data[ci]
         out = []
         for cand in active[ci]:
@@ -371,8 +345,8 @@ def single_element_extensions(
 
 def levi_enlargement(
     system: CovectorSystem,
-    flat1: Iterable[str],
-    flat2: Iterable[str],
+    flat1: int,
+    flat2: int,
     generic: bool = False,
     new_label: str = "g",
     lattice: Optional[GeometricLattice] = None,
@@ -389,48 +363,40 @@ def levi_enlargement(
     lat = lattice or build_lattice(system)
     if lat.rank() != 3:
         raise ExtensionError("enlargement applies to rank-three systems")
-    x1, x2 = frozenset(flat1), frozenset(flat2)
+    x1, x2 = flat1, flat2
     for x in (x1, x2):
-        if x not in lat.rank_of or lat.rank_of[x] != 2:
-            raise ExtensionError(f"{flat_id(x, system.ground)} is not a rank-two flat")
+        if lat.rank_of.get(x) != 2:
+            raise ExtensionError(f"{lat.id(x)} is not a rank-two flat")
     if x1 == x2:
         raise ExtensionError("the two flats must be distinct")
     if x1 & x2:
         raise ExtensionError("the two flats must be disjoint")
     zero = frozenset({x1, x2})
-    nonzero: frozenset[frozenset[str]] = frozenset()
+    nonzero: frozenset[int] = frozenset()
     if generic:
         nonzero = frozenset(
             f for f in lat.flats_of_rank(2) if f not in zero
         )
     constraints = ExtensionConstraints(zero, nonzero)
+    gbit = 1 << len(system.ground)
     for result in single_element_extensions(
         system, constraints, new_label, lattice=lat
     ):
-        lifted1 = result.flat_lift[x1]
-        lifted2 = result.flat_lift[x2]
-        if new_label not in lifted1 or new_label not in lifted2:
+        if not result.flat_lift[x1] & result.flat_lift[x2] & gbit:
             continue
-        if generic:
-            others = [
-                f
-                for f in lat.flats_of_rank(2)
-                if f not in (x1, x2) and new_label in result.flat_lift[f]
-            ]
-            if others:
-                continue
+        if generic and any(result.flat_lift[f] & gbit for f in nonzero):
+            continue
         return result
     raise LeviSearchError(
-        f"no enlargement through {flat_id(x1, system.ground)} and "
-        f"{flat_id(x2, system.ground)} found"
+        f"no enlargement through {lat.id(x1)} and {lat.id(x2)} found"
         + ("; the generic search is inconclusive" if generic else "")
     )
 
 
 @dataclass(frozen=True)
 class LeviStep:
-    pivot: frozenset[str]
-    through: frozenset[str]
+    pivot: int
+    through: int
     new_element: str
     disjoint_before: int
     disjoint_after: int
@@ -439,12 +405,15 @@ class LeviStep:
 
 @dataclass(frozen=True)
 class SupersolvableExtension:
+    """The steps, the final system and its modular chain; every flat is a
+    mask over the final ground, which extends each step's ground."""
+
     steps: tuple[LeviStep, ...]
     final: CovectorSystem
-    chain: tuple[frozenset[str], ...]
+    chain: tuple[int, ...]
 
 
-def _disjoint_rank2(lat: GeometricLattice, pivot: frozenset[str]) -> list[frozenset[str]]:
+def _disjoint_rank2(lat: GeometricLattice, pivot: int) -> list[int]:
     return [f for f in lat.flats_of_rank(2) if not (f & pivot)]
 
 
@@ -454,7 +423,7 @@ def supersolvable_extension(
     """Iterate enlargements until some rank-two flat meets all others.
 
     The pivot is the rank-two flat with the fewest disjoint rank-two
-    flats (ties lexicographic) and is lifted along every step; the count
+    flats (ties by flat number) and is lifted along every step; the count
     of flats disjoint from it must drop strictly each time.
     """
     lat = build_lattice(system)
@@ -476,18 +445,15 @@ def supersolvable_extension(
     labels = new_labels or fresh_labels()
     pivot = min(
         lat.flats_of_rank(2),
-        key=lambda f: (len(_disjoint_rank2(lat, f)), flat_id(f, system.ground)),
+        key=lambda f: (len(_disjoint_rank2(lat, f)), lat.index[f]),
     )
     current = system
     steps: list[LeviStep] = []
     while True:
-        disjoint = sorted(
-            _disjoint_rank2(lat, pivot),
-            key=lambda f: flat_id(f, current.ground),
-        )
+        disjoint = _disjoint_rank2(lat, pivot)
         if not disjoint:
             break
-        through = disjoint[0]
+        through = min(disjoint, key=lat.index.__getitem__)
         label = next(lab for lab in labels if lab not in current.ground)
         result = levi_enlargement(
             current, pivot, through, generic=False, new_label=label, lattice=lat

@@ -19,9 +19,9 @@ exact.  The order complex of a poset is the tests' independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
-from .lattices import build_lattice, flat_id
+from .lattices import build_lattice
 from .matroids import CovectorSystem
 from .posets import FinitePoset, SimplicialComplexRecord, bits
 from .salvetti import (
@@ -363,27 +363,8 @@ def betti_numbers(target: Union[SimplicialComplexRecord, FinitePoset]) -> tuple[
 # -- graphs --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphRankReport:
-    connected: bool
-    components: int
-    vertices: int
-    edges: int
-
-    @property
-    def free_rank(self) -> int:
-        if not self.connected:
-            raise ValueError(f"graph has {self.components} components")
-        return self.edges - self.vertices + 1
-
-
 def graph_free_rank(graph: FinitePoset) -> int:
     """Free rank (first Betti number) of a connected 1-dimensional complex."""
-    report = graph_rank_report(graph)
-    return report.free_rank
-
-
-def graph_rank_report(graph: FinitePoset) -> GraphRankReport:
     heights = graph.heights()
     if any(h > 1 for h in heights.values()):
         raise ValueError("complex has cells of dimension above one")
@@ -404,8 +385,10 @@ def graph_rank_report(graph: FinitePoset) -> GraphRankReport:
         a, b = (find(v) for v in ends)
         if a != b:
             parent[a] = b
-    components = len({find(v) for v in vertices}) if vertices else 0
-    return GraphRankReport(components == 1, components, len(vertices), len(edges))
+    components = len({find(v) for v in vertices})
+    if components != 1:
+        raise ValueError(f"graph has {components} components")
+    return len(edges) - len(vertices) + 1
 
 
 # -- spec-level checks ----------------------------------------------------------
@@ -436,7 +419,7 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
         raise ValueError("system is not supersolvable")
     flats = mchain.flats
     out = [
-        len(flats[i + 1] - flats[i]) for i in range(len(flats) - 2, 0, -1)
+        (flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, 0, -1)
     ]
     out.append(1)
     if sum(out) != len(system.ground):
@@ -480,7 +463,7 @@ class QuasiFibrationCertificate:
     """Evidence over the cells of `loc.target`, by number."""
 
     loc: SalvettiLocalization
-    flat: frozenset[str]
+    flat: int
     mode: str
     expected_rank: int
     fibers: tuple[FiberEvidence, ...]
@@ -501,7 +484,7 @@ class QuasiFibrationCertificate:
 
 def quasi_fibration_certify(
     system: CovectorSystem,
-    flat: Iterable[str],
+    flat: int,
     mode: str = "exhaustive",
     sample: int = 24,
 ) -> QuasiFibrationCertificate:
@@ -519,16 +502,14 @@ def quasi_fibration_certify(
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if mode == "sampled" and sample < 1:
         raise ValueError("sample must be at least 1")
-    x = frozenset(flat)
     lat = build_lattice(system)
-    if lat.rank_of.get(x) is None:
-        raise ValueError(f"{flat_id(x, system.ground)} is not a flat")
+    x = lat.check_flat(flat)
     if lat.rank_of[x] != lat.rank() - 1:
         raise ValueError("flat must have corank one")
     if not lat.is_modular_flat(x).ok:
         raise ValueError("flat must be modular")
     loc = salvetti_localization(system, x)
-    expected = len(system.ground) - len(x)
+    expected = len(system.ground) - x.bit_count()
 
     poset = loc.target.poset
     pairs_all = [(a, b) for b in poset.elements for a in bits(poset.below(b))]

@@ -1,9 +1,11 @@
 """The lattice of flats: rank, modularity, supersolvability, Moebius data.
 
-Flats are zero sets of covectors, kept as frozensets of labels with a
-canonical comma-joined rendering in ground-set order (the empty flat
-renders as "{}").  Whitney numbers double as the independent oracle for
-Betti numbers downstream.
+A flat is the zero set of a covector, kept as a ground-bit mask (bit i is
+`ground[i]`).  The lattice numbers its flats once, in the order of their
+ids (the labels comma-joined in ground order, "{}" for the empty flat):
+flat `index[f]` is that element of `poset()`, named by its id, and every
+tie-break between flats sorts by this number.  Whitney numbers double as
+the independent oracle for Betti numbers downstream.
 """
 
 from __future__ import annotations
@@ -15,31 +17,10 @@ from .matroids import CovectorSystem, NotAFlatError
 from .posets import FinitePoset, PosetMap, mask_of
 
 
-def flat_id(flat: Iterable[str], ground: tuple[str, ...]) -> str:
-    members = set(flat)
-    unknown = members.difference(ground)
-    if unknown:
-        raise ValueError(f"labels outside ground set: {sorted(unknown)}")
-    if not members:
-        return "{}"
-    return ",".join(lab for lab in ground if lab in members)
-
-
-def parse_flat(text: str, ground: tuple[str, ...]) -> frozenset[str]:
-    text = text.strip()
-    if text in ("{}", ""):
-        return frozenset()
-    members = [t.strip() for t in text.split(",")]
-    unknown = set(members).difference(ground)
-    if unknown:
-        raise ValueError(f"unknown labels: {sorted(unknown)}")
-    return frozenset(members)
-
-
 @dataclass(frozen=True)
 class ModularityCheck:
     ok: bool
-    witness: Optional[tuple[frozenset[str], frozenset[str]]] = None
+    witness: Optional[tuple[int, int]] = None  # flats (Z, Y) breaking modularity
 
     def __bool__(self) -> bool:
         return self.ok
@@ -49,54 +30,60 @@ class ModularityCheck:
 class MChain:
     """A maximal chain of flats, all modular."""
 
-    flats: tuple[frozenset[str], ...]
+    flats: tuple[int, ...]
 
 
 class GeometricLattice:
-    """Lattice of flats of a simple covector system, ordered by inclusion."""
+    """Lattice of flats of a simple covector system, ordered by inclusion.
+
+    `flats` lists the flats by size, then by number; `names[i]` is the id
+    of flat number i and `index` maps each flat to its number.
+    """
 
     __slots__ = (
         "ground",
         "flats",
+        "names",
+        "index",
         "rank_of",
         "mobius",
         "_poset",
-        "_index",
         "_flats_by_rank",
         "_join_table",
     )
 
-    def __init__(self, ground: tuple[str, ...], flats: Iterable[frozenset[str]]):
-        flist = sorted(set(flats), key=lambda f: (len(f), flat_id(f, ground)))
-        fset = set(flist)
-        if frozenset() not in fset:
+    def __init__(self, ground: tuple[str, ...], flats: Iterable[int]):
+        object.__setattr__(self, "ground", ground)
+        named = sorted((self.id(f), f) for f in set(flats))
+        index = {f: i for i, (_, f) in enumerate(named)}
+        flist = sorted(index, key=lambda f: (f.bit_count(), index[f]))
+        if 0 not in index:
             raise ValueError("bottom flat missing")
-        if frozenset(ground) not in fset:
+        if (1 << len(ground)) - 1 not in index:
             raise ValueError("top flat missing")
         for x in flist:
             for y in flist:
-                if not (x & y) in fset:
+                if x & y not in index:
                     raise ValueError(
-                        f"flats not closed under intersection: "
-                        f"{flat_id(x, ground)} ^ {flat_id(y, ground)}"
+                        f"flats not closed under intersection: {self.id(x)} ^ {self.id(y)}"
                     )
-        object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "flats", tuple(flist))
-        rank_of: dict[frozenset[str], int] = {}
+        object.__setattr__(self, "names", tuple(t for t, _ in named))
+        object.__setattr__(self, "index", index)
+        rank_of: dict[int, int] = {}
         for x in flist:  # flist is sorted by size, so predecessors are done
             rank_of[x] = max(
-                (rank_of[y] + 1 for y in flist if y < x), default=0
+                (rank_of[y] + 1 for y in flist if y != x and not y & ~x), default=0
             )
         object.__setattr__(self, "rank_of", rank_of)
-        mob: dict[frozenset[str], int] = {}
+        mob: dict[int, int] = {}
         for x in flist:
             if not x:
                 mob[x] = 1
             else:
-                mob[x] = -sum(mob[y] for y in flist if y < x)
+                mob[x] = -sum(mob[y] for y in flist if y != x and not y & ~x)
         object.__setattr__(self, "mobius", mob)
         object.__setattr__(self, "_poset", None)
-        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_flats_by_rank", None)
         object.__setattr__(self, "_join_table", None)
         # semimodularity of the rank function, checked once
@@ -105,8 +92,7 @@ class GeometricLattice:
                 jn = self.join(x, y)
                 if rank_of[x] + rank_of[y] < rank_of[jn] + rank_of[x & y]:
                     raise ValueError(
-                        f"rank not semimodular at {flat_id(x, ground)}, "
-                        f"{flat_id(y, ground)}"
+                        f"rank not semimodular at {self.id(x)}, {self.id(y)}"
                     )
 
     def __setattr__(self, name, value):
@@ -115,18 +101,19 @@ class GeometricLattice:
     # -- lattice operations ------------------------------------------------
 
     def rank(self) -> int:
-        return self.rank_of[frozenset(self.ground)]
+        return self.rank_of[(1 << len(self.ground)) - 1]
 
-    def id(self, flat: frozenset[str]) -> str:
-        return flat_id(flat, self.ground)
+    def id(self, flat: int) -> str:
+        """The id of a set of ground elements: its labels comma-joined in
+        ground order, "{}" when empty."""
+        return ",".join(lab for i, lab in enumerate(self.ground) if flat >> i & 1) or "{}"
 
-    def check_flat(self, flat: Iterable[str]) -> frozenset[str]:
-        f = frozenset(flat)
-        if f not in self.rank_of:
-            raise NotAFlatError(f"{flat_id(f, self.ground)} is not a flat")
-        return f
+    def check_flat(self, flat: int) -> int:
+        if flat not in self.index:
+            raise NotAFlatError(f"{self.id(flat)} is not a flat")
+        return flat
 
-    def join(self, x: frozenset[str], y: frozenset[str]) -> frozenset[str]:
+    def join(self, x: int, y: int) -> int:
         if self._join_table is None:
             table = {}
             for a in self.flats:
@@ -134,43 +121,36 @@ class GeometricLattice:
                     if (b, a) in table:
                         table[(a, b)] = table[(b, a)]
                     else:
+                        # the smallest flat containing both: flats are sorted by size
                         u = a | b
-                        table[(a, b)] = min(
-                            (f for f in self.flats if u <= f), key=len
-                        )
+                        table[(a, b)] = next(f for f in self.flats if not u & ~f)
             object.__setattr__(self, "_join_table", table)
         return self._join_table[(x, y)]
 
-    def flats_of_rank(self, r: int) -> tuple[frozenset[str], ...]:
+    def flats_of_rank(self, r: int) -> tuple[int, ...]:
         if self._flats_by_rank is None:
-            byr: dict[int, list[frozenset[str]]] = {}
+            byr: dict[int, list[int]] = {}
             for f in self.flats:
                 byr.setdefault(self.rank_of[f], []).append(f)
             object.__setattr__(self, "_flats_by_rank", byr)
         return tuple(self._flats_by_rank.get(r, ()))
 
     def poset(self) -> FinitePoset:
-        """The flats under inclusion, numbered in the order of their ids."""
+        """The flats under inclusion, element `index[f]` being flat f."""
         if self._poset is None:
-            named = sorted((self.id(f), f) for f in self.flats)
-            flats = [f for _, f in named]
+            index = self.index
             below = {
-                j: mask_of(i for i, x in enumerate(flats) if x <= y)
-                for j, y in enumerate(flats)
+                index[y]: mask_of(index[x] for x in self.flats if not x & ~y)
+                for y in self.flats
             }
-            poset = FinitePoset([t for t, _ in named], below, _validated=True)
-            object.__setattr__(self, "_index", {f: i for i, f in enumerate(flats)})
-            object.__setattr__(self, "_poset", poset)
+            object.__setattr__(self, "_poset", FinitePoset(self.names, below, _validated=True))
         return self._poset
 
-    def index(self, flat: frozenset[str]) -> int:
-        """The element of `poset()` that is this flat."""
-        self.poset()
-        return self._index[self.check_flat(flat)]
-
-    def interval(self, lo: frozenset[str], hi: frozenset[str]) -> FinitePoset:
+    def interval(self, lo: int, hi: int) -> FinitePoset:
         lo, hi = self.check_flat(lo), self.check_flat(hi)
-        cells = mask_of(self.index(f) for f in self.flats if lo <= f <= hi)
+        cells = mask_of(
+            self.index[f] for f in self.flats if not lo & ~f and not f & ~hi
+        )
         return self.poset().subposet(cells)
 
     def whitney(self) -> tuple[int, ...]:
@@ -182,19 +162,19 @@ class GeometricLattice:
 
     # -- modularity and supersolvability -------------------------------------
 
-    def is_modular_flat(self, flat: Iterable[str]) -> ModularityCheck:
+    def is_modular_flat(self, flat: int) -> ModularityCheck:
         """Definition check: Z v (X ^ Y) = (Z v X) ^ Y for all Z <= Y."""
         x = self.check_flat(flat)
         for y in self.flats:
             xy = x & y
             for z in self.flats:
-                if not z <= y:
+                if z & ~y:
                     continue
                 if self.join(z, xy) != self.join(z, x) & y:
                     return ModularityCheck(False, (z, y))
         return ModularityCheck(True)
 
-    def rank3_modular_coatom_test(self, flat: Iterable[str]) -> bool:
+    def rank3_modular_coatom_test(self, flat: int) -> bool:
         """Rank-3 criterion: a rank-2 flat is modular iff it meets every
         rank-2 flat."""
         x = self.check_flat(flat)
@@ -212,7 +192,7 @@ class GeometricLattice:
         against the full-definition quantifier in this lattice; a chain
         that fails it is a broken invariant and raises AssertionError.
         """
-        chain = self._ss_chain(frozenset(self.ground))
+        chain = self._ss_chain((1 << len(self.ground)) - 1)
         if chain is None:
             return None
         for f in chain:
@@ -220,15 +200,12 @@ class GeometricLattice:
                 raise AssertionError(f"the modular chain search returned {self.id(f)}, which is not modular")
         return MChain(tuple(chain))
 
-    def _ss_chain(self, top: frozenset[str]) -> Optional[list[frozenset[str]]]:
+    def _ss_chain(self, top: int) -> Optional[list[int]]:
         r = self.rank_of[top]
         if r == 0:
             return [top]
-        sub = [f for f in self.flats if f <= top]
-        coatoms = sorted(
-            (f for f in sub if self.rank_of[f] == r - 1),
-            key=lambda f: self.id(f),
-        )
+        sub = [f for f in self.flats if not f & ~top]
+        coatoms = sorted((f for f in sub if self.rank_of[f] == r - 1), key=self.index.__getitem__)
         for m in coatoms:
             if not self._modular_in(m, sub):
                 continue
@@ -237,38 +214,33 @@ class GeometricLattice:
                 return rest + [top]
         return None
 
-    def _modular_in(self, x: frozenset[str], universe: list[frozenset[str]]) -> bool:
+    def _modular_in(self, x: int, universe: list[int]) -> bool:
         # joins of flats below max(universe) stay below it, so the global
         # join table is valid inside the subinterval
         for y in universe:
             xy = x & y
             for z in universe:
-                if not z <= y:
+                if z & ~y:
                     continue
                 if self.join(z, xy) != self.join(z, x) & y:
                     return False
         return True
 
-    def brylawski_iso(
-        self, modular: Iterable[str], other: Iterable[str]
-    ) -> tuple[PosetMap, PosetMap]:
+    def brylawski_iso(self, modular: int, other: int) -> tuple[PosetMap, PosetMap]:
         """The interval isomorphism [Y, X v Y] -> [X ^ Y, X] at a modular X,
         Z maps to Z ^ X, with inverse W maps to W v Y."""
         x = self.check_flat(modular)
         y = self.check_flat(other)
         check = self.is_modular_flat(x)
         if not check.ok:
-            raise ValueError(f"{self.id(x)} is not modular; witness {check.witness}")
-        top_int = self.interval(y, self.join(x, y))
-        bot_int = self.interval(x & y, x)
-        down = {}
-        for f in self.flats:
-            if y <= f <= self.join(x, y):
-                down[self.index(f)] = self.index(f & x)
-        up = {}
-        for f in self.flats:
-            if (x & y) <= f <= x:
-                up[self.index(f)] = self.index(self.join(f, y))
+            z, w = check.witness
+            raise ValueError(f"{self.id(x)} is not modular; witness Z={self.id(z)} Y={self.id(w)}")
+        xy, top = x & y, self.join(x, y)
+        top_int = self.interval(y, top)
+        bot_int = self.interval(xy, x)
+        index = self.index
+        down = {index[f]: index[f & x] for f in self.flats if not y & ~f and not f & ~top}
+        up = {index[f]: index[self.join(f, y)] for f in self.flats if not xy & ~f and not f & ~x}
         p_x = PosetMap(top_int, bot_int, down)
         s_y = PosetMap(bot_int, top_int, up)
         for e in top_int.elements:
@@ -282,4 +254,4 @@ class GeometricLattice:
 
 def build_lattice(system: CovectorSystem) -> GeometricLattice:
     """The lattice of zero sets of the covectors."""
-    return GeometricLattice(system.ground, system.flats())
+    return GeometricLattice(system.ground, {c.zero_mask for c in system.covectors})

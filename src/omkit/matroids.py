@@ -149,13 +149,16 @@ class CovectorSystem:
         return SignVector.from_string(text, self.ground)
 
     def label_mask(self, labels: Iterable[str]) -> int:
-        idx = {lab: i for i, lab in enumerate(self.ground)}
-        mask = 0
-        for lab in labels:
-            if lab not in idx:
-                raise ValueError(f"unknown label {lab!r}")
-            mask |= 1 << idx[lab]
-        return mask
+        """The ground-bit mask of a set of labels (bit i is ground[i])."""
+        wanted = set(labels)
+        unknown = wanted.difference(self.ground)
+        if unknown:
+            raise ValueError(f"unknown labels: {sorted(unknown)}")
+        return mask_of(i for i, lab in enumerate(self.ground) if lab in wanted)
+
+    def labels(self, mask: int) -> tuple[str, ...]:
+        """The labels of the ground elements in a mask, in ground order."""
+        return tuple(lab for i, lab in enumerate(self.ground) if mask >> i & 1)
 
     def topes(self) -> frozenset[SignVector]:
         """The maximal covectors of the covector order."""
@@ -290,47 +293,35 @@ class CovectorSystem:
             if z not in chosen:
                 chosen[z] = lab
             rep[lab] = chosen[z]
-        keep = [lab for lab in self.ground if rep.get(lab) == lab]
+        keep = mask_of(i for i, lab in enumerate(self.ground) if rep.get(lab) == lab)
         new_covs = {c.restrict(keep) for c in self.covectors}
-        return SimplifyResult(CovectorSystem(tuple(keep), new_covs), rep, loops)
+        return SimplifyResult(CovectorSystem(self.labels(keep), new_covs), rep, loops)
 
     # -- constructions ---------------------------------------------------------
 
-    def restriction(self, labels: Iterable[str]) -> "CovectorSystem":
-        keep = [lab for lab in self.ground if lab in set(labels)]
-        return CovectorSystem(tuple(keep), {c.restrict(keep) for c in self.covectors})
+    def restriction(self, keep: int) -> "CovectorSystem":
+        """The covectors restricted to the elements of a ground-bit mask."""
+        return CovectorSystem(self.labels(keep), {c.restrict(keep) for c in self.covectors})
 
-    def flats(self) -> frozenset[frozenset[str]]:
-        return frozenset(c.zero_set() for c in self.covectors)
+    def contraction(self, flat: int) -> "CovectorSystem":
+        """Covectors vanishing on a ground-bit mask, restricted to the rest."""
+        full = (1 << len(self.ground)) - 1
+        if flat & ~full:
+            raise ValueError("mask bits outside the ground set")
+        rest = full & ~flat
+        covs = {c.restrict(rest) for c in self.covectors if not (c.support_mask & flat)}
+        return CovectorSystem(self.labels(rest), covs)
 
-    def is_flat(self, labels: Iterable[str]) -> bool:
-        want = frozenset(labels)
-        return want in self.flats()
-
-    def contraction(self, labels: Iterable[str]) -> "CovectorSystem":
-        """Covectors vanishing on the given set, restricted to the rest."""
-        x = set(labels)
-        unknown = x.difference(self.ground)
-        if unknown:
-            raise ValueError(f"unknown labels: {sorted(unknown)}")
-        xmask = self.label_mask(x)
-        rest = [lab for lab in self.ground if lab not in x]
-        covs = {
-            c.restrict(rest) for c in self.covectors if not (c.support_mask & xmask)
-        }
-        return CovectorSystem(tuple(rest), covs)
-
-    def localization(self, flat: Iterable[str]) -> tuple["CovectorSystem", PosetMap]:
-        """The restriction to a flat, with the projection of covector posets."""
-        x = frozenset(flat)
-        if not self.is_flat(x):
-            raise NotAFlatError(f"{sorted(x)} is not a flat")
-        loc = self.restriction(x)
-        keep = [lab for lab in self.ground if lab in x]
+    def localization(self, flat: int) -> tuple["CovectorSystem", PosetMap]:
+        """The restriction to a flat (a ground-bit mask), with the
+        projection of covector posets."""
+        if not any(c.zero_mask == flat for c in self.covectors):
+            raise NotAFlatError(f"{sorted(self.labels(flat))} is not a flat")
+        loc = self.restriction(flat)
         number = loc.numbering()
         assignment = {}
         for i, c in enumerate(self.vectors()):
-            r = c.restrict(keep)
+            r = c.restrict(flat)
             assignment[i] = number[r.plus, r.minus]
         return loc, PosetMap(self.covector_poset(), loc.covector_poset(), assignment, _validated=True)
 
@@ -338,7 +329,7 @@ class CovectorSystem:
         """The section iota_alpha of the localization at z(alpha)."""
         if alpha not in self:
             raise ValueError("alpha is not a covector of this system")
-        loc, _rho = self.localization(alpha.zero_set())
+        loc, _rho = self.localization(alpha.zero_mask)
         number = self.numbering()
         assignment = {}
         for i, c in enumerate(loc.vectors()):
@@ -364,15 +355,6 @@ class CovectorSystem:
             )
             object.__setattr__(self, "_cocircuits", out)
         return self._cocircuits
-
-    def decone(self, g: str) -> "AffineCovectorSystem":
-        if g not in self.ground:
-            raise ValueError(f"unknown label {g!r}")
-        if g in self.loops():
-            raise ValueError(f"{g!r} is a loop; the decone would be empty")
-        i = self.ground.index(g)
-        plus_side = frozenset(c for c in self.covectors if c.plus >> i & 1)
-        return AffineCovectorSystem(self, g, plus_side)
 
     # -- poset views ----------------------------------------------------------
 
@@ -412,24 +394,6 @@ class CovectorSystem:
         """The mask of the given covectors in the covector poset."""
         number = self.numbering()
         return mask_of(number[v.plus, v.minus] for v in vectors)
-
-    def big_face_lattice_map(self) -> PosetMap:
-        """z as an order preserving map from the dual covector poset to flats."""
-        from .lattices import build_lattice
-
-        lat = build_lattice(self)
-        src = self.covector_poset().dual()
-        assignment = {i: lat.index(c.zero_set()) for i, c in enumerate(self.vectors())}
-        return PosetMap(src, lat.poset(), assignment)
-
-
-@dataclass(frozen=True)
-class AffineCovectorSystem:
-    """The covectors positive on a distinguished element."""
-
-    base: CovectorSystem
-    positive_element: str
-    covectors_plus: frozenset[SignVector]
 
 
 # -- realizable construction ----------------------------------------------

@@ -64,6 +64,12 @@ def parse_om_text(text: str) -> OMFile:
             dup = next((lab for i, lab in enumerate(ground) if lab in ground[:i]), None)
             if dup is not None:
                 raise OMFileError(f"duplicate ground label {dup!r}")
+            # flat ids join labels with commas and name the empty flat {}
+            for lab in ground:
+                if "," in lab:
+                    raise OMFileError(f"ground label {lab!r} contains a comma")
+                if lab == "{}":
+                    raise OMFileError(f"ground label {lab!r} is the empty flat's id")
             continue
         if line in ("covectors:", "topes:", "arrangement:"):
             section = line[:-1]

@@ -7,15 +7,15 @@ covector poset.  Everything here is by number: a covector or tope is its
 element of `system.covector_poset()`, and cell k is the pair `keys[k]` of
 covector numbers (`index` inverts it).  Cells are numbered in the order of
 their ids "(sigma;T)", which are rendered once, as the poset's names; sign
-text is parsed and rendered only by the command line.  The fiber
-stratification over a modular corank-one flat is the combinatorial heart
-of the quasi-fibration certificates.
+text is parsed and rendered only by the command line.  A flat is a
+ground-bit mask.  The fiber stratification over a modular corank-one flat
+is the combinatorial heart of the quasi-fibration certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .lattices import build_lattice, GeometricLattice
 from .matroids import CovectorSystem, section_lift
@@ -82,21 +82,13 @@ def salvetti(system: CovectorSystem) -> SalvettiPoset:
     return SalvettiPoset(system)
 
 
-def affine_salvetti(system: CovectorSystem, g: str) -> FinitePoset:
-    """The subposet on the cells whose face (hence tope) is positive on g."""
-    bit = system.label_mask([g])
-    vectors = system.vectors()
-    salv = SalvettiPoset(system)
-    return salv.poset.subposet(mask_of(k for k, (c, _) in enumerate(salv.keys) if vectors[c].plus & bit))
-
-
 @dataclass(frozen=True)
 class SalvettiLocalization:
     """The localization map between Salvetti posets at a flat, with the
     covector-level localization `rho` it is induced by."""
 
     system: CovectorSystem
-    flat: frozenset[str]
+    flat: int
     localized: CovectorSystem
     source: SalvettiPoset
     target: SalvettiPoset
@@ -108,7 +100,7 @@ class SalvettiLocalization:
         equal to the flat."""
         system = self.system
         vectors = system.vectors()
-        if alpha not in system.covector_poset() or vectors[alpha].zero_mask != system.label_mask(self.flat):
+        if alpha not in system.covector_poset() or vectors[alpha].zero_mask != self.flat:
             raise ValueError("alpha must be a covector with zero set the flat")
         number = system.numbering()
         lift = []
@@ -131,17 +123,14 @@ class SalvettiLocalization:
         return self.map.fiber(cell)
 
 
-def salvetti_localization(
-    system: CovectorSystem, flat: Iterable[str]
-) -> SalvettiLocalization:
-    x = frozenset(flat)
-    localized, rho = system.localization(x)
+def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocalization:
+    localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
     r = rho.assignment
     assignment = {k: target.index[r[f], r[t]] for k, (f, t) in enumerate(source.keys)}
     pmap = PosetMap(source.poset, target.poset, assignment)
-    return SalvettiLocalization(system, x, localized, source, target, pmap, rho)
+    return SalvettiLocalization(system, flat, localized, source, target, pmap, rho)
 
 
 def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:
@@ -225,8 +214,9 @@ def stratify_fiber(
         raise StratificationError(f"{lattice.id(x)} does not have corank 1")
     check = lattice.is_modular_flat(x)
     if not check.ok:
+        z, y = check.witness
         raise StratificationError(
-            f"{lattice.id(x)} is not modular; witness {check.witness}"
+            f"{lattice.id(x)} is not modular; witness Z={lattice.id(z)} Y={lattice.id(y)}"
         )
     loc_order = loc.localized.covector_poset()
     if not loc_order.maximal_elements() >> base & 1:
@@ -237,8 +227,7 @@ def stratify_fiber(
     number = system.numbering()
     rho = loc.rho.assignment
     # the two covectors with zero set X; the lex-smaller one anchors the string
-    xmask = system.label_mask(x)
-    anchors = [v for v in vectors if v.zero_mask == xmask]
+    anchors = [v for v in vectors if v.zero_mask == x]
     if len(anchors) != 2:
         raise AssertionError("corank-one flat must carry exactly two covectors")
     # iota_alpha(B') = B' on X, alpha elsewhere
@@ -258,8 +247,7 @@ def stratify_fiber(
     )
     for s in separators:
         if s.bit_count() != 1:
-            labels = sorted(lab for i, lab in enumerate(system.ground) if s >> i & 1)
-            raise AssertionError(f"consecutive fiber topes separate by {labels}")
+            raise AssertionError(f"consecutive fiber topes separate by {lattice.id(s)}")
 
     top = loc.target.index[loc.localized.numbering()[0, 0], base]
     fiber = loc.fiber(top)
@@ -312,36 +300,37 @@ def stratify_fiber(
 
 def fiber_rank2_model(
     loc: SalvettiLocalization, base: int, g: str = "g"
-) -> tuple[CovectorSystem, dict[str, str]]:
+) -> tuple[CovectorSystem, dict[int, int]]:
     """A rank-two system whose decone matches the covector fiber over a
     tope of the localization (by number).
 
     The fiber cells keep their values off the flat and gain a positive
     entry on a fresh element; the two covectors supported exactly off the
     flat become the model's extra cocircuit pair.  Returns the model and
-    the cell correspondence (fiber covector text -> model covector text).
+    the cell correspondence (fiber covector number -> model covector
+    number).
     """
     system = loc.system
-    x = loc.flat
     if g in system.ground:
         raise ValueError(f"label {g!r} already in use")
-    rest = [lab for lab in system.ground if lab not in x]
+    rest = ((1 << len(system.ground)) - 1) & ~loc.flat
     vectors = system.vectors()
     rho = loc.rho.assignment
-    ground = tuple(rest) + (g,)
-    gi = len(rest)
+    ground = system.labels(rest) + (g,)
+    gbit = 1 << (len(ground) - 1)
     model: set[SignVector] = {SignVector.zero(ground)}
-    mapping: dict[str, str] = {}
+    lifted: dict[int, SignVector] = {}
     for c, vc in enumerate(vectors):
         if rho[c] != base:
             continue
         r = vc.restrict(rest)
-        v = SignVector(ground, r.plus | (1 << gi), r.minus)
-        model.add(v)
-        model.add(v.opposite())
-        mapping[str(vc)] = str(v)
-    anchors = sorted((c for c in system.covectors if c.zero_set() == x), key=str)
-    for a in anchors:
-        r = a.restrict(rest)
-        model.add(SignVector(ground, r.plus, r.minus))
-    return CovectorSystem(ground, model), mapping
+        lifted[c] = SignVector(ground, r.plus | gbit, r.minus)
+        model.add(lifted[c])
+        model.add(lifted[c].opposite())
+    for a in vectors:
+        if a.zero_mask == loc.flat:
+            r = a.restrict(rest)
+            model.add(SignVector(ground, r.plus, r.minus))
+    out = CovectorSystem(ground, model)
+    number = out.numbering()
+    return out, {c: number[v.plus, v.minus] for c, v in lifted.items()}

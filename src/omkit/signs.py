@@ -111,15 +111,6 @@ class SignVector:
     def zero_mask(self) -> int:
         return ((1 << len(self.labels)) - 1) & ~(self.plus | self.minus)
 
-    def _labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(lab for i, lab in enumerate(self.labels) if mask >> i & 1)
-
-    def zero_set(self) -> frozenset[str]:
-        return self._labels_of(self.zero_mask)
-
-    def support(self) -> frozenset[str]:
-        return self._labels_of(self.support_mask)
-
     # -- the calculus ------------------------------------------------
 
     def _check_ground(self, other: "SignVector") -> None:
@@ -142,30 +133,21 @@ class SignVector:
         self._check_ground(other)
         return (self.plus & other.minus) | (self.minus & other.plus)
 
-    def separator(self, other: "SignVector") -> frozenset[str]:
-        return self._labels_of(self.separator_mask(other))
-
     def opposite(self) -> "SignVector":
         return SignVector(self.labels, self.minus, self.plus)
 
-    def restrict(self, sub: Iterable[str]) -> "SignVector":
-        """Restriction to a label subset, kept in ground-set order."""
-        keep = set(sub)
-        unknown = keep.difference(self.labels)
-        if unknown:
-            raise ValueError(f"labels outside the ground set: {sorted(unknown)}")
-        new_labels = tuple(lab for lab in self.labels if lab in keep)
+    def restrict(self, keep: int) -> "SignVector":
+        """Restriction to the elements of a ground-bit mask, kept in ground order."""
+        if keep >> len(self.labels):
+            raise ValueError("mask bits outside the ground set")
+        labels = []
         plus = minus = 0
-        j = 0
         for i, lab in enumerate(self.labels):
-            if lab in keep:
-                bit = 1 << i
-                if self.plus & bit:
-                    plus |= 1 << j
-                elif self.minus & bit:
-                    minus |= 1 << j
-                j += 1
-        return SignVector(new_labels, plus, minus)
+            if keep >> i & 1:
+                plus |= (self.plus >> i & 1) << len(labels)
+                minus |= (self.minus >> i & 1) << len(labels)
+                labels.append(lab)
+        return SignVector(tuple(labels), plus, minus)
 
     def leq(self, other: "SignVector") -> bool:
         """Product partial order with 0 < + and 0 < -."""

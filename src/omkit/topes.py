@@ -196,6 +196,8 @@ def verify_shelling(
     maximal = complex_poset.maximal_elements()
     if mask_of(cells) != maximal or len(cells) != maximal.bit_count():
         return ShellingReport(False, "order is not a permutation of the maximal cells")
+    if not cells:
+        return ShellingReport(True)  # the empty complex, as in _exists_shelling_with_prefix
     d = dims[cells[0]]
     if any(dims[c] != d for c in bits(maximal)):
         return ShellingReport(False, "complex is not pure")

@@ -66,7 +66,7 @@ def test_criterion_1_axioms_and_corpus(all_corpus):
 def test_criterion_2_running_example_fidelity(five_planes):
     started = time.monotonic()
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     ok = lat.is_modular_flat(x).ok
     loc = salvetti_localization(five_planes, x)
     # the base tope of the figure: the string must separate first at H4,
@@ -82,8 +82,8 @@ def test_criterion_2_running_example_fidelity(five_planes):
     if chosen:
         t0, t1, t2 = (five_planes.vectors()[t] for t in chosen.tope_string)
         ok = ok and len(chosen.tope_string) == 3
-        ok = ok and t1.separator(t2) == {"H5"}
-        ok = ok and t0.separator(t2) == {"H4", "H5"}
+        ok = ok and t1.separator_mask(t2) == h5
+        ok = ok and t0.separator_mask(t2) == h4 | h5
     ok = ok and (time.monotonic() - started) < 1.0
     _verdict("criterion 2 (running-example fidelity)", ok, started)
 
@@ -107,11 +107,11 @@ def test_criterion_3_betti_cross_oracle(all_corpus):
 
 def test_criterion_4_main_certificate(five_planes):
     started = time.monotonic()
-    cert = quasi_fibration_certify(five_planes, {"H1", "H2", "H3"}, mode="exhaustive")
+    cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}), mode="exhaustive")
     ok = cert.ok
     ok = ok and all(f.betti == (1, 2) and f.torsion_free for f in cert.fibers)
     ok = ok and cert.expected_rank == 2
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     want_pairs = sum(
         loc.target.poset.below(b).bit_count() for b in loc.target.poset.elements
     )
@@ -217,7 +217,7 @@ def test_criterion_7_supersolvable_extension(non_pappus):
     lat = build_lattice(result.final)
     chain = lat.is_supersolvable()
     ok = ok and chain is not None
-    restricted = {c.restrict(non_pappus.ground) for c in result.final.covectors}
+    restricted = {c.restrict((1 << len(non_pappus.ground)) - 1) for c in result.final.covectors}
     ok = ok and restricted == non_pappus.covectors
     ok = ok and (time.monotonic() - started) < 600.0
     _verdict("criterion 7 (supersolvable extension)", ok, started)
@@ -229,7 +229,7 @@ def test_criterion_8_rank_data(five_planes):
     ok = seq == (2, 2, 1)
     res = homology(salvetti(five_planes).poset)
     ok = ok and sum(seq) == 5 == res.betti[1]
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
         ok = ok and graph_free_rank(loc.fiber(cid)) == 2
     _verdict("criterion 8 (fundamental-group rank data)", ok, started)
@@ -243,8 +243,8 @@ def test_criterion_9_property_suites(all_corpus):
         # sign-vector laws, exhaustive on pairs, sampled triples when large
         for a in covs:
             for b in covs:
-                ok = ok and a.compose(b).zero_set() == a.zero_set() & b.zero_set()
-                ok = ok and a.separator(b) == b.separator(a)
+                ok = ok and a.compose(b).zero_mask == a.zero_mask & b.zero_mask
+                ok = ok and a.separator_mask(b) == b.separator_mask(a)
             if not ok:
                 break
         rng = random.Random(5)
@@ -267,7 +267,6 @@ def _localization_laws_ok(system) -> bool:
     covs = sorted(system.covectors, key=str)
     big = len(covs) > 100
     for x in lat.flats:
-        keep = [lab for lab in system.ground if lab in x]
         loc, rho = system.localization(x)
         pairs = (
             itertools.product(covs, covs)
@@ -275,10 +274,8 @@ def _localization_laws_ok(system) -> bool:
             else zip(covs, reversed(covs))
         )
         for a, b in pairs:
-            ok = ok and a.compose(b).restrict(keep) == a.restrict(keep).compose(
-                b.restrict(keep)
-            )
-        anchors = [c for c in covs if c.zero_set() == x]
+            ok = ok and a.compose(b).restrict(x) == a.restrict(x).compose(b.restrict(x))
+        anchors = [c for c in covs if c.zero_mask == x]
         for alpha in anchors:
             iota = system.section_iota(alpha)
             ok = ok and all(

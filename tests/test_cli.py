@@ -63,6 +63,11 @@ def test_parse_rejects_malformed():
         parse_om_text("ground: a b\ncovectors:\n++\n")  # zero missing
     with pytest.raises(OMFileError, match="duplicate ground label 'a'"):
         parse_om_text("ground: a a\ncovectors:\n00\n++\n--\n")
+    # flat ids join labels with commas and name the empty flat {}
+    with pytest.raises(OMFileError, match="ground label 'a,b' contains a comma"):
+        parse_om_text("ground: a,b c\ncovectors:\n00\n++\n--\n")
+    with pytest.raises(OMFileError, match="ground label '{}' is the empty flat's id"):
+        parse_om_text("ground: a {}\ncovectors:\n00\n++\n--\n")
 
 
 def test_corpus_pipe_check_axioms(capsys):
@@ -162,7 +167,7 @@ def test_morse_commands(capsys):
     )
     assert code == 0
     text5 = om_text("sec3-arrangement")
-    loc = corpus("sec3-arrangement").restriction({"H1", "H2", "H3"})
+    loc = corpus("sec3-arrangement").restriction(0b00111)  # H1, H2, H3
     bp = sorted(str(t) for t in loc.topes())[0]
     code, out = run(
         capsys,
@@ -185,7 +190,7 @@ def test_homology_command(capsys):
 
 def test_homology_fiber_and_complex_file(capsys, tmp_path):
     text = om_text("sec3-arrangement")
-    loc = corpus("sec3-arrangement").restriction({"H1", "H2", "H3"})
+    loc = corpus("sec3-arrangement").restriction(0b00111)  # H1, H2, H3
     bp = sorted(str(t) for t in loc.topes())[0]
     code, out = run(
         capsys,

@@ -43,7 +43,7 @@ def commands() -> list[tuple[str, list[str]]]:
         ]
     for name, flat in LOCALIZED:
         system = corpus(name)
-        loc = system.restriction(flat.split(","))
+        loc = system.restriction(system.label_mask(flat.split(",")))
         loc_topes = sorted(loc.topes(), key=str)
         cells = sorted(
             f"({c};{t})" for t in loc_topes for c in loc.covectors if c.leq(t)

@@ -21,7 +21,7 @@ def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
     cocircuit sets followed by composition closure and the axiom check."""
     ground = base.ground + (new_label,)
     n = len(ground)
-    full = (1 << n) - 1
+    low = (1 << len(base.ground)) - 1  # the base elements
     candidates = []
     for signs in itertools.product((1, -1, 0), repeat=n):
         if all(s == 0 for s in signs):
@@ -32,7 +32,7 @@ def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
     for v in candidates:
         # restrictions of covectors are covectors of the restriction, so
         # candidate cocircuits must restrict into the base system
-        if v.restrict(base.ground) not in base.covectors:
+        if v.restrict(low) not in base.covectors:
             continue
         key = min(str(v), str(v.opposite()))
         reps.setdefault(key, v)
@@ -67,7 +67,7 @@ def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
                 v for pair in ((c, c.opposite()) for c in combo) for v in pair
             ):
                 continue
-            restricted = {c.restrict(base.ground) for c in system.covectors}
+            restricted = {c.restrict(low) for c in system.covectors}
             if restricted == base.covectors:
                 found.append(frozenset(str(c) for c in system.covectors))
     return set(found)
@@ -86,9 +86,7 @@ def test_rank2_extension_count_matches_brute_force(uniform23):
 def test_extensions_restrict_to_base(five_planes):
     count = 0
     for result in single_element_extensions(five_planes):
-        restricted = {
-            c.restrict(five_planes.ground) for c in result.extended.covectors
-        }
+        restricted = {c.restrict(0b11111) for c in result.extended.covectors}
         assert restricted == five_planes.covectors
         assert result.extended.check_axioms().ok
         assert result.extended.is_simple()
@@ -102,53 +100,57 @@ def test_parallel_placements_are_filtered(five_planes):
     # forcing the new element onto every flat through H1 would make it a
     # copy of H1; the stream under those constraints is empty
     lat = build_lattice(five_planes)
-    through = frozenset(f for f in lat.flats_of_rank(2) if "H1" in f)
+    through = frozenset(f for f in lat.flats_of_rank(2) if f & five_planes.label_mask({"H1"}))
     constraints = ExtensionConstraints(zero_flats=through)
     assert list(single_element_extensions(five_planes, constraints)) == []
 
 
+# the new element g is appended to the five planes' ground: bit 5
+G = 1 << 5
+
+
 def test_levi_enlargement_five_planes(five_planes):
-    x1 = frozenset({"H2", "H4"})
-    x2 = frozenset({"H3", "H5"})
+    x1 = five_planes.label_mask({"H2", "H4"})
+    x2 = five_planes.label_mask({"H3", "H5"})
     result = levi_enlargement(five_planes, x1, x2)
     assert result.new_element == "g"
-    assert "g" in result.flat_lift[x1]
-    assert "g" in result.flat_lift[x2]
+    assert result.extended.ground == five_planes.ground + ("g",)
+    assert result.flat_lift[x1] == x1 | G
+    assert result.flat_lift[x2] == x2 | G
     lat = build_lattice(result.extended)
     assert lat.rank_of[result.flat_lift[x1]] == 2
     assert lat.rank_of[result.flat_lift[x2]] == 2
 
 
 def test_levi_enlargement_generic(five_planes):
-    x1 = frozenset({"H2", "H4"})
-    x2 = frozenset({"H3", "H5"})
+    x1 = five_planes.label_mask({"H2", "H4"})
+    x2 = five_planes.label_mask({"H3", "H5"})
     result = levi_enlargement(five_planes, x1, x2, generic=True)
     lat5 = build_lattice(five_planes)
     for f in lat5.flats_of_rank(2):
         if f in (x1, x2):
-            assert "g" in result.flat_lift[f]
+            assert result.flat_lift[f] & G
         else:
-            assert "g" not in result.flat_lift[f]
+            assert not result.flat_lift[f] & G
 
 
 def test_levi_preconditions(five_planes):
-    with pytest.raises(ExtensionError):
-        levi_enlargement(five_planes, {"H2", "H4"}, {"H3", "H4"})  # not disjoint
-    with pytest.raises(ExtensionError):
-        levi_enlargement(five_planes, {"H1"}, {"H2", "H4"})  # wrong rank
+    flat = five_planes.label_mask
+    with pytest.raises(ExtensionError, match="disjoint"):
+        levi_enlargement(five_planes, flat({"H2", "H4"}), flat({"H3", "H4"}))
+    with pytest.raises(ExtensionError, match="H1 is not a rank-two flat"):
+        levi_enlargement(five_planes, flat({"H1"}), flat({"H2", "H4"}))
+    with pytest.raises(ExtensionError, match="H1,H4 is not a rank-two flat"):
+        levi_enlargement(five_planes, flat({"H1", "H4"}), flat({"H2", "H5"}))
 
 
 def test_levi_non_pappus(non_pappus):
     lat = build_lattice(non_pappus)
-    disjoint = [
-        (x, y)
-        for x in lat.flats_of_rank(2)
-        for y in lat.flats_of_rank(2)
-        if x < y or (x != y and not (x & y))
-    ]
-    x1, x2 = next((x, y) for x, y in disjoint if not (x & y))
+    lines = lat.flats_of_rank(2)
+    x1, x2 = next((x, y) for x in lines for y in lines if not (x & y))
     result = levi_enlargement(non_pappus, x1, x2)
-    assert "g" in result.flat_lift[x1] and "g" in result.flat_lift[x2]
+    g = 1 << len(non_pappus.ground)
+    assert result.flat_lift[x1] & result.flat_lift[x2] & g
 
 
 def test_supersolvable_extension_trivial(five_planes):
@@ -161,9 +163,9 @@ def test_single_enlargement_suffices_for_off_pivot(five_planes):
     # {H2,H4} has exactly one disjoint rank-2 flat, so one enlargement
     # through it already makes the lifted pivot meet everything
     lat = build_lattice(five_planes)
-    pivot = frozenset({"H2", "H4"})
+    pivot = five_planes.label_mask({"H2", "H4"})
     disjoint = [f for f in lat.flats_of_rank(2) if not (f & pivot)]
-    assert disjoint == [frozenset({"H3", "H5"})]
+    assert disjoint == [five_planes.label_mask({"H3", "H5"})]
     result = levi_enlargement(five_planes, pivot, disjoint[0])
     new_lat = build_lattice(result.extended)
     lifted = result.flat_lift[pivot]
@@ -177,9 +179,8 @@ def test_supersolvable_extension_non_pappus(non_pappus):
     for step in result.steps:
         assert step.disjoint_after < step.disjoint_before
     # the restriction to the original nine elements is exactly the input
-    restricted = {
-        c.restrict(non_pappus.ground) for c in result.final.covectors
-    }
+    low = (1 << len(non_pappus.ground)) - 1
+    restricted = {c.restrict(low) for c in result.final.covectors}
     assert restricted == non_pappus.covectors
     lat = build_lattice(result.final)
     chain = lat.is_supersolvable()
@@ -201,7 +202,7 @@ def test_extension_output_carries_the_fibration_structure(non_pappus):
     x = coatoms[0]
     cert = quasi_fibration_certify(result.final, x, mode="exhaustive")
     assert cert.ok
-    assert cert.expected_rank == len(result.final.ground) - len(x)
+    assert cert.expected_rank == len(result.final.ground) - x.bit_count()
     # exhaustive: one pair per comparable pair a <= b of the localized poset
     loc = salvetti_localization(result.final, x)
     assert len(cert.pairs) == len(loc.target.poset.pairs())
@@ -219,9 +220,9 @@ def test_rank3_dfs_matches_raw_scan(five_planes):
     for values in itertools.product((1, -1, 0), repeat=len(coatoms)):
         built = _build_extension(space, dict(zip(coatoms, values)), "g")
         if built is not None:
-            raw.add(frozenset(built.signature.values.items()))
+            raw.add(frozenset(built.signature.items()))
     dfs = {
-        frozenset(e.signature.values.items())
+        frozenset(e.signature.items())
         for e in single_element_extensions(five_planes, new_label="g")
     }
     assert dfs == raw
@@ -240,7 +241,7 @@ def test_supersolvable_extension_of_uniform_system():
     result = supersolvable_extension(u6)
     assert [s.disjoint_before for s in result.steps] == [6, 5, 4, 3, 2, 1]
     assert len(result.final.ground) == 12
-    restricted = {c.restrict(u6.ground) for c in result.final.covectors}
+    restricted = {c.restrict((1 << len(u6.ground)) - 1) for c in result.final.covectors}
     assert restricted == u6.covectors
     assert build_lattice(result.final).is_supersolvable() is not None
 
@@ -258,9 +259,9 @@ def test_prune_soundness_and_completeness(uniform23):
         assignment = dict(zip(coatoms, values))
         built = _build_extension(space, assignment, "g")
         if built is not None:
-            raw.add(frozenset(built.signature.values.items()))
+            raw.add(frozenset(built.signature.items()))
     dfs = {
-        frozenset(e.signature.values.items())
+        frozenset(e.signature.items())
         for e in single_element_extensions(uniform23, new_label="g")
     }
     assert dfs == raw

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from omkit.lattices import build_lattice, flat_id, parse_flat
+from omkit.cli import flat_id, parse_flat
+from omkit.lattices import build_lattice
 from omkit.matroids import NotAFlatError
 
 
@@ -18,17 +19,29 @@ def _poly_product(*factors):
     return out
 
 
-def test_flat_ids():
-    ground = ("H1", "H2", "H3")
-    assert flat_id(frozenset(), ground) == "{}"
-    assert flat_id({"H3", "H1"}, ground) == "H1,H3"
-    assert parse_flat("H1,H3", ground) == {"H1", "H3"}
-    assert parse_flat("{}", ground) == frozenset()
+def test_flat_ids(five_planes):
+    ground = five_planes.ground
+    assert flat_id(0, ground) == "{}"
+    assert flat_id(0b00101, ground) == "H1,H3"
+    assert parse_flat("H3, H1", five_planes) == 0b00101
+    assert parse_flat("{}", five_planes) == 0
+    with pytest.raises(ValueError, match=r"unknown labels: \['H9'\]"):
+        parse_flat("H1,H9", five_planes)
+
+
+def test_flats_are_numbered_by_id(all_corpus):
+    for name, system in all_corpus.items():
+        lat = build_lattice(system)
+        assert list(lat.names) == sorted(flat_id(f, system.ground) for f in lat.flats), name
+        assert all(lat.names[lat.index[f]] == lat.id(f) == flat_id(f, system.ground) for f in lat.flats)
+        assert lat.poset().names == lat.names
+        # flats are listed by size, ties by number
+        assert list(lat.flats) == sorted(lat.flats, key=lambda f: (f.bit_count(), lat.index[f]))
 
 
 def test_rank1_lattice(rank1):
     lat = build_lattice(rank1)
-    assert lat.flats == (frozenset(), frozenset({"e1"}))
+    assert lat.flats == (0, 1)
     assert lat.whitney() == (1, 1)
 
 
@@ -54,18 +67,18 @@ def test_five_planes_whitney_factorization(five_planes):
 
 def test_modularity(five_planes):
     lat = build_lattice(five_planes)
-    assert lat.is_modular_flat({"H1", "H2", "H3"}).ok
-    check = lat.is_modular_flat({"H2", "H4"})
+    flat = five_planes.label_mask
+    assert lat.is_modular_flat(flat({"H1", "H2", "H3"})).ok
+    x = flat({"H2", "H4"})
+    check = lat.is_modular_flat(x)
     assert not check.ok
     z, y = check.witness
-    assert z <= y
-    assert lat.join(z, frozenset({"H2", "H4"}) & y) != (
-        lat.join(z, frozenset({"H2", "H4"})) & y
-    )
-    assert lat.is_modular_flat(frozenset()).ok
-    assert lat.is_modular_flat(frozenset(five_planes.ground)).ok
-    with pytest.raises(NotAFlatError):
-        lat.is_modular_flat({"H1", "H4"})
+    assert not z & ~y
+    assert lat.join(z, x & y) != lat.join(z, x) & y
+    assert lat.is_modular_flat(0).ok
+    assert lat.is_modular_flat(flat(five_planes.ground)).ok
+    with pytest.raises(NotAFlatError, match="H1,H4 is not a flat"):
+        lat.is_modular_flat(flat({"H1", "H4"}))
 
 
 def test_rank3_criterion_matches_definition(five_planes, braid3, non_pappus):
@@ -77,9 +90,10 @@ def test_rank3_criterion_matches_definition(five_planes, braid3, non_pappus):
 
 def test_rank3_criterion_specific_cases(five_planes):
     lat = build_lattice(five_planes)
-    assert lat.rank3_modular_coatom_test(frozenset({"H1", "H2", "H3"}))
-    assert lat.rank3_modular_coatom_test(frozenset({"H1", "H4", "H5"}))
-    assert not lat.rank3_modular_coatom_test(frozenset({"H2", "H4"}))
+    flat = five_planes.label_mask
+    assert lat.rank3_modular_coatom_test(flat({"H1", "H2", "H3"}))
+    assert lat.rank3_modular_coatom_test(flat({"H1", "H4", "H5"}))
+    assert not lat.rank3_modular_coatom_test(flat({"H2", "H4"}))
 
 
 def test_supersolvable_five_planes(five_planes):
@@ -87,7 +101,7 @@ def test_supersolvable_five_planes(five_planes):
     chain = lat.is_supersolvable()
     ids = [lat.id(f) for f in chain.flats]
     assert ids == ["{}", "H1", "H1,H2,H3", "H1,H2,H3,H4,H5"]
-    sizes = [len(b - a) for a, b in zip(chain.flats, chain.flats[1:])]
+    sizes = [(b & ~a).bit_count() for a, b in zip(chain.flats, chain.flats[1:])]
     assert all(s >= 1 for s in sizes)
     assert sum(sizes) == len(five_planes.ground)
 
@@ -108,7 +122,7 @@ def test_uniform_rank3_not_supersolvable():
     )
     lat = build_lattice(system)
     assert lat.rank() == 3
-    assert all(len(f) == 2 for f in lat.flats_of_rank(2))
+    assert all(f.bit_count() == 2 for f in lat.flats_of_rank(2))
     assert lat.is_supersolvable() is None
 
 
@@ -118,8 +132,8 @@ def brute_force_supersolvable(lat):
     for chain in itertools.permutations(
         [f for f in lat.flats if 0 < lat.rank_of[f] < r], r - 1
     ):
-        flats = [frozenset(), *chain, frozenset(lat.ground)]
-        if all(a < b for a, b in zip(flats, flats[1:])) and all(
+        flats = [0, *chain, (1 << len(lat.ground)) - 1]
+        if all(a != b and not a & ~b for a, b in zip(flats, flats[1:])) and all(
             lat.rank_of[f] == i for i, f in enumerate(flats)
         ):
             if all(f in modular for f in flats):
@@ -135,8 +149,8 @@ def test_supersolvable_against_brute_force(all_corpus):
 
 def test_brylawski_iso(five_planes):
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
-    y = frozenset({"H4"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
+    y = five_planes.label_mask({"H4"})
     p_x, s_y = lat.brylawski_iso(x, y)
     # [Y, X v Y] is the interval from H4 up to everything
     assert len(p_x.source) == len(p_x.target)
@@ -150,14 +164,14 @@ def test_brylawski_iso(five_planes):
     # degenerate cases are identities
     p_id, s_id = lat.brylawski_iso(x, x)
     assert all(p_id.assignment[e] == e for e in p_id.source.elements)
-    p0, s0 = lat.brylawski_iso(x, frozenset())
+    p0, s0 = lat.brylawski_iso(x, 0)
     assert all(p0.assignment[e] == e for e in p0.source.elements)
 
 
 def test_brylawski_requires_modular(five_planes):
     lat = build_lattice(five_planes)
-    with pytest.raises(ValueError):
-        lat.brylawski_iso(frozenset({"H2", "H4"}), frozenset({"H1"}))
+    with pytest.raises(ValueError, match="H2,H4 is not modular; witness Z="):
+        lat.brylawski_iso(five_planes.label_mask({"H2", "H4"}), five_planes.label_mask({"H1"}))
 
 
 def test_brylawski_bijective_everywhere(five_planes):
@@ -186,7 +200,7 @@ def test_supersolvable_raises_on_a_non_modular_chain(five_planes, monkeypatch, c
     from omkit.lattices import GeometricLattice
     from omkit.omfile import format_system
 
-    bad = [frozenset(), frozenset({"H2"}), frozenset({"H2", "H4"}), frozenset(five_planes.ground)]
+    bad = [five_planes.label_mask(f) for f in ((), ("H2",), ("H2", "H4"), five_planes.ground)]
     monkeypatch.setattr(GeometricLattice, "_ss_chain", lambda self, top: bad)
     with pytest.raises(AssertionError, match="returned H2,H4, which is not modular"):
         build_lattice(five_planes).is_supersolvable()

@@ -12,6 +12,7 @@ from omkit.matroids import (
     from_arrangement,
     section_lift,
 )
+from omkit.posets import PosetMap
 from omkit.signs import GroundSetMismatchError, SignVector
 
 
@@ -85,25 +86,25 @@ def test_simplify_collapses_parallel_and_loops():
 def test_restriction_composes(five_planes):
     a = ("H1", "H2", "H3", "H4")
     b = ("H1", "H3")
-    once = five_planes.restriction(b)
-    twice = five_planes.restriction(a).restriction(b)
+    once = five_planes.restriction(five_planes.label_mask(b))
+    sub = five_planes.restriction(five_planes.label_mask(a))
+    twice = sub.restriction(sub.label_mask(b))
     assert once.covectors == twice.covectors
-    full = five_planes.restriction(five_planes.ground)
+    full = five_planes.restriction(five_planes.label_mask(five_planes.ground))
     assert full.covectors == five_planes.covectors
 
 
 def test_localization_at_modular_flat(five_planes):
-    loc, rho = five_planes.localization({"H1", "H2", "H3"})
+    loc, rho = five_planes.localization(five_planes.label_mask({"H1", "H2", "H3"}))
     assert len(loc.topes()) == 6
     assert loc.rank() == 2
     assert rho.image() == rho.target.members
-    with pytest.raises(NotAFlatError):
-        five_planes.localization({"H1", "H4"})
+    with pytest.raises(NotAFlatError, match=r"\['H1', 'H4'\] is not a flat"):
+        five_planes.localization(five_planes.label_mask({"H1", "H4"}))
 
 
 def test_localization_preserves_composition(five_planes):
-    loc, rho = five_planes.localization({"H1", "H2", "H3"})
-    keep = [lab for lab in five_planes.ground if lab in {"H1", "H2", "H3"}]
+    keep = five_planes.label_mask({"H1", "H2", "H3"})
     covs = sorted(five_planes.covectors, key=str)[::7]
     for a in covs:
         for b in covs:
@@ -113,16 +114,16 @@ def test_localization_preserves_composition(five_planes):
 
 
 def test_contraction(five_planes):
-    contracted = five_planes.contraction({"H4"})
+    contracted = five_planes.contraction(five_planes.label_mask({"H4"}))
     assert contracted.ground == ("H1", "H2", "H3", "H5")
     assert contracted.rank() == 2
     assert contracted.check_axioms().ok
 
 
 def test_section_iota_identity(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     alpha = sorted(
-        (c for c in five_planes.covectors if c.zero_set() == x), key=str
+        (c for c in five_planes.covectors if c.zero_mask == x), key=str
     )[0]
     iota = five_planes.section_iota(alpha)
     loc, rho = five_planes.localization(x)
@@ -177,23 +178,11 @@ def test_arrangement_input_validation():
         RationalArrangement(("a",), [(1, 0), (0, 1)])
 
 
-def test_decone(rank1, uniform23):
-    aff = rank1.decone("e1")
-    assert {str(c) for c in aff.covectors_plus} == {"+"}
-    for g in uniform23.ground:
-        aff2 = uniform23.decone(g)
-        tope_count = sum(1 for c in aff2.covectors_plus if c in uniform23.topes())
-        vertex_count = sum(
-            1 for c in aff2.covectors_plus if c in uniform23.cocircuits()
-        )
-        assert tope_count == 3
-        assert vertex_count == 2
-
-
 def test_zero_map_cover_preserving(five_planes):
     # z is order reversing, surjective onto the flats, and sends covers to covers
     lat = build_lattice(five_planes)
-    zmap = five_planes.big_face_lattice_map()
+    zero_set = {i: lat.index[c.zero_mask] for i, c in enumerate(five_planes.vectors())}
+    zmap = PosetMap(five_planes.covector_poset().dual(), lat.poset(), zero_set)
     assert zmap.image() == zmap.target.members
     lat_covers = zmap.target.covers()
     for a, b in zmap.source.covers():

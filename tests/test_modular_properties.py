@@ -15,8 +15,9 @@ import pytest
 from omkit.lattices import build_lattice
 
 
-def _flat_zero(cover, labels):
-    return frozenset(lab for lab, s in cover if s == 0) & frozenset(labels)
+def _within(system, sub, flat):
+    """A flat of `system` as a ground-bit mask over the restriction `sub`."""
+    return sub.label_mask(system.labels(flat))
 
 
 def test_face_extension_on_modular_flats(five_planes, uniform23):
@@ -26,16 +27,14 @@ def test_face_extension_on_modular_flats(five_planes, uniform23):
         for x in lat.flats:
             if not lat.is_modular_flat(x).ok:
                 continue
-            keep_x = [lab for lab in system.ground if lab in x]
             for sigma, tau in itertools.combinations(covs, 2):
-                y = sigma.zero_set()
-                if tau.zero_set() != y:
+                y = sigma.zero_mask
+                if tau.zero_mask != y:
                     continue
-                if sigma.restrict(keep_x) != tau.restrict(keep_x):
+                if sigma.restrict(x) != tau.restrict(x):
                     continue
                 join = lat.join(x, y)
-                keep_j = [lab for lab in system.ground if lab in join]
-                assert sigma.restrict(keep_j) == tau.restrict(keep_j)
+                assert sigma.restrict(join) == tau.restrict(join)
 
 
 def test_minimal_lift_zero_sets(five_planes):
@@ -47,20 +46,17 @@ def test_minimal_lift_zero_sets(five_planes):
     covs = sorted(system.covectors, key=str)
     checked = 0
     for x in lat.flats:
-        keep = [lab for lab in system.ground if lab in x]
         loc = system.restriction(x)
         for y in lat.flats:
             meet = x & y
             for sigma in sorted(loc.covectors, key=str):
-                sigma_zero = frozenset(
-                    lab for lab, s in sigma if s == 0
-                )
-                if not (meet <= sigma_zero):
+                sigma_zero = system.label_mask(lab for lab, s in sigma if s == 0)
+                if meet & ~sigma_zero:
                     continue
                 preimage = [
                     tau
                     for tau in covs
-                    if tau.restrict(keep) == sigma and y <= tau.zero_set()
+                    if tau.restrict(x) == sigma and not y & ~tau.zero_mask
                 ]
                 if not preimage:
                     continue
@@ -71,7 +67,7 @@ def test_minimal_lift_zero_sets(five_planes):
                 ]
                 want = lat.join(sigma_zero, y)
                 for tau in dual_minimal:
-                    assert tau.zero_set() == want
+                    assert tau.zero_mask == want
                 checked += 1
     assert checked > 500
 
@@ -85,31 +81,21 @@ def test_restriction_interval_isomorphism(five_planes, uniform23):
         for x in lat.flats:
             if not lat.is_modular_flat(x).ok:
                 continue
-            keep_x = [lab for lab in system.ground if lab in x]
             for y in lat.flats:
                 join = lat.join(x, y)
-                keep_j = [lab for lab in system.ground if lab in join]
                 loc_join = system.restriction(join)
+                y_in_join = _within(system, loc_join, y)
                 source = sorted(
-                    (
-                        s
-                        for s in loc_join.covectors
-                        if all(s.sign(lab) == 0 for lab in y)
-                    ),
+                    (s for s in loc_join.covectors if not s.support_mask & y_in_join),
                     key=str,
                 )
                 loc_x = system.restriction(x)
-                meet = x & y
+                meet_in_x = _within(system, loc_x, x & y)
                 target = sorted(
-                    (
-                        s
-                        for s in loc_x.covectors
-                        if all(s.sign(lab) == 0 for lab in meet)
-                    ),
+                    (s for s in loc_x.covectors if not s.support_mask & meet_in_x),
                     key=str,
                 )
-                keep_x_in_join = [lab for lab in keep_j if lab in x]
-                images = [s.restrict(keep_x_in_join) for s in source]
+                images = [s.restrict(_within(system, loc_join, x)) for s in source]
                 assert len(set(images)) == len(source)  # injective
                 assert set(images) == set(target)  # onto
                 # order isomorphism: comparabilities transfer both ways
@@ -123,27 +109,18 @@ def test_interval_isomorphism_fails_without_modularity(five_planes):
     # contraction: exhibits why the hypothesis matters
     system = five_planes
     lat = build_lattice(system)
-    x = frozenset({"H2", "H4"})
+    x = system.label_mask({"H2", "H4"})
     assert not lat.is_modular_flat(x).ok
     found_failure = False
     for y in lat.flats:
         join = lat.join(x, y)
-        keep_j = [lab for lab in system.ground if lab in join]
         loc_join = system.restriction(join)
-        source = [
-            s
-            for s in loc_join.covectors
-            if all(s.sign(lab) == 0 for lab in y)
-        ]
-        keep_x_in_join = [lab for lab in keep_j if lab in x]
-        images = [s.restrict(keep_x_in_join) for s in source]
+        y_in_join = _within(system, loc_join, y)
+        source = [s for s in loc_join.covectors if not s.support_mask & y_in_join]
+        images = [s.restrict(_within(system, loc_join, x)) for s in source]
         loc_x = system.restriction(x)
-        meet = x & y
-        target = {
-            s
-            for s in loc_x.covectors
-            if all(s.sign(lab) == 0 for lab in meet)
-        }
+        meet_in_x = _within(system, loc_x, x & y)
+        target = {s for s in loc_x.covectors if not s.support_mask & meet_in_x}
         if len(set(images)) != len(source) or set(images) != target:
             found_failure = True
     assert found_failure

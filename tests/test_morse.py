@@ -256,7 +256,7 @@ def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, unif
 
 def test_fiber_matchings_exhaustive(five_planes):
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     cells = loc.target.poset.elements
     max_cells = bits(loc.target.poset.maximal_elements())
@@ -271,7 +271,7 @@ def test_fiber_matchings_exhaustive(five_planes):
 
 
 def test_fiber_matching_maximal_cell_is_empty(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     top = bits(loc.target.poset.maximal_elements())[0]
     bp = loc.target.keys[top][1]
@@ -282,7 +282,7 @@ def test_fiber_matching_maximal_cell_is_empty(five_planes):
 def test_fiber_matching_minimal_cell_graph(five_planes):
     from omkit.homology import graph_free_rank
 
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bottom = bits(loc.target.poset.minimal_elements())[0]
     tope = loc.target.keys[bottom][1]
@@ -293,7 +293,7 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
 
 
 def test_morse_certificate(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     top = bits(loc.target.poset.maximal_elements())[0]
     bottom = bits(loc.target.poset.minimal_elements())[0]

@@ -4,6 +4,7 @@ import pytest
 
 from omkit.posets import FinitePoset, PosetError, PosetMap, mask_of
 from omkit.corpus import corpus
+from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
 
 
@@ -155,7 +156,10 @@ def test_poset_fiber():
 
 
 def test_poset_fiber_of_zero_map(rank1):
-    zmap = rank1.big_face_lattice_map()
+    # z sends a covector (in the dual order) to its zero set
+    lat = build_lattice(rank1)
+    zero_set = {i: lat.index[c.zero_mask] for i, c in enumerate(rank1.vectors())}
+    zmap = PosetMap(rank1.covector_poset().dual(), lat.poset(), zero_set)
     atom = zmap.target.names.index("e1")
     fib = zmap.fiber(atom)
     assert fib.names_of(fib.members) == ["+", "-", "0"]

@@ -4,7 +4,6 @@ from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.salvetti import (
     SalvettiPoset,
-    affine_salvetti,
     fiber_rank2_model,
     localization_square_commutes,
     principal_ideal_iso,
@@ -23,7 +22,7 @@ def tope_numbers(system):
 
 def anchor_numbers(system, x):
     """The covectors (by number) whose zero set is the flat x."""
-    return [c for c, v in enumerate(system.vectors()) if v.zero_set() == x]
+    return [c for c, v in enumerate(system.vectors()) if v.zero_mask == x]
 
 
 def definition_order(system):
@@ -48,7 +47,7 @@ def test_salvetti_order_matches_definition(all_corpus, five_planes):
     for name, system in all_corpus.items():
         poset = salvetti(system).poset
         assert named(poset, poset.pairs()) == definition_order(system), name
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert named(loc.target.poset, loc.target.poset.pairs()) == definition_order(loc.localized)
 
 
@@ -124,7 +123,7 @@ def test_numbering_follows_names_on_the_corpus(all_corpus):
 
 
 def test_numbering_follows_names_on_the_localization(five_planes):
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for poset in (loc.source.poset, loc.target.poset):
         assert_numbered_by_name(poset)
         assert_views_match_relation(poset)
@@ -191,20 +190,20 @@ def test_cell_ids_round_trip(all_corpus):
 
 
 def test_localization_map(five_planes):
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert len(loc.target) == 24
     assert loc.map.image() == loc.target.poset.members
     with pytest.raises(NotAFlatError):
-        salvetti_localization(five_planes, {"H1", "H4"})
+        salvetti_localization(five_planes, five_planes.label_mask({"H1", "H4"}))
 
 
 def test_localization_identity_flat(five_planes):
-    loc = salvetti_localization(five_planes, five_planes.ground)
+    loc = salvetti_localization(five_planes, five_planes.label_mask(five_planes.ground))
     assert all(loc.map.assignment[c] == c for c in loc.source.poset.elements)
 
 
 def test_sections_of_localization(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     anchors = anchor_numbers(five_planes, x)
     assert len(anchors) == 2
@@ -220,7 +219,7 @@ def test_fibers_connected(five_planes, braid3):
         (five_planes, {"H1", "H2", "H3"}),
         (braid3, {"12", "13", "23"}),
     ):
-        loc = salvetti_localization(system, flat)
+        loc = salvetti_localization(system, system.label_mask(flat))
         for cid in loc.target.poset.elements:
             assert betti_numbers(loc.fiber(cid))[0] == 1
 
@@ -234,19 +233,13 @@ def test_principal_ideal_isomorphism(five_planes, rank1):
 
 
 def test_localization_square(five_planes):
-    loc = salvetti_localization(five_planes, {"H1", "H2", "H3"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for tope in tope_numbers(five_planes):
         assert localization_square_commutes(loc, tope)
 
 
-def test_affine_salvetti_is_graph(uniform23):
-    aff = affine_salvetti(uniform23, "e1")
-    heights = aff.heights()
-    assert max(heights.values()) <= 1
-
-
 def test_fiber_of_minimal_cell_contains_it(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     for cid in bits(loc.target.poset.minimal_elements()):
         lifted = loc.section(anchor_numbers(five_planes, x)[0]).assignment[cid]
@@ -254,15 +247,14 @@ def test_fiber_of_minimal_cell_contains_it(five_planes):
 
 
 def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bp = tope_numbers(loc.localized)[0]
     base = loc.localized.vectors()[bp]
-    keep = [lab for lab in five_planes.ground if lab in x]
     zero, zero_loc = five_planes.numbering()[0, 0], loc.localized.numbering()[0, 0]
     fiber = loc.fiber(loc.target.index[zero_loc, bp])
     vectors = five_planes.vectors()
-    over = [t for t in tope_numbers(five_planes) if vectors[t].restrict(keep) == base]
+    over = [t for t in tope_numbers(five_planes) if vectors[t].restrict(x) == base]
     union = 0
     for t in over:
         union |= loc.source.poset.below(loc.source.index[zero, t])
@@ -274,7 +266,7 @@ def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
 
 def test_stratification(five_planes):
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     vectors = five_planes.vectors()
     for bp in tope_numbers(loc.localized):
@@ -300,11 +292,10 @@ def test_stratification(five_planes):
 def test_section_lifts_are_string_ends(five_planes):
     # iota_alpha(B') and iota_beta(B') are the two end topes of the string
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    keep = [lab for lab in five_planes.ground if lab in x]
     anchors = sorted(
-        (c for c in five_planes.covectors if c.zero_set() == x), key=str
+        (c for c in five_planes.covectors if c.zero_mask == x), key=str
     )
     vectors = five_planes.vectors()
     for bp in tope_numbers(loc.localized):
@@ -314,9 +305,8 @@ def test_section_lifts_are_string_ends(five_planes):
         lifts = set()
         for alpha in anchors:
             plus, minus = alpha.plus, alpha.minus
-            idx = {lab: i for i, lab in enumerate(five_planes.ground)}
-            for j, lab in enumerate(keep):
-                bit = 1 << idx[lab]
+            for j, i in enumerate(bits(x)):
+                bit = 1 << i
                 if base.plus >> j & 1:
                     plus |= bit
                 elif base.minus >> j & 1:
@@ -332,7 +322,7 @@ def test_strata_are_contraction_balls(five_planes):
     # the dual of the covectors vanishing on its separator element, via
     # forgetting the tope coordinate
     lat = build_lattice(five_planes)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     system = five_planes
     covs = system.vectors()
@@ -349,9 +339,8 @@ def test_strata_are_contraction_balls(five_planes):
             lifted = set(strat.lifts[i])
             assert lifted == set(bits(stratum))
             vectors = system.vectors() if i == 0 else loc.localized.vectors()
-            keep = [lab for lab in system.ground if lab in x]
             for c, cid in zip(vectors, strat.lifts[i]):
-                face = faces[cid] if i == 0 else faces[cid].restrict(keep)
+                face = faces[cid] if i == 0 else faces[cid].restrict(x)
                 assert face == c
             if i == 0:
                 want = set(system.covectors)
@@ -369,11 +358,11 @@ def test_strata_are_contraction_balls(five_planes):
 def test_stratification_refuses_bad_flats(five_planes, braid3):
     from omkit.salvetti import StratificationError
 
-    loc = salvetti_localization(five_planes, {"H2", "H4"})
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H2", "H4"}))
     bp = tope_numbers(loc.localized)[0]
     with pytest.raises(StratificationError):
         stratify_fiber(loc, bp)  # not modular
-    loc1 = salvetti_localization(five_planes, {"H1"})
+    loc1 = salvetti_localization(five_planes, five_planes.label_mask({"H1"}))
     bp1 = tope_numbers(loc1.localized)[0]
     with pytest.raises(StratificationError):
         stratify_fiber(loc1, bp1)  # corank 2, not 1
@@ -381,29 +370,31 @@ def test_stratification_refuses_bad_flats(five_planes, braid3):
 
 def test_fiber_cells_have_low_dimension(five_planes):
     # over a modular corank-one flat the covector-level fiber is a string
-    x = frozenset({"H1", "H2", "H3"})
-    keep = [lab for lab in five_planes.ground if lab in x]
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc_system = five_planes.restriction(x)
     lat = build_lattice(five_planes)
     for bp in sorted(loc_system.topes(), key=str):
         for c in five_planes.covectors:
-            if c.restrict(keep) == bp:
-                assert lat.rank_of[c.zero_set()] <= 1
+            if c.restrict(x) == bp:
+                assert lat.rank_of[c.zero_mask] <= 1
 
 
 def test_rank2_model_of_fiber(five_planes, braid3):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bp = tope_numbers(loc.localized)[0]
     model, mapping = fiber_rank2_model(loc, bp)
     assert model.check_axioms().ok
     assert model.rank() == 2
-    aff = model.decone("g")
-    assert len(aff.covectors_plus) == len(mapping)
+    # the fiber covectors correspond to the model's covectors positive on g
+    assert set(mapping) == {c for c, r in loc.rho.assignment.items() if r == bp}
+    g = model.label_mask({"g"})
+    positive = {y for y, v in enumerate(model.vectors()) if v.plus & g}
+    assert set(mapping.values()) == positive
     # fiber string: three topes and two one-dimensional cells
-    tope_count = sum(1 for c in aff.covectors_plus if c in model.topes())
-    assert tope_count == 3
-    locb = salvetti_localization(braid3, {"12", "13", "23"})
+    topes = model.covector_poset().maximal_elements()
+    assert sum(1 for y in positive if topes >> y & 1) == 3
+    locb = salvetti_localization(braid3, braid3.label_mask({"12", "13", "23"}))
     for bpb in tope_numbers(locb.localized):
         model_b, _ = fiber_rank2_model(locb, bpb)
         assert model_b.check_axioms().ok
@@ -415,7 +406,7 @@ def test_rank2_string_model_small(rank1):
     from omkit.matroids import RationalArrangement, from_arrangement
 
     r22 = from_arrangement(RationalArrangement(("e1", "e2"), [(1, 0), (0, 1)]))
-    loc = salvetti_localization(r22, {"e1"})
+    loc = salvetti_localization(r22, r22.label_mask({"e1"}))
     for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp)
         assert len(strat.tope_string) == 2

@@ -1,7 +1,10 @@
-"""Sign-vector text is parsed only by the command line.  The library
-modules that work by element number must not turn text back into sign
-vectors: this scans their source for calls of `CovectorSystem.vector`,
-`SignVector.from_string` and `CovectorSystem.from_strings`."""
+"""Sign-vector and flat text are parsed only by the command line.  The
+library modules that work by element number must not turn text back into
+sign vectors, and those that take flats as ground-bit masks must not turn
+labels back into flats: this scans their source for calls of
+`CovectorSystem.vector`, `SignVector.from_string` and
+`CovectorSystem.from_strings`, and of `parse_flat` and
+`CovectorSystem.label_mask`."""
 
 import ast
 from pathlib import Path
@@ -9,17 +12,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "omkit"
 BY_NUMBER = ("salvetti", "topes", "morse", "homology")
 PARSERS = {"vector", "from_string", "from_strings"}
+BY_MASK = ("lattices", "extensions", "salvetti", "homology", "morse", "topes")
+LABEL_PARSERS = {"parse_flat", "label_mask"}
 
 
-def text_parsing_calls(path: Path) -> list[str]:
-    """`file:line name` for every call of a sign-text parser in a file."""
+def text_parsing_calls(path: Path, parsers: set[str] = PARSERS) -> list[str]:
+    """`file:line name` for every call of one of the parsers in a file."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in PARSERS:
+        if name in parsers:
             out.append(f"{path.name}:{node.lineno} {name}")
     return out
 
@@ -29,6 +34,18 @@ def test_numbered_modules_parse_no_sign_text():
     assert found == []
 
 
+def test_mask_modules_parse_no_label_text():
+    found = [
+        hit
+        for module in BY_MASK
+        for hit in text_parsing_calls(SRC / f"{module}.py", LABEL_PARSERS)
+    ]
+    assert found == []
+
+
 def test_the_scan_sees_the_command_line_parsers():
-    # the command line is where sign text is parsed, so the scan finds it there
+    # the command line is where sign and flat text is parsed, so the scan finds it there
     assert any(hit.endswith(" vector") for hit in text_parsing_calls(SRC / "cli.py"))
+    cli_flats = text_parsing_calls(SRC / "cli.py", LABEL_PARSERS)
+    assert any(hit.endswith(" parse_flat") for hit in cli_flats)
+    assert any(hit.endswith(" label_mask") for hit in cli_flats)

@@ -6,6 +6,7 @@ import pytest
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.topes import (
     NotATopeError,
+    ShellingReport,
     all_convex_tope_sets,
     convex_hull,
     dual_subcomplex,
@@ -22,9 +23,8 @@ from omkit.topes import (
 def fiber_topes(system, flat, base_text):
     """The mask of the topes restricting to the given tope of the flat."""
     loc, _ = system.localization(flat)
-    keep = [lab for lab in system.ground if lab in flat]
     base = loc.vector(base_text)
-    return system.mask(t for t in system.topes() if t.restrict(keep) == base)
+    return system.mask(t for t in system.topes() if t.restrict(flat) == base)
 
 
 def all_topes(system):
@@ -62,7 +62,7 @@ def test_tope_poset_requires_tope(five_planes):
 
 
 def test_fiber_tope_distances(five_planes):
-    q = bits(fiber_topes(five_planes, frozenset({"H1", "H2", "H3"}), "+++"))
+    q = bits(fiber_topes(five_planes, five_planes.label_mask({"H1", "H2", "H3"}), "+++"))
     assert len(q) == 3
     # anchor the string at an end tope: distance 2 to the other end
     ends = [t for t in q if max(dist(five_planes, t, r) for r in q) == 2]
@@ -70,8 +70,9 @@ def test_fiber_tope_distances(five_planes):
     t0, t1, t2 = sorted(q, key=lambda t: dist(five_planes, t, base))
     assert dist(five_planes, t0, t1) + dist(five_planes, t1, t2) == dist(five_planes, t0, t2)
     vectors = five_planes.vectors()
-    assert vectors[t0].separator(vectors[t2]) == {"H4", "H5"}
-    assert vectors[t1].separator(vectors[t2]) in ({"H5"}, {"H4"})
+    h4, h5 = five_planes.label_mask({"H4"}), five_planes.label_mask({"H5"})
+    assert vectors[t0].separator_mask(vectors[t2]) == h4 | h5
+    assert vectors[t1].separator_mask(vectors[t2]) in (h4, h5)
 
 
 def test_halfspace(five_planes):
@@ -96,25 +97,24 @@ def test_convexity_trivial_cases(five_planes):
 
 
 def test_fiber_topes_convex(five_planes):
-    loc, _ = five_planes.localization({"H1", "H2", "H3"})
+    loc, _ = five_planes.localization(five_planes.label_mask({"H1", "H2", "H3"}))
     for base in sorted(loc.topes(), key=str):
-        q = fiber_topes(five_planes, frozenset({"H1", "H2", "H3"}), str(base))
+        q = fiber_topes(five_planes, five_planes.label_mask({"H1", "H2", "H3"}), str(base))
         assert is_convex(five_planes, q)
 
 
 def test_all_localization_fibers_convex_and_match_dual_subcomplex(five_planes):
     # over every cell of the localization: the fiber topes are convex and
     # the dual subcomplex they generate is exactly the covector fiber
-    x = frozenset({"H1", "H2", "H3"})
-    keep = [lab for lab in five_planes.ground if lab in x]
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     loc, _ = five_planes.localization(x)
     topes = five_planes.topes()
     for sigma in sorted(loc.covectors, key=str):
-        q = five_planes.mask(t for t in topes if sigma.leq(t.restrict(keep)))
+        q = five_planes.mask(t for t in topes if sigma.leq(t.restrict(x)))
         assert is_convex(five_planes, q)
         if q:
             fiber = {
-                c for c in five_planes.covectors if sigma.leq(c.restrict(keep))
+                c for c in five_planes.covectors if sigma.leq(c.restrict(x))
             }
             assert dual_subcomplex(five_planes, q) == five_planes.mask(fiber)
 
@@ -176,7 +176,7 @@ def test_shelling_order_puts_a_convex_prefix_first(uniform23, five_planes):
 
 
 def test_convex_first_extension(five_planes):
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     q = fiber_topes(five_planes, x, "+++")
     # an end tope of the fiber string works as the base
     ends = [t for t in bits(q) if max(dist(five_planes, t, r) for r in bits(q)) == 2]
@@ -278,6 +278,9 @@ def test_condition_two_failure_detected():
 def test_zero_dimensional_complex_shelling(rank1):
     points = FinitePoset.antichain(("p", "q"))
     assert verify_shelling(points, shelling(points, "p", "q"), depth=5).ok
+    # the empty complex has the empty shelling; a nonempty one does not
+    assert verify_shelling(FinitePoset([], {}), [], 3) == ShellingReport(True)
+    assert not verify_shelling(points, (), depth=5).ok
 
 
 def test_shelling_detects_non_ideal_swap(five_planes):
@@ -317,14 +320,13 @@ def test_subcomplexes(five_planes, braid3):
     assert dual_subcomplex(five_planes, 0) == 0
     with pytest.raises(NotATopeError):
         subcomplex_LQ(five_planes, everything)
-    x = frozenset({"H1", "H2", "H3"})
+    x = five_planes.label_mask({"H1", "H2", "H3"})
     q = fiber_topes(five_planes, x, "+++")
-    keep = [lab for lab in five_planes.ground if lab in x]
     # the dual subcomplex of the fiber topes is the covector-level fiber
     got = dual_subcomplex(five_planes, q)
     base = five_planes.restriction(x).vector("+++")
     fiber = {
-        c for c in five_planes.covectors if base.leq(c.restrict(keep))
+        c for c in five_planes.covectors if base.leq(c.restrict(x))
     }
     assert got == five_planes.mask(fiber)
 

@@ -22,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from omkit import CovectorSystem, RationalArrangement, from_arrangement, build_lattice
 from omkit.extensions import ExtensionConstraints, single_element_extensions
-from omkit.lattices import flat_id
 from omkit.signs import SignVector
 
 EIGHT = [
@@ -61,11 +60,11 @@ def main() -> None:
 
     lat = build_lattice(base)
     for triple in POINT_TRIPLES:
-        assert frozenset(triple) in lat.rank_of, f"missing triple {triple}"
+        assert base.label_mask(triple) in lat.rank_of, f"missing triple {triple}"
     for pair in (CROSS_LEFT, CROSS_MID, CROSS_RIGHT, INFINITY):
-        assert frozenset(pair) in lat.rank_of, f"missing cross point {pair}"
+        assert base.label_mask(pair) in lat.rank_of, f"missing cross point {pair}"
 
-    zero = frozenset(map(frozenset, (CROSS_LEFT, CROSS_RIGHT, INFINITY)))
+    zero = frozenset(base.label_mask(pair) for pair in (CROSS_LEFT, CROSS_RIGHT, INFINITY))
     nonzero = frozenset(
         f for f in lat.flats_of_rank(2) if f not in zero
     )
@@ -88,10 +87,10 @@ def main() -> None:
 
     lat9 = build_lattice(reordered)
     triples = sorted(
-        flat_id(f, order) for f in lat9.flats_of_rank(2) if len(f) == 3
+        lat9.id(f) for f in lat9.flats_of_rank(2) if f.bit_count() == 3
     )
     doubles = sorted(
-        flat_id(f, order) for f in lat9.flats_of_rank(2) if len(f) == 2
+        lat9.id(f) for f in lat9.flats_of_rank(2) if f.bit_count() == 2
     )
     print("triple points:", triples)
     print("simple points:", doubles)
@@ -101,10 +100,10 @@ def main() -> None:
             "L3,L4,L5",
             "L3,L8,L9",
         ]
-        + [flat_id(frozenset(t), order) for t in POINT_TRIPLES]
+        + [lat9.id(reordered.label_mask(t)) for t in POINT_TRIPLES]
     )
     assert triples == expected_triples, triples
-    assert frozenset({"L6", "L7"}) in lat9.rank_of  # the broken cross point
+    assert reordered.label_mask({"L6", "L7"}) in lat9.rank_of  # the broken cross point
     assert lat9.is_supersolvable() is None, "instance must not be supersolvable"
     print("whitney:", lat9.whitney(), "topes:", len(reordered.topes()))
 
