@@ -421,7 +421,6 @@ def cmd_extend_ss(args) -> int:
             f"{step.new_element} through {flat_id(step.pivot, result.final.ground)}"
             f" and {flat_id(step.through, result.final.ground)}; disjoint {step.disjoint_before} -> {step.disjoint_after}",
         )
-    lat = build_lattice(result.final)
     report.note("mchain", " < ".join(flat_id(f, result.final.ground) for f in result.chain))
     decreasing = all(s.disjoint_after < s.disjoint_before for s in result.steps)
     report.add("disjoint.strictly_decreasing", decreasing, "a step failed to decrease")
@@ -434,7 +433,7 @@ def cmd_extend_ss(args) -> int:
     )
     report.add(
         "supersolvable",
-        lat.is_supersolvable() is not None,
+        result.lattice.is_supersolvable() is not None,
         "final system not supersolvable",
     )
     if args.out:

@@ -42,6 +42,7 @@ class ExtensionResult:
     new_element: str
     signature: dict[int, int]  # coatom flat -> sign of its pair representative
     flat_lift: dict[int, int]  # flat of the base -> the least flat containing it
+    lattice: GeometricLattice  # the lattice of flats of `extended`
 
 
 @dataclass(frozen=True)
@@ -258,9 +259,9 @@ def _build_extension(
 
     # flats of the new lattice are sorted by size: the first one over a
     # base flat is its closure
-    new_flats = build_lattice(candidate).flats
-    lift = {fl: next(g for g in new_flats if not fl & ~g) for fl in space.lattice.flats}
-    return ExtensionResult(system, candidate, new_label, values, lift)
+    lattice = build_lattice(candidate)
+    lift = {fl: next(g for g in lattice.flats if not fl & ~g) for fl in space.lattice.flats}
+    return ExtensionResult(system, candidate, new_label, values, lift, lattice)
 
 
 def single_element_extensions(
@@ -405,11 +406,13 @@ class LeviStep:
 
 @dataclass(frozen=True)
 class SupersolvableExtension:
-    """The steps, the final system and its modular chain; every flat is a
-    mask over the final ground, which extends each step's ground."""
+    """The steps, the final system, its lattice of flats and its modular
+    chain; every flat is a mask over the final ground, which extends each
+    step's ground."""
 
     steps: tuple[LeviStep, ...]
     final: CovectorSystem
+    lattice: GeometricLattice
     chain: tuple[int, ...]
 
 
@@ -433,7 +436,7 @@ def supersolvable_extension(
         raise ExtensionError("input must be simple")
     mchain = lat.is_supersolvable()
     if mchain is not None:
-        return SupersolvableExtension((), system, mchain.flats)
+        return SupersolvableExtension((), system, lat, mchain.flats)
 
     def fresh_labels() -> Iterator[str]:
         i = 1
@@ -459,7 +462,7 @@ def supersolvable_extension(
             current, pivot, through, generic=False, new_label=label, lattice=lat
         )
         new_pivot = result.flat_lift[pivot]
-        new_lat = build_lattice(result.extended)
+        new_lat = result.lattice
         after = len(_disjoint_rank2(new_lat, new_pivot))
         if after >= len(disjoint):
             raise LeviSearchError(
@@ -475,4 +478,4 @@ def supersolvable_extension(
     mchain = lat.is_supersolvable()
     if mchain is None:
         raise LeviSearchError("pivot meets every rank-two flat but no chain found")
-    return SupersolvableExtension(tuple(steps), current, mchain.flats)
+    return SupersolvableExtension(tuple(steps), current, lat, mchain.flats)

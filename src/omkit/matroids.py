@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .posets import FinitePoset, PosetMap, bits, mask_of
-from .signs import GroundSetMismatchError, SignVector, compose_masks, separator_masks
+from .signs import GroundSetMismatchError, SignVector
 
 
 class NotAFlatError(ValueError):
@@ -104,6 +104,7 @@ class CovectorSystem:
         "_poset",
         "_vectors",
         "_numbering",
+        "_memo",
     )
 
     def __init__(self, ground: Iterable[str], covectors: Iterable[SignVector]):
@@ -124,6 +125,7 @@ class CovectorSystem:
         object.__setattr__(self, "_poset", None)
         object.__setattr__(self, "_vectors", None)
         object.__setattr__(self, "_numbering", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CovectorSystem is immutable")
@@ -203,11 +205,11 @@ class CovectorSystem:
     # -- axioms ------------------------------------------------------------
 
     def check_axioms(self) -> AxiomReport:
+        """The four axioms, each failure with its first witness: pairs are
+        taken in row-major order over the covectors sorted by sign text."""
         covs = sorted(self.covectors, key=str)
         masks = [(c.plus, c.minus) for c in covs]
         mask_set = self._mask_set
-        n = len(self.ground)
-        full = (1 << n) - 1
 
         ax1 = AxiomCheck((0, 0) in mask_set, None if (0, 0) in mask_set else "zero vector missing")
 
@@ -218,52 +220,19 @@ class CovectorSystem:
                 break
 
         ax3 = AxiomCheck(True)
-        done = False
-        for p1, m1 in masks:
-            if done:
-                break
-            for p2, m2 in masks:
-                q = compose_masks(p1, m1, p2, m2)
-                if q not in mask_set:
-                    a = str(SignVector(self.ground, p1, m1))
-                    b = str(SignVector(self.ground, p2, m2))
-                    c = str(SignVector(self.ground, q[0], q[1]))
-                    ax3 = AxiomCheck(False, f"{a} o {b} = {c} escapes the set")
-                    done = True
-                    break
+        escape = _composition_escape(masks, mask_set, len(self.ground))
+        if escape is not None:
+            x, y = covs[escape[0]], covs[escape[1]]
+            ax3 = AxiomCheck(False, f"{x} o {y} = {x.compose(y)} escapes the set")
 
-        # Elimination: for each pair and each separating element e there must
-        # be an eta with eta_e = 0 agreeing with the composition off the
-        # separator.  The separator is determined by the off-pattern key, so
-        # obligations deduplicate by (off-mask, composition restricted to it);
-        # per key one pass over the covectors collects the union of zero sets
-        # of the admissible eta, and the test is a single mask comparison.
         ax4 = AxiomCheck(True)
-        obligations: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
-        for p1, m1 in masks:
-            for p2, m2 in masks:
-                s = separator_masks(p1, m1, p2, m2)
-                if not s:
-                    continue
-                off = full & ~s
-                cp, cm = compose_masks(p1, m1, p2, m2)
-                key = (off, cp & off, cm & off)
-                if key not in obligations:
-                    obligations[key] = (p1, m1, p2, m2)
-        for (off, op, om), (p1, m1, p2, m2) in obligations.items():
-            zunion = 0
-            for p, m in masks:
-                if (p & off) == op and (m & off) == om:
-                    zunion |= full & ~(p | m)
-            bad = (full & ~off) & ~zunion
-            if bad:
-                e = next(lab for k, lab in enumerate(self.ground) if bad >> k & 1)
-                a = str(SignVector(self.ground, p1, m1))
-                b = str(SignVector(self.ground, p2, m2))
-                ax4 = AxiomCheck(
-                    False, f"no eliminating covector for pair ({a}, {b}) at {e}"
-                )
-                break
+        unmet = _unmet_elimination(masks, len(self.ground))
+        if unmet is not None:
+            i, j, e = unmet
+            ax4 = AxiomCheck(
+                False,
+                f"no eliminating covector for pair ({covs[i]}, {covs[j]}) at {self.ground[e]}",
+            )
 
         return AxiomReport(ax1, ax2, ax3, ax4)
 
@@ -394,6 +363,85 @@ class CovectorSystem:
         """The mask of the given covectors in the covector poset."""
         number = self.numbering()
         return mask_of(number[v.plus, v.minus] for v in vectors)
+
+    def memo(self, key: tuple, build: Callable[[], object]) -> object:
+        """`build()`, called once per key and kept on this system, so it
+        lives exactly as long as the system; for structures derived
+        downstream, such as the convex-critical matchings of `omkit.morse`."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
+# -- axiom kernels ----------------------------------------------------------
+# Both take the (plus, minus) masks of the covectors in witness order and
+# return the first failing pair in row-major order, as list positions.
+
+
+def _composition_escape(
+    masks: list[tuple[int, int]], mask_set: frozenset, n: int
+) -> Optional[tuple[int, int]]:
+    """The first pair (i, j) whose composition is not in the set.
+
+    X o Y reads Y only on the zero set z of X, so a row composes the
+    restrictions of the covectors to z, collected once per zero set; only
+    a failing row is scanned in order, to name the witness.
+    """
+    full = (1 << n) - 1
+    restricted: dict[int, set[tuple[int, int]]] = {}
+    for i, (p1, m1) in enumerate(masks):
+        z = full & ~(p1 | m1)
+        if z not in restricted:
+            restricted[z] = {(p & z, m & z) for p, m in masks}
+        if not mask_set.issuperset([(p1 | p, m1 | m) for p, m in restricted[z]]):
+            return i, next(
+                j for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in mask_set
+            )
+    return None
+
+
+def _unmet_elimination(masks: list[tuple[int, int]], n: int) -> Optional[tuple[int, int, int]]:
+    """The first pair (i, j) and element e of their separator S with no
+    covector Z such that Z_e = 0 and Z agrees with X o Y off S.
+
+    With P and M the unions of the + and - masks of X and Y, S = P & M and
+    X o Y is + on P ^ S, - on M ^ S and 0 off P | M, so an obligation
+    depends on (P, M) only and is packed as one int.  Y o X agrees with
+    X o Y off S, so the pairs i < j raise every obligation, first in the
+    same order as all ordered pairs do.  The covectors agreeing off S are
+    an AND of columns, one int per element and sign with bit k for
+    covector k, and the obligation holds when that AND meets the zero
+    column of every e in S.
+    """
+    full = (1 << n) - 1
+    packed = [p << n | m for p, m in masks]
+    obligations: dict[int, None] = {}
+    for i, w in enumerate(packed):
+        obligations.update(dict.fromkeys([w | v for v in packed[i + 1 :]]))
+    everything = (1 << len(masks)) - 1
+    plus_at = [mask_of(k for k, (p, _) in enumerate(masks) if p >> e & 1) for e in range(n)]
+    minus_at = [mask_of(k for k, (_, m) in enumerate(masks) if m >> e & 1) for e in range(n)]
+    zero_at = [everything & ~(plus_at[e] | minus_at[e]) for e in range(n)]
+    for key in obligations:
+        plus, minus = key >> n, key & full
+        sep = plus & minus
+        if not sep:
+            continue
+        agree = everything
+        for e in bits(plus ^ sep):
+            agree &= plus_at[e]
+        for e in bits(minus ^ sep):
+            agree &= minus_at[e]
+        for e in bits(full & ~(plus | minus)):
+            agree &= zero_at[e]
+        for e in bits(sep):
+            if not agree & zero_at[e]:
+                for i, w in enumerate(packed):
+                    row = [w | v for v in packed[i + 1 :]]
+                    if key in row:
+                        return i, i + 1 + row.index(key), e
+    return None
 
 
 # -- realizable construction ----------------------------------------------

@@ -241,8 +241,14 @@ def matching_convex_critical(system: CovectorSystem, q: int) -> Matching:
     are exactly the dual subcomplex of a convex tope set (a mask).
 
     Collapses the ball generated by the complementary topes to a vertex,
-    dualizes, and matches that vertex with the top dual cell.
+    dualizes, and matches that vertex with the top dual cell.  Built once
+    per (system, Q) and kept on the system: every fiber matching over the
+    same localized cell reuses it.
     """
+    return system.memo(("convex-critical", q), lambda: _convex_critical(system, q))
+
+
+def _convex_critical(system: CovectorSystem, q: int) -> Matching:
     if not q:
         raise MatchingError("Q must be nonempty")
     poset = system.covector_poset()

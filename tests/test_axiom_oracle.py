@@ -1,0 +1,152 @@
+"""`CovectorSystem.check_axioms` against an all-pairs reference.
+
+The reference scans every ordered pair of covectors for composition and
+elimination, and per elimination obligation every covector, with no
+column bitsets and no pair symmetry.  The two must give equal reports,
+verdicts and witness strings alike, on random sign-vector sets and on
+corpus members and extension steps with covectors deleted or added."""
+
+from functools import cache
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.extensions import supersolvable_extension
+from omkit.matroids import AxiomCheck, AxiomReport, CovectorSystem
+from omkit.signs import SignVector, compose_masks, separator_masks
+
+
+def reference_check_axioms(system: CovectorSystem) -> AxiomReport:
+    covs = sorted(system.covectors, key=str)
+    masks = [(c.plus, c.minus) for c in covs]
+    mask_set = {(c.plus, c.minus) for c in covs}
+    n = len(system.ground)
+    full = (1 << n) - 1
+
+    ax1 = AxiomCheck((0, 0) in mask_set, None if (0, 0) in mask_set else "zero vector missing")
+
+    ax2 = AxiomCheck(True)
+    for c in covs:
+        if (c.minus, c.plus) not in mask_set:
+            ax2 = AxiomCheck(False, f"opposite of {c} missing")
+            break
+
+    ax3 = AxiomCheck(True)
+    done = False
+    for p1, m1 in masks:
+        if done:
+            break
+        for p2, m2 in masks:
+            q = compose_masks(p1, m1, p2, m2)
+            if q not in mask_set:
+                a = str(SignVector(system.ground, p1, m1))
+                b = str(SignVector(system.ground, p2, m2))
+                c = str(SignVector(system.ground, q[0], q[1]))
+                ax3 = AxiomCheck(False, f"{a} o {b} = {c} escapes the set")
+                done = True
+                break
+
+    # obligations keyed by (off-mask, composition restricted to it), in the
+    # order all ordered pairs raise them; per key one pass over the
+    # covectors collects the zero sets of those agreeing off the separator
+    ax4 = AxiomCheck(True)
+    obligations: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+    for p1, m1 in masks:
+        for p2, m2 in masks:
+            s = separator_masks(p1, m1, p2, m2)
+            if not s:
+                continue
+            off = full & ~s
+            cp, cm = compose_masks(p1, m1, p2, m2)
+            key = (off, cp & off, cm & off)
+            if key not in obligations:
+                obligations[key] = (p1, m1, p2, m2)
+    for (off, op, om), (p1, m1, p2, m2) in obligations.items():
+        zunion = 0
+        for p, m in masks:
+            if (p & off) == op and (m & off) == om:
+                zunion |= full & ~(p | m)
+        bad = (full & ~off) & ~zunion
+        if bad:
+            e = next(lab for k, lab in enumerate(system.ground) if bad >> k & 1)
+            a = str(SignVector(system.ground, p1, m1))
+            b = str(SignVector(system.ground, p2, m2))
+            ax4 = AxiomCheck(False, f"no eliminating covector for pair ({a}, {b}) at {e}")
+            break
+
+    return AxiomReport(ax1, ax2, ax3, ax4)
+
+
+@cache
+def extension_steps() -> tuple[CovectorSystem, ...]:
+    """The system after each enlargement of the supersolvable extension
+    of non-pappus (215 to 367 covectors)."""
+    result = supersolvable_extension(corpus("non-pappus"))
+    return tuple(step.result.extended for step in result.steps)
+
+
+def composition_closure(covs: set[SignVector], ground: tuple[str, ...]) -> set[SignVector]:
+    """The zero vector, the covectors and their opposites, closed under composition."""
+    closed = {SignVector.zero(ground)} | covs | {c.opposite() for c in covs}
+    frontier = list(closed)
+    while frontier:
+        new = {x.compose(y) for x in frontier for y in closed} - closed
+        closed |= new
+        frontier = list(new)
+    return closed
+
+
+def sign_vectors(ground: tuple[str, ...]):
+    signs = st.lists(st.sampled_from((0, 1, -1)), min_size=len(ground), max_size=len(ground))
+    return signs.map(lambda s: SignVector.from_signs(s, ground))
+
+
+@st.composite
+def sign_vector_sets(draw) -> CovectorSystem:
+    ground = tuple(f"e{i + 1}" for i in range(draw(st.integers(1, 5))))
+    covs = set(draw(st.lists(sign_vectors(ground), max_size=12)))
+    if draw(st.booleans()):
+        # closed sets pass the first three axioms, so elimination decides
+        covs = composition_closure(covs, ground)
+        covs -= set(draw(st.lists(st.sampled_from(sorted(covs, key=str)), max_size=2)))
+    return CovectorSystem(ground, covs)
+
+
+def mutate(data, system: CovectorSystem) -> CovectorSystem:
+    """The system with one covector or one opposite pair deleted, or with
+    one to three random sign vectors added, or both."""
+    covs = set(system.covectors)
+    kind = data.draw(st.sampled_from(("drop", "drop pair", "add", "drop and add")))
+    if kind.startswith("drop"):
+        x = data.draw(st.sampled_from(sorted(covs, key=str)))
+        covs -= {x, x.opposite()} if kind == "drop pair" else {x}
+    if kind.endswith("add"):
+        covs |= set(data.draw(st.lists(sign_vectors(system.ground), min_size=1, max_size=3)))
+    return CovectorSystem(system.ground, covs)
+
+
+def test_matches_reference_on_corpus_and_extension_steps():
+    for system in [corpus(name) for name in CORPUS_NAMES] + list(extension_steps()):
+        report = system.check_axioms()
+        assert report.ok
+        assert report == reference_check_axioms(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_vector_sets())
+def test_matches_reference_on_random_sign_vector_sets(system):
+    assert system.check_axioms() == reference_check_axioms(system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matches_reference_on_mutated_corpus(data):
+    system = mutate(data, corpus(data.draw(st.sampled_from(CORPUS_NAMES))))
+    assert system.check_axioms() == reference_check_axioms(system)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_matches_reference_on_mutated_extension_steps(data):
+    system = mutate(data, data.draw(st.sampled_from(extension_steps())))
+    assert system.check_axioms() == reference_check_axioms(system)

@@ -1,6 +1,7 @@
 import pytest
 
 from omkit.lattices import build_lattice
+from omkit.matroids import CovectorSystem
 from omkit.morse import (
     Matching,
     MatchingError,
@@ -219,9 +220,16 @@ def test_convex_critical_refuses_non_convex(uniform23):
         matching_convex_critical(uniform23, 1 << t | far)
 
 
+def fresh(system: CovectorSystem) -> CovectorSystem:
+    """A copy of a shared fixture with nothing cached on it yet."""
+    return CovectorSystem(system.ground, system.covectors)
+
+
 def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
     import omkit.morse
     import omkit.topes
+
+    five_planes = fresh(five_planes)
 
     seen = []
     real = omkit.topes.is_convex
@@ -234,7 +242,10 @@ def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
     monkeypatch.setattr(omkit.topes, "is_convex", counting)
     monkeypatch.setattr(omkit.morse, "is_convex", counting)
     q = first_tope(five_planes)
-    matching_convex_critical(five_planes, q)
+    m = matching_convex_critical(five_planes, q)
+    assert seen == [q]
+    # built once per (system, Q): a second call returns the same matching
+    assert matching_convex_critical(five_planes, q) is m
     assert seen == [q]
 
 
@@ -250,8 +261,9 @@ def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, unif
         return real(system, system.numbering()[far.plus, far.minus])
 
     monkeypatch.setattr(omkit.topes, "tope_poset", opposite_base)
+    system = fresh(uniform23)
     with pytest.raises(AssertionError, match="not an ideal of the tope poset"):
-        matching_convex_critical(uniform23, first_tope(uniform23))
+        matching_convex_critical(system, first_tope(system))
 
 
 def test_fiber_matchings_exhaustive(five_planes):
