@@ -139,10 +139,8 @@ def cmd_check_axioms(args) -> int:
 def cmd_simplify(args) -> int:
     system = _read_system(args)
     result = system.simplify()
-    sys.stderr.write(
-        f"# loops: {','.join(result.loops) or '(none)'}; "
-        f"representatives: {result.representative}\n"
-    )
+    reps = ",".join(f"{lab}->{rep}" for lab, rep in result.representative.items())
+    sys.stderr.write(f"# loops: {','.join(result.loops) or '(none)'}; representatives: {reps or '(none)'}\n")
     return _emit(format_system(result.system))
 
 

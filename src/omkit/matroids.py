@@ -285,7 +285,8 @@ class CovectorSystem:
         """The restriction to a flat (a ground-bit mask), with the
         projection of covector posets."""
         if not any(c.zero_mask == flat for c in self.covectors):
-            raise NotAFlatError(f"{sorted(self.labels(flat))} is not a flat")
+            name = ",".join(self.labels(flat)) or "{}"
+            raise NotAFlatError(f"{name} is not a flat")
         loc = self.restriction(flat)
         number = loc.numbering()
         assignment = {}

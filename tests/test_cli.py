@@ -7,7 +7,7 @@ from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.omfile import OMFileError, format_system, parse_om_text
 
 
-def run(capsys, argv, stdin: str = ""):
+def run_with_stderr(capsys, argv, stdin: str = ""):
     import sys
 
     old = sys.stdin
@@ -16,7 +16,12 @@ def run(capsys, argv, stdin: str = ""):
         code = main(argv)
     finally:
         sys.stdin = old
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, argv, stdin: str = ""):
+    code, out, _ = run_with_stderr(capsys, argv, stdin)
     return code, out
 
 
@@ -116,6 +121,12 @@ def test_topes_and_simplify(capsys):
     code, out = run(capsys, ["simplify"], stdin=om_text("rank1"))
     assert code == 0
     assert parse_om_text(out).to_system().ground == ("e1",)
+    # e2 parallel to e1, e3 a loop: the representatives in the label format
+    text = "ground: e1 e2 e3\ncovectors:\n000\n++0\n--0\n"
+    code, out, err = run_with_stderr(capsys, ["simplify"], stdin=text)
+    assert code == 0
+    assert err == "# loops: e3; representatives: e1->e1,e2->e1\n"
+    assert parse_om_text(out).to_system().ground == ("e1",)
 
 
 def test_shelling_command(capsys):
@@ -152,6 +163,24 @@ def test_localize_fiber_stratify(capsys):
     )
     assert code == 0
     assert "strata_sizes: 59 13 13" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["localize", "--flat", "H1,H4"],
+        ["fiber", "--flat", "H1,H4", "--cell", "(00;++)"],
+        ["stratify", "--flat", "H1,H4", "--tope", "++"],
+        ["morse", "--construction", "fiber", "--flat", "H1,H4", "--cell", "(++;++)", "--tope", "++"],
+        ["homology", "--target", "fiber", "--flat", "H1,H4", "--cell", "(00;++)"],
+        ["modular", "H1,H4"],
+        ["certify-qf", "--flat", "H1,H4"],
+    ],
+)
+def test_every_command_names_a_non_flat_by_its_labels(capsys, argv):
+    code, _, err = run_with_stderr(capsys, argv, stdin=om_text("sec3-arrangement"))
+    assert code == 2
+    assert err == "error: H1,H4 is not a flat\n"
 
 
 def test_morse_commands(capsys):

@@ -99,7 +99,7 @@ def test_localization_at_modular_flat(five_planes):
     assert len(loc.topes()) == 6
     assert loc.rank() == 2
     assert rho.image() == rho.target.members
-    with pytest.raises(NotAFlatError, match=r"\['H1', 'H4'\] is not a flat"):
+    with pytest.raises(NotAFlatError, match="^H1,H4 is not a flat$"):
         five_planes.localization(five_planes.label_mask({"H1", "H4"}))
 
 
