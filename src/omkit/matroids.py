@@ -406,9 +406,9 @@ def _unmet_elimination(masks: list[tuple[int, int]], n: int) -> Optional[tuple[i
     """The first pair (i, j) and element e of their separator S with no
     covector Z such that Z_e = 0 and Z agrees with X o Y off S.
 
-    With P and M the unions of the + and - masks of X and Y, S = P & M and
-    X o Y is + on P ^ S, - on M ^ S and 0 off P | M, so an obligation
-    depends on (P, M) only and is packed as one int.  Y o X agrees with
+    With P and M the unions of the + and - masks of X and Y, S = P & M,
+    and off S X o Y is + on P ^ S, - on M ^ S and 0 off P | M, so an
+    obligation depends on (P, M) only and is packed as one int.  Y o X agrees with
     X o Y off S, so the pairs i < j raise every obligation, first in the
     same order as all ordered pairs do.  The covectors agreeing off S are
     an AND of columns, one int per element and sign with bit k for
@@ -436,12 +436,12 @@ def _unmet_elimination(masks: list[tuple[int, int]], n: int) -> Optional[tuple[i
             agree &= minus_at[e]
         for e in bits(full & ~(plus | minus)):
             agree &= zero_at[e]
-        for e in bits(sep):
-            if not agree & zero_at[e]:
-                for i, w in enumerate(packed):
-                    row = [w | v for v in packed[i + 1 :]]
-                    if key in row:
-                        return i, i + 1 + row.index(key), e
+        missed = [e for e in bits(sep) if not agree & zero_at[e]]
+        if missed:
+            for i, w in enumerate(packed):
+                row = [w | v for v in packed[i + 1 :]]
+                if key in row:
+                    return i, i + 1 + row.index(key), missed[0]
     return None
 
 
