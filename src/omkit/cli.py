@@ -423,10 +423,11 @@ def cmd_extend_ss(args) -> int:
     decreasing = all(s.disjoint_after < s.disjoint_before for s in result.steps)
     report.add("disjoint.strictly_decreasing", decreasing, "a step failed to decrease")
     # the new labels are appended, so the input is the low bits of the final ground
-    restricted = {c.restrict((1 << len(system.ground)) - 1) for c in result.final.covectors}
+    low = (1 << len(system.ground)) - 1
+    restricted = {(c.plus & low, c.minus & low) for c in result.final.covectors}
     report.add(
         "restriction.identity",
-        restricted == system.covectors,
+        restricted == {(c.plus, c.minus) for c in system.covectors},
         "restriction differs from the input",
     )
     report.add(

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .lattices import GeometricLattice, build_lattice
-from .matroids import CovectorSystem
+from .matroids import CovectorSystem, _closure_from_cocircuits
 from .posets import bits
-from .signs import SignVector, compose_masks
+from .signs import SignVector
 
 
 class ExtensionError(ValueError):
@@ -197,25 +197,6 @@ class _SearchSpace:
         return flats_here, stored
 
 
-def _closure_from_cocircuits(
-    ground: tuple[str, ...], cocircuit_masks: set[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    """Composition closure of the cocircuits together with the zero vector."""
-    closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
-    frontier = list(closed)
-    composers = list(cocircuit_masks)
-    while frontier:
-        new: list[tuple[int, int]] = []
-        for p1, m1 in frontier:
-            for p2, m2 in composers:
-                q = compose_masks(p1, m1, p2, m2)
-                if q not in closed:
-                    closed.add(q)
-                    new.append(q)
-        frontier = new
-    return closed
-
-
 def _build_extension(
     space: _SearchSpace,
     values: dict[int, int],
@@ -242,14 +223,14 @@ def _build_extension(
         v1, v2 = signed_value(y1), signed_value(y2)
         if v1 and v2 and v1 == -v2:
             cocirc_masks.add((vectors[f].plus, vectors[f].minus))
-    closure = _closure_from_cocircuits(ground, cocirc_masks)
-    covectors = {SignVector(ground, p, m) for p, m in closure}
-    candidate = CovectorSystem(ground, covectors)
+    closure = _closure_from_cocircuits(cocirc_masks)
 
-    # cheap rejections first, then the axioms as the single source of truth
-    restricted = {c.restrict(gbit - 1) for c in candidate.covectors}
-    if restricted != system.covectors:
+    # cheap rejections first, then the axioms as the single source of truth;
+    # the new label is the top bit, so the restriction to the base masks it off
+    low = gbit - 1
+    if {(p & low, m & low) for p, m in closure} != {(c.plus, c.minus) for c in system.covectors}:
         return None
+    candidate = CovectorSystem(ground, {SignVector(ground, p, m) for p, m in closure})
     if not candidate.is_simple():
         return None
     if not candidate.check_axioms().ok:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .posets import FinitePoset, PosetMap, bits, mask_of
-from .signs import GroundSetMismatchError, SignVector
+from .signs import GroundSetMismatchError, SignVector, compose_masks
 
 
 class NotAFlatError(ValueError):
@@ -506,115 +507,80 @@ def _proportional(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(a[k] * y == b[k] * x for x, y in zip(a, b))
 
 
-def _eliminate_variable(rows: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]] | None:
-    """One Fourier-Motzkin step on strict inequalities  row . v > 0."""
-    pos, neg, zero = [], [], []
-    for r in rows:
-        if r[k] > 0:
-            pos.append(r)
-        elif r[k] < 0:
-            neg.append(r)
-        else:
-            zero.append(r)
-    out: set[tuple[int, ...]] = set()
-    for r in zero:
-        rr = _normalize_row(r)
-        if not any(rr):
-            return None  # 0 > 0
-        out.add(rr)
-    for p in pos:
-        for q in neg:
-            comb = tuple(
-                p[i] * (-q[k]) + q[i] * p[k] for i in range(len(p))
-            )
-            comb = _normalize_row(comb)
-            if not any(comb):
-                return None
-            out.add(comb)
-    return [r for r in out]
-
-
-def _strict_system_feasible(rows: list[tuple[int, ...]], dim: int) -> bool:
-    """Exact feasibility of  row . v > 0  for all rows, over the rationals."""
-    current = []
-    for r in rows:
-        if not any(r):
-            return False
-        current.append(_normalize_row(r))
-    current = list(set(current))
-    for k in range(dim):
-        nxt = _eliminate_variable(current, k)
-        if nxt is None:
-            return False
-        current = nxt
-        if not current:
-            return True
-    return not current
-
-
-def _sign_pattern_feasible(
-    forms: list[tuple[int, ...]], signs: list[int], dim: int
-) -> bool:
-    """Is there a rational point v with sign(form_i . v) = signs_i for all i?"""
-    # Equalities first: Gaussian elimination (kept in reduced form, so one
-    # pass fully reduces any row) substitutes variables away.
-    eqs = [list(Fraction(x) for x in forms[i]) for i, s in enumerate(signs) if s == 0]
-    stricts = [
-        [Fraction(x) * s for x in forms[i]] for i, s in enumerate(signs) if s != 0
-    ]
-    ncols = dim
+def _null_space(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[Fraction]]:
+    """A basis of the vectors on which every row vanishes, by exact
+    Gauss-Jordan elimination (rows kept reduced against each other)."""
     pivots: list[tuple[int, list[Fraction]]] = []
-    for eq in eqs:
-        row = eq[:]
+    for r in rows:
+        row = [Fraction(x) for x in r]
         for col, prow in pivots:
             if row[col]:
-                factor = row[col] / prow[col]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        col = next((i for i in range(ncols) if row[i]), None)
+                row = [a - row[col] * b for a, b in zip(row, prow)]
+        col = next((i for i, x in enumerate(row) if x), None)
         if col is None:
             continue
+        row = [x / row[col] for x in row]
         for j, (pcol, prow) in enumerate(pivots):
             if prow[col]:
-                factor = prow[col] / row[col]
-                pivots[j] = (pcol, [a - factor * b for a, b in zip(prow, row)])
+                pivots[j] = (pcol, [a - prow[col] * b for a, b in zip(prow, row)])
         pivots.append((col, row))
-    reduced = []
-    for sr in stricts:
-        row = sr[:]
-        for col, prow in pivots:
-            if row[col]:
-                factor = row[col] / prow[col]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        reduced.append(_normalize_row(row))
-    free_cols = [i for i in range(ncols) if i not in {c for c, _ in pivots}]
-    projected = [tuple(r[i] for i in free_cols) for r in reduced]
-    return _strict_system_feasible(projected, len(free_cols))
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(dim):
+        if free not in pivot_cols:
+            v = [Fraction(0)] * dim
+            v[free] = Fraction(1)
+            for col, prow in pivots:
+                v[col] = -prow[free]
+            basis.append(v)
+    return basis
+
+
+def _closure_from_cocircuits(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Composition closure of the cocircuits together with the zero vector."""
+    closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
+    frontier = list(closed)
+    composers = list(cocircuit_masks)
+    while frontier:
+        new: list[tuple[int, int]] = []
+        for p1, m1 in frontier:
+            for p2, m2 in composers:
+                q = compose_masks(p1, m1, p2, m2)
+                if q not in closed:
+                    closed.add(q)
+                    new.append(q)
+        frontier = new
+    return closed
 
 
 def from_arrangement(arrangement: RationalArrangement) -> CovectorSystem:
     """All sign vectors realized by rational points of the arrangement.
 
-    Scans the 3^n candidate sign vectors and decides each one by exact
-    rational linear feasibility.  Simple, exact, desk scale.
+    The covectors are the composition closure of the cocircuits.  Every
+    (r-1)-subset of forms of rank r-1 (r the rank of all forms) spans a
+    hyperplane of the matroid; a vector of its null space outside the
+    common kernel of all forms has that hyperplane as its zero set, and
+    its sign vector and the opposite are cocircuits.
     """
-    n = len(arrangement.labels)
-    if n > 14:
-        raise ValueError("arrangement scan limited to 14 forms")
-    forms = list(arrangement.forms)
-    dim = arrangement.dimension
-    found: list[SignVector] = []
-
-    signs = [0] * n
-
-    def scan(i: int) -> None:
-        if i == n:
-            found.append(SignVector.from_signs(signs, arrangement.labels))
-            return
-        for s in (0, 1, -1):
-            signs[i] = s
-            if _sign_pattern_feasible(forms[: i + 1], signs[: i + 1], dim):
-                scan(i + 1)
-        signs[i] = 0
-
-    scan(0)
-    return CovectorSystem(arrangement.labels, found)
+    forms, dim = arrangement.forms, arrangement.dimension
+    corank = len(_null_space(forms, dim))
+    cocircuits: set[tuple[int, int]] = set()
+    for subset in combinations(forms, dim - corank - 1):
+        kernel = _null_space(subset, dim)
+        if len(kernel) != corank + 1:
+            continue
+        for v in kernel:
+            plus = minus = 0
+            for i, f in enumerate(forms):
+                value = sum(a * x for a, x in zip(f, v))
+                if value > 0:
+                    plus |= 1 << i
+                elif value < 0:
+                    minus |= 1 << i
+            if plus | minus:
+                cocircuits |= {(plus, minus), (minus, plus)}
+                break
+    labels = arrangement.labels
+    return CovectorSystem(
+        labels, (SignVector(labels, p, m) for p, m in _closure_from_cocircuits(cocircuits))
+    )

@@ -79,7 +79,7 @@ def parse_om_text(text: str) -> OMFile:
         elif section == "topes":
             topes.append(line)
         elif section == "arrangement":
-            rows.append(tuple(Fraction(tok) for tok in line.split()))
+            rows.append(_parse_row(line))
         else:
             raise OMFileError(f"line outside any section: {line!r}")
     if ground is None:
@@ -109,13 +109,23 @@ def _check_body(ground: tuple[str, ...], body: list[str], want_zero: bool) -> No
         raise OMFileError("covector body must contain the zero vector")
 
 
+def _parse_row(line: str) -> tuple[Fraction, ...]:
+    row = []
+    for tok in line.split():
+        try:
+            row.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise OMFileError(f"zero denominator in {tok!r}") from None
+    return tuple(row)
+
+
 def parse_matrix_text(text: str) -> list[tuple[Fraction, ...]]:
     rows = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(Fraction(tok) for tok in line.split()))
+        rows.append(_parse_row(line))
     if not rows:
         raise OMFileError("empty matrix file")
     return rows

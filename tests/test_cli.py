@@ -1,4 +1,5 @@
 import io
+from itertools import combinations
 
 import pytest
 
@@ -73,6 +74,8 @@ def test_parse_rejects_malformed():
         parse_om_text("ground: a,b c\ncovectors:\n00\n++\n--\n")
     with pytest.raises(OMFileError, match="ground label '{}' is the empty flat's id"):
         parse_om_text("ground: a {}\ncovectors:\n00\n++\n--\n")
+    with pytest.raises(OMFileError, match="zero denominator in '1/0'"):
+        parse_om_text("ground: a b\narrangement:\n1 0\n1/0 1\n")
 
 
 def test_corpus_pipe_check_axioms(capsys):
@@ -317,6 +320,17 @@ def test_from_arrangement_command(capsys, tmp_path):
     assert code == 0
     system = parse_om_text(out).to_system()
     assert len(system.topes()) == 6
+    matrix.write_text("1 0\n1/0 1\n")
+    code, out, err = run_with_stderr(capsys, ["from-arrangement", str(matrix)])
+    assert code == 2
+    assert out == ""
+    assert "error: zero denominator in '1/0'" in err
+    # A5, the 15 forms x_i - x_j on R^6, has 4683 covectors
+    rows = (" ".join(str((k == i) - (k == j)) for k in range(6)) for i, j in combinations(range(6), 2))
+    matrix.write_text("\n".join(rows) + "\n")
+    code, out = run(capsys, ["from-arrangement", str(matrix)])
+    assert code == 0
+    assert len(parse_om_text(out).covectors) == 4683
 
 
 def test_extend_levi_command(capsys):

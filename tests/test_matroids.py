@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from omkit.matroids import (
     DegenerateArrangementError,
     NotAFlatError,
     RationalArrangement,
+    _normalize_row,
     from_arrangement,
     section_lift,
 )
@@ -169,6 +171,38 @@ def test_from_arrangement_braid(braid3):
     assert braid3.check_axioms().ok
 
 
+def _braid(k):
+    """The forms x_i - x_j, i < j, on R^k."""
+    rows = []
+    for i, j in combinations(range(k), 2):
+        row = [0] * k
+        row[i], row[j] = 1, -1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("k, fubini, topes", [(3, 13, 6), (4, 75, 24), (5, 541, 120), (6, 4683, 720)])
+def test_from_arrangement_braid_fubini(k, fubini, topes):
+    # the faces of the braid arrangement are the ordered set partitions of
+    # k points, its chambers the k! orderings
+    rows = _braid(k)
+    system = from_arrangement(RationalArrangement([f"H{i + 1}" for i in range(len(rows))], rows))
+    assert len(system) == fubini
+    assert sum(1 for c in system.covectors if not c.zero_mask) == topes
+
+
+def test_from_arrangement_b3():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j in combinations(range(3), 2):
+        for s in (1, -1):
+            row = [0] * 3
+            row[i], row[j] = 1, s
+            rows.append(row)
+    system = from_arrangement(RationalArrangement([f"H{i + 1}" for i in range(9)], rows))
+    assert len(system) == 147
+    assert len(system.topes()) == 48
+
+
 def test_arrangement_input_validation():
     with pytest.raises(DegenerateArrangementError):
         RationalArrangement(("a", "b"), [(1, 0), (0, 0)])
@@ -188,6 +222,94 @@ def test_zero_map_cover_preserving(five_planes):
     for a, b in zmap.source.covers():
         fa, fb = zmap.assignment[a], zmap.assignment[b]
         assert (fa, fb) in lat_covers
+
+
+# -- the exhaustive scan over the 3^n sign vectors, kept as an oracle ---------
+
+
+def _eliminate_variable(rows, k):
+    """One Fourier-Motzkin step on strict inequalities  row . v > 0."""
+    pos = [r for r in rows if r[k] > 0]
+    neg = [r for r in rows if r[k] < 0]
+    out = set()
+    for r in rows:
+        if r[k] == 0:
+            rr = _normalize_row(r)
+            if not any(rr):
+                return None  # 0 > 0
+            out.add(rr)
+    for p in pos:
+        for q in neg:
+            comb = _normalize_row(tuple(p[i] * (-q[k]) + q[i] * p[k] for i in range(len(p))))
+            if not any(comb):
+                return None
+            out.add(comb)
+    return list(out)
+
+
+def _strict_system_feasible(rows, dim):
+    """Exact feasibility of  row . v > 0  for all rows, over the rationals."""
+    if not all(any(r) for r in rows):
+        return False
+    current = list({_normalize_row(r) for r in rows})
+    for k in range(dim):
+        current = _eliminate_variable(current, k)
+        if current is None:
+            return False
+        if not current:
+            return True
+    return not current
+
+
+def _sign_pattern_feasible(forms, signs, dim):
+    """Is there a rational point v with sign(form_i . v) = signs_i for all i?"""
+    # the equalities substitute variables away by Gauss-Jordan elimination
+    pivots = []
+    for i, s in enumerate(signs):
+        if s:
+            continue
+        row = [Fraction(x) for x in forms[i]]
+        for col, prow in pivots:
+            if row[col]:
+                row = [a - row[col] / prow[col] * b for a, b in zip(row, prow)]
+        col = next((c for c in range(dim) if row[c]), None)
+        if col is None:
+            continue
+        for j, (pcol, prow) in enumerate(pivots):
+            if prow[col]:
+                pivots[j] = (pcol, [a - prow[col] / row[col] * b for a, b in zip(prow, row)])
+        pivots.append((col, row))
+    reduced = []
+    for i, s in enumerate(signs):
+        if not s:
+            continue
+        row = [Fraction(x) * s for x in forms[i]]
+        for col, prow in pivots:
+            if row[col]:
+                row = [a - row[col] / prow[col] * b for a, b in zip(row, prow)]
+        reduced.append(_normalize_row(row))
+    free = [c for c in range(dim) if c not in {col for col, _ in pivots}]
+    return _strict_system_feasible([tuple(r[c] for c in free) for r in reduced], len(free))
+
+
+def _scan_oracle(arrangement):
+    """The covectors as every sign vector whose pattern is feasible,
+    found by a depth-first scan that prunes infeasible prefixes."""
+    forms, dim, n = list(arrangement.forms), arrangement.dimension, len(arrangement.labels)
+    found, signs = [], [0] * n
+
+    def scan(i):
+        if i == n:
+            found.append(SignVector.from_signs(signs, arrangement.labels))
+            return
+        for s in (0, 1, -1):
+            signs[i] = s
+            if _sign_pattern_feasible(forms[: i + 1], signs[: i + 1], dim):
+                scan(i + 1)
+        signs[i] = 0
+
+    scan(0)
+    return CovectorSystem(arrangement.labels, found)
 
 
 @st.composite
@@ -214,3 +336,4 @@ def test_from_arrangement_always_satisfies_axioms(rows):
         return
     system = from_arrangement(arr)
     assert system.check_axioms().ok
+    assert system.covectors == _scan_oracle(arr).covectors
