@@ -10,7 +10,7 @@ from .matroids import (
 )
 from .lattices import GeometricLattice, MChain, build_lattice
 from .corpus import CORPUS_NAMES, corpus
-from .salvetti import SalvettiPoset, salvetti, salvetti_localization, stratify_fiber
+from .salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from .morse import (
     Matching,
     matching_convex_critical,
@@ -42,7 +42,6 @@ __all__ = [
     "CORPUS_NAMES",
     "corpus",
     "SalvettiPoset",
-    "salvetti",
     "salvetti_localization",
     "stratify_fiber",
     "Matching",

@@ -9,7 +9,8 @@ constructed outright (extended cocircuits, plus the crossing cocircuits
 supported on the new element, then composition closure) and the covector
 axioms are the final arbiter.  Nothing is emitted unverified.
 
-Flats are ground-bit masks and cocircuits covector numbers.  A new label
+Flats are ground-bit masks, cocircuits covector numbers and a covector's
+value its (plus, minus) pair.  A new label
 is appended to the ground, so a flat of the base is the same mask in the
 extension, and search orders follow the lattice's flat numbering.
 """
@@ -22,7 +23,7 @@ from typing import Iterator, Optional
 from .lattices import GeometricLattice, build_lattice
 from .matroids import CovectorSystem, _closure_from_cocircuits
 from .posets import bits
-from .signs import SignVector
+from .signs import restrict_masks
 
 
 class ExtensionError(ValueError):
@@ -64,11 +65,10 @@ class _SearchSpace:
             raise ExtensionError("extension search supports rank 2 and 3 only")
         # each coatom flat carries one cocircuit pair; the representative is
         # the cocircuit of least number (covectors are numbered by sign text)
-        vectors = system.vectors()
-        cocirc = system.mask(system.cocircuits())
+        cocirc = system.cocircuits()
         self.pair_rep: dict[int, int] = {}
         for y in bits(cocirc):
-            self.pair_rep.setdefault(vectors[y].zero_mask, y)
+            self.pair_rep.setdefault(system.zero_set(y), y)
         index = self.lattice.index
         self.coatoms = sorted(self.pair_rep, key=index.__getitem__)
         self.colines = sorted(self.lattice.flats_of_rank(self.rank - 2), key=index.__getitem__)
@@ -79,26 +79,25 @@ class _SearchSpace:
         edge_rank = self.rank - 2
         poset = system.covector_poset()
         self.edge_cells: list[tuple[int, int, int]] = []
-        for f, v in enumerate(vectors):
-            if self.lattice.rank_of.get(v.zero_mask) != edge_rank:
+        for f in poset.elements:
+            if self.lattice.rank_of.get(system.zero_set(f)) != edge_rank:
                 continue
             below = bits(poset.below(f) & cocirc)
             if len(below) != 2:
-                raise ExtensionError(f"cell {v} has {len(below)} vertices")
+                raise ExtensionError(f"cell {poset.names[f]} has {len(below)} vertices")
             self.edge_cells.append((f, below[0], below[1]))
 
     # -- rank-two contractions as cycles ----------------------------------
 
-    def _cocircuit_cycle(self, contraction: CovectorSystem) -> list[SignVector]:
+    def _cocircuit_cycle(self, contraction: CovectorSystem) -> list[tuple[int, int]]:
         poset = contraction.covector_poset()
-        vectors = contraction.vectors()
-        cocirc = contraction.mask(contraction.cocircuits())
+        cocirc = contraction.cocircuits()
         adj: dict[int, list[int]] = {y: [] for y in bits(cocirc)}
         for t in bits(poset.maximal_elements()):
             ys = bits(poset.below(t) & cocirc)
             if len(ys) != 2:
                 raise ExtensionError(
-                    f"tope {vectors[t]} of a rank-two contraction has {len(ys)} vertices"
+                    f"tope {poset.names[t]} of a rank-two contraction has {len(ys)} vertices"
                 )
             a, b = ys
             adj[a].append(b)
@@ -117,10 +116,11 @@ class _SearchSpace:
             cycle.append(nxt)
         if len(cycle) != len(adj):
             raise ExtensionError("cocircuit adjacency is not a single cycle")
+        vectors = contraction.vectors()
         cycle = [vectors[y] for y in cycle]
         m = len(cycle) // 2
         for i in range(m):
-            if cycle[i + m] != cycle[i].opposite():
+            if cycle[i + m] != cycle[i][::-1]:
                 raise ExtensionError("cocircuit cycle is not antipodally symmetric")
         return cycle
 
@@ -140,14 +140,16 @@ class _SearchSpace:
         # identify each cycle position with a coatom flat and a relative sign
         pos_flat: list[tuple[int, int]] = []
         vectors = system.vectors()
-        restricted = {x: vectors[self.pair_rep[x]].restrict(rest) for x in flats_here}
+        restricted = dict(
+            zip(flats_here, restrict_masks([vectors[self.pair_rep[x]] for x in flats_here], rest))
+        )
         for y in cycle:
             hit = None
             for x in flats_here:
                 if y == restricted[x]:
                     hit = (x, 1)
                     break
-                if y == restricted[x].opposite():
+                if y == restricted[x][::-1]:
                     hit = (x, -1)
                     break
             if hit is None:
@@ -209,28 +211,28 @@ def _build_extension(
     gbit = 1 << len(system.ground)
 
     def signed_value(y: int) -> int:
-        x = vectors[y].zero_mask
+        x = system.zero_set(y)
         return values[x] if y == space.pair_rep[x] else -values[x]
 
     cocirc_masks: set[tuple[int, int]] = set()
     for x, y in space.pair_rep.items():
-        v, c = values[x], vectors[y]
-        for plus, minus, s in ((c.plus, c.minus, v), (c.minus, c.plus, -v)):
+        v, (p, m) = values[x], vectors[y]
+        for plus, minus, s in ((p, m, v), (m, p, -v)):
             cocirc_masks.add((plus | (gbit if s > 0 else 0), minus | (gbit if s < 0 else 0)))
     # crossing cocircuits: one-dimensional cells (zero set of corank two)
     # whose two vertices land on opposite sides of the new element
     for f, y1, y2 in space.edge_cells:
         v1, v2 = signed_value(y1), signed_value(y2)
         if v1 and v2 and v1 == -v2:
-            cocirc_masks.add((vectors[f].plus, vectors[f].minus))
+            cocirc_masks.add(vectors[f])
     closure = _closure_from_cocircuits(cocirc_masks)
 
     # cheap rejections first, then the axioms as the single source of truth;
     # the new label is the top bit, so the restriction to the base masks it off
     low = gbit - 1
-    if {(p & low, m & low) for p, m in closure} != {(c.plus, c.minus) for c in system.covectors}:
+    if {(p & low, m & low) for p, m in closure} != system.numbering().keys():
         return None
-    candidate = CovectorSystem(ground, {SignVector(ground, p, m) for p, m in closure})
+    candidate = CovectorSystem(ground, closure)
     if not candidate.is_simple():
         return None
     if not candidate.check_axioms().ok:

@@ -26,7 +26,7 @@ from .matroids import CovectorSystem
 from .posets import FinitePoset, SimplicialComplexRecord, bits
 from .salvetti import (
     SalvettiLocalization,
-    salvetti,
+    SalvettiPoset,
     salvetti_localization,
     stratify_fiber,
 )
@@ -405,7 +405,7 @@ def salvetti_betti_match_whitney(system: CovectorSystem) -> WhitneyCheck:
     """The global cross-oracle: Betti numbers of the Salvetti poset must
     equal the unsigned Whitney numbers, with no torsion."""
     w = build_lattice(system).whitney()
-    res = homology(salvetti(system).poset)
+    res = homology(SalvettiPoset(system).poset)
     betti = res.betti + (0,) * (len(w) - len(res.betti))
     return WhitneyCheck(betti[: len(w)] == w and res.is_torsion_free(), betti, w, res)
 

@@ -11,7 +11,7 @@ the independent oracle for Betti numbers downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem, NotAFlatError
 from .posets import FinitePoset, PosetMap, mask_of
@@ -164,15 +164,8 @@ class GeometricLattice:
 
     def is_modular_flat(self, flat: int) -> ModularityCheck:
         """Definition check: Z v (X ^ Y) = (Z v X) ^ Y for all Z <= Y."""
-        x = self.check_flat(flat)
-        for y in self.flats:
-            xy = x & y
-            for z in self.flats:
-                if z & ~y:
-                    continue
-                if self.join(z, xy) != self.join(z, x) & y:
-                    return ModularityCheck(False, (z, y))
-        return ModularityCheck(True)
+        witness = self._modularity_witness(self.check_flat(flat), self.flats)
+        return ModularityCheck(witness is None, witness)
 
     def rank3_modular_coatom_test(self, flat: int) -> bool:
         """Rank-3 criterion: a rank-2 flat is modular iff it meets every
@@ -207,24 +200,28 @@ class GeometricLattice:
         sub = [f for f in self.flats if not f & ~top]
         coatoms = sorted((f for f in sub if self.rank_of[f] == r - 1), key=self.index.__getitem__)
         for m in coatoms:
-            if not self._modular_in(m, sub):
+            if self._modularity_witness(m, sub) is not None:
                 continue
             rest = self._ss_chain(m)
             if rest is not None:
                 return rest + [top]
         return None
 
-    def _modular_in(self, x: int, universe: list[int]) -> bool:
-        # joins of flats below max(universe) stay below it, so the global
-        # join table is valid inside the subinterval
+    def _modularity_witness(self, x: int, universe: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The first (Z, Y) of the universe, Y outer, with Z <= Y and
+        Z v (X ^ Y) != (Z v X) ^ Y, or None when X is modular there.
+
+        Joins of flats below the top of an interval stay below it, so the
+        global join table is valid inside the subinterval `_ss_chain` passes.
+        """
         for y in universe:
             xy = x & y
             for z in universe:
                 if z & ~y:
                     continue
                 if self.join(z, xy) != self.join(z, x) & y:
-                    return False
-        return True
+                    return z, y
+        return None
 
     def brylawski_iso(self, modular: int, other: int) -> tuple[PosetMap, PosetMap]:
         """The interval isomorphism [Y, X v Y] -> [X ^ Y, X] at a modular X,
@@ -254,4 +251,5 @@ class GeometricLattice:
 
 def build_lattice(system: CovectorSystem) -> GeometricLattice:
     """The lattice of zero sets of the covectors."""
-    return GeometricLattice(system.ground, {c.zero_mask for c in system.covectors})
+    full = (1 << len(system.ground)) - 1
+    return GeometricLattice(system.ground, {full & ~(p | m) for p, m in system.vectors()})

@@ -1,15 +1,19 @@
 """Covector systems: axiom checking, standard constructions, realizable input.
 
-A covector system is a finite set of sign vectors over an ordered ground
-set.  The four covector axioms are checked exhaustively and on failure a
-concrete witness is reported; failures are data here, not exceptions,
-because the extension search uses the axiom check as its validity arbiter.
+A covector system is a finite set of covectors over an ordered ground
+set.  Each covector is kept once, as its (plus, minus) pair of ground-bit
+masks, and numbered in the order of its sign text: covector i is the
+pair `vectors()[i]` with text `names()[i]`, and a set of covectors is a
+mask over that numbering.  The four covector axioms are checked
+exhaustively and on failure a concrete witness is reported; failures are
+data here, not exceptions, because the extension search uses the axiom
+check as its validity arbiter.
 
-The covector order is built once per system, by one scan over the
-(plus, minus) masks, and cached.  Every other order question is read off
-it: the topes are its maximal elements, the rank its height, the
-cocircuits the nonzero elements with only zero below, and the dual ball,
-the sphere and the Salvetti poset are views of it.
+The covector order is built once per system, by one scan over the pairs,
+and cached.  Every other order question is read off it: the topes are
+its maximal elements, the rank its height, the cocircuits the nonzero
+elements with only zero below, and the dual ball, the sphere and the
+Salvetti poset are views of it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .posets import FinitePoset, PosetMap, bits, mask_of
-from .signs import GroundSetMismatchError, SignVector, compose_masks
+from .signs import (
+    GroundSetMismatchError,
+    compose_masks,
+    parse_signs,
+    restrict_masks,
+    sign_text,
+)
 
 
 class NotAFlatError(ValueError):
@@ -32,25 +42,25 @@ class DegenerateArrangementError(ValueError):
     pass
 
 
-def section_lift(alpha: SignVector, v: SignVector) -> SignVector:
-    """The lift of v along the section at alpha: v's entries on z(alpha),
-    alpha's entries everywhere else.
+def section_lift(alpha: tuple[int, int], flat: int, v: tuple[int, int]) -> tuple[int, int]:
+    """The lift of v along the section at alpha: v's entries on the flat
+    z(alpha), alpha's entries everywhere else.
 
-    v lives on the localization at z(alpha), so its labels must be the
-    zero set of alpha in ground-set order.
+    v is a pair over the localization at the flat, so bit j of v is the
+    j-th element of the flat in ground order.
     """
-    spots = [i for i in range(len(alpha.labels)) if alpha.zero_mask >> i & 1]
-    if v.labels != tuple(alpha.labels[i] for i in spots):
-        raise GroundSetMismatchError(
-            f"{v.labels} is not the zero set of {alpha} in ground order"
-        )
-    plus, minus = alpha.plus, alpha.minus
+    plus, minus = alpha
+    if (plus | minus) & flat:
+        raise ValueError("alpha does not vanish on the flat")
+    spots = bits(flat)
+    if (v[0] | v[1]) >> len(spots):
+        raise GroundSetMismatchError("the lifted vector is not over the flat")
     for j, i in enumerate(spots):
-        if v.plus >> j & 1:
+        if v[0] >> j & 1:
             plus |= 1 << i
-        elif v.minus >> j & 1:
+        elif v[1] >> j & 1:
             minus |= 1 << i
-    return SignVector(alpha.labels, plus, minus)
+    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -96,36 +106,25 @@ class SimplifyResult:
 class CovectorSystem:
     """An oriented matroid presented by its set of covectors."""
 
-    __slots__ = (
-        "ground",
-        "covectors",
-        "_mask_set",
-        "_topes",
-        "_cocircuits",
-        "_poset",
-        "_vectors",
-        "_numbering",
-        "_memo",
-    )
+    __slots__ = ("ground", "_vectors", "_names", "_numbering", "_poset", "_memo")
 
-    def __init__(self, ground: Iterable[str], covectors: Iterable[SignVector]):
+    def __init__(self, ground: Iterable[str], pairs: Iterable[tuple[int, int]]):
+        """The system of the distinct (plus, minus) pairs over the ground."""
         ground = tuple(ground)
-        covs = frozenset(covectors)
-        for c in covs:
-            if c.labels != ground:
-                raise ValueError(
-                    f"covector over {c.labels} does not match ground set {ground}"
-                )
+        n = len(ground)
+        covs = set(pairs)
+        for p, m in covs:
+            if p & m:
+                raise ValueError("an entry cannot be both + and -")
+            if (p | m) >> n:
+                raise ValueError("mask bits outside the ground set")
+        named = sorted((sign_text(p, m, n), (p, m)) for p, m in covs)
+        vectors = tuple(c for _, c in named)
         object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "covectors", covs)
-        object.__setattr__(
-            self, "_mask_set", frozenset((c.plus, c.minus) for c in covs)
-        )
-        object.__setattr__(self, "_topes", None)
-        object.__setattr__(self, "_cocircuits", None)
+        object.__setattr__(self, "_vectors", vectors)
+        object.__setattr__(self, "_names", tuple(t for t, _ in named))
+        object.__setattr__(self, "_numbering", {c: i for i, c in enumerate(vectors)})
         object.__setattr__(self, "_poset", None)
-        object.__setattr__(self, "_vectors", None)
-        object.__setattr__(self, "_numbering", None)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -134,22 +133,33 @@ class CovectorSystem:
     @classmethod
     def from_strings(cls, ground: Iterable[str], rows: Iterable[str]) -> "CovectorSystem":
         ground = tuple(ground)
-        return cls(ground, (SignVector.from_string(r, ground) for r in rows))
+        return cls(ground, [parse_signs(r, len(ground)) for r in rows])
 
     # -- basics ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.covectors)
+        return len(self._vectors)
 
-    def __contains__(self, v: SignVector) -> bool:
-        return (v.plus, v.minus) in self._mask_set and v.labels == self.ground
+    def vector(self, text: str) -> tuple[int, int]:
+        """The (plus, minus) pair of a sign text over this ground."""
+        return parse_signs(text, len(self.ground))
 
-    @property
-    def zero(self) -> SignVector:
-        return SignVector.zero(self.ground)
+    def vectors(self) -> tuple[tuple[int, int], ...]:
+        """The (plus, minus) pair of each covector, in the numbering."""
+        return self._vectors
 
-    def vector(self, text: str) -> SignVector:
-        return SignVector.from_string(text, self.ground)
+    def names(self) -> tuple[str, ...]:
+        """The sign text of each covector, in the numbering (sorted)."""
+        return self._names
+
+    def numbering(self) -> dict[tuple[int, int], int]:
+        """The number of each covector, keyed by its (plus, minus) pair."""
+        return self._numbering
+
+    def zero_set(self, c: int) -> int:
+        """The zero set of covector number c, as a ground-bit mask."""
+        p, m = self._vectors[c]
+        return ((1 << len(self.ground)) - 1) & ~(p | m)
 
     def label_mask(self, labels: Iterable[str]) -> int:
         """The ground-bit mask of a set of labels (bit i is ground[i])."""
@@ -163,68 +173,54 @@ class CovectorSystem:
         """The labels of the ground elements in a mask, in ground order."""
         return tuple(lab for i, lab in enumerate(self.ground) if mask >> i & 1)
 
-    def topes(self) -> frozenset[SignVector]:
-        """The maximal covectors of the covector order."""
-        if self._topes is None:
-            vectors = self.vectors()
-            tops = frozenset(
-                vectors[x] for x in bits(self.covector_poset().maximal_elements())
-            )
-            object.__setattr__(self, "_topes", tops)
-        return self._topes
+    def topes(self) -> int:
+        """The mask of the maximal covectors of the covector order."""
+        return self.covector_poset().maximal_elements()
 
     def rank(self) -> int:
         """Length of a maximal chain in the covector poset."""
         return self.covector_poset().height()
 
     def loops(self) -> tuple[str, ...]:
-        full = (1 << len(self.ground)) - 1
         support = 0
-        for c in self.covectors:
-            support |= c.support_mask
-        zero_bits = full & ~support
-        return tuple(
-            lab for i, lab in enumerate(self.ground) if zero_bits >> i & 1
-        )
+        for p, m in self._vectors:
+            support |= p | m
+        return self.labels(((1 << len(self.ground)) - 1) & ~support)
+
+    def _zero_columns(self) -> list[int]:
+        """For each element, the mask of the covectors vanishing on it;
+        parallel elements have equal columns."""
+        return [
+            mask_of(k for k, (p, m) in enumerate(self._vectors) if not (p | m) >> i & 1)
+            for i in range(len(self.ground))
+        ]
 
     def is_simple(self) -> bool:
         """No loops, no two elements vanishing on the same covectors."""
-        if self.loops():
-            return False
-        seen: set[frozenset] = set()
-        for i, _lab in enumerate(self.ground):
-            z = frozenset(
-                (c.plus, c.minus)
-                for c in self.covectors
-                if not (c.support_mask >> i & 1)
-            )
-            if z in seen:
-                return False
-            seen.add(z)
-        return True
+        columns = self._zero_columns()
+        return not self.loops() and len(set(columns)) == len(columns)
 
     # -- axioms ------------------------------------------------------------
 
     def check_axioms(self) -> AxiomReport:
         """The four axioms, each failure with its first witness: pairs are
-        taken in row-major order over the covectors sorted by sign text."""
-        covs = sorted(self.covectors, key=str)
-        masks = [(c.plus, c.minus) for c in covs]
-        mask_set = self._mask_set
+        taken in row-major order over the covector numbering."""
+        masks, names, number = self._vectors, self._names, self._numbering
 
-        ax1 = AxiomCheck((0, 0) in mask_set, None if (0, 0) in mask_set else "zero vector missing")
+        ax1 = AxiomCheck((0, 0) in number, None if (0, 0) in number else "zero vector missing")
 
         ax2 = AxiomCheck(True)
-        for c in covs:
-            if (c.minus, c.plus) not in mask_set:
-                ax2 = AxiomCheck(False, f"opposite of {c} missing")
+        for i, (p, m) in enumerate(masks):
+            if (m, p) not in number:
+                ax2 = AxiomCheck(False, f"opposite of {names[i]} missing")
                 break
 
         ax3 = AxiomCheck(True)
-        escape = _composition_escape(masks, mask_set, len(self.ground))
+        escape = _composition_escape(masks, number, len(self.ground))
         if escape is not None:
-            x, y = covs[escape[0]], covs[escape[1]]
-            ax3 = AxiomCheck(False, f"{x} o {y} = {x.compose(y)} escapes the set")
+            i, j = escape
+            xy = sign_text(*compose_masks(*masks[i], *masks[j]), len(self.ground))
+            ax3 = AxiomCheck(False, f"{names[i]} o {names[j]} = {xy} escapes the set")
 
         ax4 = AxiomCheck(True)
         unmet = _unmet_elimination(masks, len(self.ground))
@@ -232,7 +228,7 @@ class CovectorSystem:
             i, j, e = unmet
             ax4 = AxiomCheck(
                 False,
-                f"no eliminating covector for pair ({covs[i]}, {covs[j]}) at {self.ground[e]}",
+                f"no eliminating covector for pair ({names[i]}, {names[j]}) at {self.ground[e]}",
             )
 
         return AxiomReport(ax1, ax2, ax3, ax4)
@@ -242,129 +238,89 @@ class CovectorSystem:
     def simplify(self) -> SimplifyResult:
         """Remove loops and collapse parallel classes to representatives."""
         loops = self.loops()
-        idx = {lab: i for i, lab in enumerate(self.ground)}
-        columns: dict[str, frozenset] = {}
-        for lab in self.ground:
-            if lab in loops:
-                continue
-            i = idx[lab]
-            # parallel elements have identical zero patterns across covectors
-            columns[lab] = frozenset(
-                (c.plus, c.minus)
-                for c in self.covectors
-                if not (c.support_mask >> i & 1)
-            )
+        columns = self._zero_columns()
         rep: dict[str, str] = {}
-        chosen: dict[frozenset, str] = {}
-        for lab in self.ground:
-            if lab in loops:
-                continue
-            z = columns[lab]
-            if z not in chosen:
-                chosen[z] = lab
-            rep[lab] = chosen[z]
+        chosen: dict[int, str] = {}
+        for lab, z in zip(self.ground, columns):
+            if lab not in loops:
+                rep[lab] = chosen.setdefault(z, lab)
         keep = mask_of(i for i, lab in enumerate(self.ground) if rep.get(lab) == lab)
-        new_covs = {c.restrict(keep) for c in self.covectors}
-        return SimplifyResult(CovectorSystem(self.labels(keep), new_covs), rep, loops)
+        return SimplifyResult(self.restriction(keep), rep, loops)
 
     # -- constructions ---------------------------------------------------------
 
+    def _check_mask(self, mask: int) -> None:
+        if mask >> len(self.ground):
+            raise ValueError("mask bits outside the ground set")
+
     def restriction(self, keep: int) -> "CovectorSystem":
         """The covectors restricted to the elements of a ground-bit mask."""
-        return CovectorSystem(self.labels(keep), {c.restrict(keep) for c in self.covectors})
+        self._check_mask(keep)
+        return CovectorSystem(self.labels(keep), restrict_masks(self._vectors, keep))
 
     def contraction(self, flat: int) -> "CovectorSystem":
         """Covectors vanishing on a ground-bit mask, restricted to the rest."""
-        full = (1 << len(self.ground)) - 1
-        if flat & ~full:
-            raise ValueError("mask bits outside the ground set")
-        rest = full & ~flat
-        covs = {c.restrict(rest) for c in self.covectors if not (c.support_mask & flat)}
-        return CovectorSystem(self.labels(rest), covs)
+        self._check_mask(flat)
+        rest = ((1 << len(self.ground)) - 1) & ~flat
+        vanishing = [(p, m) for p, m in self._vectors if not (p | m) & flat]
+        return CovectorSystem(self.labels(rest), restrict_masks(vanishing, rest))
 
     def localization(self, flat: int) -> tuple["CovectorSystem", PosetMap]:
         """The restriction to a flat (a ground-bit mask), with the
         projection of covector posets."""
-        if not any(c.zero_mask == flat for c in self.covectors):
+        if not any(self.zero_set(c) == flat for c in range(len(self))):
             name = ",".join(self.labels(flat)) or "{}"
             raise NotAFlatError(f"{name} is not a flat")
-        loc = self.restriction(flat)
+        restricted = restrict_masks(self._vectors, flat)
+        loc = CovectorSystem(self.labels(flat), restricted)
         number = loc.numbering()
-        assignment = {}
-        for i, c in enumerate(self.vectors()):
-            r = c.restrict(flat)
-            assignment[i] = number[r.plus, r.minus]
+        assignment = {i: number[r] for i, r in enumerate(restricted)}
         return loc, PosetMap(self.covector_poset(), loc.covector_poset(), assignment, _validated=True)
 
-    def section_iota(self, alpha: SignVector) -> PosetMap:
-        """The section iota_alpha of the localization at z(alpha)."""
-        if alpha not in self:
+    def section_iota(self, alpha: int) -> PosetMap:
+        """The section iota_alpha of the localization at the zero set of
+        covector number alpha."""
+        if not 0 <= alpha < len(self):
             raise ValueError("alpha is not a covector of this system")
-        loc, _rho = self.localization(alpha.zero_mask)
-        number = self.numbering()
+        flat = self.zero_set(alpha)
+        loc, _rho = self.localization(flat)
+        number = self._numbering
         assignment = {}
         for i, c in enumerate(loc.vectors()):
-            lifted = section_lift(alpha, c)
-            if lifted not in self:
-                raise ValueError(
-                    f"section image {lifted} is not a covector; alpha invalid"
-                )
-            assignment[i] = number[lifted.plus, lifted.minus]
+            lifted = section_lift(self._vectors[alpha], flat, c)
+            if lifted not in number:
+                text = sign_text(*lifted, len(self.ground))
+                raise ValueError(f"section image {text} is not a covector; alpha invalid")
+            assignment[i] = number[lifted]
         return PosetMap(loc.covector_poset(), self.covector_poset(), assignment)
 
-    def cocircuits(self) -> frozenset[SignVector]:
-        """The minimal nonzero covectors: nothing but zero lies below them."""
-        if self._cocircuits is None:
-            poset = self.covector_poset()
-            zero = self.numbering().get((0, 0))
-            floor = 0 if zero is None else 1 << zero
-            vectors = self.vectors()
-            out = frozenset(
-                vectors[x]
-                for x in poset.elements
-                if x != zero and poset.below(x) & ~floor == 1 << x
-            )
-            object.__setattr__(self, "_cocircuits", out)
-        return self._cocircuits
+    def cocircuits(self) -> int:
+        """The mask of the minimal nonzero covectors: nothing but zero lies below them."""
+        poset = self.covector_poset()
+        zero = self._numbering.get((0, 0))
+        floor = 0 if zero is None else 1 << zero
+        return mask_of(
+            x for x in poset.elements if x != zero and poset.below(x) & ~floor == 1 << x
+        )
 
     # -- poset views ----------------------------------------------------------
 
     def covector_poset(self) -> FinitePoset:
         """The covectors under the product order, built once per system.
 
-        Element i is `vectors()[i]`, numbered in the order of the sign
-        texts.  Every other covector order is a view of this one: the dual
-        ball is its `.dual()`, the sphere its subposet without the zero
-        vector, and the Salvetti poset reads its principal ideals off it.
+        Element i is covector i, named by its sign text.  Every other
+        covector order is a view of this one: the dual ball is its
+        `.dual()`, the sphere its subposet without the zero vector, and the
+        Salvetti poset reads its principal ideals off it.
         """
         if self._poset is None:
-            named = sorted((str(c), c) for c in self.covectors)
-            vectors = tuple(c for _, c in named)
-            masks = [(c.plus, c.minus) for c in vectors]
+            masks = self._vectors
             below = {
                 j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
                 for j, (pb, mb) in enumerate(masks)
             }
-            poset = FinitePoset([t for t, _ in named], below, _validated=True)
-            object.__setattr__(self, "_vectors", vectors)
-            object.__setattr__(self, "_numbering", {m: i for i, m in enumerate(masks)})
-            object.__setattr__(self, "_poset", poset)
+            object.__setattr__(self, "_poset", FinitePoset(self._names, below, _validated=True))
         return self._poset
-
-    def vectors(self) -> tuple[SignVector, ...]:
-        """The covectors in the numbering of the covector poset."""
-        self.covector_poset()
-        return self._vectors
-
-    def numbering(self) -> dict[tuple[int, int], int]:
-        """The number of each covector, keyed by its (plus, minus) masks."""
-        self.covector_poset()
-        return self._numbering
-
-    def mask(self, vectors: Iterable[SignVector]) -> int:
-        """The mask of the given covectors in the covector poset."""
-        number = self.numbering()
-        return mask_of(number[v.plus, v.minus] for v in vectors)
 
     def memo(self, key: tuple, build: Callable[[], object]) -> object:
         """`build()`, called once per key and kept on this system, so it
@@ -382,7 +338,7 @@ class CovectorSystem:
 
 
 def _composition_escape(
-    masks: list[tuple[int, int]], mask_set: frozenset, n: int
+    masks: tuple[tuple[int, int], ...], number: dict[tuple[int, int], int], n: int
 ) -> Optional[tuple[int, int]]:
     """The first pair (i, j) whose composition is not in the set.
 
@@ -396,14 +352,16 @@ def _composition_escape(
         z = full & ~(p1 | m1)
         if z not in restricted:
             restricted[z] = {(p & z, m & z) for p, m in masks}
-        if not mask_set.issuperset([(p1 | p, m1 | m) for p, m in restricted[z]]):
+        if not number.keys() >= {(p1 | p, m1 | m) for p, m in restricted[z]}:
             return i, next(
-                j for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in mask_set
+                j for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number
             )
     return None
 
 
-def _unmet_elimination(masks: list[tuple[int, int]], n: int) -> Optional[tuple[int, int, int]]:
+def _unmet_elimination(
+    masks: tuple[tuple[int, int], ...], n: int
+) -> Optional[tuple[int, int, int]]:
     """The first pair (i, j) and element e of their separator S with no
     covector Z such that Z_e = 0 and Z agrees with X o Y off S.
 
@@ -580,7 +538,4 @@ def from_arrangement(arrangement: RationalArrangement) -> CovectorSystem:
             if plus | minus:
                 cocircuits |= {(plus, minus), (minus, plus)}
                 break
-    labels = arrangement.labels
-    return CovectorSystem(
-        labels, (SignVector(labels, p, m) for p, m in _closure_from_cocircuits(cocircuits))
-    )
+    return CovectorSystem(arrangement.labels, _closure_from_cocircuits(cocircuits))

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .matroids import CovectorSystem, RationalArrangement, from_arrangement
+from .posets import bits
 
 
 class OMFileError(ValueError):
@@ -39,13 +40,14 @@ class OMFile:
 
 def format_system(system: CovectorSystem) -> str:
     lines = ["ground: " + " ".join(system.ground), "covectors:"]
-    lines += sorted(str(c) for c in system.covectors)
+    lines += system.names()
     return "\n".join(lines) + "\n"
 
 
 def format_topes(system: CovectorSystem) -> str:
     lines = ["ground: " + " ".join(system.ground), "topes:"]
-    lines += sorted(str(t) for t in system.topes())
+    names = system.names()
+    lines += [names[t] for t in bits(system.topes())]
     return "\n".join(lines) + "\n"
 
 

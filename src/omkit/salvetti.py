@@ -4,7 +4,8 @@ Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 (sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
 covector poset.  Everything here is by number: a covector or tope is its
-element of `system.covector_poset()`, and cell k is the pair `keys[k]` of
+element of `system.covector_poset()`, its value the (plus, minus) pair
+`system.vectors()[i]`, and cell k is the pair `keys[k]` of
 covector numbers (`index` inverts it).  Cells are numbered in the order of
 their ids "(sigma;T)", which are rendered once, as the poset's names; sign
 text is parsed and rendered only by the command line.  A flat is a
@@ -20,7 +21,7 @@ from typing import Optional
 from .lattices import build_lattice, GeometricLattice
 from .matroids import CovectorSystem, section_lift
 from .posets import FinitePoset, PosetMap, bits, mask_of
-from .signs import SignVector, compose_masks
+from .signs import compose_masks, restrict_masks, separator_masks, sign_text
 
 
 class StratificationError(ValueError):
@@ -42,16 +43,16 @@ class SalvettiPoset:
         index = {key: k for k, key in enumerate(keys)}
         below = {}
         for r in bits(topes):
-            vr = vectors[r]
+            pr, mr = vectors[r]
             for g in bits(order.below(r)):
                 m = 0
                 for f in bits(order.above(g)):
-                    vf = vectors[f]
-                    fr = compose_masks(vf.plus, vf.minus, vr.plus, vr.minus)
+                    pf, mf = vectors[f]
+                    fr = compose_masks(pf, mf, pr, mr)
                     t = number.get(fr, -1)
                     if t < 0 or not topes >> t & 1:
-                        bad = SignVector(system.ground, *fr)
-                        what = "tope" if bad in system else "covector"
+                        bad = sign_text(*fr, len(system.ground))
+                        what = "tope" if fr in number else "covector"
                         raise ValueError(f"composition {names[f]} o {names[r]} = {bad} is not a {what}")
                     m |= 1 << index[f, t]
                 below[index[g, r]] = m
@@ -78,10 +79,6 @@ class SalvettiPoset:
         return self.poset.heights()[cell]
 
 
-def salvetti(system: CovectorSystem) -> SalvettiPoset:
-    return SalvettiPoset(system)
-
-
 @dataclass(frozen=True)
 class SalvettiLocalization:
     """The localization map between Salvetti posets at a flat, with the
@@ -99,14 +96,11 @@ class SalvettiLocalization:
         """The section induced by a covector (by number) with zero set
         equal to the flat."""
         system = self.system
-        vectors = system.vectors()
-        if alpha not in system.covector_poset() or vectors[alpha].zero_mask != self.flat:
+        if alpha not in system.covector_poset() or system.zero_set(alpha) != self.flat:
             raise ValueError("alpha must be a covector with zero set the flat")
         number = system.numbering()
-        lift = []
-        for v in self.localized.vectors():
-            w = section_lift(vectors[alpha], v)
-            lift.append(number.get((w.plus, w.minus)))
+        a = system.vectors()[alpha]
+        lift = [number.get(section_lift(a, self.flat, v)) for v in self.localized.vectors()]
         assignment = {}
         for k, (f, t) in enumerate(self.target.keys):
             cell = self.source.index.get((lift[f], lift[t]))
@@ -148,12 +142,12 @@ def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, Poset
     vt = system.vectors()[tope]
     fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
     bwd = {
-        c: salv.index[c, number[compose_masks(v.plus, v.minus, vt.plus, vt.minus)]]
+        c: salv.index[c, number[compose_masks(*v, *vt)]]
         for c, v in enumerate(system.vectors())
     }
     to_dual = PosetMap(ideal, dual, fwd)
     from_dual = PosetMap(dual, ideal, bwd)
-    if len(ideal) != len(system.covectors):
+    if len(ideal) != len(system):
         raise AssertionError("principal ideal has the wrong size")
     for k in ideal.elements:
         if bwd[fwd[k]] != k:
@@ -227,14 +221,18 @@ def stratify_fiber(
     number = system.numbering()
     rho = loc.rho.assignment
     # the two covectors with zero set X; the lex-smaller one anchors the string
-    anchors = [v for v in vectors if v.zero_mask == x]
+    anchors = [c for c in order.elements if system.zero_set(c) == x]
     if len(anchors) != 2:
         raise AssertionError("corank-one flat must carry exactly two covectors")
     # iota_alpha(B') = B' on X, alpha elsewhere
-    v0 = section_lift(anchors[0], loc.localized.vectors()[base])
-    if (v0.plus, v0.minus) not in number:
+    v0 = section_lift(vectors[anchors[0]], x, loc.localized.vectors()[base])
+    if v0 not in number:
         raise AssertionError("lifted base tope is not a covector")
-    dist = {t: v0.separator_mask(vectors[t]) for t in bits(order.maximal_elements()) if rho[t] == base}
+    dist = {
+        t: separator_masks(*v0, *vectors[t])
+        for t in bits(order.maximal_elements())
+        if rho[t] == base
+    }
     string = sorted(dist, key=lambda t: dist[t].bit_count())
     # the induced order must be a chain: distances 0..k and nested separators
     for i, t in enumerate(string):
@@ -243,7 +241,7 @@ def stratify_fiber(
         if i > 0 and dist[string[i - 1]] & ~dist[t]:
             raise AssertionError("fiber tope separators are not nested")
     separators = tuple(
-        vectors[string[i - 1]].separator_mask(vectors[string[i]]) for i in range(1, len(string))
+        separator_masks(*vectors[string[i - 1]], *vectors[string[i]]) for i in range(1, len(string))
     )
     for s in separators:
         if s.bit_count() != 1:
@@ -263,15 +261,14 @@ def stratify_fiber(
         raise AssertionError("strata do not cover the fiber exactly")
 
     def cell_over(c: int, t: int) -> int:
-        vc, vt = vectors[c], vectors[t]
-        return source.index[c, number[compose_masks(vc.plus, vc.minus, vt.plus, vt.minus)]]
+        return source.index[c, number[compose_masks(*vectors[c], *vectors[t])]]
 
     lifts = [tuple(cell_over(c, string[0]) for c in order.elements)]
-    width = len(loc.localized.covectors)
+    width = len(loc.localized)
     for i in range(1, len(string)):
         iso: dict[int, int] = {}
-        for c in order.elements:
-            if vectors[c].support_mask & separators[i - 1]:
+        for c, (p, m) in enumerate(vectors):
+            if (p | m) & separators[i - 1]:
                 continue
             if rho[c] in iso:
                 raise AssertionError("restriction is not injective on the stratum")
@@ -318,19 +315,12 @@ def fiber_rank2_model(
     rho = loc.rho.assignment
     ground = system.labels(rest) + (g,)
     gbit = 1 << (len(ground) - 1)
-    model: set[SignVector] = {SignVector.zero(ground)}
-    lifted: dict[int, SignVector] = {}
-    for c, vc in enumerate(vectors):
-        if rho[c] != base:
-            continue
-        r = vc.restrict(rest)
-        lifted[c] = SignVector(ground, r.plus | gbit, r.minus)
-        model.add(lifted[c])
-        model.add(lifted[c].opposite())
-    for a in vectors:
-        if a.zero_mask == loc.flat:
-            r = a.restrict(rest)
-            model.add(SignVector(ground, r.plus, r.minus))
+    fiber = [c for c in range(len(system)) if rho[c] == base]
+    restricted = restrict_masks([vectors[c] for c in fiber], rest)
+    lifted = {c: (p | gbit, m) for c, (p, m) in zip(fiber, restricted)}
+    on_flat = [vectors[c] for c in range(len(system)) if system.zero_set(c) == loc.flat]
+    model = {(0, 0), *lifted.values(), *((m, p) for p, m in lifted.values())}
+    model.update(restrict_masks(on_flat, rest))
     out = CovectorSystem(ground, model)
     number = out.numbering()
-    return out, {c: number[v.plus, v.minus] for c, v in lifted.items()}
+    return out, {c: number[v] for c, v in lifted.items()}

@@ -1,19 +1,18 @@
 """Sign vectors over a fixed ordered ground set.
 
-Entries take values in {+, -, 0}.  Vectors are stored packed, as two bit
-masks (one for the + positions, one for the - positions), so composition,
-separators and the product partial order are single integer operations.
-This matters: axiom checking scans all pairs of covectors, and the
-extension search composes cocircuits in a tight loop.
+Entries take values in {+, -, 0}.  A sign vector is packed as a pair of
+bit masks (plus, minus), bit i set in plus where entry i is + and in
+minus where it is -, so composition, separators and the product partial
+order are single integer operations.  The library keeps covectors as
+bare pairs: the kernels below and the conversion between a pair and its
+sign text are what it uses.  `SignVector` is the labelled object that
+the tests keep as the reference for those kernels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Iterator
-
-SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
-CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
 
 
 class GroundSetMismatchError(ValueError):
@@ -52,21 +51,7 @@ class SignVector:
     @classmethod
     def from_string(cls, text: str, labels: Iterable[str]) -> "SignVector":
         labels = tuple(labels)
-        if len(text) != len(labels):
-            raise ValueError(
-                f"sign string {text!r} has length {len(text)}, ground set has {len(labels)}"
-            )
-        plus = minus = 0
-        for i, ch in enumerate(text):
-            try:
-                s = CHAR_SIGNS[ch]
-            except KeyError:
-                raise ValueError(f"invalid sign character {ch!r}") from None
-            if s > 0:
-                plus |= 1 << i
-            elif s < 0:
-                minus |= 1 << i
-        return cls(labels, plus, minus)
+        return cls(labels, *parse_signs(text, len(labels)))
 
     @classmethod
     def from_signs(cls, signs: Iterable[int], labels: Iterable[str]) -> "SignVector":
@@ -163,11 +148,7 @@ class SignVector:
     # -- canonical text form ------------------------------------------
 
     def __str__(self) -> str:
-        out = []
-        for i in range(len(self.labels)):
-            bit = 1 << i
-            out.append("+" if self.plus & bit else ("-" if self.minus & bit else "0"))
-        return "".join(out)
+        return sign_text(self.plus, self.minus, len(self.labels))
 
     def __repr__(self) -> str:
         return f"SignVector({str(self)!r})"
@@ -184,8 +165,27 @@ class SignVector:
         return hash((self.labels, self.plus, self.minus))
 
 
-# Mask-level kernels used by hot loops (axiom checks, closure, search).
-# They operate on (plus, minus) pairs without building SignVector objects.
+# The library works on bare (plus, minus) pairs: their sign text and kernels.
+
+def parse_signs(text: str, n: int) -> tuple[int, int]:
+    """The (plus, minus) pair of a sign text over a ground set of n elements."""
+    if len(text) != n:
+        raise ValueError(f"sign string {text!r} has length {len(text)}, ground set has {n}")
+    plus = minus = 0
+    for i, ch in enumerate(text):
+        if ch == "+":
+            plus |= 1 << i
+        elif ch == "-":
+            minus |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"invalid sign character {ch!r}")
+    return plus, minus
+
+
+def sign_text(plus: int, minus: int, n: int) -> str:
+    """The sign text of a pair over a ground set of n elements."""
+    return "".join("+" if plus >> i & 1 else "-" if minus >> i & 1 else "0" for i in range(n))
+
 
 def compose_masks(p1: int, m1: int, p2: int, m2: int) -> tuple[int, int]:
     free = ~(p1 | m1)
@@ -194,3 +194,17 @@ def compose_masks(p1: int, m1: int, p2: int, m2: int) -> tuple[int, int]:
 
 def separator_masks(p1: int, m1: int, p2: int, m2: int) -> int:
     return (p1 & m2) | (m1 & p2)
+
+
+def restrict_masks(pairs: Iterable[tuple[int, int]], keep: int) -> list[tuple[int, int]]:
+    """Each pair restricted to the ground bits in keep: bit j of a result
+    is the j-th bit of keep, so the kept elements stay in ground order."""
+    spots = [i for i in range(keep.bit_length()) if keep >> i & 1]
+    out = []
+    for p, m in pairs:
+        rp = rm = 0
+        for j, i in enumerate(spots):
+            rp |= (p >> i & 1) << j
+            rm |= (m >> i & 1) << j
+        out.append((rp, rm))
+    return out

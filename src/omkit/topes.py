@@ -49,7 +49,7 @@ def halfspace(system: CovectorSystem, label: str, sign: int) -> int:
     vectors = system.vectors()
     topes = system.covector_poset().maximal_elements()
     return mask_of(
-        t for t in bits(topes) if (vectors[t].plus if sign > 0 else vectors[t].minus) & bit
+        t for t in bits(topes) if vectors[t][0 if sign > 0 else 1] & bit
     )
 
 
@@ -57,7 +57,7 @@ def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
     """Topes ordered by containment of separators from a base tope."""
     topes = _require_topes(system, 1 << base)
     vectors = system.vectors()
-    seps = [(t, vectors[base].separator_mask(vectors[t])) for t in bits(topes)]
+    seps = [(t, separator_masks(*vectors[base], *vectors[t])) for t in bits(topes)]
     below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
     return FinitePoset(system.covector_poset().names, below, _validated=True)
 
@@ -74,8 +74,8 @@ def convex_hull(system: CovectorSystem, q: int) -> int:
     vectors = system.vectors()
     plus = minus = -1
     for t in bits(q):
-        plus &= vectors[t].plus
-        minus &= vectors[t].minus
+        plus &= vectors[t][0]
+        minus &= vectors[t][1]
     for i, label in enumerate(system.ground):
         if (plus | minus) >> i & 1:
             hull &= halfspace(system, label, 1 if plus >> i & 1 else -1)
@@ -88,12 +88,12 @@ def _is_convex_betweenness(system: CovectorSystem, q: int) -> bool:
     # lies between T and R exactly when S(T,W) is a subset of S(T,R).
     vectors = system.vectors()
     topes = system.covector_poset().maximal_elements()
-    outside = [(vectors[w].plus, vectors[w].minus) for w in bits(topes & ~q)]
+    outside = [vectors[w] for w in bits(topes & ~q)]
     for t in bits(q):
-        vt = vectors[t]
-        to_outside = [separator_masks(vt.plus, vt.minus, p, m) for p, m in outside]
+        pt, mt = vectors[t]
+        to_outside = [separator_masks(pt, mt, p, m) for p, m in outside]
         for r in bits(q):
-            s = vt.separator_mask(vectors[r])
+            s = separator_masks(pt, mt, *vectors[r])
             if any(not (sw & ~s) for sw in to_outside):
                 return False
     return True

@@ -1,6 +1,13 @@
 import pytest
 
 from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.signs import SignVector
+
+
+def sign_vectors(system) -> list[SignVector]:
+    """The covectors of a system as reference `SignVector`s, in its
+    numbering (so sorted by sign text)."""
+    return [SignVector(system.ground, p, m) for p, m in system.vectors()]
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from omkit.signs import SignVector, compose_masks, separator_masks
 
 
 def reference_check_axioms(system: CovectorSystem) -> AxiomReport:
-    covs = sorted(system.covectors, key=str)
+    covs = sorted((SignVector(system.ground, p, m) for p, m in system.vectors()), key=str)
     masks = [(c.plus, c.minus) for c in covs]
     mask_set = {(c.plus, c.minus) for c in covs}
     n = len(system.ground)
@@ -109,20 +109,20 @@ def sign_vector_sets(draw) -> CovectorSystem:
         # closed sets pass the first three axioms, so elimination decides
         covs = composition_closure(covs, ground)
         covs -= set(draw(st.lists(st.sampled_from(sorted(covs, key=str)), max_size=2)))
-    return CovectorSystem(ground, covs)
+    return CovectorSystem(ground, {(c.plus, c.minus) for c in covs})
 
 
 def mutate(data, system: CovectorSystem) -> CovectorSystem:
     """The system with one covector or one opposite pair deleted, or with
     one to three random sign vectors added, or both."""
-    covs = set(system.covectors)
+    covs = {SignVector(system.ground, p, m) for p, m in system.vectors()}
     kind = data.draw(st.sampled_from(("drop", "drop pair", "add", "drop and add")))
     if kind.startswith("drop"):
         x = data.draw(st.sampled_from(sorted(covs, key=str)))
         covs -= {x, x.opposite()} if kind == "drop pair" else {x}
     if kind.endswith("add"):
         covs |= set(data.draw(st.lists(sign_vectors(system.ground), min_size=1, max_size=3)))
-    return CovectorSystem(system.ground, covs)
+    return CovectorSystem(system.ground, {(c.plus, c.minus) for c in covs})
 
 
 def test_matches_reference_on_corpus_and_extension_steps():

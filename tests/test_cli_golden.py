@@ -20,6 +20,7 @@ from pathlib import Path
 from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.omfile import format_system
+from omkit.posets import bits
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_transcript.json"
 
@@ -32,7 +33,7 @@ def commands() -> list[tuple[str, list[str]]]:
     out = []
     for name in CORPUS_NAMES:
         system = corpus(name)
-        topes = sorted(str(t) for t in system.topes())
+        topes = system.covector_poset().names_of(system.topes())
         halfspace = [t for t in topes if t[0] == "+"]
         out += [
             (name, ["salvetti"]),
@@ -44,24 +45,31 @@ def commands() -> list[tuple[str, list[str]]]:
     for name, flat in LOCALIZED:
         system = corpus(name)
         loc = system.restriction(system.label_mask(flat.split(",")))
-        loc_topes = sorted(loc.topes(), key=str)
+        poset = loc.covector_poset()
+        loc_topes = poset.names_of(loc.topes())
         cells = sorted(
-            f"({c};{t})" for t in loc_topes for c in loc.covectors if c.leq(t)
+            f"({poset.names[c]};{poset.names[t]})"
+            for t in bits(loc.topes())
+            for c in bits(poset.below(t))
         )
         out.append((name, ["certify-qf", "--flat", flat, "--exhaustive"]))
         out += [(name, ["stratify", "--flat", flat, f"--tope={t}"]) for t in loc_topes]
         for cell in cells:
             out.append((name, ["fiber", "--flat", flat, "--cell", cell]))
             out.append((name, ["homology", "--target", "fiber", "--flat", flat, "--cell", cell]))
-        bp = str(loc_topes[0])
+        bp = loc_topes[0]
         out.append(
             (name, ["morse", "--construction", "fiber", "--flat", flat,
                     "--cell", f"({bp};{bp})", f"--tope={bp}"])
         )
     for name in CORPUS_NAMES:
         # the corank-one flats are the zero sets of the cocircuits
+        system = corpus(name)
         coatoms = sorted(
-            {",".join(lab for lab, s in c if s == 0) or "{}" for c in corpus(name).cocircuits()}
+            {
+                ",".join(system.labels(system.zero_set(c))) or "{}"
+                for c in bits(system.cocircuits())
+            }
         )
         out += [(name, ["lattice"]), (name, ["supersolvable"])]
         out += [(name, ["modular", flat]) for flat in coatoms]

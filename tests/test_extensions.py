@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import sign_vectors
 from omkit.extensions import (
     ExtensionConstraints,
     ExtensionError,
@@ -12,6 +13,7 @@ from omkit.extensions import (
 from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem
 from omkit.salvetti import salvetti_localization
+from omkit.posets import mask_of
 from omkit.signs import SignVector, compose_masks
 
 
@@ -32,7 +34,7 @@ def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
     for v in candidates:
         # restrictions of covectors are covectors of the restriction, so
         # candidate cocircuits must restrict into the base system
-        if v.restrict(low) not in base.covectors:
+        if (v.plus & low, v.minus & low) not in base.numbering():
             continue
         key = min(str(v), str(v.opposite()))
         reps.setdefault(key, v)
@@ -56,26 +58,22 @@ def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
                             closed.add(q)
                             new.append(q)
                 frontier = new
-            system = CovectorSystem(
-                ground, {SignVector(ground, p, m) for p, m in closed}
-            )
+            system = CovectorSystem(ground, closed)
             if not system.check_axioms().ok:
                 continue
             if system.rank() != 2 or not system.is_simple():
                 continue
-            if system.cocircuits() != frozenset(
-                v for pair in ((c, c.opposite()) for c in combo) for v in pair
-            ):
+            if system.cocircuits() != mask_of(system.numbering()[v] for v in masks):
                 continue
-            restricted = {c.restrict(low) for c in system.covectors}
-            if restricted == base.covectors:
-                found.append(frozenset(str(c) for c in system.covectors))
+            restricted = {c.restrict(low) for c in sign_vectors(system)}
+            if restricted == set(sign_vectors(base)):
+                found.append(frozenset(system.names()))
     return set(found)
 
 
 def test_rank2_extension_count_matches_brute_force(uniform23):
     got = {
-        frozenset(str(c) for c in e.extended.covectors)
+        frozenset(e.extended.names())
         for e in single_element_extensions(uniform23, new_label="e4")
     }
     want = brute_force_rank2_extensions(uniform23, "e4")
@@ -86,8 +84,8 @@ def test_rank2_extension_count_matches_brute_force(uniform23):
 def test_extensions_restrict_to_base(five_planes):
     count = 0
     for result in single_element_extensions(five_planes):
-        restricted = {c.restrict(0b11111) for c in result.extended.covectors}
-        assert restricted == five_planes.covectors
+        restricted = {c.restrict(0b11111) for c in sign_vectors(result.extended)}
+        assert restricted == set(sign_vectors(five_planes))
         assert result.extended.check_axioms().ok
         assert result.extended.is_simple()
         count += 1
@@ -180,8 +178,8 @@ def test_supersolvable_extension_non_pappus(non_pappus):
         assert step.disjoint_after < step.disjoint_before
     # the restriction to the original nine elements is exactly the input
     low = (1 << len(non_pappus.ground)) - 1
-    restricted = {c.restrict(low) for c in result.final.covectors}
-    assert restricted == non_pappus.covectors
+    restricted = {c.restrict(low) for c in sign_vectors(result.final)}
+    assert restricted == set(sign_vectors(non_pappus))
     lat = build_lattice(result.final)
     chain = lat.is_supersolvable()
     assert chain is not None
@@ -241,8 +239,8 @@ def test_supersolvable_extension_of_uniform_system():
     result = supersolvable_extension(u6)
     assert [s.disjoint_before for s in result.steps] == [6, 5, 4, 3, 2, 1]
     assert len(result.final.ground) == 12
-    restricted = {c.restrict((1 << len(u6.ground)) - 1) for c in result.final.covectors}
-    assert restricted == u6.covectors
+    restricted = {c.restrict((1 << len(u6.ground)) - 1) for c in sign_vectors(result.final)}
+    assert restricted == set(sign_vectors(u6))
     assert build_lattice(result.final).is_supersolvable() is not None
 
 

@@ -14,7 +14,7 @@ from omkit.homology import (
     semidirect_rank_sequence,
 )
 from omkit.posets import FinitePoset, SimplicialComplexRecord, bits
-from omkit.salvetti import salvetti, salvetti_localization
+from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 
 
@@ -79,7 +79,7 @@ def test_cellular_matches_order_complex_on_corpus(all_corpus):
     for name, system in all_corpus.items():
         if name == "non-pappus":  # about 18 s through the order complex
             continue
-        poset = salvetti(system).poset
+        poset = SalvettiPoset(system).poset
         assert homology(poset) == order_complex_homology(poset), name
 
 
@@ -94,7 +94,7 @@ def test_poset_homology_does_not_subdivide(monkeypatch, five_planes):
     def refuse(self):
         raise AssertionError("order complex built")
 
-    poset = salvetti(five_planes).poset
+    poset = SalvettiPoset(five_planes).poset
     monkeypatch.setattr(FinitePoset, "order_complex", refuse)
     assert homology(poset).betti == (1, 5, 8, 4)
 
@@ -170,7 +170,7 @@ def test_regularity_failures_name_the_cell(poset, message):
 
 
 def test_rank1_salvetti_circle(rank1):
-    assert betti_numbers(salvetti(rank1).poset) == (1, 1)
+    assert betti_numbers(SalvettiPoset(rank1).poset) == (1, 1)
 
 
 def test_uniform23_salvetti(uniform23):

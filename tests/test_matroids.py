@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sign_vectors
 from omkit.lattices import build_lattice
 from omkit.matroids import (
     CovectorSystem,
@@ -14,7 +15,7 @@ from omkit.matroids import (
     from_arrangement,
     section_lift,
 )
-from omkit.posets import PosetMap
+from omkit.posets import PosetMap, bits
 from omkit.signs import GroundSetMismatchError, SignVector
 
 
@@ -22,7 +23,7 @@ def test_rank1_axioms(rank1):
     report = rank1.check_axioms()
     assert report.ok
     assert rank1.rank() == 1
-    assert {str(t) for t in rank1.topes()} == {"+", "-"}
+    assert rank1.covector_poset().names_of(rank1.topes()) == ["+", "-"]
 
 
 def test_five_planes_axioms(five_planes):
@@ -30,9 +31,9 @@ def test_five_planes_axioms(five_planes):
 
 
 def test_axiom3_fails_with_witness_when_tope_removed(five_planes):
-    t = sorted(five_planes.topes(), key=str)[0]
+    t = bits(five_planes.topes())[0]
     broken = CovectorSystem(
-        five_planes.ground, five_planes.covectors - {t}
+        five_planes.ground, [v for c, v in enumerate(five_planes.vectors()) if c != t]
     )
     report = broken.check_axioms()
     assert not report.composition.passed
@@ -40,19 +41,24 @@ def test_axiom3_fails_with_witness_when_tope_removed(five_planes):
 
 
 def test_axiom_reports_on_small_mutations(rank1):
-    no_zero = CovectorSystem(("e1",), [SignVector.from_string(s, ("e1",)) for s in "+-"])
+    no_zero = CovectorSystem.from_strings(("e1",), ["+", "-"])
     rep = no_zero.check_axioms()
     assert not rep.zero_vector.passed
-    no_opp = CovectorSystem(("e1",), [SignVector.from_string(s, ("e1",)) for s in ("0", "+")])
+    no_opp = CovectorSystem.from_strings(("e1",), ["0", "+"])
     rep = no_opp.check_axioms()
     assert not rep.opposites.passed
+    # a pair that is no sign vector over the ground is refused outright
+    with pytest.raises(ValueError, match="both"):
+        CovectorSystem(("e1",), [(0, 0), (1, 1)])
+    with pytest.raises(ValueError, match="outside the ground"):
+        CovectorSystem(("e1",), [(0, 0), (2, 0)])
 
 
 def test_elimination_failure_witness():
     # two opposite topes with no separating vertex
     labels = ("e1",)
     system = CovectorSystem.from_strings(labels, ["0", "+", "-"])
-    broken = CovectorSystem(labels, [c for c in system.covectors if c.support_mask])
+    broken = CovectorSystem(labels, [v for v in system.vectors() if v != (0, 0)])
     rep = broken.check_axioms()
     assert not rep.zero_vector.passed
     # elimination needs the zero vector here as the eliminating eta
@@ -61,9 +67,9 @@ def test_elimination_failure_witness():
 
 def test_topes_and_rank_against_zaslavsky(five_planes, uniform23):
     lat = build_lattice(five_planes)
-    assert sum(lat.whitney()) == len(five_planes.topes()) == 18
+    assert sum(lat.whitney()) == five_planes.topes().bit_count() == 18
     assert five_planes.rank() == 3
-    assert len(uniform23.topes()) == 6
+    assert uniform23.topes().bit_count() == 6
     assert uniform23.rank() == 2
 
 
@@ -71,7 +77,7 @@ def test_simplify_identity(five_planes):
     result = five_planes.simplify()
     assert result.system.ground == five_planes.ground
     assert result.loops == ()
-    assert result.system.covectors == five_planes.covectors
+    assert result.system.vectors() == five_planes.vectors()
 
 
 def test_simplify_collapses_parallel_and_loops():
@@ -82,7 +88,7 @@ def test_simplify_collapses_parallel_and_loops():
     assert result.loops == ("e3",)
     assert result.system.ground == ("e1",)
     assert result.representative == {"e1": "e1", "e2": "e1"}
-    assert {str(c) for c in result.system.covectors} == {"0", "+", "-"}
+    assert result.system.names() == ("+", "-", "0")
 
 
 def test_restriction_composes(five_planes):
@@ -91,14 +97,14 @@ def test_restriction_composes(five_planes):
     once = five_planes.restriction(five_planes.label_mask(b))
     sub = five_planes.restriction(five_planes.label_mask(a))
     twice = sub.restriction(sub.label_mask(b))
-    assert once.covectors == twice.covectors
+    assert (once.ground, once.vectors()) == (twice.ground, twice.vectors())
     full = five_planes.restriction(five_planes.label_mask(five_planes.ground))
-    assert full.covectors == five_planes.covectors
+    assert (full.ground, full.vectors()) == (five_planes.ground, five_planes.vectors())
 
 
 def test_localization_at_modular_flat(five_planes):
     loc, rho = five_planes.localization(five_planes.label_mask({"H1", "H2", "H3"}))
-    assert len(loc.topes()) == 6
+    assert loc.topes().bit_count() == 6
     assert loc.rank() == 2
     assert rho.image() == rho.target.members
     with pytest.raises(NotAFlatError, match="^H1,H4 is not a flat$"):
@@ -107,7 +113,7 @@ def test_localization_at_modular_flat(five_planes):
 
 def test_localization_preserves_composition(five_planes):
     keep = five_planes.label_mask({"H1", "H2", "H3"})
-    covs = sorted(five_planes.covectors, key=str)[::7]
+    covs = sign_vectors(five_planes)[::7]
     for a in covs:
         for b in covs:
             assert a.compose(b).restrict(keep) == a.restrict(keep).compose(
@@ -124,49 +130,47 @@ def test_contraction(five_planes):
 
 def test_section_iota_identity(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
-    alpha = sorted(
-        (c for c in five_planes.covectors if c.zero_mask == x), key=str
-    )[0]
+    alpha = min(c for c in range(len(five_planes)) if five_planes.zero_set(c) == x)
     iota = five_planes.section_iota(alpha)
     loc, rho = five_planes.localization(x)
     for cid in iota.source.elements:
         assert rho.assignment[iota.assignment[cid]] == cid
     # the section preserves composition
     number = loc.numbering()
-    full = five_planes.vectors()
+    full = sign_vectors(five_planes)
 
     def lift(v):
         return full[iota.assignment[number[v.plus, v.minus]]]
 
-    for a in sorted(loc.covectors, key=str):
-        for b in sorted(loc.covectors, key=str):
+    for a in sign_vectors(loc):
+        for b in sign_vectors(loc):
             assert lift(a.compose(b)) == lift(a).compose(lift(b))
     # the lift takes only vectors over z(alpha) in ground order
     with pytest.raises(GroundSetMismatchError):
-        section_lift(alpha, five_planes.zero)
+        section_lift(five_planes.vectors()[alpha], x, five_planes.vector("+++++"))
 
 
 def test_section_iota_identity_extreme(rank1):
-    alpha = rank1.zero
+    alpha = rank1.numbering()[0, 0]
     iota = rank1.section_iota(alpha)
     assert all(iota.assignment[x] == x for x in iota.source.elements)
 
 
 def test_cocircuits(rank1, five_planes, uniform23, non_pappus):
-    assert {str(c) for c in rank1.cocircuits()} == {"+", "-"}
-    assert len(five_planes.cocircuits()) == 12  # two per rank-2 flat
-    assert len(uniform23.cocircuits()) == 6
+    assert rank1.covector_poset().names_of(rank1.cocircuits()) == ["+", "-"]
+    assert five_planes.cocircuits().bit_count() == 12  # two per rank-2 flat
+    assert uniform23.cocircuits().bit_count() == 6
     lat = build_lattice(non_pappus)
-    assert len(non_pappus.cocircuits()) == 2 * len(lat.flats_of_rank(2)) == 36
+    assert non_pappus.cocircuits().bit_count() == 2 * len(lat.flats_of_rank(2)) == 36
 
 
 def test_from_arrangement_single_form():
     system = from_arrangement(RationalArrangement(("e1",), [(1,)]))
-    assert {str(c) for c in system.covectors} == {"0", "+", "-"}
+    assert system.names() == ("+", "-", "0")
 
 
 def test_from_arrangement_braid(braid3):
-    assert len(braid3.topes()) == 24
+    assert braid3.topes().bit_count() == 24
     assert braid3.rank() == 3
     assert braid3.check_axioms().ok
 
@@ -188,7 +192,7 @@ def test_from_arrangement_braid_fubini(k, fubini, topes):
     rows = _braid(k)
     system = from_arrangement(RationalArrangement([f"H{i + 1}" for i in range(len(rows))], rows))
     assert len(system) == fubini
-    assert sum(1 for c in system.covectors if not c.zero_mask) == topes
+    assert sum(1 for c in range(len(system)) if not system.zero_set(c)) == topes
 
 
 def test_from_arrangement_b3():
@@ -200,7 +204,7 @@ def test_from_arrangement_b3():
             rows.append(row)
     system = from_arrangement(RationalArrangement([f"H{i + 1}" for i in range(9)], rows))
     assert len(system) == 147
-    assert len(system.topes()) == 48
+    assert system.topes().bit_count() == 48
 
 
 def test_arrangement_input_validation():
@@ -215,7 +219,7 @@ def test_arrangement_input_validation():
 def test_zero_map_cover_preserving(five_planes):
     # z is order reversing, surjective onto the flats, and sends covers to covers
     lat = build_lattice(five_planes)
-    zero_set = {i: lat.index[c.zero_mask] for i, c in enumerate(five_planes.vectors())}
+    zero_set = {i: lat.index[five_planes.zero_set(i)] for i in range(len(five_planes))}
     zmap = PosetMap(five_planes.covector_poset().dual(), lat.poset(), zero_set)
     assert zmap.image() == zmap.target.members
     lat_covers = zmap.target.covers()
@@ -309,7 +313,7 @@ def _scan_oracle(arrangement):
         signs[i] = 0
 
     scan(0)
-    return CovectorSystem(arrangement.labels, found)
+    return CovectorSystem(arrangement.labels, [(v.plus, v.minus) for v in found])
 
 
 @st.composite
@@ -336,4 +340,18 @@ def test_from_arrangement_always_satisfies_axioms(rows):
         return
     system = from_arrangement(arr)
     assert system.check_axioms().ok
-    assert system.covectors == _scan_oracle(arr).covectors
+    assert system.vectors() == _scan_oracle(arr).vectors()
+    # restriction, contraction and localization work on pairs; each must
+    # give the texts of the reference restriction, covector by covector
+    covs = sign_vectors(system)
+    full = (1 << len(labels)) - 1
+    for flat in build_lattice(system).flats:
+        rest = full & ~flat
+        want = {str(c.restrict(rest)) for c in covs}
+        assert set(system.restriction(rest).names()) == want
+        want = {str(c.restrict(rest)) for c in covs if not c.support_mask & flat}
+        assert set(system.contraction(flat).names()) == want
+        loc, rho = system.localization(flat)
+        assert [loc.names()[rho.assignment[i]] for i in range(len(covs))] == [
+            str(c.restrict(flat)) for c in covs
+        ]

@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from conftest import sign_vectors
 from omkit.lattices import build_lattice
 
 
@@ -23,7 +24,7 @@ def _within(system, sub, flat):
 def test_face_extension_on_modular_flats(five_planes, uniform23):
     for system in (uniform23, five_planes):
         lat = build_lattice(system)
-        covs = sorted(system.covectors, key=str)
+        covs = sign_vectors(system)
         for x in lat.flats:
             if not lat.is_modular_flat(x).ok:
                 continue
@@ -43,13 +44,13 @@ def test_minimal_lift_zero_sets(five_planes):
     # the join of the localized zero set with the contraction flat
     system = five_planes
     lat = build_lattice(system)
-    covs = sorted(system.covectors, key=str)
+    covs = sign_vectors(system)
     checked = 0
     for x in lat.flats:
         loc = system.restriction(x)
         for y in lat.flats:
             meet = x & y
-            for sigma in sorted(loc.covectors, key=str):
+            for sigma in sign_vectors(loc):
                 sigma_zero = system.label_mask(lab for lab, s in sigma if s == 0)
                 if meet & ~sigma_zero:
                     continue
@@ -85,16 +86,10 @@ def test_restriction_interval_isomorphism(five_planes, uniform23):
                 join = lat.join(x, y)
                 loc_join = system.restriction(join)
                 y_in_join = _within(system, loc_join, y)
-                source = sorted(
-                    (s for s in loc_join.covectors if not s.support_mask & y_in_join),
-                    key=str,
-                )
+                source = [s for s in sign_vectors(loc_join) if not s.support_mask & y_in_join]
                 loc_x = system.restriction(x)
                 meet_in_x = _within(system, loc_x, x & y)
-                target = sorted(
-                    (s for s in loc_x.covectors if not s.support_mask & meet_in_x),
-                    key=str,
-                )
+                target = [s for s in sign_vectors(loc_x) if not s.support_mask & meet_in_x]
                 images = [s.restrict(_within(system, loc_join, x)) for s in source]
                 assert len(set(images)) == len(source)  # injective
                 assert set(images) == set(target)  # onto
@@ -116,11 +111,11 @@ def test_interval_isomorphism_fails_without_modularity(five_planes):
         join = lat.join(x, y)
         loc_join = system.restriction(join)
         y_in_join = _within(system, loc_join, y)
-        source = [s for s in loc_join.covectors if not s.support_mask & y_in_join]
+        source = [s for s in sign_vectors(loc_join) if not s.support_mask & y_in_join]
         images = [s.restrict(_within(system, loc_join, x)) for s in source]
         loc_x = system.restriction(x)
         meet_in_x = _within(system, loc_x, x & y)
-        target = {s for s in loc_x.covectors if not s.support_mask & meet_in_x}
+        target = {s for s in sign_vectors(loc_x) if not s.support_mask & meet_in_x}
         if len(set(images)) != len(source) or set(images) != target:
             found_failure = True
     assert found_failure

@@ -13,6 +13,7 @@ from omkit.morse import (
 )
 from omkit.posets import FinitePoset, PosetMap, bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
+from omkit.signs import separator_masks
 from omkit.topes import all_convex_tope_sets, dual_subcomplex
 
 
@@ -187,7 +188,7 @@ def test_matching_from_shelling_rejects_outside_vertex():
 def test_convex_critical_trivial(five_planes):
     m = matching_convex_critical(five_planes, all_topes(five_planes))
     assert m.pairs == frozenset()
-    assert m.critical_cells() == five_planes.mask(five_planes.covectors)
+    assert m.critical_cells() == five_planes.covector_poset().members
 
 
 def test_convex_critical_all_instances(five_planes, uniform23):
@@ -206,7 +207,7 @@ def test_convex_critical_path_of_three(uniform23):
         1 << t | 1 << r
         for t in topes
         for r in topes
-        if vectors[t].separator_mask(vectors[r]).bit_count() == 1
+        if separator_masks(*vectors[t], *vectors[r]).bit_count() == 1
     )
     m = matching_convex_critical(uniform23, pair)
     assert m.critical_cells().bit_count() == 3
@@ -215,14 +216,14 @@ def test_convex_critical_path_of_three(uniform23):
 def test_convex_critical_refuses_non_convex(uniform23):
     # a tope and its opposite: every other tope lies between them
     t = bits(all_topes(uniform23))[0]
-    far = uniform23.mask([uniform23.vectors()[t].opposite()])
+    far = 1 << uniform23.numbering()[uniform23.vectors()[t][::-1]]
     with pytest.raises(MatchingError, match="Q must be convex"):
         matching_convex_critical(uniform23, 1 << t | far)
 
 
 def fresh(system: CovectorSystem) -> CovectorSystem:
     """A copy of a shared fixture with nothing cached on it yet."""
-    return CovectorSystem(system.ground, system.covectors)
+    return CovectorSystem(system.ground, system.vectors())
 
 
 def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
@@ -257,8 +258,7 @@ def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, unif
     real = omkit.topes.tope_poset
 
     def opposite_base(system, base):
-        far = system.vectors()[base].opposite()
-        return real(system, system.numbering()[far.plus, far.minus])
+        return real(system, system.numbering()[system.vectors()[base][::-1]])
 
     monkeypatch.setattr(omkit.topes, "tope_poset", opposite_base)
     system = fresh(uniform23)

@@ -158,7 +158,7 @@ def test_poset_fiber():
 def test_poset_fiber_of_zero_map(rank1):
     # z sends a covector (in the dual order) to its zero set
     lat = build_lattice(rank1)
-    zero_set = {i: lat.index[c.zero_mask] for i, c in enumerate(rank1.vectors())}
+    zero_set = {i: lat.index[rank1.zero_set(i)] for i in range(len(rank1))}
     zmap = PosetMap(rank1.covector_poset().dual(), lat.poset(), zero_set)
     atom = zmap.target.names.index("e1")
     fib = zmap.fiber(atom)

@@ -1,13 +1,14 @@
 import pytest
 
+from conftest import sign_vectors
 from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
+from omkit.omfile import format_system
 from omkit.salvetti import (
     SalvettiPoset,
     fiber_rank2_model,
     localization_square_commutes,
     principal_ideal_iso,
-    salvetti,
     salvetti_localization,
     stratify_fiber,
 )
@@ -22,13 +23,13 @@ def tope_numbers(system):
 
 def anchor_numbers(system, x):
     """The covectors (by number) whose zero set is the flat x."""
-    return [c for c, v in enumerate(system.vectors()) if v.zero_mask == x]
+    return [c for c in range(len(system)) if system.zero_set(c) == x]
 
 
 def definition_order(system):
     """The Salvetti order straight from its definition, over all pairs of
     cells: (sigma, T) <= (tau, R) iff sigma >= tau and sigma o R = T."""
-    covs = system.covectors
+    covs = sign_vectors(system)
     topes = [t for t in covs if not any(t != d and t.leq(d) for d in covs)]
     cells = [(c, t) for t in topes for c in covs if c.leq(t)]
     return frozenset(
@@ -45,7 +46,7 @@ def named(poset, pairs):
 
 def test_salvetti_order_matches_definition(all_corpus, five_planes):
     for name, system in all_corpus.items():
-        poset = salvetti(system).poset
+        poset = SalvettiPoset(system).poset
         assert named(poset, poset.pairs()) == definition_order(system), name
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert named(loc.target.poset, loc.target.poset.pairs()) == definition_order(loc.localized)
@@ -63,25 +64,35 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
     # the ROADMAP 4(b) probe is no covector system, but it is a poset
     probe = CovectorSystem.from_strings("abc", ["000", "+++", "---", "++0"])
     for name, system in [*all_corpus.items(), ("4(b) probe", probe)]:
+        # the text form, the axiom check and the lattice need no order
+        fresh = CovectorSystem(system.ground, system.vectors())
+        format_system(fresh)
+        fresh.check_axioms()
+        build_lattice(fresh)
+        assert fresh._poset is None, name
         poset = system.covector_poset()
         assert system.covector_poset() is poset, name
-        covs = system.covectors
+        covs = sign_vectors(system)
         order = {(str(a), str(b)) for a in covs for b in covs if a.leq(b)}
         assert named(poset, poset.pairs()) == order, name
         assert named(poset, poset.dual().pairs()) == {(b, a) for a, b in order}, name
-        zero = str(system.zero)
+        zero = "0" * len(system.ground)
         sphere = {(a, b) for a, b in order if zero not in (a, b)}
         assert named(poset, sphere_poset(system).pairs()) == sphere, name
-        topes = {c for c in covs if not any(c != d and c.leq(d) for d in covs)}
+        topes = mask_of(
+            i for i, c in enumerate(covs) if not any(c != d and c.leq(d) for d in covs)
+        )
         assert system.topes() == topes, name
         assert system.rank() == definition_rank(covs), name
         nonzero = [c for c in covs if c.support_mask]
-        cocircuits = {
-            c for c in nonzero if not any(d != c and d.leq(c) for d in nonzero)
-        }
+        cocircuits = mask_of(
+            i
+            for i, c in enumerate(covs)
+            if c.support_mask and not any(d != c and d.leq(c) for d in nonzero)
+        )
         assert system.cocircuits() == cocircuits, name
     assert probe.rank() == 2
-    assert {str(c) for c in probe.cocircuits()} == {"++0", "---"}
+    assert probe.covector_poset().names_of(probe.cocircuits()) == ["++0", "---"]
 
 
 def assert_numbered_by_name(poset):
@@ -112,14 +123,14 @@ def assert_views_match_relation(poset):
 def test_numbering_follows_names_on_the_corpus(all_corpus):
     for name, system in all_corpus.items():
         base = bits(system.covector_poset().maximal_elements())[0]
-        salv = salvetti(system)
+        salv = SalvettiPoset(system)
         names = system.covector_poset().names
         assert [f"({names[c]};{names[t]})" for c, t in salv.keys] == list(salv.poset.names), name
         assert all(salv.index[key] == k for k, key in enumerate(salv.keys)), name
         for poset in (system.covector_poset(), salv.poset, tope_poset(system, base)):
             assert_numbered_by_name(poset)
             assert_views_match_relation(poset)
-        assert [str(v) for v in system.vectors()] == list(system.covector_poset().names)
+        assert [str(v) for v in sign_vectors(system)] == list(system.covector_poset().names)
 
 
 def test_numbering_follows_names_on_the_localization(five_planes):
@@ -147,7 +158,7 @@ def test_salvetti_refuses_a_composition_outside_the_system():
 
 
 def test_rank1_salvetti_is_a_circle(rank1):
-    s = salvetti(rank1)
+    s = SalvettiPoset(rank1)
     assert len(s) == 4
     dims = sorted(s.dimension_of(c) for c in s.poset.elements)
     assert dims == [0, 0, 1, 1]
@@ -156,7 +167,7 @@ def test_rank1_salvetti_is_a_circle(rank1):
 
 
 def test_five_planes_salvetti_counts(five_planes):
-    s = salvetti(five_planes)
+    s = SalvettiPoset(five_planes)
     assert len(s) == 148
     assert s.poset.height() == five_planes.rank()
 
@@ -166,7 +177,7 @@ def test_salvetti_pure(all_corpus):
     for name, system in all_corpus.items():
         if len(system) > 200:
             continue
-        s = salvetti(system)
+        s = SalvettiPoset(system)
         heights = s.poset.heights()
         up_heights = s.poset.dual().heights()
         for cid in s.poset.elements:
@@ -182,7 +193,7 @@ def test_cell_ids_round_trip(all_corpus):
     from omkit.cli import _cell
 
     for name, system in all_corpus.items():
-        s = salvetti(system)
+        s = SalvettiPoset(system)
         for k in s.poset.elements:
             cid = s.poset.names[k]
             assert _cell(s, cid) == k, (name, cid)
@@ -226,10 +237,10 @@ def test_fibers_connected(five_planes, braid3):
 
 def test_principal_ideal_isomorphism(five_planes, rank1):
     for system in (five_planes, rank1):
-        s = salvetti(system)
+        s = SalvettiPoset(system)
         for tope in tope_numbers(system)[:3]:
             to_dual, from_dual = principal_ideal_iso(s, tope)
-            assert len(to_dual.source) == len(system.covectors)
+            assert len(to_dual.source) == len(system)
 
 
 def test_localization_square(five_planes):
@@ -250,17 +261,17 @@ def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bp = tope_numbers(loc.localized)[0]
-    base = loc.localized.vectors()[bp]
+    base = sign_vectors(loc.localized)[bp]
     zero, zero_loc = five_planes.numbering()[0, 0], loc.localized.numbering()[0, 0]
     fiber = loc.fiber(loc.target.index[zero_loc, bp])
-    vectors = five_planes.vectors()
+    vectors = sign_vectors(five_planes)
     over = [t for t in tope_numbers(five_planes) if vectors[t].restrict(x) == base]
     union = 0
     for t in over:
         union |= loc.source.poset.below(loc.source.index[zero, t])
     assert fiber.members == union
     assert set(fiber.names_of(fiber.members)) == {
-        f"({c};{c.compose(vectors[t])})" for t in over for c in five_planes.covectors
+        f"({c};{c.compose(vectors[t])})" for t in over for c in vectors
     }
 
 
@@ -268,7 +279,7 @@ def test_stratification(five_planes):
     lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    vectors = five_planes.vectors()
+    vectors = sign_vectors(five_planes)
     for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp, lat)
         assert len(strat.tope_string) == 3
@@ -277,12 +288,10 @@ def test_stratification(five_planes):
         for sep, (a, b) in zip(strat.separators, zip(strat.tope_string, strat.tope_string[1:])):
             assert vectors[a].separator_mask(vectors[b]) == sep
         assert all(loc.rho(t) == bp for t in strat.tope_string)
-        assert strat.strata[0].bit_count() == len(five_planes.covectors)
+        assert strat.strata[0].bit_count() == len(five_planes)
         for i, sep in enumerate(strat.separators):
             e = five_planes.ground[sep.bit_length() - 1]
-            vanish = sum(
-                1 for c in five_planes.covectors if c.sign(e) == 0
-            )
+            vanish = sum(1 for c in vectors if c.sign(e) == 0)
             assert strat.strata[i + 1].bit_count() == vanish
         # strata partition the fiber
         total = sum(s.bit_count() for s in strat.strata)
@@ -294,12 +303,10 @@ def test_section_lifts_are_string_ends(five_planes):
     lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
-    anchors = sorted(
-        (c for c in five_planes.covectors if c.zero_mask == x), key=str
-    )
-    vectors = five_planes.vectors()
+    vectors = sign_vectors(five_planes)
+    anchors = [vectors[c] for c in anchor_numbers(five_planes, x)]
     for bp in tope_numbers(loc.localized):
-        base = loc.localized.vectors()[bp]
+        base = sign_vectors(loc.localized)[bp]
         strat = stratify_fiber(loc, bp, lat)
         string = strat.tope_string
         lifts = set()
@@ -325,7 +332,7 @@ def test_strata_are_contraction_balls(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     system = five_planes
-    covs = system.vectors()
+    covs = sign_vectors(system)
     for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp, lat)
         for i, stratum in enumerate(strat.strata):
@@ -338,15 +345,15 @@ def test_strata_are_contraction_balls(five_planes):
             # the lift of stratum i sends each covector to its cell
             lifted = set(strat.lifts[i])
             assert lifted == set(bits(stratum))
-            vectors = system.vectors() if i == 0 else loc.localized.vectors()
+            vectors = covs if i == 0 else sign_vectors(loc.localized)
             for c, cid in zip(vectors, strat.lifts[i]):
                 face = faces[cid] if i == 0 else faces[cid].restrict(x)
                 assert face == c
             if i == 0:
-                want = set(system.covectors)
+                want = set(covs)
             else:
                 e = system.ground[strat.separators[i - 1].bit_length() - 1]
-                want = {c for c in system.covectors if c.sign(e) == 0}
+                want = {c for c in covs if c.sign(e) == 0}
             assert set(faces.values()) == want
             # order within the stratum is the dual covector order
             sub = strat.fiber.subposet(stratum)
@@ -373,9 +380,10 @@ def test_fiber_cells_have_low_dimension(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc_system = five_planes.restriction(x)
     lat = build_lattice(five_planes)
-    for bp in sorted(loc_system.topes(), key=str):
-        for c in five_planes.covectors:
-            if c.restrict(x) == bp:
+    loc_vectors = sign_vectors(loc_system)
+    for bp in bits(loc_system.topes()):
+        for c in sign_vectors(five_planes):
+            if c.restrict(x) == loc_vectors[bp]:
                 assert lat.rank_of[c.zero_mask] <= 1
 
 
@@ -389,7 +397,7 @@ def test_rank2_model_of_fiber(five_planes, braid3):
     # the fiber covectors correspond to the model's covectors positive on g
     assert set(mapping) == {c for c, r in loc.rho.assignment.items() if r == bp}
     g = model.label_mask({"g"})
-    positive = {y for y, v in enumerate(model.vectors()) if v.plus & g}
+    positive = {y for y, (p, _) in enumerate(model.vectors()) if p & g}
     assert set(mapping.values()) == positive
     # fiber string: three topes and two one-dimensional cells
     topes = model.covector_poset().maximal_elements()

@@ -4,13 +4,15 @@ sign vectors, and those that take flats as ground-bit masks must not turn
 labels back into flats: this scans their source for calls of
 `CovectorSystem.vector`, `SignVector.from_string` and
 `CovectorSystem.from_strings`, and of `parse_flat` and
-`CovectorSystem.label_mask`."""
+`CovectorSystem.label_mask`.  A covector is a (plus, minus) pair
+everywhere in the library, so no module but `signs`, which defines the
+reference `SignVector`, and the package's `__init__` names that class."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "omkit"
-BY_NUMBER = ("salvetti", "topes", "morse", "homology")
+BY_NUMBER = ("salvetti", "topes", "morse", "homology", "extensions", "lattices")
 PARSERS = {"vector", "from_string", "from_strings"}
 BY_MASK = ("lattices", "extensions", "salvetti", "homology", "morse", "topes")
 LABEL_PARSERS = {"parse_flat", "label_mask"}
@@ -27,6 +29,35 @@ def text_parsing_calls(path: Path, parsers: set[str] = PARSERS) -> list[str]:
         if name in parsers:
             out.append(f"{path.name}:{node.lineno} {name}")
     return out
+
+
+def names_of_sign_vector(path: Path) -> list[str]:
+    """`file:line` for every name, attribute or import of `SignVector` in a file."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "SignVector":
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_signs_names_the_sign_vector_class():
+    found = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("signs", "__init__")
+        for hit in names_of_sign_vector(path)
+    ]
+    assert found == []
+    # the scan sees the class where it is defined and exported
+    assert names_of_sign_vector(SRC / "__init__.py")
 
 
 def test_numbered_modules_parse_no_sign_text():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from omkit.signs import GroundSetMismatchError, SignVector
+from omkit.signs import GroundSetMismatchError, SignVector, compose_masks, separator_masks
 
 E3 = ("e1", "e2", "e3")
 
@@ -76,6 +76,9 @@ def vector_triples(draw):
 def test_compose_associative(vecs):
     a, b, c = vecs
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
+    # the pair kernel the library runs on agrees with the reference
+    ab = a.compose(b)
+    assert compose_masks(a.plus, a.minus, b.plus, b.minus) == (ab.plus, ab.minus)
 
 
 @given(vector_triples())
@@ -88,6 +91,7 @@ def test_zero_set_of_composition(vecs):
 def test_separator_symmetric_and_opposite_involution(vecs):
     a, b, _ = vecs
     assert a.separator_mask(b) == b.separator_mask(a)
+    assert separator_masks(a.plus, a.minus, b.plus, b.minus) == a.separator_mask(b)
     assert a.opposite().opposite() == a
 
 

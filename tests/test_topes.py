@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from conftest import sign_vectors
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
+from omkit.signs import SignVector, separator_masks
 from omkit.topes import (
     NotATopeError,
     ShellingReport,
@@ -22,9 +24,9 @@ from omkit.topes import (
 
 def fiber_topes(system, flat, base_text):
     """The mask of the topes restricting to the given tope of the flat."""
-    loc, _ = system.localization(flat)
-    base = loc.vector(base_text)
-    return system.mask(t for t in system.topes() if t.restrict(flat) == base)
+    base = SignVector.from_string(base_text, system.labels(flat))
+    vectors = sign_vectors(system)
+    return mask_of(t for t in bits(system.topes()) if vectors[t].restrict(flat) == base)
 
 
 def all_topes(system):
@@ -35,7 +37,7 @@ def all_topes(system):
 def dist(system, t, r):
     """Number of elements separating two topes, given by number."""
     vectors = system.vectors()
-    return vectors[t].separator_mask(vectors[r]).bit_count()
+    return separator_masks(*vectors[t], *vectors[r]).bit_count()
 
 
 def test_dist_extremes(five_planes):
@@ -45,9 +47,8 @@ def test_dist_extremes(five_planes):
     number = five_planes.numbering()
     for t in bits(all_topes(five_planes))[:5]:
         heights = tope_poset(five_planes, t).heights()
-        far = vectors[t].opposite()
         assert heights[t] == dist(five_planes, t, t) == 0
-        assert heights[number[far.plus, far.minus]] == len(five_planes.ground)
+        assert heights[number[vectors[t][::-1]]] == len(five_planes.ground)
 
 
 def test_rank1_tope_poset(rank1):
@@ -71,8 +72,8 @@ def test_fiber_tope_distances(five_planes):
     assert dist(five_planes, t0, t1) + dist(five_planes, t1, t2) == dist(five_planes, t0, t2)
     vectors = five_planes.vectors()
     h4, h5 = five_planes.label_mask({"H4"}), five_planes.label_mask({"H5"})
-    assert vectors[t0].separator_mask(vectors[t2]) == h4 | h5
-    assert vectors[t1].separator_mask(vectors[t2]) in (h4, h5)
+    assert separator_masks(*vectors[t0], *vectors[t2]) == h4 | h5
+    assert separator_masks(*vectors[t1], *vectors[t2]) in (h4, h5)
 
 
 def test_halfspace(five_planes):
@@ -81,7 +82,7 @@ def test_halfspace(five_planes):
     assert pos.bit_count() == neg.bit_count()
     assert pos | neg == all_topes(five_planes)  # H1 is not a loop
     assert pos & neg == 0
-    vectors = five_planes.vectors()
+    vectors = sign_vectors(five_planes)
     assert all(vectors[t].sign("H1") == 1 for t in bits(pos))
 
 
@@ -98,8 +99,8 @@ def test_convexity_trivial_cases(five_planes):
 
 def test_fiber_topes_convex(five_planes):
     loc, _ = five_planes.localization(five_planes.label_mask({"H1", "H2", "H3"}))
-    for base in sorted(loc.topes(), key=str):
-        q = fiber_topes(five_planes, five_planes.label_mask({"H1", "H2", "H3"}), str(base))
+    for base in loc.covector_poset().names_of(loc.topes()):
+        q = fiber_topes(five_planes, five_planes.label_mask({"H1", "H2", "H3"}), base)
         assert is_convex(five_planes, q)
 
 
@@ -108,15 +109,14 @@ def test_all_localization_fibers_convex_and_match_dual_subcomplex(five_planes):
     # the dual subcomplex they generate is exactly the covector fiber
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc, _ = five_planes.localization(x)
-    topes = five_planes.topes()
-    for sigma in sorted(loc.covectors, key=str):
-        q = five_planes.mask(t for t in topes if sigma.leq(t.restrict(x)))
+    covs = sign_vectors(five_planes)
+    topes = bits(five_planes.topes())
+    for sigma in sign_vectors(loc):
+        q = mask_of(t for t in topes if sigma.leq(covs[t].restrict(x)))
         assert is_convex(five_planes, q)
         if q:
-            fiber = {
-                c for c in five_planes.covectors if sigma.leq(c.restrict(x))
-            }
-            assert dual_subcomplex(five_planes, q) == five_planes.mask(fiber)
+            fiber = mask_of(c for c, v in enumerate(covs) if sigma.leq(v.restrict(x)))
+            assert dual_subcomplex(five_planes, q) == fiber
 
 
 def test_convexity_both_ways_on_random_subsets(five_planes):
@@ -132,7 +132,7 @@ def test_convex_sets_enumeration_matches_definition(uniform23):
     # exhaustively against the definition on the small member, with the
     # halfspaces rebuilt from sign vectors: the hull and the enumeration
     # both build on `halfspace`, so it is not trusted here
-    vectors = uniform23.vectors()
+    vectors = sign_vectors(uniform23)
     topes = bits(all_topes(uniform23))
     sides = [
         mask_of(t for t in topes if vectors[t].sign(lab) == s)
@@ -180,7 +180,7 @@ def test_convex_first_extension(five_planes):
     q = fiber_topes(five_planes, x, "+++")
     # an end tope of the fiber string works as the base
     ends = [t for t in bits(q) if max(dist(five_planes, t, r) for r in bits(q)) == 2]
-    base = min(ends, key=lambda t: str(five_planes.vectors()[t]))
+    base = min(ends)  # numbers follow the sign texts
     order = shelling_order_from_extension(five_planes, base, q)
     assert mask_of(order[: q.bit_count()]) == q
     assert order[0] == base
@@ -294,7 +294,7 @@ def test_shelling_detects_non_ideal_swap(five_planes):
 
 def test_tope_poset_graded_with_single_flip_covers(all_corpus):
     for name, system in all_corpus.items():
-        if len(system.topes()) > 24:
+        if system.topes().bit_count() > 24:
             continue
         for base in bits(all_topes(system))[:3]:
             tp = tope_poset(system, base)
@@ -306,15 +306,18 @@ def test_tope_poset_graded_with_single_flip_covers(all_corpus):
 def test_subcomplexes(five_planes, braid3):
     # both ideals against their all-pairs definitions on every convex set
     for system in (five_planes, braid3):
-        covs, vectors = system.covectors, system.vectors()
+        covs = sign_vectors(system)
+        topes = [covs[t] for t in bits(system.topes())]
         for q in all_convex_tope_sets(system):
-            inside = [vectors[t] for t in bits(q)]
-            lq = {c for c in covs if any(c.leq(t) for t in inside)}
-            assert subcomplex_LQ(system, q) == system.mask(lq)
-            dual = {c for c in covs if all(t in inside for t in system.topes() if c.leq(t))}
-            assert dual_subcomplex(system, q) == system.mask(dual)
+            inside = [covs[t] for t in bits(q)]
+            lq = mask_of(i for i, c in enumerate(covs) if any(c.leq(t) for t in inside))
+            assert subcomplex_LQ(system, q) == lq
+            dual = mask_of(
+                i for i, c in enumerate(covs) if all(t in inside for t in topes if c.leq(t))
+            )
+            assert dual_subcomplex(system, q) == dual
     topes = all_topes(five_planes)
-    everything = five_planes.mask(five_planes.covectors)
+    everything = five_planes.covector_poset().members
     assert subcomplex_LQ(five_planes, topes) == everything
     assert dual_subcomplex(five_planes, topes) == everything
     assert dual_subcomplex(five_planes, 0) == 0
@@ -324,9 +327,7 @@ def test_subcomplexes(five_planes, braid3):
     q = fiber_topes(five_planes, x, "+++")
     # the dual subcomplex of the fiber topes is the covector-level fiber
     got = dual_subcomplex(five_planes, q)
-    base = five_planes.restriction(x).vector("+++")
-    fiber = {
-        c for c in five_planes.covectors if base.leq(c.restrict(x))
-    }
-    assert got == five_planes.mask(fiber)
+    base = SignVector.from_string("+++", five_planes.labels(x))
+    fiber = mask_of(c for c, v in enumerate(sign_vectors(five_planes)) if base.leq(v.restrict(x)))
+    assert got == fiber
 

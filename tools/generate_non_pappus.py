@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from omkit import CovectorSystem, RationalArrangement, from_arrangement, build_lattice
 from omkit.extensions import ExtensionConstraints, single_element_extensions
-from omkit.signs import SignVector
+from omkit.omfile import format_system
 
 EIGHT = [
     ("L1", (0, 1, -1)),   # y = 1
@@ -55,7 +55,7 @@ def main() -> None:
     t0 = time.time()
     base = from_arrangement(arr)
     print(f"eight-line system: {len(base)} covectors, "
-          f"{len(base.topes())} topes, rank {base.rank()} ({time.time()-t0:.1f}s)")
+          f"{base.topes().bit_count()} topes, rank {base.rank()} ({time.time()-t0:.1f}s)")
     assert base.check_axioms().ok
 
     lat = build_lattice(base)
@@ -77,9 +77,12 @@ def main() -> None:
     ext = result.extended
     # reorder the ground set to L1..L9
     order = tuple(sorted(ext.ground))
-    reordered = CovectorSystem(
-        order, {SignVector.from_signs((c.sign(lab) for lab in order), order) for c in ext.covectors}
-    )
+    source = [ext.ground.index(lab) for lab in order]
+
+    def permute(x: int) -> int:
+        return sum((x >> i & 1) << j for j, i in enumerate(source))
+
+    reordered = CovectorSystem(order, [(permute(p), permute(m)) for p, m in ext.vectors()])
     assert len(reordered) == len(ext)
     assert reordered.check_axioms().ok
     assert reordered.is_simple()
@@ -105,13 +108,11 @@ def main() -> None:
     assert triples == expected_triples, triples
     assert reordered.label_mask({"L6", "L7"}) in lat9.rank_of  # the broken cross point
     assert lat9.is_supersolvable() is None, "instance must not be supersolvable"
-    print("whitney:", lat9.whitney(), "topes:", len(reordered.topes()))
+    print("whitney:", lat9.whitney(), "topes:", reordered.topes().bit_count())
 
     out = Path(__file__).resolve().parent.parent / "src" / "omkit" / "data" / "non_pappus.om"
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["ground: " + " ".join(order), "covectors:"]
-    lines += sorted(str(c) for c in reordered.covectors)
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(format_system(reordered))
     print(f"wrote {out} ({len(reordered)} covectors)")
 
 
