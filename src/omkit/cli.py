@@ -3,7 +3,8 @@
 Commands read a covector file on stdin (or --input) and write either a
 covector file or a report to stdout; the exit status is zero exactly
 when every clause of the report passed, 1 when a clause failed, 2 on bad
-input and 3 when an internal invariant breaks.  `corpus` and
+input or a file that cannot be read or written, and 3 when an internal
+invariant breaks.  `corpus` and
 `from-arrangement` produce covector files, so commands compose as
 pipelines.
 
@@ -362,14 +363,13 @@ def cmd_certify_qf(args) -> int:
     report.note("pairs", len(cert.pairs))
     report.note("fiber_rank", cert.expected_rank)
     names = cert.loc.target.poset.names
-    bad_pairs = [p for p in cert.pairs if not p.ok]
+    bad_pairs = cert.failed_pairs
     report.add(
         "pairs.certified",
         not bad_pairs,
         bad_pairs and f"{names[bad_pairs[0].lower]} <= {names[bad_pairs[0].upper]}" or None,
     )
-    want = (1, cert.expected_rank)
-    bad_fibers = [f for f in cert.fibers if f.betti != want or not f.torsion_free]
+    bad_fibers = cert.failed_fibers
     report.add(
         "fibers.homology",
         not bad_fibers,
@@ -432,7 +432,7 @@ def cmd_extend_ss(args) -> int:
     )
     report.add(
         "supersolvable",
-        result.lattice.is_supersolvable() is not None,
+        build_lattice(result.final).is_supersolvable() is not None,
         "final system not supersolvable",
     )
     if args.out:
@@ -527,7 +527,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except AssertionError as exc:

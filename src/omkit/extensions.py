@@ -12,12 +12,16 @@ axioms are the final arbiter.  Nothing is emitted unverified.
 Flats are ground-bit masks, cocircuits covector numbers and a covector's
 value its (plus, minus) pair.  A new label
 is appended to the ground, so a flat of the base is the same mask in the
-extension, and search orders follow the lattice's flat numbering.
+extension, and search orders follow the lattice's flat numbering.  Each
+system's lattice is `build_lattice(system)`, built once and kept on the
+system, so a step of the supersolvable loop reuses the lattice of the
+extension found before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Optional
 
 from .lattices import GeometricLattice, build_lattice
@@ -43,7 +47,6 @@ class ExtensionResult:
     new_element: str
     signature: dict[int, int]  # coatom flat -> sign of its pair representative
     flat_lift: dict[int, int]  # flat of the base -> the least flat containing it
-    lattice: GeometricLattice  # the lattice of flats of `extended`
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,11 @@ class ExtensionConstraints:
 class _SearchSpace:
     """Shared data for the extension search on one system."""
 
-    def __init__(self, system: CovectorSystem, lattice: Optional[GeometricLattice]):
+    def __init__(self, system: CovectorSystem):
         if not system.is_simple():
             raise ExtensionError("extension search needs a simple system")
         self.system = system
-        self.lattice = lattice or build_lattice(system)
+        self.lattice = build_lattice(system)
         self.rank = self.lattice.rank()
         if self.rank not in (2, 3):
             raise ExtensionError("extension search supports rank 2 and 3 only")
@@ -73,7 +76,6 @@ class _SearchSpace:
         self.coatoms = sorted(self.pair_rep, key=index.__getitem__)
         self.colines = sorted(self.lattice.flats_of_rank(self.rank - 2), key=index.__getitem__)
         self.coline_data = [self._coline_candidates(a) for a in self.colines]
-        self.var_order = self.coatoms
         # one-dimensional cells with their two boundary cocircuits, for the
         # crossing-cocircuit rule; computed once per search
         edge_rank = self.rank - 2
@@ -244,18 +246,17 @@ def _build_extension(
     # base flat is its closure
     lattice = build_lattice(candidate)
     lift = {fl: next(g for g in lattice.flats if not fl & ~g) for fl in space.lattice.flats}
-    return ExtensionResult(system, candidate, new_label, values, lift, lattice)
+    return ExtensionResult(system, candidate, new_label, values, lift)
 
 
 def single_element_extensions(
     system: CovectorSystem,
     constraints: Optional[ExtensionConstraints] = None,
     new_label: str = "g",
-    lattice: Optional[GeometricLattice] = None,
 ) -> Iterator[ExtensionResult]:
     """Stream the simple single-element extensions compatible with the
     constraints, in lexicographic signature order."""
-    space = _SearchSpace(system, lattice)
+    space = _SearchSpace(system)
     constraints = constraints or ExtensionConstraints()
     for f in constraints.zero_flats | constraints.nonzero_flats:
         if f not in space.pair_rep:
@@ -287,7 +288,7 @@ def single_element_extensions(
         active.append(keep)
 
     assignment: dict[int, int] = {}
-    order = space.var_order
+    order = space.coatoms
 
     def compatible(ci: int) -> list[dict[int, int]]:
         flats_here, _ = space.coline_data[ci]
@@ -333,7 +334,6 @@ def levi_enlargement(
     flat2: int,
     generic: bool = False,
     new_label: str = "g",
-    lattice: Optional[GeometricLattice] = None,
 ) -> ExtensionResult:
     """Extend a rank-three system by one element through two disjoint
     rank-two flats.
@@ -344,7 +344,7 @@ def levi_enlargement(
     always exists, so an empty search points at this implementation (or,
     for the generic variant, at search-order incompleteness).
     """
-    lat = lattice or build_lattice(system)
+    lat = build_lattice(system)
     if lat.rank() != 3:
         raise ExtensionError("enlargement applies to rank-three systems")
     x1, x2 = flat1, flat2
@@ -363,9 +363,7 @@ def levi_enlargement(
         )
     constraints = ExtensionConstraints(zero, nonzero)
     gbit = 1 << len(system.ground)
-    for result in single_element_extensions(
-        system, constraints, new_label, lattice=lat
-    ):
+    for result in single_element_extensions(system, constraints, new_label):
         if not result.flat_lift[x1] & result.flat_lift[x2] & gbit:
             continue
         if generic and any(result.flat_lift[f] & gbit for f in nonzero):
@@ -389,13 +387,11 @@ class LeviStep:
 
 @dataclass(frozen=True)
 class SupersolvableExtension:
-    """The steps, the final system, its lattice of flats and its modular
-    chain; every flat is a mask over the final ground, which extends each
-    step's ground."""
+    """The steps, the final system and its modular chain; every flat is a
+    mask over the final ground, which extends each step's ground."""
 
     steps: tuple[LeviStep, ...]
     final: CovectorSystem
-    lattice: GeometricLattice
     chain: tuple[int, ...]
 
 
@@ -403,14 +399,13 @@ def _disjoint_rank2(lat: GeometricLattice, pivot: int) -> list[int]:
     return [f for f in lat.flats_of_rank(2) if not (f & pivot)]
 
 
-def supersolvable_extension(
-    system: CovectorSystem, new_labels: Optional[Iterator[str]] = None
-) -> SupersolvableExtension:
+def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
     """Iterate enlargements until some rank-two flat meets all others.
 
     The pivot is the rank-two flat with the fewest disjoint rank-two
     flats (ties by flat number) and is lifted along every step; the count
-    of flats disjoint from it must drop strictly each time.
+    of flats disjoint from it must drop strictly each time.  Each new
+    element is labelled by the smallest g1, g2, ... not yet in the ground.
     """
     lat = build_lattice(system)
     if lat.rank() != 3:
@@ -419,16 +414,8 @@ def supersolvable_extension(
         raise ExtensionError("input must be simple")
     mchain = lat.is_supersolvable()
     if mchain is not None:
-        return SupersolvableExtension((), system, lat, mchain.flats)
+        return SupersolvableExtension((), system, mchain.flats)
 
-    def fresh_labels() -> Iterator[str]:
-        i = 1
-        while True:
-            lab = f"g{i}"
-            yield lab
-            i += 1
-
-    labels = new_labels or fresh_labels()
     pivot = min(
         lat.flats_of_rank(2),
         key=lambda f: (len(_disjoint_rank2(lat, f)), lat.index[f]),
@@ -440,12 +427,10 @@ def supersolvable_extension(
         if not disjoint:
             break
         through = min(disjoint, key=lat.index.__getitem__)
-        label = next(lab for lab in labels if lab not in current.ground)
-        result = levi_enlargement(
-            current, pivot, through, generic=False, new_label=label, lattice=lat
-        )
+        label = next(f"g{i}" for i in count(1) if f"g{i}" not in current.ground)
+        result = levi_enlargement(current, pivot, through, new_label=label)
         new_pivot = result.flat_lift[pivot]
-        new_lat = result.lattice
+        new_lat = build_lattice(result.extended)
         after = len(_disjoint_rank2(new_lat, new_pivot))
         if after >= len(disjoint):
             raise LeviSearchError(
@@ -461,4 +446,4 @@ def supersolvable_extension(
     mchain = lat.is_supersolvable()
     if mchain is None:
         raise LeviSearchError("pivot meets every rank-two flat but no chain found")
-    return SupersolvableExtension(tuple(steps), current, lat, mchain.flats)
+    return SupersolvableExtension(tuple(steps), current, mchain.flats)

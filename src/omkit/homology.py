@@ -471,15 +471,19 @@ class QuasiFibrationCertificate:
     graph_rank_ok: bool
 
     @property
-    def ok(self) -> bool:
+    def failed_pairs(self) -> tuple[PairEvidence, ...]:
+        return tuple(p for p in self.pairs if not p.ok)
+
+    @property
+    def failed_fibers(self) -> tuple[FiberEvidence, ...]:
+        """The fibers without the homology of a wedge of `expected_rank`
+        circles."""
         want = (1, self.expected_rank)
-        return (
-            self.graph_rank_ok
-            and all(p.ok for p in self.pairs)
-            and all(
-                f.betti == want and f.torsion_free for f in self.fibers
-            )
-        )
+        return tuple(f for f in self.fibers if f.betti != want or not f.torsion_free)
+
+    @property
+    def ok(self) -> bool:
+        return self.graph_rank_ok and not self.failed_pairs and not self.failed_fibers
 
 
 def quasi_fibration_certify(
@@ -539,7 +543,7 @@ def quasi_fibration_certify(
 
     # one stratification per ambient cell, shared by every matching into it
     strat_for = {
-        amb: stratify_fiber(loc, loc.target.keys[amb][1], lat)
+        amb: stratify_fiber(loc, loc.target.keys[amb][1])
         for amb in sorted({ambient_for[b] for _a, b in pairs_all})
     }
     matching_ok: dict[tuple[int, int], bool] = {}

@@ -4,8 +4,10 @@ A flat is the zero set of a covector, kept as a ground-bit mask (bit i is
 `ground[i]`).  The lattice numbers its flats once, in the order of their
 ids (the labels comma-joined in ground order, "{}" for the empty flat):
 flat `index[f]` is that element of `poset()`, named by its id, and every
-tie-break between flats sorts by this number.  Whitney numbers double as
-the independent oracle for Betti numbers downstream.
+tie-break between flats sorts by this number.  `build_lattice` builds the
+lattice once per covector system and keeps it on the system, as the
+covector poset is kept, so no caller passes a lattice along.  Whitney
+numbers double as the independent oracle for Betti numbers downstream.
 """
 
 from __future__ import annotations
@@ -250,6 +252,9 @@ class GeometricLattice:
 
 
 def build_lattice(system: CovectorSystem) -> GeometricLattice:
-    """The lattice of zero sets of the covectors."""
+    """The lattice of zero sets of the covectors, built once per system."""
     full = (1 << len(system.ground)) - 1
-    return GeometricLattice(system.ground, {full & ~(p | m) for p, m in system.vectors()})
+    return system.memo(
+        ("lattice",),
+        lambda: GeometricLattice(system.ground, {full & ~(p | m) for p, m in system.vectors()}),
+    )

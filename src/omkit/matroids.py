@@ -265,17 +265,18 @@ class CovectorSystem:
         vanishing = [(p, m) for p, m in self._vectors if not (p | m) & flat]
         return CovectorSystem(self.labels(rest), restrict_masks(vanishing, rest))
 
-    def localization(self, flat: int) -> tuple["CovectorSystem", PosetMap]:
+    def localization(self, flat: int) -> tuple["CovectorSystem", tuple[int, ...]]:
         """The restriction to a flat (a ground-bit mask), with the
-        projection of covector posets."""
+        projection rho: `rho[i]` is the number of covector i's restriction.
+
+        Restriction is order preserving, so no covector poset is needed."""
         if not any(self.zero_set(c) == flat for c in range(len(self))):
             name = ",".join(self.labels(flat)) or "{}"
             raise NotAFlatError(f"{name} is not a flat")
         restricted = restrict_masks(self._vectors, flat)
         loc = CovectorSystem(self.labels(flat), restricted)
         number = loc.numbering()
-        assignment = {i: number[r] for i, r in enumerate(restricted)}
-        return loc, PosetMap(self.covector_poset(), loc.covector_poset(), assignment, _validated=True)
+        return loc, tuple(number[r] for r in restricted)
 
     def section_iota(self, alpha: int) -> PosetMap:
         """The section iota_alpha of the localization at the zero set of
@@ -325,7 +326,8 @@ class CovectorSystem:
     def memo(self, key: tuple, build: Callable[[], object]) -> object:
         """`build()`, called once per key and kept on this system, so it
         lives exactly as long as the system; for structures derived
-        downstream, such as the convex-critical matchings of `omkit.morse`."""
+        downstream, such as the lattice of flats and the convex-critical
+        matchings of `omkit.morse`."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

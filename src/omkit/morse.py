@@ -289,7 +289,7 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
         raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
     system, localized = loc.system, loc.localized
     above = localized.covector_poset().above(loc.target.keys[target_cell][0])
-    rho = loc.rho.assignment
+    rho = loc.rho
     topes = system.covector_poset().maximal_elements()
     loc_topes = localized.covector_poset().maximal_elements()
     # stratum 0: the full dual ball, critical part the fiber of rho_X over sigma_a;

@@ -342,13 +342,7 @@ class PosetMap:
 
     __slots__ = ("source", "target", "assignment", "_preimages")
 
-    def __init__(
-        self,
-        source: FinitePoset,
-        target: FinitePoset,
-        assignment: dict[int, int],
-        _validated: bool = False,
-    ):
+    def __init__(self, source: FinitePoset, target: FinitePoset, assignment: dict[int, int]):
         for x, fx in assignment.items():
             if x not in source:
                 raise PosetError(f"unknown source element {x!r}")
@@ -361,15 +355,14 @@ class PosetMap:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "assignment", dict(assignment))
         object.__setattr__(self, "_preimages", None)
-        if not _validated:
-            for y in source.elements:
-                fy = assignment[y]
-                for x in bits(source.below(y)):
-                    if not target.leq(assignment[x], fy):
-                        raise PosetError(
-                            f"not order preserving: {source.names[x]!r} <= {source.names[y]!r} "
-                            f"but {target.names[assignment[x]]!r} !<= {target.names[fy]!r}"
-                        )
+        for y in source.elements:
+            fy = assignment[y]
+            for x in bits(source.below(y)):
+                if not target.leq(assignment[x], fy):
+                    raise PosetError(
+                        f"not order preserving: {source.names[x]!r} <= {source.names[y]!r} "
+                        f"but {target.names[assignment[x]]!r} !<= {target.names[fy]!r}"
+                    )
 
     def __setattr__(self, name, value):
         raise AttributeError("PosetMap is immutable")

@@ -7,18 +7,21 @@ covector poset.  Everything here is by number: a covector or tope is its
 element of `system.covector_poset()`, its value the (plus, minus) pair
 `system.vectors()[i]`, and cell k is the pair `keys[k]` of
 covector numbers (`index` inverts it).  Cells are numbered in the order of
-their ids "(sigma;T)", which are rendered once, as the poset's names; sign
-text is parsed and rendered only by the command line.  A flat is a
-ground-bit mask.  The fiber stratification over a modular corank-one flat
-is the combinatorial heart of the quasi-fibration certificates.
+their ids "(sigma;T)", which are rendered once, as the poset's names, and
+`cell_over(c, t)` is the cell (c, c o T); sign text is parsed and rendered
+only by the command line.  A flat is a ground-bit mask.  Localization at a
+flat is restriction to it: the covector projection rho is a tuple of
+covector numbers, `rho[i]` the restriction of covector i, and a section is
+the system's `section_iota`.  The fiber stratification over a modular
+corank-one flat is the combinatorial heart of the quasi-fibration
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .lattices import build_lattice, GeometricLattice
+from .lattices import build_lattice
 from .matroids import CovectorSystem, section_lift
 from .posets import FinitePoset, PosetMap, bits, mask_of
 from .signs import compose_masks, restrict_masks, separator_masks, sign_text
@@ -78,11 +81,17 @@ class SalvettiPoset:
         """The dimension of a cell: its height in the Salvetti poset."""
         return self.poset.heights()[cell]
 
+    def cell_over(self, c: int, t: int) -> int:
+        """The cell (c, c o T) of covector c over tope T, both by number."""
+        vectors = self.system.vectors()
+        return self.index[c, self.system.numbering()[compose_masks(*vectors[c], *vectors[t])]]
+
 
 @dataclass(frozen=True)
 class SalvettiLocalization:
     """The localization map between Salvetti posets at a flat, with the
-    covector-level localization `rho` it is induced by."""
+    covector-level localization `rho` it is induced by: `rho[i]` is the
+    number of covector i's restriction to the flat."""
 
     system: CovectorSystem
     flat: int
@@ -90,17 +99,15 @@ class SalvettiLocalization:
     source: SalvettiPoset
     target: SalvettiPoset
     map: PosetMap
-    rho: PosetMap
+    rho: tuple[int, ...]
 
     def section(self, alpha: int) -> PosetMap:
         """The section induced by a covector (by number) with zero set
         equal to the flat."""
         system = self.system
-        if alpha not in system.covector_poset() or system.zero_set(alpha) != self.flat:
+        if not 0 <= alpha < len(system) or system.zero_set(alpha) != self.flat:
             raise ValueError("alpha must be a covector with zero set the flat")
-        number = system.numbering()
-        a = system.vectors()[alpha]
-        lift = [number.get(section_lift(a, self.flat, v)) for v in self.localized.vectors()]
+        lift = system.section_iota(alpha).assignment
         assignment = {}
         for k, (f, t) in enumerate(self.target.keys):
             cell = self.source.index.get((lift[f], lift[t]))
@@ -121,8 +128,7 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
-    r = rho.assignment
-    assignment = {k: target.index[r[f], r[t]] for k, (f, t) in enumerate(source.keys)}
+    assignment = {k: target.index[rho[f], rho[t]] for k, (f, t) in enumerate(source.keys)}
     pmap = PosetMap(source.poset, target.poset, assignment)
     return SalvettiLocalization(system, flat, localized, source, target, pmap, rho)
 
@@ -131,20 +137,15 @@ def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, Poset
     """The isomorphism between the ideal below (0, T) and the dual covector
     poset: (F, R) maps to F, with inverse F maps to (F, F o T)."""
     system = salv.system
-    number = system.numbering()
-    zero = number.get((0, 0))
+    zero = system.numbering().get((0, 0))
     top = salv.index.get((zero, tope))
     if top is None:
         raise ValueError(f"element {tope!r} is not a tope")
     ideal_mask = salv.poset.below(top)
     ideal = salv.poset.subposet(ideal_mask)
     dual = system.covector_poset().dual()
-    vt = system.vectors()[tope]
     fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
-    bwd = {
-        c: salv.index[c, number[compose_masks(*v, *vt)]]
-        for c, v in enumerate(system.vectors())
-    }
+    bwd = {c: salv.cell_over(c, tope) for c in range(len(system))}
     to_dual = PosetMap(ideal, dual, fwd)
     from_dual = PosetMap(dual, ideal, bwd)
     if len(ideal) != len(system):
@@ -160,9 +161,9 @@ def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:
     (0, T) matches the covector-level localization under the ideal
     isomorphisms."""
     to_dual, _ = principal_ideal_iso(loc.source, tope)
-    to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho.assignment[tope])
+    to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho[tope])
     return all(
-        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho.assignment[face]
+        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho[face]
         for k, face in to_dual.assignment.items()
     )
 
@@ -189,11 +190,7 @@ class FiberStratification:
     projection: PosetMap
 
 
-def stratify_fiber(
-    loc: SalvettiLocalization,
-    base: int,
-    lattice: Optional[GeometricLattice] = None,
-) -> FiberStratification:
+def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     """Order the fiber topes over the localized tope `base` (by number)
     into a string and slice the fiber into strata.
 
@@ -202,7 +199,7 @@ def stratify_fiber(
     coatom buys.
     """
     system = loc.system
-    lattice = lattice or build_lattice(system)
+    lattice = build_lattice(system)
     x = loc.flat
     if lattice.rank_of[x] != lattice.rank() - 1:
         raise StratificationError(f"{lattice.id(x)} does not have corank 1")
@@ -219,7 +216,7 @@ def stratify_fiber(
     order = system.covector_poset()
     vectors = system.vectors()
     number = system.numbering()
-    rho = loc.rho.assignment
+    rho = loc.rho
     # the two covectors with zero set X; the lex-smaller one anchors the string
     anchors = [c for c in order.elements if system.zero_set(c) == x]
     if len(anchors) != 2:
@@ -260,10 +257,7 @@ def stratify_fiber(
     if used != fiber.members:
         raise AssertionError("strata do not cover the fiber exactly")
 
-    def cell_over(c: int, t: int) -> int:
-        return source.index[c, number[compose_masks(*vectors[c], *vectors[t])]]
-
-    lifts = [tuple(cell_over(c, string[0]) for c in order.elements)]
+    lifts = [tuple(source.cell_over(c, string[0]) for c in order.elements)]
     width = len(loc.localized)
     for i in range(1, len(string)):
         iso: dict[int, int] = {}
@@ -275,7 +269,7 @@ def stratify_fiber(
             iso[rho[c]] = c
         if len(iso) != width:
             raise AssertionError("restriction is not onto the localization")
-        lifts.append(tuple(cell_over(iso[y], string[i]) for y in range(width)))
+        lifts.append(tuple(source.cell_over(iso[y], string[i]) for y in range(width)))
 
     digits = len(str(len(string) - 1))
     chain = FinitePoset(
@@ -295,25 +289,23 @@ def stratify_fiber(
     )
 
 
-def fiber_rank2_model(
-    loc: SalvettiLocalization, base: int, g: str = "g"
-) -> tuple[CovectorSystem, dict[int, int]]:
+def fiber_rank2_model(loc: SalvettiLocalization, base: int) -> tuple[CovectorSystem, dict[int, int]]:
     """A rank-two system whose decone matches the covector fiber over a
     tope of the localization (by number).
 
     The fiber cells keep their values off the flat and gain a positive
-    entry on a fresh element; the two covectors supported exactly off the
+    entry on a fresh element "g"; the two covectors supported exactly off the
     flat become the model's extra cocircuit pair.  Returns the model and
     the cell correspondence (fiber covector number -> model covector
     number).
     """
     system = loc.system
-    if g in system.ground:
-        raise ValueError(f"label {g!r} already in use")
+    if "g" in system.ground:
+        raise ValueError("label 'g' already in use")
     rest = ((1 << len(system.ground)) - 1) & ~loc.flat
     vectors = system.vectors()
-    rho = loc.rho.assignment
-    ground = system.labels(rest) + (g,)
+    rho = loc.rho
+    ground = system.labels(rest) + ("g",)
     gbit = 1 << (len(ground) - 1)
     fiber = [c for c in range(len(system)) if rho[c] == base]
     restricted = restrict_masks([vectors[c] for c in fiber], rest)

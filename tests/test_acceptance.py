@@ -76,7 +76,7 @@ def test_criterion_2_running_example_fidelity(five_planes):
     chosen = None
     h4, h5 = five_planes.label_mask(["H4"]), five_planes.label_mask(["H5"])
     for bp in bits(loc.localized.covector_poset().maximal_elements()):
-        strat = stratify_fiber(loc, bp, lat)
+        strat = stratify_fiber(loc, bp)
         if strat.separators == (h4, h5):
             chosen = strat
             break
@@ -139,7 +139,7 @@ def test_criterion_5_matching_constructions(five_planes, uniform23):
         for x in modular_coatoms:
             loc = salvetti_localization(system, x)
             for top in bits(loc.target.poset.maximal_elements()):
-                strat = stratify_fiber(loc, loc.target.keys[top][1], lat)
+                strat = stratify_fiber(loc, loc.target.keys[top][1])
                 for a in bits(loc.target.poset.below(top)):
                     m = matching_salvetti_fiber(strat, a)
                     ok = ok and m.is_acyclic().acyclic
@@ -282,7 +282,7 @@ def _localization_laws_ok(system) -> bool:
         for alpha in anchors:
             iota = system.section_iota(alpha)
             ok = ok and all(
-                rho.assignment[iota.assignment[cid]] == cid
+                rho[iota.assignment[cid]] == cid
                 for cid in iota.source.elements
             )
         if len(system) <= 200 and lat.rank_of[x] >= lat.rank() - 1:

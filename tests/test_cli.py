@@ -278,6 +278,33 @@ def test_certify_qf_command(capsys):
     assert "mode: sampled" in out
 
 
+def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypatch):
+    # one pair and every fiber made to fail: the report's FAIL clauses and
+    # witnesses are the certificate's own failed_pairs and failed_fibers
+    from dataclasses import replace
+
+    import omkit.cli
+    from omkit.homology import quasi_fibration_certify
+
+    def broken(*args, **kwargs):
+        cert = quasi_fibration_certify(*args, **kwargs)
+        bad = replace(cert.pairs[1], homology_agrees=False)
+        return replace(cert, expected_rank=3, pairs=(cert.pairs[0], bad, *cert.pairs[2:]))
+
+    monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    cert = broken(corpus("sec3-arrangement"), 0b111, mode="sampled")
+    assert not cert.ok
+    assert cert.failed_pairs == (cert.pairs[1],)
+    assert cert.failed_fibers == cert.fibers
+    names = cert.loc.target.poset.names
+    pair, fiber = cert.failed_pairs[0], cert.failed_fibers[0]
+    assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}\n" in out
+    assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
+    assert "fibers.graph_rank: PASS\nverdict: FAIL\n" in out
+
+
 def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):
     # a sample of no pairs would report PASS having checked nothing
     for sample in ("0", "-3"):
@@ -358,6 +385,29 @@ def test_extend_ss_command(capsys, tmp_path):
     assert len(saved.ground) > 9
 
 
+def test_extend_ss_builds_one_lattice_per_system(capsys, monkeypatch):
+    # the systems are the input and one extension per step; the lattice
+    # of each is built once and reused, the command's own check included
+    from collections import Counter
+
+    from omkit.lattices import GeometricLattice
+
+    built = Counter()
+    real = GeometricLattice.__init__
+
+    def counting(self, ground, flats):
+        flats = frozenset(flats)
+        built[ground, flats] += 1
+        real(self, ground, flats)
+
+    monkeypatch.setattr(GeometricLattice, "__init__", counting)
+    code, out = run(capsys, ["extend-ss"], stdin=om_text("non-pappus"))
+    assert code == 0
+    assert "steps: 5\n" in out
+    assert sum(built.values()) == 6
+    assert set(built.values()) == {1}
+
+
 def test_unknown_corpus_name(capsys):
     code, out = run(capsys, ["corpus", "rank1"])
     assert code == 0
@@ -370,6 +420,27 @@ def test_unknown_corpus_name(capsys):
 def test_error_reporting(capsys):
     code, _ = run(capsys, ["modular", "H1,H9"], stdin=om_text("sec3-arrangement"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-axioms", "--input", "{missing}/system.om"],
+        ["check-axioms", "--input", "{tmp}"],
+        ["from-arrangement", "{missing}/forms.txt"],
+        ["homology", "--target", "complex-file", "--complex-file", "{missing}/facets.txt"],
+        ["extend-ss", "--out", "{missing}/ext.om"],
+    ],
+    ids=["missing-input", "directory-input", "from-arrangement", "complex-file", "extend-ss-out"],
+)
+def test_a_file_that_cannot_be_read_or_written_exits_2(capsys, tmp_path, argv):
+    # exit 1 is a FAIL clause; a missing or unreadable file is bad input
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing") for a in argv]
+    code, out, err = run_with_stderr(capsys, argv, stdin=om_text("sec3-arrangement"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
 
 
 def test_morse_fiber_names_an_unknown_cell(capsys, monkeypatch):

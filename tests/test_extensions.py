@@ -186,6 +186,16 @@ def test_supersolvable_extension_non_pappus(non_pappus):
     assert chain.flats == result.chain
 
 
+def test_supersolvable_extension_labels_by_the_smallest_free_g(non_pappus):
+    # with g1 and g3 taken by the input, the five new elements are the
+    # smallest labels g<i> still free when each is added
+    relabel = {"L2": "g1", "L5": "g3"}
+    ground = tuple(relabel.get(lab, lab) for lab in non_pappus.ground)
+    result = supersolvable_extension(CovectorSystem(ground, non_pappus.vectors()))
+    assert [s.new_element for s in result.steps] == ["g2", "g4", "g5", "g6", "g7"]
+    assert result.final.ground == ground + ("g2", "g4", "g5", "g6", "g7")
+
+
 def test_extension_output_carries_the_fibration_structure(non_pappus):
     # closing the loop: the supersolvable extension has a modular coatom
     # (the lifted pivot) whose localization certifies as a quasi-fibration
@@ -212,7 +222,7 @@ def test_rank3_dfs_matches_raw_scan(five_planes):
     the engine gets)."""
     from omkit.extensions import _SearchSpace, _build_extension
 
-    space = _SearchSpace(five_planes, None)
+    space = _SearchSpace(five_planes)
     coatoms = space.coatoms
     raw = set()
     for values in itertools.product((1, -1, 0), repeat=len(coatoms)):
@@ -250,7 +260,7 @@ def test_prune_soundness_and_completeness(uniform23):
     raw scan over all assignments accept exactly the same signatures."""
     from omkit.extensions import _SearchSpace, _build_extension
 
-    space = _SearchSpace(uniform23, None)
+    space = _SearchSpace(uniform23)
     coatoms = space.coatoms
     raw = set()
     for values in itertools.product((1, -1, 0), repeat=len(coatoms)):

@@ -256,9 +256,9 @@ def test_quasi_fibration_stratifies_each_ambient_fiber_once(monkeypatch, five_pl
     seen = []
     real = module.stratify_fiber
 
-    def counting(loc, base, lattice=None):
+    def counting(loc, base):
         seen.append(base)
-        return real(loc, base, lattice)
+        return real(loc, base)
 
     monkeypatch.setattr(module, "stratify_fiber", counting)
     cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))

@@ -4,7 +4,7 @@ import pytest
 
 from omkit.cli import flat_id, parse_flat
 from omkit.lattices import build_lattice
-from omkit.matroids import NotAFlatError
+from omkit.matroids import CovectorSystem, NotAFlatError
 
 
 def _poly_product(*factors):
@@ -37,6 +37,14 @@ def test_flats_are_numbered_by_id(all_corpus):
         assert lat.poset().names == lat.names
         # flats are listed by size, ties by number
         assert list(lat.flats) == sorted(lat.flats, key=lambda f: (f.bit_count(), lat.index[f]))
+
+
+def test_the_lattice_is_built_once_per_system(all_corpus):
+    for name, system in all_corpus.items():
+        fresh = CovectorSystem(system.ground, system.vectors())
+        lat = build_lattice(fresh)
+        assert build_lattice(fresh) is lat, name
+        assert lat.flats == build_lattice(system).flats, name
 
 
 def test_rank1_lattice(rank1):

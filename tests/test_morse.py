@@ -1,6 +1,5 @@
 import pytest
 
-from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem
 from omkit.morse import (
     Matching,
@@ -267,7 +266,6 @@ def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, unif
 
 
 def test_fiber_matchings_exhaustive(five_planes):
-    lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     cells = loc.target.poset.elements
@@ -277,7 +275,7 @@ def test_fiber_matchings_exhaustive(five_planes):
             if not loc.target.poset.leq(a, top):
                 continue
             bp = loc.target.keys[top][1]
-            m = matching_salvetti_fiber(stratify_fiber(loc, bp, lat), a)
+            m = matching_salvetti_fiber(stratify_fiber(loc, bp), a)
             assert m.is_acyclic().acyclic
             assert m.critical_cells() == loc.fiber(a).members
 

@@ -12,7 +12,7 @@ from omkit.salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
-from omkit.posets import bits, mask_of
+from omkit.posets import PosetMap, bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
 
 
@@ -64,11 +64,13 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
     # the ROADMAP 4(b) probe is no covector system, but it is a poset
     probe = CovectorSystem.from_strings("abc", ["000", "+++", "---", "++0"])
     for name, system in [*all_corpus.items(), ("4(b) probe", probe)]:
-        # the text form, the axiom check and the lattice need no order
+        # the text form, the axiom check, the lattice and localization need no order
         fresh = CovectorSystem(system.ground, system.vectors())
         format_system(fresh)
         fresh.check_axioms()
         build_lattice(fresh)
+        for flat in {fresh.zero_set(c) for c in range(len(fresh))}:
+            fresh.localization(flat)
         assert fresh._poset is None, name
         poset = system.covector_poset()
         assert system.covector_poset() is poset, name
@@ -138,7 +140,9 @@ def test_numbering_follows_names_on_the_localization(five_planes):
     for poset in (loc.source.poset, loc.target.poset):
         assert_numbered_by_name(poset)
         assert_views_match_relation(poset)
-    for pmap in (loc.map, loc.rho):
+    # rho as a poset map, which checks that it is order preserving
+    rho = PosetMap(five_planes.covector_poset(), loc.localized.covector_poset(), dict(enumerate(loc.rho)))
+    for pmap in (loc.map, rho):
         source_pairs, target_pairs = pmap.source.pairs(), pmap.target.pairs()
         for q in pmap.target.elements:
             over = mask_of(x for x in pmap.source.elements if (pmap(x), q) in target_pairs)
@@ -276,18 +280,17 @@ def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
 
 
 def test_stratification(five_planes):
-    lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     vectors = sign_vectors(five_planes)
     for bp in tope_numbers(loc.localized):
-        strat = stratify_fiber(loc, bp, lat)
+        strat = stratify_fiber(loc, bp)
         assert len(strat.tope_string) == 3
         # consecutive topes of the string differ in exactly the separator bit
         assert [s.bit_count() for s in strat.separators] == [1, 1]
         for sep, (a, b) in zip(strat.separators, zip(strat.tope_string, strat.tope_string[1:])):
             assert vectors[a].separator_mask(vectors[b]) == sep
-        assert all(loc.rho(t) == bp for t in strat.tope_string)
+        assert all(loc.rho[t] == bp for t in strat.tope_string)
         assert strat.strata[0].bit_count() == len(five_planes)
         for i, sep in enumerate(strat.separators):
             e = five_planes.ground[sep.bit_length() - 1]
@@ -300,14 +303,13 @@ def test_stratification(five_planes):
 
 def test_section_lifts_are_string_ends(five_planes):
     # iota_alpha(B') and iota_beta(B') are the two end topes of the string
-    lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     vectors = sign_vectors(five_planes)
     anchors = [vectors[c] for c in anchor_numbers(five_planes, x)]
     for bp in tope_numbers(loc.localized):
         base = sign_vectors(loc.localized)[bp]
-        strat = stratify_fiber(loc, bp, lat)
+        strat = stratify_fiber(loc, bp)
         string = strat.tope_string
         lifts = set()
         for alpha in anchors:
@@ -328,13 +330,12 @@ def test_strata_are_contraction_balls(five_planes):
     # N_0 is the whole dual ball; each later stratum is order-isomorphic to
     # the dual of the covectors vanishing on its separator element, via
     # forgetting the tope coordinate
-    lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     system = five_planes
     covs = sign_vectors(system)
     for bp in tope_numbers(loc.localized):
-        strat = stratify_fiber(loc, bp, lat)
+        strat = stratify_fiber(loc, bp)
         for i, stratum in enumerate(strat.strata):
             t_i = covs[strat.tope_string[i]]
             faces = {}
@@ -395,7 +396,7 @@ def test_rank2_model_of_fiber(five_planes, braid3):
     assert model.check_axioms().ok
     assert model.rank() == 2
     # the fiber covectors correspond to the model's covectors positive on g
-    assert set(mapping) == {c for c, r in loc.rho.assignment.items() if r == bp}
+    assert set(mapping) == {c for c, r in enumerate(loc.rho) if r == bp}
     g = model.label_mask({"g"})
     positive = {y for y, (p, _) in enumerate(model.vectors()) if p & g}
     assert set(mapping.values()) == positive

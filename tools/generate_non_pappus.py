@@ -11,14 +11,18 @@ the middle cross point onto any straight realization of that line, so
 every extension found this way is non-realizable; the search is complete,
 and the lexicographically first signature is frozen.
 
-Run from the repository root:  python tools/generate_non_pappus.py
+`non_pappus_text()` returns the covector file text; `main` writes it to
+src/omkit/data/non_pappus.om.  Run from the repository root:
+
+    python tools/generate_non_pappus.py
 """
 
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "src" / "omkit" / "data" / "non_pappus.om"
+sys.path.insert(0, str(ROOT / "src"))
 
 from omkit import CovectorSystem, RationalArrangement, from_arrangement, build_lattice
 from omkit.extensions import ExtensionConstraints, single_element_extensions
@@ -49,13 +53,11 @@ CROSS_RIGHT = {"L8", "L9"}
 INFINITY = {"L1", "L2"}
 
 
-def main() -> None:
+def non_pappus_text() -> str:
+    """The covector file of the nine-element instance, checked as built."""
     labels = tuple(lab for lab, _ in EIGHT)
     arr = RationalArrangement(labels, [f for _, f in EIGHT])
-    t0 = time.time()
     base = from_arrangement(arr)
-    print(f"eight-line system: {len(base)} covectors, "
-          f"{base.topes().bit_count()} topes, rank {base.rank()} ({time.time()-t0:.1f}s)")
     assert base.check_axioms().ok
 
     lat = build_lattice(base)
@@ -69,10 +71,7 @@ def main() -> None:
         f for f in lat.flats_of_rank(2) if f not in zero
     )
     constraints = ExtensionConstraints(zero, nonzero)
-    t0 = time.time()
-    gen = single_element_extensions(base, constraints, new_label="L3", lattice=lat)
-    result = next(gen)
-    print(f"extension found in {time.time()-t0:.1f}s")
+    result = next(single_element_extensions(base, constraints, new_label="L3"))
 
     ext = result.extended
     # reorder the ground set to L1..L9
@@ -92,11 +91,6 @@ def main() -> None:
     triples = sorted(
         lat9.id(f) for f in lat9.flats_of_rank(2) if f.bit_count() == 3
     )
-    doubles = sorted(
-        lat9.id(f) for f in lat9.flats_of_rank(2) if f.bit_count() == 2
-    )
-    print("triple points:", triples)
-    print("simple points:", doubles)
     expected_triples = sorted(
         [
             "L1,L2,L3",
@@ -108,12 +102,14 @@ def main() -> None:
     assert triples == expected_triples, triples
     assert reordered.label_mask({"L6", "L7"}) in lat9.rank_of  # the broken cross point
     assert lat9.is_supersolvable() is None, "instance must not be supersolvable"
-    print("whitney:", lat9.whitney(), "topes:", reordered.topes().bit_count())
+    return format_system(reordered)
 
-    out = Path(__file__).resolve().parent.parent / "src" / "omkit" / "data" / "non_pappus.om"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(format_system(reordered))
-    print(f"wrote {out} ({len(reordered)} covectors)")
+
+def main() -> None:
+    text = non_pappus_text()
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(text)
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
