@@ -8,6 +8,9 @@ invariant breaks.  `corpus` and
 `from-arrangement` produce covector files, so commands compose as
 pipelines.
 
+The parser is built once per process, on the first `main` call; a command
+`name` runs `cmd_<name>` ("-" read as "_"), looked up when it runs.
+
 The library takes flats as ground-bit masks; their text, labels joined
 by commas in ground order with "{}" for the empty flat, is parsed and
 rendered only here.
@@ -16,6 +19,7 @@ rendered only here.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from bisect import bisect_left
 from pathlib import Path
@@ -440,6 +444,7 @@ def cmd_extend_ss(args) -> int:
     return _finish(report)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omkit",
@@ -447,48 +452,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def com(name, fn, **kwargs):
+    def com(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
         p.add_argument("--input", default="-", help="covector file (default stdin)")
         return p
 
     p = sub.add_parser("corpus", help="write a bundled example system")
-    p.set_defaults(fn=cmd_corpus)
     p.add_argument("name", choices=CORPUS_NAMES)
 
     p = sub.add_parser("from-arrangement", help="covectors of a rational arrangement")
-    p.set_defaults(fn=cmd_from_arrangement)
     p.add_argument("matrix", help="file with one rational row per line")
 
-    com("check-axioms", cmd_check_axioms, help="check the covector axioms")
-    com("simplify", cmd_simplify, help="remove loops and parallel elements")
-    com("topes", cmd_topes, help="list the topes")
-    com("lattice", cmd_lattice, help="flats, ranks, Moebius and Whitney data")
+    com("check-axioms", help="check the covector axioms")
+    com("simplify", help="remove loops and parallel elements")
+    com("topes", help="list the topes")
+    com("lattice", help="flats, ranks, Moebius and Whitney data")
 
-    p = com("modular", cmd_modular, help="modularity of a flat")
+    p = com("modular", help="modularity of a flat")
     p.add_argument("flat", help="comma-separated labels, e.g. H1,H2,H3")
 
-    com("supersolvable", cmd_supersolvable, help="search for a modular chain")
+    com("supersolvable", help="search for a modular chain")
 
-    p = com("shelling", cmd_shelling, help="shelling order from a tope poset")
+    p = com("shelling", help="shelling order from a tope poset")
     p.add_argument("--base", required=True, help="base tope in sign text")
     p.add_argument("--depth", type=int, default=3)
 
-    com("salvetti", cmd_salvetti, help="the Salvetti poset")
+    com("salvetti", help="the Salvetti poset")
 
-    p = com("localize", cmd_localize, help="restrict to a flat")
+    p = com("localize", help="restrict to a flat")
     p.add_argument("--flat", required=True)
 
-    p = com("fiber", cmd_fiber, help="a Salvetti localization fiber")
+    p = com("fiber", help="a Salvetti localization fiber")
     p.add_argument("--flat", required=True)
     p.add_argument("--cell", required=True, help="cell id (sigma;T) of the localization")
 
-    p = com("stratify", cmd_stratify, help="stratify a maximal-cell fiber")
+    p = com("stratify", help="stratify a maximal-cell fiber")
     p.add_argument("--flat", required=True)
     p.add_argument("--tope", required=True, help="base tope of the localization")
 
-    p = com("morse", cmd_morse, help="build a verified acyclic matching")
+    p = com("morse", help="build a verified acyclic matching")
     p.add_argument(
         "--construction", required=True, choices=("shelling", "convex", "fiber")
     )
@@ -498,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", help="cell id of the localization (fiber)")
     p.add_argument("--tope", help="base tope of the localization (fiber)")
 
-    p = com("homology", cmd_homology, help="integral homology")
+    p = com("homology", help="integral homology")
     p.add_argument(
         "--target", default="salvetti", choices=("salvetti", "fiber", "complex-file")
     )
@@ -506,18 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell")
     p.add_argument("--complex-file", dest="complex_file")
 
-    p = com("certify-qf", cmd_certify_qf, help="quasi-fibration certificate")
+    p = com("certify-qf", help="quasi-fibration certificate")
     p.add_argument("--flat", required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--sample", type=int, default=24)
 
-    com("ranks", cmd_ranks, help="semidirect rank sequence")
+    com("ranks", help="semidirect rank sequence")
 
-    p = com("extend-levi", cmd_extend_levi, help="one enlargement through two flats")
+    p = com("extend-levi", help="one enlargement through two flats")
     p.add_argument("--flats", nargs=2, required=True, metavar=("X1", "X2"))
     p.add_argument("--generic", action="store_true")
 
-    p = com("extend-ss", cmd_extend_ss, help="extend until supersolvable")
+    p = com("extend-ss", help="extend until supersolvable")
     p.add_argument("--out", help="write the extended system to a file")
 
     return parser
@@ -525,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

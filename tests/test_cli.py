@@ -541,3 +541,78 @@ def test_salvetti_commands_refuse_a_composition_outside_the_system(capsys, monke
         assert captured.err == (
             "error: composition ++0 o --- = ++- is not a covector\n"
         )
+
+
+def subcommands(parser) -> list[str]:
+    import argparse
+
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_each_command_runs_the_cmd_function_of_its_name():
+    import inspect
+
+    import omkit.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    handlers = {"cmd_" + name.replace("-", "_") for name in subcommands(cli.build_parser())}
+    for handler in handlers:
+        assert callable(getattr(cli, handler, None)), handler
+    defined = {
+        name for name, _ in inspect.getmembers(cli, inspect.isfunction) if name.startswith("cmd_")
+    }
+    assert defined == handlers
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    import omkit.cli as cli
+
+    system = corpus("uniform-2-3")
+    topes = system.covector_poset().names_of(system.topes())[:1]
+    pairs = [
+        (
+            "sec3-arrangement",
+            ["certify-qf", "--flat", "H1,H2,H3", "--exhaustive"],
+            ["certify-qf", "--flat", "H1,H2,H3"],
+        ),
+        (
+            "uniform-2-3",
+            ["morse", "--construction", "convex", "--topes", ",".join(topes)],
+            ["morse", "--construction", "fiber"],
+        ),
+    ]
+    seconds = []
+    for name, first, second in pairs:
+        assert run(capsys, first, stdin=om_text(name))[0] == 0
+        seconds.append(run_with_stderr(capsys, second, stdin=om_text(name)))
+    (code, out, _), (morse_code, morse_out, morse_err) = seconds
+    assert code == 0
+    assert "mode: sampled\n" in out and "pairs: 24\n" in out
+    assert (morse_code, morse_out) == (2, "")
+    assert morse_err == "error: missing arguments: --flat, --cell, --tope\n"
+
+    # the same commands through a parser built for the one call
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for (name, _, second), shared in zip(pairs, seconds):
+        assert run_with_stderr(capsys, second, stdin=om_text(name)) == shared
+
+
+def test_usage_errors_after_a_run_go_to_the_current_stderr(capsys, monkeypatch):
+    assert run(capsys, ["topes"], stdin=om_text("rank1"))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: omkit ")
+    assert "invalid choice: 'no-such-command'" in captured.err
+
+    stream = io.StringIO()
+    monkeypatch.setattr("sys.stderr", stream)
+    with pytest.raises(SystemExit) as exc:
+        main(["morse", "--construction", "nope"])
+    assert exc.value.code == 2
+    assert stream.getvalue().startswith("usage: omkit morse ")
+    assert "invalid choice: 'nope'" in stream.getvalue()
+    assert capsys.readouterr() == ("", "")
