@@ -44,10 +44,11 @@ from .omfile import (
     Report,
     format_system,
     format_topes,
+    parse_facet_text,
     parse_matrix_text,
     parse_om_text,
 )
-from .posets import SimplicialComplexRecord, mask_of
+from .posets import FinitePoset, mask_of
 from .salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from .topes import (
     dual_subcomplex,
@@ -334,12 +335,8 @@ def cmd_homology(args) -> int:
         res = homology(loc.fiber(_cell(loc.target, args.cell)))
     else:
         _require(args, ["complex_file"])
-        facets = [
-            line.split(",")
-            for line in Path(args.complex_file).read_text().splitlines()
-            if line.strip()
-        ]
-        res = homology(SimplicialComplexRecord.from_facets(facets))
+        facets = parse_facet_text(Path(args.complex_file).read_text())
+        res = homology(FinitePoset.from_facets(facets))
     report.note("betti", " ".join(map(str, res.betti)))
     report.note(
         "torsion",

@@ -1,29 +1,28 @@
-"""Integral homology of face posets and simplicial complexes, plus the
-derived checks.
+"""Integral homology of face posets, plus the derived checks.
 
 A `FinitePoset` is read as the face poset of a regular CW complex (Salvetti
-posets, their localization fibers, covector spheres and balls): the cells
-of dimension d are the elements of height d, and the incidence signs of
-the cellular boundary are read off the poset.  Building them certifies
+posets, their localization fibers, covector spheres and balls, and the
+face posets of simplicial complexes from `FinitePoset.from_facets`): the
+cells of dimension d are the elements of height d, and the incidence signs
+of the cellular boundary are read off the poset.  Building them certifies
 regularity: every cover climbs one height, every edge has two vertices,
 every codimension-2 face of a cell lies in exactly two of its facets, and
 the signs propagated across those faces agree (`NotRegularError` names
-the cell otherwise).  A `SimplicialComplexRecord` gets its simplicial
-chain complex with ordered-vertex orientations.  Both boundary families
-are checked to square to zero, then reduced by exact integer elimination:
-unit pivots first (which keeps everything integral and sparse), then a
-textbook Smith reduction of whatever small core remains, so torsion is
-exact.  The order complex of a poset is the tests' independent oracle.
+the cell otherwise).  The boundary maps are checked to square to zero,
+then reduced by exact integer elimination: unit pivots first (which keeps
+everything integral and sparse), then a textbook Smith reduction of
+whatever small core remains, so torsion is exact.  The simplicial chain
+complex of the order complex is the tests' independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
-from .posets import FinitePoset, SimplicialComplexRecord, bits
+from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
     SalvettiPoset,
@@ -174,26 +173,11 @@ class NotRegularError(ValueError):
 
 @dataclass(frozen=True)
 class ChainComplexRecord:
-    """Ordered bases per dimension with integer boundary maps.
+    """Ordered bases of poset elements per dimension, with integer
+    boundary maps."""
 
-    A basis element is a poset element (cellular) or a tuple of vertices
-    in vertex order (simplicial)."""
-
-    bases: tuple[tuple[Union[int, tuple[str, ...]], ...], ...]
+    bases: tuple[tuple[int, ...], ...]
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
-
-
-def chain_complex(
-    target: Union[SimplicialComplexRecord, FinitePoset]
-) -> ChainComplexRecord:
-    """The cellular chain complex of a face poset, or the simplicial chain
-    complex of a simplicial complex; either way checked to square to zero."""
-    if isinstance(target, FinitePoset):
-        rec = _cellular_chain_complex(target)
-    else:
-        rec = _simplicial_chain_complex(target)
-    _check_boundary_squares(rec)
-    return rec
 
 
 def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
@@ -262,7 +246,9 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     return signs
 
 
-def _cellular_chain_complex(poset: FinitePoset) -> ChainComplexRecord:
+def chain_complex(poset: FinitePoset) -> ChainComplexRecord:
+    """The cellular chain complex of a regular CW face poset, checked to
+    square to zero."""
     signs = _incidences(poset)
     heights = poset.heights()
     bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
@@ -277,35 +263,9 @@ def _cellular_chain_complex(poset: FinitePoset) -> ChainComplexRecord:
                 for j, c in enumerate(bases[d])
             }
         )
-    return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
-
-
-def _simplicial_chain_complex(
-    complex_record: SimplicialComplexRecord,
-) -> ChainComplexRecord:
-    byd = complex_record.by_dimension()
-    dim = max(byd, default=-1)
-    vertex_order = {v: i for i, v in enumerate(complex_record.vertices)}
-    bases: list[tuple[tuple[str, ...], ...]] = []
-    for d in range(dim + 1):
-        simplices = sorted(
-            tuple(sorted(f, key=vertex_order.__getitem__)) for f in byd.get(d, [])
-        )
-        bases.append(tuple(simplices))
-    index = [
-        {s: i for i, s in enumerate(level)} for level in bases
-    ]
-    boundaries: list[dict[int, dict[int, int]]] = [{}]
-    for d in range(1, dim + 1):
-        mat: dict[int, dict[int, int]] = {}
-        for j, simplex in enumerate(bases[d]):
-            col: dict[int, int] = {}
-            for k in range(len(simplex)):
-                face = simplex[:k] + simplex[k + 1 :]
-                col[index[d - 1][face]] = 1 if k % 2 == 0 else -1
-            mat[j] = col
-        boundaries.append(mat)
-    return ChainComplexRecord(tuple(bases), tuple(boundaries))
+    rec = ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
+    _check_boundary_squares(rec)
+    return rec
 
 
 def _check_boundary_squares(rec: ChainComplexRecord) -> None:
@@ -330,12 +290,10 @@ class HomologyResult:
         return all(not t for t in self.torsion)
 
 
-def homology(
-    target: Union[SimplicialComplexRecord, FinitePoset]
-) -> HomologyResult:
+def homology(poset: FinitePoset) -> HomologyResult:
     """Exact integral homology (Betti numbers and torsion coefficients) of
-    a regular CW face poset or a simplicial complex."""
-    rec = chain_complex(target)
+    a regular CW face poset."""
+    rec = chain_complex(poset)
     if not rec.bases:
         return HomologyResult((), ())
     dim = len(rec.bases) - 1
@@ -352,8 +310,8 @@ def homology(
     return HomologyResult(tuple(betti), tuple(tors))
 
 
-def betti_numbers(target: Union[SimplicialComplexRecord, FinitePoset]) -> tuple[int, ...]:
-    res = homology(target)
+def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
+    res = homology(poset)
     betti = list(res.betti)
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()

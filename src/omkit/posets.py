@@ -121,6 +121,32 @@ class FinitePoset:
     def antichain(cls, names: Iterable[str]) -> "FinitePoset":
         return cls.from_covers(names, [])
 
+    @classmethod
+    def from_facets(cls, facets: Iterable[Iterable[str]]) -> "FinitePoset":
+        """The face poset of the simplicial complex the facets span (no
+        empty face); a face is named by its vertices, sorted and joined
+        with commas."""
+        faces: set[frozenset[str]] = set()
+        for facet in facets:
+            stack = [frozenset(facet)]
+            while stack:
+                f = stack.pop()
+                if f and f not in faces:
+                    faces.add(f)
+                    stack.extend(f - {v} for v in f)
+        name = {f: ",".join(sorted(f)) for f in faces}
+        index = {f: i for i, f in enumerate(sorted(faces, key=name.__getitem__))}
+        # in size order, each face's below mask is read off those one vertex smaller
+        below: dict[int, int] = {}
+        for f in sorted(faces, key=len):
+            m = 1 << index[f]
+            if len(f) > 1:
+                for v in f:
+                    m |= below[index[f - {v}]]
+            below[index[f]] = m
+        # a face list closed under subsets gives closed below masks
+        return cls(sorted(name.values()), below, _validated=True)
+
     def names_of(self, mask: int) -> list[str]:
         """The names of the elements of a mask, for reports and messages."""
         return [self.names[x] for x in bits(mask)]
@@ -279,62 +305,32 @@ class FinitePoset:
 
     def order_complex(self) -> "SimplicialComplexRecord":
         faces = tuple(frozenset(c) for c in self.chains())
-        return SimplicialComplexRecord(self.elements, faces, _closed=True)
+        return SimplicialComplexRecord(self.elements, faces)
 
 
 class SimplicialComplexRecord:
-    """A simplicial complex as an explicit face list (no empty face)."""
+    """A simplicial complex as an explicit face list (no empty face),
+    checked to be closed under taking faces."""
 
     __slots__ = ("vertices", "faces")
 
-    def __init__(self, vertices, faces, _closed: bool = False):
+    def __init__(self, vertices, faces):
         vertices = tuple(vertices)
         faces = tuple(dict.fromkeys(faces))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
         vset = set(vertices)
+        fset = set(faces)
         for f in faces:
             if not f:
                 raise ValueError("the empty face is not stored")
             if not f <= vset:
                 raise ValueError(f"face {sorted(f)} uses unknown vertices")
-        if not _closed:
-            fset = set(faces)
-            for f in faces:
-                for v in f:
-                    if len(f) > 1 and (f - {v}) not in fset:
-                        raise ValueError(
-                            f"face list not closed under subsets: missing {sorted(f - {v})}"
-                        )
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[str]]) -> "SimplicialComplexRecord":
-        all_faces: set[frozenset[str]] = set()
-        verts: set[str] = set()
-        for facet in facets:
-            fs = frozenset(facet)
-            verts |= fs
-            stack = [fs]
-            while stack:
-                f = stack.pop()
-                if f in all_faces or not f:
-                    continue
-                all_faces.add(f)
-                for v in f:
-                    stack.append(f - {v})
-        return cls(tuple(sorted(verts)), tuple(sorted(all_faces, key=lambda f: (len(f), sorted(f)))), _closed=True)
-
-    def by_dimension(self) -> dict[int, list[frozenset[str]]]:
-        out: dict[int, list[frozenset[str]]] = {}
-        for f in self.faces:
-            out.setdefault(len(f) - 1, []).append(f)
-        return out
-
-    def f_vector(self) -> tuple[int, ...]:
-        byd = self.by_dimension()
-        if not byd:
-            return ()
-        return tuple(len(byd.get(d, ())) for d in range(max(byd) + 1))
+            for v in f:
+                if len(f) > 1 and (f - {v}) not in fset:
+                    raise ValueError(
+                        f"face list not closed under subsets: missing {sorted(f - {v})}"
+                    )
 
 
 class PosetMap:

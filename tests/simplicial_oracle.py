@@ -1,0 +1,54 @@
+"""The independent homology oracle: the simplicial chain complex, with
+ordered-vertex orientations, reduced by `rank_and_torsion`.  Production
+homology reads incidence signs off a face poset instead; the two meet on
+order complexes (barycentric subdivisions) and on simplicial complexes
+given by their facets."""
+
+from itertools import combinations
+
+from omkit.homology import HomologyResult, rank_and_torsion
+from omkit.posets import SimplicialComplexRecord
+
+# the minimal triangulation of the real projective plane, on six vertices:
+# torsion Z/2 in dimension one
+RP2_FACETS = [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [3, 5, 6], [3, 4, 6], [2, 4, 6], [2, 4, 5],
+]
+
+
+def complex_of_facets(facets) -> SimplicialComplexRecord:
+    """The simplicial complex the facets span, every face listed."""
+    faces = {
+        frozenset(face)
+        for facet in map(set, facets)
+        for k in range(1, len(facet) + 1)
+        for face in combinations(facet, k)
+    }
+    return SimplicialComplexRecord(sorted(set().union(*faces)), faces)
+
+
+def simplicial_homology(complex_record: SimplicialComplexRecord) -> HomologyResult:
+    """Betti numbers and torsion from the simplicial chain complex."""
+    vertex_order = {v: i for i, v in enumerate(complex_record.vertices)}
+    dim = max((len(f) - 1 for f in complex_record.faces), default=-1)
+    bases = [[] for _ in range(dim + 1)]
+    for f in complex_record.faces:
+        bases[len(f) - 1].append(tuple(sorted(f, key=vertex_order.__getitem__)))
+    index = [{s: i for i, s in enumerate(level)} for level in bases]
+    # ranks[k] is the rank of the boundary C_k -> C_{k-1}
+    ranks = [0] * (dim + 2)
+    torsion = [()] * (dim + 2)
+    for d in range(1, dim + 1):
+        boundary = {
+            j: {index[d - 1][s[:k] + s[k + 1:]]: (-1) ** k for k in range(len(s))}
+            for s, j in index[d].items()
+        }
+        ranks[d], torsion[d] = rank_and_torsion(boundary)
+    betti = tuple(len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    return HomologyResult(betti, tuple(torsion[1:dim + 2]))
+
+
+def order_complex_homology(poset) -> HomologyResult:
+    """Homology of the barycentric subdivision of a face poset."""
+    return simplicial_homology(poset.order_complex())

@@ -6,6 +6,7 @@ import pytest
 from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.omfile import OMFileError, format_system, parse_om_text
+from simplicial_oracle import RP2_FACETS
 
 
 def run_with_stderr(capsys, argv, stdin: str = ""):
@@ -237,8 +238,39 @@ def test_homology_fiber_and_complex_file(capsys, tmp_path):
     code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
     assert code == 0
     assert "betti: 1 1" in out
+    # the whole report, for the projective plane and for no facets at all
+    cf.write_text("".join(",".join(map(str, f)) + "\n" for f in RP2_FACETS))
+    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
+    assert (code, out) == (0, (
+        "report: homology\nbetti: 1 0 0\ntorsion: -; 2; -\ncomputed: PASS\nverdict: PASS\n"
+    ))
+    cf.write_text("")
+    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
+    assert (code, out) == (0, "report: homology\nbetti: \ntorsion: \ncomputed: PASS\nverdict: PASS\n")
     code, _ = run(capsys, ["homology", "--target", "fiber"], stdin=text)
     assert code == 2  # missing arguments reported, not a traceback
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a, b\nb , c\n c,a\n", "# a triangle\na,b\n\nb,c\n  # its last edge\nc,a\n"],
+    ids=["spaces", "comments"],
+)
+def test_complex_file_labels_are_stripped_and_comments_skipped(capsys, tmp_path, text):
+    cf = tmp_path / "facets.txt"
+    cf.write_text(text)
+    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
+    assert (code, out) == (0, "report: homology\nbetti: 1 1\ntorsion: -; -\ncomputed: PASS\nverdict: PASS\n")
+
+
+def test_complex_file_refuses_an_empty_label(capsys, tmp_path):
+    cf = tmp_path / "facets.txt"
+    cf.write_text("# a trailing comma\nc,d\na,b,\n")
+    code, out, err = run_with_stderr(
+        capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: empty vertex label in 'a,b,'\n"
 
 
 def test_input_flag_reads_files(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omkit.homology import (
     NotRegularError,
@@ -13,9 +14,10 @@ from omkit.homology import (
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
-from omkit.posets import FinitePoset, SimplicialComplexRecord, bits
+from omkit.posets import FinitePoset, bits
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
+from simplicial_oracle import RP2_FACETS, complex_of_facets, order_complex_homology, simplicial_homology
 
 
 def test_rank_and_torsion_basics():
@@ -27,52 +29,39 @@ def test_rank_and_torsion_basics():
 
 
 def test_sphere_zero():
-    two_points = SimplicialComplexRecord.from_facets([["a"], ["b"]])
-    assert homology(two_points).betti == (2,)
+    two_points = [["a"], ["b"]]
+    assert homology(FinitePoset.from_facets(two_points)).betti == (2,)
+    assert simplicial_homology(complex_of_facets(two_points)).betti == (2,)
 
 
 def test_circle_from_square():
-    circle = SimplicialComplexRecord.from_facets(
-        [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]
-    )
-    assert homology(circle).betti == (1, 1)
+    circle = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]
+    assert homology(FinitePoset.from_facets(circle)).betti == (1, 1)
+    assert simplicial_homology(complex_of_facets(circle)).betti == (1, 1)
 
 
 def test_two_sphere():
     # boundary of a tetrahedron
-    sphere = SimplicialComplexRecord.from_facets(
-        [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
-    )
-    assert homology(sphere).betti == (1, 0, 1)
+    sphere = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
+    assert homology(FinitePoset.from_facets(sphere)).betti == (1, 0, 1)
+    assert simplicial_homology(complex_of_facets(sphere)).betti == (1, 0, 1)
 
 
 def rp2():
-    # minimal triangulation on six vertices: torsion Z/2 in dimension one
-    facets = [
-        [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
-        [2, 3, 5], [3, 5, 6], [3, 4, 6], [2, 4, 6], [2, 4, 5],
-    ]
-    return SimplicialComplexRecord.from_facets([[str(v) for v in f] for f in facets])
-
-
-def face_poset(complex_record):
-    """The face poset of a simplicial complex, faces named 'a,b,...'."""
-    name = {f: ",".join(sorted(f)) for f in complex_record.faces}
-    covers = [(name[f - {v}], name[f]) for f in complex_record.faces if len(f) > 1 for v in f]
-    return FinitePoset.from_covers(name.values(), covers)
+    return [[str(v) for v in f] for f in RP2_FACETS]
 
 
 def test_projective_plane_torsion():
-    # through the simplicial path and through the cellular path of its face poset
-    for target in (rp2(), face_poset(rp2())):
-        res = homology(target)
+    # through the cellular path of its face poset and through the oracle
+    for res in (homology(FinitePoset.from_facets(rp2())), simplicial_homology(complex_of_facets(rp2()))):
         assert res.betti == (1, 0, 0)
         assert res.torsion[1] == (2,)
 
 
-def order_complex_homology(poset):
-    """The oracle: homology of the barycentric subdivision."""
-    return homology(poset.order_complex())
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=4), max_size=8))
+def test_face_poset_homology_matches_the_simplicial_oracle(facets):
+    assert homology(FinitePoset.from_facets(facets)) == simplicial_homology(complex_of_facets(facets))
 
 
 def test_cellular_matches_order_complex_on_corpus(all_corpus):
@@ -145,7 +134,7 @@ def skipping_cover():
 
 def rp2_ball():
     # a 3-cell glued along RP^2, which cannot bound it
-    faces = face_poset(rp2())
+    faces = FinitePoset.from_facets(rp2())
     tops = faces.names_of(faces.maximal_elements())
     covers = [(faces.names[a], faces.names[b]) for a, b in faces.covers()]
     return FinitePoset.from_covers(

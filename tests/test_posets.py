@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from omkit.posets import FinitePoset, PosetError, PosetMap, mask_of
+from omkit.posets import FinitePoset, PosetError, PosetMap, SimplicialComplexRecord, mask_of
 from omkit.corpus import corpus
 from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
@@ -112,12 +113,16 @@ def test_linear_extension_parts_are_extensions():
                     assert not p.leq(y, x)
 
 
+def faces_by_size(complex_record):
+    return Counter(len(f) for f in complex_record.faces)
+
+
 def test_order_complex():
     p = FinitePoset.chain(("a", "b"))
     faces = set(p.order_complex().faces)
     assert frozenset({p.names.index("a"), p.names.index("b")}) in faces
     anti = FinitePoset.antichain(("a", "b"))
-    assert anti.order_complex().f_vector() == (2,)
+    assert faces_by_size(anti.order_complex()) == {1: 2}
 
 
 def test_order_complex_counts_match_brute_force():
@@ -125,8 +130,7 @@ def test_order_complex_counts_match_brute_force():
     p = FinitePoset.from_covers(
         ("a", "b", "c", "d"), [("a", "c"), ("b", "c"), ("a", "d"), ("c", "d"), ("b", "d")]
     )
-    faces = p.order_complex().by_dimension()
-    count = {d: len(fs) for d, fs in faces.items()}
+    count = faces_by_size(p.order_complex())
     brute = {}
     elems = p.elements
     for r in range(1, len(elems) + 1):
@@ -137,13 +141,33 @@ def test_order_complex_counts_match_brute_force():
             ):
                 total += 1
         if total:
-            brute[r - 1] = total
+            brute[r] = total
     assert count == brute
 
 
 def test_order_complex_of_reduced_rank1_sphere(rank1):
     poset = sphere_poset(rank1)
-    assert poset.order_complex().f_vector() == (2,)  # two points
+    assert faces_by_size(poset.order_complex()) == {1: 2}  # two points
+
+
+def test_face_list_must_be_closed_under_subsets():
+    with pytest.raises(ValueError, match=r"missing \['b'\]"):
+        SimplicialComplexRecord("ab", [frozenset("a"), frozenset("ab")])
+    with pytest.raises(ValueError, match="unknown vertices"):
+        SimplicialComplexRecord("a", [frozenset("b")])
+
+
+def test_from_facets_is_the_face_poset():
+    # every face, named by its sorted vertices, over the faces one vertex smaller
+    facets = [["b", "a", "c"], ["c", "d"], ["a", "b"], ["e"], ["d", "c"]]
+    faces = {frozenset(f) for facet in facets for k in (1, 2, 3) for f in itertools.combinations(facet, k)}
+    name = {f: ",".join(sorted(f)) for f in faces}
+    covers = [(name[f - {v}], name[f]) for f in faces if len(f) > 1 for v in f]
+    expect = FinitePoset.from_covers(name.values(), covers)
+    poset = FinitePoset.from_facets(facets)
+    assert poset.names == expect.names == ("a", "a,b", "a,b,c", "a,c", "b", "b,c", "c", "c,d", "d", "e")
+    assert poset.pairs() == expect.pairs()
+    assert len(FinitePoset.from_facets([])) == 0
 
 
 def test_poset_fiber():

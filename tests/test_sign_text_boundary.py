@@ -6,7 +6,10 @@ labels back into flats: this scans their source for calls of
 `CovectorSystem.from_strings`, and of `parse_flat` and
 `CovectorSystem.label_mask`.  A covector is a (plus, minus) pair
 everywhere in the library, so no module but `signs`, which defines the
-reference `SignVector`, and the package's `__init__` names that class."""
+reference `SignVector`, and the package's `__init__` names that class.
+Homology is computed from face posets only, so no module but `posets`,
+where `order_complex` builds it, and `__init__` names
+`SimplicialComplexRecord`."""
 
 import ast
 from pathlib import Path
@@ -31,8 +34,8 @@ def text_parsing_calls(path: Path, parsers: set[str] = PARSERS) -> list[str]:
     return out
 
 
-def names_of_sign_vector(path: Path) -> list[str]:
-    """`file:line` for every name, attribute or import of `SignVector` in a file."""
+def names_of_class(path: Path, cls: str) -> list[str]:
+    """`file:line` for every name, attribute or import of a class in a file."""
     out = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
@@ -43,21 +46,32 @@ def names_of_sign_vector(path: Path) -> list[str]:
             name = node.name
         else:
             continue
-        if name == "SignVector":
+        if name == cls:
             out.append(f"{path.name}:{node.lineno}")
     return out
 
 
-def test_only_signs_names_the_sign_vector_class():
-    found = [
+def names_outside(cls: str, modules: tuple[str, ...]) -> list[str]:
+    """Where a class is named in any library module but the given ones."""
+    return [
         hit
         for path in sorted(SRC.glob("*.py"))
-        if path.stem not in ("signs", "__init__")
-        for hit in names_of_sign_vector(path)
+        if path.stem not in modules
+        for hit in names_of_class(path, cls)
     ]
-    assert found == []
+
+
+def test_only_signs_names_the_sign_vector_class():
+    assert names_outside("SignVector", ("signs", "__init__")) == []
     # the scan sees the class where it is defined and exported
-    assert names_of_sign_vector(SRC / "__init__.py")
+    assert names_of_class(SRC / "__init__.py", "SignVector")
+
+
+def test_only_posets_names_the_simplicial_complex_class():
+    # homology reads face posets only; simplicial chains are the tests' oracle
+    assert names_outside("SimplicialComplexRecord", ("posets", "__init__")) == []
+    for module in ("posets", "__init__"):
+        assert names_of_class(SRC / f"{module}.py", "SimplicialComplexRecord")
 
 
 def test_numbered_modules_parse_no_sign_text():
