@@ -1,6 +1,6 @@
 """Exact combinatorics of oriented matroids and their Salvetti complexes."""
 
-from .signs import SignVector, GroundSetMismatchError
+from .signs import GroundSetMismatchError
 from .posets import FinitePoset, PosetMap, SimplicialComplexRecord
 from .matroids import (
     AxiomReport,
@@ -27,7 +27,6 @@ from .homology import (
 )
 
 __all__ = [
-    "SignVector",
     "GroundSetMismatchError",
     "FinitePoset",
     "PosetMap",

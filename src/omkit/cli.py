@@ -12,8 +12,8 @@ The parser is built once per process, on the first `main` call; a command
 `name` runs `cmd_<name>` ("-" read as "_"), looked up when it runs.
 
 The library takes flats as ground-bit masks; their text, labels joined
-by commas in ground order with "{}" for the empty flat, is parsed and
-rendered only here.
+by commas in ground order with "{}" for the empty flat, is parsed only
+here and rendered by `matroids.flat_id`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .homology import (
     semidirect_rank_sequence,
 )
 from .lattices import build_lattice
-from .matroids import CovectorSystem, RationalArrangement, from_arrangement
+from .matroids import CovectorSystem, RationalArrangement, flat_id, from_arrangement
 from .morse import (
     collapse_ball,
     matching_convex_critical,
@@ -64,11 +64,6 @@ def _read_system(args) -> CovectorSystem:
     else:
         text = sys.stdin.read()
     return parse_om_text(text).to_system()
-
-
-def flat_id(flat: int, ground: tuple[str, ...]) -> str:
-    """The text of a ground-bit mask over the given ground."""
-    return ",".join(lab for i, lab in enumerate(ground) if flat >> i & 1) or "{}"
 
 
 def parse_flat(text: str, system: CovectorSystem) -> int:

@@ -25,7 +25,7 @@ from itertools import count
 from typing import Iterator, Optional
 
 from .lattices import GeometricLattice, build_lattice
-from .matroids import CovectorSystem, _closure_from_cocircuits
+from .matroids import CovectorSystem, _closure_from_cocircuits, flat_id
 from .posets import bits
 from .signs import restrict_masks
 
@@ -260,7 +260,7 @@ def single_element_extensions(
     constraints = constraints or ExtensionConstraints()
     for f in constraints.zero_flats | constraints.nonzero_flats:
         if f not in space.pair_rep:
-            raise ExtensionError(f"{space.lattice.id(f)} is not a coatom flat")
+            raise ExtensionError(f"{flat_id(f, system.ground)} is not a coatom flat")
     if new_label in system.ground:
         raise ExtensionError(f"label {new_label!r} already used")
 
@@ -350,7 +350,7 @@ def levi_enlargement(
     x1, x2 = flat1, flat2
     for x in (x1, x2):
         if lat.rank_of.get(x) != 2:
-            raise ExtensionError(f"{lat.id(x)} is not a rank-two flat")
+            raise ExtensionError(f"{flat_id(x, system.ground)} is not a rank-two flat")
     if x1 == x2:
         raise ExtensionError("the two flats must be distinct")
     if x1 & x2:
@@ -370,7 +370,8 @@ def levi_enlargement(
             continue
         return result
     raise LeviSearchError(
-        f"no enlargement through {lat.id(x1)} and {lat.id(x2)} found"
+        f"no enlargement through {flat_id(x1, system.ground)} and "
+        f"{flat_id(x2, system.ground)} found"
         + ("; the generic search is inconclusive" if generic else "")
     )
 

@@ -2,8 +2,8 @@
 
 A flat is the zero set of a covector, kept as a ground-bit mask (bit i is
 `ground[i]`).  The lattice numbers its flats once, in the order of their
-ids (the labels comma-joined in ground order, "{}" for the empty flat):
-flat `index[f]` is that element of `poset()`, named by its id, and every
+ids (`flat_id`: the labels comma-joined in ground order, "{}" for the
+empty flat): flat number `index[f]` is named `names[index[f]]`, and every
 tie-break between flats sorts by this number.  `build_lattice` builds the
 lattice once per covector system and keeps it on the system, as the
 covector poset is kept, so no caller passes a lattice along.  Whitney
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .matroids import CovectorSystem, NotAFlatError
-from .posets import FinitePoset, PosetMap, mask_of
+from .matroids import CovectorSystem, NotAFlatError, flat_id
 
 
 @dataclass(frozen=True)
@@ -49,14 +48,13 @@ class GeometricLattice:
         "index",
         "rank_of",
         "mobius",
-        "_poset",
         "_flats_by_rank",
         "_join_table",
     )
 
     def __init__(self, ground: tuple[str, ...], flats: Iterable[int]):
         object.__setattr__(self, "ground", ground)
-        named = sorted((self.id(f), f) for f in set(flats))
+        named = sorted((flat_id(f, ground), f) for f in set(flats))
         index = {f: i for i, (_, f) in enumerate(named)}
         flist = sorted(index, key=lambda f: (f.bit_count(), index[f]))
         if 0 not in index:
@@ -67,7 +65,8 @@ class GeometricLattice:
             for y in flist:
                 if x & y not in index:
                     raise ValueError(
-                        f"flats not closed under intersection: {self.id(x)} ^ {self.id(y)}"
+                        "flats not closed under intersection: "
+                        f"{flat_id(x, ground)} ^ {flat_id(y, ground)}"
                     )
         object.__setattr__(self, "flats", tuple(flist))
         object.__setattr__(self, "names", tuple(t for t, _ in named))
@@ -85,7 +84,6 @@ class GeometricLattice:
             else:
                 mob[x] = -sum(mob[y] for y in flist if y != x and not y & ~x)
         object.__setattr__(self, "mobius", mob)
-        object.__setattr__(self, "_poset", None)
         object.__setattr__(self, "_flats_by_rank", None)
         object.__setattr__(self, "_join_table", None)
         # semimodularity of the rank function, checked once
@@ -94,7 +92,7 @@ class GeometricLattice:
                 jn = self.join(x, y)
                 if rank_of[x] + rank_of[y] < rank_of[jn] + rank_of[x & y]:
                     raise ValueError(
-                        f"rank not semimodular at {self.id(x)}, {self.id(y)}"
+                        f"rank not semimodular at {flat_id(x, ground)}, {flat_id(y, ground)}"
                     )
 
     def __setattr__(self, name, value):
@@ -105,14 +103,9 @@ class GeometricLattice:
     def rank(self) -> int:
         return self.rank_of[(1 << len(self.ground)) - 1]
 
-    def id(self, flat: int) -> str:
-        """The id of a set of ground elements: its labels comma-joined in
-        ground order, "{}" when empty."""
-        return ",".join(lab for i, lab in enumerate(self.ground) if flat >> i & 1) or "{}"
-
     def check_flat(self, flat: int) -> int:
         if flat not in self.index:
-            raise NotAFlatError(f"{self.id(flat)} is not a flat")
+            raise NotAFlatError(f"{flat_id(flat, self.ground)} is not a flat")
         return flat
 
     def join(self, x: int, y: int) -> int:
@@ -137,24 +130,6 @@ class GeometricLattice:
             object.__setattr__(self, "_flats_by_rank", byr)
         return tuple(self._flats_by_rank.get(r, ()))
 
-    def poset(self) -> FinitePoset:
-        """The flats under inclusion, element `index[f]` being flat f."""
-        if self._poset is None:
-            index = self.index
-            below = {
-                index[y]: mask_of(index[x] for x in self.flats if not x & ~y)
-                for y in self.flats
-            }
-            object.__setattr__(self, "_poset", FinitePoset(self.names, below, _validated=True))
-        return self._poset
-
-    def interval(self, lo: int, hi: int) -> FinitePoset:
-        lo, hi = self.check_flat(lo), self.check_flat(hi)
-        cells = mask_of(
-            self.index[f] for f in self.flats if not lo & ~f and not f & ~hi
-        )
-        return self.poset().subposet(cells)
-
     def whitney(self) -> tuple[int, ...]:
         """Unsigned Whitney numbers |w_i|, from the Moebius recursion."""
         out = [0] * (self.rank() + 1)
@@ -169,16 +144,6 @@ class GeometricLattice:
         witness = self._modularity_witness(self.check_flat(flat), self.flats)
         return ModularityCheck(witness is None, witness)
 
-    def rank3_modular_coatom_test(self, flat: int) -> bool:
-        """Rank-3 criterion: a rank-2 flat is modular iff it meets every
-        rank-2 flat."""
-        x = self.check_flat(flat)
-        if self.rank() != 3:
-            raise ValueError("criterion applies to rank-3 lattices only")
-        if self.rank_of[x] != 2:
-            raise ValueError("criterion applies to rank-2 flats only")
-        return all(x & y for y in self.flats_of_rank(2))
-
     def is_supersolvable(self) -> Optional[MChain]:
         """Search for a maximal chain of modular flats.
 
@@ -192,7 +157,9 @@ class GeometricLattice:
             return None
         for f in chain:
             if not self.is_modular_flat(f).ok:
-                raise AssertionError(f"the modular chain search returned {self.id(f)}, which is not modular")
+                raise AssertionError(
+                    f"the modular chain search returned {flat_id(f, self.ground)}, which is not modular"
+                )
         return MChain(tuple(chain))
 
     def _ss_chain(self, top: int) -> Optional[list[int]]:
@@ -224,31 +191,6 @@ class GeometricLattice:
                 if self.join(z, xy) != self.join(z, x) & y:
                     return z, y
         return None
-
-    def brylawski_iso(self, modular: int, other: int) -> tuple[PosetMap, PosetMap]:
-        """The interval isomorphism [Y, X v Y] -> [X ^ Y, X] at a modular X,
-        Z maps to Z ^ X, with inverse W maps to W v Y."""
-        x = self.check_flat(modular)
-        y = self.check_flat(other)
-        check = self.is_modular_flat(x)
-        if not check.ok:
-            z, w = check.witness
-            raise ValueError(f"{self.id(x)} is not modular; witness Z={self.id(z)} Y={self.id(w)}")
-        xy, top = x & y, self.join(x, y)
-        top_int = self.interval(y, top)
-        bot_int = self.interval(xy, x)
-        index = self.index
-        down = {index[f]: index[f & x] for f in self.flats if not y & ~f and not f & ~top}
-        up = {index[f]: index[self.join(f, y)] for f in self.flats if not xy & ~f and not f & ~x}
-        p_x = PosetMap(top_int, bot_int, down)
-        s_y = PosetMap(bot_int, top_int, up)
-        for e in top_int.elements:
-            if up[down[e]] != e:
-                raise AssertionError("brylawski maps are not mutually inverse")
-        for e in bot_int.elements:
-            if down[up[e]] != e:
-                raise AssertionError("brylawski maps are not mutually inverse")
-        return p_x, s_y
 
 
 def build_lattice(system: CovectorSystem) -> GeometricLattice:

@@ -24,7 +24,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .posets import FinitePoset, PosetMap, bits, mask_of
+from .posets import FinitePoset, bits, mask_of
 from .signs import (
     GroundSetMismatchError,
     compose_masks,
@@ -40,6 +40,12 @@ class NotAFlatError(ValueError):
 
 class DegenerateArrangementError(ValueError):
     pass
+
+
+def flat_id(flat: int, ground: tuple[str, ...]) -> str:
+    """The text of a ground-bit mask: its labels comma-joined in ground
+    order, "{}" when empty."""
+    return ",".join(lab for i, lab in enumerate(ground) if flat >> i & 1) or "{}"
 
 
 def section_lift(alpha: tuple[int, int], flat: int, v: tuple[int, int]) -> tuple[int, int]:
@@ -271,29 +277,11 @@ class CovectorSystem:
 
         Restriction is order preserving, so no covector poset is needed."""
         if not any(self.zero_set(c) == flat for c in range(len(self))):
-            name = ",".join(self.labels(flat)) or "{}"
-            raise NotAFlatError(f"{name} is not a flat")
+            raise NotAFlatError(f"{flat_id(flat, self.ground)} is not a flat")
         restricted = restrict_masks(self._vectors, flat)
         loc = CovectorSystem(self.labels(flat), restricted)
         number = loc.numbering()
         return loc, tuple(number[r] for r in restricted)
-
-    def section_iota(self, alpha: int) -> PosetMap:
-        """The section iota_alpha of the localization at the zero set of
-        covector number alpha."""
-        if not 0 <= alpha < len(self):
-            raise ValueError("alpha is not a covector of this system")
-        flat = self.zero_set(alpha)
-        loc, _rho = self.localization(flat)
-        number = self._numbering
-        assignment = {}
-        for i, c in enumerate(loc.vectors()):
-            lifted = section_lift(self._vectors[alpha], flat, c)
-            if lifted not in number:
-                text = sign_text(*lifted, len(self.ground))
-                raise ValueError(f"section image {text} is not a covector; alpha invalid")
-            assignment[i] = number[lifted]
-        return PosetMap(loc.covector_poset(), self.covector_poset(), assignment)
 
     def cocircuits(self) -> int:
         """The mask of the minimal nonzero covectors: nothing but zero lies below them."""

@@ -110,10 +110,6 @@ class Matching:
         order.reverse()
         return AcyclicityReport(True, tuple(order), None)
 
-    def dual(self) -> "Matching":
-        """The same pairs on the dual poset."""
-        return Matching(self.host.dual(), frozenset((b, a) for a, b in self.pairs))
-
     def serialize(self) -> str:
         names = self.host.names
         return "\n".join(f"({names[a]} -> {names[b]})" for a, b in sorted(self.pairs))

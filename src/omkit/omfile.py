@@ -86,6 +86,8 @@ def parse_om_text(text: str) -> OMFile:
             raise OMFileError(f"line outside any section: {line!r}")
     if ground is None:
         raise OMFileError("missing ground line")
+    if ground == () and section == "covectors" and not covectors:
+        covectors.append("")  # over an empty ground the zero covector is the empty line
     if sum(1 for body in (covectors, topes, rows) if body) != 1:
         raise OMFileError("exactly one of covectors/topes/arrangement required")
     if covectors:

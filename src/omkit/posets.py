@@ -91,37 +91,6 @@ class FinitePoset:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_covers(
-        cls, names: Iterable[str], covers: Iterable[tuple[str, str]]
-    ) -> "FinitePoset":
-        """The transitive closure of the given cover pairs."""
-        names = sorted(set(names))
-        index = {a: i for i, a in enumerate(names)}
-        below = [1 << i for i in range(len(names))]
-        for x, y in covers:
-            if x not in index or y not in index:
-                raise PosetError(f"cover ({x!r}, {y!r}) mentions unknown element")
-            below[index[y]] |= 1 << index[x]
-        changed = True
-        while changed:
-            changed = False
-            for y, m in enumerate(below):
-                for x in bits(m):
-                    below[y] |= below[x]
-                changed |= below[y] != m
-        return cls(names, dict(enumerate(below)))
-
-    @classmethod
-    def chain(cls, names: Iterable[str]) -> "FinitePoset":
-        """The names ordered as given."""
-        names = tuple(names)
-        return cls.from_covers(names, zip(names, names[1:]))
-
-    @classmethod
-    def antichain(cls, names: Iterable[str]) -> "FinitePoset":
-        return cls.from_covers(names, [])
-
-    @classmethod
     def from_facets(cls, facets: Iterable[Iterable[str]]) -> "FinitePoset":
         """The face poset of the simplicial complex the facets span (no
         empty face); a face is named by its vertices, sorted and joined
@@ -180,10 +149,6 @@ class FinitePoset:
     def is_cover(self, x: int, y: int) -> bool:
         """x is covered by y."""
         return x != y and self._above[x] & self._below[y] == 1 << x | 1 << y
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """The stored relation: all pairs (x, y) with x <= y, reflexive."""
-        return frozenset((x, y) for y in self.elements for x in bits(self._below[y]))
 
     def covers(self) -> frozenset[tuple[int, int]]:
         """All pairs (x, y) with x covered by y."""
@@ -383,5 +348,3 @@ class PosetMap:
             mask |= self.preimage(y)
         return self.source.subposet(mask)
 
-    def image(self) -> int:
-        return mask_of(self.assignment.values())

@@ -11,10 +11,9 @@ their ids "(sigma;T)", which are rendered once, as the poset's names, and
 `cell_over(c, t)` is the cell (c, c o T); sign text is parsed and rendered
 only by the command line.  A flat is a ground-bit mask.  Localization at a
 flat is restriction to it: the covector projection rho is a tuple of
-covector numbers, `rho[i]` the restriction of covector i, and a section is
-the system's `section_iota`.  The fiber stratification over a modular
-corank-one flat is the combinatorial heart of the quasi-fibration
-certificates.
+covector numbers, `rho[i]` the restriction of covector i.  The fiber
+stratification over a modular corank-one flat is the combinatorial heart
+of the quasi-fibration certificates.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattices import build_lattice
-from .matroids import CovectorSystem, section_lift
+from .matroids import CovectorSystem, flat_id, section_lift
 from .posets import FinitePoset, PosetMap, bits, mask_of
-from .signs import compose_masks, restrict_masks, separator_masks, sign_text
+from .signs import compose_masks, separator_masks, sign_text
 
 
 class StratificationError(ValueError):
@@ -101,25 +100,6 @@ class SalvettiLocalization:
     map: PosetMap
     rho: tuple[int, ...]
 
-    def section(self, alpha: int) -> PosetMap:
-        """The section induced by a covector (by number) with zero set
-        equal to the flat."""
-        system = self.system
-        if not 0 <= alpha < len(system) or system.zero_set(alpha) != self.flat:
-            raise ValueError("alpha must be a covector with zero set the flat")
-        lift = system.section_iota(alpha).assignment
-        assignment = {}
-        for k, (f, t) in enumerate(self.target.keys):
-            cell = self.source.index.get((lift[f], lift[t]))
-            if cell is None:
-                raise AssertionError(f"section image of {self.target.poset.names[k]} not a cell")
-            assignment[k] = cell
-        out = PosetMap(self.target.poset, self.source.poset, assignment)
-        for k in self.target.poset.elements:
-            if self.map.assignment[assignment[k]] != k:
-                raise AssertionError("section identity fails")
-        return out
-
     def fiber(self, cell: int) -> FinitePoset:
         return self.map.fiber(cell)
 
@@ -131,41 +111,6 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     assignment = {k: target.index[rho[f], rho[t]] for k, (f, t) in enumerate(source.keys)}
     pmap = PosetMap(source.poset, target.poset, assignment)
     return SalvettiLocalization(system, flat, localized, source, target, pmap, rho)
-
-
-def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:
-    """The isomorphism between the ideal below (0, T) and the dual covector
-    poset: (F, R) maps to F, with inverse F maps to (F, F o T)."""
-    system = salv.system
-    zero = system.numbering().get((0, 0))
-    top = salv.index.get((zero, tope))
-    if top is None:
-        raise ValueError(f"element {tope!r} is not a tope")
-    ideal_mask = salv.poset.below(top)
-    ideal = salv.poset.subposet(ideal_mask)
-    dual = system.covector_poset().dual()
-    fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
-    bwd = {c: salv.cell_over(c, tope) for c in range(len(system))}
-    to_dual = PosetMap(ideal, dual, fwd)
-    from_dual = PosetMap(dual, ideal, bwd)
-    if len(ideal) != len(system):
-        raise AssertionError("principal ideal has the wrong size")
-    for k in ideal.elements:
-        if bwd[fwd[k]] != k:
-            raise AssertionError("principal-ideal maps are not mutually inverse")
-    return to_dual, from_dual
-
-
-def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:
-    """Check cell-by-cell that localization restricted to the ideal below
-    (0, T) matches the covector-level localization under the ideal
-    isomorphisms."""
-    to_dual, _ = principal_ideal_iso(loc.source, tope)
-    to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho[tope])
-    return all(
-        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho[face]
-        for k, face in to_dual.assignment.items()
-    )
 
 
 @dataclass(frozen=True)
@@ -202,12 +147,13 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     lattice = build_lattice(system)
     x = loc.flat
     if lattice.rank_of[x] != lattice.rank() - 1:
-        raise StratificationError(f"{lattice.id(x)} does not have corank 1")
+        raise StratificationError(f"{flat_id(x, system.ground)} does not have corank 1")
     check = lattice.is_modular_flat(x)
     if not check.ok:
         z, y = check.witness
         raise StratificationError(
-            f"{lattice.id(x)} is not modular; witness Z={lattice.id(z)} Y={lattice.id(y)}"
+            f"{flat_id(x, system.ground)} is not modular; "
+            f"witness Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
         )
     loc_order = loc.localized.covector_poset()
     if not loc_order.maximal_elements() >> base & 1:
@@ -242,7 +188,7 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     )
     for s in separators:
         if s.bit_count() != 1:
-            raise AssertionError(f"consecutive fiber topes separate by {lattice.id(s)}")
+            raise AssertionError(f"consecutive fiber topes separate by {flat_id(s, system.ground)}")
 
     top = loc.target.index[loc.localized.numbering()[0, 0], base]
     fiber = loc.fiber(top)
@@ -288,31 +234,3 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
         PosetMap(fiber, chain, stratum_of),
     )
 
-
-def fiber_rank2_model(loc: SalvettiLocalization, base: int) -> tuple[CovectorSystem, dict[int, int]]:
-    """A rank-two system whose decone matches the covector fiber over a
-    tope of the localization (by number).
-
-    The fiber cells keep their values off the flat and gain a positive
-    entry on a fresh element "g"; the two covectors supported exactly off the
-    flat become the model's extra cocircuit pair.  Returns the model and
-    the cell correspondence (fiber covector number -> model covector
-    number).
-    """
-    system = loc.system
-    if "g" in system.ground:
-        raise ValueError("label 'g' already in use")
-    rest = ((1 << len(system.ground)) - 1) & ~loc.flat
-    vectors = system.vectors()
-    rho = loc.rho
-    ground = system.labels(rest) + ("g",)
-    gbit = 1 << (len(ground) - 1)
-    fiber = [c for c in range(len(system)) if rho[c] == base]
-    restricted = restrict_masks([vectors[c] for c in fiber], rest)
-    lifted = {c: (p | gbit, m) for c, (p, m) in zip(fiber, restricted)}
-    on_flat = [vectors[c] for c in range(len(system)) if system.zero_set(c) == loc.flat]
-    model = {(0, 0), *lifted.values(), *((m, p) for p, m in lifted.values())}
-    model.update(restrict_masks(on_flat, rest))
-    out = CovectorSystem(ground, model)
-    number = out.numbering()
-    return out, {c: number[v] for c, v in lifted.items()}

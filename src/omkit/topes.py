@@ -111,24 +111,6 @@ def is_convex(system: CovectorSystem, q: int) -> bool:
     return via_hull
 
 
-def all_convex_tope_sets(system: CovectorSystem) -> list[int]:
-    """All nonempty convex tope sets: every intersection of halfspaces."""
-    topes = system.covector_poset().maximal_elements()
-    sides = [halfspace(system, label, sign) for label in system.ground for sign in (1, -1)]
-    out = {topes}
-    frontier = [topes]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for s in sides:
-                cut = cur & s
-                if cut and cut not in out:
-                    out.add(cut)
-                    nxt.append(cut)
-        frontier = nxt
-    return sorted(out, key=lambda s: (s.bit_count(), bits(s)))
-
-
 # -- subcomplexes of the covector sphere --------------------------------------
 
 

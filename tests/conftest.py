@@ -1,7 +1,7 @@
 import pytest
 
 from omkit.corpus import CORPUS_NAMES, corpus
-from omkit.signs import SignVector
+from sign_vector import SignVector
 
 
 def sign_vectors(system) -> list[SignVector]:

@@ -1,0 +1,202 @@
+"""Side lemmas of the paper that the tests check, written as functions of
+the library's objects: the Brylawski interval isomorphism and the rank-3
+modular-coatom criterion on the lattice of flats, the section of a
+localization and its Salvetti lift, the principal-ideal isomorphism and
+the localization square, the rank-two fiber model, the enumeration of
+all convex tope sets, and the dual of a matching.  No command needs
+them, so they live with the tests."""
+
+from omkit.lattices import GeometricLattice
+from omkit.matroids import CovectorSystem, flat_id, section_lift
+from omkit.morse import Matching
+from omkit.posets import FinitePoset, PosetMap, bits, mask_of
+from omkit.salvetti import SalvettiLocalization, SalvettiPoset
+from omkit.signs import restrict_masks, sign_text
+from omkit.topes import halfspace
+
+# -- the lattice of flats ------------------------------------------------------
+
+
+def lattice_poset(lat: GeometricLattice) -> FinitePoset:
+    """The flats under inclusion, element `index[f]` being flat f."""
+    index = lat.index
+    below = {index[y]: mask_of(index[x] for x in lat.flats if not x & ~y) for y in lat.flats}
+    return FinitePoset(lat.names, below)
+
+
+def interval(lat: GeometricLattice, lo: int, hi: int) -> FinitePoset:
+    """The flats between lo and hi, as a subposet of `lattice_poset(lat)`."""
+    lo, hi = lat.check_flat(lo), lat.check_flat(hi)
+    cells = mask_of(lat.index[f] for f in lat.flats if not lo & ~f and not f & ~hi)
+    return lattice_poset(lat).subposet(cells)
+
+
+def rank3_modular_coatom_test(lat: GeometricLattice, flat: int) -> bool:
+    """Rank-3 criterion: a rank-2 flat is modular iff it meets every
+    rank-2 flat."""
+    x = lat.check_flat(flat)
+    if lat.rank() != 3:
+        raise ValueError("criterion applies to rank-3 lattices only")
+    if lat.rank_of[x] != 2:
+        raise ValueError("criterion applies to rank-2 flats only")
+    return all(x & y for y in lat.flats_of_rank(2))
+
+
+def brylawski_iso(lat: GeometricLattice, modular: int, other: int) -> tuple[PosetMap, PosetMap]:
+    """The interval isomorphism [Y, X v Y] -> [X ^ Y, X] at a modular X,
+    Z maps to Z ^ X, with inverse W maps to W v Y."""
+    x = lat.check_flat(modular)
+    y = lat.check_flat(other)
+    check = lat.is_modular_flat(x)
+    if not check.ok:
+        z, w = check.witness
+        g = lat.ground
+        raise ValueError(
+            f"{flat_id(x, g)} is not modular; witness Z={flat_id(z, g)} Y={flat_id(w, g)}"
+        )
+    xy, top = x & y, lat.join(x, y)
+    top_int = interval(lat, y, top)
+    bot_int = interval(lat, xy, x)
+    index = lat.index
+    down = {index[f]: index[f & x] for f in lat.flats if not y & ~f and not f & ~top}
+    up = {index[f]: index[lat.join(f, y)] for f in lat.flats if not xy & ~f and not f & ~x}
+    p_x = PosetMap(top_int, bot_int, down)
+    s_y = PosetMap(bot_int, top_int, up)
+    for e in top_int.elements:
+        if up[down[e]] != e:
+            raise AssertionError("brylawski maps are not mutually inverse")
+    for e in bot_int.elements:
+        if down[up[e]] != e:
+            raise AssertionError("brylawski maps are not mutually inverse")
+    return p_x, s_y
+
+
+# -- sections, principal ideals and fibers --------------------------------------
+
+
+def section_iota(system: CovectorSystem, alpha: int) -> PosetMap:
+    """The section iota_alpha of the localization at the zero set of
+    covector number alpha."""
+    if not 0 <= alpha < len(system):
+        raise ValueError("alpha is not a covector of this system")
+    flat = system.zero_set(alpha)
+    loc, _rho = system.localization(flat)
+    number = system.numbering()
+    assignment = {}
+    for i, c in enumerate(loc.vectors()):
+        lifted = section_lift(system.vectors()[alpha], flat, c)
+        if lifted not in number:
+            text = sign_text(*lifted, len(system.ground))
+            raise ValueError(f"section image {text} is not a covector; alpha invalid")
+        assignment[i] = number[lifted]
+    return PosetMap(loc.covector_poset(), system.covector_poset(), assignment)
+
+
+def localization_section(loc: SalvettiLocalization, alpha: int) -> PosetMap:
+    """The section of the Salvetti localization induced by a covector (by
+    number) with zero set equal to the flat."""
+    system = loc.system
+    if not 0 <= alpha < len(system) or system.zero_set(alpha) != loc.flat:
+        raise ValueError("alpha must be a covector with zero set the flat")
+    lift = section_iota(system, alpha).assignment
+    assignment = {}
+    for k, (f, t) in enumerate(loc.target.keys):
+        cell = loc.source.index.get((lift[f], lift[t]))
+        if cell is None:
+            raise AssertionError(f"section image of {loc.target.poset.names[k]} not a cell")
+        assignment[k] = cell
+    out = PosetMap(loc.target.poset, loc.source.poset, assignment)
+    for k in loc.target.poset.elements:
+        if loc.map.assignment[assignment[k]] != k:
+            raise AssertionError("section identity fails")
+    return out
+
+
+def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:
+    """The isomorphism between the ideal below (0, T) and the dual covector
+    poset: (F, R) maps to F, with inverse F maps to (F, F o T)."""
+    system = salv.system
+    zero = system.numbering().get((0, 0))
+    top = salv.index.get((zero, tope))
+    if top is None:
+        raise ValueError(f"element {tope!r} is not a tope")
+    ideal_mask = salv.poset.below(top)
+    ideal = salv.poset.subposet(ideal_mask)
+    dual = system.covector_poset().dual()
+    fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
+    bwd = {c: salv.cell_over(c, tope) for c in range(len(system))}
+    to_dual = PosetMap(ideal, dual, fwd)
+    from_dual = PosetMap(dual, ideal, bwd)
+    if len(ideal) != len(system):
+        raise AssertionError("principal ideal has the wrong size")
+    for k in ideal.elements:
+        if bwd[fwd[k]] != k:
+            raise AssertionError("principal-ideal maps are not mutually inverse")
+    return to_dual, from_dual
+
+
+def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:
+    """Check cell-by-cell that localization restricted to the ideal below
+    (0, T) matches the covector-level localization under the ideal
+    isomorphisms."""
+    to_dual, _ = principal_ideal_iso(loc.source, tope)
+    to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho[tope])
+    return all(
+        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho[face]
+        for k, face in to_dual.assignment.items()
+    )
+
+
+def fiber_rank2_model(loc: SalvettiLocalization, base: int) -> tuple[CovectorSystem, dict[int, int]]:
+    """A rank-two system whose decone matches the covector fiber over a
+    tope of the localization (by number).
+
+    The fiber cells keep their values off the flat and gain a positive
+    entry on a fresh element "g"; the two covectors supported exactly off the
+    flat become the model's extra cocircuit pair.  Returns the model and
+    the cell correspondence (fiber covector number -> model covector
+    number).
+    """
+    system = loc.system
+    if "g" in system.ground:
+        raise ValueError("label 'g' already in use")
+    rest = ((1 << len(system.ground)) - 1) & ~loc.flat
+    vectors = system.vectors()
+    rho = loc.rho
+    ground = system.labels(rest) + ("g",)
+    gbit = 1 << (len(ground) - 1)
+    fiber = [c for c in range(len(system)) if rho[c] == base]
+    restricted = restrict_masks([vectors[c] for c in fiber], rest)
+    lifted = {c: (p | gbit, m) for c, (p, m) in zip(fiber, restricted)}
+    on_flat = [vectors[c] for c in range(len(system)) if system.zero_set(c) == loc.flat]
+    model = {(0, 0), *lifted.values(), *((m, p) for p, m in lifted.values())}
+    model.update(restrict_masks(on_flat, rest))
+    out = CovectorSystem(ground, model)
+    number = out.numbering()
+    return out, {c: number[v] for c, v in lifted.items()}
+
+
+# -- tope sets and matchings ---------------------------------------------------
+
+
+def all_convex_tope_sets(system: CovectorSystem) -> list[int]:
+    """All nonempty convex tope sets: every intersection of halfspaces."""
+    topes = system.covector_poset().maximal_elements()
+    sides = [halfspace(system, label, sign) for label in system.ground for sign in (1, -1)]
+    out = {topes}
+    frontier = [topes]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for s in sides:
+                cut = cur & s
+                if cut and cut not in out:
+                    out.add(cut)
+                    nxt.append(cut)
+        frontier = nxt
+    return sorted(out, key=lambda s: (s.bit_count(), bits(s)))
+
+
+def dual_matching(matching: Matching) -> Matching:
+    """The same pairs on the dual poset."""
+    return Matching(matching.host.dual(), frozenset((b, a) for a, b in matching.pairs))

@@ -30,7 +30,6 @@ from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import (
-    all_convex_tope_sets,
     dual_subcomplex,
     is_convex,
     shelling_order_from_extension,
@@ -38,6 +37,14 @@ from omkit.topes import (
     subcomplex_LQ,
     tope_poset,
     verify_shelling,
+)
+from poset_builders import image
+from side_lemmas import (
+    all_convex_tope_sets,
+    brylawski_iso,
+    dual_matching,
+    localization_section,
+    section_iota,
 )
 
 
@@ -280,7 +287,7 @@ def _localization_laws_ok(system) -> bool:
             ok = ok and a.compose(b).restrict(x) == a.restrict(x).compose(b.restrict(x))
         anchors = [c for c in range(len(system)) if system.zero_set(c) == x]
         for alpha in anchors:
-            iota = system.section_iota(alpha)
+            iota = section_iota(system, alpha)
             ok = ok and all(
                 rho[iota.assignment[cid]] == cid
                 for cid in iota.source.elements
@@ -288,7 +295,7 @@ def _localization_laws_ok(system) -> bool:
         if len(system) <= 200 and lat.rank_of[x] >= lat.rank() - 1:
             sloc = salvetti_localization(system, x)
             for alpha in anchors:
-                section = sloc.section(alpha)
+                section = localization_section(sloc, alpha)
                 ok = ok and all(
                     sloc.map.assignment[section.assignment[cid]] == cid
                     for cid in section.source.elements
@@ -303,8 +310,8 @@ def _brylawski_ok(system) -> bool:
         if not lat.is_modular_flat(x).ok:
             continue
         for y in lat.flats:
-            p_x, s_y = lat.brylawski_iso(x, y)  # raises unless mutually inverse
-            ok = ok and p_x.image() == p_x.target.members
+            p_x, s_y = brylawski_iso(lat, x, y)  # raises unless mutually inverse
+            ok = ok and image(p_x) == p_x.target.members
     return ok
 
 
@@ -314,7 +321,7 @@ def _dual_matching_ok(system) -> bool:
     sample = convex if len(convex) <= 40 else convex[:: len(convex) // 40]
     for q in sample:
         m = matching_convex_critical(system, q)
-        d = m.dual()
+        d = dual_matching(m)
         ok = ok and d.is_acyclic().acyclic == m.is_acyclic().acyclic
         ok = ok and d.critical_cells() == m.critical_cells()
     return ok

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.extensions import supersolvable_extension
 from omkit.matroids import AxiomCheck, AxiomReport, CovectorSystem
-from omkit.signs import SignVector, compose_masks, separator_masks
+from omkit.signs import compose_masks, separator_masks
+from sign_vector import SignVector
 
 
 def reference_check_axioms(system: CovectorSystem) -> AxiomReport:

@@ -5,6 +5,7 @@ import pytest
 
 from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.lattices import build_lattice
 from omkit.omfile import OMFileError, format_system, parse_om_text
 from simplicial_oracle import RP2_FACETS
 
@@ -40,6 +41,25 @@ def test_round_trip_all_corpus():
         assert again.ground == system.ground
         # renders are byte-deterministic
         assert format_system(again) == text
+
+
+def test_round_trip_localizations_and_contractions(all_corpus):
+    # over the empty ground (localization at {}, contraction at the whole
+    # ground) the one covector is the zero vector, written as an empty line
+    for name, system in all_corpus.items():
+        for flat in build_lattice(system).flats:
+            for derived in (system.localization(flat)[0], system.contraction(flat)):
+                again = parse_om_text(format_system(derived)).to_system()
+                assert again.vectors() == derived.vectors(), (name, flat)
+
+
+def test_empty_ground_output_reads_back(capsys):
+    code, out = run(capsys, ["localize", "--flat", "{}"], stdin=om_text("rank1"))
+    assert (code, out) == (0, "ground: \ncovectors:\n\n")
+    assert run(capsys, ["check-axioms"], stdin=out)[0] == 0
+    code, out = run(capsys, ["simplify"], stdin="ground: a\ncovectors:\n0\n")
+    assert (code, out) == (0, "ground: \ncovectors:\n\n")
+    assert run(capsys, ["check-axioms"], stdin=out)[0] == 0
 
 
 def test_topes_only_files_parse_but_refuse_system_ops():

@@ -14,7 +14,10 @@ from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem
 from omkit.salvetti import salvetti_localization
 from omkit.posets import mask_of
-from omkit.signs import SignVector, compose_masks
+from omkit.signs import compose_masks
+from poset_builders import order_pairs
+from side_lemmas import rank3_modular_coatom_test
+from sign_vector import SignVector
 
 
 def brute_force_rank2_extensions(base: CovectorSystem, new_label: str):
@@ -168,7 +171,7 @@ def test_single_enlargement_suffices_for_off_pivot(five_planes):
     new_lat = build_lattice(result.extended)
     lifted = result.flat_lift[pivot]
     assert all(lifted & f for f in new_lat.flats_of_rank(2))
-    assert new_lat.rank3_modular_coatom_test(lifted)
+    assert rank3_modular_coatom_test(new_lat, lifted)
 
 
 def test_supersolvable_extension_non_pappus(non_pappus):
@@ -213,7 +216,7 @@ def test_extension_output_carries_the_fibration_structure(non_pappus):
     assert cert.expected_rank == len(result.final.ground) - x.bit_count()
     # exhaustive: one pair per comparable pair a <= b of the localized poset
     loc = salvetti_localization(result.final, x)
-    assert len(cert.pairs) == len(loc.target.poset.pairs())
+    assert len(cert.pairs) == len(order_pairs(loc.target.poset))
 
 
 def test_rank3_dfs_matches_raw_scan(five_planes):

@@ -17,6 +17,7 @@ from omkit.homology import (
 from omkit.posets import FinitePoset, bits
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
+from poset_builders import antichain, from_covers
 from simplicial_oracle import RP2_FACETS, complex_of_facets, order_complex_homology, simplicial_homology
 
 
@@ -91,7 +92,7 @@ def test_poset_homology_does_not_subdivide(monkeypatch, five_planes):
 def test_cellular_boundary_signs():
     # a square disk: edges run from the vertex that sorts first, and the
     # 2-cell's boundary is the cycle through its four edges
-    disk = FinitePoset.from_covers(
+    disk = from_covers(
         ("a", "b", "c", "d", "ab", "bc", "cd", "ad", "f"),
         [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc"), ("c", "cd"),
          ("d", "cd"), ("a", "ad"), ("d", "ad"),
@@ -107,7 +108,7 @@ def test_cellular_boundary_signs():
 
 def two_digons():
     # a 2-cell whose boundary is two disjoint circles
-    return FinitePoset.from_covers(
+    return from_covers(
         ("a", "b", "c", "d", "e1", "e2", "e3", "e4", "f"),
         [(v, e) for e in ("e1", "e2") for v in ("a", "b")]
         + [(v, e) for e in ("e3", "e4") for v in ("c", "d")]
@@ -117,7 +118,7 @@ def two_digons():
 
 def theta_cell():
     # a 2-cell on a theta graph: each vertex lies in three of its edges
-    return FinitePoset.from_covers(
+    return from_covers(
         ("p", "q", "e1", "e2", "e3", "f"),
         [(v, e) for e in ("e1", "e2", "e3") for v in ("p", "q")]
         + [(e, "f") for e in ("e1", "e2", "e3")],
@@ -126,7 +127,7 @@ def theta_cell():
 
 def skipping_cover():
     # the vertex u is covered by the 2-cell c directly
-    return FinitePoset.from_covers(
+    return from_covers(
         ("v", "w", "u", "e", "c"),
         [("v", "e"), ("w", "e"), ("e", "c"), ("u", "c")],
     )
@@ -137,7 +138,7 @@ def rp2_ball():
     faces = FinitePoset.from_facets(rp2())
     tops = faces.names_of(faces.maximal_elements())
     covers = [(faces.names[a], faces.names[b]) for a, b in faces.covers()]
-    return FinitePoset.from_covers(
+    return from_covers(
         list(faces.names) + ["ball"],
         covers + [(t, "ball") for t in tops],
     )
@@ -147,7 +148,7 @@ def rp2_ball():
     "poset, message",
     [
         (skipping_cover, "cell 'c': the cover 'u' < 'c' skips a height"),
-        (lambda: FinitePoset.from_covers(("v", "e"), [("v", "e")]), "edge 'e' has vertices"),
+        (lambda: from_covers(("v", "e"), [("v", "e")]), "edge 'e' has vertices"),
         (theta_cell, "cell 'f': its face 'p' lies in 3 of its facets"),
         (rp2_ball, "cell 'ball': incidence signs disagree"),
         (two_digons, "cell 'f': its facet graph is disconnected"),
@@ -182,19 +183,19 @@ def test_five_planes_salvetti(five_planes):
 
 
 def test_graph_free_rank():
-    tree = FinitePoset.from_covers(
+    tree = from_covers(
         ("a", "b", "c", "ab", "bc"),
         [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc")],
     )
     assert graph_free_rank(tree) == 0
-    wedge3 = FinitePoset.from_covers(
+    wedge3 = from_covers(
         ("p", "q", "e1", "e2", "e3"),
         [("p", "e1"), ("q", "e1"), ("p", "e2"), ("q", "e2"), ("p", "e3"), ("q", "e3")],
     )
     assert graph_free_rank(wedge3) == 2  # theta graph: rank 2
     # a genuine wedge of three circles: one vertex...  use two vertices and
     # four parallel edges instead, rank 3
-    multi = FinitePoset.from_covers(
+    multi = from_covers(
         ("p", "q", "e1", "e2", "e3", "e4"),
         [(v, e) for e in ("e1", "e2", "e3", "e4") for v in ("p", "q")],
     )
@@ -202,7 +203,7 @@ def test_graph_free_rank():
 
 
 def test_graph_rank_disconnected_reports_components():
-    graph = FinitePoset.antichain(("a", "b"))
+    graph = antichain(("a", "b"))
     with pytest.raises(ValueError, match="graph has 2 components"):
         graph_free_rank(graph)
 

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from omkit.cli import flat_id, parse_flat
+from omkit.cli import parse_flat
 from omkit.lattices import build_lattice
-from omkit.matroids import CovectorSystem, NotAFlatError
+from omkit.matroids import CovectorSystem, NotAFlatError, flat_id
+from poset_builders import image
+from side_lemmas import brylawski_iso, lattice_poset, rank3_modular_coatom_test
 
 
 def _poly_product(*factors):
@@ -33,8 +35,8 @@ def test_flats_are_numbered_by_id(all_corpus):
     for name, system in all_corpus.items():
         lat = build_lattice(system)
         assert list(lat.names) == sorted(flat_id(f, system.ground) for f in lat.flats), name
-        assert all(lat.names[lat.index[f]] == lat.id(f) == flat_id(f, system.ground) for f in lat.flats)
-        assert lat.poset().names == lat.names
+        assert all(lat.names[lat.index[f]] == flat_id(f, system.ground) for f in lat.flats)
+        assert lattice_poset(lat).names == lat.names
         # flats are listed by size, ties by number
         assert list(lat.flats) == sorted(lat.flats, key=lambda f: (f.bit_count(), lat.index[f]))
 
@@ -63,7 +65,7 @@ def test_boolean3_lattice(boolean3):
 
 def test_five_planes_rank2_flats(five_planes):
     lat = build_lattice(five_planes)
-    got = {lat.id(f) for f in lat.flats_of_rank(2)}
+    got = {flat_id(f, five_planes.ground) for f in lat.flats_of_rank(2)}
     assert got == {"H1,H2,H3", "H1,H4,H5", "H2,H4", "H2,H5", "H3,H4", "H3,H5"}
 
 
@@ -93,21 +95,21 @@ def test_rank3_criterion_matches_definition(five_planes, braid3, non_pappus):
     for system in (five_planes, braid3, non_pappus):
         lat = build_lattice(system)
         for x in lat.flats_of_rank(2):
-            assert lat.rank3_modular_coatom_test(x) == lat.is_modular_flat(x).ok
+            assert rank3_modular_coatom_test(lat, x) == lat.is_modular_flat(x).ok
 
 
 def test_rank3_criterion_specific_cases(five_planes):
     lat = build_lattice(five_planes)
     flat = five_planes.label_mask
-    assert lat.rank3_modular_coatom_test(flat({"H1", "H2", "H3"}))
-    assert lat.rank3_modular_coatom_test(flat({"H1", "H4", "H5"}))
-    assert not lat.rank3_modular_coatom_test(flat({"H2", "H4"}))
+    assert rank3_modular_coatom_test(lat, flat({"H1", "H2", "H3"}))
+    assert rank3_modular_coatom_test(lat, flat({"H1", "H4", "H5"}))
+    assert not rank3_modular_coatom_test(lat, flat({"H2", "H4"}))
 
 
 def test_supersolvable_five_planes(five_planes):
     lat = build_lattice(five_planes)
     chain = lat.is_supersolvable()
-    ids = [lat.id(f) for f in chain.flats]
+    ids = [flat_id(f, five_planes.ground) for f in chain.flats]
     assert ids == ["{}", "H1", "H1,H2,H3", "H1,H2,H3,H4,H5"]
     sizes = [(b & ~a).bit_count() for a, b in zip(chain.flats, chain.flats[1:])]
     assert all(s >= 1 for s in sizes)
@@ -159,7 +161,7 @@ def test_brylawski_iso(five_planes):
     lat = build_lattice(five_planes)
     x = five_planes.label_mask({"H1", "H2", "H3"})
     y = five_planes.label_mask({"H4"})
-    p_x, s_y = lat.brylawski_iso(x, y)
+    p_x, s_y = brylawski_iso(lat, x, y)
     # [Y, X v Y] is the interval from H4 up to everything
     assert len(p_x.source) == len(p_x.target)
     bottom = p_x.target.names.index("{}")
@@ -170,16 +172,16 @@ def test_brylawski_iso(five_planes):
     ]
     assert len(atoms_above) == 3  # the interval below X has three atoms
     # degenerate cases are identities
-    p_id, s_id = lat.brylawski_iso(x, x)
+    p_id, s_id = brylawski_iso(lat, x, x)
     assert all(p_id.assignment[e] == e for e in p_id.source.elements)
-    p0, s0 = lat.brylawski_iso(x, 0)
+    p0, s0 = brylawski_iso(lat, x, 0)
     assert all(p0.assignment[e] == e for e in p0.source.elements)
 
 
 def test_brylawski_requires_modular(five_planes):
     lat = build_lattice(five_planes)
     with pytest.raises(ValueError, match="H2,H4 is not modular; witness Z="):
-        lat.brylawski_iso(five_planes.label_mask({"H2", "H4"}), five_planes.label_mask({"H1"}))
+        brylawski_iso(lat, five_planes.label_mask({"H2", "H4"}), five_planes.label_mask({"H1"}))
 
 
 def test_brylawski_bijective_everywhere(five_planes):
@@ -188,9 +190,9 @@ def test_brylawski_bijective_everywhere(five_planes):
         if not lat.is_modular_flat(x).ok:
             continue
         for y in lat.flats:
-            p_x, s_y = lat.brylawski_iso(x, y)
-            assert p_x.image() == p_x.target.members
-            assert s_y.image() == s_y.target.members
+            p_x, s_y = brylawski_iso(lat, x, y)
+            assert image(p_x) == p_x.target.members
+            assert image(s_y) == s_y.target.members
 
 
 def test_zaslavsky_on_corpus(all_corpus):

@@ -16,7 +16,10 @@ from omkit.matroids import (
     section_lift,
 )
 from omkit.posets import PosetMap, bits
-from omkit.signs import GroundSetMismatchError, SignVector
+from omkit.signs import GroundSetMismatchError
+from poset_builders import image
+from side_lemmas import lattice_poset, section_iota
+from sign_vector import SignVector
 
 
 def test_rank1_axioms(rank1):
@@ -131,7 +134,7 @@ def test_contraction(five_planes):
 def test_section_iota_identity(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
     alpha = min(c for c in range(len(five_planes)) if five_planes.zero_set(c) == x)
-    iota = five_planes.section_iota(alpha)
+    iota = section_iota(five_planes, alpha)
     loc, rho = five_planes.localization(x)
     for cid in iota.source.elements:
         assert rho[iota.assignment[cid]] == cid
@@ -152,7 +155,7 @@ def test_section_iota_identity(five_planes):
 
 def test_section_iota_identity_extreme(rank1):
     alpha = rank1.numbering()[0, 0]
-    iota = rank1.section_iota(alpha)
+    iota = section_iota(rank1, alpha)
     assert all(iota.assignment[x] == x for x in iota.source.elements)
 
 
@@ -220,8 +223,8 @@ def test_zero_map_cover_preserving(five_planes):
     # z is order reversing, surjective onto the flats, and sends covers to covers
     lat = build_lattice(five_planes)
     zero_set = {i: lat.index[five_planes.zero_set(i)] for i in range(len(five_planes))}
-    zmap = PosetMap(five_planes.covector_poset().dual(), lat.poset(), zero_set)
-    assert zmap.image() == zmap.target.members
+    zmap = PosetMap(five_planes.covector_poset().dual(), lattice_poset(lat), zero_set)
+    assert image(zmap) == zmap.target.members
     lat_covers = zmap.target.covers()
     for a, b in zmap.source.covers():
         fa, fb = zmap.assignment[a], zmap.assignment[b]

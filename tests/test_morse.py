@@ -10,10 +10,12 @@ from omkit.morse import (
     morse_reduction_certificate,
     patchwork,
 )
-from omkit.posets import FinitePoset, PosetMap, bits, mask_of
+from omkit.posets import PosetMap, bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
-from omkit.topes import all_convex_tope_sets, dual_subcomplex
+from omkit.topes import dual_subcomplex
+from poset_builders import antichain, chain_poset, from_covers
+from side_lemmas import all_convex_tope_sets, dual_matching
 
 
 def square_boundary():
@@ -24,7 +26,7 @@ def square_boundary():
         ("v3", "e34"), ("v4", "e34"),
         ("v4", "e41"), ("v1", "e41"),
     ]
-    return FinitePoset.from_covers(elements, covers)
+    return from_covers(elements, covers)
 
 
 def square_disk():
@@ -33,7 +35,7 @@ def square_disk():
     elements = list(sq.names) + ["f"]
     covers = [(sq.names[a], sq.names[b]) for a, b in sq.covers()]
     covers += [("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f")]
-    return FinitePoset.from_covers(elements, covers)
+    return from_covers(elements, covers)
 
 
 def pairs(poset, named):
@@ -92,21 +94,21 @@ def test_matching_validation():
 
 
 def test_perfect_matching_no_critical():
-    chain = FinitePoset.chain(("a", "b"))
+    chain = chain_poset(("a", "b"))
     m = Matching(chain, pairs(chain, {("a", "b")}))
     assert m.critical_cells() == 0
 
 
 def test_dual_matching_equivalence(five_planes):
     m = matching_convex_critical(five_planes, first_tope(five_planes))
-    dual = m.dual()
+    dual = dual_matching(m)
     assert dual.is_acyclic().acyclic == m.is_acyclic().acyclic
     assert dual.critical_cells() == m.critical_cells()
 
 
 def test_patchwork_rejects_bad_local_data():
     sq = square_boundary()
-    point = FinitePoset.antichain(("q",))
+    point = antichain(("q",))
     const = PosetMap(sq, point, {x: 0 for x in sq.elements})
     cyclic = Matching(
         sq,
@@ -115,7 +117,7 @@ def test_patchwork_rejects_bad_local_data():
     with pytest.raises(MatchingError):
         patchwork(const, {0: cyclic})
     # a matching escaping its fiber is rejected too
-    two = FinitePoset.chain(("a", "b"))
+    two = chain_poset(("a", "b"))
     in_a = mask_of(sq.names.index(x) for x in ("v1", "v2", "e12"))
     split = PosetMap(sq, two, {x: 0 if in_a >> x & 1 else 1 for x in sq.elements})
     local = Matching(sq, pairs(sq, {("v2", "e23")}))  # e23 lies in fiber b
@@ -123,7 +125,7 @@ def test_patchwork_rejects_bad_local_data():
         patchwork(split, {0: local})
     # a matching numbered by another root is rejected, even where its
     # mask fits inside the fiber
-    root = FinitePoset.from_covers(("a", "b", "c", "d", "x", "y"), [("x", "a"), ("y", "a")])
+    root = from_covers(("a", "b", "c", "d", "x", "y"), [("x", "a"), ("y", "a")])
     other = root.subposet(split.preimage(0))
     foreign = Matching(other, pairs(other, {("x", "a")}))
     with pytest.raises(MatchingError, match="different poset"):
@@ -132,7 +134,7 @@ def test_patchwork_rejects_bad_local_data():
 
 def test_patchwork_checks_the_union_once(monkeypatch):
     sq = square_boundary()
-    point = FinitePoset.antichain(("q",))
+    point = antichain(("q",))
     const = PosetMap(sq, point, {x: 0 for x in sq.elements})
     runs = []
     real = Matching.is_acyclic
@@ -150,7 +152,7 @@ def test_patchwork_checks_the_union_once(monkeypatch):
 
 def test_patchwork_constant_and_injective():
     sq = square_boundary()
-    point = FinitePoset.antichain(("q",))
+    point = antichain(("q",))
     const = PosetMap(sq, point, {x: 0 for x in sq.elements})
     local = Matching(sq, pairs(sq, {("v1", "e12")}))
     out = patchwork(const, {0: local})
@@ -162,7 +164,7 @@ def test_patchwork_constant_and_injective():
 
 
 def test_matching_from_shelling_edge():
-    edge = FinitePoset.from_covers(
+    edge = from_covers(
         ("v1", "v2", "e"), [("v1", "e"), ("v2", "e")]
     )
     m = matching_from_shelling(edge, (edge.names.index("e"),), edge.names.index("v1"))

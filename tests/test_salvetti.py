@@ -4,16 +4,16 @@ from conftest import sign_vectors
 from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.omfile import format_system
-from omkit.salvetti import (
-    SalvettiPoset,
-    fiber_rank2_model,
-    localization_square_commutes,
-    principal_ideal_iso,
-    salvetti_localization,
-    stratify_fiber,
-)
+from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import PosetMap, bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
+from poset_builders import image, order_pairs
+from side_lemmas import (
+    fiber_rank2_model,
+    localization_section,
+    localization_square_commutes,
+    principal_ideal_iso,
+)
 
 
 def tope_numbers(system):
@@ -47,9 +47,9 @@ def named(poset, pairs):
 def test_salvetti_order_matches_definition(all_corpus, five_planes):
     for name, system in all_corpus.items():
         poset = SalvettiPoset(system).poset
-        assert named(poset, poset.pairs()) == definition_order(system), name
+        assert named(poset, order_pairs(poset)) == definition_order(system), name
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
-    assert named(loc.target.poset, loc.target.poset.pairs()) == definition_order(loc.localized)
+    assert named(loc.target.poset, order_pairs(loc.target.poset)) == definition_order(loc.localized)
 
 
 def definition_rank(covs):
@@ -76,11 +76,11 @@ def test_covector_poset_is_built_once_and_its_views_match_definition(all_corpus)
         assert system.covector_poset() is poset, name
         covs = sign_vectors(system)
         order = {(str(a), str(b)) for a in covs for b in covs if a.leq(b)}
-        assert named(poset, poset.pairs()) == order, name
-        assert named(poset, poset.dual().pairs()) == {(b, a) for a, b in order}, name
+        assert named(poset, order_pairs(poset)) == order, name
+        assert named(poset, order_pairs(poset.dual())) == {(b, a) for a, b in order}, name
         zero = "0" * len(system.ground)
         sphere = {(a, b) for a, b in order if zero not in (a, b)}
-        assert named(poset, sphere_poset(system).pairs()) == sphere, name
+        assert named(poset, order_pairs(sphere_poset(system))) == sphere, name
         topes = mask_of(
             i for i, c in enumerate(covs) if not any(c != d and c.leq(d) for d in covs)
         )
@@ -111,12 +111,12 @@ def induced(pairs, mask):
 
 def assert_views_match_relation(poset):
     """subposet and order_ideal against their definitions from pairs()."""
-    pairs = poset.pairs()
+    pairs = order_pairs(poset)
     for step in (2, 3):
         mask = mask_of(poset.elements[::step])
         sub = poset.subposet(mask)
         assert sub.members == mask
-        assert sub.pairs() == induced(pairs, mask)
+        assert order_pairs(sub) == induced(pairs, mask)
         assert_numbered_by_name(sub)
         ideal = {x for x, y in pairs if mask >> y & 1}
         assert poset.order_ideal(mask) == mask_of(ideal)
@@ -143,15 +143,15 @@ def test_numbering_follows_names_on_the_localization(five_planes):
     # rho as a poset map, which checks that it is order preserving
     rho = PosetMap(five_planes.covector_poset(), loc.localized.covector_poset(), dict(enumerate(loc.rho)))
     for pmap in (loc.map, rho):
-        source_pairs, target_pairs = pmap.source.pairs(), pmap.target.pairs()
+        source_pairs, target_pairs = order_pairs(pmap.source), order_pairs(pmap.target)
         for q in pmap.target.elements:
             over = mask_of(x for x in pmap.source.elements if (pmap(x), q) in target_pairs)
             fiber = pmap.fiber(q)
             assert fiber.members == over
-            assert fiber.pairs() == induced(source_pairs, over)
+            assert order_pairs(fiber) == induced(source_pairs, over)
             assert_numbered_by_name(fiber)
             if pmap is loc.map:
-                assert loc.fiber(q).pairs() == fiber.pairs()
+                assert order_pairs(loc.fiber(q)) == order_pairs(fiber)
 
 
 def test_salvetti_refuses_a_composition_outside_the_system():
@@ -207,7 +207,7 @@ def test_cell_ids_round_trip(all_corpus):
 def test_localization_map(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert len(loc.target) == 24
-    assert loc.map.image() == loc.target.poset.members
+    assert image(loc.map) == loc.target.poset.members
     with pytest.raises(NotAFlatError):
         salvetti_localization(five_planes, five_planes.label_mask({"H1", "H4"}))
 
@@ -223,7 +223,7 @@ def test_sections_of_localization(five_planes):
     anchors = anchor_numbers(five_planes, x)
     assert len(anchors) == 2
     for alpha in anchors:
-        section = loc.section(alpha)  # raises if not order preserving or not a section
+        section = localization_section(loc, alpha)  # raises if not order preserving or not a section
         assert len(section.assignment) == len(loc.target)
 
 
@@ -257,7 +257,7 @@ def test_fiber_of_minimal_cell_contains_it(five_planes):
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     for cid in bits(loc.target.poset.minimal_elements()):
-        lifted = loc.section(anchor_numbers(five_planes, x)[0]).assignment[cid]
+        lifted = localization_section(loc, anchor_numbers(five_planes, x)[0]).assignment[cid]
         assert lifted in loc.fiber(cid)
 
 

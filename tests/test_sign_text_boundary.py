@@ -2,11 +2,10 @@
 library modules that work by element number must not turn text back into
 sign vectors, and those that take flats as ground-bit masks must not turn
 labels back into flats: this scans their source for calls of
-`CovectorSystem.vector`, `SignVector.from_string` and
-`CovectorSystem.from_strings`, and of `parse_flat` and
-`CovectorSystem.label_mask`.  A covector is a (plus, minus) pair
-everywhere in the library, so no module but `signs`, which defines the
-reference `SignVector`, and the package's `__init__` names that class.
+`CovectorSystem.vector`, `from_string` and `CovectorSystem.from_strings`,
+and of `parse_flat` and `CovectorSystem.label_mask`.  A covector is a
+(plus, minus) pair everywhere in the library, so no library module names
+`SignVector`, the labelled reference class of `tests/sign_vector.py`.
 Homology is computed from face posets only, so no module but `posets`,
 where `order_complex` builds it, and `__init__` names
 `SimplicialComplexRecord`."""
@@ -61,10 +60,10 @@ def names_outside(cls: str, modules: tuple[str, ...]) -> list[str]:
     ]
 
 
-def test_only_signs_names_the_sign_vector_class():
-    assert names_outside("SignVector", ("signs", "__init__")) == []
-    # the scan sees the class where it is defined and exported
-    assert names_of_class(SRC / "__init__.py", "SignVector")
+def test_no_library_module_names_the_sign_vector_class():
+    assert names_outside("SignVector", ()) == []
+    # the scan sees the class where the tests define it
+    assert names_of_class(Path(__file__).with_name("sign_vector.py"), "SignVector")
 
 
 def test_only_posets_names_the_simplicial_complex_class():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from omkit.signs import GroundSetMismatchError, SignVector, compose_masks, separator_masks
+from omkit.signs import GroundSetMismatchError, compose_masks, restrict_masks, separator_masks
+from sign_vector import SignVector
 
 E3 = ("e1", "e2", "e3")
 
@@ -102,3 +103,42 @@ def test_leq_two_formulations(vecs):
     direct = a.leq(b)
     algebraic = a.compose(b) == b and not b.zero_mask & ~a.zero_mask
     assert direct == algebraic
+
+
+# The pair kernels against entrywise definitions on plain sign lists, so
+# that no bit formula is checked against a copy of itself.
+
+
+def pair_of(signs):
+    """The (plus, minus) pair of a list of signs in {1, -1, 0}."""
+    plus = sum(1 << i for i, s in enumerate(signs) if s > 0)
+    minus = sum(1 << i for i, s in enumerate(signs) if s < 0)
+    return plus, minus
+
+
+@st.composite
+def sign_lists(draw, count):
+    n = draw(st.integers(min_value=0, max_value=8))
+    return [draw(st.lists(st.sampled_from([1, -1, 0]), min_size=n, max_size=n)) for _ in range(count)]
+
+
+@given(sign_lists(2))
+def test_compose_masks_entrywise(lists):
+    x, y = lists
+    assert compose_masks(*pair_of(x), *pair_of(y)) == pair_of([a or b for a, b in zip(x, y)])
+
+
+@given(sign_lists(2))
+def test_separator_masks_entrywise(lists):
+    x, y = lists
+    want = sum(1 << i for i, (a, b) in enumerate(zip(x, y)) if a * b < 0)
+    assert separator_masks(*pair_of(x), *pair_of(y)) == want
+
+
+@given(sign_lists(3), st.data())
+def test_restrict_masks_entrywise(lists, data):
+    n = len(lists[0])
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    mask = sum(1 << i for i, k in enumerate(keep) if k)
+    want = [pair_of([a for a, k in zip(x, keep) if k]) for x in lists]
+    assert restrict_masks([pair_of(x) for x in lists], mask) == want

@@ -5,11 +5,10 @@ import pytest
 
 from conftest import sign_vectors
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
-from omkit.signs import SignVector, separator_masks
+from omkit.signs import separator_masks
 from omkit.topes import (
     NotATopeError,
     ShellingReport,
-    all_convex_tope_sets,
     convex_hull,
     dual_subcomplex,
     halfspace,
@@ -20,6 +19,9 @@ from omkit.topes import (
     tope_poset,
     verify_shelling,
 )
+from poset_builders import antichain, from_covers
+from side_lemmas import all_convex_tope_sets
+from sign_vector import SignVector
 
 
 def fiber_topes(system, flat, base_text):
@@ -228,7 +230,7 @@ def square_complex():
         ("v3", "e34"), ("v4", "e34"),
         ("v4", "e41"), ("v1", "e41"),
     ]
-    return FinitePoset.from_covers(elements, covers)
+    return from_covers(elements, covers)
 
 
 def shelling(poset, *cells):
@@ -267,7 +269,7 @@ def test_condition_two_failure_detected():
         ("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f"),
         ("e12", "h"), ("a23", "h"), ("e34", "h"), ("a41", "h"),
     ]
-    annulus = FinitePoset.from_covers(elements, covers)
+    annulus = from_covers(elements, covers)
     shallow = verify_shelling(annulus, shelling(annulus, "h", "f"), depth=0)
     assert shallow.ok  # condition (i) alone cannot see the problem
     deep = verify_shelling(annulus, shelling(annulus, "h", "f"), depth=2)
@@ -276,7 +278,7 @@ def test_condition_two_failure_detected():
 
 
 def test_zero_dimensional_complex_shelling(rank1):
-    points = FinitePoset.antichain(("p", "q"))
+    points = antichain(("p", "q"))
     assert verify_shelling(points, shelling(points, "p", "q"), depth=5).ok
     # the empty complex has the empty shelling; a nonempty one does not
     assert verify_shelling(FinitePoset([], {}), [], 3) == ShellingReport(True)

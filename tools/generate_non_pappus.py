@@ -26,6 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from omkit import CovectorSystem, RationalArrangement, from_arrangement, build_lattice
 from omkit.extensions import ExtensionConstraints, single_element_extensions
+from omkit.matroids import flat_id
 from omkit.omfile import format_system
 
 EIGHT = [
@@ -89,7 +90,7 @@ def non_pappus_text() -> str:
 
     lat9 = build_lattice(reordered)
     triples = sorted(
-        lat9.id(f) for f in lat9.flats_of_rank(2) if f.bit_count() == 3
+        flat_id(f, order) for f in lat9.flats_of_rank(2) if f.bit_count() == 3
     )
     expected_triples = sorted(
         [
@@ -97,7 +98,7 @@ def non_pappus_text() -> str:
             "L3,L4,L5",
             "L3,L8,L9",
         ]
-        + [lat9.id(reordered.label_mask(t)) for t in POINT_TRIPLES]
+        + [flat_id(reordered.label_mask(t), order) for t in POINT_TRIPLES]
     )
     assert triples == expected_triples, triples
     assert reordered.label_mask({"L6", "L7"}) in lat9.rank_of  # the broken cross point
