@@ -1,7 +1,7 @@
 """Exact combinatorics of oriented matroids and their Salvetti complexes."""
 
 from .signs import GroundSetMismatchError
-from .posets import FinitePoset, PosetMap, SimplicialComplexRecord
+from .posets import FinitePoset, SimplicialComplexRecord
 from .matroids import (
     AxiomReport,
     CovectorSystem,
@@ -29,7 +29,6 @@ from .homology import (
 __all__ = [
     "GroundSetMismatchError",
     "FinitePoset",
-    "PosetMap",
     "SimplicialComplexRecord",
     "AxiomReport",
     "CovectorSystem",

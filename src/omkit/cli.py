@@ -307,7 +307,7 @@ def cmd_morse(args) -> int:
         cell = _cell(loc.target, args.cell)
         strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
         matching = matching_salvetti_fiber(strat, cell)
-        cert = morse_reduction_certificate(matching.host, loc.fiber(cell).members, matching)
+        cert = morse_reduction_certificate(matching.host, loc.fibers[cell], matching)
         report.note("pairs", len(matching.pairs))
         report.note("critical", cert.critical.bit_count())
         report.add("matching.acyclic", True)

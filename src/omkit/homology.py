@@ -392,7 +392,7 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
 class FiberEvidence:
     cell: int
     fiber_size: int
-    betti: tuple[int, ...]
+    betti: tuple[int, ...]  # trailing zeros trimmed, padded to length 2
     torsion_free: bool
 
 
@@ -487,17 +487,14 @@ def quasi_fibration_certify(
 
     needed = sorted({c for pair in pairs_all for c in pair})
     fiber_evidence: dict[int, FiberEvidence] = {}
-    fiber_cells: dict[int, int] = {}
     for c in needed:
         fib = loc.fiber(c)
-        fiber_cells[c] = fib.members
         res = homology(fib)
         betti = list(res.betti)
-        while len(betti) < 2:
-            betti.append(0)
-        fiber_evidence[c] = FiberEvidence(
-            c, len(fib), tuple(betti[:2]), res.is_torsion_free()
-        )
+        while len(betti) > 2 and betti[-1] == 0:
+            betti.pop()
+        betti += [0] * (2 - len(betti))
+        fiber_evidence[c] = FiberEvidence(c, len(fib), tuple(betti), res.is_torsion_free())
 
     # one stratification per ambient cell, shared by every matching into it
     strat_for = {
@@ -510,7 +507,7 @@ def quasi_fibration_certify(
         key = (cell, ambient)
         if key not in matching_ok:
             m = matching_salvetti_fiber(strat_for[ambient], cell)
-            cert = morse_reduction_certificate(m.host, fiber_cells[cell], m)
+            cert = morse_reduction_certificate(m.host, loc.fibers[cell], m)
             matching_ok[key] = cert.ok
         return matching_ok[key]
 
@@ -521,7 +518,7 @@ def quasi_fibration_certify(
             a,
             b,
             amb,
-            not fiber_cells[a] & ~fiber_cells[b],
+            not loc.fibers[a] & ~loc.fibers[b],
             matching_valid(a, amb),
             matching_valid(b, amb),
             fiber_evidence[a].betti == fiber_evidence[b].betti

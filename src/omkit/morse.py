@@ -6,10 +6,10 @@ topological order, or refuted by an explicit directed cycle.  The
 constructors build their matchings without re-checking them:
 `morse_reduction_certificate` is the one acyclicity and critical-set
 check on every path that reports a matching, and `patchwork`, which
-glues local matchings, checks its union.  Both read the cached
-`Matching.acyclicity`, so on these paths a matching walks its digraph at
-most once; `Matching.is_acyclic()` is the uncached walk behind it, which
-tests call as an independent oracle.  Tope sets are masks and shelling
+glues local pairs stratum by stratum, checks their union.  Both read the
+cached `Matching.acyclicity`, so on these paths a matching walks its
+digraph at most once; `Matching.is_acyclic()` is the uncached walk
+behind it, which tests call as an independent oracle.  Tope sets are masks and shelling
 orders sequences of element numbers, over the numbering of the covector
 poset, as in `omkit.topes`.
 """
@@ -19,10 +19,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
-from .posets import FinitePoset, PosetError, PosetMap, bits, mask_of
+from .posets import FinitePoset, PosetError, bits, mask_of
 from .salvetti import FiberStratification
 from .topes import is_convex, shelling_order_from_extension
 
@@ -115,26 +115,30 @@ class Matching:
         return "\n".join(f"({names[a]} -> {names[b]})" for a, b in sorted(self.pairs))
 
 
-def patchwork(f: PosetMap, per_fiber: dict[int, Matching]) -> Matching:
-    """Union of matchings on the discrete fibers f^{-1}(q).
+def patchwork(
+    host: FinitePoset, strata: Sequence[int], local_pairs: Sequence[Iterable[tuple[int, int]]]
+) -> Matching:
+    """Union of matchings on the strata of a host, glued along an order
+    preserving map to the chain of strata (the patchwork lemma).
 
-    Each local matching must live on the induced subposet of its preimage,
-    numbered as the source is.
-    The union is returned as a matching on the source once its
-    acyclicity is verified; the local matchings are not walked, since a
-    cycle in one of them is a cycle in the union.
+    `local_pairs[i]` are the pairs of stratum i, by host number; each pair
+    must lie inside its stratum (a mask).  The union is returned as a
+    matching on the host once its covers, its disjointness and its
+    acyclicity are verified; each is checked once, on the union, since a
+    cover of the host inside a stratum is a cover of the stratum and a
+    cycle in one local matching is a cycle in the union.
     """
+    names = host.names
     all_pairs: set[tuple[int, int]] = set()
-    for q, local in per_fiber.items():
-        if local.host.names is not f.source.names:
-            raise MatchingError(f"matching for {f.target.names[q]!r} lives on a different poset")
-        if local.host.members & ~f.preimage(q):
-            raise MatchingError(f"matching for {f.target.names[q]!r} leaves its fiber")
-        all_pairs |= local.pairs
-    out = Matching(f.source, frozenset(all_pairs))
+    for i, (stratum, pairs) in enumerate(zip(strata, local_pairs, strict=True)):
+        for a, b in pairs:
+            if not (stratum >> a & 1 and stratum >> b & 1):
+                raise MatchingError(f"pair ({names[a]!r}, {names[b]!r}) leaves stratum {i}")
+            all_pairs.add((a, b))
+    out = Matching(host, frozenset(all_pairs))
     report = out.acyclicity
     if not report:
-        raise MatchingError(f"patchwork produced a cycle: {[f.source.names[x] for x in report.cycle]}")
+        raise MatchingError(f"patchwork produced a cycle: {[names[x] for x in report.cycle]}")
     return out
 
 
@@ -275,7 +279,7 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     Built stratum by stratum: the bottom stratum is the dual ball with a
     convex-critical matching; each later stratum is an isomorphic copy of
     a contraction's dual ball, matched through the isomorphism induced by
-    restriction; the patchwork map glues along the tope string.
+    restriction; `patchwork` glues the lifted pairs along the tope string.
     """
     loc = strat.loc
     poset = loc.target.poset
@@ -294,11 +298,8 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     m0 = matching_convex_critical(system, mask_of(t for t in bits(topes) if above >> rho[t] & 1))
     mi = matching_convex_critical(localized, above & loc_topes)
     matchings = [m0] + [mi] * (len(strat.strata) - 1)
-    per_fiber = {
-        i: Matching(strat.fiber.subposet(stratum), frozenset((lift[x], lift[y]) for x, y in m.pairs))
-        for i, (stratum, lift, m) in enumerate(zip(strat.strata, strat.lifts, matchings))
-    }
-    return patchwork(strat.projection, per_fiber)
+    local_pairs = [[(lift[x], lift[y]) for x, y in m.pairs] for lift, m in zip(strat.lifts, matchings)]
+    return patchwork(strat.fiber, strat.strata, local_pairs)
 
 
 @dataclass(frozen=True)

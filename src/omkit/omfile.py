@@ -86,8 +86,9 @@ def parse_om_text(text: str) -> OMFile:
             raise OMFileError(f"line outside any section: {line!r}")
     if ground is None:
         raise OMFileError("missing ground line")
-    if ground == () and section == "covectors" and not covectors:
-        covectors.append("")  # over an empty ground the zero covector is the empty line
+    if ground == () and section in ("covectors", "topes") and not covectors and not topes:
+        # over an empty ground the zero covector, also the one tope, is the empty line
+        (covectors if section == "covectors" else topes).append("")
     if sum(1 for body in (covectors, topes, rows) if body) != 1:
         raise OMFileError("exactly one of covectors/topes/arrangement required")
     if covectors:

@@ -1,4 +1,4 @@
-"""Finite posets, poset maps, order complexes.
+"""Finite posets and their order complexes.
 
 Elements are the integers 0..n-1, numbered in the sorted order of their
 names, so integer order is name order and every tie-break picks what it
@@ -296,55 +296,3 @@ class SimplicialComplexRecord:
                     raise ValueError(
                         f"face list not closed under subsets: missing {sorted(f - {v})}"
                     )
-
-
-class PosetMap:
-    """An order preserving map between finite posets."""
-
-    __slots__ = ("source", "target", "assignment", "_preimages")
-
-    def __init__(self, source: FinitePoset, target: FinitePoset, assignment: dict[int, int]):
-        for x, fx in assignment.items():
-            if x not in source:
-                raise PosetError(f"unknown source element {x!r}")
-            if fx not in target:
-                raise PosetError(f"image {fx!r} of {source.names[x]!r} not in target")
-        missing = source.members & ~mask_of(assignment)
-        if missing:
-            raise PosetError(f"assignment not total; missing {source.names_of(missing)[:4]}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assignment", dict(assignment))
-        object.__setattr__(self, "_preimages", None)
-        for y in source.elements:
-            fy = assignment[y]
-            for x in bits(source.below(y)):
-                if not target.leq(assignment[x], fy):
-                    raise PosetError(
-                        f"not order preserving: {source.names[x]!r} <= {source.names[y]!r} "
-                        f"but {target.names[assignment[x]]!r} !<= {target.names[fy]!r}"
-                    )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PosetMap is immutable")
-
-    def __call__(self, x: int) -> int:
-        return self.assignment[x]
-
-    def preimage(self, q: int) -> int:
-        if self._preimages is None:
-            pre = [0] * len(self.target.names)
-            for x in self.source.elements:
-                pre[self.assignment[x]] |= 1 << x
-            object.__setattr__(self, "_preimages", pre)
-        return self._preimages[q]
-
-    def fiber(self, q: int) -> FinitePoset:
-        """The poset fiber over q: the induced subposet on f^{-1}(target_{<=q})."""
-        if q not in self.target:
-            raise PosetError(f"unknown target element {q!r}")
-        mask = 0
-        for y in bits(self.target.below(q)):
-            mask |= self.preimage(y)
-        return self.source.subposet(mask)
-

@@ -10,10 +10,10 @@ covector numbers (`index` inverts it).  Cells are numbered in the order of
 their ids "(sigma;T)", which are rendered once, as the poset's names, and
 `cell_over(c, t)` is the cell (c, c o T); sign text is parsed and rendered
 only by the command line.  A flat is a ground-bit mask.  Localization at a
-flat is restriction to it: the covector projection rho is a tuple of
-covector numbers, `rho[i]` the restriction of covector i.  The fiber
-stratification over a modular corank-one flat is the combinatorial heart
-of the quasi-fibration certificates.
+flat is restriction to it: the covector projection rho and the cell map
+are tuples of element numbers, and each poset fiber is a mask of source
+cells.  The fiber stratification over a modular corank-one flat is the
+combinatorial heart of the quasi-fibration certificates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem, flat_id, section_lift
-from .posets import FinitePoset, PosetMap, bits, mask_of
+from .posets import FinitePoset, PosetError, bits, mask_of
 from .signs import compose_masks, separator_masks, sign_text
 
 
@@ -88,29 +88,53 @@ class SalvettiPoset:
 
 @dataclass(frozen=True)
 class SalvettiLocalization:
-    """The localization map between Salvetti posets at a flat, with the
-    covector-level localization `rho` it is induced by: `rho[i]` is the
-    number of covector i's restriction to the flat."""
+    """The localization map between Salvetti posets at a flat, by number:
+    `rho[i]` is the restriction of covector i to the flat, `cells[k]` the
+    target cell of source cell k, and `fibers[q]` the mask of source cells
+    over the ideal below target cell q, the poset fiber f^{-1}(<= q)."""
 
     system: CovectorSystem
     flat: int
     localized: CovectorSystem
     source: SalvettiPoset
     target: SalvettiPoset
-    map: PosetMap
+    cells: tuple[int, ...]
+    fibers: tuple[int, ...]
     rho: tuple[int, ...]
 
     def fiber(self, cell: int) -> FinitePoset:
-        return self.map.fiber(cell)
+        """The poset fiber over a target cell, as a subposet of the source."""
+        if not 0 <= cell < len(self.fibers):
+            raise PosetError(f"unknown target cell {cell!r}")
+        return self.source.poset.subposet(self.fibers[cell])
 
 
 def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocalization:
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
-    assignment = {k: target.index[rho[f], rho[t]] for k, (f, t) in enumerate(source.keys)}
-    pmap = PosetMap(source.poset, target.poset, assignment)
-    return SalvettiLocalization(system, flat, localized, source, target, pmap, rho)
+    names = source.poset.names
+    cells = []
+    over = [0] * len(target)  # the preimage of each target cell
+    for k, (f, t) in enumerate(source.keys):
+        q = target.index.get((rho[f], rho[t]))
+        if q is None:
+            image = ";".join(localized.names()[c] for c in (rho[f], rho[t]))
+            raise ValueError(f"localization sends cell {names[k]} to ({image}), which is not a cell")
+        cells.append(q)
+        over[q] |= 1 << k
+    # the preimages are disjoint, so their sum is their union
+    fibers = tuple(sum(over[y] for y in bits(target.poset.below(q))) for q in range(len(target)))
+    # order preserving: whatever lies below a cell lies over the ideal below its image
+    for k, q in enumerate(cells):
+        stray = source.poset.below(k) & ~fibers[q]
+        if stray:
+            x = bits(stray)[0]
+            raise ValueError(
+                f"localization is not order preserving: {names[x]} <= {names[k]} "
+                f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
+            )
+    return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), fibers, rho)
 
 
 @dataclass(frozen=True)
@@ -122,8 +146,7 @@ class FiberStratification:
     is the ground-bit mask S(T_{i-1}, T_i), a single bit.  `lifts[0]`
     sends each covector c to its cell (c, c o T_0) of stratum 0; for i > 0,
     `lifts[i]` sends each localized covector to the cell (c, c o T_i) of
-    stratum i whose face c restricts to it.  `projection` sends each fiber
-    cell to its stratum, on the chain of strata."""
+    stratum i whose face c restricts to it."""
 
     loc: SalvettiLocalization
     top: int  # the cell (0, B') of the localized poset
@@ -132,7 +155,6 @@ class FiberStratification:
     separators: tuple[int, ...]
     strata: tuple[int, ...]  # masks of cells, N_0, ..., N_k
     lifts: tuple[tuple[int, ...], ...]
-    projection: PosetMap
 
 
 def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
@@ -194,6 +216,8 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     fiber = loc.fiber(top)
     source = loc.source
     zero = number[0, 0]
+    # successive differences of a growing union of order ideals, so sending
+    # each cell to its stratum is order preserving onto the chain of strata
     strata: list[int] = []
     used = 0
     for t in string:
@@ -217,20 +241,5 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
             raise AssertionError("restriction is not onto the localization")
         lifts.append(tuple(source.cell_over(iso[y], string[i]) for y in range(width)))
 
-    digits = len(str(len(string) - 1))
-    chain = FinitePoset(
-        [f"t{i:0{digits}d}" for i in range(len(string))],
-        {i: (2 << i) - 1 for i in range(len(string))},
-    )
-    stratum_of = {c: i for i, s in enumerate(strata) for c in bits(s)}
-    return FiberStratification(
-        loc,
-        top,
-        fiber,
-        tuple(string),
-        separators,
-        tuple(strata),
-        tuple(lifts),
-        PosetMap(fiber, chain, stratum_of),
-    )
+    return FiberStratification(loc, top, fiber, tuple(string), separators, tuple(strata), tuple(lifts))
 

@@ -9,10 +9,11 @@ them, so they live with the tests."""
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
-from omkit.posets import FinitePoset, PosetMap, bits, mask_of
+from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import restrict_masks, sign_text
 from omkit.topes import halfspace
+from poset_builders import PosetMap
 
 # -- the lattice of flats ------------------------------------------------------
 
@@ -107,7 +108,7 @@ def localization_section(loc: SalvettiLocalization, alpha: int) -> PosetMap:
         assignment[k] = cell
     out = PosetMap(loc.target.poset, loc.source.poset, assignment)
     for k in loc.target.poset.elements:
-        if loc.map.assignment[assignment[k]] != k:
+        if loc.cells[assignment[k]] != k:
             raise AssertionError("section identity fails")
     return out
 
@@ -142,7 +143,7 @@ def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:
     to_dual, _ = principal_ideal_iso(loc.source, tope)
     to_dual_loc, _ = principal_ideal_iso(loc.target, loc.rho[tope])
     return all(
-        to_dual_loc.assignment[loc.map.assignment[k]] == loc.rho[face]
+        to_dual_loc.assignment[loc.cells[k]] == loc.rho[face]
         for k, face in to_dual.assignment.items()
     )
 

@@ -297,7 +297,7 @@ def _localization_laws_ok(system) -> bool:
             for alpha in anchors:
                 section = localization_section(sloc, alpha)
                 ok = ok and all(
-                    sloc.map.assignment[section.assignment[cid]] == cid
+                    sloc.cells[section.assignment[cid]] == cid
                     for cid in section.source.elements
                 )
     return ok

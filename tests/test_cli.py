@@ -62,6 +62,17 @@ def test_empty_ground_output_reads_back(capsys):
     assert run(capsys, ["check-axioms"], stdin=out)[0] == 0
 
 
+def test_empty_ground_topes_read_back_as_topes_only(capsys):
+    # the one tope over the empty ground is the empty line, as the zero
+    # covector is, so the topes-only file gets its own refusal
+    _, out = run(capsys, ["localize", "--flat", "{}"], stdin=om_text("rank1"))
+    code, out = run(capsys, ["topes"], stdin=out)
+    assert (code, out) == (0, "ground: \ntopes:\n\n")
+    assert parse_om_text(out).topes == ("",)
+    code, _, err = run_with_stderr(capsys, ["check-axioms"], stdin=out)
+    assert (code, err) == (2, "error: file lists topes only; covector operations need the full system\n")
+
+
 def test_topes_only_files_parse_but_refuse_system_ops():
     system = corpus("uniform-2-3")
     from omkit.omfile import format_topes
@@ -355,6 +366,35 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}\n" in out
     assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
     assert "fibers.graph_rank: PASS\nverdict: FAIL\n" in out
+
+
+def test_certify_qf_fails_a_fiber_with_higher_homology(capsys, monkeypatch):
+    # a fiber with b2 != 0 is no wedge of circles, whatever its b0 and b1
+    import importlib
+
+    from omkit.homology import HomologyResult, quasi_fibration_certify
+
+    # the package re-exports homology(), which hides the module attribute
+    module = importlib.import_module("omkit.homology")
+    real = module.homology
+    calls = []
+
+    def patched(poset):
+        res = real(poset)
+        calls.append(poset)
+        if len(calls) > 1:
+            return res
+        return HomologyResult(res.betti[:2] + (7,) + res.betti[3:], res.torsion)
+
+    monkeypatch.setattr(module, "homology", patched)
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    calls.clear()
+    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, mode="sampled")
+    assert [f.betti for f in cert.failed_fibers] == [(1, 2, 7)]
+    names = cert.loc.target.poset.names
+    assert f"fibers.homology: FAIL witness={names[cert.fibers[0].cell]}: (1, 2, 7)\n" in out
+    assert "verdict: FAIL\n" in out
 
 
 def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):

@@ -15,9 +15,9 @@ from omkit.matroids import (
     from_arrangement,
     section_lift,
 )
-from omkit.posets import PosetMap, bits
+from omkit.posets import bits
 from omkit.signs import GroundSetMismatchError
-from poset_builders import image
+from poset_builders import PosetMap, image
 from side_lemmas import lattice_poset, section_iota
 from sign_vector import SignVector
 

@@ -10,11 +10,11 @@ from omkit.morse import (
     morse_reduction_certificate,
     patchwork,
 )
-from omkit.posets import PosetMap, bits, mask_of
+from omkit.posets import bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex
-from poset_builders import antichain, chain_poset, from_covers
+from poset_builders import chain_poset, from_covers
 from side_lemmas import all_convex_tope_sets, dual_matching
 
 
@@ -41,6 +41,11 @@ def square_disk():
 def pairs(poset, named):
     """Named pairs as element pairs."""
     return frozenset((poset.names.index(a), poset.names.index(b)) for a, b in named)
+
+
+def mask(poset, named):
+    """Named elements as a mask."""
+    return mask_of(poset.names.index(a) for a in named)
 
 
 def names(poset, mask):
@@ -108,58 +113,53 @@ def test_dual_matching_equivalence(five_planes):
 
 def test_patchwork_rejects_bad_local_data():
     sq = square_boundary()
-    point = antichain(("q",))
-    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
-    cyclic = Matching(
-        sq,
-        pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
-    )
-    with pytest.raises(MatchingError):
-        patchwork(const, {0: cyclic})
-    # a matching escaping its fiber is rejected too
-    two = chain_poset(("a", "b"))
-    in_a = mask_of(sq.names.index(x) for x in ("v1", "v2", "e12"))
-    split = PosetMap(sq, two, {x: 0 if in_a >> x & 1 else 1 for x in sq.elements})
-    local = Matching(sq, pairs(sq, {("v2", "e23")}))  # e23 lies in fiber b
-    with pytest.raises(MatchingError):
-        patchwork(split, {0: local})
-    # a matching numbered by another root is rejected, even where its
-    # mask fits inside the fiber
-    root = from_covers(("a", "b", "c", "d", "x", "y"), [("x", "a"), ("y", "a")])
-    other = root.subposet(split.preimage(0))
-    foreign = Matching(other, pairs(other, {("x", "a")}))
-    with pytest.raises(MatchingError, match="different poset"):
-        patchwork(split, {0: foreign})
+    cycle = pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")})
+    with pytest.raises(MatchingError, match="cycle"):
+        patchwork(sq, [sq.members], [cycle])
+    # a pair leaving its stratum is rejected, even where it is a cover
+    in_a = mask(sq, {"v1", "v2", "e12"})
+    split = [in_a, sq.members & ~in_a]
+    with pytest.raises(MatchingError, match="leaves stratum 0"):
+        patchwork(sq, split, [pairs(sq, {("v2", "e23")}), []])
+    # a pair inside its stratum that is no cover of the host
+    with pytest.raises(MatchingError, match="not a cover relation"):
+        patchwork(sq, [sq.members], [pairs(sq, {("v1", "e23")})])
+    # one cell matched by the pairs of two (overlapping) strata
+    in_b = mask(sq, {"v1", "v4", "e41"})
+    with pytest.raises(MatchingError, match="matched twice"):
+        patchwork(sq, [in_a, in_b], [pairs(sq, {("v1", "e12")}), pairs(sq, {("v1", "e41")})])
 
 
 def test_patchwork_checks_the_union_once(monkeypatch):
     sq = square_boundary()
-    point = antichain(("q",))
-    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
-    runs = []
-    real = Matching.is_acyclic
+    runs, built = [], []
+    real_walk, real_check = Matching.is_acyclic, Matching.__post_init__
 
     def counting(self):
         runs.append(self)
-        return real(self)
+        return real_walk(self)
+
+    def checking(self):
+        built.append(self)
+        real_check(self)
 
     monkeypatch.setattr(Matching, "is_acyclic", counting)
-    local = Matching(sq, pairs(sq, {("v1", "e12")}))
-    out = patchwork(const, {0: local})
+    monkeypatch.setattr(Matching, "__post_init__", checking)
+    in_a = mask(sq, {"v1", "v2", "e12"})
+    local = [pairs(sq, {("v1", "e12")}), pairs(sq, {("v3", "e34")})]
+    out = patchwork(sq, [in_a, sq.members & ~in_a], local)
     morse_reduction_certificate(sq, out.critical_cells(), out)
-    assert runs == [out]
+    # one matching, its pairs validated and its digraph walked once
+    assert built == runs == [out]
 
 
 def test_patchwork_constant_and_injective():
     sq = square_boundary()
-    point = antichain(("q",))
-    const = PosetMap(sq, point, {x: 0 for x in sq.elements})
-    local = Matching(sq, pairs(sq, {("v1", "e12")}))
-    out = patchwork(const, {0: local})
-    assert out.pairs == local.pairs
-    # injective map: all fibers singletons, so only empty matchings fit
-    ident = PosetMap(sq, sq, {x: x for x in sq.elements})
-    out2 = patchwork(ident, {x: Matching(sq.subposet(1 << x), frozenset()) for x in sq.elements})
+    local = pairs(sq, {("v1", "e12")})
+    out = patchwork(sq, [sq.members], [local])
+    assert out.pairs == local
+    # one stratum per cell: only empty local matchings fit
+    out2 = patchwork(sq, [1 << x for x in sq.elements], [[] for _ in sq.elements])
     assert out2.pairs == frozenset()
 
 

@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
-from omkit.posets import FinitePoset, PosetError, PosetMap, SimplicialComplexRecord, mask_of
+from omkit.posets import FinitePoset, PosetError, SimplicialComplexRecord, mask_of
 from omkit.corpus import corpus
 from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
-from poset_builders import antichain, chain_poset, from_covers, order_pairs
+from poset_builders import PosetMap, antichain, chain_poset, from_covers, order_pairs
 from side_lemmas import lattice_poset
 
 

@@ -5,9 +5,9 @@ from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
-from omkit.posets import PosetMap, bits, mask_of
+from omkit.posets import PosetError, bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
-from poset_builders import image, order_pairs
+from poset_builders import PosetMap, order_pairs
 from side_lemmas import (
     fiber_rank2_model,
     localization_section,
@@ -140,9 +140,11 @@ def test_numbering_follows_names_on_the_localization(five_planes):
     for poset in (loc.source.poset, loc.target.poset):
         assert_numbered_by_name(poset)
         assert_views_match_relation(poset)
-    # rho as a poset map, which checks that it is order preserving
+    # rho and the cell map as reference poset maps, which check that they
+    # are order preserving
     rho = PosetMap(five_planes.covector_poset(), loc.localized.covector_poset(), dict(enumerate(loc.rho)))
-    for pmap in (loc.map, rho):
+    cells = PosetMap(loc.source.poset, loc.target.poset, dict(enumerate(loc.cells)))
+    for pmap in (cells, rho):
         source_pairs, target_pairs = order_pairs(pmap.source), order_pairs(pmap.target)
         for q in pmap.target.elements:
             over = mask_of(x for x in pmap.source.elements if (pmap(x), q) in target_pairs)
@@ -150,7 +152,8 @@ def test_numbering_follows_names_on_the_localization(five_planes):
             assert fiber.members == over
             assert order_pairs(fiber) == induced(source_pairs, over)
             assert_numbered_by_name(fiber)
-            if pmap is loc.map:
+            if pmap is cells:
+                assert loc.fibers[q] == over
                 assert order_pairs(loc.fiber(q)) == order_pairs(fiber)
 
 
@@ -207,14 +210,62 @@ def test_cell_ids_round_trip(all_corpus):
 def test_localization_map(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert len(loc.target) == 24
-    assert image(loc.map) == loc.target.poset.members
+    assert len(loc.cells) == len(loc.source)
+    assert mask_of(loc.cells) == loc.target.poset.members
+    # a cell number outside the target raises; it does not wrap around
+    for cell in (-1, len(loc.target)):
+        with pytest.raises(PosetError, match="unknown target cell"):
+            loc.fiber(cell)
     with pytest.raises(NotAFlatError):
         salvetti_localization(five_planes, five_planes.label_mask({"H1", "H4"}))
 
 
+def swap_two_topes(system, rho):
+    """rho with the images of two topes exchanged: the first tope and the
+    first one with a different image."""
+    topes = tope_numbers(system)
+    a = topes[0]
+    b = next(t for t in topes if rho[t] != rho[a])
+    out = list(rho)
+    out[a], out[b] = rho[b], rho[a]
+    return out
+
+
+def flatten_one_face(system, rho):
+    """rho with the first covector that is no tope and restricts to a
+    nonzero covector sent to the localization's zero covector instead."""
+    topes = system.covector_poset().maximal_elements()
+    zero = rho[system.numbering()[0, 0]]
+    f = next(c for c in range(len(system)) if not topes >> c & 1 and rho[c] != zero)
+    out = list(rho)
+    out[f] = zero
+    return out
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (swap_two_topes, r"sends cell \([-+0]+;[-+]+\) to \([-+0]+;[-+]+\), which is not a cell"),
+        (flatten_one_face, r"not order preserving: \([-+0]+;[-+]+\) <= \([-+0]+;[-+]+\) but"),
+    ],
+    ids=["swapped-topes", "flattened-face"],
+)
+def test_localization_refuses_a_broken_projection(five_planes, monkeypatch, mutate, message):
+    real = CovectorSystem.localization
+
+    def broken(self, flat):
+        localized, rho = real(self, flat)
+        return localized, tuple(mutate(self, rho))
+
+    monkeypatch.setattr(CovectorSystem, "localization", broken)
+    with pytest.raises(ValueError, match=message):
+        salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+
+
 def test_localization_identity_flat(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask(five_planes.ground))
-    assert all(loc.map.assignment[c] == c for c in loc.source.poset.elements)
+    assert loc.cells == tuple(loc.source.poset.elements)
+    assert loc.fibers == tuple(loc.source.poset.below(c) for c in loc.source.poset.elements)
 
 
 def test_sections_of_localization(five_planes):

@@ -8,7 +8,9 @@ and of `parse_flat` and `CovectorSystem.label_mask`.  A covector is a
 `SignVector`, the labelled reference class of `tests/sign_vector.py`.
 Homology is computed from face posets only, so no module but `posets`,
 where `order_complex` builds it, and `__init__` names
-`SimplicialComplexRecord`."""
+`SimplicialComplexRecord`.  A map between numberings is a tuple and a
+fiber a mask, so no library module names `PosetMap`, the checked map of
+`tests/poset_builders.py`."""
 
 import ast
 from pathlib import Path
@@ -71,6 +73,12 @@ def test_only_posets_names_the_simplicial_complex_class():
     assert names_outside("SimplicialComplexRecord", ("posets", "__init__")) == []
     for module in ("posets", "__init__"):
         assert names_of_class(SRC / f"{module}.py", "SimplicialComplexRecord")
+
+
+def test_no_library_module_names_the_poset_map_class():
+    # the localization's cell map is a tuple and its fibers are masks
+    assert names_outside("PosetMap", ()) == []
+    assert names_of_class(Path(__file__).with_name("poset_builders.py"), "PosetMap")
 
 
 def test_numbered_modules_parse_no_sign_text():
