@@ -285,21 +285,16 @@ def cmd_morse(args) -> int:
         order = shelling_order_from_extension(system, _covector(system, args.base))
         # collapse the ball left of the last cell: use all topes but one
         matching, vertex = collapse_ball(system, order[:-1])
-        cert = morse_reduction_certificate(matching.host, 1 << vertex, matching)
-        report.note("pairs", len(matching.pairs))
-        report.note("critical", matching.host.names[vertex])
-        report.add("matching.acyclic", True)
-        report.add("critical.single_vertex", cert.ok, "critical set not the vertex")
+        cert = morse_reduction_certificate(matching, 1 << vertex)
+        critical, clause = matching.host.names[vertex], "critical.single_vertex"
     elif args.construction == "convex":
         _require(args, ["topes"])
         q = mask_of(_covector(system, t) for t in args.topes.split(","))
         matching = matching_convex_critical(system, q)
-        cert = morse_reduction_certificate(matching.host, dual_subcomplex(system, q), matching)
-        report.note("pairs", len(matching.pairs))
-        report.note("critical", cert.critical.bit_count())
-        report.add("matching.acyclic", True)
-        if not cert.ok:  # the dual subcomplex of a convex set is an ideal
-            report.add("critical.is_subcomplex", False, "the dual subcomplex is not an ideal")
+        cert = morse_reduction_certificate(matching, dual_subcomplex(system, q))
+        # shown only when it fails: the dual subcomplex of a convex set is an ideal
+        critical = matching.critical_cells().bit_count()
+        clause = "critical.is_subcomplex" if cert.critical else None
     else:
         _require(args, ["flat", "cell", "tope"])
         x = parse_flat(args.flat, system)
@@ -307,11 +302,14 @@ def cmd_morse(args) -> int:
         cell = _cell(loc.target, args.cell)
         strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
         matching = matching_salvetti_fiber(strat, cell)
-        cert = morse_reduction_certificate(matching.host, loc.fibers[cell], matching)
-        report.note("pairs", len(matching.pairs))
-        report.note("critical", cert.critical.bit_count())
-        report.add("matching.acyclic", True)
-        report.add("critical.is_fiber", cert.ok, "critical set is not the fiber")
+        cert = morse_reduction_certificate(matching, loc.fibers[cell])
+        critical, clause = matching.critical_cells().bit_count(), "critical.is_fiber"
+    names = matching.host.names
+    report.note("pairs", len(matching.pairs))
+    report.note("critical", critical)
+    report.add("matching.acyclic", cert.cycle is None, cert.cycle and str([names[x] for x in cert.cycle]))
+    if clause:
+        report.add(clause, cert.critical is None, cert.critical)
     sys.stdout.write(matching.serialize() + "\n")
     return _finish(report)
 
@@ -351,11 +349,10 @@ def cmd_homology(args) -> int:
 def cmd_certify_qf(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system)
-    mode = "exhaustive" if args.exhaustive else "sampled"
-    cert = quasi_fibration_certify(system, x, mode=mode, sample=args.sample)
+    cert = quasi_fibration_certify(system, x, None if args.exhaustive else args.sample)
     report = Report("certify-qf")
     report.note("flat", flat_id(x, system.ground))
-    report.note("mode", cert.mode)
+    report.note("mode", "exhaustive" if cert.sample is None else "sampled")
     report.note("pairs", len(cert.pairs))
     report.note("fiber_rank", cert.expected_rank)
     names = cert.loc.target.poset.names
@@ -371,7 +368,12 @@ def cmd_certify_qf(args) -> int:
         not bad_fibers,
         bad_fibers and f"{names[bad_fibers[0].cell]}: {bad_fibers[0].betti}" or None,
     )
-    report.add("fibers.graph_rank", cert.graph_rank_ok, "minimal fiber rank mismatch")
+    bad_ranks = cert.failed_graph_ranks
+    report.add(
+        "fibers.graph_rank",
+        not bad_ranks,
+        bad_ranks and f"{names[bad_ranks[0][0]]}: {bad_ranks[0][1]}" or None,
+    )
     return _finish(report)
 
 

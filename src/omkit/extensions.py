@@ -95,7 +95,7 @@ class _SearchSpace:
         poset = contraction.covector_poset()
         cocirc = contraction.cocircuits()
         adj: dict[int, list[int]] = {y: [] for y in bits(cocirc)}
-        for t in bits(poset.maximal_elements()):
+        for t in bits(contraction.topes()):
             ys = bits(poset.below(t) & cocirc)
             if len(ys) != 2:
                 raise ExtensionError(

@@ -18,7 +18,7 @@ complex of the order complex is the tests' independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
@@ -422,11 +422,12 @@ class QuasiFibrationCertificate:
 
     loc: SalvettiLocalization
     flat: int
-    mode: str
+    sample: Optional[int]  # None: every pair was checked
     expected_rank: int
     fibers: tuple[FiberEvidence, ...]
     pairs: tuple[PairEvidence, ...]
-    graph_rank_ok: bool
+    # each minimal cell and the free rank of its fiber, or why it has none
+    graph_ranks: tuple[tuple[int, Union[int, str]], ...]
 
     @property
     def failed_pairs(self) -> tuple[PairEvidence, ...]:
@@ -440,15 +441,18 @@ class QuasiFibrationCertificate:
         return tuple(f for f in self.fibers if f.betti != want or not f.torsion_free)
 
     @property
+    def failed_graph_ranks(self) -> tuple[tuple[int, Union[int, str]], ...]:
+        return tuple(g for g in self.graph_ranks if g[1] != self.expected_rank)
+
+    @property
     def ok(self) -> bool:
-        return self.graph_rank_ok and not self.failed_pairs and not self.failed_fibers
+        return not (self.failed_graph_ranks or self.failed_pairs or self.failed_fibers)
 
 
 def quasi_fibration_certify(
     system: CovectorSystem,
     flat: int,
-    mode: str = "exhaustive",
-    sample: int = 24,
+    sample: Optional[int] = None,
 ) -> QuasiFibrationCertificate:
     """Certify that localization of the Salvetti poset at a modular
     corank-one flat behaves as a poset quasi-fibration, at desk scale.
@@ -456,13 +460,13 @@ def quasi_fibration_certify(
     For every ordered pair a <= b of cells of the localized poset, both
     fiber inclusions into a common maximal-cell fiber carry acyclic
     matchings with the right critical sets; all fibers have the homology
-    of a wedge of circles, one per element outside the flat.
+    of a wedge of circles, one per element outside the flat.  `sample`
+    pairs, drawn with a fixed seed, are checked instead of all of them
+    when it is given.
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if mode == "sampled" and sample < 1:
+    if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
     lat = build_lattice(system)
     x = lat.check_flat(flat)
@@ -475,7 +479,7 @@ def quasi_fibration_certify(
 
     poset = loc.target.poset
     pairs_all = [(a, b) for b in poset.elements for a in bits(poset.below(b))]
-    if mode == "sampled":
+    if sample is not None:
         import random
 
         rng = random.Random(0)
@@ -507,8 +511,7 @@ def quasi_fibration_certify(
         key = (cell, ambient)
         if key not in matching_ok:
             m = matching_salvetti_fiber(strat_for[ambient], cell)
-            cert = morse_reduction_certificate(m.host, loc.fibers[cell], m)
-            matching_ok[key] = cert.ok
+            matching_ok[key] = morse_reduction_certificate(m, loc.fibers[cell]).ok
         return matching_ok[key]
 
     pair_evidence = []
@@ -528,16 +531,19 @@ def quasi_fibration_certify(
         pair_evidence.append(ev)
 
     # the minimal-cell fibers are graphs; their free rank is the fiber rank
-    graph_ok = all(
-        graph_free_rank(loc.fiber(m)) == expected for m in bits(poset.minimal_elements())
-    )
+    graph_ranks = []
+    for m in bits(poset.minimal_elements()):
+        try:
+            graph_ranks.append((m, graph_free_rank(loc.fiber(m))))
+        except ValueError as exc:
+            graph_ranks.append((m, str(exc)))
 
     return QuasiFibrationCertificate(
         loc,
         x,
-        mode,
+        sample,
         expected,
         tuple(fiber_evidence[c] for c in needed),
         tuple(pair_evidence),
-        graph_ok,
+        tuple(graph_ranks),
     )

@@ -308,7 +308,7 @@ class CovectorSystem:
                 j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
                 for j, (pb, mb) in enumerate(masks)
             }
-            object.__setattr__(self, "_poset", FinitePoset(self._names, below, _validated=True))
+            object.__setattr__(self, "_poset", FinitePoset(self._names, below))
         return self._poset
 
     def memo(self, key: tuple, build: Callable[[], object]) -> object:

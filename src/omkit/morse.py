@@ -1,24 +1,22 @@
 """Acyclic matchings on face posets and the matchings used downstream.
 
 A matching is a set of cover pairs of integer poset elements, no element
-in two pairs.  Acyclicity of the matched Hasse digraph is certified by a
-topological order, or refuted by an explicit directed cycle.  The
-constructors build their matchings without re-checking them:
-`morse_reduction_certificate` is the one acyclicity and critical-set
-check on every path that reports a matching, and `patchwork`, which
-glues local pairs stratum by stratum, checks their union.  Both read the
-cached `Matching.acyclicity`, so on these paths a matching walks its
-digraph at most once; `Matching.is_acyclic()` is the uncached walk
-behind it, which tests call as an independent oracle.  Tope sets are masks and shelling
-orders sequences of element numbers, over the numbering of the covector
-poset, as in `omkit.topes`.
+in two pairs; `Matching` refuses anything else as bad input.  What a
+matching claims about a subcomplex it retracts onto is checked in one
+place: `morse_reduction_certificate` walks the matched Hasse digraph once
+and returns a witness against each claim, a directed cycle and a
+critical set that is not the subcomplex or not an ideal, or None where
+the claim holds.  A failed claim is a report clause, never an error.
+The constructors, `patchwork` among them, build their matchings without
+checking these claims; every path that reports a matching certifies it
+next.  Tope sets are masks and shelling orders sequences of element
+numbers, over the numbering of the covector poset, as in `omkit.topes`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
@@ -29,16 +27,6 @@ from .topes import is_convex, shelling_order_from_extension
 
 class MatchingError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AcyclicityReport:
-    acyclic: bool
-    topological_order: Optional[tuple[int, ...]] = None
-    cycle: Optional[tuple[int, ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.acyclic
 
 
 @dataclass(frozen=True)
@@ -63,52 +51,35 @@ class Matching:
     def critical_cells(self) -> int:
         return self.host.members & ~mask_of(x for pair in self.pairs for x in pair)
 
-    @cached_property
-    def acyclicity(self) -> AcyclicityReport:
-        """`is_acyclic()`, computed once per matching; library code reads this."""
-        return self.is_acyclic()
-
-    def is_acyclic(self) -> AcyclicityReport:
-        """Topological order of the modified Hasse digraph, or a cycle.
-
-        Walks the digraph on every call; read `acyclicity` to walk it once.
-        """
+    def cycle(self) -> Optional[tuple[int, ...]]:
+        """A directed cycle of the modified Hasse digraph, its first cell
+        repeated at the end, or None when the digraph is acyclic.  Matched
+        cover edges point up and the others down; one depth-first walk."""
         succ: dict[int, list[int]] = {x: [] for x in self.host.elements}
         pairset = self.pairs
         for a, b in self.host.covers():
             if (a, b) in pairset:
-                succ[a].append(b)  # matched edges point up
+                succ[a].append(b)
             else:
-                succ[b].append(a)  # unmatched cover edges point down
-        order: list[int] = []
-        state: dict[int, int] = {}
+                succ[b].append(a)
+        on_path: dict[int, bool] = {}  # visited cells; True while on the path
         for root in succ:
-            if state.get(root):
+            if root in on_path:
                 continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            path: list[int] = [root]
-            state[root] = 1
-            while stack:
-                node, i = stack.pop()
-                if i < len(succ[node]):
-                    stack.append((node, i + 1))
-                    nxt = succ[node][i]
-                    s = state.get(nxt, 0)
-                    if s == 1:
-                        k = path.index(nxt)
-                        return AcyclicityReport(
-                            False, None, tuple(path[k:] + [nxt])
-                        )
-                    if s == 0:
-                        state[nxt] = 1
-                        path.append(nxt)
-                        stack.append((nxt, 0))
-                else:
-                    state[node] = 2
-                    order.append(node)
-                    path.pop()
-        order.reverse()
-        return AcyclicityReport(True, tuple(order), None)
+            path, todo = [root], [iter(succ[root])]
+            on_path[root] = True
+            while todo:
+                nxt = next(todo[-1], None)
+                if nxt is None:
+                    on_path[path.pop()] = False
+                    todo.pop()
+                elif nxt not in on_path:
+                    on_path[nxt] = True
+                    path.append(nxt)
+                    todo.append(iter(succ[nxt]))
+                elif on_path[nxt]:
+                    return tuple(path[path.index(nxt):] + [nxt])
+        return None
 
     def serialize(self) -> str:
         names = self.host.names
@@ -122,11 +93,11 @@ def patchwork(
     preserving map to the chain of strata (the patchwork lemma).
 
     `local_pairs[i]` are the pairs of stratum i, by host number; each pair
-    must lie inside its stratum (a mask).  The union is returned as a
-    matching on the host once its covers, its disjointness and its
-    acyclicity are verified; each is checked once, on the union, since a
-    cover of the host inside a stratum is a cover of the stratum and a
-    cycle in one local matching is a cycle in the union.
+    must lie inside its stratum (a mask).  The union is returned as one
+    matching on the host, whose covers and disjointness are checked once,
+    on the union, since a cover of the host inside a stratum is a cover of
+    the stratum.  Its acyclicity is the certificate's to check: a cycle in
+    one local matching is a cycle in the union.
     """
     names = host.names
     all_pairs: set[tuple[int, int]] = set()
@@ -135,11 +106,7 @@ def patchwork(
             if not (stratum >> a & 1 and stratum >> b & 1):
                 raise MatchingError(f"pair ({names[a]!r}, {names[b]!r}) leaves stratum {i}")
             all_pairs.add((a, b))
-    out = Matching(host, frozenset(all_pairs))
-    report = out.acyclicity
-    if not report:
-        raise MatchingError(f"patchwork produced a cycle: {[names[x] for x in report.cycle]}")
-    return out
+    return Matching(host, frozenset(all_pairs))
 
 
 # -- collapsing a shellable ball ---------------------------------------------
@@ -253,7 +220,7 @@ def _convex_critical(system: CovectorSystem, q: int) -> Matching:
         raise MatchingError("Q must be nonempty")
     poset = system.covector_poset()
     ball = poset.dual()
-    if q == poset.maximal_elements():
+    if q == system.topes():
         return Matching(ball, frozenset())
     if not is_convex(system, q):
         raise MatchingError("Q must be convex")
@@ -290,13 +257,12 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     system, localized = loc.system, loc.localized
     above = localized.covector_poset().above(loc.target.keys[target_cell][0])
     rho = loc.rho
-    topes = system.covector_poset().maximal_elements()
-    loc_topes = localized.covector_poset().maximal_elements()
+    topes = system.topes()
     # stratum 0: the full dual ball, critical part the fiber of rho_X over sigma_a;
     # later strata: copies of contraction balls through the restriction iso,
     # all matched by the one convex-critical matching of the localization
     m0 = matching_convex_critical(system, mask_of(t for t in bits(topes) if above >> rho[t] & 1))
-    mi = matching_convex_critical(localized, above & loc_topes)
+    mi = matching_convex_critical(localized, above & localized.topes())
     matchings = [m0] + [mi] * (len(strat.strata) - 1)
     local_pairs = [[(lift[x], lift[y]) for x, y in m.pairs] for lift, m in zip(strat.lifts, matchings)]
     return patchwork(strat.fiber, strat.strata, local_pairs)
@@ -304,34 +270,35 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
 
 @dataclass(frozen=True)
 class MorseCertificate:
-    """Evidence that a subcomplex is a deformation retract of its host."""
+    """A matching's claims about a subcomplex of its host, each with a
+    witness against it, None where it holds: `cycle`, a directed cycle of
+    the matched Hasse digraph, and `critical`, which says how the critical
+    cells miss the subcomplex or where the subcomplex is not an ideal."""
 
-    matching: Matching
-    topological_order: tuple[int, ...]
-    critical: int
-    subcomplex_is_ideal: bool
+    cycle: Optional[tuple[int, ...]]
+    critical: Optional[str]
 
     @property
     def ok(self) -> bool:
-        return self.subcomplex_is_ideal
+        return self.cycle is None and self.critical is None
 
 
-def morse_reduction_certificate(
-    host: FinitePoset, subcomplex: int, matching: Matching
-) -> MorseCertificate:
-    """Certify host collapses onto a subcomplex (a mask) through the
-    matching: acyclicity, critical set equal to the subcomplex, subcomplex
-    an ideal."""
-    if matching.host.names is not host.names or matching.host.members != host.members:
-        raise MatchingError("matching lives on a different poset")
-    report = matching.acyclicity
-    if not report:
-        raise MatchingError(f"matching has a cycle: {[host.names[x] for x in report.cycle]}")
+def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCertificate:
+    """Check that the matching's host collapses onto a subcomplex (a
+    mask) through it: the matching is acyclic, its critical cells are the
+    subcomplex, and the subcomplex is an ideal.  A failed claim is
+    returned as its witness, never raised."""
+    host = matching.host
     crit = matching.critical_cells()
+    # the cells of the subcomplex with a face outside it
+    open_cells = [x for x in bits(subcomplex) if host.below(x) & ~subcomplex]
+    critical = None
     if crit != subcomplex:
-        raise MatchingError(
-            f"critical cells differ from the subcomplex: "
+        critical = (
             f"extra {host.names_of(crit & ~subcomplex)[:4]}, "
             f"missing {host.names_of(subcomplex & ~crit)[:4]}"
         )
-    return MorseCertificate(matching, report.topological_order, crit, host.is_ideal(subcomplex))
+    elif open_cells:
+        x = open_cells[0]
+        critical = f"not an ideal: {host.names[x]} has faces {host.names_of(host.below(x) & ~subcomplex)[:4]} outside"
+    return MorseCertificate(matching.cycle(), critical)

@@ -47,7 +47,7 @@ class FinitePoset:
 
     __slots__ = ("names", "members", "_below", "_above", "_elements", "_covers", "_heights", "_dual", "_maximal")
 
-    def __init__(self, names: Iterable[str], below: Mapping[int, int], _validated: bool = False):
+    def __init__(self, names: Iterable[str], below: Mapping[int, int]):
         """`below[x]` is a mask of elements below x, for each element x.
         The names must be distinct and sorted."""
         names = tuple(names)
@@ -58,23 +58,24 @@ class FinitePoset:
             raise PosetError("an element has no name")
         members = mask_of(below)
         lo = [0] * len(names)
-        up = [0] * len(names)
         for y, m in below.items():
             if m & ~members:
                 raise PosetError(f"an element below {names[y]!r} is unknown")
             lo[y] = m | 1 << y
+        elements = bits(members)
+        up = [0] * len(names)
+        for y in elements:
+            outside = ~lo[y]
             for x in bits(lo[y]):
+                # transitivity: below sets are downward closed
+                if lo[x] & outside:
+                    raise PosetError(f"transitivity fails at ({names[x]!r}, {names[y]!r})")
                 up[x] |= 1 << y
         self._set(names, members, lo, up)
-        if not _validated:
-            for x in self.elements:
-                # antisymmetry: nothing both above and below except x itself
-                if lo[x] & up[x] != 1 << x:
-                    raise PosetError(f"antisymmetry fails at {names[x]!r}: {self.names_of(lo[x] & up[x])}")
-                # transitivity: below sets are downward closed
-                for y in bits(lo[x]):
-                    if lo[y] & ~lo[x]:
-                        raise PosetError(f"transitivity fails at ({names[y]!r}, {names[x]!r})")
+        for x in elements:
+            # antisymmetry: nothing both above and below except x itself
+            if lo[x] & up[x] != 1 << x:
+                raise PosetError(f"antisymmetry fails at {names[x]!r}: {self.names_of(lo[x] & up[x])}")
 
     def _set(self, *values) -> None:
         for slot, value in zip(self.__slots__, values + (None,) * 5):
@@ -113,8 +114,7 @@ class FinitePoset:
                 for v in f:
                     m |= below[index[f - {v}]]
             below[index[f]] = m
-        # a face list closed under subsets gives closed below masks
-        return cls(sorted(name.values()), below, _validated=True)
+        return cls(sorted(name.values()), below)
 
     def names_of(self, mask: int) -> list[str]:
         """The names of the elements of a mask, for reports and messages."""

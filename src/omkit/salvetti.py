@@ -40,7 +40,7 @@ class SalvettiPoset:
         names = order.names
         vectors = system.vectors()
         number = system.numbering()
-        topes = order.maximal_elements()
+        topes = system.topes()
         keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
         index = {key: k for k, key in enumerate(keys)}
         below = {}
@@ -177,9 +177,8 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
             f"{flat_id(x, system.ground)} is not modular; "
             f"witness Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
         )
-    loc_order = loc.localized.covector_poset()
-    if not loc_order.maximal_elements() >> base & 1:
-        raise ValueError(f"{loc_order.names[base]} is not a tope of the localization")
+    if not loc.localized.topes() >> base & 1:
+        raise ValueError(f"{loc.localized.covector_poset().names[base]} is not a tope of the localization")
 
     order = system.covector_poset()
     vectors = system.vectors()
@@ -195,7 +194,7 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
         raise AssertionError("lifted base tope is not a covector")
     dist = {
         t: separator_masks(*v0, *vectors[t])
-        for t in bits(order.maximal_elements())
+        for t in bits(system.topes())
         if rho[t] == base
     }
     string = sorted(dist, key=lambda t: dist[t].bit_count())

@@ -30,7 +30,7 @@ class NotATopeError(ValueError):
 def _require_topes(system: CovectorSystem, q: int) -> int:
     """The mask of all topes, once every element of q is checked to be one."""
     poset = system.covector_poset()
-    topes = poset.maximal_elements()
+    topes = system.topes()
     if q & ~topes:
         x = bits(q & ~topes)[0]
         if x >= len(poset.names):
@@ -47,9 +47,8 @@ def halfspace(system: CovectorSystem, label: str, sign: int) -> int:
         raise ValueError("sign must be +1 or -1")
     bit = 1 << system.ground.index(label)
     vectors = system.vectors()
-    topes = system.covector_poset().maximal_elements()
     return mask_of(
-        t for t in bits(topes) if vectors[t][0 if sign > 0 else 1] & bit
+        t for t in bits(system.topes()) if vectors[t][0 if sign > 0 else 1] & bit
     )
 
 
@@ -59,7 +58,7 @@ def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
     vectors = system.vectors()
     seps = [(t, separator_masks(*vectors[base], *vectors[t])) for t in bits(topes)]
     below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
-    return FinitePoset(system.covector_poset().names, below, _validated=True)
+    return FinitePoset(system.covector_poset().names, below)
 
 
 # -- convexity ---------------------------------------------------------------
@@ -87,7 +86,7 @@ def _is_convex_betweenness(system: CovectorSystem, q: int) -> bool:
     # topes S(T,R) is the symmetric difference of S(T,W) and S(W,R), so W
     # lies between T and R exactly when S(T,W) is a subset of S(T,R).
     vectors = system.vectors()
-    topes = system.covector_poset().maximal_elements()
+    topes = system.topes()
     outside = [vectors[w] for w in bits(topes & ~q)]
     for t in bits(q):
         pt, mt = vectors[t]

@@ -3,8 +3,9 @@ the library's objects: the Brylawski interval isomorphism and the rank-3
 modular-coatom criterion on the lattice of flats, the section of a
 localization and its Salvetti lift, the principal-ideal isomorphism and
 the localization square, the rank-two fiber model, the enumeration of
-all convex tope sets, and the dual of a matching.  No command needs
-them, so they live with the tests."""
+all convex tope sets, the dual of a matching, and an acyclicity test of
+a matching by Kahn's sort, the oracle for `Matching.cycle`.  No command
+needs them, so they live with the tests."""
 
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
@@ -201,3 +202,34 @@ def all_convex_tope_sets(system: CovectorSystem) -> list[int]:
 def dual_matching(matching: Matching) -> Matching:
     """The same pairs on the dual poset."""
     return Matching(matching.host.dual(), frozenset((b, a) for a, b in matching.pairs))
+
+
+def matched_digraph(matching: Matching) -> dict[int, list[int]]:
+    """The modified Hasse digraph, as successor lists: matched cover edges
+    point up and the others down."""
+    host = matching.host
+    succ: dict[int, list[int]] = {x: [] for x in host.elements}
+    for a, b in host.covers():
+        tail, head = (a, b) if (a, b) in matching.pairs else (b, a)
+        succ[tail].append(head)
+    return succ
+
+
+def kahn_acyclic(matching: Matching) -> bool:
+    """Kahn's sort of the whole modified Hasse digraph: acyclic exactly
+    when every cell is sorted."""
+    succ = matched_digraph(matching)
+    indegree = dict.fromkeys(succ, 0)
+    for heads in succ.values():
+        for y in heads:
+            indegree[y] += 1
+    ready = [x for x, d in indegree.items() if d == 0]
+    done = 0
+    while ready:
+        x = ready.pop()
+        done += 1
+        for y in succ[x]:
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    return done == len(succ)

@@ -1,3 +1,4 @@
+import ast
 import io
 from itertools import combinations
 
@@ -343,7 +344,8 @@ def test_certify_qf_command(capsys):
 
 def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypatch):
     # one pair and every fiber made to fail: the report's FAIL clauses and
-    # witnesses are the certificate's own failed_pairs and failed_fibers
+    # witnesses are the certificate's own failed_pairs, failed_fibers and
+    # failed_graph_ranks
     from dataclasses import replace
 
     import omkit.cli
@@ -357,7 +359,7 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
-    cert = broken(corpus("sec3-arrangement"), 0b111, mode="sampled")
+    cert = broken(corpus("sec3-arrangement"), 0b111, 24)
     assert not cert.ok
     assert cert.failed_pairs == (cert.pairs[1],)
     assert cert.failed_fibers == cert.fibers
@@ -365,7 +367,11 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     pair, fiber = cert.failed_pairs[0], cert.failed_fibers[0]
     assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}\n" in out
     assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
-    assert "fibers.graph_rank: PASS\nverdict: FAIL\n" in out
+    # the minimal fibers have rank 2, not the expected_rank 3 patched in
+    assert cert.failed_graph_ranks == cert.graph_ranks
+    cell, rank = cert.failed_graph_ranks[0]
+    assert f"fibers.graph_rank: FAIL witness={names[cell]}: 2\nverdict: FAIL\n" in out
+    assert rank == 2
 
 
 def test_certify_qf_fails_a_fiber_with_higher_homology(capsys, monkeypatch):
@@ -390,11 +396,95 @@ def test_certify_qf_fails_a_fiber_with_higher_homology(capsys, monkeypatch):
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
     calls.clear()
-    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, mode="sampled")
+    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)
     assert [f.betti for f in cert.failed_fibers] == [(1, 2, 7)]
     names = cert.loc.target.poset.names
     assert f"fibers.homology: FAIL witness={names[cert.fibers[0].cell]}: (1, 2, 7)\n" in out
     assert "verdict: FAIL\n" in out
+
+
+def drop_first_pair(build):
+    """`build`, with the first pair of each nonempty matching it returns
+    dropped: two more cells are critical than the claim allows."""
+    from omkit.morse import Matching
+
+    def dropped(*args):
+        m = build(*args)
+        return Matching(m.host, frozenset(sorted(m.pairs)[1:])) if m.pairs else m
+
+    return dropped
+
+
+def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeypatch):
+    # a failed matching claim fails the pair, exit 1, not a bad-input exit 2
+    import omkit.morse
+
+    monkeypatch.setattr(omkit.morse, "matching_salvetti_fiber", drop_first_pair(omkit.morse.matching_salvetti_fiber))
+    code, out = run(capsys, ["certify-qf", "--flat", "12,13,23"], stdin=om_text("braid3"))
+    assert code == 1
+    assert "\npairs.certified: FAIL witness=(" in out
+    assert "\nfibers.homology: PASS\nfibers.graph_rank: PASS\nverdict: FAIL\n" in out
+
+
+def test_morse_fiber_fails_a_matching_that_misses_the_fiber(capsys, monkeypatch):
+    import omkit.cli
+
+    monkeypatch.setattr(omkit.cli, "matching_salvetti_fiber", drop_first_pair(omkit.cli.matching_salvetti_fiber))
+    argv = ["morse", "--construction", "fiber", "--flat", "12,13,23", "--cell", "(+++;+++)", "--tope=+++"]
+    code, out = run(capsys, argv, stdin=om_text("braid3"))
+    assert code == 1
+    assert "\ncritical: 12\nmatching.acyclic: PASS\ncritical.is_fiber: FAIL witness=extra [" in out
+    assert out.endswith(", missing []\nverdict: FAIL\n")
+
+
+def cyclic_ball_matching(system, q):
+    """On the dual ball of a rank-two system, each tope matched with the
+    next cocircuit round the circle: the matched cells form a cycle."""
+    from omkit.morse import Matching
+    from omkit.posets import bits
+
+    poset = system.covector_poset()
+    topes, rays = system.topes(), system.cocircuits()
+    start = t = bits(topes)[0]
+    r = bits(poset.below(t) & rays)[0]
+    pairs = []
+    while True:
+        pairs.append((t, r))
+        t = bits(poset.above(r) & topes & ~(1 << t))[0]
+        if t == start:
+            return Matching(poset.dual(), frozenset(pairs))
+        r = bits(poset.below(t) & rays & ~(1 << r))[0]
+
+
+def test_morse_convex_fails_a_cyclic_matching(capsys, monkeypatch):
+    import omkit.cli
+
+    monkeypatch.setattr(omkit.cli, "matching_convex_critical", cyclic_ball_matching)
+    argv = ["morse", "--construction", "convex", "--topes", "+++"]
+    code, out = run(capsys, argv, stdin=om_text("uniform-2-3"))
+    assert code == 1
+    # six topes and six cocircuits round the hexagon, back to the first tope
+    witness = out.split("matching.acyclic: FAIL witness=")[1].split("\n")[0]
+    cycle = ast.literal_eval(witness)
+    assert len(cycle) == 13 and cycle[0] == cycle[-1]
+    assert "\ncritical.is_subcomplex: FAIL witness=extra [" in out
+    assert out.endswith("verdict: FAIL\n")
+
+
+def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
+    # graph_free_rank refusing a minimal fiber fails its clause, exit 1
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+
+    def refuse(graph):
+        raise ValueError("graph has 2 components")
+
+    monkeypatch.setattr(module, "graph_free_rank", refuse)
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    assert "\nfibers.graph_rank: FAIL witness=(" in out
+    assert out.endswith("): graph has 2 components\nverdict: FAIL\n")
 
 
 def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):

@@ -211,7 +211,7 @@ def test_extension_output_carries_the_fibration_structure(non_pappus):
     ]
     assert coatoms
     x = coatoms[0]
-    cert = quasi_fibration_certify(result.final, x, mode="exhaustive")
+    cert = quasi_fibration_certify(result.final, x)
     assert cert.ok
     assert cert.expected_rank == len(result.final.ground) - x.bit_count()
     # exhaustive: one pair per comparable pair a <= b of the localized poset

@@ -262,7 +262,7 @@ def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch, five_planes
     import omkit.morse as morse
 
     built, walked = [], []
-    real_fiber, real_walk = morse.matching_salvetti_fiber, morse.Matching.is_acyclic
+    real_fiber, real_walk = morse.matching_salvetti_fiber, morse.Matching.cycle
 
     def building(strat, cell):
         built.append(real_fiber(strat, cell))
@@ -273,7 +273,7 @@ def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch, five_planes
         return real_walk(self)
 
     monkeypatch.setattr(morse, "matching_salvetti_fiber", building)
-    monkeypatch.setattr(morse.Matching, "is_acyclic", walking)
+    monkeypatch.setattr(morse.Matching, "cycle", walking)
     cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert cert.ok
     assert built and walked == built
@@ -304,7 +304,7 @@ def test_quasi_fibration_refuses_bad_flats(five_planes, non_pappus):
 
 def test_quasi_fibration_braid(braid3):
     # the closure of a triangle is a modular line; fibers have rank three
-    cert = quasi_fibration_certify(braid3, braid3.label_mask({"12", "13", "23"}), mode="sampled", sample=10)
+    cert = quasi_fibration_certify(braid3, braid3.label_mask({"12", "13", "23"}), sample=10)
     assert cert.ok
     assert cert.expected_rank == 3
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from omkit.corpus import corpus
 from omkit.matroids import CovectorSystem
 from omkit.morse import (
     Matching,
@@ -13,9 +15,9 @@ from omkit.morse import (
 from omkit.posets import bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
-from omkit.topes import dual_subcomplex
+from omkit.topes import dual_subcomplex, sphere_poset
 from poset_builders import chain_poset, from_covers
-from side_lemmas import all_convex_tope_sets, dual_matching
+from side_lemmas import all_convex_tope_sets, dual_matching, kahn_acyclic, matched_digraph
 
 
 def square_boundary():
@@ -65,16 +67,15 @@ def first_tope(system):
 def test_empty_matching_acyclic():
     sq = square_boundary()
     m = Matching(sq, frozenset())
-    assert m.is_acyclic()
+    assert m.cycle() is None
     assert m.critical_cells() == sq.members
 
 
 def test_two_pair_matching_acyclic():
     sq = square_boundary()
     m = Matching(sq, pairs(sq, {("v1", "e12"), ("v2", "e23")}))
-    report = m.is_acyclic()
-    assert report.acyclic
-    assert report.topological_order is not None
+    assert m.cycle() is None
+    assert kahn_acyclic(m)
     assert names(sq, m.critical_cells()) == {"v3", "v4", "e34", "e41"}
 
 
@@ -84,10 +85,48 @@ def test_clockwise_matching_cyclic():
         sq,
         pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")}),
     )
-    report = m.is_acyclic()
-    assert not report.acyclic
-    assert report.cycle is not None
-    assert len(report.cycle) == 9  # eight steps around the square
+    cycle = m.cycle()
+    assert not kahn_acyclic(m)
+    assert len(cycle) == 9  # eight steps around the square
+    assert cycle[0] == cycle[-1]
+    succ = matched_digraph(m)
+    assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
+    # the certificate returns the cycle as its witness, and raises nothing
+    cert = morse_reduction_certificate(m, 0)
+    assert cert.cycle == cycle and cert.critical is None and not cert.ok
+
+
+def _matchings(draw_covers):
+    """Disjoint cover pairs of a host, drawn in order and kept while they
+    touch no cell already matched."""
+    pairs, seen = set(), set()
+    for a, b in draw_covers:
+        if a not in seen and b not in seen:
+            pairs.add((a, b))
+            seen |= {a, b}
+    return frozenset(pairs)
+
+
+HOSTS = {
+    "square": square_boundary(),
+    **{name: sphere_poset(corpus(name)) for name in ("rank1", "boolean3", "uniform-2-3")},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(HOSTS)), st.data())
+def test_cycle_agrees_with_kahn(name, data):
+    host = HOSTS[name]
+    covers = sorted(host.covers())  # none on the rank1 sphere, two points
+    drawn = data.draw(st.lists(st.sampled_from(covers), unique=True)) if covers else []
+    m = Matching(host, _matchings(drawn))
+    cycle = m.cycle()
+    assert (cycle is None) == kahn_acyclic(m)
+    if cycle is not None:
+        # a closed walk along the digraph's edges
+        succ = matched_digraph(m)
+        assert cycle[0] == cycle[-1] and len(cycle) > 2
+        assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
 
 
 def test_matching_validation():
@@ -107,15 +146,18 @@ def test_perfect_matching_no_critical():
 def test_dual_matching_equivalence(five_planes):
     m = matching_convex_critical(five_planes, first_tope(five_planes))
     dual = dual_matching(m)
-    assert dual.is_acyclic().acyclic == m.is_acyclic().acyclic
+    assert (dual.cycle() is None) == (m.cycle() is None)
     assert dual.critical_cells() == m.critical_cells()
 
 
 def test_patchwork_rejects_bad_local_data():
     sq = square_boundary()
     cycle = pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")})
-    with pytest.raises(MatchingError, match="cycle"):
-        patchwork(sq, [sq.members], [cycle])
+    # a cycle is no bad input: the union is built and its certificate names the cycle
+    out = patchwork(sq, [sq.members], [cycle])
+    assert out.pairs == cycle
+    cycle = morse_reduction_certificate(out, 0).cycle
+    assert cycle is not None and cycle == out.cycle()
     # a pair leaving its stratum is rejected, even where it is a cover
     in_a = mask(sq, {"v1", "v2", "e12"})
     split = [in_a, sq.members & ~in_a]
@@ -133,7 +175,7 @@ def test_patchwork_rejects_bad_local_data():
 def test_patchwork_checks_the_union_once(monkeypatch):
     sq = square_boundary()
     runs, built = [], []
-    real_walk, real_check = Matching.is_acyclic, Matching.__post_init__
+    real_walk, real_check = Matching.cycle, Matching.__post_init__
 
     def counting(self):
         runs.append(self)
@@ -143,13 +185,14 @@ def test_patchwork_checks_the_union_once(monkeypatch):
         built.append(self)
         real_check(self)
 
-    monkeypatch.setattr(Matching, "is_acyclic", counting)
+    monkeypatch.setattr(Matching, "cycle", counting)
     monkeypatch.setattr(Matching, "__post_init__", checking)
     in_a = mask(sq, {"v1", "v2", "e12"})
     local = [pairs(sq, {("v1", "e12")}), pairs(sq, {("v3", "e34")})]
     out = patchwork(sq, [in_a, sq.members & ~in_a], local)
-    morse_reduction_certificate(sq, out.critical_cells(), out)
-    # one matching, its pairs validated and its digraph walked once
+    # patchwork walks nothing; the certificate walks the union once
+    assert built == [out] and runs == []
+    morse_reduction_certificate(out, out.critical_cells())
     assert built == runs == [out]
 
 
@@ -177,7 +220,7 @@ def test_matching_from_shelling_square_disk():
     m = matching_from_shelling(disk, (disk.names.index("f"),), disk.names.index("v1"))
     assert names(disk, m.critical_cells()) == {"v1"}
     assert len(m.pairs) == 4  # (9 - 1) / 2 cells paired
-    assert morse_reduction_certificate(disk, m.critical_cells(), m).ok
+    assert morse_reduction_certificate(m, m.critical_cells()).ok
 
 
 def test_matching_from_shelling_rejects_outside_vertex():
@@ -196,7 +239,7 @@ def test_convex_critical_all_instances(five_planes, uniform23):
     for system in (uniform23, five_planes):
         for q in all_convex_tope_sets(system):
             m = matching_convex_critical(system, q)
-            assert m.is_acyclic().acyclic
+            assert kahn_acyclic(m)
             assert m.critical_cells() == dual_subcomplex(system, q)
 
 
@@ -278,7 +321,7 @@ def test_fiber_matchings_exhaustive(five_planes):
                 continue
             bp = loc.target.keys[top][1]
             m = matching_salvetti_fiber(stratify_fiber(loc, bp), a)
-            assert m.is_acyclic().acyclic
+            assert kahn_acyclic(m)
             assert m.critical_cells() == loc.fiber(a).members
 
 
@@ -313,19 +356,24 @@ def test_morse_certificate(five_planes):
     host_fiber = loc.fiber(top)
     if loc.target.poset.leq(bottom, top):
         m = matching_salvetti_fiber(stratify_fiber(loc, bp), bottom)
-        cert = morse_reduction_certificate(m.host, loc.fiber(bottom).members, m)
+        cert = morse_reduction_certificate(m, loc.fibers[bottom])
         assert cert.ok
-        # drop one pair: criticality clause must fail with a witness
+        # drop one pair: the critical claim fails with a witness, not an error
         short = Matching(m.host, frozenset(sorted(m.pairs)[1:]))
-        with pytest.raises(MatchingError):
-            morse_reduction_certificate(m.host, loc.fiber(bottom).members, short)
+        cert = morse_reduction_certificate(short, loc.fibers[bottom])
+        assert not cert.ok and cert.cycle is None
+        assert cert.critical.startswith("extra [") and cert.critical.endswith("missing []")
 
 
 def test_certificate_trivial_full_complex():
     sq = square_boundary()
     m = Matching(sq, frozenset())
-    cert = morse_reduction_certificate(sq, sq.members, m)
+    cert = morse_reduction_certificate(m, sq.members)
     assert cert.ok
     # a pair inside the subcomplex leaves two of its cells uncritical
-    with pytest.raises(MatchingError, match="missing"):
-        morse_reduction_certificate(sq, sq.members, Matching(sq, pairs(sq, {("v1", "e12")})))
+    m = Matching(sq, pairs(sq, {("v1", "e12")}))
+    cert = morse_reduction_certificate(m, sq.members)
+    assert cert.critical == "extra [], missing ['e12', 'v1']" and cert.cycle is None
+    # critical cells that are no subcomplex: e41 lost its face v1
+    cert = morse_reduction_certificate(m, m.critical_cells())
+    assert cert.critical == "not an ideal: e41 has faces ['v1'] outside" and not cert.ok

@@ -30,10 +30,10 @@ def mask(poset, names):
 
 
 def test_construction_rejects_bad_relations():
-    with pytest.raises(PosetError):
-        from_covers(("a", "b"), [("a", "b"), ("b", "a")])  # antisymmetry
-    with pytest.raises(PosetError):
-        FinitePoset(("a", "b", "c"), {0: 0, 1: 0b001, 2: 0b010})  # transitivity
+    with pytest.raises(PosetError, match=r"antisymmetry fails at 'a': \['a', 'b'\]"):
+        from_covers(("a", "b"), [("a", "b"), ("b", "a")])
+    with pytest.raises(PosetError, match=r"transitivity fails at \('b', 'c'\)"):
+        FinitePoset(("a", "b", "c"), {0: 0, 1: 0b001, 2: 0b010})
     with pytest.raises(PosetError):
         FinitePoset(("b", "a"), {0: 0, 1: 0})  # names out of order
     with pytest.raises(PosetError):
