@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus
 from .homology import (
+    PairEvidence,
     betti_numbers,
     homology,
     quasi_fibration_certify,
@@ -346,6 +347,20 @@ def cmd_homology(args) -> int:
     return _finish(report)
 
 
+def _pair_failures(pair: PairEvidence, names: tuple[str, ...], cells: tuple[str, ...]) -> str:
+    """`a <= b: ` and the pair's failed claims; a failed matching with its
+    certificate's witnesses, its cycle over the source cells first."""
+    failed = [] if pair.inclusion_ok else ["inclusion"]
+    for side, m in (("lower", pair.lower_matching), ("upper", pair.upper_matching)):
+        if m.cycle is not None:
+            failed.append(f"{side} matching: cycle {[cells[x] for x in m.cycle]}")
+        if m.critical is not None:
+            failed.append(f"{side} matching: {m.critical}")
+    if not pair.homology_agrees:
+        failed.append("homology")
+    return f"{names[pair.lower]} <= {names[pair.upper]}: {'; '.join(failed)}"
+
+
 def cmd_certify_qf(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system)
@@ -360,7 +375,7 @@ def cmd_certify_qf(args) -> int:
     report.add(
         "pairs.certified",
         not bad_pairs,
-        bad_pairs and f"{names[bad_pairs[0].lower]} <= {names[bad_pairs[0].upper]}" or None,
+        bad_pairs and _pair_failures(bad_pairs[0], names, cert.loc.source.poset.names) or None,
     )
     bad_fibers = cert.failed_fibers
     report.add(

@@ -18,7 +18,7 @@ complex of the order complex is the tests' independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
@@ -29,6 +29,9 @@ from .salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
+
+if TYPE_CHECKING:
+    from .morse import MorseCertificate
 
 
 # -- exact Smith data ---------------------------------------------------------
@@ -402,16 +405,17 @@ class PairEvidence:
     upper: int
     ambient_tope: int  # the maximal cell whose fiber hosts both matchings
     inclusion_ok: bool
-    lower_matching_ok: bool
-    upper_matching_ok: bool
+    # the fiber matchings of the lower and upper cells into the ambient fiber
+    lower_matching: MorseCertificate
+    upper_matching: MorseCertificate
     homology_agrees: bool
 
     @property
     def ok(self) -> bool:
         return (
             self.inclusion_ok
-            and self.lower_matching_ok
-            and self.upper_matching_ok
+            and self.lower_matching.ok
+            and self.upper_matching.ok
             and self.homology_agrees
         )
 
@@ -505,14 +509,14 @@ def quasi_fibration_certify(
         amb: stratify_fiber(loc, loc.target.keys[amb][1])
         for amb in sorted({ambient_for[b] for _a, b in pairs_all})
     }
-    matching_ok: dict[tuple[int, int], bool] = {}
+    matching_certs: dict[tuple[int, int], MorseCertificate] = {}
 
-    def matching_valid(cell: int, ambient: int) -> bool:
+    def matching_certificate(cell: int, ambient: int) -> MorseCertificate:
         key = (cell, ambient)
-        if key not in matching_ok:
+        if key not in matching_certs:
             m = matching_salvetti_fiber(strat_for[ambient], cell)
-            matching_ok[key] = morse_reduction_certificate(m, loc.fibers[cell]).ok
-        return matching_ok[key]
+            matching_certs[key] = morse_reduction_certificate(m, loc.fibers[cell])
+        return matching_certs[key]
 
     pair_evidence = []
     for a, b in sorted(pairs_all):
@@ -522,8 +526,8 @@ def quasi_fibration_certify(
             b,
             amb,
             not loc.fibers[a] & ~loc.fibers[b],
-            matching_valid(a, amb),
-            matching_valid(b, amb),
+            matching_certificate(a, amb),
+            matching_certificate(b, amb),
             fiber_evidence[a].betti == fiber_evidence[b].betti
             and fiber_evidence[a].torsion_free
             and fiber_evidence[b].torsion_free,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem, NotAFlatError, flat_id
+from .posets import mask_of
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class GeometricLattice:
         "rank_of",
         "mobius",
         "_flats_by_rank",
-        "_join_table",
+        "_joins",
     )
 
     def __init__(self, ground: tuple[str, ...], flats: Iterable[int]):
@@ -85,12 +86,13 @@ class GeometricLattice:
                 mob[x] = -sum(mob[y] for y in flist if y != x and not y & ~x)
         object.__setattr__(self, "mobius", mob)
         object.__setattr__(self, "_flats_by_rank", None)
-        object.__setattr__(self, "_join_table", None)
+        joins = _join_table(flist)
+        object.__setattr__(self, "_joins", joins)
         # semimodularity of the rank function, checked once
         for x in flist:
+            row, rx = joins[x], rank_of[x]
             for y in flist:
-                jn = self.join(x, y)
-                if rank_of[x] + rank_of[y] < rank_of[jn] + rank_of[x & y]:
+                if rx + rank_of[y] < rank_of[row[y]] + rank_of[x & y]:
                     raise ValueError(
                         f"rank not semimodular at {flat_id(x, ground)}, {flat_id(y, ground)}"
                     )
@@ -109,18 +111,7 @@ class GeometricLattice:
         return flat
 
     def join(self, x: int, y: int) -> int:
-        if self._join_table is None:
-            table = {}
-            for a in self.flats:
-                for b in self.flats:
-                    if (b, a) in table:
-                        table[(a, b)] = table[(b, a)]
-                    else:
-                        # the smallest flat containing both: flats are sorted by size
-                        u = a | b
-                        table[(a, b)] = next(f for f in self.flats if not u & ~f)
-            object.__setattr__(self, "_join_table", table)
-        return self._join_table[(x, y)]
+        return self._joins[x][y]
 
     def flats_of_rank(self, r: int) -> tuple[int, ...]:
         if self._flats_by_rank is None:
@@ -183,20 +174,50 @@ class GeometricLattice:
         Joins of flats below the top of an interval stay below it, so the
         global join table is valid inside the subinterval `_ss_chain` passes.
         """
+        joins = self._joins
         for y in universe:
             xy = x & y
             for z in universe:
                 if z & ~y:
                     continue
-                if self.join(z, xy) != self.join(z, x) & y:
+                row = joins[z]
+                if row[xy] != row[x] & y:
                     return z, y
         return None
 
 
+def _join_table(flats: Sequence[int]) -> dict[int, dict[int, int]]:
+    """`table[a][b]`, the first flat in `flats` (sorted by size) that
+    contains both a and b: their join in a lattice of flats.
+
+    Bit i of `over[f]` says that `flats[i]` contains f, so the join is the
+    flat at the lowest bit of `over[a] & over[b]`.  The family must contain
+    a flat over everything, as the top of a lattice of flats does.
+    """
+    over = {f: mask_of(i for i, g in enumerate(flats) if not f & ~g) for f in flats}
+    table = {}
+    for a in flats:
+        over_a = over[a]
+        row = table[a] = {}
+        for b in flats:
+            both = over_a & over[b]
+            row[b] = flats[(both & -both).bit_length() - 1]
+    return table
+
+
 def build_lattice(system: CovectorSystem) -> GeometricLattice:
-    """The lattice of zero sets of the covectors, built once per system."""
-    full = (1 << len(system.ground)) - 1
-    return system.memo(
-        ("lattice",),
-        lambda: GeometricLattice(system.ground, {full & ~(p | m) for p, m in system.vectors()}),
-    )
+    """The lattice of zero sets of the covectors, built once per system.
+    A system with loops is refused by name: every zero set holds them, so
+    the empty flat is missing."""
+
+    def build():
+        loops = system.loops()
+        if loops:
+            raise ValueError(
+                f"loops {','.join(loops)}: the lattice of flats needs a system "
+                "without loops; remove them with omkit simplify"
+            )
+        full = (1 << len(system.ground)) - 1
+        return GeometricLattice(system.ground, {full & ~(p | m) for p, m in system.vectors()})
+
+    return system.memo(("lattice",), build)

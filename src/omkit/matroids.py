@@ -9,11 +9,14 @@ exhaustively and on failure a concrete witness is reported; failures are
 data here, not exceptions, because the extension search uses the axiom
 check as its validity arbiter.
 
-The covector order is built once per system, by one scan over the pairs,
-and cached.  Every other order question is read off it: the topes are
-its maximal elements, the rank its height, the cocircuits the nonzero
-elements with only zero below, and the dual ball, the sphere and the
-Salvetti poset are views of it.
+The sign columns (for each element, the masks of the covectors that are
++, - and 0 there) are built once per system; the covector order, the
+parallel classes and the elimination check read them.  The covector
+order is built once per system, as ANDs of columns, and cached.  Every
+other order question is read off it: the topes are its maximal elements,
+the rank its height, the cocircuits the nonzero elements with only zero
+below, and the dual ball, the sphere and the Salvetti poset are views of
+it.
 """
 
 from __future__ import annotations
@@ -193,17 +196,28 @@ class CovectorSystem:
             support |= p | m
         return self.labels(((1 << len(self.ground)) - 1) & ~support)
 
-    def _zero_columns(self) -> list[int]:
-        """For each element, the mask of the covectors vanishing on it;
-        parallel elements have equal columns."""
-        return [
-            mask_of(k for k, (p, m) in enumerate(self._vectors) if not (p | m) >> i & 1)
-            for i in range(len(self.ground))
-        ]
+    def _sign_columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """For each element e, the masks of the covectors that are +, -
+        and 0 at e, built once per system; parallel elements have equal
+        zero columns."""
+
+        def build():
+            plus_at = [0] * len(self.ground)
+            minus_at = [0] * len(self.ground)
+            for k, (p, m) in enumerate(self._vectors):
+                for e in bits(p):
+                    plus_at[e] |= 1 << k
+                for e in bits(m):
+                    minus_at[e] |= 1 << k
+            everything = (1 << len(self)) - 1
+            zero_at = tuple(everything & ~(p | m) for p, m in zip(plus_at, minus_at))
+            return tuple(plus_at), tuple(minus_at), zero_at
+
+        return self.memo(("sign columns",), build)
 
     def is_simple(self) -> bool:
         """No loops, no two elements vanishing on the same covectors."""
-        columns = self._zero_columns()
+        columns = self._sign_columns()[2]
         return not self.loops() and len(set(columns)) == len(columns)
 
     # -- axioms ------------------------------------------------------------
@@ -229,7 +243,7 @@ class CovectorSystem:
             ax3 = AxiomCheck(False, f"{names[i]} o {names[j]} = {xy} escapes the set")
 
         ax4 = AxiomCheck(True)
-        unmet = _unmet_elimination(masks, len(self.ground))
+        unmet = _unmet_elimination(masks, *self._sign_columns())
         if unmet is not None:
             i, j, e = unmet
             ax4 = AxiomCheck(
@@ -244,7 +258,7 @@ class CovectorSystem:
     def simplify(self) -> SimplifyResult:
         """Remove loops and collapse parallel classes to representatives."""
         loops = self.loops()
-        columns = self._zero_columns()
+        columns = self._sign_columns()[2]
         rep: dict[str, str] = {}
         chosen: dict[int, str] = {}
         for lab, z in zip(self.ground, columns):
@@ -301,13 +315,25 @@ class CovectorSystem:
         covector order is a view of this one: the dual ball is its
         `.dual()`, the sphere its subposet without the zero vector, and the
         Salvetti poset reads its principal ideals off it.
+
+        Covector i lies below covector j when at every element i is 0 or
+        has j's sign, so j's below mask is an AND of one column per
+        element: not minus where j is +, not plus where j is -, zero where
+        j is 0.
         """
         if self._poset is None:
-            masks = self._vectors
-            below = {
-                j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
-                for j, (pb, mb) in enumerate(masks)
-            }
+            everything = (1 << len(self)) - 1
+            # per element, the column for each sign of j: 0, +, -
+            columns = [
+                (zero, everything & ~m, everything & ~p)
+                for p, m, zero in zip(*self._sign_columns())
+            ]
+            below = {}
+            for j, (pb, mb) in enumerate(self._vectors):
+                mask = everything
+                for e, (zero, not_minus, not_plus) in enumerate(columns):
+                    mask &= not_minus if pb >> e & 1 else not_plus if mb >> e & 1 else zero
+                below[j] = mask
             object.__setattr__(self, "_poset", FinitePoset(self._names, below))
         return self._poset
 
@@ -323,8 +349,9 @@ class CovectorSystem:
 
 
 # -- axiom kernels ----------------------------------------------------------
-# Both take the (plus, minus) masks of the covectors in witness order and
-# return the first failing pair in row-major order, as list positions.
+# Both take the (plus, minus) masks of the covectors in witness order, the
+# elimination check also the system's sign columns, and return the first
+# failing pair in row-major order, as list positions.
 
 
 def _composition_escape(
@@ -350,7 +377,10 @@ def _composition_escape(
 
 
 def _unmet_elimination(
-    masks: tuple[tuple[int, int], ...], n: int
+    masks: tuple[tuple[int, int], ...],
+    plus_at: tuple[int, ...],
+    minus_at: tuple[int, ...],
+    zero_at: tuple[int, ...],
 ) -> Optional[tuple[int, int, int]]:
     """The first pair (i, j) and element e of their separator S with no
     covector Z such that Z_e = 0 and Z agrees with X o Y off S.
@@ -361,18 +391,16 @@ def _unmet_elimination(
     X o Y off S, so the pairs i < j raise every obligation, first in the
     same order as all ordered pairs do.  The covectors agreeing off S are
     an AND of columns, one int per element and sign with bit k for
-    covector k, and the obligation holds when that AND meets the zero
-    column of every e in S.
+    covector k (the system's sign columns), and the obligation holds when
+    that AND meets the zero column of every e in S.
     """
+    n = len(plus_at)
     full = (1 << n) - 1
     packed = [p << n | m for p, m in masks]
     obligations: dict[int, None] = {}
     for i, w in enumerate(packed):
         obligations.update(dict.fromkeys([w | v for v in packed[i + 1 :]]))
     everything = (1 << len(masks)) - 1
-    plus_at = [mask_of(k for k, (p, _) in enumerate(masks) if p >> e & 1) for e in range(n)]
-    minus_at = [mask_of(k for k, (_, m) in enumerate(masks) if m >> e & 1) for e in range(n)]
-    zero_at = [everything & ~(plus_at[e] | minus_at[e]) for e in range(n)]
     for key in obligations:
         plus, minus = key >> n, key & full
         sep = plus & minus

@@ -4,8 +4,12 @@ modular-coatom criterion on the lattice of flats, the section of a
 localization and its Salvetti lift, the principal-ideal isomorphism and
 the localization square, the rank-two fiber model, the enumeration of
 all convex tope sets, the dual of a matching, and an acyclicity test of
-a matching by Kahn's sort, the oracle for `Matching.cycle`.  No command
-needs them, so they live with the tests."""
+a matching by Kahn's sort, the oracle for `Matching.cycle`.  The
+covector order by pairs and the join by a scan over the flats are the
+definitions that the column-built order and the join table are checked
+against.  No command needs them, so they live with the tests."""
+
+from typing import Iterable, Optional, Sequence
 
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
@@ -15,6 +19,40 @@ from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import restrict_masks, sign_text
 from omkit.topes import halfspace
 from poset_builders import PosetMap
+
+# -- the covector order and the join, by definition ---------------------------
+
+
+def pairwise_below(system: CovectorSystem) -> dict[int, int]:
+    """Each covector's below mask, one pair at a time: X <= Y when every
+    + and - entry of X is also Y's."""
+    masks = system.vectors()
+    return {
+        j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
+        for j, (pb, mb) in enumerate(masks)
+    }
+
+
+def scan_join(flats: Sequence[int], a: int, b: int) -> int:
+    """The first flat of `flats` (sorted by size) that contains a and b."""
+    u = a | b
+    return next(f for f in flats if not u & ~f)
+
+
+def semimodular_refusal(ground: tuple[str, ...], family: Iterable[int]) -> Optional[str]:
+    """Why the lattice of an intersection-closed family with a bottom and
+    a top is refused, by the scan join: the first (x, y), in size then id
+    order, with r(x) + r(y) < r(x v y) + r(x ^ y); None when there is none."""
+    flats = sorted(set(family), key=lambda f: (f.bit_count(), flat_id(f, ground)))
+    rank: dict[int, int] = {}
+    for x in flats:
+        rank[x] = max((rank[y] + 1 for y in flats if y != x and not y & ~x), default=0)
+    for x in flats:
+        for y in flats:
+            if rank[x] + rank[y] < rank[scan_join(flats, x, y)] + rank[x & y]:
+                return f"rank not semimodular at {flat_id(x, ground)}, {flat_id(y, ground)}"
+    return None
+
 
 # -- the lattice of flats ------------------------------------------------------
 

@@ -142,6 +142,27 @@ def test_lattice_and_modular(capsys):
     assert "witness=" in out
 
 
+LOOP_C = "ground: a b c\ncovectors:\n" + "".join(
+    f"{row}\n" for row in ["000", "+00", "-00", "0+0", "0-0", "++0", "+-0", "-+0", "--0"]
+)
+
+
+@pytest.mark.parametrize("argv", [["lattice"], ["modular", "a"], ["supersolvable"]])
+def test_lattice_commands_name_the_loops(capsys, argv):
+    # every zero set holds the loop c, so the lattice has no empty flat;
+    # the refusal names the loop instead of the missing bottom
+    code, out, err = run_with_stderr(capsys, argv, stdin=LOOP_C)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: loops c: the lattice of flats needs a system without loops; "
+        "remove them with omkit simplify\n"
+    )
+    code, out, _ = run_with_stderr(capsys, ["simplify"], stdin=LOOP_C)
+    assert code == 0
+    assert run(capsys, argv, stdin=out)[0] == 0
+
+
 def test_supersolvable_command(capsys):
     code, out = run(capsys, ["supersolvable"], stdin=om_text("sec3-arrangement"))
     assert code == 0
@@ -365,7 +386,7 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     assert cert.failed_fibers == cert.fibers
     names = cert.loc.target.poset.names
     pair, fiber = cert.failed_pairs[0], cert.failed_fibers[0]
-    assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}\n" in out
+    assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: homology\n" in out
     assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
     # the minimal fibers have rank 2, not the expected_rank 3 patched in
     assert cert.failed_graph_ranks == cert.graph_ranks
@@ -422,8 +443,43 @@ def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeyp
     monkeypatch.setattr(omkit.morse, "matching_salvetti_fiber", drop_first_pair(omkit.morse.matching_salvetti_fiber))
     code, out = run(capsys, ["certify-qf", "--flat", "12,13,23"], stdin=om_text("braid3"))
     assert code == 1
-    assert "\npairs.certified: FAIL witness=(" in out
+    # the witness names the failed claims, each matching with its certificate's witness
+    witness = out.split("\npairs.certified: FAIL witness=")[1].split("\n")[0]
+    pair, claims = witness.split(": ", 1)
+    assert pair.startswith("(") and " <= (" in pair
+    lower, upper = claims.split("; ")
+    assert lower.startswith("lower matching: extra [") and lower.endswith(", missing []")
+    assert upper.startswith("upper matching: extra [") and upper.endswith(", missing []")
     assert "\nfibers.homology: PASS\nfibers.graph_rank: PASS\nverdict: FAIL\n" in out
+
+
+def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
+    # a failed inclusion, a cyclic lower matching and a matching whose
+    # critical cells miss the fiber are each named; the cycle by source cells
+    from dataclasses import replace
+
+    import omkit.cli
+    from omkit.homology import quasi_fibration_certify
+    from omkit.morse import MorseCertificate
+
+    def broken(*args, **kwargs):
+        cert = quasi_fibration_certify(*args, **kwargs)
+        bad = replace(
+            cert.pairs[0],
+            inclusion_ok=False,
+            lower_matching=MorseCertificate((0, 1, 0), None),
+            upper_matching=MorseCertificate(None, "extra ['x'], missing []"),
+        )
+        return replace(cert, pairs=(bad, *cert.pairs[1:]))
+
+    monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    cert = broken(corpus("sec3-arrangement"), 0b111, 24)
+    pair = cert.failed_pairs[0]
+    names, cells = cert.loc.target.poset.names, cert.loc.source.poset.names
+    claims = f"inclusion; lower matching: cycle {[cells[0], cells[1], cells[0]]}; upper matching: extra ['x'], missing []"
+    assert f"\npairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: {claims}\n" in out
 
 
 def test_morse_fiber_fails_a_matching_that_misses_the_fiber(capsys, monkeypatch):

@@ -1,12 +1,27 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from omkit.cli import parse_flat
-from omkit.lattices import build_lattice
-from omkit.matroids import CovectorSystem, NotAFlatError, flat_id
+from omkit.lattices import GeometricLattice, _join_table, build_lattice
+from omkit.matroids import (
+    CovectorSystem,
+    DegenerateArrangementError,
+    NotAFlatError,
+    RationalArrangement,
+    flat_id,
+    from_arrangement,
+)
 from poset_builders import image
-from side_lemmas import brylawski_iso, lattice_poset, rank3_modular_coatom_test
+from side_lemmas import (
+    brylawski_iso,
+    lattice_poset,
+    rank3_modular_coatom_test,
+    scan_join,
+    semimodular_refusal,
+)
 
 
 def _poly_product(*factors):
@@ -124,8 +139,6 @@ def test_not_supersolvable(non_pappus):
 def test_uniform_rank3_not_supersolvable():
     # six generic planes (moment-curve normals): every rank-2 flat is a
     # pair, so no line can meet all others
-    from omkit.matroids import RationalArrangement, from_arrangement
-
     forms = [(1, t, t * t) for t in range(1, 7)]
     system = from_arrangement(
         RationalArrangement(tuple(f"e{t}" for t in range(1, 7)), forms)
@@ -221,3 +234,79 @@ def test_supersolvable_raises_on_a_non_modular_chain(five_planes, monkeypatch, c
     assert captured.err == (
         "internal error: the modular chain search returned H2,H4, which is not modular\n"
     )
+
+
+def assert_join_is_the_scan(lat):
+    for a in lat.flats:
+        for b in lat.flats:
+            assert lat.join(a, b) == scan_join(lat.flats, a, b), (a, b)
+
+
+def braid_arrangement(k):
+    """The forms x_i - x_j, i < j, on R^k."""
+    forms = []
+    for i, j in itertools.combinations(range(k), 2):
+        row = [0] * k
+        row[i], row[j] = 1, -1
+        forms.append(row)
+    return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
+
+
+def test_join_is_the_scan_on_the_corpus_and_a4(all_corpus):
+    a4 = from_arrangement(braid_arrangement(5))
+    for system in [*all_corpus.values(), a4]:
+        assert_join_is_the_scan(build_lattice(system))
+    assert len(build_lattice(a4).flats) == 52  # the partitions of five points
+
+
+@st.composite
+def six_form_arrangements(draw):
+    """Six pairwise independent integer forms on R^3, entries in [-2, 2]."""
+    entry = st.integers(min_value=-2, max_value=2)
+    forms = draw(st.lists(st.tuples(entry, entry, entry), min_size=6, max_size=6))
+    try:
+        return RationalArrangement(tuple(f"h{i + 1}" for i in range(6)), forms)
+    except DegenerateArrangementError:
+        assume(False)
+
+
+@given(six_form_arrangements())
+@settings(max_examples=30, deadline=None)
+def test_join_is_the_scan_on_six_form_arrangements(arrangement):
+    assert_join_is_the_scan(build_lattice(from_arrangement(arrangement)))
+
+
+@st.composite
+def intersection_closed_families(draw):
+    """A ground of at most five labels and a family of its subsets that
+    holds the empty set and the ground and is closed under intersection."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    full = (1 << n) - 1
+    family = {0, full} | set(draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8)))
+    closed = False
+    while not closed:
+        meets = {x & y for x in family for y in family}
+        closed = meets <= family
+        family |= meets
+    return tuple("abcde"[:n]), family
+
+
+# the pentagon: {} < a < a,b < a,b,c and {} < c < a,b,c, not semimodular at a, c
+@example((("a", "b", "c"), {0, 0b001, 0b011, 0b100, 0b111}))
+@given(intersection_closed_families())
+@settings(max_examples=200, deadline=None)
+def test_join_table_is_the_scan_and_semimodularity_is_checked(ground_family):
+    ground, family = ground_family
+    flats = sorted(family, key=lambda f: (f.bit_count(), flat_id(f, ground)))
+    table = _join_table(flats)
+    assert {a: dict(row) for a, row in table.items()} == {
+        a: {b: scan_join(flats, a, b) for b in flats} for a in flats
+    }
+    refusal = semimodular_refusal(ground, family)
+    if refusal is None:
+        lat = GeometricLattice(ground, family)
+        assert lat.flats == tuple(flats)
+        assert_join_is_the_scan(lat)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            GeometricLattice(ground, family)

@@ -15,10 +15,10 @@ from omkit.matroids import (
     from_arrangement,
     section_lift,
 )
-from omkit.posets import bits
+from omkit.posets import bits, mask_of
 from omkit.signs import GroundSetMismatchError
 from poset_builders import PosetMap, image
-from side_lemmas import lattice_poset, section_iota
+from side_lemmas import lattice_poset, pairwise_below, section_iota
 from sign_vector import SignVector
 
 
@@ -358,3 +358,28 @@ def test_from_arrangement_always_satisfies_axioms(rows):
         assert [loc.names()[rho[i]] for i in range(len(covs))] == [
             str(c.restrict(flat)) for c in covs
         ]
+
+
+@st.composite
+def sign_text_sets(draw):
+    """Up to 40 sign texts over at most six elements, axioms not required."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    row = st.lists(st.sampled_from("+-0"), min_size=n, max_size=n).map("".join)
+    return tuple(f"e{i}" for i in range(n)), draw(st.lists(row, max_size=40))
+
+
+@given(sign_text_sets())
+@settings(max_examples=200, deadline=None)
+def test_covector_order_is_the_pairwise_order(ground_rows):
+    # the below masks built as ANDs of sign columns are the product order
+    # tested one pair at a time, on any set of sign vectors
+    system = CovectorSystem.from_strings(*ground_rows)
+    poset = system.covector_poset()
+    assert poset.members == (1 << len(system)) - 1
+    assert {j: poset.below(j) for j in poset.elements} == pairwise_below(system)
+    # the sign columns are the covectors' texts read column by column
+    names = system.names()
+    assert system._sign_columns() == tuple(
+        tuple(mask_of(k for k, t in enumerate(names) if t[e] == sign) for e in range(len(system.ground)))
+        for sign in "+-0"
+    )
