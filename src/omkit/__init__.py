@@ -8,7 +8,7 @@ from .matroids import (
     RationalArrangement,
     from_arrangement,
 )
-from .lattices import GeometricLattice, MChain, build_lattice
+from .lattices import GeometricLattice, build_lattice
 from .corpus import CORPUS_NAMES, corpus
 from .salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from .morse import (
@@ -20,7 +20,6 @@ from .morse import (
 )
 from .homology import (
     HomologyResult,
-    graph_free_rank,
     homology,
     quasi_fibration_certify,
     semidirect_rank_sequence,
@@ -35,7 +34,6 @@ __all__ = [
     "RationalArrangement",
     "from_arrangement",
     "GeometricLattice",
-    "MChain",
     "build_lattice",
     "CORPUS_NAMES",
     "corpus",
@@ -48,7 +46,6 @@ __all__ = [
     "matching_salvetti_fiber",
     "patchwork",
     "HomologyResult",
-    "graph_free_rank",
     "homology",
     "quasi_fibration_certify",
     "semidirect_rank_sequence",

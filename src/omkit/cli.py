@@ -188,7 +188,7 @@ def cmd_supersolvable(args) -> int:
     chain = lat.is_supersolvable()
     report = Report("supersolvable")
     if chain is not None:
-        report.note("mchain", " < ".join(flat_id(f, system.ground) for f in chain.flats))
+        report.note("mchain", " < ".join(flat_id(f, system.ground) for f in chain))
     report.add("supersolvable", chain is not None, "no maximal chain of modular flats")
     return _finish(report)
 
@@ -199,7 +199,7 @@ def cmd_shelling(args) -> int:
     poset = sphere_poset(system)
     if not poset.members:
         raise ValueError("the covector sphere is empty: a rank-0 system has nothing to shell")
-    check = verify_shelling(poset, order, depth=args.depth)
+    check = verify_shelling(poset, order)
     report = Report("shelling")
     report.note("base", args.base)
     report.note("order", " ".join(poset.names[c] for c in order))
@@ -214,8 +214,8 @@ def cmd_salvetti(args) -> int:
     report.note("cells", len(s))
     report.note("height", s.poset.height())
     by_dim: dict[int, int] = {}
-    for k in s.poset.elements:
-        by_dim[s.dimension_of(k)] = by_dim.get(s.dimension_of(k), 0) + 1
+    for d in s.poset.heights().values():
+        by_dim[d] = by_dim.get(d, 0) + 1
     report.note("cells_by_dim", " ".join(f"{d}:{n}" for d, n in sorted(by_dim.items())))
     report.add("pure", s.poset.height() == system.rank(),
                f"height {s.poset.height()} != rank {system.rank()}")
@@ -348,16 +348,14 @@ def cmd_homology(args) -> int:
 
 
 def _pair_failures(pair: PairEvidence, names: tuple[str, ...], cells: tuple[str, ...]) -> str:
-    """`a <= b: ` and the pair's failed claims; a failed matching with its
+    """`a <= b: ` and the pair's failed matchings, each with its
     certificate's witnesses, its cycle over the source cells first."""
-    failed = [] if pair.inclusion_ok else ["inclusion"]
+    failed = []
     for side, m in (("lower", pair.lower_matching), ("upper", pair.upper_matching)):
         if m.cycle is not None:
             failed.append(f"{side} matching: cycle {[cells[x] for x in m.cycle]}")
         if m.critical is not None:
             failed.append(f"{side} matching: {m.critical}")
-    if not pair.homology_agrees:
-        failed.append("homology")
     return f"{names[pair.lower]} <= {names[pair.upper]}: {'; '.join(failed)}"
 
 
@@ -484,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = com("shelling", help="shelling order from a tope poset")
     p.add_argument("--base", required=True, help="base tope in sign text")
-    p.add_argument("--depth", type=int, default=3)
 
     com("salvetti", help="the Salvetti poset")
 

@@ -413,9 +413,9 @@ def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
         raise ExtensionError("supersolvable extension applies to rank three")
     if not system.is_simple():
         raise ExtensionError("input must be simple")
-    mchain = lat.is_supersolvable()
-    if mchain is not None:
-        return SupersolvableExtension((), system, mchain.flats)
+    chain = lat.is_supersolvable()
+    if chain is not None:
+        return SupersolvableExtension((), system, chain)
 
     pivot = min(
         lat.flats_of_rank(2),
@@ -444,7 +444,7 @@ def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
         current = result.extended
         lat = new_lat
         pivot = new_pivot
-    mchain = lat.is_supersolvable()
-    if mchain is None:
+    chain = lat.is_supersolvable()
+    if chain is None:
         raise LeviSearchError("pivot meets every rank-two flat but no chain found")
-    return SupersolvableExtension(tuple(steps), current, mchain.flats)
+    return SupersolvableExtension(tuple(steps), current, chain)

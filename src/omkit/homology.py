@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
-from .posets import FinitePoset, bits
+from .posets import FinitePoset, bits, mask_of
 from .salvetti import (
     SalvettiLocalization,
     SalvettiPoset,
@@ -321,37 +321,6 @@ def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
     return tuple(betti)
 
 
-# -- graphs --------------------------------------------------------------------
-
-
-def graph_free_rank(graph: FinitePoset) -> int:
-    """Free rank (first Betti number) of a connected 1-dimensional complex."""
-    heights = graph.heights()
-    if any(h > 1 for h in heights.values()):
-        raise ValueError("complex has cells of dimension above one")
-    vertices = [x for x, h in heights.items() if h == 0]
-    edges = [x for x, h in heights.items() if h == 1]
-    parent = {v: v for v in vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        ends = bits(graph.below(e) ^ 1 << e)
-        if len(ends) != 2:
-            raise ValueError(f"edge {graph.names[e]!r} has {len(ends)} endpoints")
-        a, b = (find(v) for v in ends)
-        if a != b:
-            parent[a] = b
-    components = len({find(v) for v in vertices})
-    if components != 1:
-        raise ValueError(f"graph has {components} components")
-    return len(edges) - len(vertices) + 1
-
-
 # -- spec-level checks ----------------------------------------------------------
 
 
@@ -375,10 +344,9 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
     """Generator counts of the iterated semidirect factorization, outer
     factor first, derived from a maximal chain of modular flats."""
     lat = build_lattice(system)
-    mchain = lat.is_supersolvable()
-    if mchain is None:
+    flats = lat.is_supersolvable()
+    if flats is None:
         raise ValueError("system is not supersolvable")
-    flats = mchain.flats
     out = [
         (flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, 0, -1)
     ]
@@ -394,44 +362,51 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FiberEvidence:
     cell: int
-    fiber_size: int
+    dimension: int  # the fiber's height
     betti: tuple[int, ...]  # trailing zeros trimmed, padded to length 2
     torsion_free: bool
+
+    @property
+    def graph_rank(self) -> Union[int, str]:
+        """The free rank of the fiber as a connected graph, or why it has none."""
+        if self.dimension > 1:
+            return "complex has cells of dimension above one"
+        if self.betti[0] != 1:
+            return f"graph has {self.betti[0]} components"
+        return self.betti[1]
 
 
 @dataclass(frozen=True)
 class PairEvidence:
+    """The fiber matchings of cells lower <= upper, both into the fiber of
+    the least maximal cell above upper."""
+
     lower: int
     upper: int
-    ambient_tope: int  # the maximal cell whose fiber hosts both matchings
-    inclusion_ok: bool
-    # the fiber matchings of the lower and upper cells into the ambient fiber
     lower_matching: MorseCertificate
     upper_matching: MorseCertificate
-    homology_agrees: bool
 
     @property
     def ok(self) -> bool:
-        return (
-            self.inclusion_ok
-            and self.lower_matching.ok
-            and self.upper_matching.ok
-            and self.homology_agrees
-        )
+        return self.lower_matching.ok and self.upper_matching.ok
 
 
 @dataclass(frozen=True)
 class QuasiFibrationCertificate:
-    """Evidence over the cells of `loc.target`, by number."""
+    """Evidence over the cells of `loc.target`, by number: the homology of
+    the fiber of every cell of a checked pair and of every minimal cell."""
 
     loc: SalvettiLocalization
-    flat: int
     sample: Optional[int]  # None: every pair was checked
     expected_rank: int
     fibers: tuple[FiberEvidence, ...]
     pairs: tuple[PairEvidence, ...]
-    # each minimal cell and the free rank of its fiber, or why it has none
-    graph_ranks: tuple[tuple[int, Union[int, str]], ...]
+
+    @property
+    def graph_ranks(self) -> tuple[tuple[int, Union[int, str]], ...]:
+        """Each minimal cell and the free rank of its fiber, or why it has none."""
+        minimal = self.loc.target.poset.minimal_elements()
+        return tuple((f.cell, f.graph_rank) for f in self.fibers if minimal >> f.cell & 1)
 
     @property
     def failed_pairs(self) -> tuple[PairEvidence, ...]:
@@ -464,9 +439,12 @@ def quasi_fibration_certify(
     For every ordered pair a <= b of cells of the localized poset, both
     fiber inclusions into a common maximal-cell fiber carry acyclic
     matchings with the right critical sets; all fibers have the homology
-    of a wedge of circles, one per element outside the flat.  `sample`
-    pairs, drawn with a fixed seed, are checked instead of all of them
-    when it is given.
+    of a wedge of circles, one per element outside the flat, and those
+    over the minimal cells are graphs.  `sample` pairs, drawn with a fixed
+    seed, are checked instead of all of them when it is given; the
+    minimal cells are checked either way.  The fiber inclusions hold by
+    construction: `loc.fibers[q]` is the union of the preimages over the
+    cells below q.
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
@@ -489,25 +467,23 @@ def quasi_fibration_certify(
         rng = random.Random(0)
         pairs_all = rng.sample(pairs_all, min(sample, len(pairs_all)))
 
-    # each cell's ambient is the least maximal cell above it
-    maximal = poset.maximal_elements()
-    ambient_for = {b: bits(poset.above(b) & maximal)[0] for b in poset.elements}
-
-    needed = sorted({c for pair in pairs_all for c in pair})
-    fiber_evidence: dict[int, FiberEvidence] = {}
-    for c in needed:
+    fibers = []
+    for c in bits(mask_of(c for pair in pairs_all for c in pair) | poset.minimal_elements()):
         fib = loc.fiber(c)
         res = homology(fib)
         betti = list(res.betti)
         while len(betti) > 2 and betti[-1] == 0:
             betti.pop()
         betti += [0] * (2 - len(betti))
-        fiber_evidence[c] = FiberEvidence(c, len(fib), tuple(betti), res.is_torsion_free())
+        fibers.append(FiberEvidence(c, fib.height(), tuple(betti), res.is_torsion_free()))
 
-    # one stratification per ambient cell, shared by every matching into it
+    # each pair's ambient is the least maximal cell above its upper cell,
+    # with one stratification per ambient, shared by every matching into it
+    maximal = poset.maximal_elements()
+    ambient_for = {b: bits(poset.above(b) & maximal)[0] for _a, b in pairs_all}
     strat_for = {
         amb: stratify_fiber(loc, loc.target.keys[amb][1])
-        for amb in sorted({ambient_for[b] for _a, b in pairs_all})
+        for amb in sorted(set(ambient_for.values()))
     }
     matching_certs: dict[tuple[int, int], MorseCertificate] = {}
 
@@ -518,36 +494,10 @@ def quasi_fibration_certify(
             matching_certs[key] = morse_reduction_certificate(m, loc.fibers[cell])
         return matching_certs[key]
 
-    pair_evidence = []
-    for a, b in sorted(pairs_all):
-        amb = ambient_for[b]
-        ev = PairEvidence(
-            a,
-            b,
-            amb,
-            not loc.fibers[a] & ~loc.fibers[b],
-            matching_certificate(a, amb),
-            matching_certificate(b, amb),
-            fiber_evidence[a].betti == fiber_evidence[b].betti
-            and fiber_evidence[a].torsion_free
-            and fiber_evidence[b].torsion_free,
+    pairs = tuple(
+        PairEvidence(
+            a, b, matching_certificate(a, ambient_for[b]), matching_certificate(b, ambient_for[b])
         )
-        pair_evidence.append(ev)
-
-    # the minimal-cell fibers are graphs; their free rank is the fiber rank
-    graph_ranks = []
-    for m in bits(poset.minimal_elements()):
-        try:
-            graph_ranks.append((m, graph_free_rank(loc.fiber(m))))
-        except ValueError as exc:
-            graph_ranks.append((m, str(exc)))
-
-    return QuasiFibrationCertificate(
-        loc,
-        x,
-        sample,
-        expected,
-        tuple(fiber_evidence[c] for c in needed),
-        tuple(pair_evidence),
-        tuple(graph_ranks),
+        for a, b in sorted(pairs_all)
     )
+    return QuasiFibrationCertificate(loc, sample, expected, tuple(fibers), pairs)

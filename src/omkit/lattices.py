@@ -28,13 +28,6 @@ class ModularityCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class MChain:
-    """A maximal chain of flats, all modular."""
-
-    flats: tuple[int, ...]
-
-
 class GeometricLattice:
     """Lattice of flats of a simple covector system, ordered by inclusion.
 
@@ -135,8 +128,8 @@ class GeometricLattice:
         witness = self._modularity_witness(self.check_flat(flat), self.flats)
         return ModularityCheck(witness is None, witness)
 
-    def is_supersolvable(self) -> Optional[MChain]:
-        """Search for a maximal chain of modular flats.
+    def is_supersolvable(self) -> Optional[tuple[int, ...]]:
+        """A maximal chain of modular flats, bottom first, or None.
 
         Recursive over modular coatoms (modularity checked inside the
         subinterval at each level).  The returned chain is re-verified
@@ -151,7 +144,7 @@ class GeometricLattice:
                 raise AssertionError(
                     f"the modular chain search returned {flat_id(f, self.ground)}, which is not modular"
                 )
-        return MChain(tuple(chain))
+        return tuple(chain)
 
     def _ss_chain(self, top: int) -> Optional[list[int]]:
         r = self.rank_of[top]

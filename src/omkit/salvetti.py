@@ -76,10 +76,6 @@ class SalvettiPoset:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def dimension_of(self, cell: int) -> int:
-        """The dimension of a cell: its height in the Salvetti poset."""
-        return self.poset.heights()[cell]
-
     def cell_over(self, c: int, t: int) -> int:
         """The cell (c, c o T) of covector c over tope T, both by number."""
         vectors = self.system.vectors()

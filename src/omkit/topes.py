@@ -81,33 +81,9 @@ def convex_hull(system: CovectorSystem, q: int) -> int:
     return hull
 
 
-def _is_convex_betweenness(system: CovectorSystem, q: int) -> bool:
-    # T, R in Q and dist(T,W) + dist(W,R) = dist(T,R) forces W in Q.  For
-    # topes S(T,R) is the symmetric difference of S(T,W) and S(W,R), so W
-    # lies between T and R exactly when S(T,W) is a subset of S(T,R).
-    vectors = system.vectors()
-    topes = system.topes()
-    outside = [vectors[w] for w in bits(topes & ~q)]
-    for t in bits(q):
-        pt, mt = vectors[t]
-        to_outside = [separator_masks(pt, mt, p, m) for p, m in outside]
-        for r in bits(q):
-            s = separator_masks(pt, mt, *vectors[r])
-            if any(not (sw & ~s) for sw in to_outside):
-                return False
-    return True
-
-
 def is_convex(system: CovectorSystem, q: int) -> bool:
-    """Convexity, computed both as a halfspace fixpoint and through the
-    betweenness criterion; the two must agree."""
-    via_hull = convex_hull(system, q) == q
-    via_between = _is_convex_betweenness(system, q)
-    if via_hull != via_between:
-        raise AssertionError(
-            f"convexity criteria disagree on {system.covector_poset().names_of(q)}"
-        )
-    return via_hull
+    """Convexity: the set is its own convex hull."""
+    return convex_hull(system, q) == q
 
 
 # -- subcomplexes of the covector sphere --------------------------------------
@@ -163,14 +139,11 @@ def shelling_order_from_extension(
     return tuple(tp.linear_extension_ideal_first(prefix or 1 << base))
 
 
-def verify_shelling(
-    complex_poset: FinitePoset, order: Sequence[int], depth: int
-) -> ShellingReport:
+def verify_shelling(complex_poset: FinitePoset, order: Sequence[int]) -> ShellingReport:
     """Check the shelling conditions on a pure regular complex.
 
-    Condition (i) is checked exactly for each cell in order; conditions
-    (ii) and (iii) are checked recursively while depth > 0 (depth at least
-    the complex dimension gives the full check).
+    Condition (i) is checked for each cell in order, and conditions (ii)
+    and (iii) recursively on the cell boundaries, down to dimension 0.
     """
     cells = list(order)
     dims = complex_poset.heights()
@@ -186,7 +159,7 @@ def verify_shelling(
         return ShellingReport(True)
     union = 0
     for j, c in enumerate(cells):
-        bad = _step_failure(complex_poset, dims, c, union, j, depth)
+        bad = _step_failure(complex_poset, dims, c, union, j)
         if bad is not None:
             return ShellingReport(False, bad)
         union |= _boundary(complex_poset, c)
@@ -203,15 +176,13 @@ def _step_failure(
     c: int,
     union: int,
     position: int,
-    depth: int,
 ) -> Optional[str]:
     """Why cell c cannot come at the given (0-based) position of a shelling
     whose earlier boundaries cover union; None when it can.
 
     The first cell's boundary must be shellable (iii); each later cell
     meets the union in a pure complex of one dimension less (i), which
-    must start a shelling of its boundary (ii).  The recursive conditions
-    are checked only while depth > 0.
+    must start a shelling of its boundary (ii).
     """
     boundary = _boundary(complex_poset, c)
     facets = 0
@@ -221,9 +192,7 @@ def _step_failure(
         if bad is not None:
             return f"condition (i) fails at position {position + 1}: {bad}"
         facets = mask_of(x for x in bits(inter) if dims[x] == dims[c] - 1)
-    if depth > 0 and not _exists_shelling_with_prefix(
-        complex_poset.subposet(boundary), facets, depth - 1
-    ):
+    if not _exists_shelling_with_prefix(complex_poset.subposet(boundary), facets):
         if position == 0:
             return "condition (iii) fails: first boundary not shellable"
         return (
@@ -249,9 +218,7 @@ def _purity_failure(
     return f"maximal cell {complex_poset.names[off]} has dimension {dims[off]}, wanted {want}"
 
 
-def _exists_shelling_with_prefix(
-    complex_poset: FinitePoset, prefix: int, depth: int
-) -> bool:
+def _exists_shelling_with_prefix(complex_poset: FinitePoset, prefix: int) -> bool:
     """Backtracking search for a shelling whose first cells are the given set."""
     dims = complex_poset.heights()
     maximal = bits(complex_poset.maximal_elements())
@@ -270,7 +237,7 @@ def _exists_shelling_with_prefix(
             return True
         stage = [c for c in sorted(pool) if prefix >> c & 1] if len(chosen) < prefix_size else sorted(pool)
         for c in stage:
-            if _step_failure(complex_poset, dims, c, union, len(chosen), depth) is None:
+            if _step_failure(complex_poset, dims, c, union, len(chosen)) is None:
                 chosen.append(c)
                 pool.discard(c)
                 if search(chosen, union | _boundary(complex_poset, c), pool):

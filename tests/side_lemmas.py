@@ -7,7 +7,10 @@ all convex tope sets, the dual of a matching, and an acyclicity test of
 a matching by Kahn's sort, the oracle for `Matching.cycle`.  The
 covector order by pairs and the join by a scan over the flats are the
 definitions that the column-built order and the join table are checked
-against.  No command needs them, so they live with the tests."""
+against; convexity by betweenness is the oracle for the convex hull, and
+the free rank of a graph by union-find the oracle for the graph ranks of
+the quasi-fibration certificate.  No command needs them, so they live
+with the tests."""
 
 from typing import Iterable, Optional, Sequence
 
@@ -16,7 +19,7 @@ from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
-from omkit.signs import restrict_masks, sign_text
+from omkit.signs import restrict_masks, separator_masks, sign_text
 from omkit.topes import halfspace
 from poset_builders import PosetMap
 
@@ -237,6 +240,23 @@ def all_convex_tope_sets(system: CovectorSystem) -> list[int]:
     return sorted(out, key=lambda s: (s.bit_count(), bits(s)))
 
 
+def is_convex_betweenness(system: CovectorSystem, q: int) -> bool:
+    """T, R in Q and dist(T,W) + dist(W,R) = dist(T,R) forces W in Q.
+
+    For topes S(T,R) is the symmetric difference of S(T,W) and S(W,R), so
+    W lies between T and R exactly when S(T,W) is a subset of S(T,R)."""
+    vectors = system.vectors()
+    outside = [vectors[w] for w in bits(system.topes() & ~q)]
+    for t in bits(q):
+        pt, mt = vectors[t]
+        to_outside = [separator_masks(pt, mt, p, m) for p, m in outside]
+        for r in bits(q):
+            s = separator_masks(pt, mt, *vectors[r])
+            if any(not (sw & ~s) for sw in to_outside):
+                return False
+    return True
+
+
 def dual_matching(matching: Matching) -> Matching:
     """The same pairs on the dual poset."""
     return Matching(matching.host.dual(), frozenset((b, a) for a, b in matching.pairs))
@@ -271,3 +291,35 @@ def kahn_acyclic(matching: Matching) -> bool:
             if indegree[y] == 0:
                 ready.append(y)
     return done == len(succ)
+
+
+# -- graphs --------------------------------------------------------------------
+
+
+def graph_free_rank(graph: FinitePoset) -> int:
+    """Free rank (first Betti number) of a connected 1-dimensional complex,
+    by union-find over its edges."""
+    heights = graph.heights()
+    if any(h > 1 for h in heights.values()):
+        raise ValueError("complex has cells of dimension above one")
+    vertices = [x for x, h in heights.items() if h == 0]
+    edges = [x for x, h in heights.items() if h == 1]
+    parent = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in edges:
+        ends = bits(graph.below(e) ^ 1 << e)
+        if len(ends) != 2:
+            raise ValueError(f"edge {graph.names[e]!r} has {len(ends)} endpoints")
+        a, b = (find(v) for v in ends)
+        if a != b:
+            parent[a] = b
+    components = len({find(v) for v in vertices})
+    if components != 1:
+        raise ValueError(f"graph has {components} components")
+    return len(edges) - len(vertices) + 1

@@ -13,7 +13,6 @@ import pytest
 from conftest import sign_vectors
 from omkit.corpus import corpus
 from omkit.homology import (
-    graph_free_rank,
     homology,
     quasi_fibration_certify,
     salvetti_betti_match_whitney,
@@ -43,6 +42,8 @@ from side_lemmas import (
     all_convex_tope_sets,
     brylawski_iso,
     dual_matching,
+    graph_free_rank,
+    is_convex_betweenness,
     kahn_acyclic,
     localization_section,
     section_iota,
@@ -185,7 +186,7 @@ def test_criterion_6_shellings(all_corpus):
             base = rng.choice(topes)
             tp = tope_poset(system, base)
             order = _random_linear_extension(tp, rng)
-            ok = ok and verify_shelling(poset, order, depth=3).ok
+            ok = ok and verify_shelling(poset, order).ok
         # shellable-ball certificates for the convex pairs
         convex_sets = all_convex_tope_sets(system)
         if len(topes) > 24:
@@ -199,7 +200,7 @@ def test_criterion_6_shellings(all_corpus):
 
 def _ball_certificates_ok(system, q, poset) -> bool:
     # both convexity criteria accept every enumerated set
-    if not is_convex(system, q):
+    if not (is_convex(system, q) and is_convex_betweenness(system, q)):
         return False
     ext = shelling_order_from_extension(system, bits(q)[0], q)
     q_order = [t for t in ext if q >> t & 1]
@@ -210,7 +211,7 @@ def _ball_certificates_ok(system, q, poset) -> bool:
         if not cells:
             continue
         sub = poset.subposet(subcomplex_LQ(system, mask_of(cells)) & ~zero)
-        ok = ok and verify_shelling(sub, cells, depth=3).ok
+        ok = ok and verify_shelling(sub, cells).ok
         vertex = min(x for x in bits(sub.minimal_elements()) if sub.leq(x, cells[0]))
         m = matching_from_shelling(sub, cells, vertex)
         ok = ok and m.critical_cells() == 1 << vertex

@@ -195,6 +195,16 @@ def test_shelling_command(capsys):
     assert "shelling.verified: PASS" in out
 
 
+def test_shelling_has_no_depth_option(capsys):
+    # the shelling conditions are always checked down to dimension 0, so a
+    # depth is a usage error, not a shallower check
+    for depth in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["shelling", "--base", "+++", "--depth", depth])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --depth {depth}" in capsys.readouterr().err
+
+
 def test_salvetti_command(capsys):
     code, out = run(capsys, ["salvetti"], stdin=om_text("sec3-arrangement"))
     assert code == 0
@@ -371,10 +381,11 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
 
     import omkit.cli
     from omkit.homology import quasi_fibration_certify
+    from omkit.morse import MorseCertificate
 
     def broken(*args, **kwargs):
         cert = quasi_fibration_certify(*args, **kwargs)
-        bad = replace(cert.pairs[1], homology_agrees=False)
+        bad = replace(cert.pairs[1], lower_matching=MorseCertificate(None, "extra ['x'], missing []"))
         return replace(cert, expected_rank=3, pairs=(cert.pairs[0], bad, *cert.pairs[2:]))
 
     monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
@@ -386,7 +397,8 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     assert cert.failed_fibers == cert.fibers
     names = cert.loc.target.poset.names
     pair, fiber = cert.failed_pairs[0], cert.failed_fibers[0]
-    assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: homology\n" in out
+    claim = "lower matching: extra ['x'], missing []"
+    assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: {claim}\n" in out
     assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
     # the minimal fibers have rank 2, not the expected_rank 3 patched in
     assert cert.failed_graph_ranks == cert.graph_ranks
@@ -454,8 +466,8 @@ def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeyp
 
 
 def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
-    # a failed inclusion, a cyclic lower matching and a matching whose
-    # critical cells miss the fiber are each named; the cycle by source cells
+    # a cyclic lower matching and a matching whose critical cells miss the
+    # fiber are each named; the cycle by source cells
     from dataclasses import replace
 
     import omkit.cli
@@ -466,7 +478,6 @@ def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
         cert = quasi_fibration_certify(*args, **kwargs)
         bad = replace(
             cert.pairs[0],
-            inclusion_ok=False,
             lower_matching=MorseCertificate((0, 1, 0), None),
             upper_matching=MorseCertificate(None, "extra ['x'], missing []"),
         )
@@ -478,7 +489,7 @@ def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
     cert = broken(corpus("sec3-arrangement"), 0b111, 24)
     pair = cert.failed_pairs[0]
     names, cells = cert.loc.target.poset.names, cert.loc.source.poset.names
-    claims = f"inclusion; lower matching: cycle {[cells[0], cells[1], cells[0]]}; upper matching: extra ['x'], missing []"
+    claims = f"lower matching: cycle {[cells[0], cells[1], cells[0]]}; upper matching: extra ['x'], missing []"
     assert f"\npairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: {claims}\n" in out
 
 
@@ -528,19 +539,31 @@ def test_morse_convex_fails_a_cyclic_matching(capsys, monkeypatch):
 
 
 def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
-    # graph_free_rank refusing a minimal fiber fails its clause, exit 1
+    # a minimal fiber whose homology says two components fails its graph
+    # rank clause, exit 1
     import importlib
 
+    from omkit.homology import HomologyResult, quasi_fibration_certify
+    from omkit.posets import bits
+
+    # the package re-exports homology(), which hides the module attribute
     module = importlib.import_module("omkit.homology")
+    real = module.homology
 
-    def refuse(graph):
-        raise ValueError("graph has 2 components")
+    def patched(poset):
+        res = real(poset)
+        if poset.height() > 1:
+            return res
+        return HomologyResult((2,) + res.betti[1:], res.torsion)
 
-    monkeypatch.setattr(module, "graph_free_rank", refuse)
+    monkeypatch.setattr(module, "homology", patched)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
-    assert "\nfibers.graph_rank: FAIL witness=(" in out
-    assert out.endswith("): graph has 2 components\nverdict: FAIL\n")
+    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)
+    minimal = cert.loc.target.poset.minimal_elements()
+    assert cert.failed_graph_ranks == tuple((m, "graph has 2 components") for m in bits(minimal))
+    name = cert.loc.target.poset.names[cert.failed_graph_ranks[0][0]]
+    assert out.endswith(f"\nfibers.graph_rank: FAIL witness={name}: graph has 2 components\nverdict: FAIL\n")
 
 
 def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):

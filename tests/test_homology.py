@@ -7,7 +7,6 @@ from omkit.homology import (
     NotRegularError,
     betti_numbers,
     chain_complex,
-    graph_free_rank,
     homology,
     quasi_fibration_certify,
     rank_and_torsion,
@@ -18,6 +17,7 @@ from omkit.posets import FinitePoset, bits
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from poset_builders import antichain, from_covers
+from side_lemmas import graph_free_rank
 from simplicial_oracle import RP2_FACETS, complex_of_facets, order_complex_homology, simplicial_homology
 
 
@@ -307,6 +307,39 @@ def test_quasi_fibration_braid(braid3):
     cert = quasi_fibration_certify(braid3, braid3.label_mask({"12", "13", "23"}), sample=10)
     assert cert.ok
     assert cert.expected_rank == 3
+
+
+def union_find_graph_ranks(cert):
+    """Each minimal cell of the certificate and its fiber's free rank, by
+    the union-find oracle."""
+    minimal = cert.loc.target.poset.minimal_elements()
+    return tuple((m, graph_free_rank(cert.loc.fiber(m))) for m in bits(minimal))
+
+
+def test_certificate_graph_ranks_are_the_union_find_ranks(five_planes, braid3):
+    for system, labels in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
+        for sample in (None, 6):
+            cert = quasi_fibration_certify(system, system.label_mask(labels), sample)
+            assert cert.graph_ranks == union_find_graph_ranks(cert)
+            assert {rank for _cell, rank in cert.graph_ranks} == {cert.expected_rank}
+            assert cert.ok
+
+
+def test_sampled_certificate_reduces_every_minimal_fiber(non_pappus):
+    # np14: the supersolvable extension of non-pappus, at its modular
+    # coatom; one sampled pair, and still all 16 minimal fibers
+    from omkit.extensions import supersolvable_extension
+
+    result = supersolvable_extension(non_pappus)
+    cert = quasi_fibration_certify(result.final, result.chain[-2], sample=1)
+    poset = cert.loc.target.poset
+    (pair,) = cert.pairs
+    minimal = poset.minimal_elements()
+    assert minimal.bit_count() == 16
+    assert [f.cell for f in cert.fibers] == bits(minimal | 1 << pair.lower | 1 << pair.upper)
+    assert cert.graph_ranks == union_find_graph_ranks(cert)
+    assert all(rank == cert.expected_rank == 6 for _cell, rank in cert.graph_ranks)
+    assert cert.ok
 
 
 def test_morse_reduction_preserves_homology(five_planes):

@@ -124,9 +124,9 @@ def test_rank3_criterion_specific_cases(five_planes):
 def test_supersolvable_five_planes(five_planes):
     lat = build_lattice(five_planes)
     chain = lat.is_supersolvable()
-    ids = [flat_id(f, five_planes.ground) for f in chain.flats]
+    ids = [flat_id(f, five_planes.ground) for f in chain]
     assert ids == ["{}", "H1", "H1,H2,H3", "H1,H2,H3,H4,H5"]
-    sizes = [(b & ~a).bit_count() for a, b in zip(chain.flats, chain.flats[1:])]
+    sizes = [(b & ~a).bit_count() for a, b in zip(chain, chain[1:])]
     assert all(s >= 1 for s in sizes)
     assert sum(sizes) == len(five_planes.ground)
 

@@ -17,7 +17,7 @@ from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex, sphere_poset
 from poset_builders import chain_poset, from_covers
-from side_lemmas import all_convex_tope_sets, dual_matching, kahn_acyclic, matched_digraph
+from side_lemmas import all_convex_tope_sets, dual_matching, graph_free_rank, kahn_acyclic, matched_digraph
 
 
 def square_boundary():
@@ -335,8 +335,6 @@ def test_fiber_matching_maximal_cell_is_empty(five_planes):
 
 
 def test_fiber_matching_minimal_cell_graph(five_planes):
-    from omkit.homology import graph_free_rank
-
     x = five_planes.label_mask({"H1", "H2", "H3"})
     loc = salvetti_localization(five_planes, x)
     bottom = bits(loc.target.poset.minimal_elements())[0]

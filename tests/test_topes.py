@@ -20,7 +20,7 @@ from omkit.topes import (
     verify_shelling,
 )
 from poset_builders import antichain, from_covers
-from side_lemmas import all_convex_tope_sets
+from side_lemmas import all_convex_tope_sets, is_convex_betweenness
 from sign_vector import SignVector
 
 
@@ -121,13 +121,27 @@ def test_all_localization_fibers_convex_and_match_dual_subcomplex(five_planes):
             assert dual_subcomplex(five_planes, q) == fiber
 
 
-def test_convexity_both_ways_on_random_subsets(five_planes):
+def test_convexity_both_ways_on_every_subset(rank1, boolean3, uniform23):
+    # the hull criterion against betweenness, on every set of topes
+    for system in (rank1, boolean3, uniform23):
+        topes = bits(all_topes(system))
+        for r in range(len(topes) + 1):
+            for combo in itertools.combinations(topes, r):
+                q = mask_of(combo)
+                assert is_convex(system, q) == is_convex_betweenness(system, q), bits(q)
+
+
+def test_convexity_both_ways_on_random_subsets(braid3, five_planes, non_pappus):
     rng = random.Random(7)
-    topes = bits(all_topes(five_planes))
-    for _ in range(120):
-        size = rng.randint(1, 6)
-        q = mask_of(rng.sample(topes, size))
-        is_convex(five_planes, q)  # raises if the two criteria disagree
+    for system in (braid3, five_planes, non_pappus):
+        topes = bits(all_topes(system))
+        for _ in range(120):
+            q = mask_of(rng.sample(topes, rng.randint(1, 6)))
+            assert is_convex(system, q) == is_convex_betweenness(system, q), bits(q)
+        # and hulls of random pairs, so that convex sets are met as well
+        for _ in range(20):
+            q = convex_hull(system, mask_of(rng.sample(topes, 2)))
+            assert is_convex(system, q) and is_convex_betweenness(system, q)
 
 
 def test_convex_sets_enumeration_matches_definition(uniform23):
@@ -204,21 +218,21 @@ def test_rank1_shelling(rank1):
     base = rank1.covector_poset().names.index("+")
     order = shelling_order_from_extension(rank1, base)
     poset = sphere_poset(rank1)
-    assert verify_shelling(poset, order, depth=1).ok
+    assert verify_shelling(poset, order).ok
 
 
 def test_uniform23_shellings_all_extensions(uniform23):
     poset = sphere_poset(uniform23)
     for base in bits(all_topes(uniform23)):
         order = shelling_order_from_extension(uniform23, base)
-        assert verify_shelling(poset, order, depth=2).ok
+        assert verify_shelling(poset, order).ok
 
 
 def test_five_planes_shelling_full_depth(five_planes):
     poset = sphere_poset(five_planes)
     for base in bits(all_topes(five_planes))[:4]:
         order = shelling_order_from_extension(five_planes, base)
-        assert verify_shelling(poset, order, depth=3).ok
+        assert verify_shelling(poset, order).ok
 
 
 def square_complex():
@@ -241,9 +255,9 @@ def shelling(poset, *cells):
 def test_square_shelling_orders():
     sq = square_complex()
     good = shelling(sq, "e12", "e23", "e34", "e41")
-    assert verify_shelling(sq, good, depth=1).ok
+    assert verify_shelling(sq, good).ok
     bad = shelling(sq, "e12", "e34", "e23", "e41")
-    report = verify_shelling(sq, bad, depth=1)
+    report = verify_shelling(sq, bad)
     assert not report.ok
     assert "position 2" in report.witness
     assert "empty" in report.witness
@@ -270,19 +284,19 @@ def test_condition_two_failure_detected():
         ("e12", "h"), ("a23", "h"), ("e34", "h"), ("a41", "h"),
     ]
     annulus = from_covers(elements, covers)
-    shallow = verify_shelling(annulus, shelling(annulus, "h", "f"), depth=0)
-    assert shallow.ok  # condition (i) alone cannot see the problem
-    deep = verify_shelling(annulus, shelling(annulus, "h", "f"), depth=2)
-    assert not deep.ok
-    assert "condition (ii)" in deep.witness
+    report = verify_shelling(annulus, shelling(annulus, "h", "f"))
+    assert not report.ok
+    assert report.witness == (
+        "condition (ii) fails at position 2: no shelling of the boundary starts with the shared facets"
+    )
 
 
 def test_zero_dimensional_complex_shelling(rank1):
     points = antichain(("p", "q"))
-    assert verify_shelling(points, shelling(points, "p", "q"), depth=5).ok
+    assert verify_shelling(points, shelling(points, "p", "q")).ok
     # the empty complex has the empty shelling; a nonempty one does not
-    assert verify_shelling(FinitePoset([], {}), [], 3) == ShellingReport(True)
-    assert not verify_shelling(points, (), depth=5).ok
+    assert verify_shelling(FinitePoset([], {}), []) == ShellingReport(True)
+    assert not verify_shelling(points, ()).ok
 
 
 def test_shelling_detects_non_ideal_swap(five_planes):
@@ -290,8 +304,9 @@ def test_shelling_detects_non_ideal_swap(five_planes):
     order = list(shelling_order_from_extension(five_planes, base))
     # move the last tope (the opposite of the base) to the front: breaks (i)
     broken = [order[-1]] + order[:-1]
-    report = verify_shelling(sphere_poset(five_planes), broken, depth=0)
+    report = verify_shelling(sphere_poset(five_planes), broken)
     assert not report.ok
+    assert report.witness.startswith("condition (i) fails at position ")
 
 
 def test_tope_poset_graded_with_single_flip_covers(all_corpus):
