@@ -27,7 +27,7 @@ from pathlib import Path
 from .corpus import CORPUS_NAMES, corpus
 from .homology import (
     PairEvidence,
-    betti_numbers,
+    fiber_evidence,
     homology,
     quasi_fibration_certify,
     salvetti_betti_match_whitney,
@@ -45,11 +45,10 @@ from .omfile import (
     Report,
     format_system,
     format_topes,
-    parse_facet_text,
     parse_matrix_text,
     parse_om_text,
 )
-from .posets import FinitePoset, mask_of
+from .posets import bits, mask_of
 from .salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from .topes import (
     dual_subcomplex,
@@ -213,12 +212,15 @@ def cmd_salvetti(args) -> int:
     report = Report("salvetti")
     report.note("cells", len(s))
     report.note("height", s.poset.height())
+    heights, rank = s.poset.heights(), system.rank()
     by_dim: dict[int, int] = {}
-    for d in s.poset.heights().values():
+    for d in heights.values():
         by_dim[d] = by_dim.get(d, 0) + 1
     report.note("cells_by_dim", " ".join(f"{d}:{n}" for d, n in sorted(by_dim.items())))
-    report.add("pure", s.poset.height() == system.rank(),
-               f"height {s.poset.height()} != rank {system.rank()}")
+    # every maximal cell, not only the highest, has the dimension of the rank
+    low = [c for c in bits(s.poset.maximal_elements()) if heights[c] != rank]
+    witness = low and f"maximal cell {s.poset.names[low[0]]} has height {heights[low[0]]} != rank {rank}"
+    report.add("pure", not low, witness or None)
     return _finish(report)
 
 
@@ -233,14 +235,16 @@ def cmd_fiber(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
-    cell = _cell(loc.target, args.cell)
-    fib = loc.fiber(cell)
+    ev = fiber_evidence(loc, _cell(loc.target, args.cell))
+    names = loc.target.poset.names
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))
-    report.note("cell", loc.target.poset.names[cell])
-    report.note("size", len(fib))
-    report.note("betti", " ".join(map(str, betti_numbers(fib))))
-    report.add("nonempty", len(fib) > 0, "empty fiber")
+    report.note("cell", names[ev.cell])
+    report.note("size", loc.fibers[ev.cell].bit_count())
+    report.note("betti", " ".join(map(str, ev.betti)))
+    # the paper's claim: a wedge of one circle per element outside the flat
+    d = len(system.ground) - x.bit_count()
+    report.add("fibers.homology", ev.is_wedge(d), f"{names[ev.cell]}: {ev.betti}")
     return _finish(report)
 
 
@@ -257,16 +261,6 @@ def cmd_stratify(args) -> int:
     for i, s in enumerate(strat.separators):
         report.note(f"separator.{i}", flat_id(s, system.ground))
     report.note("strata_sizes", " ".join(str(s.bit_count()) for s in strat.strata))
-    report.add(
-        "separators.singletons",
-        all(s.bit_count() == 1 for s in strat.separators),
-        "non-singleton separator",
-    )
-    report.add(
-        "strata.cover",
-        sum(s.bit_count() for s in strat.strata) == len(strat.fiber),
-        "strata do not partition the fiber",
-    )
     return _finish(report)
 
 
@@ -293,9 +287,7 @@ def cmd_morse(args) -> int:
         q = mask_of(_covector(system, t) for t in args.topes.split(","))
         matching = matching_convex_critical(system, q)
         cert = morse_reduction_certificate(matching, dual_subcomplex(system, q))
-        # shown only when it fails: the dual subcomplex of a convex set is an ideal
-        critical = matching.critical_cells().bit_count()
-        clause = "critical.is_subcomplex" if cert.critical else None
+        critical, clause = matching.critical_cells().bit_count(), "critical.is_subcomplex"
     else:
         _require(args, ["flat", "cell", "tope"])
         x = parse_flat(args.flat, system)
@@ -309,41 +301,24 @@ def cmd_morse(args) -> int:
     report.note("pairs", len(matching.pairs))
     report.note("critical", critical)
     report.add("matching.acyclic", cert.cycle is None, cert.cycle and str([names[x] for x in cert.cycle]))
-    if clause:
-        report.add(clause, cert.critical is None, cert.critical)
+    report.add(clause, cert.critical is None, cert.critical)
     sys.stdout.write(matching.serialize() + "\n")
     return _finish(report)
 
 
 def cmd_homology(args) -> int:
-    check = None
+    check = salvetti_betti_match_whitney(_read_system(args))
     report = Report("homology")
-    if args.target == "salvetti":
-        check = salvetti_betti_match_whitney(_read_system(args))
-        res = check.homology
-    elif args.target == "fiber":
-        system = _read_system(args)
-        _require(args, ["flat", "cell"])
-        x = parse_flat(args.flat, system)
-        loc = salvetti_localization(system, x)
-        res = homology(loc.fiber(_cell(loc.target, args.cell)))
-    else:
-        _require(args, ["complex_file"])
-        facets = parse_facet_text(Path(args.complex_file).read_text())
-        res = homology(FinitePoset.from_facets(facets))
-    report.note("betti", " ".join(map(str, res.betti)))
+    report.note("betti", " ".join(map(str, check.homology.betti)))
     report.note(
         "torsion",
-        "; ".join(",".join(map(str, t)) or "-" for t in res.torsion),
+        "; ".join(",".join(map(str, t)) or "-" for t in check.homology.torsion),
     )
-    if check is not None:
-        report.add(
-            "betti.match_whitney",
-            check.ok,
-            f"betti {check.betti} vs whitney {check.whitney}",
-        )
-    else:
-        report.add("computed", True)
+    report.add(
+        "betti.match_whitney",
+        check.ok,
+        f"betti {check.betti} vs whitney {check.whitney}",
+    )
     return _finish(report)
 
 
@@ -506,13 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell", help="cell id of the localization (fiber)")
     p.add_argument("--tope", help="base tope of the localization (fiber)")
 
-    p = com("homology", help="integral homology")
-    p.add_argument(
-        "--target", default="salvetti", choices=("salvetti", "fiber", "complex-file")
-    )
-    p.add_argument("--flat")
-    p.add_argument("--cell")
-    p.add_argument("--complex-file", dest="complex_file")
+    com("homology", help="Salvetti homology against the Whitney numbers")
 
     p = com("certify-qf", help="quasi-fibration certificate")
     p.add_argument("--flat", required=True)

@@ -1,8 +1,7 @@
 """Integral homology of face posets, plus the derived checks.
 
 A `FinitePoset` is read as the face poset of a regular CW complex (Salvetti
-posets, their localization fibers, covector spheres and balls, and the
-face posets of simplicial complexes from `FinitePoset.from_facets`): the
+posets, their localization fibers, covector spheres and balls): the
 cells of dimension d are the elements of height d, and the incidence signs
 of the cellular boundary are read off the poset.  Building them certifies
 regularity: every cover climbs one height, every edge has two vertices,
@@ -313,14 +312,6 @@ def homology(poset: FinitePoset) -> HomologyResult:
     return HomologyResult(tuple(betti), tuple(tors))
 
 
-def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
-    res = homology(poset)
-    betti = list(res.betti)
-    while len(betti) > 1 and betti[-1] == 0:
-        betti.pop()
-    return tuple(betti)
-
-
 # -- spec-level checks ----------------------------------------------------------
 
 
@@ -375,6 +366,21 @@ class FiberEvidence:
             return f"graph has {self.betti[0]} components"
         return self.betti[1]
 
+    def is_wedge(self, d: int) -> bool:
+        """The fiber has the homology of a wedge of d circles."""
+        return self.betti == (1, d) and self.torsion_free
+
+
+def fiber_evidence(loc: SalvettiLocalization, cell: int) -> FiberEvidence:
+    """The homology of the fiber over a cell of `loc.target`."""
+    fib = loc.fiber(cell)
+    res = homology(fib)
+    betti = list(res.betti)
+    while len(betti) > 2 and betti[-1] == 0:
+        betti.pop()
+    betti += [0] * (2 - len(betti))
+    return FiberEvidence(cell, fib.height(), tuple(betti), res.is_torsion_free())
+
 
 @dataclass(frozen=True)
 class PairEvidence:
@@ -416,8 +422,7 @@ class QuasiFibrationCertificate:
     def failed_fibers(self) -> tuple[FiberEvidence, ...]:
         """The fibers without the homology of a wedge of `expected_rank`
         circles."""
-        want = (1, self.expected_rank)
-        return tuple(f for f in self.fibers if f.betti != want or not f.torsion_free)
+        return tuple(f for f in self.fibers if not f.is_wedge(self.expected_rank))
 
     @property
     def failed_graph_ranks(self) -> tuple[tuple[int, Union[int, str]], ...]:
@@ -467,15 +472,8 @@ def quasi_fibration_certify(
         rng = random.Random(0)
         pairs_all = rng.sample(pairs_all, min(sample, len(pairs_all)))
 
-    fibers = []
-    for c in bits(mask_of(c for pair in pairs_all for c in pair) | poset.minimal_elements()):
-        fib = loc.fiber(c)
-        res = homology(fib)
-        betti = list(res.betti)
-        while len(betti) > 2 and betti[-1] == 0:
-            betti.pop()
-        betti += [0] * (2 - len(betti))
-        fibers.append(FiberEvidence(c, fib.height(), tuple(betti), res.is_torsion_free()))
+    needed = mask_of(c for pair in pairs_all for c in pair) | poset.minimal_elements()
+    fibers = tuple(fiber_evidence(loc, c) for c in bits(needed))
 
     # each pair's ambient is the least maximal cell above its upper cell,
     # with one stratification per ambient, shared by every matching into it
@@ -500,4 +498,4 @@ def quasi_fibration_certify(
         )
         for a, b in sorted(pairs_all)
     )
-    return QuasiFibrationCertificate(loc, sample, expected, tuple(fibers), pairs)
+    return QuasiFibrationCertificate(loc, sample, expected, fibers, pairs)

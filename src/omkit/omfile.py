@@ -1,4 +1,4 @@
-"""Text formats: covector files, arrangement matrices, facet lists, reports.
+"""Text formats: covector files, arrangement matrices, reports.
 
 Everything is line-oriented and byte-deterministic so outputs can be
 diffed and frozen as golden files.  A covector file has a ground line
@@ -134,20 +134,6 @@ def parse_matrix_text(text: str) -> list[tuple[Fraction, ...]]:
     if not rows:
         raise OMFileError("empty matrix file")
     return rows
-
-
-def parse_facet_text(text: str) -> list[list[str]]:
-    """One facet per line, its vertex labels separated by commas."""
-    facets = []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        labels = [lab.strip() for lab in line.split(",")]
-        if "" in labels:
-            raise OMFileError(f"line {number}: empty vertex label in {line!r}")
-        facets.append(labels)
-    return facets
 
 
 # -- reports -------------------------------------------------------------------

