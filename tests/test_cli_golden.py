@@ -56,7 +56,6 @@ def commands() -> list[tuple[str, list[str]]]:
         out += [(name, ["stratify", "--flat", flat, f"--tope={t}"]) for t in loc_topes]
         for cell in cells:
             out.append((name, ["fiber", "--flat", flat, "--cell", cell]))
-            out.append((name, ["homology", "--target", "fiber", "--flat", flat, "--cell", cell]))
         bp = loc_topes[0]
         out.append(
             (name, ["morse", "--construction", "fiber", "--flat", flat,
