@@ -314,10 +314,15 @@ def cmd_homology(args) -> int:
         "torsion",
         "; ".join(",".join(map(str, t)) or "-" for t in check.homology.torsion),
     )
+    torsion = "".join(
+        f"; torsion in dimension {k}: {','.join(map(str, t))}"
+        for k, t in enumerate(check.homology.torsion)
+        if t
+    )
     report.add(
         "betti.match_whitney",
         check.ok,
-        f"betti {check.betti} vs whitney {check.whitney}",
+        f"betti {check.betti} vs whitney {check.whitney}{torsion}",
     )
     return _finish(report)
 

@@ -10,12 +10,25 @@ the signs propagated across those faces agree (`NotRegularError` names
 the cell otherwise).  The boundary maps are checked to square to zero,
 then reduced by exact integer elimination: unit pivots first (which keeps
 everything integral and sparse), then a textbook Smith reduction of
-whatever small core remains, so torsion is exact.  The simplicial chain
-complex of the order complex is the tests' independent oracle.
+whatever small core remains, so torsion is exact.
+
+The maps are reduced from the top dimension down, with clearing (Chen and
+Kerber, "Persistent homology computation with a twist", 2011; Bauer,
+Kerber and Reininghaus, "Clear and compress", 2014): the k-cells that are
+rows of unit pivots of the boundary C_{k+1} -> C_k are left out of the
+boundary C_k -> C_{k-1}.  This is exact over Z, torsion included.  The
+reduced pivot columns are integer combinations of boundaries, so they lie
+in ker d_k; on their pivot rows they form a triangular matrix with +-1 on
+the diagonal, so with the other k-cells they are a basis of C_k.  Hence
+d_k(C_k) is spanned by the images of the other cells, and the rank and
+invariant factors of d_k do not change.  Pivots of the Smith core clear
+nothing.  The simplicial chain complex of the order complex is the tests'
+independent oracle.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -38,14 +51,13 @@ if TYPE_CHECKING:
 
 def _unit_pivot_reduce(
     cols: dict[int, dict[int, int]]
-) -> tuple[int, dict[int, dict[int, int]]]:
-    """Eliminate +-1 pivots; returns (pivot count, remaining core)."""
+) -> tuple[list[int], dict[int, dict[int, int]]]:
+    """Eliminate +-1 pivots; returns (the pivot rows in pivot order, the
+    remaining core)."""
     rows: dict[int, set[int]] = {}
     for c, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(c)
-    import heapq
-
     heap = [
         (len(col) * len(rows[r]), c, r)
         for c, col in cols.items()
@@ -53,14 +65,14 @@ def _unit_pivot_reduce(
         if v in (1, -1)
     ]
     heapq.heapify(heap)
-    rank = 0
+    pivots: list[int] = []
     while heap:
         _, c, r = heapq.heappop(heap)
         col = cols.get(c)
         if col is None or r not in col or col[r] not in (1, -1):
             continue
         piv = col[r]
-        rank += 1
+        pivots.append(r)
         pivot_col = dict(col)
         # clear the pivot column from the row index
         for rr in pivot_col:
@@ -88,7 +100,7 @@ def _unit_pivot_reduce(
                             heap, (len(other) * len(rows.get(rr, ())), cc, rr)
                         )
         rows.pop(r, None)
-    return rank, cols
+    return pivots, cols
 
 
 def _dense_smith(core: list[list[int]]) -> list[int]:
@@ -147,12 +159,18 @@ def _dense_smith(core: list[list[int]]) -> list[int]:
 
 
 def rank_and_torsion(
-    cols: dict[int, dict[int, int]]
+    cols: dict[int, dict[int, int]], pivot_rows: Optional[set[int]] = None
 ) -> tuple[int, tuple[int, ...]]:
-    """Rank and the invariant factors > 1 of an integer matrix."""
-    unit_rank, core = _unit_pivot_reduce(
+    """Rank and the invariant factors > 1 of an integer matrix.
+
+    The rows of the unit pivots are added to `pivot_rows` when it is
+    given; the pivots of the dense Smith core are not."""
+    pivots, core = _unit_pivot_reduce(
         {c: dict(col) for c, col in cols.items() if col}
     )
+    unit_rank = len(pivots)
+    if pivot_rows is not None:
+        pivot_rows.update(pivots)
     if not core:
         return unit_rank, ()
     row_ids = sorted({r for col in core.values() for r in col})
@@ -192,8 +210,11 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     """
     heights = poset.heights()
     names = poset.names
+    level = [0] * (max(heights.values(), default=0) + 1)
+    for c, h in heights.items():
+        level[h] |= 1 << c
     facets = {
-        c: [f for f in bits(poset.below(c)) if heights[f] == heights[c] - 1]
+        c: bits(poset.below(c) & level[heights[c] - 1]) if heights[c] else []
         for c in poset.elements
     }
     signs: dict[int, dict[int, int]] = {}
@@ -302,8 +323,13 @@ def homology(poset: FinitePoset) -> HomologyResult:
     sizes = [len(b) for b in rec.bases]
     ranks = [0] * (dim + 2)
     torsions: list[tuple[int, ...]] = [()] * (dim + 2)
-    for k in range(1, dim + 1):
-        ranks[k], torsions[k] = rank_and_torsion(rec.boundaries[k])
+    # clearing: from the top down, the k-cells that are unit pivot rows of
+    # the boundary above are not reduced again (see the module docstring)
+    cleared: set[int] = set()
+    for k in range(dim, 0, -1):
+        cols = {j: col for j, col in rec.boundaries[k].items() if j not in cleared}
+        cleared = set()
+        ranks[k], torsions[k] = rank_and_torsion(cols, cleared)
     betti = []
     tors = []
     for k in range(dim + 1):

@@ -3,7 +3,13 @@
 Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 (sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
-covector poset.  Everything here is by number: a covector or tope is its
+covector poset, from the top height down: F o R = F o (U o R) for F >= U,
+so the ideal below (G, R) is the cell itself and the ideals below the
+cells (U, U o R) for the upper covers U of G.  Each cover is composed once
+per cell, and those compositions are topes exactly when every F o R with
+F above a face of R is one; when one is not, the direct loop over topes,
+faces and covectors is rescanned to name its first failing composition.
+Everything here is by number: a covector or tope is its
 element of `system.covector_poset()`, its value the (plus, minus) pair
 `system.vectors()[i]`, and cell k is the pair `keys[k]` of
 covector numbers (`index` inverts it).  Cells are numbered in the order of
@@ -30,6 +36,25 @@ class StratificationError(ValueError):
     """The fiber stratification hypotheses (modular, corank one) fail."""
 
 
+def _raise_first_bad_composition(system: CovectorSystem) -> None:
+    """Name the first composition f o r that is not a tope, over the
+    topes r, then the faces g of r, then the covectors f >= g."""
+    order = system.covector_poset()
+    vectors = system.vectors()
+    number = system.numbering()
+    topes = system.topes()
+    for r in bits(topes):
+        for g in bits(order.below(r)):
+            for f in bits(order.above(g)):
+                fr = compose_masks(*vectors[f], *vectors[r])
+                t = number.get(fr, -1)
+                if t < 0 or not topes >> t & 1:
+                    bad = sign_text(*fr, len(system.ground))
+                    what = "tope" if fr in number else "covector"
+                    raise ValueError(f"composition {order.names[f]} o {order.names[r]} = {bad} is not a {what}")
+    raise AssertionError("no composition fails")
+
+
 class SalvettiPoset:
     """Face poset of the Salvetti complex of a covector system."""
 
@@ -43,21 +68,23 @@ class SalvettiPoset:
         topes = system.topes()
         keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
         index = {key: k for k, key in enumerate(keys)}
-        below = {}
-        for r in bits(topes):
+        heights = order.heights()
+        upper: list[list[int]] = [[] for _ in names]
+        for f, g in order.covers():
+            upper[f].append(g)
+        # top down: the ideal below (g, r) is the cell and the ideals below
+        # the cells (u, u o r) for the upper covers u of g
+        below: dict[int, int] = {}
+        for k in sorted(range(len(keys)), key=lambda k: -heights[keys[k][0]]):
+            g, r = keys[k]
             pr, mr = vectors[r]
-            for g in bits(order.below(r)):
-                m = 0
-                for f in bits(order.above(g)):
-                    pf, mf = vectors[f]
-                    fr = compose_masks(pf, mf, pr, mr)
-                    t = number.get(fr, -1)
-                    if t < 0 or not topes >> t & 1:
-                        bad = sign_text(*fr, len(system.ground))
-                        what = "tope" if fr in number else "covector"
-                        raise ValueError(f"composition {names[f]} o {names[r]} = {bad} is not a {what}")
-                    m |= 1 << index[f, t]
-                below[index[g, r]] = m
+            m = 1 << k
+            for u in upper[g]:
+                t = number.get(compose_masks(*vectors[u], pr, mr), -1)
+                if t < 0 or not topes >> t & 1:
+                    _raise_first_bad_composition(system)
+                m |= below[index[u, t]]
+            below[k] = m
         poset = FinitePoset([f"({names[c]};{names[t]})" for c, t in keys], below)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "keys", tuple(keys))

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.matroids import RationalArrangement
 from sign_vector import SignVector
 
 
@@ -8,6 +11,17 @@ def sign_vectors(system) -> list[SignVector]:
     """The covectors of a system as reference `SignVector`s, in its
     numbering (so sorted by sign text)."""
     return [SignVector(system.ground, p, m) for p, m in system.vectors()]
+
+
+def braid_arrangement(k):
+    """The forms x_i - x_j, i < j, on R^k: A_{k-1}, which is outside the
+    corpus."""
+    forms = []
+    for i, j in itertools.combinations(range(k), 2):
+        row = [0] * k
+        row[i], row[j] = 1, -1
+        forms.append(row)
+    return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,9 @@ covector order by pairs and the join by a scan over the flats are the
 definitions that the column-built order and the join table are checked
 against; convexity by betweenness is the oracle for the convex hull, and
 the free rank of a graph by union-find the oracle for the graph ranks of
-the quasi-fibration certificate.  No command needs them, so they live
-with the tests."""
+the quasi-fibration certificate.  The Salvetti ideals by one
+composition per pair are the oracle for the constructor's cover
+recursion.  No command needs them, so they live with the tests."""
 
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +20,7 @@ from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
-from omkit.signs import restrict_masks, separator_masks, sign_text
+from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
 from omkit.topes import halfspace
 from poset_builders import PosetMap
 
@@ -153,6 +154,34 @@ def localization_section(loc: SalvettiLocalization, alpha: int) -> PosetMap:
         if loc.cells[assignment[k]] != k:
             raise AssertionError("section identity fails")
     return out
+
+
+def direct_salvetti_below(system: CovectorSystem) -> dict[int, int]:
+    """The below mask of each Salvetti cell, numbered as `SalvettiPoset`
+    numbers them, straight from the ideal {(F, F o R) : F >= G} below
+    (G, R): one composition for each tope R, face G of R and covector
+    F >= G, in that order.  The first composition that is not a tope is
+    refused with the constructor's message."""
+    order = system.covector_poset()
+    vectors = system.vectors()
+    number = system.numbering()
+    topes = system.topes()
+    keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
+    index = {key: k for k, key in enumerate(keys)}
+    below = {}
+    for r in bits(topes):
+        for g in bits(order.below(r)):
+            m = 0
+            for f in bits(order.above(g)):
+                fr = compose_masks(*vectors[f], *vectors[r])
+                t = number.get(fr, -1)
+                if t < 0 or not topes >> t & 1:
+                    bad = sign_text(*fr, len(system.ground))
+                    what = "tope" if fr in number else "covector"
+                    raise ValueError(f"composition {order.names[f]} o {order.names[r]} = {bad} is not a {what}")
+                m |= 1 << index[f, t]
+            below[index[g, r]] = m
+    return below
 
 
 def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:

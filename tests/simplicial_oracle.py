@@ -3,11 +3,13 @@ ordered-vertex orientations, reduced by `rank_and_torsion`.  Production
 homology reads incidence signs off a face poset instead; the two meet on
 order complexes (barycentric subdivisions) and on simplicial complexes
 given by their facets, whose face posets `from_facets` builds.
-`betti_numbers` is production homology with trailing zeros trimmed."""
+`uncleared_homology` reduces every column of the cellular complex, the
+reference for production homology's clearing.  `betti_numbers` is
+production homology with trailing zeros trimmed."""
 
 from itertools import combinations
 
-from omkit.homology import HomologyResult, homology, rank_and_torsion
+from omkit.homology import HomologyResult, chain_complex, homology, rank_and_torsion
 from omkit.posets import FinitePoset, SimplicialComplexRecord
 
 # the minimal triangulation of the real projective plane, on six vertices:
@@ -51,6 +53,26 @@ def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
     return tuple(betti)
 
 
+def homology_of_ranks(sizes, ranks, torsion) -> HomologyResult:
+    """Homology from the basis sizes and, per k, the rank and torsion of
+    the boundary C_k -> C_{k-1} (index 0 and dim + 1 hold zeros)."""
+    dim = len(sizes) - 1
+    betti = tuple(sizes[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    return HomologyResult(betti, tuple(torsion[1:dim + 2]))
+
+
+def uncleared_homology(poset: FinitePoset) -> HomologyResult:
+    """Homology of the cellular chain complex, every column of every
+    boundary reduced."""
+    rec = chain_complex(poset)
+    dim = len(rec.bases) - 1
+    ranks = [0] * (dim + 2)
+    torsion = [()] * (dim + 2)
+    for k in range(1, dim + 1):
+        ranks[k], torsion[k] = rank_and_torsion(rec.boundaries[k])
+    return homology_of_ranks([len(b) for b in rec.bases], ranks, torsion)
+
+
 def complex_of_facets(facets) -> SimplicialComplexRecord:
     """The simplicial complex the facets span, every face listed."""
     faces = {
@@ -79,8 +101,7 @@ def simplicial_homology(complex_record: SimplicialComplexRecord) -> HomologyResu
             for s, j in index[d].items()
         }
         ranks[d], torsion[d] = rank_and_torsion(boundary)
-    betti = tuple(len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
-    return HomologyResult(betti, tuple(torsion[1:dim + 2]))
+    return homology_of_ranks([len(b) for b in bases], ranks, torsion)
 
 
 def order_complex_homology(poset) -> HomologyResult:

@@ -283,6 +283,33 @@ def test_homology_command(capsys):
     assert "betti.match_whitney: PASS" in out
 
 
+def test_homology_witness_names_torsion(capsys, monkeypatch):
+    # equal Betti and Whitney numbers fail on torsion alone, and the
+    # witness says where the torsion is
+    import importlib
+
+    from omkit.homology import HomologyResult
+
+    module = importlib.import_module("omkit.homology")
+    real = module.homology
+
+    def with_z2(poset):
+        res = real(poset)
+        return HomologyResult(res.betti, ((), (2,)) + res.torsion[2:])
+
+    monkeypatch.setattr(module, "homology", with_z2)
+    code, out = run(capsys, ["homology"], stdin=om_text("uniform-2-3"))
+    assert code == 1
+    assert out == (
+        "report: homology\n"
+        "betti: 1 3 2\n"
+        "torsion: -; 2; -\n"
+        "betti.match_whitney: FAIL witness=betti (1, 3, 2) vs whitney (1, 3, 2); "
+        "torsion in dimension 1: 2\n"
+        "verdict: FAIL\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -778,6 +805,20 @@ def test_salvetti_commands_refuse_a_composition_outside_the_system(capsys, monke
         assert captured.err == (
             "error: composition ++0 o --- = ++- is not a covector\n"
         )
+
+
+def test_salvetti_commands_refuse_the_first_composition_of_the_direct_loop(capsys, monkeypatch):
+    # +0-, -0- and 0+- compose with +++ to no covector; the message names
+    # 0+-, the first of them over the faces of +++ in order (see
+    # tests/test_salvetti.py), not the lowest-numbered +0-
+    body = "000 +++ ++0 +-+ +-- +-0 +0+ +0- -++ --+ --- -0+ -0- -00 0++ 0+- 0+0 0-+ 0-- 0-0 00+"
+    text = "ground: a b c\ncovectors:\n" + "\n".join(body.split()) + "\n"
+    for command in ("salvetti", "homology"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: composition 0+- o +++ = ++- is not a covector\n"
 
 
 def subcommands(parser) -> list[str]:

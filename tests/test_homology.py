@@ -24,6 +24,7 @@ from simplicial_oracle import (
     from_facets,
     order_complex_homology,
     simplicial_homology,
+    uncleared_homology,
 )
 
 
@@ -68,7 +69,49 @@ def test_projective_plane_torsion():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=4), max_size=8))
 def test_face_poset_homology_matches_the_simplicial_oracle(facets):
-    assert homology(from_facets(facets)) == simplicial_homology(complex_of_facets(facets))
+    # and clearing changes nothing against reducing every column
+    poset = from_facets(facets)
+    assert homology(poset) == simplicial_homology(complex_of_facets(facets)) == uncleared_homology(poset)
+
+
+def test_clearing_is_exact_on_salvetti_posets_fibers_and_rp2(all_corpus, five_planes):
+    for name, system in all_corpus.items():
+        poset = SalvettiPoset(system).poset
+        assert homology(poset) == uncleared_homology(poset), name
+    loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+    for cell in loc.target.poset.elements:
+        assert homology(loc.fiber(cell)) == uncleared_homology(loc.fiber(cell)), cell
+    rp = from_facets(rp2())
+    assert homology(rp) == uncleared_homology(rp)
+    assert homology(rp).torsion[1] == (2,)
+
+
+def test_homology_reduces_once_per_dimension_after_chain_complex(monkeypatch, all_corpus):
+    # one `rank_and_torsion` call per boundary map, each on the columns
+    # that clearing left; `chain_complex` itself still holds every column
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    real = module.rank_and_torsion
+    columns = []
+
+    def counting(cols, *args):
+        columns.append(len(cols))
+        return real(cols, *args)
+
+    monkeypatch.setattr(module, "rank_and_torsion", counting)
+    for name, system in all_corpus.items():
+        poset = SalvettiPoset(system).poset
+        rec = chain_complex(poset)
+        # every cover is a nonzero incidence
+        assert sum(len(col) for b in rec.boundaries for col in b.values()) == len(poset.covers()), name
+        columns.clear()
+        homology(poset)
+        assert len(columns) == poset.height(), name
+        # the top boundary first and in full, then fewer columns below it
+        assert columns[0] == len(rec.bases[-1]), name
+        if poset.height() > 1:
+            assert sum(columns) < sum(len(b) for b in rec.bases[1:]), name
 
 
 def test_cellular_matches_order_complex_on_corpus(all_corpus):

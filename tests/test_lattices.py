@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import braid_arrangement
 from omkit.cli import parse_flat
 from omkit.lattices import GeometricLattice, _join_table, build_lattice
 from omkit.matroids import (
@@ -240,16 +241,6 @@ def assert_join_is_the_scan(lat):
     for a in lat.flats:
         for b in lat.flats:
             assert lat.join(a, b) == scan_join(lat.flats, a, b), (a, b)
-
-
-def braid_arrangement(k):
-    """The forms x_i - x_j, i < j, on R^k."""
-    forms = []
-    for i, j in itertools.combinations(range(k), 2):
-        row = [0] * k
-        row[i], row[j] = 1, -1
-        forms.append(row)
-    return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
 
 
 def test_join_is_the_scan_on_the_corpus_and_a4(all_corpus):

@@ -1,14 +1,16 @@
 import pytest
 
-from conftest import sign_vectors
+from conftest import braid_arrangement, sign_vectors
+from omkit.extensions import supersolvable_extension
 from omkit.lattices import build_lattice
-from omkit.matroids import CovectorSystem, NotAFlatError
+from omkit.matroids import CovectorSystem, NotAFlatError, from_arrangement
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import PosetError, bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
 from poset_builders import PosetMap, order_pairs
 from side_lemmas import (
+    direct_salvetti_below,
     fiber_rank2_model,
     localization_section,
     localization_square_commutes,
@@ -162,6 +164,45 @@ def test_salvetti_refuses_a_composition_outside_the_system():
     system = CovectorSystem.from_strings("abc", ["000", "+++", "---", "++0"])
     with pytest.raises(ValueError, match=r"composition \+\+0 o --- = \+\+- is not a covector"):
         SalvettiPoset(system)
+
+
+def test_salvetti_ideals_are_the_direct_loop(all_corpus, non_pappus):
+    # np14 is the supersolvable extension of non-pappus; A4 stays outside
+    # the corpus
+    np14 = supersolvable_extension(non_pappus).final
+    a4 = from_arrangement(braid_arrangement(5))
+    for name, system in [*all_corpus.items(), ("np14", np14), ("A4", a4)]:
+        salv = SalvettiPoset(system)
+        direct = direct_salvetti_below(system)
+        assert len(direct) == len(salv), name
+        for k in range(len(salv)):
+            assert salv.poset.below(k) == direct[k], (name, salv.poset.names[k])
+
+
+# boolean3 without ++-, +00, -+-, -+0, --0 and 00-: +0-, -0- and 0+-
+# compose with +++ to no covector.  The direct loop meets 0+- first, above
+# the face 0+0 of +++, and the lower-numbered +0- only above 000, the last
+# face
+FIRST_FAILURE_NOT_LOWEST = (
+    "000 +++ ++0 +-+ +-- +-0 +0+ +0- -++ --+ --- -0+ -0- -00 0++ 0+- 0+0 0-+ 0-- 0-0 00+"
+).split()
+
+
+@pytest.mark.parametrize(
+    "covectors, message",
+    [
+        (["000", "+++", "---", "++0"], "composition ++0 o --- = ++- is not a covector"),
+        (FIRST_FAILURE_NOT_LOWEST, "composition 0+- o +++ = ++- is not a covector"),
+    ],
+    ids=["roadmap-4-probe", "first-failure-not-lowest"],
+)
+def test_salvetti_refuses_the_first_composition_of_the_direct_loop(covectors, message):
+    system = CovectorSystem.from_strings("abc", covectors)
+    with pytest.raises(ValueError) as direct:
+        direct_salvetti_below(system)
+    with pytest.raises(ValueError) as built:
+        SalvettiPoset(system)
+    assert str(built.value) == str(direct.value) == message
 
 
 def test_rank1_salvetti_is_a_circle(rank1):
