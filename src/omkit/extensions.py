@@ -59,8 +59,7 @@ class _SearchSpace:
     """Shared data for the extension search on one system."""
 
     def __init__(self, system: CovectorSystem):
-        if not system.is_simple():
-            raise ExtensionError("extension search needs a simple system")
+        system.require_simple("the extension search")
         self.system = system
         self.lattice = build_lattice(system)
         self.rank = self.lattice.rank()
@@ -411,8 +410,7 @@ def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
     lat = build_lattice(system)
     if lat.rank() != 3:
         raise ExtensionError("supersolvable extension applies to rank three")
-    if not system.is_simple():
-        raise ExtensionError("input must be simple")
+    system.require_simple("the supersolvable extension")
     chain = lat.is_supersolvable()
     if chain is not None:
         return SupersolvableExtension((), system, chain)

@@ -7,10 +7,23 @@ of the cellular boundary are read off the poset.  Building them certifies
 regularity: every cover climbs one height, every edge has two vertices,
 every codimension-2 face of a cell lies in exactly two of its facets, and
 the signs propagated across those faces agree (`NotRegularError` names
-the cell otherwise).  The boundary maps are checked to square to zero,
-then reduced by exact integer elimination: unit pivots first (which keeps
-everything integral and sparse), then a textbook Smith reduction of
-whatever small core remains, so torsion is exact.
+the cell otherwise).
+
+The same construction makes the boundary square to zero, so no second
+pass checks it.  In the boundary of the boundary of a cell c, the face g
+two heights down has the coefficient sum of sign[f] * s(f, g) over the
+facets f of c above g.  There are exactly two, f and f2, and the signs of
+c are set (or checked) so that sign[f2] * s(f2, g) = -sign[f] * s(f, g),
+so every coefficient cancels.  The tests multiply the maps out as an
+oracle.
+
+The boundary maps are reduced by exact integer elimination: unit pivots
+first, in one pass over the columns in their order (a column's pivot is
+its first +-1 entry, whose row is cleared from the other columns through
+a row index), which keeps everything integral and sparse; then a
+textbook Smith reduction of the core of columns that had no unit entry
+at their turn, so torsion is exact.  No core is left on the Salvetti
+posets of the corpus or of the braid arrangements A_4 and A_5.
 
 The maps are reduced from the top dimension down, with clearing (Chen and
 Kerber, "Persistent homology computation with a twist", 2011; Bauer,
@@ -28,7 +41,6 @@ independent oracle.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
@@ -52,54 +64,39 @@ if TYPE_CHECKING:
 def _unit_pivot_reduce(
     cols: dict[int, dict[int, int]]
 ) -> tuple[list[int], dict[int, dict[int, int]]]:
-    """Eliminate +-1 pivots; returns (the pivot rows in pivot order, the
-    remaining core)."""
+    """Eliminate +-1 pivots in one pass over the columns in their order:
+    a column's pivot is its first +-1 entry, and its row is cleared from
+    the other columns.  Returns (the pivot rows in pivot order, the
+    columns without a unit entry at their turn: the core)."""
     rows: dict[int, set[int]] = {}
     for c, col in cols.items():
         for r in col:
             rows.setdefault(r, set()).add(c)
-    heap = [
-        (len(col) * len(rows[r]), c, r)
-        for c, col in cols.items()
-        for r, v in col.items()
-        if v in (1, -1)
-    ]
-    heapq.heapify(heap)
     pivots: list[int] = []
-    while heap:
-        _, c, r = heapq.heappop(heap)
-        col = cols.get(c)
-        if col is None or r not in col or col[r] not in (1, -1):
+    for c in list(cols):
+        col = cols.get(c, {})
+        r = next((r for r, v in col.items() if v in (1, -1)), None)
+        if r is None:
             continue
-        piv = col[r]
-        pivots.append(r)
-        pivot_col = dict(col)
-        # clear the pivot column from the row index
-        for rr in pivot_col:
-            rows[rr].discard(c)
         del cols[c]
-        touched = [cc for cc in rows.get(r, ()) if cc in cols]
-        for cc in touched:
+        for rr in col:
+            rows[rr].discard(c)
+        piv = col.pop(r)
+        pivots.append(r)
+        for cc in rows.pop(r):
             other = cols[cc]
-            factor = other[r] * piv  # other[r] / piv since piv is +-1
-            for rr, v in pivot_col.items():
+            factor = other.pop(r) * piv  # other[r] / piv since piv is +-1
+            for rr, v in col.items():
                 cur = other.get(rr, 0) - factor * v
                 if cur:
                     if rr not in other:
-                        rows.setdefault(rr, set()).add(cc)
+                        rows[rr].add(cc)
                     other[rr] = cur
                 elif rr in other:
                     del other[rr]
                     rows[rr].discard(cc)
             if not other:
                 del cols[cc]
-            else:
-                for rr, v in other.items():
-                    if v in (1, -1):
-                        heapq.heappush(
-                            heap, (len(other) * len(rows.get(rr, ())), cc, rr)
-                        )
-        rows.pop(r, None)
     return pivots, cols
 
 
@@ -270,8 +267,8 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
 
 
 def chain_complex(poset: FinitePoset) -> ChainComplexRecord:
-    """The cellular chain complex of a regular CW face poset, checked to
-    square to zero."""
+    """The cellular chain complex of a regular CW face poset; it squares
+    to zero by the construction of its signs (see the module docstring)."""
     signs = _incidences(poset)
     heights = poset.heights()
     bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
@@ -286,22 +283,7 @@ def chain_complex(poset: FinitePoset) -> ChainComplexRecord:
                 for j, c in enumerate(bases[d])
             }
         )
-    rec = ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
-    _check_boundary_squares(rec)
-    return rec
-
-
-def _check_boundary_squares(rec: ChainComplexRecord) -> None:
-    for k in range(2, len(rec.boundaries)):
-        outer = rec.boundaries[k]
-        inner = rec.boundaries[k - 1]
-        for j, col in outer.items():
-            acc: dict[int, int] = {}
-            for r, v in col.items():
-                for rr, vv in inner.get(r, {}).items():
-                    acc[rr] = acc.get(rr, 0) + v * vv
-            if any(acc.values()):
-                raise AssertionError(f"boundary square nonzero in dimension {k}")
+    return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -359,7 +341,9 @@ def salvetti_betti_match_whitney(system: CovectorSystem) -> WhitneyCheck:
 
 def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
     """Generator counts of the iterated semidirect factorization, outer
-    factor first, derived from a maximal chain of modular flats."""
+    factor first, derived from a maximal chain of modular flats of a
+    simple system."""
+    system.require_simple("the semidirect rank sequence")
     lat = build_lattice(system)
     flats = lat.is_supersolvable()
     if flats is None:

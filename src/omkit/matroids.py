@@ -215,10 +215,27 @@ class CovectorSystem:
 
         return self.memo(("sign columns",), build)
 
+    def _not_simple(self) -> Optional[str]:
+        """The loops, or else the first pair of parallel elements (vanishing
+        on the same covectors) in ground order; None for a simple system."""
+        if self.loops():
+            return f"loops {','.join(self.loops())}"
+        first: dict[int, str] = {}
+        for lab, z in zip(self.ground, self._sign_columns()[2]):
+            if first.setdefault(z, lab) != lab:
+                return f"parallel elements {first[z]},{lab}"
+        return None
+
     def is_simple(self) -> bool:
         """No loops, no two elements vanishing on the same covectors."""
-        columns = self._sign_columns()[2]
-        return not self.loops() and len(set(columns)) == len(columns)
+        return self._not_simple() is None
+
+    def require_simple(self, what: str) -> None:
+        """Refuse a system that is not simple by naming its loops or its
+        first parallel pair."""
+        why = self._not_simple()
+        if why:
+            raise ValueError(f"{why}: {what} needs a simple system; remove them with omkit simplify")
 
     # -- axioms ------------------------------------------------------------
 

@@ -133,6 +133,10 @@ class SalvettiLocalization:
 
 
 def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocalization:
+    """The localization at a flat of a simple system; with parallel
+    elements the fibers are not wedges of circles and the fiber topes no
+    string, so such a system is refused by name."""
+    system.require_simple("the Salvetti localization")
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)

@@ -8,8 +8,8 @@ the matchings with prescribed critical subcomplexes.
 
 Everything here is in the numbering of the covector poset: a tope is an
 element number, a set of topes (a halfspace, a convex set, the Q of the
-subcomplexes L(Q) and its dual) is a mask, and a shelling order is a
-tuple of element numbers.  Sign-vector text is parsed and rendered only
+dual subcomplex) is a mask, and a shelling order is a tuple of element
+numbers.  Sign-vector text is parsed and rendered only
 by the command line.
 """
 
@@ -89,22 +89,12 @@ def is_convex(system: CovectorSystem, q: int) -> bool:
 # -- subcomplexes of the covector sphere --------------------------------------
 
 
-def subcomplex_LQ(system: CovectorSystem, q: int) -> int:
-    """The mask of covectors below some tope of Q (an order ideal)."""
-    _require_topes(system, q)
-    return system.covector_poset().order_ideal(q)
-
-
 def dual_subcomplex(system: CovectorSystem, q: int) -> int:
     """The mask of covectors all of whose topes lie in Q (a subcomplex of
     the dual)."""
     outside = _require_topes(system, q) & ~q
     poset = system.covector_poset()
-    out = mask_of(x for x in poset.elements if not poset.above(x) & outside)
-    # the complementary description must agree
-    if out != poset.members & ~subcomplex_LQ(system, outside):
-        raise AssertionError("dual subcomplex identities disagree")
-    return out
+    return mask_of(x for x in poset.elements if not poset.above(x) & outside)
 
 
 def sphere_poset(system: CovectorSystem) -> FinitePoset:

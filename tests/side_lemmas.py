@@ -11,7 +11,10 @@ against; convexity by betweenness is the oracle for the convex hull, and
 the free rank of a graph by union-find the oracle for the graph ranks of
 the quasi-fibration certificate.  The Salvetti ideals by one
 composition per pair are the oracle for the constructor's cover
-recursion.  No command needs them, so they live with the tests."""
+recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
+and the dual subcomplex as the complement of L(Q) of the other topes,
+are the oracle for `dual_subcomplex`.  No command needs them, so they
+live with the tests."""
 
 from typing import Iterable, Optional, Sequence
 
@@ -21,7 +24,7 @@ from omkit.morse import Matching
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
-from omkit.topes import halfspace
+from omkit.topes import NotATopeError, halfspace
 from poset_builders import PosetMap
 
 # -- the covector order and the join, by definition ---------------------------
@@ -284,6 +287,19 @@ def is_convex_betweenness(system: CovectorSystem, q: int) -> bool:
             if any(not (sw & ~s) for sw in to_outside):
                 return False
     return True
+
+
+def subcomplex_LQ(system: CovectorSystem, q: int) -> int:
+    """The mask of covectors below some tope of Q (an order ideal)."""
+    if q & ~system.topes():
+        raise NotATopeError("Q holds a covector that is not a tope")
+    return system.covector_poset().order_ideal(q)
+
+
+def dual_by_complement(system: CovectorSystem, q: int) -> int:
+    """The dual subcomplex of Q: the covectors below no tope outside Q."""
+    outside = system.topes() & ~q
+    return system.covector_poset().members & ~subcomplex_LQ(system, outside)
 
 
 def dual_matching(matching: Matching) -> Matching:

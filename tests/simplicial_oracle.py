@@ -4,12 +4,20 @@ homology reads incidence signs off a face poset instead; the two meet on
 order complexes (barycentric subdivisions) and on simplicial complexes
 given by their facets, whose face posets `from_facets` builds.
 `uncleared_homology` reduces every column of the cellular complex, the
-reference for production homology's clearing.  `betti_numbers` is
-production homology with trailing zeros trimmed."""
+reference for production homology's clearing, and `squares_to_zero`
+multiplies the boundary maps out, the oracle for the sign construction
+that makes them square to zero.  `betti_numbers` is production homology
+with trailing zeros trimmed."""
 
 from itertools import combinations
 
-from omkit.homology import HomologyResult, chain_complex, homology, rank_and_torsion
+from omkit.homology import (
+    ChainComplexRecord,
+    HomologyResult,
+    chain_complex,
+    homology,
+    rank_and_torsion,
+)
 from omkit.posets import FinitePoset, SimplicialComplexRecord
 
 # the minimal triangulation of the real projective plane, on six vertices:
@@ -71,6 +79,21 @@ def uncleared_homology(poset: FinitePoset) -> HomologyResult:
     for k in range(1, dim + 1):
         ranks[k], torsion[k] = rank_and_torsion(rec.boundaries[k])
     return homology_of_ranks([len(b) for b in rec.bases], ranks, torsion)
+
+
+def squares_to_zero(rec: ChainComplexRecord) -> bool:
+    """Every composite C_k -> C_{k-1} -> C_{k-2} is zero, multiplied out
+    column by column."""
+    for k in range(2, len(rec.boundaries)):
+        inner = rec.boundaries[k - 1]
+        for col in rec.boundaries[k].values():
+            acc: dict[int, int] = {}
+            for r, v in col.items():
+                for rr, vv in inner.get(r, {}).items():
+                    acc[rr] = acc.get(rr, 0) + v * vv
+            if any(acc.values()):
+                return False
+    return True
 
 
 def complex_of_facets(facets) -> SimplicialComplexRecord:

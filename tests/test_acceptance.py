@@ -33,7 +33,6 @@ from omkit.topes import (
     is_convex,
     shelling_order_from_extension,
     sphere_poset,
-    subcomplex_LQ,
     tope_poset,
     verify_shelling,
 )
@@ -41,12 +40,14 @@ from poset_builders import image
 from side_lemmas import (
     all_convex_tope_sets,
     brylawski_iso,
+    dual_by_complement,
     dual_matching,
     graph_free_rank,
     is_convex_betweenness,
     kahn_acyclic,
     localization_section,
     section_iota,
+    subcomplex_LQ,
 )
 
 
@@ -138,7 +139,7 @@ def test_criterion_5_matching_constructions(five_planes, uniform23):
         for q in all_convex_tope_sets(system):
             m = matching_convex_critical(system, q)
             ok = ok and kahn_acyclic(m)
-            ok = ok and m.critical_cells() == dual_subcomplex(system, q)
+            ok = ok and m.critical_cells() == dual_subcomplex(system, q) == dual_by_complement(system, q)
         lat = build_lattice(system)
         modular_coatoms = [
             f

@@ -162,6 +162,56 @@ def test_lattice_commands_name_the_loops(capsys, argv):
     assert run(capsys, argv, stdin=out)[0] == 0
 
 
+def doubled_h5() -> str:
+    """sec3-arrangement with H5 doubled as a new element Z: a valid system
+    whose Salvetti homology matches its Whitney numbers, but not simple."""
+    head, body = om_text("sec3-arrangement").split("covectors:\n")
+    rows = "".join(f"{row}{row[4]}\n" for row in body.splitlines())
+    return head.replace("\n", " Z\n", 1) + "covectors:\n" + rows
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["ranks"], "the semidirect rank sequence"),
+        (["fiber", "--flat", "H1,H2,H3", "--cell", "(000;+++)"], "the Salvetti localization"),
+        (["stratify", "--flat", "H1,H2,H3", "--tope", "+++"], "the Salvetti localization"),
+        (
+            ["morse", "--construction", "fiber", "--flat", "H1,H2,H3", "--cell", "(+++;+++)", "--tope", "+++"],
+            "the Salvetti localization",
+        ),
+        (["certify-qf", "--flat", "H1,H2,H3"], "the Salvetti localization"),
+        (["extend-ss"], "the supersolvable extension"),
+    ],
+)
+def test_commands_that_need_a_simple_system_name_a_parallel_pair(capsys, argv, what):
+    # with parallel elements the rank sequence overcounts b1, the fibers
+    # are no wedges and the fiber topes no string: refused by name
+    text = doubled_h5()
+    assert run(capsys, ["check-axioms"], stdin=text)[0] == 0
+    assert run(capsys, ["homology"], stdin=text)[0] == 0
+    code, out, err = run_with_stderr(capsys, argv, stdin=text)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: parallel elements H5,Z: {what} needs a simple system; "
+        "remove them with omkit simplify\n"
+    )
+    _, simple, _ = run_with_stderr(capsys, ["simplify"], stdin=text)
+    code, out = run(capsys, argv, stdin=simple)
+    assert code == 0
+    if argv == ["ranks"]:
+        assert "sequence: 2 2 1" in out
+
+
+def test_ranks_names_the_loops(capsys):
+    code, _, err = run_with_stderr(capsys, ["ranks"], stdin=LOOP_C)
+    assert (code, err) == (
+        2,
+        "error: loops c: the semidirect rank sequence needs a simple system; "
+        "remove them with omkit simplify\n",
+    )
+
+
 def test_supersolvable_command(capsys):
     code, out = run(capsys, ["supersolvable"], stdin=om_text("sec3-arrangement"))
     assert code == 0

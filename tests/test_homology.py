@@ -1,4 +1,6 @@
 import re
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,11 @@ from omkit.homology import (
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
+from omkit.matroids import from_arrangement
 from omkit.posets import FinitePoset, bits
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
+from conftest import braid_arrangement
 from poset_builders import antichain, from_covers
 from side_lemmas import graph_free_rank
 from simplicial_oracle import (
@@ -24,6 +28,7 @@ from simplicial_oracle import (
     from_facets,
     order_complex_homology,
     simplicial_homology,
+    squares_to_zero,
     uncleared_homology,
 )
 
@@ -34,6 +39,57 @@ def test_rank_and_torsion_basics():
     assert rank_and_torsion({0: {0: 2}}) == (1, (2,))
     assert rank_and_torsion({0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}) == (1, ())
     assert rank_and_torsion({0: {0: 6, 1: 4}, 1: {0: 4, 1: 4}}) == (2, (2, 4))
+
+
+def determinant(a: list[list[int]]) -> int:
+    """By expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * determinant([row[:j] + row[j + 1:] for row in a[1:]])
+        for j in range(len(a))
+        if a[0][j]
+    )
+
+
+def determinantal_divisors(rows: list[list[int]]) -> list[int]:
+    """d_k, the gcd of the k x k minors, for k = 1, 2, ... while it is
+    nonzero: their number is the rank, and d_k / d_{k-1} are the
+    invariant factors."""
+    out = []
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(len(rows[0])), k):
+                d = gcd(d, determinant([[rows[i][j] for j in cs] for i in rs]))
+        if not d:
+            break
+        out.append(d)
+    return out
+
+
+ENTRIES = st.sampled_from([0] * 6 + [1, -1] * 3 + [2, -2, 3, -3])
+
+
+@st.composite
+def small_matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_rank_and_torsion_matches_the_determinantal_divisors(rows):
+    cols = {j: {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))}
+    pivot_rows: set[int] = set()
+    rank, torsion = rank_and_torsion(cols, pivot_rows)
+    divisors = determinantal_divisors(rows)
+    factors = [d // e for d, e in zip(divisors, [1] + divisors)]
+    assert (rank, torsion) == (len(divisors), tuple(f for f in factors if f > 1))
+    # the unit pivot rows are distinct rows of the input whose maximal
+    # minors have gcd 1, which is what clearing relies on
+    if pivot_rows:
+        assert determinantal_divisors([rows[i] for i in sorted(pivot_rows)])[len(pivot_rows) - 1:] == [1]
 
 
 def test_sphere_zero():
@@ -71,6 +127,7 @@ def test_projective_plane_torsion():
 def test_face_poset_homology_matches_the_simplicial_oracle(facets):
     # and clearing changes nothing against reducing every column
     poset = from_facets(facets)
+    assert squares_to_zero(chain_complex(poset))
     assert homology(poset) == simplicial_homology(complex_of_facets(facets)) == uncleared_homology(poset)
 
 
@@ -84,6 +141,19 @@ def test_clearing_is_exact_on_salvetti_posets_fibers_and_rp2(all_corpus, five_pl
     rp = from_facets(rp2())
     assert homology(rp) == uncleared_homology(rp)
     assert homology(rp).torsion[1] == (2,)
+
+
+def test_boundary_squares_to_zero_on_salvetti_posets_fibers_a4_and_rp2(all_corpus, five_planes, braid3):
+    # the signs of `_incidences` make the boundary square to zero; here
+    # the maps are multiplied out
+    posets = [SalvettiPoset(s).poset for s in all_corpus.values()]
+    for system, flat in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
+        loc = salvetti_localization(system, system.label_mask(flat))
+        posets += [loc.fiber(cell) for cell in loc.target.poset.elements]
+    posets.append(SalvettiPoset(from_arrangement(braid_arrangement(5))).poset)
+    posets.append(from_facets(rp2()))
+    for poset in posets:
+        assert squares_to_zero(chain_complex(poset)), poset.names[:3]
 
 
 def test_homology_reduces_once_per_dimension_after_chain_complex(monkeypatch, all_corpus):

@@ -15,12 +15,11 @@ from omkit.topes import (
     is_convex,
     shelling_order_from_extension,
     sphere_poset,
-    subcomplex_LQ,
     tope_poset,
     verify_shelling,
 )
 from poset_builders import antichain, from_covers
-from side_lemmas import all_convex_tope_sets, is_convex_betweenness
+from side_lemmas import all_convex_tope_sets, dual_by_complement, is_convex_betweenness, subcomplex_LQ
 from sign_vector import SignVector
 
 
@@ -332,7 +331,7 @@ def test_subcomplexes(five_planes, braid3):
             dual = mask_of(
                 i for i, c in enumerate(covs) if all(t in inside for t in topes if c.leq(t))
             )
-            assert dual_subcomplex(system, q) == dual
+            assert dual_subcomplex(system, q) == dual == dual_by_complement(system, q)
     topes = all_topes(five_planes)
     everything = five_planes.covector_poset().members
     assert subcomplex_LQ(five_planes, topes) == everything
