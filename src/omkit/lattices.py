@@ -6,8 +6,12 @@ ids (`flat_id`: the labels comma-joined in ground order, "{}" for the
 empty flat): flat number `index[f]` is named `names[index[f]]`, and every
 tie-break between flats sorts by this number.  `build_lattice` builds the
 lattice once per covector system and keeps it on the system, as the
-covector poset is kept, so no caller passes a lattice along.  Whitney
-numbers double as the independent oracle for Betti numbers downstream.
+covector poset is kept, so no caller passes a lattice along.  The
+constructor makes one pass over the flats in size order for rank,
+Moebius value and containment masks, each read off the flat's proper
+subflats, and one pass over the unordered pairs for the join table and
+the semimodularity check.  Whitney numbers double as the independent
+oracle for Betti numbers downstream.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem, NotAFlatError, flat_id
-from .posets import mask_of
 
 
 @dataclass(frozen=True)
@@ -55,40 +58,53 @@ class GeometricLattice:
             raise ValueError("bottom flat missing")
         if (1 << len(ground)) - 1 not in index:
             raise ValueError("top flat missing")
-        for x in flist:
-            for y in flist:
-                if x & y not in index:
-                    raise ValueError(
-                        "flats not closed under intersection: "
-                        f"{flat_id(x, ground)} ^ {flat_id(y, ground)}"
-                    )
+        # closure under intersection; a meet is symmetric, so the first
+        # failing x of the full scan fails with a y at or after it
+        keys = index.keys()
+        for i, x in enumerate(flist):
+            if not keys >= {x & y for y in flist[i:]}:
+                y = next(y for y in flist if x & y not in index)
+                raise ValueError(
+                    "flats not closed under intersection: "
+                    f"{flat_id(x, ground)} ^ {flat_id(y, ground)}"
+                )
         object.__setattr__(self, "flats", tuple(flist))
         object.__setattr__(self, "names", tuple(t for t, _ in named))
         object.__setattr__(self, "index", index)
+        # rank and Moebius over each flat's proper subflats, which come
+        # before it in flist; bit i of over[f] says that flist[i] contains f
         rank_of: dict[int, int] = {}
-        for x in flist:  # flist is sorted by size, so predecessors are done
-            rank_of[x] = max(
-                (rank_of[y] + 1 for y in flist if y != x and not y & ~x), default=0
-            )
-        object.__setattr__(self, "rank_of", rank_of)
         mob: dict[int, int] = {}
-        for x in flist:
-            if not x:
-                mob[x] = 1
-            else:
-                mob[x] = -sum(mob[y] for y in flist if y != x and not y & ~x)
+        over: dict[int, int] = {}
+        for i, x in enumerate(flist):
+            bit = 1 << i
+            over[x] = bit
+            r, mu = -1, 0
+            for y in flist[:i]:
+                if not y & ~x:
+                    over[y] |= bit
+                    r = max(r, rank_of[y])
+                    mu -= mob[y]
+            rank_of[x] = r + 1
+            mob[x] = mu if x else 1
+        object.__setattr__(self, "rank_of", rank_of)
         object.__setattr__(self, "mobius", mob)
         object.__setattr__(self, "_flats_by_rank", None)
-        joins = _join_table(flist)
-        object.__setattr__(self, "_joins", joins)
-        # semimodularity of the rank function, checked once
-        for x in flist:
-            row, rx = joins[x], rank_of[x]
-            for y in flist:
-                if rx + rank_of[y] < rank_of[row[y]] + rank_of[x & y]:
+        # the join of a and b is the first flat over both: the lowest bit of
+        # over[a] & over[b]; joins and semimodularity are symmetric, so one
+        # visit per unordered pair fills both rows and finds the full scan's
+        # first failing pair
+        joins: dict[int, dict[int, int]] = {x: {} for x in flist}
+        for i, x in enumerate(flist):
+            row, over_x, rx = joins[x], over[x], rank_of[x]
+            for y in flist[i:]:
+                both = over_x & over[y]
+                j = row[y] = joins[y][x] = flist[(both & -both).bit_length() - 1]
+                if rx + rank_of[y] < rank_of[j] + rank_of[x & y]:
                     raise ValueError(
                         f"rank not semimodular at {flat_id(x, ground)}, {flat_id(y, ground)}"
                     )
+        object.__setattr__(self, "_joins", joins)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricLattice is immutable")
@@ -177,25 +193,6 @@ class GeometricLattice:
                 if row[xy] != row[x] & y:
                     return z, y
         return None
-
-
-def _join_table(flats: Sequence[int]) -> dict[int, dict[int, int]]:
-    """`table[a][b]`, the first flat in `flats` (sorted by size) that
-    contains both a and b: their join in a lattice of flats.
-
-    Bit i of `over[f]` says that `flats[i]` contains f, so the join is the
-    flat at the lowest bit of `over[a] & over[b]`.  The family must contain
-    a flat over everything, as the top of a lattice of flats does.
-    """
-    over = {f: mask_of(i for i, g in enumerate(flats) if not f & ~g) for f in flats}
-    table = {}
-    for a in flats:
-        over_a = over[a]
-        row = table[a] = {}
-        for b in flats:
-            both = over_a & over[b]
-            row[b] = flats[(both & -both).bit_length() - 1]
-    return table
 
 
 def build_lattice(system: CovectorSystem) -> GeometricLattice:

@@ -4,10 +4,13 @@ A covector system is a finite set of covectors over an ordered ground
 set.  Each covector is kept once, as its (plus, minus) pair of ground-bit
 masks, and numbered in the order of its sign text: covector i is the
 pair `vectors()[i]` with text `names()[i]`, and a set of covectors is a
-mask over that numbering.  The four covector axioms are checked
-exhaustively and on failure a concrete witness is reported; failures are
-data here, not exceptions, because the extension search uses the axiom
-check as its validity arbiter.
+mask over that numbering.  A system read from text (`from_strings`) is
+numbered by one sort of the texts it was given, each parsed once; a
+system built from pairs renders each pair once and sorts by the text.
+The four covector axioms are checked exhaustively and on failure a
+concrete witness is reported; failures are data here, not exceptions,
+because the extension search uses the axiom check as its validity
+arbiter.
 
 The sign columns (for each element, the masks of the covectors that are
 +, - and 0 there) are built once per system; the covector order, the
@@ -48,7 +51,7 @@ class DegenerateArrangementError(ValueError):
 def flat_id(flat: int, ground: tuple[str, ...]) -> str:
     """The text of a ground-bit mask: its labels comma-joined in ground
     order, "{}" when empty."""
-    return ",".join(lab for i, lab in enumerate(ground) if flat >> i & 1) or "{}"
+    return ",".join([lab for i, lab in enumerate(ground) if flat >> i & 1]) or "{}"
 
 
 def section_lift(alpha: tuple[int, int], flat: int, v: tuple[int, int]) -> tuple[int, int]:
@@ -128,21 +131,34 @@ class CovectorSystem:
             if (p | m) >> n:
                 raise ValueError("mask bits outside the ground set")
         named = sorted((sign_text(p, m, n), (p, m)) for p, m in covs)
-        vectors = tuple(c for _, c in named)
+        self._store(ground, tuple(c for _, c in named), tuple(t for t, _ in named))
+
+    @classmethod
+    def from_strings(cls, ground: Iterable[str], rows: Iterable[str]) -> "CovectorSystem":
+        """The system of the distinct sign texts over the ground.  Each row
+        is parsed once, in input order, so the first bad row is the one
+        named; the texts themselves are the names, numbered by one sort."""
+        ground = tuple(ground)
+        n = len(ground)
+        pairs = {r: parse_signs(r, n) for r in rows}
+        names = tuple(sorted(pairs))
+        out = object.__new__(cls)
+        out._store(ground, tuple(pairs[t] for t in names), names)
+        return out
+
+    def _store(
+        self, ground: tuple[str, ...], vectors: tuple[tuple[int, int], ...], names: tuple[str, ...]
+    ) -> None:
+        """Keep the covectors numbered in the order of their sign texts."""
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "_vectors", vectors)
-        object.__setattr__(self, "_names", tuple(t for t, _ in named))
+        object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_numbering", {c: i for i, c in enumerate(vectors)})
         object.__setattr__(self, "_poset", None)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CovectorSystem is immutable")
-
-    @classmethod
-    def from_strings(cls, ground: Iterable[str], rows: Iterable[str]) -> "CovectorSystem":
-        ground = tuple(ground)
-        return cls(ground, [parse_signs(r, len(ground)) for r in rows])
 
     # -- basics ----------------------------------------------------------
 

@@ -57,11 +57,19 @@ def parse_om_text(text: str) -> OMFile:
     covectors: list[str] = []
     topes: list[str] = []
     rows: list[tuple[Fraction, ...]] = []
+    bodies = {"covectors": covectors, "topes": topes}
+    body: Optional[list[str]] = None  # the sign rows of the current section
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
+            continue
+        if body is not None and line[0] in "+-0":
+            # no ground line or section header starts with a sign
+            body.append(line)
             continue
         if line.startswith("ground:"):
+            if ground is not None:
+                raise OMFileError(f"second ground line {line!r}")
             ground = tuple(line[len("ground:"):].split())
             dup = next((lab for i, lab in enumerate(ground) if lab in ground[:i]), None)
             if dup is not None:
@@ -75,6 +83,7 @@ def parse_om_text(text: str) -> OMFile:
             continue
         if line in ("covectors:", "topes:", "arrangement:"):
             section = line[:-1]
+            body = bodies.get(section)
             continue
         if section == "covectors":
             covectors.append(line)
@@ -101,15 +110,18 @@ def parse_om_text(text: str) -> OMFile:
 
 
 def _check_body(ground: tuple[str, ...], body: list[str], want_zero: bool) -> None:
-    seen = set()
-    for line in body:
-        if len(line) != len(ground):
-            raise OMFileError(
-                f"line {line!r} has length {len(line)}, ground has {len(ground)}"
-            )
-        if line in seen:
-            raise OMFileError(f"duplicate line {line!r}")
-        seen.add(line)
+    seen = set(body)
+    if len(seen) < len(body) or set(map(len, body)) != {len(ground)}:
+        # name the first bad line
+        seen = set()
+        for line in body:
+            if len(line) != len(ground):
+                raise OMFileError(
+                    f"line {line!r} has length {len(line)}, ground has {len(ground)}"
+                )
+            if line in seen:
+                raise OMFileError(f"duplicate line {line!r}")
+            seen.add(line)
     if want_zero and "0" * len(ground) not in seen:
         raise OMFileError("covector body must contain the zero vector")
 

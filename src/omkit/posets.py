@@ -65,12 +65,12 @@ class FinitePoset:
         elements = bits(members)
         up = [0] * len(names)
         for y in elements:
-            outside = ~lo[y]
+            outside, bit = ~lo[y], 1 << y
             for x in bits(lo[y]):
                 # transitivity: below sets are downward closed
                 if lo[x] & outside:
                     raise PosetError(f"transitivity fails at ({names[x]!r}, {names[y]!r})")
-                up[x] |= 1 << y
+                up[x] |= bit
         self._set(names, members, lo, up)
         for x in elements:
             # antisymmetry: nothing both above and below except x itself

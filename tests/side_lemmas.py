@@ -5,11 +5,12 @@ localization and its Salvetti lift, the principal-ideal isomorphism and
 the localization square, the rank-two fiber model, the enumeration of
 all convex tope sets, the dual of a matching, and an acyclicity test of
 a matching by Kahn's sort, the oracle for `Matching.cycle`.  The
-covector order by pairs and the join by a scan over the flats are the
-definitions that the column-built order and the join table are checked
-against; convexity by betweenness is the oracle for the convex hull, and
-the free rank of a graph by union-find the oracle for the graph ranks of
-the quasi-fibration certificate.  The Salvetti ideals by one
+covector order by pairs is the definition that the column-built order
+is checked against; closure, rank, Moebius function and join by scans
+over the flats are the definitions that the one-pass lattice
+constructor is checked against.  Convexity by betweenness is the oracle
+for the convex hull, and the free rank of a graph by union-find the
+oracle for the graph ranks of the quasi-fibration certificate.  The Salvetti ideals by one
 composition per pair are the oracle for the constructor's cover
 recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
 and the dual subcomplex as the complement of L(Q) of the other topes,
@@ -46,14 +47,37 @@ def scan_join(flats: Sequence[int], a: int, b: int) -> int:
     return next(f for f in flats if not u & ~f)
 
 
-def semimodular_refusal(ground: tuple[str, ...], family: Iterable[int]) -> Optional[str]:
-    """Why the lattice of an intersection-closed family with a bottom and
-    a top is refused, by the scan join: the first (x, y), in size then id
-    order, with r(x) + r(y) < r(x v y) + r(x ^ y); None when there is none."""
-    flats = sorted(set(family), key=lambda f: (f.bit_count(), flat_id(f, ground)))
+def scan_ranks(flats: Sequence[int]) -> dict[int, int]:
+    """Each flat's rank by a full scan of `flats` (sorted by size): one
+    more than the largest rank of a proper subflat, 0 for the bottom."""
     rank: dict[int, int] = {}
     for x in flats:
         rank[x] = max((rank[y] + 1 for y in flats if y != x and not y & ~x), default=0)
+    return rank
+
+
+def scan_mobius(flats: Sequence[int]) -> dict[int, int]:
+    """mu(bottom, x) by a full scan of `flats` (sorted by size): 1 at the
+    bottom, minus the sum over the proper subflats elsewhere."""
+    mob: dict[int, int] = {}
+    for x in flats:
+        mob[x] = -sum(mob[y] for y in flats if y != x and not y & ~x) if x else 1
+    return mob
+
+
+def lattice_refusal(ground: tuple[str, ...], family: Iterable[int]) -> Optional[str]:
+    """Why the lattice of a family with a bottom and a top is refused, by
+    double loops over the family in size then id order: the first (x, y)
+    whose meet is not in the family, else the first (x, y) with
+    r(x) + r(y) < r(x v y) + r(x ^ y) by the scan rank and join; None
+    when there is neither."""
+    flats = sorted(set(family), key=lambda f: (f.bit_count(), flat_id(f, ground)))
+    members = set(flats)
+    for x in flats:
+        for y in flats:
+            if x & y not in members:
+                return f"flats not closed under intersection: {flat_id(x, ground)} ^ {flat_id(y, ground)}"
+    rank = scan_ranks(flats)
     for x in flats:
         for y in flats:
             if rank[x] + rank[y] < rank[scan_join(flats, x, y)] + rank[x & y]:

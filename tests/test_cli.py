@@ -738,6 +738,15 @@ def test_error_reporting(capsys):
     assert code == 2
 
 
+def test_a_second_ground_line_is_refused(capsys):
+    # it used to relabel the system: modular Q1,Q2,Q3 printed PASS
+    text = om_text("sec3-arrangement") + "ground: Q1 Q2 Q3 Q4 Q5\n"
+    for argv in (["modular", "Q1,Q2,Q3"], ["modular", "H1,H2,H3"], ["check-axioms"]):
+        code, out, err = run_with_stderr(capsys, argv, stdin=text)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: second ground line 'ground: Q1 Q2 Q3 Q4 Q5'\n", argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import braid_arrangement
 from omkit.cli import parse_flat
-from omkit.lattices import GeometricLattice, _join_table, build_lattice
+from omkit.lattices import GeometricLattice, build_lattice
 from omkit.matroids import (
     CovectorSystem,
     DegenerateArrangementError,
@@ -19,9 +19,11 @@ from poset_builders import image
 from side_lemmas import (
     brylawski_iso,
     lattice_poset,
+    lattice_refusal,
     rank3_modular_coatom_test,
     scan_join,
-    semimodular_refusal,
+    scan_mobius,
+    scan_ranks,
 )
 
 
@@ -268,35 +270,44 @@ def test_join_is_the_scan_on_six_form_arrangements(arrangement):
 
 
 @st.composite
-def intersection_closed_families(draw):
+def families_with_bottom_and_top(draw):
     """A ground of at most five labels and a family of its subsets that
-    holds the empty set and the ground and is closed under intersection."""
+    holds the empty set and the ground, closed under intersection unless
+    the draw says otherwise."""
     n = draw(st.integers(min_value=0, max_value=5))
     full = (1 << n) - 1
     family = {0, full} | set(draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8)))
-    closed = False
-    while not closed:
+    close = draw(st.booleans())
+    while close:
         meets = {x & y for x in family for y in family}
-        closed = meets <= family
+        close = not meets <= family
         family |= meets
     return tuple("abcde"[:n]), family
 
 
 # the pentagon: {} < a < a,b < a,b,c and {} < c < a,b,c, not semimodular at a, c
 @example((("a", "b", "c"), {0, 0b001, 0b011, 0b100, 0b111}))
-@given(intersection_closed_families())
-@settings(max_examples=200, deadline=None)
+# a,b ^ b,c = b is missing
+@example((("a", "b", "c"), {0, 0b011, 0b110, 0b111}))
+@given(families_with_bottom_and_top())
+@settings(max_examples=300, deadline=None)
 def test_join_table_is_the_scan_and_semimodularity_is_checked(ground_family):
+    """The one-pass constructor against the scans: the first missing meet
+    is refused before the first semimodularity failure, and a lattice it
+    builds has the scan's ranks, Moebius values, Whitney numbers and joins."""
     ground, family = ground_family
-    flats = sorted(family, key=lambda f: (f.bit_count(), flat_id(f, ground)))
-    table = _join_table(flats)
-    assert {a: dict(row) for a, row in table.items()} == {
-        a: {b: scan_join(flats, a, b) for b in flats} for a in flats
-    }
-    refusal = semimodular_refusal(ground, family)
+    refusal = lattice_refusal(ground, family)
     if refusal is None:
         lat = GeometricLattice(ground, family)
+        flats = sorted(family, key=lambda f: (f.bit_count(), flat_id(f, ground)))
         assert lat.flats == tuple(flats)
+        rank, mob = scan_ranks(flats), scan_mobius(flats)
+        assert lat.rank_of == rank
+        assert lat.mobius == mob
+        whitney = [0] * (rank[(1 << len(ground)) - 1] + 1)
+        for f in flats:
+            whitney[rank[f]] += abs(mob[f])
+        assert lat.whitney() == tuple(whitney)
         assert_join_is_the_scan(lat)
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):

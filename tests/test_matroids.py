@@ -15,8 +15,10 @@ from omkit.matroids import (
     from_arrangement,
     section_lift,
 )
+from omkit.corpus import CORPUS_NAMES, corpus
+from omkit.omfile import format_system, parse_om_text
 from omkit.posets import bits, mask_of
-from omkit.signs import GroundSetMismatchError
+from omkit.signs import GroundSetMismatchError, parse_signs
 from poset_builders import PosetMap, image
 from side_lemmas import lattice_poset, pairwise_below, section_iota
 from sign_vector import SignVector
@@ -383,3 +385,40 @@ def test_covector_order_is_the_pairwise_order(ground_rows):
         tuple(mask_of(k for k, t in enumerate(names) if t[e] == sign) for e in range(len(system.ground)))
         for sign in "+-0"
     )
+
+
+@given(sign_text_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_strings_numbers_as_the_constructor(ground_rows, data):
+    # the texts themselves, sorted once, give the numbering that rendering
+    # every pair back to text gives, in any row order and with duplicates
+    ground, rows = ground_rows
+    extra = data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    rows = data.draw(st.permutations(rows + extra))
+    got = CovectorSystem.from_strings(ground, rows)
+    want = CovectorSystem(ground, [parse_signs(r, len(ground)) for r in rows])
+    assert got.names() == want.names()
+    assert got.vectors() == want.vectors()
+    assert got.numbering() == want.numbering()
+
+
+def test_from_strings_names_the_first_bad_row_in_input_order():
+    ground = ("a", "b", "c")
+    # sorted, 0+x would come first; read in input order, q00 does
+    with pytest.raises(ValueError, match="^invalid sign character 'q'$"):
+        CovectorSystem.from_strings(ground, ["000", "q00", "0+x"])
+    with pytest.raises(ValueError, match="^sign string '\\+' has length 1, ground set has 3$"):
+        CovectorSystem.from_strings(ground, ["000", "+", "0+x"])
+
+
+def test_reading_a_system_renders_no_sign_text(monkeypatch):
+    texts = {name: format_system(corpus(name)) for name in CORPUS_NAMES}
+
+    def refuse(*args):
+        raise AssertionError("sign_text called while reading a system")
+
+    monkeypatch.setattr("omkit.matroids.sign_text", refuse)
+    for name, text in texts.items():
+        system = parse_om_text(text).to_system()
+        assert system.names() == corpus(name).names(), name
+        assert system.vectors() == corpus(name).vectors(), name
