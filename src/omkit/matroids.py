@@ -51,7 +51,7 @@ class DegenerateArrangementError(ValueError):
 def flat_id(flat: int, ground: tuple[str, ...]) -> str:
     """The text of a ground-bit mask: its labels comma-joined in ground
     order, "{}" when empty."""
-    return ",".join([lab for i, lab in enumerate(ground) if flat >> i & 1]) or "{}"
+    return ",".join(lab for i, lab in enumerate(ground) if flat >> i & 1) or "{}"
 
 
 def section_lift(alpha: tuple[int, int], flat: int, v: tuple[int, int]) -> tuple[int, int]:

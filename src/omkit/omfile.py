@@ -57,15 +57,9 @@ def parse_om_text(text: str) -> OMFile:
     covectors: list[str] = []
     topes: list[str] = []
     rows: list[tuple[Fraction, ...]] = []
-    bodies = {"covectors": covectors, "topes": topes}
-    body: Optional[list[str]] = None  # the sign rows of the current section
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        if body is not None and line[0] in "+-0":
-            # no ground line or section header starts with a sign
-            body.append(line)
+        if not line or line.startswith("#"):
             continue
         if line.startswith("ground:"):
             if ground is not None:
@@ -83,7 +77,6 @@ def parse_om_text(text: str) -> OMFile:
             continue
         if line in ("covectors:", "topes:", "arrangement:"):
             section = line[:-1]
-            body = bodies.get(section)
             continue
         if section == "covectors":
             covectors.append(line)
@@ -110,18 +103,15 @@ def parse_om_text(text: str) -> OMFile:
 
 
 def _check_body(ground: tuple[str, ...], body: list[str], want_zero: bool) -> None:
-    seen = set(body)
-    if len(seen) < len(body) or set(map(len, body)) != {len(ground)}:
-        # name the first bad line
-        seen = set()
-        for line in body:
-            if len(line) != len(ground):
-                raise OMFileError(
-                    f"line {line!r} has length {len(line)}, ground has {len(ground)}"
-                )
-            if line in seen:
-                raise OMFileError(f"duplicate line {line!r}")
-            seen.add(line)
+    seen = set()
+    for line in body:
+        if len(line) != len(ground):
+            raise OMFileError(
+                f"line {line!r} has length {len(line)}, ground has {len(ground)}"
+            )
+        if line in seen:
+            raise OMFileError(f"duplicate line {line!r}")
+        seen.add(line)
     if want_zero and "0" * len(ground) not in seen:
         raise OMFileError("covector body must contain the zero vector")
 
