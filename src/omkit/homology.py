@@ -2,9 +2,10 @@
 
 A `FinitePoset` is read as the face poset of a regular CW complex (Salvetti
 posets, their localization fibers, covector spheres and balls): the
-cells of dimension d are the elements of height d, and the incidence signs
-of the cellular boundary are read off the poset.  Building them certifies
-regularity: every cover climbs one height, every edge has two vertices,
+cells of dimension d are the elements of height d, the facets of a cell
+are its lower covers, and the incidence signs of the cellular boundary
+are read off the poset.  Building them certifies regularity: every cover
+climbs one height, every edge has two vertices,
 every codimension-2 face of a cell lies in exactly two of its facets, and
 the signs propagated across those faces agree (`NotRegularError` names
 the cell otherwise).
@@ -207,26 +208,16 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     """
     heights = poset.heights()
     names = poset.names
-    level = [0] * (max(heights.values(), default=0) + 1)
-    for c, h in heights.items():
-        level[h] |= 1 << c
-    facets = {
-        c: bits(poset.below(c) & level[heights[c] - 1]) if heights[c] else []
-        for c in poset.elements
-    }
+    facets = poset.lower_covers
+    # the first cover that skips a height, at the first cell that has one
+    skip = poset.skipping_cover()
     signs: dict[int, dict[int, int]] = {}
     for c in sorted(poset.elements, key=heights.__getitem__):
-        fs = facets[c]
-        # below c and below none of its facets: only through a cover that
-        # skips a height, and the highest such element is that cover
-        missed = poset.below(c) ^ 1 << c
-        for f in fs:
-            missed &= ~poset.below(f)
-        if missed:
-            low = max(bits(missed), key=lambda x: (heights[x], x))
+        if skip is not None and skip[1] == c:
             raise NotRegularError(
-                f"cell {names[c]!r}: the cover {names[low]!r} < {names[c]!r} skips a height"
+                f"cell {names[c]!r}: the cover {names[skip[0]]!r} < {names[c]!r} skips a height"
             )
+        fs = facets(c)
         if heights[c] == 1:
             if len(fs) != 2:
                 raise NotRegularError(
@@ -236,7 +227,7 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
             continue
         over: dict[int, list[int]] = {}
         for f in fs:
-            for g in facets[f]:
+            for g in facets(f):
                 over.setdefault(g, []).append(f)
         across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
         for g, pair in sorted(over.items()):

@@ -6,7 +6,10 @@ matching claims about a subcomplex it retracts onto is checked in one
 place: `morse_reduction_certificate` walks the matched Hasse digraph once
 and returns a witness against each claim, a directed cycle and a
 critical set that is not the subcomplex or not an ideal, or None where
-the claim holds.  A failed claim is a report clause, never an error.
+the claim holds.  The walk runs over the cells matched upward only,
+which a graded host allows, since each cycle then stays between two
+heights; a host that is not graded is refused.  A failed claim is a
+report clause, never an error.
 The constructors, `patchwork` among them, build their matchings without
 checking these claims; every path that reports a matching certifies it
 next.  Tope sets are masks and shelling orders sequences of element
@@ -54,14 +57,27 @@ class Matching:
     def cycle(self) -> Optional[tuple[int, ...]]:
         """A directed cycle of the modified Hasse digraph, its first cell
         repeated at the end, or None when the digraph is acyclic.  Matched
-        cover edges point up and the others down; one depth-first walk."""
-        succ: dict[int, list[int]] = {x: [] for x in self.host.elements}
-        pairset = self.pairs
-        for a, b in self.host.covers():
-            if (a, b) in pairset:
-                succ[a].append(b)
-            else:
-                succ[b].append(a)
+        cover edges point up and the others down.
+
+        On a graded host a cycle climbs a matched cover and drops an
+        unmatched one in turn, so it stays between two heights (Forman
+        1998; Chari 2000).  One depth-first walk runs over the cells
+        matched upward, with an edge a -> a2 for each other lower cover
+        a2 of a's partner that is itself matched upward, and a cycle found
+        there is returned through the partners.  A host that is not
+        graded is refused."""
+        host = self.host
+        skip = host.skipping_cover()
+        if skip is not None:
+            x, y = skip
+            raise MatchingError(
+                f"host is not graded: the cover {host.names[x]!r} < {host.names[y]!r} skips a height"
+            )
+        partner = dict(self.pairs)
+        succ = {
+            a: [a2 for a2 in host.lower_covers(b) if a2 != a and a2 in partner]
+            for a, b in sorted(partner.items())
+        }
         on_path: dict[int, bool] = {}  # visited cells; True while on the path
         for root in succ:
             if root in on_path:
@@ -78,7 +94,8 @@ class Matching:
                     path.append(nxt)
                     todo.append(iter(succ[nxt]))
                 elif on_path[nxt]:
-                    return tuple(path[path.index(nxt):] + [nxt])
+                    walk = path[path.index(nxt):]
+                    return tuple(x for a in walk for x in (a, partner[a])) + (nxt,)
         return None
 
     def serialize(self) -> str:

@@ -4,16 +4,19 @@ Elements are the integers 0..n-1, numbered in the sorted order of their
 names, so integer order is name order and every tie-break picks what it
 would pick on names.  The names tuple is read only to parse input and to
 write reports and error messages.  The order is kept as per-element
-bitmasks of the elements below and above.  A subposet, an order ideal or
-a fiber is a mask over its parent's numbering, so derived posets need no
-index translation.  The constructor checks the poset axioms; derived
-posets inherit them.  All objects are immutable.
+bitmasks of the elements below and above, with each element's lower
+covers and height.  A subposet, an order ideal or a fiber is a mask over
+its parent's numbering, so derived posets need no index translation.
+The constructor checks the poset axioms in one pass over the covers,
+which finds the covers and heights as it goes; derived posets inherit
+the axioms, and an order ideal (every localization fiber is one) and
+the dual inherit the covers and heights too.  All objects are immutable.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class PosetError(ValueError):
@@ -37,15 +40,105 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
+def _cover_pass(below: list[int], elements: Iterable[int]) -> Optional[tuple[list, list[int], bool, list[int]]]:
+    """Lower covers, heights, gradedness and the order the elements were
+    taken in, for a relation given by its reflexive below masks, or None
+    when it is not a partial order.
+
+    The elements are taken in order of ideal size.  The lower covers of y
+    are peeled off below(y) - {y} from the highest height down: at each
+    height, what is left and lies there is covered by y, and its ideal is
+    taken off.  The relation is a partial order exactly when below(y) is
+    {y} with the ideals of these covers, all of them taken before y; by
+    induction every ideal is then downward closed and holds nothing taken
+    after it, so no two elements lie below each other.  The height of y
+    is one above its highest cover, and y is graded when every cover lies
+    there.  The covers of each element are a tuple in increasing order.
+    """
+    lower: list = [()] * len(below)
+    level = [0] * len(below)
+    layers: list[int] = []  # layers[h]: the elements of height h taken so far
+    graded = True
+    order = sorted(elements, key=lambda y: below[y].bit_count())
+    for y in order:
+        m = below[y]
+        reached = 1 << y
+        rem = m ^ reached
+        h = len(layers)
+        covers: list[int] = []
+        while rem and h:
+            h -= 1
+            cand = rem & layers[h]
+            if cand:
+                # the bits of cand, peeled inline as in `bits`: this loop
+                # runs for every element of every poset
+                while cand:
+                    low = cand & -cand
+                    c = low.bit_length() - 1
+                    covers.append(c)
+                    reached |= below[c]
+                    cand ^= low
+                rem = m ^ reached
+        if rem:
+            return None
+        hy = 0
+        if covers:
+            hy = level[covers[0]] + 1
+            if level[covers[-1]] != hy - 1:
+                graded = False
+                covers.sort()
+            lower[y] = tuple(covers)
+            level[y] = hy
+        if hy == len(layers):
+            layers.append(0)
+        layers[hy] |= 1 << y
+    return lower, level, graded, order
+
+
+def _first_skipping_cover(elements: Iterable[int], lower, level: list[int]) -> Optional[tuple[int, int]]:
+    """The first cover (x, y) that skips a height: y is least in the order
+    of (height, element), and x is its highest such cover, the largest at
+    that height."""
+    found = None
+    for y in elements:
+        h = level[y]
+        skips = [(level[x], x) for x in lower[y] if level[x] != h - 1]
+        if skips and (found is None or (h, y) < found[:2]):
+            found = (h, y, max(skips)[1])
+    return None if found is None else (found[2], found[1])
+
+
+def _raise_first_bad_relation(names: tuple[str, ...], lo: list[int], elements: list[int]) -> None:
+    """Name the first related pair (x, y) at which the below masks are not
+    downward closed, over y and then x in increasing order; failing that,
+    the first element with another both above and below it."""
+    up = [0] * len(names)
+    for y in elements:
+        outside, bit = ~lo[y], 1 << y
+        for x in bits(lo[y]):
+            if lo[x] & outside:
+                raise PosetError(f"transitivity fails at ({names[x]!r}, {names[y]!r})")
+            up[x] |= bit
+    for x in elements:
+        if lo[x] & up[x] != 1 << x:
+            raise PosetError(f"antisymmetry fails at {names[x]!r}: {[names[z] for z in bits(lo[x] & up[x])]}")
+    raise AssertionError("the cover pass refused a partial order")
+
+
 class FinitePoset:
     """A finite partially ordered set on a mask of integer elements.
 
     `names[i]` is the name of element i, shared by every poset derived
     from the same root.  The relation is kept as per-element reflexive
-    "below" and "above" masks; covers and heights are derived and cached.
+    "below" and "above" masks, with the lower covers and the height of
+    each element, which the check of the axioms finds.  An order ideal
+    and the dual inherit them; any other subposet runs the cover pass.
     """
 
-    __slots__ = ("names", "members", "_below", "_above", "_elements", "_covers", "_heights", "_dual", "_maximal")
+    __slots__ = (
+        "names", "members", "_below", "_above", "_lower", "_level", "_graded",
+        "_elements", "_heights", "_dual", "_maximal",
+    )
 
     def __init__(self, names: Iterable[str], below: Mapping[int, int]):
         """`below[x]` is a mask of elements below x, for each element x.
@@ -63,27 +156,26 @@ class FinitePoset:
                 raise PosetError(f"an element below {names[y]!r} is unknown")
             lo[y] = m | 1 << y
         elements = bits(members)
+        found = _cover_pass(lo, elements)
+        if found is None:
+            _raise_first_bad_relation(names, lo, elements)
+        lower, level, graded, order = found
+        # the above masks, ORed down along the covers in the reverse order
         up = [0] * len(names)
-        for y in elements:
-            outside, bit = ~lo[y], 1 << y
-            for x in bits(lo[y]):
-                # transitivity: below sets are downward closed
-                if lo[x] & outside:
-                    raise PosetError(f"transitivity fails at ({names[x]!r}, {names[y]!r})")
-                up[x] |= bit
-        self._set(names, members, lo, up)
-        for x in elements:
-            # antisymmetry: nothing both above and below except x itself
-            if lo[x] & up[x] != 1 << x:
-                raise PosetError(f"antisymmetry fails at {names[x]!r}: {self.names_of(lo[x] & up[x])}")
+        for y in reversed(order):
+            mine = up[y] | 1 << y
+            up[y] = mine
+            for c in lower[y]:
+                up[c] |= mine
+        self._set(names, members, lo, up, lower, level, graded)
 
     def _set(self, *values) -> None:
-        for slot, value in zip(self.__slots__, values + (None,) * 5):
+        for slot, value in zip(self.__slots__, values + (None,) * 4):
             object.__setattr__(self, slot, value)
 
-    def _derive(self, members: int, below: list[int], above: list[int]) -> "FinitePoset":
+    def _derive(self, members: int, below: list[int], above: list[int], lower, level, graded) -> "FinitePoset":
         out = object.__new__(FinitePoset)
-        out._set(self.names, members, below, above)
+        out._set(self.names, members, below, above, lower, level, graded)
         return out
 
     def __setattr__(self, name, value):
@@ -121,21 +213,15 @@ class FinitePoset:
 
     def is_cover(self, x: int, y: int) -> bool:
         """x is covered by y."""
-        return x != y and self._above[x] & self._below[y] == 1 << x | 1 << y
+        return y in self and x in self._lower[y]
+
+    def lower_covers(self, y: int) -> tuple[int, ...]:
+        """The elements covered by an element y, in increasing order."""
+        return self._lower[y]
 
     def covers(self) -> frozenset[tuple[int, int]]:
         """All pairs (x, y) with x covered by y."""
-        if self._covers is None:
-            below = self._below
-            out = []
-            for y in self.elements:
-                strict = below[y] ^ 1 << y
-                reached = 0
-                for x in bits(strict):
-                    reached |= below[x] ^ 1 << x
-                out.extend((x, y) for x in bits(strict & ~reached))
-            object.__setattr__(self, "_covers", frozenset(out))
-        return self._covers
+        return frozenset((x, y) for y in self.elements for x in self._lower[y])
 
     def maximal_elements(self) -> int:
         if self._maximal is None:
@@ -149,26 +235,38 @@ class FinitePoset:
     def heights(self) -> dict[int, int]:
         """Length of a longest chain ending at each element."""
         if self._heights is None:
-            # peel off the minimal elements of what is left, layer by layer
-            h: dict[int, int] = {}
-            left, level = self.members, 0
-            while left:
-                layer = [x for x in bits(left) if self._below[x] & left == 1 << x]
-                h.update(dict.fromkeys(layer, level))
-                left &= ~mask_of(layer)
-                level += 1
-            object.__setattr__(self, "_heights", h)
+            level = self._level
+            object.__setattr__(self, "_heights", {x: level[x] for x in self.elements})
         return self._heights
 
     def height(self) -> int:
         """Length of a longest chain in the poset (edge count)."""
         return max(self.heights().values(), default=0)
 
+    def skipping_cover(self) -> Optional[tuple[int, int]]:
+        """A cover (x, y) with x more than one height below y, or None when
+        the poset is graded: y is least by (height, element), and x is
+        its highest such cover, the largest at that height."""
+        if self._graded:
+            return None
+        return _first_skipping_cover(self.elements, self._lower, self._level)
+
     # -- derived posets --------------------------------------------------
 
     def dual(self) -> "FinitePoset":
+        """The opposite order; its lower covers are the upper covers here,
+        and its heights are found from the top down."""
         if self._dual is None:
-            dual = self._derive(self.members, self._above, self._below)
+            upper: list = [[] for _ in self.names]
+            for y in self.elements:
+                for x in self._lower[y]:
+                    upper[x].append(y)
+            down = [0] * len(self.names)
+            for x in sorted(self.elements, key=self._level.__getitem__, reverse=True):
+                upper[x] = tuple(upper[x])
+                down[x] = 1 + max((down[y] for y in upper[x]), default=-1)
+            graded = _first_skipping_cover(self.elements, upper, down) is None
+            dual = self._derive(self.members, self._above, self._below, upper, down, graded)
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
@@ -180,14 +278,25 @@ class FinitePoset:
             raise PosetError(f"unknown elements: {shown}")
 
     def subposet(self, mask: int) -> "FinitePoset":
-        """The induced subposet on a mask of elements."""
+        """The induced subposet on a mask of elements.  An order ideal
+        keeps the lower covers and heights of its elements; any other
+        subposet runs the cover pass."""
         self._check_mask(mask)
         below = [0] * len(self.names)
         above = [0] * len(self.names)
-        for x in bits(mask):
-            below[x] = self._below[x] & mask
-            above[x] = self._above[x] & mask
-        return self._derive(mask, below, above)
+        whole_below, whole_above = self._below, self._above
+        ideal = True
+        elements = bits(mask)
+        for x in elements:
+            below[x] = whole_below[x] & mask
+            if below[x] != whole_below[x]:
+                ideal = False
+            above[x] = whole_above[x] & mask
+        if not ideal:
+            lower, level, graded, _ = _cover_pass(below, elements)
+            return self._derive(mask, below, above, lower, level, graded)
+        graded = self._graded or _first_skipping_cover(elements, self._lower, self._level) is None
+        return self._derive(mask, below, above, self._lower, self._level, graded)
 
     def order_ideal(self, generators: int) -> int:
         self._check_mask(generators)

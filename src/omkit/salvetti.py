@@ -69,9 +69,7 @@ class SalvettiPoset:
         keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
         index = {key: k for k, key in enumerate(keys)}
         heights = order.heights()
-        upper: list[list[int]] = [[] for _ in names]
-        for f, g in order.covers():
-            upper[f].append(g)
+        upper = order.dual().lower_covers
         # top down: the ideal below (g, r) is the cell and the ideals below
         # the cells (u, u o r) for the upper covers u of g
         below: dict[int, int] = {}
@@ -79,7 +77,7 @@ class SalvettiPoset:
             g, r = keys[k]
             pr, mr = vectors[r]
             m = 1 << k
-            for u in upper[g]:
+            for u in upper(g):
                 t = number.get(compose_masks(*vectors[u], pr, mr), -1)
                 if t < 0 or not topes >> t & 1:
                     _raise_first_bad_composition(system)

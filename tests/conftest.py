@@ -57,3 +57,19 @@ def non_pappus():
 @pytest.fixture(scope="session")
 def all_corpus():
     return {name: corpus(name) for name in CORPUS_NAMES}
+
+
+@pytest.fixture(scope="session")
+def np14(non_pappus):
+    """The 14-element supersolvable extension of non-pappus."""
+    from omkit.extensions import supersolvable_extension
+
+    return supersolvable_extension(non_pappus).final
+
+
+@pytest.fixture(scope="session")
+def a4():
+    """The braid arrangement A_4: 10 forms on R^5, outside the corpus."""
+    from omkit.matroids import from_arrangement
+
+    return from_arrangement(braid_arrangement(5))

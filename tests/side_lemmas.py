@@ -27,6 +27,7 @@ from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
 from omkit.topes import NotATopeError, halfspace
 from poset_builders import PosetMap
+from poset_oracle import scanned_covers
 
 # -- the covector order and the join, by definition ---------------------------
 
@@ -336,7 +337,7 @@ def matched_digraph(matching: Matching) -> dict[int, list[int]]:
     point up and the others down."""
     host = matching.host
     succ: dict[int, list[int]] = {x: [] for x in host.elements}
-    for a, b in host.covers():
+    for a, b in scanned_covers(host):
         tail, head = (a, b) if (a, b) in matching.pairs else (b, a)
         succ[tail].append(head)
     return succ

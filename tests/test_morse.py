@@ -17,6 +17,7 @@ from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex, sphere_poset
 from poset_builders import chain_poset, from_covers
+from poset_oracle import scanned_covers
 from side_lemmas import all_convex_tope_sets, dual_matching, graph_free_rank, kahn_acyclic, matched_digraph
 
 
@@ -107,17 +108,27 @@ def _matchings(draw_covers):
     return frozenset(pairs)
 
 
+def fiber_hosts(name, flat):
+    """The fibers over every target cell of a golden localization."""
+    system = corpus(name)
+    loc = salvetti_localization(system, mask_of(system.ground.index(a) for a in flat.split(",")))
+    return {f"{name} fiber {loc.target.poset.names[q]}": loc.fiber(q) for q in loc.target.poset.elements}
+
+
 HOSTS = {
     "square": square_boundary(),
     **{name: sphere_poset(corpus(name)) for name in ("rank1", "boolean3", "uniform-2-3")},
+    **{f"{name} dual ball": corpus(name).covector_poset().dual() for name in ("uniform-2-3", "sec3-arrangement")},
+    **fiber_hosts("sec3-arrangement", "H1,H2,H3"),
+    **fiber_hosts("braid3", "12,13,23"),
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(HOSTS)), st.data())
 def test_cycle_agrees_with_kahn(name, data):
     host = HOSTS[name]
-    covers = sorted(host.covers())  # none on the rank1 sphere, two points
+    covers = sorted(scanned_covers(host))  # none on the rank1 sphere, two points
     drawn = data.draw(st.lists(st.sampled_from(covers), unique=True)) if covers else []
     m = Matching(host, _matchings(drawn))
     cycle = m.cycle()
@@ -127,6 +138,14 @@ def test_cycle_agrees_with_kahn(name, data):
         succ = matched_digraph(m)
         assert cycle[0] == cycle[-1] and len(cycle) > 2
         assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
+
+
+def test_cycle_refuses_a_host_that_is_not_graded():
+    # d < c skips a height, so a cycle need not stay between two heights
+    host = from_covers("abcd", [("a", "b"), ("b", "c"), ("d", "c")])
+    m = Matching(host, pairs(host, {("a", "b")}))
+    with pytest.raises(MatchingError, match=r"host is not graded: the cover 'd' < 'c' skips a height"):
+        m.cycle()
 
 
 def test_matching_validation():

@@ -2,12 +2,14 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omkit.posets import FinitePoset, PosetError, SimplicialComplexRecord, mask_of
+from omkit.posets import FinitePoset, PosetError, SimplicialComplexRecord, bits, mask_of
 from omkit.corpus import corpus
 from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
 from poset_builders import PosetMap, antichain, chain_poset, from_covers, order_pairs
+from poset_oracle import checked_above, peeled_heights, scanned_covers
 from side_lemmas import lattice_poset
 from simplicial_oracle import from_facets
 
@@ -213,3 +215,102 @@ def test_poset_map_validates():
     anti = antichain(("x", "y"))
     with pytest.raises(PosetError):
         PosetMap(p, anti, {0: 0, 1: 1, 2: 0})  # a -> x, b -> y, c -> x
+
+
+# -- the cover pass against the per-pair scans -----------------------------
+
+
+def oracle_skipping_cover(poset):
+    """The first cover that skips a height, by (height, element) of its
+    top, and its highest such bottom, from the oracle covers and heights."""
+    heights = peeled_heights(poset)
+    skips = [
+        (heights[y], y, heights[x], x)
+        for x, y in scanned_covers(poset)
+        if heights[x] != heights[y] - 1
+    ]
+    if not skips:
+        return None
+    y = min(skips)[1]
+    return max((hx, x) for _, yy, hx, x in skips if yy == y)[1], y
+
+
+def assert_matches_the_oracles(poset):
+    covers = scanned_covers(poset)
+    assert poset.covers() == covers
+    assert poset.heights() == peeled_heights(poset)
+    for y in poset.elements:
+        assert poset.lower_covers(y) == tuple(sorted(x for x, yy in covers if yy == y))
+    assert poset.skipping_cover() == oracle_skipping_cover(poset)
+
+
+@st.composite
+def relations(draw):
+    """Names and below masks: an arbitrary relation, the transitive
+    closure of a DAG on shuffled numbers, or such a closure with one pair
+    added or taken away."""
+    n = draw(st.integers(0, 7))
+    names = tuple(f"e{i}" for i in range(n))
+    members = draw(st.lists(st.sampled_from(range(n)), unique=True)) if n else []
+    kind = draw(st.sampled_from(("relation", "closure", "corrupted")))
+    if kind == "relation":
+        return names, {y: draw(st.sampled_from([mask_of(s) for s in powerset(members)])) for y in members}
+    order = draw(st.permutations(members))
+    below = {y: 0 for y in members}
+    for j, y in enumerate(order):
+        for x in order[:j]:
+            if draw(st.booleans()):
+                below[y] |= below[x] | 1 << x
+    if kind == "corrupted" and members:
+        y, x = draw(st.sampled_from(members)), draw(st.sampled_from(members))
+        below[y] ^= 1 << x
+    return names, below
+
+
+def powerset(items):
+    return [c for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(relations(), st.data())
+def test_cover_pass_agrees_with_the_pair_scan(relation, data):
+    names, below = relation
+    try:
+        above = checked_above(names, below)
+    except PosetError as exc:
+        with pytest.raises(PosetError) as refused:
+            FinitePoset(names, below)
+        assert str(refused.value) == str(exc)
+        return
+    poset = FinitePoset(names, below)
+    assert [poset.above(x) for x in poset.elements] == [above[x] for x in poset.elements]
+    assert_matches_the_oracles(poset)
+    assert_matches_the_oracles(poset.dual())
+    # an order ideal inherits its covers and heights; any other subposet
+    # runs the cover pass
+    picked = mask_of(data.draw(st.lists(st.sampled_from(poset.elements), unique=True))) if len(poset) else 0
+    for sub in (poset.order_ideal(picked), picked):
+        assert_matches_the_oracles(poset.subposet(sub))
+        assert_matches_the_oracles(poset.subposet(sub).dual())
+
+
+def test_skipping_cover_names_the_first_top_and_its_highest_bottom():
+    assert chain_abc().skipping_cover() is None
+    # s, at height 3, covers r at height 2 and skips over n and t, at
+    # heights 1 and 0: n is named
+    tower = [("p", "q"), ("q", "r"), ("r", "s"), ("t", "s"), ("m", "n"), ("n", "s")]
+    p = from_covers("mnpqrst", tower)
+    assert [p.names[x] for x in p.skipping_cover()] == ["n", "s"]
+    # c, at height 2, skips over d, and comes before s
+    q = from_covers("abcdmnpqrst", tower + [("a", "b"), ("b", "c"), ("d", "c")])
+    assert [q.names[x] for x in q.skipping_cover()] == ["d", "c"]
+
+
+def test_a_subposet_that_is_no_ideal_finds_its_own_covers(five_planes):
+    # the ball of collapse_ball: an ideal below some topes, without zero
+    poset = five_planes.covector_poset()
+    zero = 1 << five_planes.numbering()[0, 0]
+    ball = poset.subposet(poset.order_ideal(mask_of(bits(five_planes.topes())[:3])) & ~zero)
+    assert not poset.is_ideal(ball.members)
+    assert ball.heights() == {x: h - 1 for x, h in poset.heights().items() if x in ball}
+    assert_matches_the_oracles(ball)

@@ -1,12 +1,13 @@
 import pytest
 
-from conftest import braid_arrangement, sign_vectors
-from omkit.extensions import supersolvable_extension
+from conftest import sign_vectors
+from omkit import posets
+from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.lattices import build_lattice
-from omkit.matroids import CovectorSystem, NotAFlatError, from_arrangement
+from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
-from omkit.posets import PosetError, bits, mask_of
+from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.topes import sphere_poset, tope_poset
 from poset_builders import PosetMap, order_pairs
 from side_lemmas import (
@@ -166,17 +167,42 @@ def test_salvetti_refuses_a_composition_outside_the_system():
         SalvettiPoset(system)
 
 
-def test_salvetti_ideals_are_the_direct_loop(all_corpus, non_pappus):
-    # np14 is the supersolvable extension of non-pappus; A4 stays outside
-    # the corpus
-    np14 = supersolvable_extension(non_pappus).final
-    a4 = from_arrangement(braid_arrangement(5))
+def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
     for name, system in [*all_corpus.items(), ("np14", np14), ("A4", a4)]:
         salv = SalvettiPoset(system)
         direct = direct_salvetti_below(system)
         assert len(direct) == len(salv), name
         for k in range(len(salv)):
             assert salv.poset.below(k) == direct[k], (name, salv.poset.names[k])
+
+
+@pytest.mark.parametrize(
+    "name, flat",
+    [
+        ("sec3-arrangement", "H1,H2,H3"),
+        ("braid3", "12,13,23"),
+        ("np14", "L1,L4,L6,g1,g2,g3,g4,g5"),
+        ("a4", "H1,H2,H3,H5,H6,H8"),
+    ],
+)
+def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
+    system = corpus(name) if name in CORPUS_NAMES else request.getfixturevalue(name)
+    loc = salvetti_localization(system, mask_of(system.ground.index(a) for a in flat.split(",")))
+
+    def no_pass(*_):
+        raise AssertionError("an order ideal ran the cover pass")
+
+    # each fiber is an order ideal, so it inherits without a second pass
+    with monkeypatch.context() as patch:
+        patch.setattr(posets, "_cover_pass", no_pass)
+        fibers = [loc.fiber(q) for q in loc.target.poset.elements]
+        inherited = [
+            (fib.heights(), [fib.lower_covers(x) for x in fib.elements], fib.skipping_cover())
+            for fib in fibers
+        ]
+    for fib, got in zip(fibers, inherited):
+        fresh = FinitePoset(fib.names, {x: fib.below(x) for x in fib.elements})
+        assert got == (fresh.heights(), [fresh.lower_covers(x) for x in fresh.elements], None)
 
 
 # boolean3 without ++-, +00, -+-, -+0, --0 and 00-: +0-, -0- and 0+-
