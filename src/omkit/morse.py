@@ -64,8 +64,8 @@ class Matching:
         1998; Chari 2000).  One depth-first walk runs over the cells
         matched upward, with an edge a -> a2 for each other lower cover
         a2 of a's partner that is itself matched upward, and a cycle found
-        there is returned through the partners.  A host that is not
-        graded is refused."""
+        there is returned through the partners, starting at its least
+        cell.  A host that is not graded is refused."""
         host = self.host
         skip = host.skipping_cover()
         if skip is not None:
@@ -95,7 +95,11 @@ class Matching:
                     todo.append(iter(succ[nxt]))
                 elif on_path[nxt]:
                     walk = path[path.index(nxt):]
-                    return tuple(x for a in walk for x in (a, partner[a])) + (nxt,)
+                    cells = [x for a in walk for x in (a, partner[a])]
+                    # start at the least cell
+                    i = cells.index(min(cells))
+                    cells = cells[i:] + cells[:i]
+                    return tuple(cells) + (cells[0],)
         return None
 
     def serialize(self) -> str:

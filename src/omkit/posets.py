@@ -219,10 +219,6 @@ class FinitePoset:
         """The elements covered by an element y, in increasing order."""
         return self._lower[y]
 
-    def covers(self) -> frozenset[tuple[int, int]]:
-        """All pairs (x, y) with x covered by y."""
-        return frozenset((x, y) for y in self.elements for x in self._lower[y])
-
     def maximal_elements(self) -> int:
         if self._maximal is None:
             maximal = mask_of(x for x in self.elements if self._above[x] == 1 << x)

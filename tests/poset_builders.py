@@ -39,6 +39,11 @@ def antichain(names: Iterable[str]) -> FinitePoset:
     return from_covers(names, [])
 
 
+def cover_pairs(poset: FinitePoset) -> frozenset[tuple[int, int]]:
+    """All pairs (x, y) with x covered by y."""
+    return frozenset((x, y) for y in poset.elements for x in poset.lower_covers(y))
+
+
 def order_pairs(poset: FinitePoset) -> frozenset[tuple[int, int]]:
     """The stored relation: all pairs (x, y) with x <= y, reflexive."""
     return frozenset((x, y) for y in poset.elements for x in bits(poset.below(y)))

@@ -15,7 +15,7 @@ from omkit.matroids import (
     flat_id,
     from_arrangement,
 )
-from poset_builders import image
+from poset_builders import cover_pairs, image
 from side_lemmas import (
     brylawski_iso,
     lattice_poset,
@@ -184,7 +184,7 @@ def test_brylawski_iso(five_planes):
     atoms_above = [
         f
         for f in p_x.target.elements
-        if f != bottom and p_x.target.covers() and (bottom, f) in p_x.target.covers()
+        if f != bottom and (bottom, f) in cover_pairs(p_x.target)
     ]
     assert len(atoms_above) == 3  # the interval below X has three atoms
     # degenerate cases are identities

@@ -19,7 +19,7 @@ from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.omfile import format_system, parse_om_text
 from omkit.posets import bits, mask_of
 from omkit.signs import GroundSetMismatchError, parse_signs
-from poset_builders import PosetMap, image
+from poset_builders import PosetMap, cover_pairs, image
 from side_lemmas import lattice_poset, pairwise_below, section_iota
 from sign_vector import SignVector
 
@@ -227,8 +227,8 @@ def test_zero_map_cover_preserving(five_planes):
     zero_set = {i: lat.index[five_planes.zero_set(i)] for i in range(len(five_planes))}
     zmap = PosetMap(five_planes.covector_poset().dual(), lattice_poset(lat), zero_set)
     assert image(zmap) == zmap.target.members
-    lat_covers = zmap.target.covers()
-    for a, b in zmap.source.covers():
+    lat_covers = cover_pairs(zmap.target)
+    for a, b in cover_pairs(zmap.source):
         fa, fb = zmap.assignment[a], zmap.assignment[b]
         assert (fa, fb) in lat_covers
 

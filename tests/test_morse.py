@@ -16,8 +16,7 @@ from omkit.posets import bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex, sphere_poset
-from poset_builders import chain_poset, from_covers
-from poset_oracle import scanned_covers
+from poset_builders import chain_poset, cover_pairs, from_covers
 from side_lemmas import all_convex_tope_sets, dual_matching, graph_free_rank, kahn_acyclic, matched_digraph
 
 
@@ -36,7 +35,7 @@ def square_disk():
     # one 2-cell glued onto the square boundary
     sq = square_boundary()
     elements = list(sq.names) + ["f"]
-    covers = [(sq.names[a], sq.names[b]) for a, b in sq.covers()]
+    covers = [(sq.names[a], sq.names[b]) for a, b in cover_pairs(sq)]
     covers += [("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f")]
     return from_covers(elements, covers)
 
@@ -88,8 +87,8 @@ def test_clockwise_matching_cyclic():
     )
     cycle = m.cycle()
     assert not kahn_acyclic(m)
-    assert len(cycle) == 9  # eight steps around the square
-    assert cycle[0] == cycle[-1]
+    # eight steps around the square, from its least cell
+    assert [sq.names[x] for x in cycle] == ["e12", "v2", "e23", "v3", "e34", "v4", "e41", "v1", "e12"]
     succ = matched_digraph(m)
     assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
     # the certificate returns the cycle as its witness, and raises nothing
@@ -118,26 +117,42 @@ def fiber_hosts(name, flat):
 HOSTS = {
     "square": square_boundary(),
     **{name: sphere_poset(corpus(name)) for name in ("rank1", "boolean3", "uniform-2-3")},
+}
+
+# the fibers over every cell of both golden localizations and two dual
+# covector balls, each host drawn on its own
+LAYERED_HOSTS = {
     **{f"{name} dual ball": corpus(name).covector_poset().dual() for name in ("uniform-2-3", "sec3-arrangement")},
     **fiber_hosts("sec3-arrangement", "H1,H2,H3"),
     **fiber_hosts("braid3", "12,13,23"),
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(HOSTS)), st.data())
-def test_cycle_agrees_with_kahn(name, data):
-    host = HOSTS[name]
-    covers = sorted(scanned_covers(host))  # none on the rank1 sphere, two points
+def check_cycle_against_kahn(host, data):
+    """A random matching on the host has a cycle exactly when Kahn's sort
+    jams, and the cycle is a closed walk of the matched digraph."""
+    covers = sorted(cover_pairs(host))  # none on the rank1 sphere, two points
     drawn = data.draw(st.lists(st.sampled_from(covers), unique=True)) if covers else []
     m = Matching(host, _matchings(drawn))
     cycle = m.cycle()
     assert (cycle is None) == kahn_acyclic(m)
     if cycle is not None:
-        # a closed walk along the digraph's edges
         succ = matched_digraph(m)
         assert cycle[0] == cycle[-1] and len(cycle) > 2
         assert all(b in succ[a] for a, b in zip(cycle, cycle[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(HOSTS)), st.data())
+def test_cycle_agrees_with_kahn(name, data):
+    check_cycle_against_kahn(HOSTS[name], data)
+
+
+@pytest.mark.parametrize("name", sorted(LAYERED_HOSTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cycle_agrees_with_kahn_on_fibers_and_dual_balls(name, data):
+    check_cycle_against_kahn(LAYERED_HOSTS[name], data)
 
 
 def test_cycle_refuses_a_host_that_is_not_graded():

@@ -8,7 +8,7 @@ from omkit.posets import FinitePoset, PosetError, SimplicialComplexRecord, bits,
 from omkit.corpus import corpus
 from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
-from poset_builders import PosetMap, antichain, chain_poset, from_covers, order_pairs
+from poset_builders import PosetMap, antichain, chain_poset, cover_pairs, from_covers, order_pairs
 from poset_oracle import checked_above, peeled_heights, scanned_covers
 from side_lemmas import lattice_poset
 from simplicial_oracle import from_facets
@@ -54,11 +54,11 @@ def test_elements_are_numbered_in_name_order():
 
 def test_covers_chain_antichain_simplex():
     p = chain_abc()
-    assert named(p, p.covers()) == {("a", "b"), ("b", "c")}
-    assert antichain(("a", "b")).covers() == frozenset()
+    assert named(p, cover_pairs(p)) == {("a", "b"), ("b", "c")}
+    assert cover_pairs(antichain(("a", "b"))) == frozenset()
     edge = from_covers(("v1", "v2", "e"), [("v1", "e"), ("v2", "e")])
-    assert named(edge, edge.covers()) == {("v1", "e"), ("v2", "e")}
-    assert all(edge.is_cover(x, y) for x, y in edge.covers())
+    assert named(edge, cover_pairs(edge)) == {("v1", "e"), ("v2", "e")}
+    assert all(edge.is_cover(x, y) for x, y in cover_pairs(edge))
     assert not edge.is_cover(edge.names.index("e"), edge.names.index("v1"))
 
 
@@ -199,7 +199,7 @@ def test_poset_fiber_of_zero_map(rank1):
 def test_dual():
     p = chain_abc()
     d = p.dual()
-    assert named(d, d.covers()) == {("c", "b"), ("b", "a")}
+    assert named(d, cover_pairs(d)) == {("c", "b"), ("b", "a")}
     anti = antichain(("a", "b"))
     assert order_pairs(anti.dual()) == order_pairs(anti)
     assert order_pairs(d.dual()) == order_pairs(p)
@@ -237,7 +237,7 @@ def oracle_skipping_cover(poset):
 
 def assert_matches_the_oracles(poset):
     covers = scanned_covers(poset)
-    assert poset.covers() == covers
+    assert cover_pairs(poset) == covers
     assert poset.heights() == peeled_heights(poset)
     for y in poset.elements:
         assert poset.lower_covers(y) == tuple(sorted(x for x, yy in covers if yy == y))

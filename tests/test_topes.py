@@ -18,7 +18,7 @@ from omkit.topes import (
     tope_poset,
     verify_shelling,
 )
-from poset_builders import antichain, from_covers
+from poset_builders import antichain, cover_pairs, from_covers
 from side_lemmas import all_convex_tope_sets, dual_by_complement, is_convex_betweenness, subcomplex_LQ
 from sign_vector import SignVector
 
@@ -55,7 +55,7 @@ def test_dist_extremes(five_planes):
 def test_rank1_tope_poset(rank1):
     plus = rank1.covector_poset().names.index("+")
     tp = tope_poset(rank1, plus)
-    assert {(tp.names[a], tp.names[b]) for a, b in tp.covers()} == {("+", "-")}
+    assert {(tp.names[a], tp.names[b]) for a, b in cover_pairs(tp)} == {("+", "-")}
 
 
 def test_tope_poset_requires_tope(five_planes):
@@ -187,7 +187,7 @@ def test_shelling_order_puts_a_convex_prefix_first(uniform23, five_planes):
                 assert mask_of(order) == topes and len(order) == topes.bit_count()
                 position = {t: i for i, t in enumerate(order)}
                 tp = tope_poset(system, base)
-                assert all(position[a] < position[b] for a, b in tp.covers())
+                assert all(position[a] < position[b] for a, b in cover_pairs(tp))
 
 
 def test_convex_first_extension(five_planes):
@@ -314,7 +314,7 @@ def test_tope_poset_graded_with_single_flip_covers(all_corpus):
             continue
         for base in bits(all_topes(system))[:3]:
             tp = tope_poset(system, base)
-            for r, t in tp.covers():
+            for r, t in cover_pairs(tp):
                 assert dist(system, base, t) == dist(system, base, r) + 1, name
                 assert dist(system, r, t) == 1, name
 

@@ -3,37 +3,28 @@
 A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
 Salvetti cells).  The script builds it with `from_arrangement`, then
 times the Salvetti poset, its `homology()` (checking the Betti numbers
-1 15 85 225 274 120 and no torsion) and a sampled quasi-fibration
-certificate at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13;
-it exits 1 when the certificate fails.  Run from the repository root:
+1 15 85 225 274 120 and no torsion) and a certificate sampling four
+pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13; it exits
+1 when the certificate fails.  Run from the repository root:
 
-    python tools/a5.py [--sample N]
+    python tools/a5.py
 """
 
-import argparse
-import itertools
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from conftest import braid_arrangement
 from omkit.homology import homology, quasi_fibration_certify
-from omkit.matroids import RationalArrangement, from_arrangement
+from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset
 
 BETTI = (1, 15, 85, 225, 274, 120)
 COATOM = "H1,H2,H3,H4,H6,H7,H8,H10,H11,H13"
-
-
-def braid_arrangement(k: int) -> RationalArrangement:
-    """The forms x_i - x_j, i < j, on R^k, labelled H1, H2, ... in order."""
-    forms = []
-    for i, j in itertools.combinations(range(k), 2):
-        row = [0] * k
-        row[i], row[j] = 1, -1
-        forms.append(row)
-    return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
+SAMPLE = 4
 
 
 def timed(label: str, run):
@@ -44,9 +35,6 @@ def timed(label: str, run):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sample", type=int, default=4, help="pairs the certificate checks (default 4)")
-    args = parser.parse_args()
     system = timed("from_arrangement", lambda: from_arrangement(braid_arrangement(6)))
     timed("covector poset", system.covector_poset)
     salvetti = timed("salvetti", lambda: SalvettiPoset(system))
@@ -56,8 +44,8 @@ def main() -> int:
         raise SystemExit(f"expected Betti numbers {BETTI} and no torsion, got {result}")
     flat = system.label_mask(COATOM.split(","))
     cert = timed(
-        f"certify-qf --sample {args.sample}",
-        lambda: quasi_fibration_certify(system, flat, sample=args.sample),
+        f"certify-qf --sample {SAMPLE}",
+        lambda: quasi_fibration_certify(system, flat, sample=SAMPLE),
     )
     print(f"pairs: {len(cert.pairs)}  fibers: {len(cert.fibers)}  ok: {cert.ok}")
     return 0 if cert.ok else 1
