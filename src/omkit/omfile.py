@@ -143,7 +143,8 @@ def parse_matrix_text(text: str) -> list[tuple[Fraction, ...]]:
 
 @dataclass
 class Report:
-    """An ordered list of PASS/FAIL clauses with witnesses."""
+    """An ordered list of PASS/FAIL clauses with witnesses.  A report
+    with no clause, only notes, claims nothing and prints no verdict."""
 
     title: str
     clauses: list[tuple[str, bool, Optional[str]]] = field(default_factory=list)
@@ -170,5 +171,6 @@ class Report:
                 lines.append(f"{key}: PASS")
             else:
                 lines.append(f"{key}: FAIL witness={witness}")
-        lines.append(f"verdict: {'PASS' if self.ok else 'FAIL'}")
+        if self.clauses:
+            lines.append(f"verdict: {'PASS' if self.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import pytest
 from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.lattices import build_lattice
-from omkit.omfile import OMFileError, format_system, parse_om_text
+from omkit.omfile import OMFileError, Report, format_system, parse_om_text
 
 
 def run_with_stderr(capsys, argv, stdin: str = ""):
@@ -280,6 +280,17 @@ def test_localize_fiber_stratify(capsys):
     )
     assert code == 0
     assert "strata_sizes: 59 13 13" in out
+    # notes only: stratify claims nothing, so it prints no verdict
+    assert "verdict:" not in out
+
+
+def test_a_report_without_clauses_prints_no_verdict():
+    report = Report("notes")
+    report.note("size", 3)
+    assert report.ok
+    assert report.render() == "report: notes\nsize: 3\n"
+    report.add("claim", True)
+    assert report.render() == "report: notes\nsize: 3\nclaim: PASS\nverdict: PASS\n"
 
 
 @pytest.mark.parametrize(
