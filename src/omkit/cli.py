@@ -27,7 +27,6 @@ from pathlib import Path
 from .corpus import CORPUS_NAMES, corpus
 from .homology import (
     PairEvidence,
-    fiber_evidence,
     homology,
     quasi_fibration_certify,
     salvetti_betti_match_whitney,
@@ -235,16 +234,22 @@ def cmd_fiber(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
-    ev = fiber_evidence(loc, _cell(loc.target, args.cell))
+    cell = _cell(loc.target, args.cell)
+    res = homology(loc.fiber(cell))
+    # trailing zeros trimmed down to, and padded up to, b0 and b1
+    betti = list(res.betti)
+    while len(betti) > 2 and betti[-1] == 0:
+        betti.pop()
+    betti = tuple(betti + [0] * (2 - len(betti)))
     names = loc.target.poset.names
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))
-    report.note("cell", names[ev.cell])
-    report.note("size", loc.fibers[ev.cell].bit_count())
-    report.note("betti", " ".join(map(str, ev.betti)))
+    report.note("cell", names[cell])
+    report.note("size", loc.fibers[cell].bit_count())
+    report.note("betti", " ".join(map(str, betti)))
     # the paper's claim: a wedge of one circle per element outside the flat
     d = len(system.ground) - x.bit_count()
-    report.add("fibers.homology", ev.is_wedge(d), f"{names[ev.cell]}: {ev.betti}")
+    report.add("fibers.homology", betti == (1, d) and res.is_torsion_free(), f"{names[cell]}: {betti}")
     return _finish(report)
 
 
@@ -330,12 +335,11 @@ def cmd_homology(args) -> int:
 def _pair_failures(pair: PairEvidence, names: tuple[str, ...], cells: tuple[str, ...]) -> str:
     """`a <= b: ` and the pair's failed matchings, each with its
     certificate's witnesses, its cycle over the source cells first."""
-    failed = []
-    for side, m in (("lower", pair.lower_matching), ("upper", pair.upper_matching)):
-        if m.cycle is not None:
-            failed.append(f"{side} matching: cycle {[cells[x] for x in m.cycle]}")
-        if m.critical is not None:
-            failed.append(f"{side} matching: {m.critical}")
+    failed = [
+        f"{side} matching: {w}"
+        for side, m in (("lower", pair.lower_matching), ("upper", pair.upper_matching))
+        for w in m.witnesses(cells)
+    ]
     return f"{names[pair.lower]} <= {names[pair.upper]}: {'; '.join(failed)}"
 
 
@@ -359,7 +363,7 @@ def cmd_certify_qf(args) -> int:
     report.add(
         "fibers.homology",
         not bad_fibers,
-        bad_fibers and f"{names[bad_fibers[0].cell]}: {bad_fibers[0].betti}" or None,
+        bad_fibers and f"{names[bad_fibers[0][0]]}: {bad_fibers[0][1]}" or None,
     )
     bad_ranks = cert.failed_graph_ranks
     report.add(

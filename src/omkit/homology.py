@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
-from .posets import FinitePoset, bits, mask_of
+from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
     SalvettiPoset,
@@ -351,79 +351,108 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
 # -- the quasi-fibration certificate --------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberEvidence:
-    cell: int
-    dimension: int  # the fiber's height
-    betti: tuple[int, ...]  # trailing zeros trimmed, padded to length 2
-    torsion_free: bool
+def graph_rank(graph: FinitePoset) -> Union[int, str]:
+    """The free rank of a connected graph, by union-find over its vertices
+    and edges, or why the poset is no connected graph.  An edge without
+    exactly two vertices is a `NotRegularError`, as in `_incidences`."""
+    if graph.height() > 1:
+        return "complex has cells of dimension above one"
+    heights, names = graph.heights(), graph.names
+    parent = {v: v for v, h in heights.items() if h == 0}
 
-    @property
-    def graph_rank(self) -> Union[int, str]:
-        """The free rank of the fiber as a connected graph, or why it has none."""
-        if self.dimension > 1:
-            return "complex has cells of dimension above one"
-        if self.betti[0] != 1:
-            return f"graph has {self.betti[0]} components"
-        return self.betti[1]
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def is_wedge(self, d: int) -> bool:
-        """The fiber has the homology of a wedge of d circles."""
-        return self.betti == (1, d) and self.torsion_free
-
-
-def fiber_evidence(loc: SalvettiLocalization, cell: int) -> FiberEvidence:
-    """The homology of the fiber over a cell of `loc.target`."""
-    fib = loc.fiber(cell)
-    res = homology(fib)
-    betti = list(res.betti)
-    while len(betti) > 2 and betti[-1] == 0:
-        betti.pop()
-    betti += [0] * (2 - len(betti))
-    return FiberEvidence(cell, fib.height(), tuple(betti), res.is_torsion_free())
+    components, edges = len(parent), 0
+    for e in graph.elements:
+        if heights[e] == 0:
+            continue
+        ends = graph.lower_covers(e)
+        if len(ends) != 2:
+            raise NotRegularError(f"edge {names[e]!r} has vertices {[names[v] for v in ends]}, not exactly 2")
+        edges += 1
+        a, b = root(ends[0]), root(ends[1])
+        if a != b:
+            parent[a] = b
+            components -= 1
+    if components != 1:
+        return f"graph has {components} components"
+    return edges - len(parent) + 1
 
 
 @dataclass(frozen=True)
 class PairEvidence:
     """The fiber matchings of cells lower <= upper, both into the fiber of
-    the least maximal cell above upper."""
+    `ambient`, the least maximal cell above upper, and the pair's link:
+    the matching of that fiber onto the fiber of `minimal`, the least
+    minimal cell below lower."""
 
     lower: int
     upper: int
+    ambient: int
+    minimal: int
     lower_matching: MorseCertificate
     upper_matching: MorseCertificate
+    link: MorseCertificate
 
     @property
     def ok(self) -> bool:
+        """Both fiber matchings hold; the link is evidence of the fiber
+        types, which `QuasiFibrationCertificate.fibers` reads."""
         return self.lower_matching.ok and self.upper_matching.ok
 
 
 @dataclass(frozen=True)
 class QuasiFibrationCertificate:
-    """Evidence over the cells of `loc.target`, by number: the homology of
-    the fiber of every cell of a checked pair and of every minimal cell."""
+    """Evidence over the cells of `loc.target`, by number: the graph rank
+    of the fiber of every minimal cell, or why it has none, and the
+    checked pairs with their links."""
 
     loc: SalvettiLocalization
     sample: Optional[int]  # None: every pair was checked
     expected_rank: int
-    fibers: tuple[FiberEvidence, ...]
+    graph_ranks: tuple[tuple[int, Union[int, str]], ...]
     pairs: tuple[PairEvidence, ...]
 
     @property
-    def graph_ranks(self) -> tuple[tuple[int, Union[int, str]], ...]:
-        """Each minimal cell and the free rank of its fiber, or why it has none."""
-        minimal = self.loc.target.poset.minimal_elements()
-        return tuple((f.cell, f.graph_rank) for f in self.fibers if minimal >> f.cell & 1)
+    def fibers(self) -> tuple[tuple[int, Optional[str]], ...]:
+        """Each minimal cell and each cell of a checked pair, with why its
+        fiber is not proven a wedge of `expected_rank` circles, or None.
+        A minimal fiber is proven by its graph rank, any other by every
+        collapse onto it in a checked pair, with that pair's link and the
+        graph rank of the linked minimal fiber; the first failure is kept."""
+        d = self.expected_rank
+        names, cells = self.loc.target.poset.names, self.loc.source.poset.names
+        graph = {
+            m: None if r == d else r if isinstance(r, str) else f"graph rank {r}"
+            for m, r in self.graph_ranks
+        }
+        why = dict(graph)
+        for p in self.pairs:
+            amb, m = names[p.ambient], names[p.minimal]
+            for cell, own in ((p.lower, p.lower_matching), (p.upper, p.upper_matching)):
+                if cell in graph or why.get(cell) is not None:
+                    continue
+                if not own.ok:
+                    why[cell] = f"collapse from {amb}: {'; '.join(own.witnesses(cells))}"
+                elif not p.link.ok:
+                    why[cell] = f"link {amb} -> {m}: {'; '.join(p.link.witnesses(cells))}"
+                elif graph[p.minimal] is not None:
+                    why[cell] = f"linked minimal fiber {m}: {graph[p.minimal]}"
+                else:
+                    why[cell] = None
+        return tuple(sorted(why.items()))
 
     @property
     def failed_pairs(self) -> tuple[PairEvidence, ...]:
         return tuple(p for p in self.pairs if not p.ok)
 
     @property
-    def failed_fibers(self) -> tuple[FiberEvidence, ...]:
-        """The fibers without the homology of a wedge of `expected_rank`
-        circles."""
-        return tuple(f for f in self.fibers if not f.is_wedge(self.expected_rank))
+    def failed_fibers(self) -> tuple[tuple[int, str], ...]:
+        return tuple(f for f in self.fibers if f[1] is not None)
 
     @property
     def failed_graph_ranks(self) -> tuple[tuple[int, Union[int, str]], ...]:
@@ -442,15 +471,30 @@ def quasi_fibration_certify(
     """Certify that localization of the Salvetti poset at a modular
     corank-one flat behaves as a poset quasi-fibration, at desk scale.
 
-    For every ordered pair a <= b of cells of the localized poset, both
-    fiber inclusions into a common maximal-cell fiber carry acyclic
-    matchings with the right critical sets; all fibers have the homology
-    of a wedge of circles, one per element outside the flat, and those
-    over the minimal cells are graphs.  `sample` pairs, drawn with a fixed
-    seed, are checked instead of all of them when it is given; the
+    For every ordered pair a <= b of cells of the localized poset, the
+    fiber of A, the least maximal cell above b, carries acyclic matchings
+    whose critical cells are exactly the fibers of a and of b; the fibers
+    over the minimal cells are connected graphs of free rank d, one per
+    element outside the flat (by union-find); and the fibers of every
+    checked pair are wedges of d circles.  `sample` pairs, drawn with a
+    fixed seed, are checked instead of all of them when it is given; the
     minimal cells are checked either way.  The fiber inclusions hold by
     construction: `loc.fibers[q]` is the union of the preimages over the
     cells below q.
+
+    The wedges are read off the collapses, and no fiber is reduced: an
+    acyclic matching whose critical cells are a subcomplex collapses the
+    complex onto it, and a collapse is a homotopy equivalence (Forman,
+    "Morse theory for cell complexes", 1998).  Each pair also checks its
+    link, the matching of the fiber of A onto the fiber of m, the least
+    minimal cell below a, so the fibers of a, b and A have the homotopy
+    type of the graph over m: a wedge of d circles when it is connected of
+    free rank d.  An exhaustive run has checked the link already, as the
+    lower matching of the pair (m, b).  The reading needs regular CW
+    complexes, as the cellular homology does: `_incidences` checks the
+    fiber of each ambient A once, and the fiber of every cell below A is
+    an ideal of it, so regular too; `graph_rank` checks that each edge of
+    a minimal fiber has two vertices.  Either raises `NotRegularError`.
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
@@ -473,17 +517,17 @@ def quasi_fibration_certify(
         rng = random.Random(0)
         pairs_all = rng.sample(pairs_all, min(sample, len(pairs_all)))
 
-    needed = mask_of(c for pair in pairs_all for c in pair) | poset.minimal_elements()
-    fibers = tuple(fiber_evidence(loc, c) for c in bits(needed))
+    minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
+    graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))
 
     # each pair's ambient is the least maximal cell above its upper cell,
-    # with one stratification per ambient, shared by every matching into it
-    maximal = poset.maximal_elements()
+    # with one stratification per ambient, whose fiber is checked regular
+    # once and shared by every matching into it
     ambient_for = {b: bits(poset.above(b) & maximal)[0] for _a, b in pairs_all}
-    strat_for = {
-        amb: stratify_fiber(loc, loc.target.keys[amb][1])
-        for amb in sorted(set(ambient_for.values()))
-    }
+    strat_for = {}
+    for amb in sorted(set(ambient_for.values())):
+        strat_for[amb] = stratify_fiber(loc, loc.target.keys[amb][1])
+        _incidences(strat_for[amb].fiber)
     matching_certs: dict[tuple[int, int], MorseCertificate] = {}
 
     def matching_certificate(cell: int, ambient: int) -> MorseCertificate:
@@ -493,10 +537,13 @@ def quasi_fibration_certify(
             matching_certs[key] = morse_reduction_certificate(m, loc.fibers[cell])
         return matching_certs[key]
 
-    pairs = tuple(
-        PairEvidence(
-            a, b, matching_certificate(a, ambient_for[b]), matching_certificate(b, ambient_for[b])
+    pairs = []
+    for a, b in sorted(pairs_all):
+        amb, m = ambient_for[b], bits(poset.below(a) & minimal)[0]
+        pairs.append(
+            PairEvidence(
+                a, b, amb, m,
+                matching_certificate(a, amb), matching_certificate(b, amb), matching_certificate(m, amb),
+            )
         )
-        for a, b in sorted(pairs_all)
-    )
-    return QuasiFibrationCertificate(loc, sample, expected, fibers, pairs)
+    return QuasiFibrationCertificate(loc, sample, expected, graph_ranks, tuple(pairs))

@@ -303,6 +303,12 @@ class MorseCertificate:
     def ok(self) -> bool:
         return self.cycle is None and self.critical is None
 
+    def witnesses(self, names: Sequence[str]) -> list[str]:
+        """The witness against each failed claim, a cycle by the host's
+        names."""
+        out = [] if self.cycle is None else [f"cycle {[names[x] for x in self.cycle]}"]
+        return out if self.critical is None else out + [self.critical]
+
 
 def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCertificate:
     """Check that the matching's host collapses onto a subcomplex (a

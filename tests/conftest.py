@@ -60,11 +60,18 @@ def all_corpus():
 
 
 @pytest.fixture(scope="session")
-def np14(non_pappus):
-    """The 14-element supersolvable extension of non-pappus."""
+def np14_extension(non_pappus):
+    """The supersolvable extension of non-pappus, searched once per
+    session: its steps, its modular chain and its final system."""
     from omkit.extensions import supersolvable_extension
 
-    return supersolvable_extension(non_pappus).final
+    return supersolvable_extension(non_pappus)
+
+
+@pytest.fixture(scope="session")
+def np14(np14_extension):
+    """The 14-element supersolvable extension of non-pappus."""
+    return np14_extension.final
 
 
 @pytest.fixture(scope="session")

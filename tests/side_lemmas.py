@@ -9,16 +9,19 @@ covector order by pairs is the definition that the column-built order
 is checked against; closure, rank, Moebius function and join by scans
 over the flats are the definitions that the one-pass lattice
 constructor is checked against.  Convexity by betweenness is the oracle
-for the convex hull, and the free rank of a graph by union-find the
-oracle for the graph ranks of the quasi-fibration certificate.  The Salvetti ideals by one
+for the convex hull, and the homology of a fiber by the reduction of its chain
+complex the oracle for the fiber types and the graph ranks that the
+quasi-fibration certificate reads off its collapses and by union-find.
+The Salvetti ideals by one
 composition per pair are the oracle for the constructor's cover
 recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
 and the dual subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  No command needs them, so they
 live with the tests."""
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
+from omkit.homology import homology
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
@@ -363,33 +366,35 @@ def kahn_acyclic(matching: Matching) -> bool:
     return done == len(succ)
 
 
-# -- graphs --------------------------------------------------------------------
+# -- fiber homology --------------------------------------------------------------
 
 
-def graph_free_rank(graph: FinitePoset) -> int:
-    """Free rank (first Betti number) of a connected 1-dimensional complex,
-    by union-find over its edges."""
-    heights = graph.heights()
-    if any(h > 1 for h in heights.values()):
-        raise ValueError("complex has cells of dimension above one")
-    vertices = [x for x, h in heights.items() if h == 0]
-    edges = [x for x, h in heights.items() if h == 1]
-    parent = {v: v for v in vertices}
+class FiberHomology(NamedTuple):
+    dimension: int  # the fiber's height
+    betti: tuple[int, ...]  # trailing zeros trimmed, padded to length 2
+    torsion_free: bool
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    @property
+    def graph_rank(self) -> Union[int, str]:
+        """The free rank of the fiber as a connected graph, or why it has
+        none, in the words of `omkit.homology.graph_rank`."""
+        if self.dimension > 1:
+            return "complex has cells of dimension above one"
+        if self.betti[0] != 1:
+            return f"graph has {self.betti[0]} components"
+        return self.betti[1]
 
-    for e in edges:
-        ends = bits(graph.below(e) ^ 1 << e)
-        if len(ends) != 2:
-            raise ValueError(f"edge {graph.names[e]!r} has {len(ends)} endpoints")
-        a, b = (find(v) for v in ends)
-        if a != b:
-            parent[a] = b
-    components = len({find(v) for v in vertices})
-    if components != 1:
-        raise ValueError(f"graph has {components} components")
-    return len(edges) - len(vertices) + 1
+    def is_wedge(self, d: int) -> bool:
+        """The fiber has the homology of a wedge of d circles."""
+        return self.betti == (1, d) and self.torsion_free
+
+
+def fiber_homology(fiber: FinitePoset) -> FiberHomology:
+    """The homology of a fiber, by the reduction of its cellular chain
+    complex."""
+    res = homology(fiber)
+    betti = list(res.betti)
+    while len(betti) > 2 and betti[-1] == 0:
+        betti.pop()
+    betti += [0] * (2 - len(betti))
+    return FiberHomology(fiber.height(), tuple(betti), res.is_torsion_free())

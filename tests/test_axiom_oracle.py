@@ -6,12 +6,9 @@ column bitsets and no pair symmetry.  The two must give equal reports,
 verdicts and witness strings alike, on random sign-vector sets and on
 corpus members and extension steps with covectors deleted or added."""
 
-from functools import cache
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from omkit.corpus import CORPUS_NAMES, corpus
-from omkit.extensions import supersolvable_extension
 from omkit.matroids import AxiomCheck, AxiomReport, CovectorSystem
 from omkit.signs import compose_masks, separator_masks
 from sign_vector import SignVector
@@ -78,11 +75,9 @@ def reference_check_axioms(system: CovectorSystem) -> AxiomReport:
     return AxiomReport(ax1, ax2, ax3, ax4)
 
 
-@cache
-def extension_steps() -> tuple[CovectorSystem, ...]:
+def extension_steps(result) -> tuple[CovectorSystem, ...]:
     """The system after each enlargement of the supersolvable extension
     of non-pappus (215 to 367 covectors)."""
-    result = supersolvable_extension(corpus("non-pappus"))
     return tuple(step.result.extended for step in result.steps)
 
 
@@ -126,8 +121,8 @@ def mutate(data, system: CovectorSystem) -> CovectorSystem:
     return CovectorSystem(system.ground, {(c.plus, c.minus) for c in covs})
 
 
-def test_matches_reference_on_corpus_and_extension_steps():
-    for system in [corpus(name) for name in CORPUS_NAMES] + list(extension_steps()):
+def test_matches_reference_on_corpus_and_extension_steps(np14_extension):
+    for system in [corpus(name) for name in CORPUS_NAMES] + list(extension_steps(np14_extension)):
         report = system.check_axioms()
         assert report.ok
         assert report == reference_check_axioms(system)
@@ -148,6 +143,6 @@ def test_matches_reference_on_mutated_corpus(data):
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
-def test_matches_reference_on_mutated_extension_steps(data):
-    system = mutate(data, data.draw(st.sampled_from(extension_steps())))
+def test_matches_reference_on_mutated_extension_steps(np14_extension, data):
+    system = mutate(data, data.draw(st.sampled_from(extension_steps(np14_extension))))
     assert system.check_axioms() == reference_check_axioms(system)

@@ -462,10 +462,19 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     assert cert.failed_pairs == (cert.pairs[1],)
     assert cert.failed_fibers == cert.fibers
     names = cert.loc.target.poset.names
-    pair, fiber = cert.failed_pairs[0], cert.failed_fibers[0]
+    pair, (cell, why) = cert.failed_pairs[0], cert.failed_fibers[0]
     claim = "lower matching: extra ['x'], missing []"
     assert f"pairs.certified: FAIL witness={names[pair.lower]} <= {names[pair.upper]}: {claim}\n" in out
-    assert f"fibers.homology: FAIL witness={names[fiber.cell]}: (1, 2)\n" in out
+    assert f"fibers.homology: FAIL witness={names[cell]}: {why}\n" in out
+    # a minimal fiber fails by its own rank, any other by its linked one's;
+    # the broken collapse is onto a graph, which stands on its own rank
+    minimal = cert.loc.target.poset.minimal_elements()
+    assert minimal >> pair.lower & 1
+    for cell, why in cert.failed_fibers:
+        if minimal >> cell & 1:
+            assert why == "graph rank 2"
+        else:
+            assert why.startswith("linked minimal fiber (") and why.endswith("): graph rank 2")
     # the minimal fibers have rank 2, not the expected_rank 3 patched in
     assert cert.failed_graph_ranks == cert.graph_ranks
     cell, rank = cert.failed_graph_ranks[0]
@@ -473,33 +482,21 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     assert rank == 2
 
 
-def test_certify_qf_fails_a_fiber_with_higher_homology(capsys, monkeypatch):
+def test_fiber_fails_a_fiber_with_higher_homology(capsys, monkeypatch):
     # a fiber with b2 != 0 is no wedge of circles, whatever its b0 and b1
-    import importlib
-
-    from omkit.homology import HomologyResult, quasi_fibration_certify
-
-    # the package re-exports homology(), which hides the module attribute
-    module = importlib.import_module("omkit.homology")
-    real = module.homology
-    calls = []
+    import omkit.cli
+    from omkit.homology import HomologyResult, homology
 
     def patched(poset):
-        res = real(poset)
-        calls.append(poset)
-        if len(calls) > 1:
-            return res
+        res = homology(poset)
         return HomologyResult(res.betti[:2] + (7,) + res.betti[3:], res.torsion)
 
-    monkeypatch.setattr(module, "homology", patched)
-    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    monkeypatch.setattr(omkit.cli, "homology", patched)
+    argv = ["fiber", "--flat", "H1,H2,H3", "--cell", "(+++;+++)"]
+    code, out = run(capsys, argv, stdin=om_text("sec3-arrangement"))
     assert code == 1
-    calls.clear()
-    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)
-    assert [f.betti for f in cert.failed_fibers] == [(1, 2, 7)]
-    names = cert.loc.target.poset.names
-    assert f"fibers.homology: FAIL witness={names[cert.fibers[0].cell]}: (1, 2, 7)\n" in out
-    assert "verdict: FAIL\n" in out
+    assert "\nbetti: 1 2 7\n" in out
+    assert out.endswith("\nfibers.homology: FAIL witness=(+++;+++): (1, 2, 7)\nverdict: FAIL\n")
 
 
 def drop_first_pair(build):
@@ -512,6 +509,30 @@ def drop_first_pair(build):
         return Matching(m.host, frozenset(sorted(m.pairs)[1:])) if m.pairs else m
 
     return dropped
+
+
+def drop_link_pairs(build):
+    """`matching_salvetti_fiber`, with the first pair dropped from each
+    matching onto the fiber of a minimal cell, as a link is."""
+    dropped = drop_first_pair(build)
+
+    def link(strat, cell):
+        minimal = strat.loc.target.poset.minimal_elements() >> cell & 1
+        return (dropped if minimal else build)(strat, cell)
+
+    return link
+
+
+def extra_edge(graph_rank):
+    """`graph_rank`, reading each graph with one more edge, parallel to
+    its first."""
+    from poset_builders import with_element
+
+    def rank(graph):
+        edge = next(e for e in graph.elements if graph.heights()[e] == 1)
+        return graph_rank(with_element(graph, "~edge", graph.lower_covers(edge)))
+
+    return rank
 
 
 def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeypatch):
@@ -528,7 +549,52 @@ def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeyp
     lower, upper = claims.split("; ")
     assert lower.startswith("lower matching: extra [") and lower.endswith(", missing []")
     assert upper.startswith("upper matching: extra [") and upper.endswith(", missing []")
-    assert "\nfibers.homology: PASS\nfibers.graph_rank: PASS\nverdict: FAIL\n" in out
+    # and leaves the fibers of the pairs unproven: each names its collapse
+    homology = out.split("\nfibers.homology: FAIL witness=")[1].split("\n")[0]
+    cell, why = homology.split(": ", 1)
+    assert why.startswith("collapse from (") and "): extra [" in why and why.endswith(", missing []")
+    assert out.endswith("\nfibers.graph_rank: PASS\nverdict: FAIL\n")
+
+
+def test_certify_qf_fails_the_fibers_of_a_failed_link(capsys, monkeypatch):
+    # a link matching that misses its minimal fiber leaves the fibers it
+    # links unproven; the minimal fibers stand on their own graphs
+    import omkit.morse
+
+    monkeypatch.setattr(omkit.morse, "matching_salvetti_fiber", drop_link_pairs(omkit.morse.matching_salvetti_fiber))
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3", "--sample", "2"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    witness = out.split("\nfibers.homology: FAIL witness=")[1].split("\n")[0]
+    cell, why = witness.split(": ", 1)
+    assert why.startswith("link (") and "): extra [" in why and why.endswith(", missing []")
+    assert out.endswith("\nfibers.graph_rank: PASS\nverdict: FAIL\n")
+
+
+def test_certify_qf_refuses_an_ambient_fiber_that_is_not_regular(capsys, monkeypatch):
+    # the collapses read homotopy types only off a regular complex: an
+    # ambient fiber with a cover that skips a height is refused, exit 2
+    import importlib
+    from dataclasses import replace
+
+    module = importlib.import_module("omkit.homology")
+    real = module.stratify_fiber
+
+    def skipping(loc, base):
+        strat = real(loc, base)
+        fiber = strat.fiber
+        # drop the two edges at a vertex of a 2-cell: the vertex is then
+        # covered by the 2-cell, two heights up
+        cell = next(c for c in fiber.elements if fiber.heights()[c] == 2)
+        edges = fiber.lower_covers(cell)
+        vertex = fiber.lower_covers(edges[0])[0]
+        at = [e for e in edges if vertex in fiber.lower_covers(e)]
+        return replace(strat, fiber=fiber.subposet(fiber.members & ~sum(1 << e for e in at)))
+
+    monkeypatch.setattr(module, "stratify_fiber", skipping)
+    code, out, err = run_with_stderr(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cell '(") and err.endswith("' skips a height\n")
 
 
 def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
@@ -606,24 +672,17 @@ def test_morse_convex_fails_a_cyclic_matching(capsys, monkeypatch):
 
 
 def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
-    # a minimal fiber whose homology says two components fails its graph
-    # rank clause, exit 1
+    # a minimal fiber with one more vertex, on no edge, has two
+    # components: its graph rank clause fails, exit 1
     import importlib
 
-    from omkit.homology import HomologyResult, quasi_fibration_certify
+    from omkit.homology import quasi_fibration_certify
     from omkit.posets import bits
+    from poset_builders import with_element
 
-    # the package re-exports homology(), which hides the module attribute
     module = importlib.import_module("omkit.homology")
-    real = module.homology
-
-    def patched(poset):
-        res = real(poset)
-        if poset.height() > 1:
-            return res
-        return HomologyResult((2,) + res.betti[1:], res.torsion)
-
-    monkeypatch.setattr(module, "homology", patched)
+    real = module.graph_rank
+    monkeypatch.setattr(module, "graph_rank", lambda graph: real(with_element(graph, "~vertex", ())))
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
     cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)
@@ -631,6 +690,18 @@ def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
     assert cert.failed_graph_ranks == tuple((m, "graph has 2 components") for m in bits(minimal))
     name = cert.loc.target.poset.names[cert.failed_graph_ranks[0][0]]
     assert out.endswith(f"\nfibers.graph_rank: FAIL witness={name}: graph has 2 components\nverdict: FAIL\n")
+
+
+def test_certify_qf_fails_a_minimal_fiber_with_an_extra_edge(capsys, monkeypatch):
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    monkeypatch.setattr(module, "graph_rank", extra_edge(module.graph_rank))
+    code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
+    assert code == 1
+    assert "\nfibers.graph_rank: FAIL witness=(" in out and out.endswith("): 3\nverdict: FAIL\n")
+    # the fibers linked to those graphs fail with them
+    assert "\nfibers.homology: FAIL witness=(" in out
 
 
 def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):

@@ -174,8 +174,8 @@ def test_single_enlargement_suffices_for_off_pivot(five_planes):
     assert rank3_modular_coatom_test(new_lat, lifted)
 
 
-def test_supersolvable_extension_non_pappus(non_pappus):
-    result = supersolvable_extension(non_pappus)
+def test_supersolvable_extension_non_pappus(non_pappus, np14_extension):
+    result = np14_extension
     assert len(result.steps) >= 1
     for step in result.steps:
         assert step.disjoint_after < step.disjoint_before
@@ -197,12 +197,12 @@ def test_supersolvable_extension_labels_by_the_smallest_free_g(non_pappus):
     assert result.final.ground == ground + ("g2", "g4", "g5", "g6", "g7")
 
 
-def test_extension_output_carries_the_fibration_structure(non_pappus):
+def test_extension_output_carries_the_fibration_structure(np14_extension):
     # closing the loop: the supersolvable extension has a modular coatom
     # (the lifted pivot) whose localization certifies as a quasi-fibration
     from omkit.homology import quasi_fibration_certify
 
-    result = supersolvable_extension(non_pappus)
+    result = np14_extension
     lat = build_lattice(result.final)
     coatoms = [
         f for f in lat.flats_of_rank(2) if lat.is_modular_flat(f).ok

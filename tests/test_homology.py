@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from omkit.homology import (
     NotRegularError,
     chain_complex,
+    graph_rank,
     homology,
     quasi_fibration_certify,
     rank_and_torsion,
@@ -20,7 +21,7 @@ from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import graph_free_rank
+from side_lemmas import fiber_homology
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
@@ -301,41 +302,53 @@ def test_five_planes_salvetti(five_planes):
     assert betti == (1, 5, 8, 4)
 
 
-def test_graph_free_rank():
+def test_graph_rank():
+    # union-find agrees with the reduction of the chain complex
     tree = from_covers(
         ("a", "b", "c", "ab", "bc"),
         [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc")],
     )
-    assert graph_free_rank(tree) == 0
+    assert graph_rank(tree) == 0
     wedge3 = from_covers(
         ("p", "q", "e1", "e2", "e3"),
         [("p", "e1"), ("q", "e1"), ("p", "e2"), ("q", "e2"), ("p", "e3"), ("q", "e3")],
     )
-    assert graph_free_rank(wedge3) == 2  # theta graph: rank 2
+    assert graph_rank(wedge3) == 2  # theta graph: rank 2
     # a genuine wedge of three circles: one vertex...  use two vertices and
     # four parallel edges instead, rank 3
     multi = from_covers(
         ("p", "q", "e1", "e2", "e3", "e4"),
         [(v, e) for e in ("e1", "e2", "e3", "e4") for v in ("p", "q")],
     )
-    assert graph_free_rank(multi) == 3
+    assert graph_rank(multi) == 3
+    for graph in (tree, wedge3, multi):
+        assert graph_rank(graph) == fiber_homology(graph).graph_rank
 
 
 def test_graph_rank_disconnected_reports_components():
     graph = antichain(("a", "b"))
-    with pytest.raises(ValueError, match="graph has 2 components"):
-        graph_free_rank(graph)
+    assert graph_rank(graph) == "graph has 2 components" == fiber_homology(graph).graph_rank
 
 
 def test_graph_rank_rejects_high_dimension(five_planes):
-    with pytest.raises(ValueError):
-        graph_free_rank(sphere_poset(five_planes))
+    sphere = sphere_poset(five_planes)
+    assert graph_rank(sphere) == "complex has cells of dimension above one" == fiber_homology(sphere).graph_rank
+
+
+def test_graph_rank_refuses_an_edge_without_two_vertices():
+    # the same refusal, word for word, as the chain complex's
+    graph = from_covers(("a", "b", "e", "f"), [("a", "e"), ("a", "f"), ("b", "f")])
+    message = re.escape("edge 'e' has vertices ['a'], not exactly 2")
+    with pytest.raises(NotRegularError, match=message):
+        graph_rank(graph)
+    with pytest.raises(NotRegularError, match=message):
+        chain_complex(graph)
 
 
 def test_minimal_fiber_rank(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
-        assert graph_free_rank(loc.fiber(cid)) == 2  # |E \ X| = 2
+        assert graph_rank(loc.fiber(cid)) == 2  # |E \ X| = 2
 
 
 def test_semidirect_rank_sequences(rank1, boolean3, five_planes):
@@ -353,7 +366,7 @@ def test_quasi_fibration_five_planes(five_planes):
     cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     assert cert.ok
     assert cert.expected_rank == 2
-    assert all(f.betti == (1, 2) for f in cert.fibers)
+    assert all(why is None for _cell, why in cert.fibers)
     assert len(cert.pairs) == sum(1 for _ in _comparable_pairs(five_planes))
 
 
@@ -428,37 +441,106 @@ def test_quasi_fibration_braid(braid3):
     assert cert.expected_rank == 3
 
 
-def union_find_graph_ranks(cert):
+def oracle_graph_ranks(cert):
     """Each minimal cell of the certificate and its fiber's free rank, by
-    the union-find oracle."""
+    the homology oracle."""
     minimal = cert.loc.target.poset.minimal_elements()
-    return tuple((m, graph_free_rank(cert.loc.fiber(m))) for m in bits(minimal))
+    return tuple((m, fiber_homology(cert.loc.fiber(m)).graph_rank) for m in bits(minimal))
 
 
-def test_certificate_graph_ranks_are_the_union_find_ranks(five_planes, braid3):
+def test_certificate_graph_ranks_are_the_homology_ranks(five_planes, braid3):
     for system, labels in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
         for sample in (None, 6):
             cert = quasi_fibration_certify(system, system.label_mask(labels), sample)
-            assert cert.graph_ranks == union_find_graph_ranks(cert)
+            assert cert.graph_ranks == oracle_graph_ranks(cert)
             assert {rank for _cell, rank in cert.graph_ranks} == {cert.expected_rank}
             assert cert.ok
 
 
-def test_sampled_certificate_reduces_every_minimal_fiber(non_pappus):
+def test_sampled_certificate_ranks_every_minimal_fiber(np14_extension):
     # np14: the supersolvable extension of non-pappus, at its modular
     # coatom; one sampled pair, and still all 16 minimal fibers
-    from omkit.extensions import supersolvable_extension
-
-    result = supersolvable_extension(non_pappus)
+    result = np14_extension
     cert = quasi_fibration_certify(result.final, result.chain[-2], sample=1)
     poset = cert.loc.target.poset
     (pair,) = cert.pairs
     minimal = poset.minimal_elements()
     assert minimal.bit_count() == 16
-    assert [f.cell for f in cert.fibers] == bits(minimal | 1 << pair.lower | 1 << pair.upper)
-    assert cert.graph_ranks == union_find_graph_ranks(cert)
+    assert [cell for cell, _why in cert.fibers] == bits(minimal | 1 << pair.lower | 1 << pair.upper)
+    assert cert.graph_ranks == oracle_graph_ranks(cert)
     assert all(rank == cert.expected_rank == 6 for _cell, rank in cert.graph_ranks)
     assert cert.ok
+
+
+def counting(monkeypatch, module, name, calls):
+    """Patch `module.name` to append each call's first argument to `calls`."""
+    real = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_certificate_reduces_no_fiber(monkeypatch, five_planes, braid3, np14_extension):
+    import importlib
+
+    # the package re-exports homology(), which hides the module attribute
+    module = importlib.import_module("omkit.homology")
+    reduced = []
+    counting(monkeypatch, module, "homology", reduced)
+    counting(monkeypatch, module, "chain_complex", reduced)
+    runs = [
+        (five_planes, five_planes.label_mask({"H1", "H2", "H3"}), None),
+        (braid3, braid3.label_mask({"12", "13", "23"}), None),
+        (np14_extension.final, np14_extension.chain[-2], 1),
+    ]
+    for system, flat, sample in runs:
+        assert quasi_fibration_certify(system, flat, sample).ok
+    assert reduced == []
+    # the counters count
+    module.homology(salvetti_localization(braid3, runs[1][1]).fiber(0))
+    assert len(reduced) == 2
+
+
+def test_certificate_fiber_types_match_the_homology_oracle(five_planes, braid3, np14, a4):
+    # exhaustive: every target cell's fiber is proven a wedge of d circles,
+    # as its homology says, and every minimal fiber has the oracle's rank
+    runs = [
+        (five_planes, "H1,H2,H3"),
+        (braid3, "12,13,23"),
+        (np14, "L1,L4,L6,g1,g2,g3,g4,g5"),
+        (a4, "H1,H2,H3,H5,H6,H8"),
+    ]
+    for system, flat in runs:
+        cert = quasi_fibration_certify(system, system.label_mask(flat.split(",")))
+        d, loc = cert.expected_rank, cert.loc
+        assert [cell for cell, _why in cert.fibers] == list(loc.target.poset.elements)
+        for cell, why in cert.fibers:
+            assert (why is None) == fiber_homology(loc.fiber(cell)).is_wedge(d), (flat, cell)
+        assert cert.graph_ranks == oracle_graph_ranks(cert)
+        assert cert.ok
+
+
+def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np14_extension):
+    # the link of a pair (a, b) is the matching of the pair (m, b), which
+    # an exhaustive run checks anyway; a sampled run adds at most one
+    # matching per pair
+    import omkit.morse as morse
+
+    built = []
+    counting(monkeypatch, morse, "matching_salvetti_fiber", built)
+    for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
+        built.clear()
+        cert = quasi_fibration_certify(system, system.label_mask(flat.split(",")))
+        own = {(cell, p.ambient) for p in cert.pairs for cell in (p.lower, p.upper)}
+        assert {(p.minimal, p.ambient) for p in cert.pairs} <= own
+        assert len(built) == len(own)
+    built.clear()
+    cert = quasi_fibration_certify(np14_extension.final, np14_extension.chain[-2], sample=1)
+    own = {(cell, p.ambient) for p in cert.pairs for cell in (p.lower, p.upper)}
+    assert len(own) <= len(built) <= len(own) + len(cert.pairs)
 
 
 def test_morse_reduction_preserves_homology(five_planes):

@@ -3,9 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from omkit.corpus import corpus
 from omkit.matroids import CovectorSystem
+from omkit.homology import graph_rank
 from omkit.morse import (
     Matching,
     MatchingError,
+    MorseCertificate,
     matching_convex_critical,
     matching_from_shelling,
     matching_salvetti_fiber,
@@ -17,7 +19,7 @@ from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex, sphere_poset
 from poset_builders import chain_poset, cover_pairs, from_covers
-from side_lemmas import all_convex_tope_sets, dual_matching, graph_free_rank, kahn_acyclic, matched_digraph
+from side_lemmas import all_convex_tope_sets, dual_matching, kahn_acyclic, matched_digraph
 
 
 def square_boundary():
@@ -376,7 +378,7 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
     m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
     fib = loc.fiber(bottom)
     assert m.critical_cells() == fib.members
-    assert graph_free_rank(fib) == 2
+    assert graph_rank(fib) == 2
 
 
 def test_morse_certificate(five_planes):
@@ -395,6 +397,10 @@ def test_morse_certificate(five_planes):
         cert = morse_reduction_certificate(short, loc.fibers[bottom])
         assert not cert.ok and cert.cycle is None
         assert cert.critical.startswith("extra [") and cert.critical.endswith("missing []")
+        assert cert.witnesses(host_fiber.names) == [cert.critical]
+        cyclic = MorseCertificate((bottom, top, bottom), None)
+        names = host_fiber.names
+        assert cyclic.witnesses(names) == [f"cycle {[names[bottom], names[top], names[bottom]]}"]
 
 
 def test_certificate_trivial_full_complex():

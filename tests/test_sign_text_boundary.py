@@ -10,7 +10,10 @@ Homology is computed from face posets only, so no module but `posets`,
 where `order_complex` builds it, and `__init__` names
 `SimplicialComplexRecord`.  A map between numberings is a tuple and a
 fiber a mask, so no library module names `PosetMap`, the checked map of
-`tests/poset_builders.py`."""
+`tests/poset_builders.py`.  The quasi-fibration certificate reads its
+fiber types off its collapses, so no library module reduces a fiber on
+its behalf: none names `FiberEvidence`, `fiber_evidence` or
+`fiber_homology`, the reduction of `tests/side_lemmas.py`."""
 
 import ast
 from pathlib import Path
@@ -79,6 +82,13 @@ def test_no_library_module_names_the_poset_map_class():
     # the localization's cell map is a tuple and its fibers are masks
     assert names_outside("PosetMap", ()) == []
     assert names_of_class(Path(__file__).with_name("poset_builders.py"), "PosetMap")
+
+
+def test_no_library_module_names_a_fiber_reduction():
+    for name in ("FiberEvidence", "fiber_evidence", "fiber_homology"):
+        assert names_outside(name, ()) == [], name
+    # the scan sees the oracle where the tests import it
+    assert names_of_class(Path(__file__).with_name("test_homology.py"), "fiber_homology")
 
 
 def test_numbered_modules_parse_no_sign_text():
