@@ -4,8 +4,10 @@ A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
 Salvetti cells).  The script builds it with `from_arrangement`, then
 times the Salvetti poset, its `homology()` (checking the Betti numbers
 1 15 85 225 274 120 and no torsion) and a certificate sampling four
-pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13; it exits
-1 when the certificate fails.  Run from the repository root:
+pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
+evidence counts: the minimal fibers ranked as graphs, the other fibers
+of the pairs, linked to those graphs, and the ambient fibers checked
+regular; it exits 1 when the certificate fails.  Run from the repository root:
 
     python tools/a5.py
 """
@@ -47,7 +49,12 @@ def main() -> int:
         f"certify-qf --sample {SAMPLE}",
         lambda: quasi_fibration_certify(system, flat, sample=SAMPLE),
     )
-    print(f"pairs: {len(cert.pairs)}  fibers: {len(cert.fibers)}  ok: {cert.ok}")
+    linked = {c for p in cert.pairs for c in (p.lower, p.upper)} - {m for m, _rank in cert.graph_ranks}
+    ambients = {p.ambient for p in cert.pairs}
+    print(
+        f"pairs: {len(cert.pairs)}  minimal graphs: {len(cert.graph_ranks)}  "
+        f"linked fibers: {len(linked)}  ambients: {len(ambients)}  ok: {cert.ok}"
+    )
     return 0 if cert.ok else 1
 
 
