@@ -236,11 +236,11 @@ def cmd_fiber(args) -> int:
     loc = salvetti_localization(system, x)
     cell = _cell(loc.target, args.cell)
     res = homology(loc.fiber(cell))
-    # trailing zeros trimmed down to, and padded up to, b0 and b1
-    betti = list(res.betti)
+    # b0 and b1, then the higher Betti numbers up to the last nonzero one
+    betti = [*res.betti, 0, 0]
     while len(betti) > 2 and betti[-1] == 0:
         betti.pop()
-    betti = tuple(betti + [0] * (2 - len(betti)))
+    betti = tuple(betti)
     names = loc.target.poset.names
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))

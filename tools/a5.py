@@ -7,7 +7,8 @@ times the Salvetti poset, its `homology()` (checking the Betti numbers
 pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
 evidence counts: the minimal fibers ranked as graphs, the other fibers
 of the pairs, linked to those graphs, and the ambient fibers checked
-regular; it exits 1 when the certificate fails.  Run from the repository root:
+regular; it exits 1 when the certificate fails.  Run from the
+repository root:
 
     python tools/a5.py
 """
