@@ -523,6 +523,27 @@ def test_certificate_fiber_types_match_the_homology_oracle(five_planes, braid3, 
         assert cert.ok
 
 
+def test_every_collapse_onto_a_fiber_counts(five_planes):
+    # a fiber that an earlier pair proves is unproven by a later pair whose
+    # collapse onto it fails
+    from dataclasses import replace
+
+    from omkit.morse import MorseCertificate
+
+    cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+    minimal = cert.loc.target.poset.minimal_elements()
+    k, pair = next(
+        (k, p)
+        for k, p in enumerate(cert.pairs)
+        if not minimal >> p.upper & 1 and any(q.upper == p.upper for q in cert.pairs[:k])
+    )
+    bad = replace(pair, upper_matching=MorseCertificate(None, "extra ['x'], missing []"))
+    broken = replace(cert, pairs=(*cert.pairs[:k], bad, *cert.pairs[k + 1:]))
+    names = cert.loc.target.poset.names
+    why = f"collapse from {names[pair.ambient]}: extra ['x'], missing []"
+    assert broken.failed_fibers == ((pair.upper, why),)
+
+
 def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np14_extension):
     # the link of a pair (a, b) is the matching of the pair (m, b), which
     # an exhaustive run checks anyway; a sampled run adds at most one
@@ -537,6 +558,9 @@ def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np1
         own = {(cell, p.ambient) for p in cert.pairs for cell in (p.lower, p.upper)}
         assert {(p.minimal, p.ambient) for p in cert.pairs} <= own
         assert len(built) == len(own)
+        # each link is the lower matching of the pair (m, b), the very same
+        lower = {(p.lower, p.ambient): p.lower_matching for p in cert.pairs}
+        assert all(p.link is lower[p.minimal, p.ambient] for p in cert.pairs)
     built.clear()
     cert = quasi_fibration_certify(np14_extension.final, np14_extension.chain[-2], sample=1)
     own = {(cell, p.ambient) for p in cert.pairs for cell in (p.lower, p.upper)}
