@@ -2,12 +2,15 @@
 
 An extension is searched as a sign assignment on cocircuit pairs.  The
 search is depth-first with constraint propagation: the restriction of a
-partial assignment to the cocircuits through each corank-two flat must
-stay compatible with some placement of the new element on the circle
-model of that rank-two contraction.  At a leaf the candidate system is
-constructed outright (extended cocircuits, plus the crossing cocircuits
-supported on the new element, then composition closure) and the covector
-axioms are the final arbiter.  Nothing is emitted unverified.
+partial assignment to the cocircuits through each corank-two flat (a
+coline) must stay compatible with some placement of the new element on
+the circle of that rank-two contraction.  The circle is read off the
+base's edge cells, the covectors whose zero set is the coline, each
+joining its two cocircuits, so no contraction is built.  At a leaf the
+candidate system is constructed outright (extended cocircuits, plus the
+crossing cocircuits supported on the new element, then composition
+closure) and the covector axioms are the final arbiter.  Nothing is
+emitted unverified.
 
 Flats are ground-bit masks, cocircuits covector numbers and a covector's
 value its (plus, minus) pair.  A new label
@@ -27,7 +30,6 @@ from typing import Iterator, Optional
 from .lattices import GeometricLattice, build_lattice
 from .matroids import CovectorSystem, _closure_from_cocircuits, flat_id
 from .posets import bits
-from .signs import restrict_masks
 
 
 class ExtensionError(ValueError):
@@ -74,130 +76,78 @@ class _SearchSpace:
         index = self.lattice.index
         self.coatoms = sorted(self.pair_rep, key=index.__getitem__)
         self.colines = sorted(self.lattice.flats_of_rank(self.rank - 2), key=index.__getitem__)
-        self.coline_data = [self._coline_candidates(a) for a in self.colines]
         # one-dimensional cells with their two boundary cocircuits, for the
-        # crossing-cocircuit rule; computed once per search
-        edge_rank = self.rank - 2
+        # crossing-cocircuit rule; the cells on a coline join its cocircuits
+        # into the circle of its rank-two contraction
         poset = system.covector_poset()
         self.edge_cells: list[tuple[int, int, int]] = []
+        adjacency: dict[int, dict[int, list[int]]] = {a: {} for a in self.colines}
         for f in poset.elements:
-            if self.lattice.rank_of.get(system.zero_set(f)) != edge_rank:
+            adj = adjacency.get(system.zero_set(f))
+            if adj is None:
                 continue
             below = bits(poset.below(f) & cocirc)
             if len(below) != 2:
                 raise ExtensionError(f"cell {poset.names[f]} has {len(below)} vertices")
-            self.edge_cells.append((f, below[0], below[1]))
+            y1, y2 = below
+            self.edge_cells.append((f, y1, y2))
+            adj.setdefault(y1, []).append(y2)
+            adj.setdefault(y2, []).append(y1)
+        self.coline_data = [self._coline_candidates(a, adjacency[a]) for a in self.colines]
 
     # -- rank-two contractions as cycles ----------------------------------
 
-    def _cocircuit_cycle(self, contraction: CovectorSystem) -> list[tuple[int, int]]:
-        poset = contraction.covector_poset()
-        cocirc = contraction.cocircuits()
-        adj: dict[int, list[int]] = {y: [] for y in bits(cocirc)}
-        for t in bits(contraction.topes()):
-            ys = bits(poset.below(t) & cocirc)
-            if len(ys) != 2:
-                raise ExtensionError(
-                    f"tope {poset.names[t]} of a rank-two contraction has {len(ys)} vertices"
-                )
-            a, b = ys
-            adj[a].append(b)
-            adj[b].append(a)
-        start = min(adj)
-        cycle = [start]
-        prev: Optional[int] = None
-        while True:
-            nxts = [y for y in adj[cycle[-1]] if prev is None or y != prev]
+    def _coline_cycle(self, adj: dict[int, list[int]], size: int) -> list[int]:
+        """The cocircuits around a coline in circular order, walked along
+        the edge cells on it: `adj` maps each cocircuit to its neighbours,
+        and `size` is twice the number of coatoms through the coline."""
+        if len(adj) != size:
+            raise ExtensionError("cocircuit adjacency is not a single cycle")
+        cycle = [min(adj)]
+        while len(cycle) <= size:
+            nxts = [y for y in adj[cycle[-1]] if y not in cycle[-2:-1]]
             if not nxts:
                 raise ExtensionError("cocircuit adjacency walk dead-ends")
-            nxt = nxts[0]
-            if nxt == start:
+            if nxts[0] == cycle[0]:
                 break
-            prev = cycle[-1]
-            cycle.append(nxt)
-        if len(cycle) != len(adj):
+            cycle.append(nxts[0])
+        if len(cycle) != size:
             raise ExtensionError("cocircuit adjacency is not a single cycle")
-        vectors = contraction.vectors()
-        cycle = [vectors[y] for y in cycle]
-        m = len(cycle) // 2
-        for i in range(m):
-            if cycle[i + m] != cycle[i][::-1]:
-                raise ExtensionError("cocircuit cycle is not antipodally symmetric")
+        m = size // 2
+        vectors = self.system.vectors()
+        if any(vectors[cycle[i + m]] != vectors[cycle[i]][::-1] for i in range(m)):
+            raise ExtensionError("cocircuit cycle is not antipodally symmetric")
         return cycle
 
-    def _coline_candidates(self, coline: int) -> tuple[list[int], list[dict[int, int]]]:
+    def _coline_candidates(
+        self, coline: int, adj: dict[int, list[int]]
+    ) -> tuple[list[int], list[dict[int, int]]]:
         """All placements of the new element on one rank-two contraction.
 
         Returns the coatom flats through the coline and the complete list
         of admissible sign assignments restricted to them.
         """
-        system = self.system
-        contraction = system.contraction(coline)
-        cycle = self._cocircuit_cycle(contraction)
-        n2 = len(cycle)
-        m = n2 // 2
-        rest = ((1 << len(system.ground)) - 1) & ~coline
         flats_here = [x for x in self.coatoms if not coline & ~x]
-        # identify each cycle position with a coatom flat and a relative sign
-        pos_flat: list[tuple[int, int]] = []
-        vectors = system.vectors()
-        restricted = dict(
-            zip(flats_here, restrict_masks([vectors[self.pair_rep[x]] for x in flats_here], rest))
-        )
-        for y in cycle:
-            hit = None
-            for x in flats_here:
-                if y == restricted[x]:
-                    hit = (x, 1)
-                    break
-                if y == restricted[x][::-1]:
-                    hit = (x, -1)
-                    break
-            if hit is None:
-                raise ExtensionError("cycle vertex does not match any coatom")
-            pos_flat.append(hit)
-
-        candidates: set[tuple[int, ...]] = set()
-
-        def signed_assignment(signs_by_pos: list[int]) -> dict[int, int]:
+        n = 2 * len(flats_here)
+        cycle = self._coline_cycle(adj, n)
+        # the first half of the circle meets each coatom once: vertex y
+        # stands for its zero set, with sign +1 when y is the pair's
+        # representative and -1 when it is the opposite
+        half = []
+        for y in cycle[: n // 2]:
+            x = self.system.zero_set(y)
+            half.append((x, 1 if y == self.pair_rep[x] else -1))
+        # half-step h is vertex h/2 for even h and the arc after vertex
+        # (h-1)/2 for odd h; the new element crosses the circle at h and at
+        # its antipode h + n, and h + n is h in the other orientation
+        placements: dict[tuple[int, ...], dict[int, int]] = {}
+        for h in range(2 * n):
             vals: dict[int, int] = {}
-            for pos, s in enumerate(signs_by_pos):
-                x, rel = pos_flat[pos]
-                v = s * rel
-                if x in vals:
-                    if vals[x] != v:
-                        raise AssertionError("inconsistent candidate signs")
-                else:
-                    vals[x] = v
-            return vals
-
-        stored: list[dict[int, int]] = []
-
-        def add(vals: dict[int, int]) -> None:
-            key = tuple(vals[x] for x in flats_here)
-            if key not in candidates:
-                candidates.add(key)
-                stored.append(vals)
-
-        # the new element through an existing vertex, both orientations
-        for j in range(n2):
-            for orient in (1, -1):
-                signs = [0] * n2
-                for k in range(1, m):
-                    signs[(j + k) % n2] = orient
-                for k in range(m + 1, n2):
-                    signs[(j + k) % n2] = -orient
-                add(signed_assignment(signs))
-        # the new element inside an arc, both orientations
-        for j in range(n2):
-            for orient in (1, -1):
-                signs = [0] * n2
-                for k in range(1, m + 1):
-                    signs[(j + k) % n2] = orient
-                for k in range(m + 1, n2 + 1):
-                    signs[(j + k) % n2] = -orient
-                add(signed_assignment(signs))
-        return flats_here, stored
+            for k, (x, rel) in enumerate(half):
+                d = (2 * k - h) % (2 * n)
+                vals[x] = 0 if d % n == 0 else rel if d < n else -rel
+            placements.setdefault(tuple(vals[x] for x in flats_here), vals)
+        return flats_here, list(placements.values())
 
 
 def _build_extension(
@@ -238,12 +188,11 @@ def _build_extension(
         return None
     if not candidate.check_axioms().ok:
         return None
-    if candidate.rank() != space.rank:
-        return None
-
     # flats of the new lattice are sorted by size: the first one over a
     # base flat is its closure
     lattice = build_lattice(candidate)
+    if lattice.rank() != space.rank:
+        return None
     lift = {fl: next(g for g in lattice.flats if not fl & ~g) for fl in space.lattice.flats}
     return ExtensionResult(system, candidate, new_label, values, lift)
 
@@ -277,14 +226,7 @@ def single_element_extensions(
     for ci, (flats_here, _cands) in enumerate(space.coline_data):
         for x in flats_here:
             coline_of_flat[x].append(ci)
-    active: list[list[dict[int, int]]] = []
-    for ci, (flats_here, cands) in enumerate(space.coline_data):
-        keep = [
-            c
-            for c in cands
-            if any(c[x] for x in flats_here)  # drop the parallel placements
-        ]
-        active.append(keep)
+    active = [cands for _flats, cands in space.coline_data]
 
     assignment: dict[int, int] = {}
     order = space.coatoms

@@ -311,13 +311,6 @@ class CovectorSystem:
         self._check_mask(keep)
         return CovectorSystem(self.labels(keep), restrict_masks(self._vectors, keep))
 
-    def contraction(self, flat: int) -> "CovectorSystem":
-        """Covectors vanishing on a ground-bit mask, restricted to the rest."""
-        self._check_mask(flat)
-        rest = ((1 << len(self.ground)) - 1) & ~flat
-        vanishing = [(p, m) for p, m in self._vectors if not (p | m) & flat]
-        return CovectorSystem(self.labels(rest), restrict_masks(vanishing, rest))
-
     def localization(self, flat: int) -> tuple["CovectorSystem", tuple[int, ...]]:
         """The restriction to a flat (a ground-bit mask), with the
         projection rho: `rho[i]` is the number of covector i's restriction.

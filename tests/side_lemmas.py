@@ -16,8 +16,11 @@ The Salvetti ideals by one
 composition per pair are the oracle for the constructor's cover
 recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
 and the dual subcomplex as the complement of L(Q) of the other topes,
-are the oracle for `dual_subcomplex`.  No command needs them, so they
-live with the tests."""
+are the oracle for `dual_subcomplex`.  The contraction at a coline, its
+circle of cocircuits walked along its topes and the placements of a new
+element on that circle are the oracle for the extension search, which
+reads the circle off the edge cells of the base.  No command needs them,
+so they live with the tests."""
 
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -277,6 +280,69 @@ def fiber_rank2_model(loc: SalvettiLocalization, base: int) -> tuple[CovectorSys
     out = CovectorSystem(ground, model)
     number = out.numbering()
     return out, {c: number[v] for c, v in lifted.items()}
+
+
+# -- rank-two contractions -----------------------------------------------------
+
+
+def contraction(system: CovectorSystem, flat: int) -> CovectorSystem:
+    """Covectors vanishing on a ground-bit mask, restricted to the rest."""
+    rest = ((1 << len(system.ground)) - 1) & ~flat
+    vanishing = [(p, m) for p, m in system.vectors() if not (p | m) & flat]
+    return CovectorSystem(system.labels(rest), restrict_masks(vanishing, rest))
+
+
+def contraction_cycle(system: CovectorSystem, coline: int) -> list[int]:
+    """The cocircuits of the contraction at a coline in circular order,
+    walked along its topes, each numbered as the base cocircuit it
+    restricts from."""
+    con = contraction(system, coline)
+    poset = con.covector_poset()
+    cocirc = con.cocircuits()
+    adj: dict[int, list[int]] = {y: [] for y in bits(cocirc)}
+    for t in bits(con.topes()):
+        a, b = bits(poset.below(t) & cocirc)
+        adj[a].append(b)
+        adj[b].append(a)
+    cycle = [min(adj)]
+    while True:
+        nxt = next(y for y in adj[cycle[-1]] if y not in cycle[-2:-1])
+        if nxt == cycle[0]:
+            break
+        cycle.append(nxt)
+    assert len(cycle) == len(adj), "the contraction's topes form one circle"
+    rest = ((1 << len(system.ground)) - 1) & ~coline
+    vectors = system.vectors()
+    through = [y for y in bits(system.cocircuits()) if not coline & ~system.zero_set(y)]
+    base = dict(zip(restrict_masks([vectors[y] for y in through], rest), through))
+    return [base[con.vectors()[y]] for y in cycle]
+
+
+def cycle_placements(system: CovectorSystem, cycle: Sequence[int]) -> set[frozenset]:
+    """The signatures of every placement of a new element on a circle of
+    cocircuits (base numbers): through a vertex and its antipode, or
+    inside an arc and its antipode, in both orientations.  A signature
+    maps each coatom on the circle to the sign of its cocircuit of least
+    number, as (coatom, sign) items."""
+    n = len(cycle)
+    m = n // 2
+    rep: dict[int, int] = {}
+    for y in sorted(cycle):
+        rep.setdefault(system.zero_set(y), y)
+    out = set()
+    for j in range(n):
+        for orient in (1, -1):
+            through = [0] + [orient] * (m - 1) + [0] + [-orient] * (m - 1)
+            arc = [-orient] + [orient] * m + [-orient] * (m - 1)
+            for signs in (through, arc):
+                signature: dict[int, int] = {}
+                for k, s in enumerate(signs):
+                    y = cycle[(j + k) % n]
+                    x = system.zero_set(y)
+                    v = s if y == rep[x] else -s
+                    assert signature.setdefault(x, v) == v, "antipodes agree"
+                out.add(frozenset(signature.items()))
+    return out
 
 
 # -- tope sets and matchings ---------------------------------------------------

@@ -8,10 +8,7 @@ import itertools
 import random
 import time
 
-import pytest
-
 from conftest import sign_vectors
-from omkit.corpus import corpus
 from omkit.homology import (
     graph_rank,
     homology,

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,17 +7,18 @@ from conftest import sign_vectors
 from omkit.extensions import (
     ExtensionConstraints,
     ExtensionError,
+    _SearchSpace,
     levi_enlargement,
     single_element_extensions,
     supersolvable_extension,
 )
 from omkit.lattices import build_lattice
-from omkit.matroids import CovectorSystem
+from omkit.matroids import CovectorSystem, RationalArrangement, from_arrangement
 from omkit.salvetti import salvetti_localization
 from omkit.posets import mask_of
 from omkit.signs import compose_masks
 from poset_builders import order_pairs
-from side_lemmas import rank3_modular_coatom_test
+from side_lemmas import contraction_cycle, cycle_placements, rank3_modular_coatom_test
 from sign_vector import SignVector
 
 
@@ -274,3 +276,129 @@ def test_prune_soundness_and_completeness(uniform23):
         for e in single_element_extensions(uniform23, new_label="g")
     }
     assert dfs == raw
+
+
+def coline_adjacency(space: _SearchSpace, coline: int) -> dict[int, list[int]]:
+    """The cocircuits through a coline, each with its neighbours along the
+    edge cells on the coline."""
+    adj: dict[int, list[int]] = {}
+    for f, y1, y2 in space.edge_cells:
+        if space.system.zero_set(f) == coline:
+            adj.setdefault(y1, []).append(y2)
+            adj.setdefault(y2, []).append(y1)
+    return adj
+
+
+def same_circle(a: list[int], b: list[int]) -> bool:
+    """Whether two lists are one circle, up to rotation and reflection."""
+    return len(a) == len(b) and any(
+        b == r[i:] + r[:i] for r in (a, a[::-1]) for i in range(len(a))
+    )
+
+
+def seeded_arrangements(count: int) -> list[CovectorSystem]:
+    """Simple rank-three systems of 5 to 7 random integer forms on R^3, no
+    two of them parallel, one per seed."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(seed)
+        forms: list[tuple[int, ...]] = []
+        while len(forms) < 5 + seed % 3:
+            f = tuple(rng.randint(-3, 3) for _ in range(3))
+            if any(f) and all(
+                any(f[i] * g[j] != f[j] * g[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+                for g in forms
+            ):
+                forms.append(f)
+        labels = tuple(f"e{i + 1}" for i in range(len(forms)))
+        out.append(from_arrangement(RationalArrangement(labels, forms)))
+    return out
+
+
+def test_edge_cell_circles_match_the_contractions(all_corpus, np14_extension):
+    """Each coline's circle walked along the base's edge cells is the
+    circle of its contraction, and the placements on it are the oracle's:
+    on the corpus members of rank 2 and 3, the base of every step of the
+    non-pappus loop and twelve seeded arrangements."""
+    systems = [s for s in all_corpus.values() if s.rank() in (2, 3)]
+    systems += [step.result.base for step in np14_extension.steps]
+    systems += seeded_arrangements(12)
+    assert len(systems) == 22
+    colines = 0
+    for system in systems:
+        space = _SearchSpace(system)
+        for coline, (flats_here, cands) in zip(space.colines, space.coline_data):
+            cycle = space._coline_cycle(coline_adjacency(space, coline), 2 * len(flats_here))
+            want = contraction_cycle(system, coline)
+            assert same_circle(cycle, want), (system.ground, coline)
+            assert {frozenset(c.items()) for c in cands} == cycle_placements(system, want)
+            assert len(cands) == len({frozenset(c.items()) for c in cands})
+            colines += 1
+    assert colines == 151
+
+
+def test_the_walk_refuses_a_broken_circle(five_planes):
+    space = _SearchSpace(five_planes)
+    # the coline on the most coatoms, whose circle can split into two
+    coline, flats_here = max(
+        ((a, f) for a, (f, _) in zip(space.colines, space.coline_data)),
+        key=lambda pair: len(pair[1]),
+    )
+    size = 2 * len(flats_here)
+    real = coline_adjacency(space, coline)
+    cycle = space._coline_cycle(real, size)
+    assert size == len(cycle) == 6
+
+    def broken(drop=(), add=()):
+        adj = {y: list(ns) for y, ns in real.items()}
+        for u, v in drop:
+            adj[u].remove(v)
+            adj[v].remove(u)
+        for u, v in add:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        return adj
+
+    with pytest.raises(ExtensionError, match="dead-ends"):
+        space._coline_candidates(coline, broken(drop=[cycle[:2]]))
+    # the cocircuit pair of a coatom off the coline
+    x = next(x for x in space.coatoms if coline & ~x)
+    u = space.pair_rep[x]
+    opposite = five_planes.numbering()[five_planes.vectors()[u][::-1]]
+    with pytest.raises(ExtensionError, match="not a single cycle"):
+        space._coline_candidates(coline, broken(add=[(u, opposite), (opposite, u)]))
+    # two triangles: every cocircuit is there, but the walk closes early
+    split = broken(
+        drop=[cycle[2:4], (cycle[5], cycle[0])],
+        add=[(cycle[2], cycle[0]), (cycle[5], cycle[3])],
+    )
+    with pytest.raises(ExtensionError, match="not a single cycle"):
+        space._coline_candidates(coline, split)
+    swap = {cycle[0]: cycle[1], cycle[1]: cycle[0]}
+    swapped = {swap.get(y, y): [swap.get(z, z) for z in ns] for y, ns in real.items()}
+    with pytest.raises(ExtensionError, match="not antipodally symmetric"):
+        space._coline_candidates(coline, swapped)
+
+
+def test_the_search_space_builds_no_contraction(np14, monkeypatch):
+    # the circles come from the edge cells of np14 itself: no system is
+    # built and no covector poset besides the one np14 already has
+    np14.covector_poset()
+    build_lattice(np14)
+    stores, posets = [], []
+    store, poset = CovectorSystem._store, CovectorSystem.covector_poset
+
+    def counted_store(self, *args):
+        stores.append(args[0])
+        return store(self, *args)
+
+    def counted_poset(self):
+        if self._poset is None:
+            posets.append(self.ground)
+        return poset(self)
+
+    monkeypatch.setattr(CovectorSystem, "_store", counted_store)
+    monkeypatch.setattr(CovectorSystem, "covector_poset", counted_poset)
+    space = _SearchSpace(np14)
+    assert len(space.colines) == 14
+    assert (stores, posets) == ([], [])

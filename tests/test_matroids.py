@@ -20,7 +20,7 @@ from omkit.omfile import format_system, parse_om_text
 from omkit.posets import bits, mask_of
 from omkit.signs import GroundSetMismatchError, parse_signs
 from poset_builders import PosetMap, cover_pairs, image
-from side_lemmas import lattice_poset, pairwise_below, section_iota
+from side_lemmas import contraction, lattice_poset, pairwise_below, section_iota
 from sign_vector import SignVector
 
 
@@ -127,7 +127,7 @@ def test_localization_preserves_composition(five_planes):
 
 
 def test_contraction(five_planes):
-    contracted = five_planes.contraction(five_planes.label_mask({"H4"}))
+    contracted = contraction(five_planes, five_planes.label_mask({"H4"}))
     assert contracted.ground == ("H1", "H2", "H3", "H5")
     assert contracted.rank() == 2
     assert contracted.check_axioms().ok
@@ -355,7 +355,7 @@ def test_from_arrangement_always_satisfies_axioms(rows):
         want = {str(c.restrict(rest)) for c in covs}
         assert set(system.restriction(rest).names()) == want
         want = {str(c.restrict(rest)) for c in covs if not c.support_mask & flat}
-        assert set(system.contraction(flat).names()) == want
+        assert set(contraction(system, flat).names()) == want
         loc, rho = system.localization(flat)
         assert [loc.names()[rho[i]] for i in range(len(covs))] == [
             str(c.restrict(flat)) for c in covs
