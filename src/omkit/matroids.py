@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -276,7 +276,7 @@ class CovectorSystem:
             ax3 = AxiomCheck(False, f"{names[i]} o {names[j]} = {xy} escapes the set")
 
         ax4 = AxiomCheck(True)
-        unmet = _unmet_elimination(masks, *self._sign_columns())
+        unmet = _unmet_elimination(masks, *self._sign_columns(), closed=escape is None)
         if unmet is not None:
             i, j, e = unmet
             ax4 = AxiomCheck(
@@ -375,9 +375,17 @@ class CovectorSystem:
 
 
 # -- axiom kernels ----------------------------------------------------------
-# Both take the (plus, minus) masks of the covectors in witness order, the
-# elimination check also the system's sign columns, and return the first
-# failing pair in row-major order, as list positions.
+# Both take the (plus, minus) masks of the covectors in witness order and
+# return the first failing pair in row-major order, as list positions.
+#
+# Elimination settles its obligations one of two ways, and the input picks
+# which.  On a set closed under composition (axiom 3 passed), X o Y and
+# Y o X are covectors for every pair (X, Y); they have equal supports and,
+# between them, the same + and - unions as X and Y, so they raise the same
+# obligation as X and Y, and the pairs inside one support class raise
+# every obligation.  Each class is then settled at once, by ANDs of
+# bitsets over its grid of pairs.  On any other set that argument fails,
+# and each obligation is settled by its own AND of the sign columns.
 
 
 def _composition_escape(
@@ -407,31 +415,33 @@ def _unmet_elimination(
     plus_at: tuple[int, ...],
     minus_at: tuple[int, ...],
     zero_at: tuple[int, ...],
+    closed: bool,
 ) -> Optional[tuple[int, int, int]]:
     """The first pair (i, j) and element e of their separator S with no
     covector Z such that Z_e = 0 and Z agrees with X o Y off S.
 
     With P and M the unions of the + and - masks of X and Y, S = P & M,
     and off S X o Y is + on P ^ S, - on M ^ S and 0 off P | M, so an
-    obligation depends on (P, M) only and is packed as one int.  Y o X agrees with
-    X o Y off S, so the pairs i < j raise every obligation, first in the
-    same order as all ordered pairs do.  The covectors agreeing off S are
-    an AND of columns, one int per element and sign with bit k for
-    covector k (the system's sign columns), and the obligation holds when
-    that AND meets the zero column of every e in S.
+    obligation depends on (P, M) only and is packed as one int.  Y o X
+    agrees with X o Y off S, so the pairs i < j raise every obligation.
+    On a set closed under composition the failing obligations come from
+    `_failing_by_class`; on any other set each obligation is checked in
+    the order the pairs first raise it, up to the first failure.  The
+    witness is the first pair i < j in row-major order whose obligation
+    fails, with its least missed element.
     """
     n = len(plus_at)
     full = (1 << n) - 1
-    packed = [p << n | m for p, m in masks]
-    obligations: dict[int, None] = {}
-    for i, w in enumerate(packed):
-        obligations.update(dict.fromkeys([w | v for v in packed[i + 1 :]]))
     everything = (1 << len(masks)) - 1
-    for key in obligations:
+
+    def missed(key: int) -> list[int]:
+        # the covectors agreeing off S are an AND of the sign columns, one
+        # int per element and sign with bit k for covector k, and e in S is
+        # missed when that AND misses the zero column of e
         plus, minus = key >> n, key & full
         sep = plus & minus
         if not sep:
-            continue
+            return []
         agree = everything
         for e in bits(plus ^ sep):
             agree &= plus_at[e]
@@ -439,13 +449,89 @@ def _unmet_elimination(
             agree &= minus_at[e]
         for e in bits(full & ~(plus | minus)):
             agree &= zero_at[e]
-        missed = [e for e in bits(sep) if not agree & zero_at[e]]
-        if missed:
-            for i, w in enumerate(packed):
-                row = [w | v for v in packed[i + 1 :]]
-                if key in row:
-                    return i, i + 1 + row.index(key), missed[0]
+        return [e for e in bits(sep) if not agree & zero_at[e]]
+
+    packed = [p << n | m for p, m in masks]
+    if closed:
+        failing = _failing_by_class(masks, packed)
+    else:
+        obligations: dict[int, None] = {}
+        for i, w in enumerate(packed):
+            obligations.update(dict.fromkeys([w | v for v in packed[i + 1 :]]))
+        failing = set(islice(filter(missed, obligations), 1))
+    if failing:
+        for i, w in enumerate(packed):
+            row = [w | v for v in packed[i + 1 :]]
+            if not failing.isdisjoint(row):
+                j = next(j for j, key in enumerate(row) if key in failing)
+                return i, i + 1 + j, missed(row[j])[0]
     return None
+
+
+def _failing_by_class(masks: tuple[tuple[int, int], ...], packed: list[int]) -> set[int]:
+    """The packed (P, M) of every failing elimination obligation of a set
+    closed under composition, settled one support class at a time.
+
+    The t covectors of a support U make a grid of ordered pairs, pair
+    (x, y) at bit x*t + y.  Per element f of U, P_f holds the pairs with
+    f in P (x's column spread over whole rows, OR the column repeated in
+    every row), M_f those with f in M, and S_f = P_f & M_f those that
+    separate at f.  A covector Z whose support W lies strictly inside U
+    agrees with X o Y off S on the AND of P_f over Z's +, M_f over Z's -
+    and S_f over U - W, and is 0 at every e in U - W; so the OR of those
+    ANDs over the covectors of support W covers each such e.  An
+    obligation fails exactly on the bits of S_e left uncovered.
+    """
+    classes: dict[int, list[int]] = {}
+    for k, (p, m) in enumerate(masks):
+        classes.setdefault(p | m, []).append(k)
+    signs = [(bits(p), bits(m)) for p, m in masks]
+    failing: set[int] = set()
+    for support, members in classes.items():
+        t = len(members)
+        row_ones, every_pair = (1 << t) - 1, (1 << t * t) - 1
+        unit = [1 << x * t for x in range(t)]
+        in_every_row = sum(unit)
+
+        def grids(side: int) -> dict[int, int]:
+            # per element f of U, the members with this sign at f as a
+            # column (bit x) and spread over rows (bit x*t)
+            column, rows = dict.fromkeys(bits(support), 0), dict.fromkeys(bits(support), 0)
+            for x, k in enumerate(members):
+                for f in signs[k][side]:
+                    column[f] |= 1 << x
+                    rows[f] |= unit[x]
+            return {f: rows[f] * row_ones | c * in_every_row for f, c in column.items()}
+
+        grid_p, grid_m = grids(0), grids(1)
+        grid_s = {f: grid_p[f] & grid_m[f] for f in grid_p}
+        covered = dict.fromkeys(grid_s, 0)
+        for inner, zs in classes.items():
+            if inner & ~support or inner == support:
+                continue
+            zeros = bits(support & ~inner)
+            agree = every_pair
+            for f in zeros:
+                agree &= grid_s[f]
+            if not agree:
+                continue
+            union = 0
+            for k in zs:
+                a = agree
+                for f in signs[k][0]:
+                    a &= grid_p[f]
+                for f in signs[k][1]:
+                    a &= grid_m[f]
+                union |= a
+            for e in zeros:
+                covered[e] |= union
+        unmet = 0
+        for f, s in grid_s.items():
+            unmet |= s & ~covered[f]
+        for b in bits(unmet):
+            x, y = divmod(b, t)
+            failing.add(packed[members[x]] | packed[members[y]])
+    return failing
 
 
 # -- realizable construction ----------------------------------------------

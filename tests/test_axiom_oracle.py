@@ -9,7 +9,13 @@ corpus members and extension steps with covectors deleted or added."""
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from omkit.corpus import CORPUS_NAMES, corpus
-from omkit.matroids import AxiomCheck, AxiomReport, CovectorSystem
+from omkit.matroids import (
+    AxiomCheck,
+    AxiomReport,
+    CovectorSystem,
+    RationalArrangement,
+    from_arrangement,
+)
 from omkit.signs import compose_masks, separator_masks
 from sign_vector import SignVector
 
@@ -121,8 +127,16 @@ def mutate(data, system: CovectorSystem) -> CovectorSystem:
     return CovectorSystem(system.ground, {(c.plus, c.minus) for c in covs})
 
 
+def rank4_arrangement() -> CovectorSystem:
+    """x1, x2, x3, x4, x1 + x2 and x1 + x2 + x3 + x4 on R^4: rank 4, so
+    its support classes include those of the 2-faces (229 covectors)."""
+    forms = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [1, 1, 1, 1]]
+    return from_arrangement(RationalArrangement([f"H{i}" for i in range(1, 7)], forms))
+
+
 def test_matches_reference_on_corpus_and_extension_steps(np14_extension):
-    for system in [corpus(name) for name in CORPUS_NAMES] + list(extension_steps(np14_extension)):
+    steps = list(extension_steps(np14_extension))
+    for system in [corpus(name) for name in CORPUS_NAMES] + steps + [rank4_arrangement()]:
         report = system.check_axioms()
         assert report.ok
         assert report == reference_check_axioms(system)
@@ -146,3 +160,21 @@ def test_matches_reference_on_mutated_corpus(data):
 def test_matches_reference_on_mutated_extension_steps(np14_extension, data):
     system = mutate(data, data.draw(st.sampled_from(extension_steps(np14_extension))))
     assert system.check_axioms() == reference_check_axioms(system)
+
+
+def test_matches_reference_on_a_closed_set_that_fails_elimination():
+    # the four topes of two lines, closed under composition; ++ and +-
+    # separate at e2 but nothing is +0
+    system = CovectorSystem.from_strings(("e1", "e2"), ["00", "++", "--", "+-", "-+"])
+    report = system.check_axioms()
+    assert report.composition.passed and not report.elimination.passed
+    assert report == reference_check_axioms(system)
+
+
+def test_matches_reference_when_only_a_pair_of_two_supports_fails_elimination():
+    # within each support class the zero vector eliminates; ++ and -0
+    # need 0+, which is missing, and +0 o -- = +- escapes the set
+    system = CovectorSystem.from_strings(("e1", "e2"), ["00", "++", "--", "+0", "-0"])
+    report = system.check_axioms()
+    assert not report.composition.passed and not report.elimination.passed
+    assert report == reference_check_axioms(system)

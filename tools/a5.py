@@ -1,9 +1,10 @@
 """Time the braid arrangement A_5 end to end, outside the test suite.
 
 A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
-Salvetti cells).  The script builds it with `from_arrangement`, then
-times the Salvetti poset, its `homology()` (checking the Betti numbers
-1 15 85 225 274 120 and no torsion) and a certificate sampling four
+Salvetti cells).  The script builds it with `from_arrangement`, times
+`check_axioms` (exiting 1 when an axiom fails), the covector poset, the
+Salvetti poset, its `homology()` (checking the Betti numbers 1 15 85 225
+274 120 and no torsion) and a certificate sampling four
 pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
 evidence counts: the minimal fibers ranked as graphs, the other fibers
 of the pairs, linked to those graphs, and the ambient fibers checked
@@ -39,6 +40,9 @@ def timed(label: str, run):
 
 def main() -> int:
     system = timed("from_arrangement", lambda: from_arrangement(braid_arrangement(6)))
+    axioms = timed("axioms", system.check_axioms)
+    if not axioms.ok:
+        raise SystemExit(f"A_5 fails the covector axioms: {axioms}")
     timed("covector poset", system.covector_poset)
     salvetti = timed("salvetti", lambda: SalvettiPoset(system))
     result = timed("homology", lambda: homology(salvetti.poset))
