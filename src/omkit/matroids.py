@@ -375,8 +375,9 @@ class CovectorSystem:
 
 
 # -- axiom kernels ----------------------------------------------------------
-# Both take the (plus, minus) masks of the covectors in witness order and
-# return the first failing pair in row-major order, as list positions.
+# Both take the (plus, minus) masks of the covectors in witness order, the
+# elimination check also the system's sign columns, and return the first
+# failing pair in row-major order, as list positions.
 #
 # Elimination settles its obligations one of two ways, and the input picks
 # which.  On a set closed under composition (axiom 3 passed), X o Y and
@@ -472,11 +473,11 @@ def _failing_by_class(masks: tuple[tuple[int, int], ...], packed: list[int]) -> 
     """The packed (P, M) of every failing elimination obligation of a set
     closed under composition, settled one support class at a time.
 
-    The t covectors of a support U make a grid of ordered pairs, pair
-    (x, y) at bit x*t + y.  Per element f of U, P_f holds the pairs with
-    f in P (x's column spread over whole rows, OR the column repeated in
-    every row), M_f those with f in M, and S_f = P_f & M_f those that
-    separate at f.  A covector Z whose support W lies strictly inside U
+    The t covectors of a support U make a grid of ordered pairs, the
+    pair of members x and y at bit x*t + y.  Per element f of U, P_f
+    holds the pairs with f in P (the members + at f spread over whole
+    rows, OR their column repeated in every row), M_f those with f in M,
+    and S_f = P_f & M_f those that separate at f.  A covector Z whose support W lies strictly inside U
     agrees with X o Y off S on the AND of P_f over Z's +, M_f over Z's -
     and S_f over U - W, and is 0 at every e in U - W; so the OR of those
     ANDs over the covectors of support W covers each such e.  An
