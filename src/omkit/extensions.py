@@ -3,7 +3,7 @@
 An extension is searched as a sign assignment on cocircuit pairs.  The
 search is depth-first with constraint propagation: the restriction of a
 partial assignment to the cocircuits through each corank-two flat (a
-coline) must stay compatible with some placement of the new element on
+coline) must agree with some placement of the new element on
 the circle of that rank-two contraction.  The circle is read off the
 base's edge cells, the covectors whose zero set is the coline, each
 joining its two cocircuits, so no contraction is built.  At a leaf the
@@ -202,7 +202,7 @@ def single_element_extensions(
     constraints: Optional[ExtensionConstraints] = None,
     new_label: str = "g",
 ) -> Iterator[ExtensionResult]:
-    """Stream the simple single-element extensions compatible with the
+    """Stream the simple single-element extensions that meet the
     constraints, in lexicographic signature order."""
     space = _SearchSpace(system)
     constraints = constraints or ExtensionConstraints()
@@ -231,17 +231,6 @@ def single_element_extensions(
     assignment: dict[int, int] = {}
     order = space.coatoms
 
-    def compatible(ci: int) -> list[dict[int, int]]:
-        flats_here, _ = space.coline_data[ci]
-        out = []
-        for cand in active[ci]:
-            if all(
-                x not in assignment or assignment[x] == cand[x]
-                for x in flats_here
-            ):
-                out.append(cand)
-        return out
-
     def dfs(i: int) -> Iterator[ExtensionResult]:
         if i == len(order):
             result = _build_extension(space, dict(assignment), new_label)
@@ -253,8 +242,10 @@ def single_element_extensions(
             assignment[x] = v
             ok = True
             saved: list[tuple[int, list]] = []
+            # the active candidates of a coline agree with the flats
+            # assigned before x already, so only x's value is compared
             for ci in coline_of_flat[x]:
-                remaining = compatible(ci)
+                remaining = [cand for cand in active[ci] if cand[x] == v]
                 saved.append((ci, active[ci]))
                 active[ci] = remaining
                 if not remaining:

@@ -259,21 +259,15 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
 
 def chain_complex(poset: FinitePoset) -> ChainComplexRecord:
     """The cellular chain complex of a regular CW face poset; it squares
-    to zero by the construction of its signs (see the module docstring)."""
+    to zero by the construction of its signs (see the module docstring).
+    A boundary is keyed by cell number, column c being the signed facets
+    `_incidences` found for c, so its order is that of the bases."""
     signs = _incidences(poset)
     heights = poset.heights()
     bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
     for c in poset.elements:
         bases[heights[c]].append(c)
-    index = [{c: i for i, c in enumerate(level)} for level in bases]
-    boundaries: list[dict[int, dict[int, int]]] = [{}]
-    for d in range(1, len(bases)):
-        boundaries.append(
-            {
-                j: {index[d - 1][f]: s for f, s in signs[c].items()}
-                for j, c in enumerate(bases[d])
-            }
-        )
+    boundaries = [{}] + [{c: signs[c] for c in level} for level in bases[1:]]
     return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
 
 
@@ -332,17 +326,16 @@ def salvetti_betti_match_whitney(system: CovectorSystem) -> WhitneyCheck:
 
 def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
     """Generator counts of the iterated semidirect factorization, outer
-    factor first, derived from a maximal chain of modular flats of a
-    simple system."""
+    factor first, derived from a maximal chain X_0 < ... < X_r of modular
+    flats of a simple system: |X_{i+1} - X_i| for i from r - 1 down to 0.
+    The innermost count is 1, and a rank-0 system gives the empty
+    sequence."""
     system.require_simple("the semidirect rank sequence")
     lat = build_lattice(system)
     flats = lat.is_supersolvable()
     if flats is None:
         raise ValueError("system is not supersolvable")
-    out = [
-        (flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, 0, -1)
-    ]
-    out.append(1)
+    out = [(flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, -1, -1)]
     if sum(out) != len(system.ground):
         raise AssertionError("rank sequence does not add up to the ground size")
     return tuple(out)

@@ -119,9 +119,6 @@ class GeometricLattice:
             raise NotAFlatError(f"{flat_id(flat, self.ground)} is not a flat")
         return flat
 
-    def join(self, x: int, y: int) -> int:
-        return self._joins[x][y]
-
     def flats_of_rank(self, r: int) -> tuple[int, ...]:
         if self._flats_by_rank is None:
             byr: dict[int, list[int]] = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -269,14 +269,14 @@ class CovectorSystem:
                 break
 
         ax3 = AxiomCheck(True)
-        escape = _composition_escape(masks, number, len(self.ground))
-        if escape is not None:
-            i, j = escape
+        escapes = _composition_escape(masks, number, len(self.ground))
+        if escapes:
+            i, j = escapes[0]
             xy = sign_text(*compose_masks(*masks[i], *masks[j]), len(self.ground))
             ax3 = AxiomCheck(False, f"{names[i]} o {names[j]} = {xy} escapes the set")
 
         ax4 = AxiomCheck(True)
-        unmet = _unmet_elimination(masks, *self._sign_columns(), closed=escape is None)
+        unmet = _unmet_elimination(masks, *self._sign_columns(), escapes)
         if unmet is not None:
             i, j, e = unmet
             ax4 = AxiomCheck(
@@ -376,39 +376,40 @@ class CovectorSystem:
 
 # -- axiom kernels ----------------------------------------------------------
 # Both take the (plus, minus) masks of the covectors in witness order, the
-# elimination check also the system's sign columns, and return the first
-# failing pair in row-major order, as list positions.
+# elimination check also the system's sign columns and the pairs that
+# escape composition, and name failing pairs in row-major order, as list
+# positions.
 #
-# Elimination settles its obligations one of two ways, and the input picks
-# which.  On a set closed under composition (axiom 3 passed), X o Y and
-# Y o X are covectors for every pair (X, Y); they have equal supports and,
-# between them, the same + and - unions as X and Y, so they raise the same
-# obligation as X and Y, and the pairs inside one support class raise
-# every obligation.  Each class is then settled at once, by ANDs of
-# bitsets over its grid of pairs.  On any other set that argument fails,
-# and each obligation is settled by its own AND of the sign columns.
+# Elimination has one path.  When X o Y and Y o X are covectors they have
+# equal supports and, between them, the same + and - unions as X and Y,
+# so they raise the same obligation as X and Y, inside one support class.
+# Each class is settled at once, by ANDs of bitsets over its grid of
+# pairs; the pairs that axiom 3 finds escaping are the only others, and
+# each of their obligations is settled by its own AND of the sign columns.
 
 
 def _composition_escape(
     masks: tuple[tuple[int, int], ...], number: dict[tuple[int, int], int], n: int
-) -> Optional[tuple[int, int]]:
-    """The first pair (i, j) whose composition is not in the set.
+) -> list[tuple[int, int]]:
+    """Every pair (i, j) whose composition is not in the set, in row-major
+    order; the first is axiom 3's witness.
 
     X o Y reads Y only on the zero set z of X, so a row composes the
     restrictions of the covectors to z, collected once per zero set; only
-    a failing row is scanned in order, to name the witness.
+    a failing row is scanned in order, to list its pairs.
     """
     full = (1 << n) - 1
     restricted: dict[int, set[tuple[int, int]]] = {}
+    escapes: list[tuple[int, int]] = []
     for i, (p1, m1) in enumerate(masks):
         z = full & ~(p1 | m1)
         if z not in restricted:
             restricted[z] = {(p & z, m & z) for p, m in masks}
         if not number.keys() >= {(p1 | p, m1 | m) for p, m in restricted[z]}:
-            return i, next(
-                j for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number
-            )
-    return None
+            escapes += [
+                (i, j) for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number
+            ]
+    return escapes
 
 
 def _unmet_elimination(
@@ -416,7 +417,7 @@ def _unmet_elimination(
     plus_at: tuple[int, ...],
     minus_at: tuple[int, ...],
     zero_at: tuple[int, ...],
-    closed: bool,
+    escapes: list[tuple[int, int]],
 ) -> Optional[tuple[int, int, int]]:
     """The first pair (i, j) and element e of their separator S with no
     covector Z such that Z_e = 0 and Z agrees with X o Y off S.
@@ -425,11 +426,10 @@ def _unmet_elimination(
     and off S X o Y is + on P ^ S, - on M ^ S and 0 off P | M, so an
     obligation depends on (P, M) only and is packed as one int.  Y o X
     agrees with X o Y off S, so the pairs i < j raise every obligation.
-    On a set closed under composition the failing obligations come from
-    `_failing_by_class`; on any other set each obligation is checked in
-    the order the pairs first raise it, up to the first failure.  The
-    witness is the first pair i < j in row-major order whose obligation
-    fails, with its least missed element.
+    The failing obligations are those of `_failing_by_class` and those of
+    the escaping pairs that miss an element.  The witness is the first
+    pair i < j in row-major order whose obligation fails, with its least
+    missed element.
     """
     n = len(plus_at)
     full = (1 << n) - 1
@@ -441,8 +441,6 @@ def _unmet_elimination(
         # missed when that AND misses the zero column of e
         plus, minus = key >> n, key & full
         sep = plus & minus
-        if not sep:
-            return []
         agree = everything
         for e in bits(plus ^ sep):
             agree &= plus_at[e]
@@ -453,13 +451,8 @@ def _unmet_elimination(
         return [e for e in bits(sep) if not agree & zero_at[e]]
 
     packed = [p << n | m for p, m in masks]
-    if closed:
-        failing = _failing_by_class(masks, packed)
-    else:
-        obligations: dict[int, None] = {}
-        for i, w in enumerate(packed):
-            obligations.update(dict.fromkeys([w | v for v in packed[i + 1 :]]))
-        failing = set(islice(filter(missed, obligations), 1))
+    failing = _failing_by_class(masks, packed)
+    failing.update(filter(missed, {packed[i] | packed[j] for i, j in escapes}))
     if failing:
         for i, w in enumerate(packed):
             row = [w | v for v in packed[i + 1 :]]
@@ -470,8 +463,8 @@ def _unmet_elimination(
 
 
 def _failing_by_class(masks: tuple[tuple[int, int], ...], packed: list[int]) -> set[int]:
-    """The packed (P, M) of every failing elimination obligation of a set
-    closed under composition, settled one support class at a time.
+    """The packed (P, M) of every failing elimination obligation raised by
+    two covectors of one support, settled one support class at a time.
 
     The t covectors of a support U make a grid of ordered pairs, the
     pair of members x and y at bit x*t + y.  Per element f of U, P_f

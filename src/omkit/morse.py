@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from .matroids import CovectorSystem
 from .posets import FinitePoset, PosetError, bits, mask_of
 from .salvetti import FiberStratification
-from .topes import is_convex, shelling_order_from_extension
+from .topes import is_convex, shelling_order_from_extension, sphere_poset
 
 
 class MatchingError(ValueError):
@@ -208,15 +208,15 @@ def collapse_ball(
 ) -> tuple[Matching, int]:
     """Collapse the ball L(Q) of the covector sphere onto one vertex.
 
-    The topes of Q are given in shelling order.  The ball is the ideal
-    below them without the zero vector, and the vertex is the least
-    minimal cell below the first tope.  Returns the collapse and the vertex.
+    The topes of Q are given in shelling order.  The ball is the order
+    ideal below them in the system's one sphere poset, so it inherits the
+    sphere's covers and heights, and the vertex is the least minimal cell
+    below the first tope.  Returns the collapse and the vertex.
     """
     if not shelled:
         raise MatchingError("the ball has no tope to collapse")
-    poset = system.covector_poset()
-    zero = 1 << system.numbering()[0, 0]
-    ball = poset.subposet(poset.order_ideal(mask_of(shelled)) & ~zero)
+    sphere = sphere_poset(system)
+    ball = sphere.subposet(sphere.order_ideal(mask_of(shelled)))
     vertex = bits(ball.minimal_elements() & ball.below(shelled[0]))[0]
     return matching_from_shelling(ball, shelled, vertex), vertex
 

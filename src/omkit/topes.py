@@ -11,6 +11,11 @@ element number, a set of topes (a halfspace, a convex set, the Q of the
 dual subcomplex) is a mask, and a shelling order is a tuple of element
 numbers.  Sign-vector text is parsed and rendered only
 by the command line.
+
+The convex hull of Q is one pass over the topes, keeping those that agree
+with every sign the topes of Q share; the halfspaces of those signs are
+the tests' oracle for it.  The sphere poset is built once per system,
+and a ball L(Q) is its order ideal below Q.
 """
 
 from __future__ import annotations
@@ -39,19 +44,6 @@ def _require_topes(system: CovectorSystem, q: int) -> int:
     return topes
 
 
-def halfspace(system: CovectorSystem, label: str, sign: int) -> int:
-    """The mask of the topes on the given side of one element."""
-    if label not in system.ground:
-        raise ValueError(f"unknown label {label!r}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    bit = 1 << system.ground.index(label)
-    vectors = system.vectors()
-    return mask_of(
-        t for t in bits(system.topes()) if vectors[t][0 if sign > 0 else 1] & bit
-    )
-
-
 def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
     """Topes ordered by containment of separators from a base tope."""
     topes = _require_topes(system, 1 << base)
@@ -65,20 +57,17 @@ def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
 
 
 def convex_hull(system: CovectorSystem, q: int) -> int:
-    """Intersection of all halfspaces containing the set."""
-    hull = _require_topes(system, q)
-    if not q:
-        return 0
-    # Q lies in the halfspaces of the signs its topes share
+    """Intersection of all halfspaces containing the set: the topes that
+    agree with every sign the topes of Q share (none when Q is empty)."""
+    topes = _require_topes(system, q)
     vectors = system.vectors()
     plus = minus = -1
     for t in bits(q):
         plus &= vectors[t][0]
         minus &= vectors[t][1]
-    for i, label in enumerate(system.ground):
-        if (plus | minus) >> i & 1:
-            hull &= halfspace(system, label, 1 if plus >> i & 1 else -1)
-    return hull
+    return mask_of(
+        t for t in bits(topes) if not plus & ~vectors[t][0] and not minus & ~vectors[t][1]
+    )
 
 
 def is_convex(system: CovectorSystem, q: int) -> bool:
@@ -98,10 +87,15 @@ def dual_subcomplex(system: CovectorSystem, q: int) -> int:
 
 
 def sphere_poset(system: CovectorSystem) -> FinitePoset:
-    """Face poset of the covector sphere (zero vector removed)."""
-    poset = system.covector_poset()
-    zero = system.numbering().get((0, 0))
-    return poset.subposet(poset.members if zero is None else poset.members & ~(1 << zero))
+    """Face poset of the covector sphere (zero vector removed), built once
+    per system; its order ideals, the balls L(Q), inherit its covers."""
+
+    def build():
+        poset = system.covector_poset()
+        zero = system.numbering().get((0, 0))
+        return poset.subposet(poset.members if zero is None else poset.members & ~(1 << zero))
+
+    return system.memo(("sphere",), build)
 
 
 # -- shellings ---------------------------------------------------------------

@@ -8,12 +8,13 @@ a matching by Kahn's sort, the oracle for `Matching.cycle`.  The
 covector order by pairs is the definition that the column-built order
 is checked against; closure, rank, Moebius function and join by scans
 over the flats are the definitions that the one-pass lattice
-constructor is checked against.  Convexity by betweenness is the oracle
-for the convex hull, and the homology of a fiber by the reduction of its chain
-complex the oracle for the fiber types and the graph ranks that the
-quasi-fibration certificate reads off its collapses and by union-find.
-The Salvetti ideals by one
-composition per pair are the oracle for the constructor's cover
+constructor is checked against, and `join` reads the constructor's
+table.  Convexity by betweenness, and the halfspaces of the signs a
+set's topes share, are the oracles for the convex hull, and the
+homology of a fiber by the reduction of its chain complex the oracle
+for the fiber types and the graph ranks that the quasi-fibration
+certificate reads off its collapses and by union-find.  The Salvetti
+ideals by one composition per pair are the oracle for the constructor's cover
 recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
 and the dual subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  The contraction at a coline, its
@@ -31,7 +32,7 @@ from omkit.morse import Matching
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
-from omkit.topes import NotATopeError, halfspace
+from omkit.topes import NotATopeError
 from poset_builders import PosetMap
 from poset_oracle import scanned_covers
 
@@ -46,6 +47,12 @@ def pairwise_below(system: CovectorSystem) -> dict[int, int]:
         j: mask_of(i for i, (pa, ma) in enumerate(masks) if not (pa & ~pb or ma & ~mb))
         for j, (pb, mb) in enumerate(masks)
     }
+
+
+def join(lat: GeometricLattice, x: int, y: int) -> int:
+    """The join of two flats, read off the table the lattice constructor
+    fills and its modularity check reads."""
+    return lat._joins[x][y]
 
 
 def scan_join(flats: Sequence[int], a: int, b: int) -> int:
@@ -132,12 +139,12 @@ def brylawski_iso(lat: GeometricLattice, modular: int, other: int) -> tuple[Pose
         raise ValueError(
             f"{flat_id(x, g)} is not modular; witness Z={flat_id(z, g)} Y={flat_id(w, g)}"
         )
-    xy, top = x & y, lat.join(x, y)
+    xy, top = x & y, join(lat, x, y)
     top_int = interval(lat, y, top)
     bot_int = interval(lat, xy, x)
     index = lat.index
     down = {index[f]: index[f & x] for f in lat.flats if not y & ~f and not f & ~top}
-    up = {index[f]: index[lat.join(f, y)] for f in lat.flats if not xy & ~f and not f & ~x}
+    up = {index[f]: index[join(lat, f, y)] for f in lat.flats if not xy & ~f and not f & ~x}
     p_x = PosetMap(top_int, bot_int, down)
     s_y = PosetMap(bot_int, top_int, up)
     for e in top_int.elements:
@@ -346,6 +353,19 @@ def cycle_placements(system: CovectorSystem, cycle: Sequence[int]) -> set[frozen
 
 
 # -- tope sets and matchings ---------------------------------------------------
+
+
+def halfspace(system: CovectorSystem, label: str, sign: int) -> int:
+    """The mask of the topes on the given side of one element."""
+    if label not in system.ground:
+        raise ValueError(f"unknown label {label!r}")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    bit = 1 << system.ground.index(label)
+    vectors = system.vectors()
+    return mask_of(
+        t for t in bits(system.topes()) if vectors[t][0 if sign > 0 else 1] & bit
+    )
 
 
 def all_convex_tope_sets(system: CovectorSystem) -> list[int]:

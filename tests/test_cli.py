@@ -741,6 +741,15 @@ def test_ranks_command(capsys):
     assert "sequence: 2 2 1" in out
 
 
+def test_ranks_of_the_rank_0_system(capsys):
+    # the localization at the empty flat has no modular flat but the
+    # bottom, so its sequence is empty and sums to b1 = 0
+    _, out = run(capsys, ["localize", "--flat", "{}"], stdin=om_text("rank1"))
+    code, out = run(capsys, ["ranks"], stdin=out)
+    assert code == 0
+    assert "sequence: \n" in out and "sum: 0\n" in out and "PASS" in out
+
+
 def test_from_arrangement_command(capsys, tmp_path):
     matrix = tmp_path / "m.txt"
     matrix.write_text("1 0\n0 1\n1 1\n")

@@ -221,8 +221,11 @@ def test_cellular_boundary_signs():
     rec = chain_complex(disk)
     named = tuple(tuple(disk.names[c] for c in level) for level in rec.bases)
     assert named == (("a", "b", "c", "d"), ("ab", "ad", "bc", "cd"), ("f",))
-    assert rec.boundaries[1][0] == {0: -1, 1: 1}  # ab = b - a
-    assert rec.boundaries[2][0] == {0: 1, 1: -1, 2: 1, 3: 1}  # ab + bc + cd - ad
+    cell = disk.names.index
+    assert rec.boundaries[1][cell("ab")] == {cell("a"): -1, cell("b"): 1}  # ab = b - a
+    assert rec.boundaries[2][cell("f")] == {  # ab + bc + cd - ad
+        cell("ab"): 1, cell("ad"): -1, cell("bc"): 1, cell("cd"): 1,
+    }
     assert homology(disk).betti == (1, 0, 0)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import sign_vectors
 from omkit.lattices import build_lattice
+from side_lemmas import join
 
 
 def _within(system, sub, flat):
@@ -34,8 +35,8 @@ def test_face_extension_on_modular_flats(five_planes, uniform23):
                     continue
                 if sigma.restrict(x) != tau.restrict(x):
                     continue
-                join = lat.join(x, y)
-                assert sigma.restrict(join) == tau.restrict(join)
+                joined = join(lat, x, y)
+                assert sigma.restrict(joined) == tau.restrict(joined)
 
 
 def test_minimal_lift_zero_sets(five_planes):
@@ -66,7 +67,7 @@ def test_minimal_lift_zero_sets(five_planes):
                     for tau in preimage
                     if not any(r is not tau and tau.leq(r) for r in preimage)
                 ]
-                want = lat.join(sigma_zero, y)
+                want = join(lat, sigma_zero, y)
                 for tau in dual_minimal:
                     assert tau.zero_mask == want
                 checked += 1
@@ -83,8 +84,8 @@ def test_restriction_interval_isomorphism(five_planes, uniform23):
             if not lat.is_modular_flat(x).ok:
                 continue
             for y in lat.flats:
-                join = lat.join(x, y)
-                loc_join = system.restriction(join)
+                joined = join(lat, x, y)
+                loc_join = system.restriction(joined)
                 y_in_join = _within(system, loc_join, y)
                 source = [s for s in sign_vectors(loc_join) if not s.support_mask & y_in_join]
                 loc_x = system.restriction(x)
@@ -108,8 +109,8 @@ def test_interval_isomorphism_fails_without_modularity(five_planes):
     assert not lat.is_modular_flat(x).ok
     found_failure = False
     for y in lat.flats:
-        join = lat.join(x, y)
-        loc_join = system.restriction(join)
+        joined = join(lat, x, y)
+        loc_join = system.restriction(joined)
         y_in_join = _within(system, loc_join, y)
         source = [s for s in sign_vectors(loc_join) if not s.support_mask & y_in_join]
         images = [s.restrict(_within(system, loc_join, x)) for s in source]

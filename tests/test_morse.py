@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omkit import posets
 from omkit.corpus import corpus
 from omkit.matroids import CovectorSystem
 from omkit.homology import graph_rank
@@ -8,6 +9,7 @@ from omkit.morse import (
     Matching,
     MatchingError,
     MorseCertificate,
+    collapse_ball,
     matching_convex_critical,
     matching_from_shelling,
     matching_salvetti_fiber,
@@ -17,7 +19,7 @@ from omkit.morse import (
 from omkit.posets import bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
-from omkit.topes import dual_subcomplex, sphere_poset
+from omkit.topes import dual_subcomplex, shelling_order_from_extension, sphere_poset
 from poset_builders import chain_poset, cover_pairs, from_covers
 from side_lemmas import all_convex_tope_sets, dual_matching, kahn_acyclic, matched_digraph
 
@@ -415,3 +417,23 @@ def test_certificate_trivial_full_complex():
     # critical cells that are no subcomplex: e41 lost its face v1
     cert = morse_reduction_certificate(m, m.critical_cells())
     assert cert.critical == "not an ideal: e41 has faces ['v1'] outside" and not cert.ok
+
+
+def test_collapse_ball_runs_no_cover_pass_once_the_sphere_is_built(monkeypatch):
+    # the ball is an order ideal of the one cached sphere, so it inherits
+    # the sphere's covers and heights; a fresh copy has no sphere yet
+    braid3 = corpus("braid3")
+    system = CovectorSystem(braid3.ground, braid3.vectors())
+    order = shelling_order_from_extension(system, bits(system.topes())[0])
+    calls = []
+    real = posets._cover_pass
+    monkeypatch.setattr(posets, "_cover_pass", lambda *a: calls.append(a) or real(*a))
+    sphere = sphere_poset(system)
+    assert len(calls) == 1
+    calls.clear()
+    for k in (1, len(order) // 2, len(order) - 1):
+        matching, vertex = collapse_ball(system, order[:k])
+        assert matching.host.members == sphere.order_ideal(mask_of(order[:k]))
+        assert matching.critical_cells() == 1 << vertex
+    assert sphere_poset(system) is sphere
+    assert calls == []

@@ -307,7 +307,7 @@ def test_skipping_cover_names_the_first_top_and_its_highest_bottom():
 
 
 def test_a_subposet_that_is_no_ideal_finds_its_own_covers(five_planes):
-    # the ball of collapse_ball: an ideal below some topes, without zero
+    # an ideal below some topes, without zero: a ball of the sphere
     poset = five_planes.covector_poset()
     zero = 1 << five_planes.numbering()[0, 0]
     ball = poset.subposet(poset.order_ideal(mask_of(bits(five_planes.topes())[:3])) & ~zero)

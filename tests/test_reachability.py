@@ -5,7 +5,8 @@ from `tools/generate_non_pappus.py`; reference code the tests compare
 against lives in the tests.
 
 Reachability is by bare name: a definition reaches every definition
-whose name it mentions, as a name or an attribute, in any module, and a
+whose name it mentions, as a name or an attribute, in any module; an
+attribute of a string literal (`", ".join`) mentions nothing.  A
 reached class reaches its dunder methods and whatever its body outside
 its methods mentions.  Module-level statements run on import, so what
 they mention is reached.  Imports, and the re-exports of `__init__.py`,
@@ -45,9 +46,16 @@ def mentions(*nodes: ast.AST) -> set[str]:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and not is_string(sub.value):
                 out.add(sub.attr)
     return out
+
+
+def is_string(node: ast.AST) -> bool:
+    """A string literal or f-string, whose attributes are str methods."""
+    if isinstance(node, ast.JoinedStr):
+        return True
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
 def scan(sources: dict[str, str], tool: str) -> tuple[set[str], set[str]]:
@@ -121,6 +129,15 @@ def test_a_planted_dead_function_is_flagged():
     sources = library_sources()
     sources["planted"] = "def _planted():\n    pass\n"
     assert complaints(sources, TOOL.read_text()) == ["unreached: planted._planted"]
+
+
+def test_a_method_reached_only_through_a_string_is_flagged():
+    sources = library_sources()
+    sources["cli"] += (
+        "\n\nclass Planted:\n    def join(self, parts):\n        return parts\n"
+        "\n\ndef cmd_planted(args):\n    return Planted, \", \".join(args), f\"{args}\".join(args)\n"
+    )
+    assert complaints(sources, TOOL.read_text()) == ["unreached: cli.Planted.join"]
 
 
 def test_the_allowlist_is_exact():

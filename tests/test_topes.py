@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import sign_vectors
+from omkit.corpus import CORPUS_NAMES
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.signs import separator_masks
 from omkit.topes import (
@@ -11,7 +13,6 @@ from omkit.topes import (
     ShellingReport,
     convex_hull,
     dual_subcomplex,
-    halfspace,
     is_convex,
     shelling_order_from_extension,
     sphere_poset,
@@ -19,7 +20,13 @@ from omkit.topes import (
     verify_shelling,
 )
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import all_convex_tope_sets, dual_by_complement, is_convex_betweenness, subcomplex_LQ
+from side_lemmas import (
+    all_convex_tope_sets,
+    dual_by_complement,
+    halfspace,
+    is_convex_betweenness,
+    subcomplex_LQ,
+)
 from sign_vector import SignVector
 
 
@@ -143,10 +150,28 @@ def test_convexity_both_ways_on_random_subsets(braid3, five_planes, non_pappus):
             assert is_convex(system, q) and is_convex_betweenness(system, q)
 
 
+@given(st.sampled_from(CORPUS_NAMES), st.integers(0, (1 << 56) - 1))
+@example("non-pappus", 0)
+@example("braid3", (1 << 24) - 2)  # all topes but one: not convex
+@settings(max_examples=150, deadline=None)
+def test_hull_is_the_halfspaces_of_the_shared_signs(all_corpus, name, pick):
+    # bit k of pick puts tope k (in numbering order) into Q
+    system = all_corpus[name]
+    vectors = system.vectors()
+    q = mask_of(t for k, t in enumerate(bits(all_topes(system))) if pick >> k & 1)
+    hull = all_topes(system)
+    for i, label in enumerate(system.ground):
+        for sign, side in ((1, 0), (-1, 1)):
+            if all(vectors[t][side] >> i & 1 for t in bits(q)):
+                hull &= halfspace(system, label, sign)
+    assert convex_hull(system, q) == hull
+    assert is_convex(system, q) == is_convex_betweenness(system, q)
+
+
 def test_convex_sets_enumeration_matches_definition(uniform23):
     # exhaustively against the definition on the small member, with the
-    # halfspaces rebuilt from sign vectors: the hull and the enumeration
-    # both build on `halfspace`, so it is not trusted here
+    # halfspaces rebuilt from sign vectors: the enumeration builds on
+    # `halfspace`, so it is not trusted here
     vectors = sign_vectors(uniform23)
     topes = bits(all_topes(uniform23))
     sides = [
