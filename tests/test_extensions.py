@@ -278,6 +278,28 @@ def test_prune_soundness_and_completeness(uniform23):
     assert dfs == raw
 
 
+def test_the_search_builds_only_assignments_every_coline_admits(uniform23, five_planes, monkeypatch):
+    """A leaf is built only when, on every coline, some placement agrees
+    with the whole assignment: each flat filters the placements of its
+    colines when it is assigned."""
+    import omkit.extensions as extensions
+
+    real = extensions._build_extension
+    leaves = []
+
+    def checked(space, values, new_label):
+        for flats_here, placements in space.coline_data:
+            assert {x: values[x] for x in flats_here} in placements, values
+        leaves.append(values)
+        return real(space, values, new_label)
+
+    monkeypatch.setattr(extensions, "_build_extension", checked)
+    for system in (uniform23, five_planes):
+        leaves.clear()
+        found = list(single_element_extensions(system))
+        assert found and len(leaves) >= len(found)
+
+
 def coline_adjacency(space: _SearchSpace, coline: int) -> dict[int, list[int]]:
     """The cocircuits through a coline, each with its neighbours along the
     edge cells on the coline."""
