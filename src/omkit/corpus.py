@@ -7,7 +7,6 @@ covector list (see tools/generate_non_pappus.py for its construction).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from importlib import resources
 
 from .matroids import CovectorSystem, RationalArrangement, from_arrangement
@@ -23,7 +22,6 @@ CORPUS_NAMES = (
 )
 
 
-@lru_cache(maxsize=None)
 def corpus(name: str) -> CovectorSystem:
     if name == "rank1":
         return CovectorSystem.from_strings(("e1",), ["0", "+", "-"])

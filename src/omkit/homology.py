@@ -485,9 +485,11 @@ def quasi_fibration_certify(
     free rank d.  An exhaustive run has checked the link already, as the
     lower matching of the pair (m, b).  The reading needs regular CW
     complexes, as the cellular homology does: `_incidences` checks the
-    fiber of each ambient A once, and the fiber of every cell below A is
-    an ideal of it, so regular too; `graph_rank` checks that each edge of
-    a minimal fiber has two vertices.  Either raises `NotRegularError`.
+    union of the ambient fibers once, an ideal of the source of which
+    every fiber a matching lives on is an ideal, so each cell is checked
+    once; `graph_rank` checks that each edge of a minimal fiber has two
+    vertices.  Either raises `NotRegularError`.  The pairs are certified
+    one ambient at a time, with one stratification alive at a time.
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
@@ -513,30 +515,27 @@ def quasi_fibration_certify(
     minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
     graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))
 
-    # each pair's ambient is the least maximal cell above its upper cell,
-    # with one stratification per ambient, whose fiber is checked regular
-    # once and shared by every matching into it
-    ambient_for = {b: bits(poset.above(b) & maximal)[0] for _a, b in pairs_all}
-    strat_for = {}
-    for amb in sorted(set(ambient_for.values())):
-        strat_for[amb] = stratify_fiber(loc, loc.target.keys[amb][1])
-        _incidences(strat_for[amb].fiber)
-    matching_certs: dict[tuple[int, int], MorseCertificate] = {}
-
-    def matching_certificate(cell: int, ambient: int) -> MorseCertificate:
-        key = (cell, ambient)
-        if key not in matching_certs:
-            m = matching_salvetti_fiber(strat_for[ambient], cell)
-            matching_certs[key] = morse_reduction_certificate(m, loc.fibers[cell])
-        return matching_certs[key]
-
-    pairs = []
+    # each pair's ambient is the least maximal cell above its upper cell;
+    # the union of their fibers is an ideal of the source, checked regular
+    by_ambient: dict[int, list[tuple[int, int]]] = {}
+    union = 0
     for a, b in sorted(pairs_all):
-        amb, m = ambient_for[b], bits(poset.below(a) & minimal)[0]
-        pairs.append(
-            PairEvidence(
-                a, b, amb, m,
-                matching_certificate(a, amb), matching_certificate(b, amb), matching_certificate(m, amb),
-            )
-        )
+        amb = bits(poset.above(b) & maximal)[0]
+        by_ambient.setdefault(amb, []).append((a, b))
+        union |= loc.fibers[amb]
+    _incidences(loc.source.poset.subposet(union))
+    pairs = []
+    for amb, amb_pairs in sorted(by_ambient.items()):
+        # one stratification serves every matching into the fiber of amb,
+        # keyed by cell, and is let go before the next is built
+        strat = stratify_fiber(loc, loc.target.keys[amb][1])
+        certs: dict[int, MorseCertificate] = {}
+        for a, b in amb_pairs:
+            m = bits(poset.below(a) & minimal)[0]
+            for cell in (a, b, m):
+                if cell not in certs:
+                    certs[cell] = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), loc.fibers[cell])
+            pairs.append(PairEvidence(a, b, amb, m, certs[a], certs[b], certs[m]))
+        del strat
+    pairs.sort(key=lambda p: (p.lower, p.upper))
     return QuasiFibrationCertificate(loc, sample, expected, graph_ranks, tuple(pairs))

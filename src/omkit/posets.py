@@ -15,7 +15,6 @@ the dual inherit the covers and heights too.  All objects are immutable.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, Mapping, Optional
 
 
@@ -299,37 +298,6 @@ class FinitePoset:
         out = 0
         for g in bits(generators):
             out |= self._below[g]
-        return out
-
-    def is_ideal(self, mask: int) -> bool:
-        return all(not self._below[x] & ~mask for x in bits(mask))
-
-    def linear_extension_ideal_first(self, ideal: int) -> list[int]:
-        """A linear extension where the given order ideal comes first.
-
-        Ties go to the least element, so the output is deterministic and
-        reproducible downstream (shelling orders, matchings).
-        """
-        self._check_mask(ideal)
-        if not self.is_ideal(ideal):
-            raise PosetError("the given set is not an order ideal")
-        below, above = self._below, self._above
-        out: list[int] = []
-        placed = 0
-        for part in (ideal, self.members & ~ideal):
-            ready = [x for x in bits(part) if not below[x] & ~placed & ~(1 << x)]
-            heapq.heapify(ready)
-            while ready:
-                x = heapq.heappop(ready)
-                if placed >> x & 1:
-                    continue
-                out.append(x)
-                placed |= 1 << x
-                for y in bits(above[x] & part & ~placed):
-                    if not below[y] & ~placed & ~(1 << y):
-                        heapq.heappush(ready, y)
-        if len(out) != len(self):
-            raise PosetError("linear extension failed")
         return out
 
     def chains(self) -> Iterator[tuple[int, ...]]:

@@ -4,7 +4,9 @@ The reduced covector poset is the face poset of a regular cell
 decomposition of a sphere, and every linear extension of a tope poset
 orders its maximal cells as a shelling.  Convex tope sets are order
 ideals of tope posets, which is what produces shellable balls and, later,
-the matchings with prescribed critical subcomplexes.
+the matchings with prescribed critical subcomplexes.  No tope poset is
+built: a shelling order walks the covers of T(B), read off the facets of
+the covector poset, and the all-pairs T(B) is the tests' oracle.
 
 Everything here is in the numbering of the covector poset: a tope is an
 element number, a set of topes (a halfspace, a convex set, the Q of the
@@ -20,11 +22,12 @@ and a ball L(Q) is its order ideal below Q.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .matroids import CovectorSystem
-from .posets import FinitePoset, bits, mask_of
+from .posets import FinitePoset, PosetError, bits, mask_of
 from .signs import separator_masks
 
 
@@ -42,15 +45,6 @@ def _require_topes(system: CovectorSystem, q: int) -> int:
             raise NotATopeError(f"{x} is not a covector")
         raise NotATopeError(f"{poset.names[x]!r} is a covector but not a tope")
     return topes
-
-
-def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
-    """Topes ordered by containment of separators from a base tope."""
-    topes = _require_topes(system, 1 << base)
-    vectors = system.vectors()
-    seps = [(t, separator_masks(*vectors[base], *vectors[t])) for t in bits(topes)]
-    below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
-    return FinitePoset(system.covector_poset().names, below)
 
 
 # -- convexity ---------------------------------------------------------------
@@ -114,13 +108,40 @@ def shelling_order_from_extension(
     system: CovectorSystem, base: int, prefix: int = 0
 ) -> tuple[int, ...]:
     """Order the sphere's maximal cells by a linear extension of the tope
-    poset at base.
+    poset T(B) at base B: a least-first Kahn walk over its covers, the
+    tope u across a facet of t covering t when S(B, t) lies in S(B, u)
+    (Edelman 1984; Bjorner, Edelman and Ziegler 1990).
 
-    A nonzero prefix comes first; it must be an order ideal of that tope
-    poset, as every convex set containing the base is.
+    A nonzero prefix comes first; it must be an order ideal of T(B), as
+    every convex set containing the base is.
     """
-    tp = tope_poset(system, base)
-    return tuple(tp.linear_extension_ideal_first(prefix or 1 << base))
+    topes = _require_topes(system, 1 << base)
+    prefix = prefix or 1 << base
+    poset, vectors = system.covector_poset(), system.vectors()
+    if prefix & ~topes:
+        unknown = [poset.names[x] if x < len(poset.names) else x for x in bits(prefix & ~topes)[:4]]
+        raise PosetError(f"unknown elements: {unknown}")
+    sep = {t: separator_masks(*vectors[base], *vectors[t]) for t in bits(topes)}
+    upper: dict[int, list[int]] = {t: [] for t in sep}
+    waiting = dict.fromkeys(sep, 0)  # each tope's lower covers not yet placed
+    for t in sep:
+        for f in poset.lower_covers(t):
+            u = (poset.above(f) & topes ^ 1 << t).bit_length() - 1
+            if not sep[t] & ~sep[u]:
+                if prefix >> u & 1 and not prefix >> t & 1:
+                    raise PosetError("the given set is not an order ideal")
+                upper[t].append(u)
+                waiting[u] += 1
+    ready = sorted((not prefix >> t & 1, t) for t, n in waiting.items() if not n)
+    order: list[int] = []
+    while ready:
+        _, t = heapq.heappop(ready)
+        order.append(t)
+        for u in upper[t]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heapq.heappush(ready, (not prefix >> u & 1, u))
+    return tuple(order)
 
 
 def verify_shelling(complex_poset: FinitePoset, order: Sequence[int]) -> ShellingReport:

@@ -20,19 +20,23 @@ and the dual subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  The contraction at a coline, its
 circle of cocircuits walked along its topes and the placements of a new
 element on that circle are the oracle for the extension search, which
-reads the circle off the edge cells of the base.  No command needs them,
+reads the circle off the edge cells of the base.  The tope poset T(B)
+built all-pairs, with its least-first linear extension that puts an
+order ideal first, is the oracle for the shelling orders that walk T(B)'s
+covers.  No command needs them,
 so they live with the tests."""
 
+import heapq
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from omkit.homology import homology
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
-from omkit.posets import FinitePoset, bits, mask_of
+from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
-from omkit.topes import NotATopeError
+from omkit.topes import NotATopeError, _require_topes
 from poset_builders import PosetMap
 from poset_oracle import scanned_covers
 
@@ -353,6 +357,51 @@ def cycle_placements(system: CovectorSystem, cycle: Sequence[int]) -> set[frozen
 
 
 # -- tope sets and matchings ---------------------------------------------------
+
+
+def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
+    """The tope poset T(B) all-pairs: topes ordered by containment of
+    their separators from a base tope, the oracle for the covers that
+    `shelling_order_from_extension` walks."""
+    topes = _require_topes(system, 1 << base)
+    vectors = system.vectors()
+    seps = [(t, separator_masks(*vectors[base], *vectors[t])) for t in bits(topes)]
+    below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
+    return FinitePoset(system.covector_poset().names, below)
+
+
+def is_ideal(poset: FinitePoset, mask: int) -> bool:
+    """Every element below an element of the mask is in it."""
+    return all(not poset.below(x) & ~mask for x in bits(mask))
+
+
+def linear_extension_ideal_first(poset: FinitePoset, ideal: int) -> list[int]:
+    """A linear extension of the poset in which the given order ideal
+    comes first, ties going to the least element: one least-first pass
+    of Kahn's sort over the ideal, then one over the rest."""
+    unknown = bits(ideal & ~poset.members)
+    if unknown:
+        names = poset.names
+        raise PosetError(f"unknown elements: {[names[x] if x < len(names) else x for x in unknown[:4]]}")
+    if not is_ideal(poset, ideal):
+        raise PosetError("the given set is not an order ideal")
+    out: list[int] = []
+    placed = 0
+    for part in (ideal, poset.members & ~ideal):
+        ready = [x for x in bits(part) if not poset.below(x) & ~placed & ~(1 << x)]
+        heapq.heapify(ready)
+        while ready:
+            x = heapq.heappop(ready)
+            if placed >> x & 1:
+                continue
+            out.append(x)
+            placed |= 1 << x
+            for y in bits(poset.above(x) & part & ~placed):
+                if not poset.below(y) & ~placed & ~(1 << y):
+                    heapq.heappush(ready, y)
+    if len(out) != len(poset):
+        raise PosetError("linear extension failed")
+    return out
 
 
 def halfspace(system: CovectorSystem, label: str, sign: int) -> int:

@@ -31,7 +31,6 @@ from omkit.topes import (
     is_convex,
     shelling_order_from_extension,
     sphere_poset,
-    tope_poset,
     verify_shelling,
 )
 from poset_builders import image
@@ -45,6 +44,7 @@ from side_lemmas import (
     localization_section,
     section_iota,
     subcomplex_LQ,
+    tope_poset,
 )
 
 

@@ -573,25 +573,28 @@ def test_certify_qf_fails_the_fibers_of_a_failed_link(capsys, monkeypatch):
 
 def test_certify_qf_refuses_an_ambient_fiber_that_is_not_regular(capsys, monkeypatch):
     # the collapses read homotopy types only off a regular complex: an
-    # ambient fiber with a cover that skips a height is refused, exit 2
+    # ambient fiber with a cover that skips a height is refused, exit 2;
+    # the skip is planted in the source poset, where the check reads it
     import importlib
     from dataclasses import replace
+    from types import SimpleNamespace
 
     module = importlib.import_module("omkit.homology")
-    real = module.stratify_fiber
+    real = module.salvetti_localization
 
-    def skipping(loc, base):
-        strat = real(loc, base)
-        fiber = strat.fiber
+    def skipping(system, flat):
+        loc = real(system, flat)
+        source = loc.source.poset
         # drop the two edges at a vertex of a 2-cell: the vertex is then
         # covered by the 2-cell, two heights up
-        cell = next(c for c in fiber.elements if fiber.heights()[c] == 2)
-        edges = fiber.lower_covers(cell)
-        vertex = fiber.lower_covers(edges[0])[0]
-        at = [e for e in edges if vertex in fiber.lower_covers(e)]
-        return replace(strat, fiber=fiber.subposet(fiber.members & ~sum(1 << e for e in at)))
+        cell = next(c for c in source.elements if source.heights()[c] == 2)
+        edges = source.lower_covers(cell)
+        vertex = source.lower_covers(edges[0])[0]
+        drop = sum(1 << e for e in edges if vertex in source.lower_covers(e))
+        poset = source.subposet(source.members & ~drop)
+        return replace(loc, source=SimpleNamespace(poset=poset), fibers=tuple(f & ~drop for f in loc.fibers))
 
-    monkeypatch.setattr(module, "stratify_fiber", skipping)
+    monkeypatch.setattr(module, "salvetti_localization", skipping)
     code, out, err = run_with_stderr(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 2
     assert out == ""

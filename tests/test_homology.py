@@ -570,6 +570,26 @@ def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np1
     assert len(own) <= len(built) <= len(own) + len(cert.pairs)
 
 
+def test_one_stratification_is_alive_at_a_time(monkeypatch, five_planes):
+    # each ambient's stratification is let go before the next is built
+    import importlib
+    import weakref
+
+    module = importlib.import_module("omkit.homology")
+    real = module.stratify_fiber
+    built = []
+
+    def tracked(loc, base):
+        assert all(ref() is None for ref in built), "a stratification outlived its ambient"
+        strat = real(loc, base)
+        built.append(weakref.ref(strat))
+        return strat
+
+    monkeypatch.setattr(module, "stratify_fiber", tracked)
+    assert quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"})).ok
+    assert len(built) == 6
+
+
 def test_morse_reduction_preserves_homology(five_planes):
     # critical complexes of the fiber matchings have the homology of the
     # ambient fiber they retract

@@ -334,15 +334,16 @@ def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
 
 def test_convex_critical_refuses_a_convex_set_that_is_no_ideal(monkeypatch, uniform23):
     # a convex set is an ideal of the tope poset at each of its topes;
-    # if the poset says otherwise an invariant broke, which is no input error
-    import omkit.topes
+    # if the poset says otherwise an invariant broke, which is no input error;
+    # the shelling order is asked for at the opposite base, where Q is none
+    import omkit.morse
 
-    real = omkit.topes.tope_poset
+    real = omkit.morse.shelling_order_from_extension
 
-    def opposite_base(system, base):
-        return real(system, system.numbering()[system.vectors()[base][::-1]])
+    def opposite_base(system, base, prefix=0):
+        return real(system, system.numbering()[system.vectors()[base][::-1]], prefix)
 
-    monkeypatch.setattr(omkit.topes, "tope_poset", opposite_base)
+    monkeypatch.setattr(omkit.morse, "shelling_order_from_extension", opposite_base)
     system = fresh(uniform23)
     with pytest.raises(AssertionError, match="not an ideal of the tope poset"):
         matching_convex_critical(system, first_tope(system))

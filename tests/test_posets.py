@@ -10,7 +10,7 @@ from omkit.lattices import build_lattice
 from omkit.topes import sphere_poset
 from poset_builders import PosetMap, antichain, chain_poset, cover_pairs, from_covers, order_pairs
 from poset_oracle import checked_above, peeled_heights, scanned_covers
-from side_lemmas import lattice_poset
+from side_lemmas import is_ideal, lattice_poset, linear_extension_ideal_first
 from simplicial_oracle import from_facets
 
 
@@ -88,8 +88,8 @@ def brute_force_extensions_with_ideal_first(poset, ideal):
 
 
 def extension(poset, ideal):
-    """linear_extension_ideal_first on names."""
-    out = poset.linear_extension_ideal_first(mask(poset, ideal))
+    """The oracle linear_extension_ideal_first on names."""
+    out = linear_extension_ideal_first(poset, mask(poset, ideal))
     return [poset.names[x] for x in out]
 
 
@@ -98,7 +98,7 @@ def test_linear_extension_ideal_first():
     anti = antichain(("a", "b"))
     assert extension(anti, {"b"}) == ["b", "a"]
     p = vee()
-    got = p.linear_extension_ideal_first(mask(p, {"a", "b"}))
+    got = linear_extension_ideal_first(p, mask(p, {"a", "b"}))
     ideal = {p.names.index("a"), p.names.index("b")}
     assert got in list(brute_force_extensions_with_ideal_first(p, ideal))
     assert extension(p, {"a", "b"}) == ["a", "b", "c"]  # lexicographic tie-break
@@ -109,7 +109,7 @@ def test_linear_extension_ideal_first():
 def test_linear_extension_parts_are_extensions():
     p = vee()
     for ideal in (set(), {"a"}, {"a", "b"}, {"a", "b", "c"}):
-        out = p.linear_extension_ideal_first(mask(p, ideal))
+        out = linear_extension_ideal_first(p, mask(p, ideal))
         head, tail = out[: len(ideal)], out[len(ideal):]
         assert {p.names[x] for x in head} == ideal
         for part in (head, tail):
@@ -311,6 +311,6 @@ def test_a_subposet_that_is_no_ideal_finds_its_own_covers(five_planes):
     poset = five_planes.covector_poset()
     zero = 1 << five_planes.numbering()[0, 0]
     ball = poset.subposet(poset.order_ideal(mask_of(bits(five_planes.topes())[:3])) & ~zero)
-    assert not poset.is_ideal(ball.members)
+    assert not is_ideal(poset, ball.members)
     assert ball.heights() == {x: h - 1 for x, h in poset.heights().items() if x in ball}
     assert_matches_the_oracles(ball)

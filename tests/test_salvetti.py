@@ -8,7 +8,7 @@ from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
-from omkit.topes import sphere_poset, tope_poset
+from omkit.topes import sphere_poset
 from poset_builders import PosetMap, order_pairs
 from side_lemmas import (
     direct_salvetti_below,
@@ -16,6 +16,7 @@ from side_lemmas import (
     localization_section,
     localization_square_commutes,
     principal_ideal_iso,
+    tope_poset,
 )
 
 

@@ -16,7 +16,6 @@ from omkit.topes import (
     is_convex,
     shelling_order_from_extension,
     sphere_poset,
-    tope_poset,
     verify_shelling,
 )
 from poset_builders import antichain, cover_pairs, from_covers
@@ -25,7 +24,9 @@ from side_lemmas import (
     dual_by_complement,
     halfspace,
     is_convex_betweenness,
+    linear_extension_ideal_first,
     subcomplex_LQ,
+    tope_poset,
 )
 from sign_vector import SignVector
 
@@ -213,6 +214,32 @@ def test_shelling_order_puts_a_convex_prefix_first(uniform23, five_planes):
                 position = {t: i for i, t in enumerate(order)}
                 tp = tope_poset(system, base)
                 assert all(position[a] < position[b] for a, b in cover_pairs(tp))
+
+
+def test_shelling_order_walks_the_covers_of_the_all_pairs_tope_poset(all_corpus, a4):
+    # the order walked over T(B)'s covers is the oracle's least-first
+    # extension of the all-pairs T(B): with no prefix, the whole tope set,
+    # and convex sets at a base inside them; at a base outside, both refuse
+    for name, system in {**all_corpus, "A4": a4}.items():
+        topes = all_topes(system)
+        number, vectors = system.numbering(), system.vectors()
+        others = bits(topes)[:: max(1, topes.bit_count() // 4)]
+        for base in bits(topes)[:: max(1, topes.bit_count() // 12)]:
+            tp = tope_poset(system, base)
+            opposite = number[vectors[base][::-1]]
+            inside = [convex_hull(system, 1 << base | 1 << t) for t in others]
+            for q in [0, topes] + inside:
+                want = tuple(linear_extension_ideal_first(tp, q or 1 << base))
+                assert shelling_order_from_extension(system, base, q) == want, (name, base, q)
+            for t in others:
+                if t == base:
+                    continue
+                q = convex_hull(system, 1 << t | 1 << opposite)
+                assert not q >> base & 1
+                with pytest.raises(PosetError, match="not an order ideal"):
+                    linear_extension_ideal_first(tp, q)
+                with pytest.raises(PosetError, match="not an order ideal"):
+                    shelling_order_from_extension(system, base, q)
 
 
 def test_convex_first_extension(five_planes):

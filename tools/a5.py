@@ -7,13 +7,14 @@ Salvetti poset, its `homology()` (checking the Betti numbers 1 15 85 225
 274 120 and no torsion) and a certificate sampling four
 pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
 evidence counts: the minimal fibers ranked as graphs, the other fibers
-of the pairs, linked to those graphs, and the ambient fibers checked
-regular; it exits 1 when the certificate fails.  Run from the
-repository root:
+of the pairs, linked to those graphs, and the ambients, whose fibers'
+union is checked regular; it exits 1 when the certificate fails.  Last it prints the
+process's peak resident set size.  Run from the repository root:
 
     python tools/a5.py
 """
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -60,6 +61,8 @@ def main() -> int:
         f"pairs: {len(cert.pairs)}  minimal graphs: {len(cert.graph_ranks)}  "
         f"linked fibers: {len(linked)}  ambients: {len(ambients)}  ok: {cert.ok}"
     )
+    # ru_maxrss is in kilobytes on Linux
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return 0 if cert.ok else 1
 
 
