@@ -619,18 +619,23 @@ def _null_space(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[Fraction
 
 
 def _closure_from_cocircuits(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Composition closure of the cocircuits together with the zero vector."""
+    """Composition closure of the cocircuits together with the zero vector.
+    A cocircuit Y whose support lies inside X's leaves X o Y = X, so X is
+    composed only with the others, and a tope with none; X o Y is
+    `compose_masks` written out, with X's free bits found once per X."""
     closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
     frontier = list(closed)
-    composers = list(cocircuit_masks)
+    composers = [(p, m, p | m) for p, m in cocircuit_masks]
     while frontier:
         new: list[tuple[int, int]] = []
         for p1, m1 in frontier:
-            for p2, m2 in composers:
-                q = compose_masks(p1, m1, p2, m2)
-                if q not in closed:
-                    closed.add(q)
-                    new.append(q)
+            free = ~(p1 | m1)
+            for p2, m2, s2 in composers:
+                if s2 & free:
+                    q = (p1 | (p2 & free), m1 | (m2 & free))
+                    if q not in closed:
+                        closed.add(q)
+                        new.append(q)
         frontier = new
     return closed
 

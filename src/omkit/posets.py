@@ -3,14 +3,23 @@
 Elements are the integers 0..n-1, numbered in the sorted order of their
 names, so integer order is name order and every tie-break picks what it
 would pick on names.  The names tuple is read only to parse input and to
-write reports and error messages.  The order is kept as per-element
-bitmasks of the elements below and above, with each element's lower
-covers and height.  A subposet, an order ideal or a fiber is a mask over
-its parent's numbering, so derived posets need no index translation.
-The constructor checks the poset axioms in one pass over the covers,
-which finds the covers and heights as it goes; derived posets inherit
-the axioms, and an order ideal (every localization fiber is one) and
-the dual inherit the covers and heights too.  All objects are immutable.
+write reports and error messages.  Every poset keeps each element's lower
+covers and height; the order itself is kept as per-element bitmasks of
+the elements below and above.  A subposet, an order ideal or a fiber is
+a mask over its parent's numbering, so derived posets need no index
+translation.
+
+A poset is built one of two ways.  From below masks, the constructor
+checks the poset axioms in one pass over the covers, which finds the
+covers and heights as it goes, and ORs the above masks down along them.
+From covers (`FinitePoset.from_covers`), each element's lower covers are
+walked in an order that puts them first, which proves the relation they
+generate is a partial order and finds the heights, and the masks are a
+cache, derived by walking the covers the first time one is read; so
+homology, which reads covers and heights only, never builds them.
+Derived posets inherit the axioms, and an order ideal (every
+localization fiber is one) and the dual inherit the covers and heights
+too.  All objects are immutable.
 """
 
 from __future__ import annotations
@@ -124,28 +133,65 @@ def _raise_first_bad_relation(names: tuple[str, ...], lo: list[int], elements: l
     raise AssertionError("the cover pass refused a partial order")
 
 
+def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
+    names = tuple(names)
+    for a, b in zip(names, names[1:]):
+        if not a < b:
+            raise PosetError(f"names are not distinct and sorted: {a!r}, {b!r}")
+    return names
+
+
+def _above_along_covers(n: int, lower, order: list[int]) -> list[int]:
+    """The above masks, ORed down along the covers in the reverse of an
+    order that puts every cover before the element it is covered by."""
+    up = [0] * n
+    for y in reversed(order):
+        mine = up[y] | 1 << y
+        up[y] = mine
+        for c in lower[y]:
+            up[c] |= mine
+    return up
+
+
+def _raise_bad_walk(names: tuple[str, ...], y: int, covers: Iterable[int], level: list[int]) -> None:
+    """Name what is wrong with the entry of element y in a walk of covers,
+    whose elements walked so far have a height in `level` and the others
+    -1."""
+    if not 0 <= y < len(names):
+        raise PosetError(f"element {y!r} has no name")
+    prev = -1
+    for c in covers:
+        if not 0 <= c < len(names):
+            raise PosetError(f"a cover of {names[y]!r} has no name: {c!r}")
+        if c <= prev:
+            raise PosetError(f"the covers of {names[y]!r} are not increasing: {names[prev]!r}, {names[c]!r}")
+        if level[c] < 0:
+            raise PosetError(f"the cover {names[c]!r} of {names[y]!r} is not walked before it")
+        prev = c
+    raise AssertionError("the walk refused good covers")
+
+
 class FinitePoset:
     """A finite partially ordered set on a mask of integer elements.
 
     `names[i]` is the name of element i, shared by every poset derived
-    from the same root.  The relation is kept as per-element reflexive
-    "below" and "above" masks, with the lower covers and the height of
-    each element, which the check of the axioms finds.  An order ideal
-    and the dual inherit them; any other subposet runs the cover pass.
+    from the same root.  Each element's lower covers and height are kept,
+    with the relation as per-element reflexive "below" and "above" masks.
+    Built from masks, the check of the axioms finds the covers; built
+    from covers, the masks are derived when first read.  An order ideal
+    and the dual inherit covers and heights; any other subposet runs the
+    cover pass.
     """
 
     __slots__ = (
-        "names", "members", "_below", "_above", "_lower", "_level", "_graded",
+        "names", "members", "_lower", "_level", "_graded", "_below", "_above",
         "_elements", "_heights", "_dual", "_maximal",
     )
 
     def __init__(self, names: Iterable[str], below: Mapping[int, int]):
         """`below[x]` is a mask of elements below x, for each element x.
         The names must be distinct and sorted."""
-        names = tuple(names)
-        for a, b in zip(names, names[1:]):
-            if not a < b:
-                raise PosetError(f"names are not distinct and sorted: {a!r}, {b!r}")
+        names = _sorted_names(names)
         if any(not 0 <= x < len(names) for x in below):
             raise PosetError("an element has no name")
         members = mask_of(below)
@@ -159,22 +205,72 @@ class FinitePoset:
         if found is None:
             _raise_first_bad_relation(names, lo, elements)
         lower, level, graded, order = found
-        # the above masks, ORed down along the covers in the reverse order
-        up = [0] * len(names)
-        for y in reversed(order):
-            mine = up[y] | 1 << y
-            up[y] = mine
-            for c in lower[y]:
-                up[c] |= mine
-        self._set(names, members, lo, up, lower, level, graded)
+        self._set(names, members, lower, level, graded, lo, _above_along_covers(len(names), lower, order))
 
-    def _set(self, *values) -> None:
-        for slot, value in zip(self.__slots__, values + (None,) * 4):
-            object.__setattr__(self, slot, value)
+    @staticmethod
+    def from_covers(names: Iterable[str], covers: Mapping[int, tuple[int, ...]]) -> "FinitePoset":
+        """The poset on one element per name whose covering relation is
+        given: `covers[y]` is the tuple of the lower covers of element y,
+        in increasing order, and the mapping is walked in its own order.
+        The names must be distinct and sorted, and every element walked
+        once.
+
+        Each cover must be walked before its element (`PosetError` names
+        the first that is not), so the covers have no cycle, and the
+        relation they generate is a partial order.  The height of an
+        element is one above its highest cover, and the poset is graded
+        when every cover lies there.  A cover that skips a height might
+        lie below another cover of the same element; that is refused, by
+        the one check that reads the masks.  Otherwise the below and above
+        masks are derived from the covers the first time one is read."""
+        names = _sorted_names(names)
+        n = len(names)
+        lower: list = [()] * n
+        level = [-1] * n  # the heights of the elements walked so far
+        graded = True
+        for y, cs in covers.items():
+            if not 0 <= y < n:
+                _raise_bad_walk(names, y, cs, level)
+            prev = top = -1
+            low = n
+            for c in cs:
+                h = level[c] if prev < c < n else -1
+                if h < 0:
+                    _raise_bad_walk(names, y, cs, level)
+                prev = c
+                if h > top:
+                    top = h
+                if h < low:
+                    low = h
+            level[y] = top + 1
+            if cs:
+                lower[y] = tuple(cs)
+                graded = graded and low == top
+        if -1 in level:
+            raise PosetError(f"{names[level.index(-1)]!r} is not walked")
+        poset = object.__new__(_Unmasked)
+        poset._set(names, (1 << n) - 1, lower, level, graded)
+        object.__setattr__(poset, "_elements", tuple(range(n)))
+        if not graded:
+            for y in poset.elements:
+                for c in lower[y]:
+                    over = [d for d in lower[y] if d != c and poset.leq(c, d)]
+                    if over:
+                        raise PosetError(f"{names[c]!r} is no cover of {names[y]!r}: it lies below {names[over[0]]!r}")
+        return poset
+
+    def _set(self, names, members, lower, level, graded, below=None, above=None) -> None:
+        """Fill the slots; the caches start empty, and so do the masks
+        when none are given."""
+        for slot, value in zip(FinitePoset.__slots__, (names, members, lower, level, graded, below, above)):
+            if value is not None:
+                object.__setattr__(self, slot, value)
+        for slot in ("_elements", "_heights", "_dual", "_maximal"):
+            object.__setattr__(self, slot, None)
 
     def _derive(self, members: int, below: list[int], above: list[int], lower, level, graded) -> "FinitePoset":
         out = object.__new__(FinitePoset)
-        out._set(self.names, members, below, above, lower, level, graded)
+        out._set(self.names, members, lower, level, graded, below, above)
         return out
 
     def __setattr__(self, name, value):
@@ -219,13 +315,19 @@ class FinitePoset:
         return self._lower[y]
 
     def maximal_elements(self) -> int:
+        """The elements that are no element's lower cover."""
         if self._maximal is None:
-            maximal = mask_of(x for x in self.elements if self._above[x] == 1 << x)
-            object.__setattr__(self, "_maximal", maximal)
+            lower = self._lower
+            covered = set()
+            for y in self.elements:
+                covered.update(lower[y])
+            object.__setattr__(self, "_maximal", mask_of(x for x in self.elements if x not in covered))
         return self._maximal
 
     def minimal_elements(self) -> int:
-        return mask_of(x for x in self.elements if self._below[x] == 1 << x)
+        """The elements without a lower cover."""
+        lower = self._lower
+        return mask_of(x for x in self.elements if not lower[x])
 
     def heights(self) -> dict[int, int]:
         """Length of a longest chain ending at each element."""
@@ -317,6 +419,32 @@ class FinitePoset:
     def order_complex(self) -> "SimplicialComplexRecord":
         faces = tuple(frozenset(c) for c in self.chains())
         return SimplicialComplexRecord(self.elements, faces)
+
+
+class _Unmasked(FinitePoset):
+    """A poset built from covers whose masks are not derived yet.  The
+    first read of either derives both, walking the covers by height, and
+    turns the poset into a plain `FinitePoset`, so every later read is a
+    slot read.  Keeping this hook off `FinitePoset` keeps attribute reads
+    on every other poset at full speed."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("_below", "_above"):
+            raise AttributeError(name)
+        n, lower = len(self.names), self._lower
+        order = sorted(self.elements, key=self._level.__getitem__)
+        below = [0] * n
+        for y in order:
+            m = 1 << y
+            for c in lower[y]:
+                m |= below[c]
+            below[y] = m
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_above", _above_along_covers(n, lower, order))
+        object.__setattr__(self, "__class__", FinitePoset)
+        return getattr(self, name)
 
 
 class SimplicialComplexRecord:

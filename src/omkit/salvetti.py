@@ -5,10 +5,14 @@ Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
 covector poset, from the top height down: F o R = F o (U o R) for F >= U,
 so the ideal below (G, R) is the cell itself and the ideals below the
-cells (U, U o R) for the upper covers U of G.  Each cover is composed once
-per cell, and those compositions are topes exactly when every F o R with
-F above a face of R is one; when one is not, the direct loop over topes,
-faces and covectors is rescanned to name its first failing composition.
+cells (U, U o R) for the upper covers U of G, and those cells are its
+lower covers.  The poset is built from these covers alone
+(`FinitePoset.from_covers`), each cover one composition; its below and
+above masks are derived only when a localization, a fiber or a
+certificate reads them, so homology and the Betti check never build
+them.  The compositions are topes exactly when every F o R with F above
+a face of R is one; when one is not, the direct loop over topes, faces
+and covectors is rescanned to name its first failing composition.
 Everything here is by number: a covector or tope is its
 element of `system.covector_poset()`, its value the (plus, minus) pair
 `system.vectors()[i]`, and cell k is the pair `keys[k]` of
@@ -68,32 +72,38 @@ class SalvettiPoset:
         topes = system.topes()
         keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
         index = {key: k for k, key in enumerate(keys)}
+        # the cells (c, t) on each face c, keyed by the value of t
+        over: list[dict[tuple[int, int], int]] = [{} for _ in vectors]
+        for k, (c, t) in enumerate(keys):
+            over[c][vectors[t]] = k
         heights = order.heights()
         upper = order.dual().lower_covers
-        # top down: the ideal below (g, r) is the cell and the ideals below
-        # the cells (u, u o r) for the upper covers u of g
-        below: dict[int, int] = {}
-        for k in sorted(range(len(keys)), key=lambda k: -heights[keys[k][0]]):
-            g, r = keys[k]
-            pr, mr = vectors[r]
-            m = 1 << k
-            for u in upper(g):
-                t = number.get(compose_masks(*vectors[u], pr, mr), -1)
-                if t < 0 or not topes >> t & 1:
-                    _raise_first_bad_composition(system)
-                m |= below[index[u, t]]
-            below[k] = m
-        poset = FinitePoset([f"({names[c]};{names[t]})" for c, t in keys], below)
+        # top down: the lower covers of (g, r) are the cells (u, u o r) for
+        # the upper covers u of g, walked before it; they increase with u.
+        # u o r is a tope exactly when it is the value of a cell on u
+        covers: dict[int, tuple[int, ...]] = {}
+        for g in sorted(order.elements, key=lambda c: -heights[c]):
+            ups = [(over[u], *vectors[u], ~(vectors[u][0] | vectors[u][1])) for u in upper(g)]
+            for (pr, mr), k in over[g].items():
+                cs = []
+                for cells, pu, mu, free in ups:
+                    cell = cells.get((pu | pr & free, mu | mr & free))
+                    if cell is None:
+                        _raise_first_bad_composition(system)
+                    cs.append(cell)
+                covers[k] = tuple(cs)
+        poset = FinitePoset.from_covers([f"({names[c]};{names[t]})" for c, t in keys], covers)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "poset", poset)
-        # sanity of the construction: extremes are as forced by the order
+        # sanity of the construction, read off the covers: extremes are as
+        # forced by the order
         zero = number.get((0, 0), -1)
-        if poset.maximal_elements() != mask_of(k for k, (g, _) in enumerate(keys) if g == zero):
-            raise AssertionError("maximal cells are not the (0, T)")
         if poset.minimal_elements() != mask_of(k for k, (g, r) in enumerate(keys) if g == r):
             raise AssertionError("minimal cells are not the (T, T)")
+        if poset.maximal_elements() != mask_of(k for k, (g, _) in enumerate(keys) if g == zero):
+            raise AssertionError("maximal cells are not the (0, T)")
 
     def __setattr__(self, name, value):
         raise AttributeError("SalvettiPoset is immutable")

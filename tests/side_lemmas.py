@@ -14,9 +14,12 @@ set's topes share, are the oracles for the convex hull, and the
 homology of a fiber by the reduction of its chain complex the oracle
 for the fiber types and the graph ranks that the quasi-fibration
 certificate reads off its collapses and by union-find.  The Salvetti
-ideals by one composition per pair are the oracle for the constructor's cover
-recursion.  The subcomplex L(Q) of the covectors below the topes of Q,
-and the dual subcomplex as the complement of L(Q) of the other topes,
+ideals by one composition per pair are the oracle for the constructor's
+covers and the masks derived from them.  The composition closure that
+composes every vector with every cocircuit is the oracle for the one
+that skips a cocircuit whose support lies inside the vector's.  The
+subcomplex L(Q) of the covectors below the topes of Q, and the dual
+subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  The contraction at a coline, its
 circle of cocircuits walked along its topes and the placements of a new
 element on that circle are the oracle for the extension search, which
@@ -227,6 +230,24 @@ def direct_salvetti_below(system: CovectorSystem) -> dict[int, int]:
                 m |= 1 << index[f, t]
             below[index[g, r]] = m
     return below
+
+
+def closure_composing_all(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Composition closure of the cocircuits together with the zero vector,
+    composing each new vector with every cocircuit."""
+    closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
+    frontier = list(closed)
+    composers = list(cocircuit_masks)
+    while frontier:
+        new: list[tuple[int, int]] = []
+        for p1, m1 in frontier:
+            for p2, m2 in composers:
+                q = compose_masks(p1, m1, p2, m2)
+                if q not in closed:
+                    closed.add(q)
+                    new.append(q)
+        frontier = new
+    return closed
 
 
 def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:

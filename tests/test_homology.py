@@ -256,6 +256,13 @@ def skipping_cover():
     )
 
 
+def walked_skipping_cover():
+    # the same poset built from its covers, which `skipping_cover()` names
+    poset = FinitePoset.from_covers(("c", "e", "u", "v", "w"), {2: (), 3: (), 4: (), 1: (3, 4), 0: (1, 2)})
+    assert poset.skipping_cover() == (2, 0)
+    return poset
+
+
 def rp2_ball():
     # a 3-cell glued along RP^2, which cannot bound it
     faces = from_facets(rp2())
@@ -271,6 +278,7 @@ def rp2_ball():
     "poset, message",
     [
         (skipping_cover, "cell 'c': the cover 'u' < 'c' skips a height"),
+        (walked_skipping_cover, "cell 'c': the cover 'u' < 'c' skips a height"),
         (lambda: from_covers(("v", "e"), [("v", "e")]), "edge 'e' has vertices"),
         (theta_cell, "cell 'f': its face 'p' lies in 3 of its facets"),
         (rp2_ball, "cell 'ball': incidence signs disagree"),
@@ -588,6 +596,40 @@ def test_one_stratification_is_alive_at_a_time(monkeypatch, five_planes):
     monkeypatch.setattr(module, "stratify_fiber", tracked)
     assert quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"})).ok
     assert len(built) == 6
+
+
+def holds_masks(poset):
+    """Whether a poset holds its below masks, read without deriving them."""
+    try:
+        FinitePoset._below.__get__(poset)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_the_betti_path_builds_no_masks(monkeypatch, braid3, np14):
+    # homology reads covers and heights only, so the Salvetti poset of the
+    # Betti check never derives its below and above masks
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    real = module.SalvettiPoset
+    built = []
+
+    def tracked(system):
+        salv = real(system)
+        built.append(salv)
+        return salv
+
+    monkeypatch.setattr(module, "SalvettiPoset", tracked)
+    for system in (braid3, np14):
+        built.clear()
+        assert salvetti_betti_match_whitney(system).ok
+        assert len(built) == 1
+        assert not holds_masks(built[0].poset)
+    # the first read derives them
+    built[0].poset.below(0)
+    assert holds_masks(built[0].poset)
 
 
 def test_morse_reduction_preserves_homology(five_planes):

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sign_vectors
+from conftest import braid_arrangement, sign_vectors
+from omkit import extensions, matroids
+from omkit.extensions import supersolvable_extension
 from omkit.lattices import build_lattice
 from omkit.matroids import (
     CovectorSystem,
@@ -20,7 +23,7 @@ from omkit.omfile import format_system, parse_om_text
 from omkit.posets import bits, mask_of
 from omkit.signs import GroundSetMismatchError, parse_signs
 from poset_builders import PosetMap, cover_pairs, image
-from side_lemmas import contraction, lattice_poset, pairwise_below, section_iota
+from side_lemmas import closure_composing_all, contraction, lattice_poset, pairwise_below, section_iota
 from sign_vector import SignVector
 
 
@@ -319,6 +322,36 @@ def _scan_oracle(arrangement):
 
     scan(0)
     return CovectorSystem(arrangement.labels, [(v.plus, v.minus) for v in found])
+
+
+def test_closure_skips_only_cocircuits_that_change_nothing(monkeypatch, non_pappus):
+    # every closure of braid3, A4, seeded arrangements and each step of
+    # extend-ss non-pappus is the closure composing with every cocircuit
+    real = matroids._closure_from_cocircuits
+    sizes = []
+
+    def checked(cocircuits):
+        closed = real(cocircuits)
+        assert closed == closure_composing_all(cocircuits)
+        sizes.append(len(closed))
+        return closed
+
+    monkeypatch.setattr(matroids, "_closure_from_cocircuits", checked)
+    monkeypatch.setattr(extensions, "_closure_from_cocircuits", checked)
+    rng = random.Random(5)
+    seeded = []
+    while len(seeded) < 8:
+        dim, n = rng.randint(2, 4), rng.randint(3, 7)
+        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(n)]
+        try:
+            seeded.append(RationalArrangement(tuple(f"h{i}" for i in range(n)), rows))
+        except (DegenerateArrangementError, ValueError):
+            continue
+    for arrangement in (braid_arrangement(3), braid_arrangement(5), *seeded):
+        from_arrangement(arrangement)
+    assert sizes[:2] == [13, 541]
+    steps = supersolvable_extension(non_pappus).steps
+    assert len(sizes) == 10 + len(steps)
 
 
 @st.composite

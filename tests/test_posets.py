@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -292,6 +293,56 @@ def test_cover_pass_agrees_with_the_pair_scan(relation, data):
     for sub in (poset.order_ideal(picked), picked):
         assert_matches_the_oracles(poset.subposet(sub))
         assert_matches_the_oracles(poset.subposet(sub).dual())
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations(), st.data())
+def test_covers_first_is_the_mask_build(relation, data):
+    names, below = relation
+    try:
+        poset = FinitePoset(names, below)
+    except PosetError:
+        return
+    # renumbered onto its members, walked by height, ties in a drawn order
+    members = poset.elements
+    new = {x: i for i, x in enumerate(members)}
+    heights = poset.heights()
+    walk = sorted(data.draw(st.permutations(members)), key=heights.__getitem__)
+    covers = {new[y]: tuple(new[x] for x in poset.lower_covers(y)) for y in walk}
+    walked = FinitePoset.from_covers([names[x] for x in members], covers)
+    assert [walked.lower_covers(i) for i in walked.elements] == [
+        tuple(new[x] for x in poset.lower_covers(y)) for y in members
+    ]
+    assert list(walked.heights().values()) == [heights[y] for y in members]
+    assert walked.skipping_cover() == (
+        None if poset.skipping_cover() is None else tuple(new[x] for x in poset.skipping_cover())
+    )
+    assert [walked.below(i) for i in walked.elements] == [
+        mask_of(new[x] for x in bits(poset.below(y))) for y in members
+    ]
+    assert [walked.above(i) for i in walked.elements] == [
+        mask_of(new[x] for x in bits(poset.above(y))) for y in members
+    ]
+
+
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        ({0: (), 1: (2,), 2: (1,)}, "the cover 'c' of 'b' is not walked before it"),
+        ({0: (0,), 1: (), 2: ()}, "the cover 'a' of 'a' is not walked before it"),
+        ({0: (), 1: (), 2: (1, 0)}, "the covers of 'c' are not increasing: 'b', 'a'"),
+        ({0: (), 1: (), 2: (0, 0)}, "the covers of 'c' are not increasing: 'a', 'a'"),
+        ({0: (), 1: (), 2: (-1,)}, "a cover of 'c' has no name: -1"),
+        ({0: (), 1: (), 2: (3,)}, "a cover of 'c' has no name: 3"),
+        ({0: (), 1: (), 3: ()}, "element 3 has no name"),
+        ({0: (), 2: ()}, "'b' is not walked"),
+        ({0: (), 1: (0,), 2: (0, 1)}, "'a' is no cover of 'c': it lies below 'b'"),
+    ],
+    ids=["cycle", "loop", "decreasing", "repeated", "negative", "unknown", "unnamed", "unwalked", "implied"],
+)
+def test_covers_first_refuses_what_is_no_cover_relation(covers, message):
+    with pytest.raises(PosetError, match=re.escape(message)):
+        FinitePoset.from_covers(("a", "b", "c"), covers)
 
 
 def test_skipping_cover_names_the_first_top_and_its_highest_bottom():

@@ -175,6 +175,40 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
         assert len(direct) == len(salv), name
         for k in range(len(salv)):
             assert salv.poset.below(k) == direct[k], (name, salv.poset.names[k])
+        # covers first: the covers, heights and gradedness the mask build
+        # finds, and the masks derived from them
+        masked = FinitePoset(salv.poset.names, direct)
+        poset = salv.poset
+        assert [poset.lower_covers(k) for k in poset.elements] == [masked.lower_covers(k) for k in masked.elements], name
+        assert poset.heights() == masked.heights(), name
+        assert poset.skipping_cover() is masked.skipping_cover() is None, name
+        assert [poset.above(k) for k in poset.elements] == [masked.above(k) for k in masked.elements], name
+
+
+def test_salvetti_refuses_a_minimal_cell_that_is_no_tope_pair(monkeypatch, braid3):
+    # a cell (G, R) with G != R that loses its covers is minimal
+    real = FinitePoset.from_covers
+
+    def dropping(names, covers):
+        k = next(k for k, cs in covers.items() if cs)
+        return real(names, {**covers, k: ()})
+
+    monkeypatch.setattr(FinitePoset, "from_covers", dropping)
+    with pytest.raises(AssertionError, match=r"minimal cells are not the \(T, T\)"):
+        SalvettiPoset(braid3)
+
+
+def test_salvetti_refuses_a_maximal_cell_off_the_zero_vector(monkeypatch, braid3):
+    # a cell (G, R) with G != 0 that is no other cell's cover is maximal
+    real = FinitePoset.from_covers
+
+    def uncovering(names, covers):
+        x = next(cs for cs in covers.values() if cs)[0]
+        return real(names, {k: tuple(c for c in cs if c != x) for k, cs in covers.items()})
+
+    monkeypatch.setattr(FinitePoset, "from_covers", uncovering)
+    with pytest.raises(AssertionError, match=r"maximal cells are not the \(0, T\)"):
+        SalvettiPoset(braid3)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
 Salvetti cells).  The script builds it with `from_arrangement`, times
 `check_axioms` (exiting 1 when an axiom fails), the covector poset, the
-Salvetti poset, its `homology()` (checking the Betti numbers 1 15 85 225
+Salvetti poset (printing the resident set size after it), its
+`homology()` (checking the Betti numbers 1 15 85 225
 274 120 and no torsion) and a certificate sampling four
 pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
 evidence counts: the minimal fibers ranked as graphs, the other fibers
@@ -14,6 +15,7 @@ process's peak resident set size.  Run from the repository root:
     python tools/a5.py
 """
 
+import os
 import resource
 import sys
 import time
@@ -39,6 +41,17 @@ def timed(label: str, run):
     return out
 
 
+def rss_mb() -> float:
+    """The process's resident set size now, from /proc (Linux)."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def peak_rss_mb() -> float:
+    # ru_maxrss is in kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main() -> int:
     system = timed("from_arrangement", lambda: from_arrangement(braid_arrangement(6)))
     axioms = timed("axioms", system.check_axioms)
@@ -46,6 +59,7 @@ def main() -> int:
         raise SystemExit(f"A_5 fails the covector axioms: {axioms}")
     timed("covector poset", system.covector_poset)
     salvetti = timed("salvetti", lambda: SalvettiPoset(system))
+    print(f"RSS after salvetti: {rss_mb():.0f} MB")
     result = timed("homology", lambda: homology(salvetti.poset))
     print(f"cells: {len(salvetti)}  betti: {' '.join(map(str, result.betti))}")
     if result.betti != BETTI or not result.is_torsion_free():
@@ -61,8 +75,7 @@ def main() -> int:
         f"pairs: {len(cert.pairs)}  minimal graphs: {len(cert.graph_ranks)}  "
         f"linked fibers: {len(linked)}  ambients: {len(ambients)}  ok: {cert.ok}"
     )
-    # ru_maxrss is in kilobytes on Linux
-    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+    print(f"peak RSS: {peak_rss_mb():.0f} MB")
     return 0 if cert.ok else 1
 
 

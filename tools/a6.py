@@ -1,0 +1,52 @@
+"""Betti numbers of the Salvetti complex of A_6, outside the test suite.
+
+A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
+(47,293 covectors, 322,560 Salvetti cells).  The script caps its own
+address space at 4 GiB (RLIMIT_AS), so a run that would need more fails
+with MemoryError instead of crowding the host.  It builds A_6 with
+`from_arrangement`, then the covector poset, the Salvetti poset and its
+`homology()`, printing each stage's time and the resident set size after
+it, then the Betti numbers, the torsion and the process's peak resident
+set size.  It exits 1 unless the Betti numbers are 1 21 175 735 1624
+1764 720, the Whitney numbers of A_6, with no torsion.  Run from the
+repository root:
+
+    python tools/a6.py
+"""
+
+import resource
+import sys
+
+from a5 import peak_rss_mb, rss_mb, timed
+from conftest import braid_arrangement
+from omkit.homology import homology
+from omkit.matroids import from_arrangement
+from omkit.salvetti import SalvettiPoset
+
+BETTI = (1, 21, 175, 735, 1624, 1764, 720)
+ADDRESS_SPACE = 4 << 30
+
+
+def main() -> int:
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    def stage(label: str, run):
+        out = timed(label, run)
+        print(f"  RSS: {rss_mb():.0f} MB", flush=True)
+        return out
+
+    system = stage("from_arrangement", lambda: from_arrangement(braid_arrangement(7)))
+    stage("covector poset", system.covector_poset)
+    salvetti = stage("salvetti", lambda: SalvettiPoset(system))
+    result = stage("homology", lambda: homology(salvetti.poset))
+    print(f"covectors: {len(system)}  cells: {len(salvetti)}")
+    print(f"betti: {' '.join(map(str, result.betti))}")
+    print(f"torsion: {'none' if result.is_torsion_free() else result.torsion}")
+    print(f"peak RSS: {peak_rss_mb():.0f} MB")
+    return 0 if result.betti == BETTI and result.is_torsion_free() else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
