@@ -10,6 +10,17 @@ every codimension-2 face of a cell lies in exactly two of its facets, and
 the signs propagated across those faces agree (`NotRegularError` names
 the cell otherwise).
 
+The signs are propagated once per cell shape, not once per cell.  A
+cell whose facets are of the classes of an earlier cell's, in order, and
+whose faces of facets pair up at that cell's positions, distinct pair by
+pair, takes that cell's signs by facet position.  This is exact: by
+induction, facets of one class carry the same signs position by
+position, so propagation would give the cell the same signs, and a cell
+that propagation refuses fails the check, propagates, and is refused in
+the same words (`_incidences` gives the details).  On a Salvetti poset
+the cells over one covector share a shape and come one after another, so
+only a few cells per poset propagate.
+
 The same construction makes the boundary square to zero, so no second
 pass checks it.  In the boundary of the boundary of a cell c, the face g
 two heights down has the coefficient sum of sign[f] * s(f, g) over the
@@ -43,6 +54,8 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
@@ -198,13 +211,80 @@ class ChainComplexRecord:
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
 
 
+def _spread_signs(
+    poset: FinitePoset, c: int, flat: list[int], signs: dict[int, dict[int, int]]
+) -> tuple[dict[int, int], itemgetter, itemgetter, tuple[tuple[int, int], ...]]:
+    """The signed facets of a cell c of height two or more, spread from +1
+    on its first facet, and the template they leave for c's shape.
+
+    `flat` lists the facets of each facet of c in turn.  Every face in it
+    must lie in exactly two facets, the signs spread across the faces
+    must agree, and they must reach every facet.  The template is a getter
+    of the first and one of the second position of each face in `flat`,
+    and each facet's sign by its position, in the order the signs were
+    set."""
+    names, facets = poset.names, poset.lower_covers
+    fs = facets(c)
+    owner = [f for f in fs for _ in facets(f)]
+    over: dict[int, list[int]] = {}
+    for p, g in enumerate(flat):
+        over.setdefault(g, []).append(p)
+    across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
+    pairs = []
+    for g, ps in sorted(over.items()):
+        if len(ps) != 2:
+            raise NotRegularError(
+                f"cell {names[c]!r}: its face {names[g]!r} lies in {len(ps)} of its facets, not 2"
+            )
+        f1, f2 = owner[ps[0]], owner[ps[1]]
+        across[f1].append((f2, g))
+        across[f2].append((f1, g))
+        pairs.append(ps)
+    sign = {fs[0]: 1}
+    stack = list(sign)
+    while stack:
+        f = stack.pop()
+        for f2, g in across[f]:
+            want = -sign[f] * signs[f][g] * signs[f2][g]
+            if f2 not in sign:
+                sign[f2] = want
+                stack.append(f2)
+            elif sign[f2] != want:
+                raise NotRegularError(
+                    f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
+                )
+    if len(sign) != len(fs):
+        raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
+    # two facets of two faces at least, so two pairs and the getters give tuples
+    first, second = zip(*pairs)
+    index = {f: i for i, f in enumerate(fs)}
+    return sign, itemgetter(*first), itemgetter(*second), tuple((index[f], s) for f, s in sign.items())
+
+
 def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     """The signed facets of every cell of a regular CW face poset.
 
     An edge gets -1 on its first vertex and +1 on the other.  A higher
     cell gets +1 on its first facet, and the signs spread across its
     codimension-2 faces so that the two facets over each such face cancel
-    in the boundary of the boundary.
+    in the boundary of the boundary (`_spread_signs`).
+
+    The spread runs once per cell shape.  Vertices and edges have one
+    class each, and a higher cell's key is the tuple of its facets'
+    classes, in facet order.  The first cell of a key spreads its signs
+    and leaves the key's template, under a class of its own: which two
+    positions of its facets' facets, listed facet by facet, hold each
+    face, and each facet's sign by position.  A later cell of the key
+    takes the template's signs and class when its list pairs up at exactly
+    the template's positions and the paired faces are distinct; otherwise
+    it spreads its own signs and leaves the key's template, under a new
+    class.  By induction the facets of one class carry the same signs by
+    position, so a cell that passes has its template's faces over its
+    facets, with the same signs on them, and the spread would give it the
+    template's signs; a cell the spread would refuse fails the check and
+    is refused by the spread, in the same words.  Only the order of a
+    cell's signs can differ from its own spread's, when its faces sort
+    otherwise than its template's.
     """
     heights = poset.heights()
     names = poset.names
@@ -212,48 +292,40 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     # the first cover that skips a height, at the first cell that has one
     skip = poset.skipping_cover()
     signs: dict[int, dict[int, int]] = {}
+    kind = [0] * len(names)  # each walked cell's class: 0 vertex, 1 edge
+    templates: dict[tuple[int, ...], tuple] = {}  # key: (class, *template)
+    fresh = 1  # the last class given out
     for c in sorted(poset.elements, key=heights.__getitem__):
         if skip is not None and skip[1] == c:
             raise NotRegularError(
                 f"cell {names[c]!r}: the cover {names[skip[0]]!r} < {names[c]!r} skips a height"
             )
         fs = facets(c)
+        if not fs:
+            signs[c] = {}
+            continue
         if heights[c] == 1:
             if len(fs) != 2:
                 raise NotRegularError(
                     f"edge {names[c]!r} has vertices {[names[f] for f in fs]}, not exactly 2"
                 )
             signs[c] = {fs[0]: -1, fs[1]: 1}
+            kind[c] = 1
             continue
-        over: dict[int, list[int]] = {}
-        for f in fs:
-            for g in facets(f):
-                over.setdefault(g, []).append(f)
-        across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
-        for g, pair in sorted(over.items()):
-            if len(pair) != 2:
-                raise NotRegularError(
-                    f"cell {names[c]!r}: its face {names[g]!r} lies in {len(pair)} of its facets, not 2"
-                )
-            f1, f2 = pair
-            across[f1].append((f2, g))
-            across[f2].append((f1, g))
-        sign = {fs[0]: 1} if fs else {}
-        stack = list(sign)
-        while stack:
-            f = stack.pop()
-            for f2, g in across[f]:
-                want = -sign[f] * signs[f][g] * signs[f2][g]
-                if f2 not in sign:
-                    sign[f2] = want
-                    stack.append(f2)
-                elif sign[f2] != want:
-                    raise NotRegularError(
-                        f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
-                    )
-        if len(sign) != len(fs):
-            raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
-        signs[c] = sign
+        key = tuple(map(kind.__getitem__, fs))
+        flat = list(chain.from_iterable(map(facets, fs)))
+        known = templates.get(key)
+        if known is not None:
+            cls, first, second, order = known
+            paired = first(flat)
+            if paired == second(flat) and len(set(paired)) == len(paired):
+                signs[c] = {fs[i]: s for i, s in order}
+                kind[c] = cls
+                continue
+        signs[c], *template = _spread_signs(poset, c, flat, signs)
+        fresh += 1
+        kind[c] = fresh
+        templates[key] = (fresh, *template)
     return signs
 
 

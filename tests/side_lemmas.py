@@ -26,13 +26,14 @@ element on that circle are the oracle for the extension search, which
 reads the circle off the edge cells of the base.  The tope poset T(B)
 built all-pairs, with its least-first linear extension that puts an
 order ideal first, is the oracle for the shelling orders that walk T(B)'s
-covers.  No command needs them,
+covers.  The incidence signs spread cell by cell are the oracle for the
+ones spread once per cell shape.  No command needs them,
 so they live with the tests."""
 
 import heapq
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from omkit.homology import homology
+from omkit.homology import NotRegularError, homology
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching
@@ -554,3 +555,63 @@ def fiber_homology(fiber: FinitePoset) -> FiberHomology:
         betti.pop()
     betti += [0] * (2 - len(betti))
     return FiberHomology(fiber.height(), tuple(betti), res.is_torsion_free())
+
+
+# -- incidence signs, cell by cell ------------------------------------------------
+
+
+def incidences_cell_by_cell(poset: FinitePoset) -> dict[int, dict[int, int]]:
+    """The signed facets of every cell of a regular CW face poset, with
+    the signs of every cell spread across its own codimension-2 faces:
+    -1 and +1 on an edge's first and second vertex, +1 on a higher cell's
+    first facet, and the sign of a facet f2 next to f across a face g
+    such that the two cancel in the boundary of the boundary.  Refused
+    with the same `NotRegularError` as `omkit.homology._incidences`."""
+    heights = poset.heights()
+    names = poset.names
+    facets = poset.lower_covers
+    skip = poset.skipping_cover()
+    signs: dict[int, dict[int, int]] = {}
+    for c in sorted(poset.elements, key=heights.__getitem__):
+        if skip is not None and skip[1] == c:
+            raise NotRegularError(
+                f"cell {names[c]!r}: the cover {names[skip[0]]!r} < {names[c]!r} skips a height"
+            )
+        fs = facets(c)
+        if heights[c] == 1:
+            if len(fs) != 2:
+                raise NotRegularError(
+                    f"edge {names[c]!r} has vertices {[names[f] for f in fs]}, not exactly 2"
+                )
+            signs[c] = {fs[0]: -1, fs[1]: 1}
+            continue
+        over: dict[int, list[int]] = {}
+        for f in fs:
+            for g in facets(f):
+                over.setdefault(g, []).append(f)
+        across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
+        for g, pair in sorted(over.items()):
+            if len(pair) != 2:
+                raise NotRegularError(
+                    f"cell {names[c]!r}: its face {names[g]!r} lies in {len(pair)} of its facets, not 2"
+                )
+            f1, f2 = pair
+            across[f1].append((f2, g))
+            across[f2].append((f1, g))
+        sign = {fs[0]: 1} if fs else {}
+        stack = list(sign)
+        while stack:
+            f = stack.pop()
+            for f2, g in across[f]:
+                want = -sign[f] * signs[f][g] * signs[f2][g]
+                if f2 not in sign:
+                    sign[f2] = want
+                    stack.append(f2)
+                elif sign[f2] != want:
+                    raise NotRegularError(
+                        f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
+                    )
+        if len(sign) != len(fs):
+            raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
+        signs[c] = sign
+    return signs

@@ -1,12 +1,13 @@
 import re
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omkit.homology import (
     NotRegularError,
+    _incidences,
     chain_complex,
     graph_rank,
     homology,
@@ -21,7 +22,7 @@ from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import fiber_homology
+from side_lemmas import fiber_homology, incidences_cell_by_cell
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
@@ -288,6 +289,188 @@ def rp2_ball():
 def test_regularity_failures_name_the_cell(poset, message):
     with pytest.raises(NotRegularError, match=re.escape(message)):
         homology(poset())
+
+
+def same_signs(poset, ordered=False):
+    """`_incidences` gives every cell the signs of the cell-by-cell
+    spread, in the same order too when `ordered`."""
+    got, want = _incidences(poset), incidences_cell_by_cell(poset)
+    if ordered:
+        return [(c, list(s.items())) for c, s in got.items()] == [(c, list(s.items())) for c, s in want.items()]
+    return got == want
+
+
+def test_signs_per_shape_are_the_cell_by_cell_signs_on_salvetti_posets(all_corpus, np14, a4):
+    # the Salvetti posets walk the cells over one covector one after
+    # another, all of one shape, so even the order of the signs is kept
+    for name, system in {**all_corpus, "np14": np14, "A4": a4}.items():
+        assert same_signs(SalvettiPoset(system).poset, ordered=True), name
+
+
+def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_unions_and_spheres(
+    monkeypatch, all_corpus, five_planes, braid3
+):
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    checked = []
+    counting(monkeypatch, module, "_incidences", checked)
+    for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
+        assert quasi_fibration_certify(system, system.label_mask(flat.split(","))).ok
+    assert len(checked) == 2
+    for union in checked:
+        assert same_signs(union)
+    for name, system in all_corpus.items():
+        assert same_signs(sphere_poset(system)), name
+
+
+def relabelled(poset, rng):
+    """The poset with its elements renumbered at random: each gets a new
+    name, drawn as a permutation, and the covers follow the names."""
+    order = list(poset.elements)
+    rng.shuffle(order)
+    name = {x: f"x{k:03d}" for k, x in enumerate(order)}
+    return from_covers(name.values(), [(name[x], name[y]) for x, y in cover_pairs(poset)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=5), max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_signs_per_shape_are_the_cell_by_cell_signs_on_face_posets(facets, rng):
+    # renumbered at random, simplices of one dimension come in several
+    # shapes, so templates are replaced; the boundary still squares to zero
+    for poset in (from_facets(facets), relabelled(from_facets(facets), rng)):
+        assert same_signs(poset)
+        assert squares_to_zero(chain_complex(poset))
+
+
+def poset_of(covers):
+    """The poset of the cover pairs, on the elements they name."""
+    return from_covers({n for pair in covers for n in pair}, covers)
+
+
+def square(edges, cell):
+    """The cover pairs of a 2-cell named `cell` on `edges`, which maps
+    each edge's name to its two vertices."""
+    return [(v, e) for e, ends in edges.items() for v in ends] + [(e, cell) for e in edges]
+
+
+def two_squares():
+    # sq (edges ac, ad, bc, bd) and t (edges f1 = wx, f2 = wz, f3 = yz,
+    # f4 = xy): one shape by their facets' classes, whose faces pair up
+    # at other positions, and whose signs by position differ
+    covers = square({"ac": "ac", "ad": "ad", "bc": "bc", "bd": "bd"}, "sq")
+    covers += square({"f1": "wx", "f2": "wz", "f3": "yz", "f4": "xy"}, "t")
+    return poset_of(covers)
+
+
+def spreading(monkeypatch):
+    """Patch the spread of one cell's signs to append the cell to the
+    returned list."""
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    real, cells = module._spread_signs, []
+
+    def spread(poset, c, *args):
+        cells.append(c)
+        return real(poset, c, *args)
+
+    monkeypatch.setattr(module, "_spread_signs", spread)
+    return cells
+
+
+def test_a_second_square_of_one_shape_spreads_its_own_signs(monkeypatch):
+    spread = spreading(monkeypatch)
+    poset = two_squares()
+    signs = _incidences(poset)
+    assert [poset.names[c] for c in spread] == ["sq", "t"]
+    cell = poset.names.index
+    assert signs[cell("sq")] == {cell("ac"): 1, cell("ad"): -1, cell("bc"): -1, cell("bd"): 1}
+    assert signs[cell("t")] == {cell("f1"): 1, cell("f2"): -1, cell("f3"): 1, cell("f4"): 1}
+    assert same_signs(poset, ordered=True)
+    assert squares_to_zero(chain_complex(poset))
+
+
+def cube(prefix, vertex_names):
+    """The cover pairs of the face poset of a 3-cube, its faces named by
+    words over 0, 1 and * after `prefix`, each vertex by
+    `vertex_names[k]`, where k reads its word in binary."""
+    words = ["".join(w) for w in product("01*", repeat=3)]
+
+    def name(w):
+        if "*" not in w:
+            return f"{prefix}v{vertex_names[int(w, 2)]}"
+        return f"{prefix}{'-esc'[w.count('*')]}{w}"
+
+    return [
+        (name(w[:i] + b + w[i + 1:]), name(w))
+        for w in words
+        for i, letter in enumerate(w)
+        if letter == "*"
+        for b in "01"
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(8)))
+@example([4, 1, 5, 2, 0, 3, 7, 6])
+def test_a_replaced_template_starts_a_new_class(vertex_names):
+    # two cubes, walked alike down to their edges, the second with its
+    # vertices numbered in a drawn order: its squares then pair their
+    # vertices at other positions and carry other signs by position, so
+    # they take a new class, and so the second cube is no longer of the
+    # first cube's shape, although its squares pair their edges alike
+    covers = cube("1", range(8)) + cube("2", vertex_names)
+    poset = poset_of(covers)
+    assert same_signs(poset)
+    assert squares_to_zero(chain_complex(poset))
+
+
+def triangle_then_theta():
+    # the triangle abc is walked first and makes the template of three
+    # edges; the theta cell f has that shape, and its faces do not pair up
+    covers = [(v, e) for e in ("ab", "ac", "bc") for v in e] + [(e, "abc") for e in ("ab", "ac", "bc")]
+    covers += [(v, e) for e in ("e1", "e2", "e3") for v in ("p", "q")] + [(e, "f") for e in ("e1", "e2", "e3")]
+    return poset_of(covers)
+
+
+def square_then_pinched():
+    # the square sq makes the template of four edges; x has that shape and
+    # its faces pair up at the template's positions, p with p, q with q,
+    # r with r and p with p again, so two pairs share the face p
+    covers = square({"ac": "ac", "ad": "ad", "bc": "bc", "bd": "bd"}, "sq")
+    covers += square({"e1": "pq", "e2": "pr", "e3": "pq", "e4": "pr"}, "x")
+    return poset_of(covers)
+
+
+@pytest.mark.parametrize(
+    "poset, spread_cells, message",
+    [
+        (triangle_then_theta, ["abc", "f"], "cell 'f': its face 'p' lies in 3 of its facets, not 2"),
+        (square_then_pinched, ["sq", "x"], "cell 'x': its face 'p' lies in 4 of its facets, not 2"),
+    ],
+)
+def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(monkeypatch, poset, spread_cells, message):
+    # the refused cell fails the template's check and spreads its signs
+    spread = spreading(monkeypatch)
+    poset = poset()
+    for incidences in (_incidences, incidences_cell_by_cell):
+        with pytest.raises(NotRegularError, match=re.escape(message)):
+            incidences(poset)
+    assert [poset.names[c] for c in spread] == spread_cells
+
+
+def test_the_signs_are_spread_once_per_shape_not_per_cell(monkeypatch, braid3, np14):
+    # fewer spreads than the covector system has covectors: the cells over
+    # one covector share a shape
+    spread = spreading(monkeypatch)
+    for name, system in (("braid3", braid3), ("np14", np14)):
+        spread.clear()
+        homology(SalvettiPoset(system).poset)
+        assert 0 < len(spread) < len(system), name
 
 
 def test_rank1_salvetti_circle(rank1):

@@ -3,14 +3,15 @@
 A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
 Salvetti cells).  The script builds it with `from_arrangement`, times
 `check_axioms` (exiting 1 when an axiom fails), the covector poset, the
-Salvetti poset (printing the resident set size after it), its
-`homology()` (checking the Betti numbers 1 15 85 225
-274 120 and no torsion) and a certificate sampling four
-pairs at the modular coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its
-evidence counts: the minimal fibers ranked as graphs, the other fibers
-of the pairs, linked to those graphs, and the ambients, whose fibers'
-union is checked regular; it exits 1 when the certificate fails.  Last it prints the
-process's peak resident set size.  Run from the repository root:
+Salvetti poset (printing the resident set size after it), its chain
+complex on its own, then its `homology()`, which builds the chain
+complex again (checking the Betti numbers 1 15 85 225 274 120 and no
+torsion), and a certificate sampling four pairs at the modular coatom
+H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its evidence counts: the minimal
+fibers ranked as graphs, the other fibers of the pairs, linked to those
+graphs, and the ambients, whose fibers' union is checked regular; it
+exits 1 when the certificate fails.  Last it prints the process's peak
+resident set size.  Run from the repository root:
 
     python tools/a5.py
 """
@@ -25,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import braid_arrangement
-from omkit.homology import homology, quasi_fibration_certify
+from omkit.homology import chain_complex, homology, quasi_fibration_certify
 from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset
 
@@ -60,6 +61,7 @@ def main() -> int:
     timed("covector poset", system.covector_poset)
     salvetti = timed("salvetti", lambda: SalvettiPoset(system))
     print(f"RSS after salvetti: {rss_mb():.0f} MB")
+    timed("chain complex", lambda: chain_complex(salvetti.poset))
     result = timed("homology", lambda: homology(salvetti.poset))
     print(f"cells: {len(salvetti)}  betti: {' '.join(map(str, result.betti))}")
     if result.betti != BETTI or not result.is_torsion_free():

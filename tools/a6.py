@@ -4,8 +4,9 @@ A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
 (47,293 covectors, 322,560 Salvetti cells).  The script caps its own
 address space at 4 GiB (RLIMIT_AS), so a run that would need more fails
 with MemoryError instead of crowding the host.  It builds A_6 with
-`from_arrangement`, then the covector poset, the Salvetti poset and its
-`homology()`, printing each stage's time and the resident set size after
+`from_arrangement`, then the covector poset, the Salvetti poset, its
+chain complex on its own and its `homology()` (which builds the chain
+complex again), printing each stage's time and the resident set size after
 it, then the Betti numbers, the torsion and the process's peak resident
 set size.  It exits 1 unless the Betti numbers are 1 21 175 735 1624
 1764 720, the Whitney numbers of A_6, with no torsion.  Run from the
@@ -19,7 +20,7 @@ import sys
 
 from a5 import peak_rss_mb, rss_mb, timed
 from conftest import braid_arrangement
-from omkit.homology import homology
+from omkit.homology import chain_complex, homology
 from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset
 
@@ -40,6 +41,7 @@ def main() -> int:
     system = stage("from_arrangement", lambda: from_arrangement(braid_arrangement(7)))
     stage("covector poset", system.covector_poset)
     salvetti = stage("salvetti", lambda: SalvettiPoset(system))
+    stage("chain complex", lambda: chain_complex(salvetti.poset))
     result = stage("homology", lambda: homology(salvetti.poset))
     print(f"covectors: {len(system)}  cells: {len(salvetti)}")
     print(f"betti: {' '.join(map(str, result.betti))}")
