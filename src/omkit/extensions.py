@@ -6,11 +6,15 @@ partial assignment to the cocircuits through each corank-two flat (a
 coline) must agree with some placement of the new element on
 the circle of that rank-two contraction.  The circle is read off the
 base's edge cells, the covectors whose zero set is the coline, each
-joining its two cocircuits, so no contraction is built.  At a leaf the
-candidate system is constructed outright (extended cocircuits, plus the
-crossing cocircuits supported on the new element, then composition
-closure) and the covector axioms are the final arbiter.  Nothing is
-emitted unverified.
+joining its two cocircuits, so no contraction is built.  A constraint
+that a coatom flat's sign be 0 (the new element lies on it) or nonzero
+is kept once, by dropping the placements that break it before the
+search starts; every coatom lies on a coline, so no assignment that
+breaks it reaches a leaf.  At a leaf the candidate system is
+constructed outright (extended cocircuits, plus the crossing
+cocircuits supported on the new element, then composition closure)
+and the covector axioms are the final arbiter.  Nothing is emitted
+unverified.
 
 Flats are ground-bit masks, cocircuits covector numbers and a covector's
 value its (plus, minus) pair.  A new label
@@ -49,12 +53,6 @@ class ExtensionResult:
     new_element: str
     signature: dict[int, int]  # coatom flat -> sign of its pair representative
     flat_lift: dict[int, int]  # flat of the base -> the least flat containing it
-
-
-@dataclass(frozen=True)
-class ExtensionConstraints:
-    zero_flats: frozenset[int] = frozenset()
-    nonzero_flats: frozenset[int] = frozenset()
 
 
 class _SearchSpace:
@@ -199,34 +197,31 @@ def _build_extension(
 
 def single_element_extensions(
     system: CovectorSystem,
-    constraints: Optional[ExtensionConstraints] = None,
+    zero_flats: frozenset[int] = frozenset(),
+    nonzero_flats: frozenset[int] = frozenset(),
     new_label: str = "g",
 ) -> Iterator[ExtensionResult]:
-    """Stream the simple single-element extensions that meet the
-    constraints, in lexicographic signature order."""
+    """Stream the simple single-element extensions, in lexicographic
+    signature order, whose signature is 0 on the zero flats and nonzero
+    on the nonzero flats; a flat in both sets is a zero flat."""
     space = _SearchSpace(system)
-    constraints = constraints or ExtensionConstraints()
-    for f in constraints.zero_flats | constraints.nonzero_flats:
+    fixed = zero_flats | nonzero_flats
+    for f in fixed:
         if f not in space.pair_rep:
             raise ExtensionError(f"{flat_id(f, system.ground)} is not a coatom flat")
     if new_label in system.ground:
         raise ExtensionError(f"label {new_label!r} already used")
 
-    domains: dict[int, tuple[int, ...]] = {}
-    for x in space.coatoms:
-        if x in constraints.zero_flats:
-            domains[x] = (0,)
-        elif x in constraints.nonzero_flats:
-            domains[x] = (1, -1)
-        else:
-            domains[x] = (1, -1, 0)
-
-    # per-coline active candidate tracking
+    # the placements of each coline that the constraints allow; every
+    # coatom lies on a coline, so the search assigns no other sign
+    active = [
+        [c for c in cands if all((c[x] == 0) == (x in zero_flats) for x in c.keys() & fixed)]
+        for _flats, cands in space.coline_data
+    ]
     coline_of_flat: dict[int, list[int]] = {x: [] for x in space.coatoms}
     for ci, (flats_here, _cands) in enumerate(space.coline_data):
         for x in flats_here:
             coline_of_flat[x].append(ci)
-    active = [cands for _flats, cands in space.coline_data]
 
     assignment: dict[int, int] = {}
     order = space.coatoms
@@ -238,7 +233,7 @@ def single_element_extensions(
                 yield result
             return
         x = order[i]
-        for v in domains[x]:
+        for v in (1, -1, 0):
             assignment[x] = v
             ok = True
             saved: list[tuple[int, list]] = []
@@ -271,7 +266,10 @@ def levi_enlargement(
     rank-two flats.
 
     With generic=True the new element is additionally kept off every
-    other rank-two flat.  Exhausting the search without a find is raised
+    other rank-two flat.  The first extension of the constrained stream
+    is the enlargement: sign 0 on a line's cocircuits puts the new
+    element in the line's lift, and a nonzero sign keeps the line a
+    flat of the extension.  Exhausting the search without a find is raised
     as a hard diagnostic: under the stated hypotheses an enlargement
     always exists, so an empty search points at this implementation (or,
     for the generic variant, at search-order incompleteness).
@@ -293,13 +291,7 @@ def levi_enlargement(
         nonzero = frozenset(
             f for f in lat.flats_of_rank(2) if f not in zero
         )
-    constraints = ExtensionConstraints(zero, nonzero)
-    gbit = 1 << len(system.ground)
-    for result in single_element_extensions(system, constraints, new_label):
-        if not result.flat_lift[x1] & result.flat_lift[x2] & gbit:
-            continue
-        if generic and any(result.flat_lift[f] & gbit for f in nonzero):
-            continue
+    for result in single_element_extensions(system, zero, nonzero, new_label):
         return result
     raise LeviSearchError(
         f"no enlargement through {flat_id(x1, system.ground)} and "

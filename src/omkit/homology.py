@@ -59,7 +59,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
-from .matroids import CovectorSystem
+from .matroids import CovectorSystem, flat_id
 from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
@@ -401,16 +401,14 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
     factor first, derived from a maximal chain X_0 < ... < X_r of modular
     flats of a simple system: |X_{i+1} - X_i| for i from r - 1 down to 0.
     The innermost count is 1, and a rank-0 system gives the empty
-    sequence."""
+    sequence.  The chain runs from the empty flat to the ground, so the
+    counts add up to the ground size."""
     system.require_simple("the semidirect rank sequence")
     lat = build_lattice(system)
     flats = lat.is_supersolvable()
     if flats is None:
         raise ValueError("system is not supersolvable")
-    out = [(flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, -1, -1)]
-    if sum(out) != len(system.ground):
-        raise AssertionError("rank sequence does not add up to the ground size")
-    return tuple(out)
+    return tuple((flats[i + 1] & ~flats[i]).bit_count() for i in range(len(flats) - 2, -1, -1))
 
 
 # -- the quasi-fibration certificate --------------------------------------------
@@ -571,8 +569,12 @@ def quasi_fibration_certify(
     x = lat.check_flat(flat)
     if lat.rank_of[x] != lat.rank() - 1:
         raise ValueError("flat must have corank one")
-    if not lat.is_modular_flat(x).ok:
-        raise ValueError("flat must be modular")
+    check = lat.is_modular_flat(x)
+    if not check.ok:
+        z, y = check.witness
+        raise ValueError(
+            f"flat must be modular; witness Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
+        )
     loc = salvetti_localization(system, x)
     expected = len(system.ground) - x.bit_count()
 

@@ -10,14 +10,17 @@ covector poset is kept, so no caller passes a lattice along.  The
 constructor makes one pass over the flats in size order for rank,
 Moebius value and containment masks, each read off the flat's proper
 subflats, and one pass over the unordered pairs for the join table and
-the semimodularity check.  Whitney numbers double as the independent
-oracle for Betti numbers downstream.
+the semimodularity check.  Supersolvability is decided once: the chain
+search checks each candidate flat against the definition of modularity
+over the whole lattice, so the chain it returns is the answer, with no
+second check.  Whitney numbers double as the independent oracle for
+Betti numbers downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .matroids import CovectorSystem, NotAFlatError, flat_id
 
@@ -138,52 +141,37 @@ class GeometricLattice:
 
     def is_modular_flat(self, flat: int) -> ModularityCheck:
         """Definition check: Z v (X ^ Y) = (Z v X) ^ Y for all Z <= Y."""
-        witness = self._modularity_witness(self.check_flat(flat), self.flats)
+        witness = self._modularity_witness(self.check_flat(flat))
         return ModularityCheck(witness is None, witness)
 
     def is_supersolvable(self) -> Optional[tuple[int, ...]]:
-        """A maximal chain of modular flats, bottom first, or None.
+        """A maximal chain of modular flats, bottom first, or None."""
+        return self._ss_chain((1 << len(self.ground)) - 1)
 
-        Recursive over modular coatoms (modularity checked inside the
-        subinterval at each level).  The returned chain is re-verified
-        against the full-definition quantifier in this lattice; a chain
-        that fails it is a broken invariant and raises AssertionError.
-        """
-        chain = self._ss_chain((1 << len(self.ground)) - 1)
-        if chain is None:
-            return None
-        for f in chain:
-            if not self.is_modular_flat(f).ok:
-                raise AssertionError(
-                    f"the modular chain search returned {flat_id(f, self.ground)}, which is not modular"
-                )
-        return tuple(chain)
-
-    def _ss_chain(self, top: int) -> Optional[list[int]]:
+    def _ss_chain(self, top: int) -> Optional[tuple[int, ...]]:
+        """A chain of modular flats from the bottom up to `top`, depth
+        first over the flats of the next rank down below `top`, by flat
+        number, each checked once against the definition over the whole
+        lattice."""
         r = self.rank_of[top]
         if r == 0:
-            return [top]
-        sub = [f for f in self.flats if not f & ~top]
-        coatoms = sorted((f for f in sub if self.rank_of[f] == r - 1), key=self.index.__getitem__)
-        for m in coatoms:
-            if self._modularity_witness(m, sub) is not None:
+            return (top,)
+        below = (f for f in self.flats_of_rank(r - 1) if not f & ~top)
+        for m in sorted(below, key=self.index.__getitem__):
+            if self._modularity_witness(m) is not None:
                 continue
             rest = self._ss_chain(m)
             if rest is not None:
-                return rest + [top]
+                return rest + (top,)
         return None
 
-    def _modularity_witness(self, x: int, universe: Sequence[int]) -> Optional[tuple[int, int]]:
-        """The first (Z, Y) of the universe, Y outer, with Z <= Y and
-        Z v (X ^ Y) != (Z v X) ^ Y, or None when X is modular there.
-
-        Joins of flats below the top of an interval stay below it, so the
-        global join table is valid inside the subinterval `_ss_chain` passes.
-        """
-        joins = self._joins
-        for y in universe:
+    def _modularity_witness(self, x: int) -> Optional[tuple[int, int]]:
+        """The first (Z, Y) of the flats, Y outer, with Z <= Y and
+        Z v (X ^ Y) != (Z v X) ^ Y, or None when X is modular."""
+        flats, joins = self.flats, self._joins
+        for y in flats:
             xy = x & y
-            for z in universe:
+            for z in flats:
                 if z & ~y:
                     continue
                 row = joins[z]

@@ -24,6 +24,17 @@ def braid_arrangement(k):
     return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
 
 
+def b3_arrangement():
+    """The reflection arrangement B_3: x_i and x_i +- x_j on R^3."""
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for i, j in itertools.combinations(range(3), 2):
+        for s in (1, -1):
+            row = [0] * 3
+            row[i], row[j] = 1, s
+            rows.append(row)
+    return RationalArrangement(tuple(f"H{i + 1}" for i in range(9)), rows)
+
+
 @pytest.fixture(scope="session")
 def rank1():
     return corpus("rank1")

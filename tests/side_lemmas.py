@@ -9,8 +9,11 @@ covector order by pairs is the definition that the column-built order
 is checked against; closure, rank, Moebius function and join by scans
 over the flats are the definitions that the one-pass lattice
 constructor is checked against, and `join` reads the constructor's
-table.  Convexity by betweenness, and the halfspaces of the signs a
-set's topes share, are the oracles for the convex hull, and the
+table.  The modular chain search that checks each flat inside its
+interval and re-checks the whole chain it returns is the oracle for the
+one that checks each flat once, over the whole lattice.  Convexity by
+betweenness, and the halfspaces of the signs a set's topes share, are
+the oracles for the convex hull, and the
 homology of a fiber by the reduction of its chain complex the oracle
 for the fiber types and the graph ranks that the quasi-fibration
 certificate reads off its collapses and by union-find.  The Salvetti
@@ -133,6 +136,45 @@ def rank3_modular_coatom_test(lat: GeometricLattice, flat: int) -> bool:
     if lat.rank_of[x] != 2:
         raise ValueError("criterion applies to rank-2 flats only")
     return all(x & y for y in lat.flats_of_rank(2))
+
+
+def interval_modular_chain(lat: GeometricLattice) -> Optional[tuple[int, ...]]:
+    """A maximal chain of modular flats, bottom first, or None, by the
+    search that checks each candidate only inside the interval below the
+    flat it would sit under (the flats of the next rank down, by flat
+    number), then re-checks every flat of the chain it returns against
+    the definition over the whole lattice; a chain that fails the
+    re-check raises AssertionError."""
+
+    def modular_within(x: int, universe: Sequence[int]) -> bool:
+        return all(
+            join(lat, z, x & y) == join(lat, z, x) & y
+            for y in universe
+            for z in universe
+            if not z & ~y
+        )
+
+    def search(top: int) -> Optional[list[int]]:
+        r = lat.rank_of[top]
+        if r == 0:
+            return [top]
+        sub = [f for f in lat.flats if not f & ~top]
+        for m in sorted((f for f in sub if lat.rank_of[f] == r - 1), key=lat.index.__getitem__):
+            if modular_within(m, sub):
+                rest = search(m)
+                if rest is not None:
+                    return rest + [top]
+        return None
+
+    chain = search((1 << len(lat.ground)) - 1)
+    if chain is None:
+        return None
+    for f in chain:
+        if not modular_within(f, lat.flats):
+            raise AssertionError(
+                f"the interval search returned {flat_id(f, lat.ground)}, which is not modular"
+            )
+    return tuple(chain)
 
 
 def brylawski_iso(lat: GeometricLattice, modular: int, other: int) -> tuple[PosetMap, PosetMap]:

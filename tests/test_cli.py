@@ -440,6 +440,13 @@ def test_certify_qf_command(capsys):
     assert "mode: sampled" in out
 
 
+def test_certify_qf_names_the_witness_of_a_non_modular_flat(capsys):
+    argv = ["certify-qf", "--flat", "H2,H4"]
+    code, out, err = run_with_stderr(capsys, argv, stdin=om_text("sec3-arrangement"))
+    assert (code, out) == (2, "")
+    assert err == "error: flat must be modular; witness Z=H3 Y=H3,H5\n"
+
+
 def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypatch):
     # one pair and every fiber made to fail: the report's FAIL clauses and
     # witnesses are the certificate's own failed_pairs, failed_fibers and

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import sign_vectors
 from omkit.extensions import (
-    ExtensionConstraints,
     ExtensionError,
     _SearchSpace,
     levi_enlargement,
@@ -104,8 +103,56 @@ def test_parallel_placements_are_filtered(five_planes):
     # copy of H1; the stream under those constraints is empty
     lat = build_lattice(five_planes)
     through = frozenset(f for f in lat.flats_of_rank(2) if f & five_planes.label_mask({"H1"}))
-    constraints = ExtensionConstraints(zero_flats=through)
-    assert list(single_element_extensions(five_planes, constraints)) == []
+    assert list(single_element_extensions(five_planes, zero_flats=through)) == []
+
+
+def test_the_constrained_stream_is_the_filtered_stream(uniform23, braid3, five_planes):
+    """Constraints kept by the coline placements alone give the
+    unconstrained stream filtered by signature, in its order: zero flats
+    only, nonzero flats only, and both, a flat in both sets being zero."""
+    kept = {"zero": 0, "nonzero": 0, "both": 0}
+    for system in (uniform23, braid3, five_planes):
+        stream = [e.signature for e in single_element_extensions(system)]
+        coatoms = _SearchSpace(system).coatoms
+        for x in coatoms:
+            cases = {
+                "zero": (frozenset({x}), frozenset()),
+                "nonzero": (frozenset(), frozenset({x})),
+                "both": (frozenset({x}), frozenset(coatoms)),
+            }
+            for case, (zero, nonzero) in cases.items():
+                want = [
+                    sig
+                    for sig in stream
+                    if all(sig[f] == 0 for f in zero) and all(sig[f] for f in nonzero - zero)
+                ]
+                got = [e.signature for e in single_element_extensions(system, zero, nonzero)]
+                assert got == want, (system.ground, case, x)
+                kept[case] += len(got)
+    assert all(kept.values()), kept
+
+
+def test_enlargements_lift_the_two_flats_through_the_new_element(
+    braid3, five_planes, non_pappus, np14_extension
+):
+    """Both lifted flats of an enlargement contain the new element; with
+    generic=True no other line's lift does.  Every disjoint pair of lines
+    of three rank-three members, and every step of the non-pappus loop."""
+    found = []
+    for system in (braid3, five_planes, non_pappus):
+        lines = build_lattice(system).flats_of_rank(2)
+        for x1, x2 in itertools.combinations(lines, 2):
+            if not x1 & x2:
+                for generic in (False, True):
+                    found.append((levi_enlargement(system, x1, x2, generic=generic), x1, x2, generic))
+    found += [(step.result, step.pivot, step.through, False) for step in np14_extension.steps]
+    assert len(found) == 2 * (3 + 2 + 61) + 5
+    for result, x1, x2, generic in found:
+        g = 1 << len(result.base.ground)
+        assert result.flat_lift[x1] & result.flat_lift[x2] & g
+        if generic:
+            others = build_lattice(result.base).flats_of_rank(2)
+            assert not any(result.flat_lift[f] & g for f in others if f not in (x1, x2))
 
 
 # the new element g is appended to the five planes' ground: bit 5

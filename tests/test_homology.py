@@ -545,10 +545,14 @@ def test_minimal_fiber_rank(five_planes):
         assert graph_rank(loc.fiber(cid)) == 2  # |E \ X| = 2
 
 
-def test_semidirect_rank_sequences(rank1, boolean3, five_planes):
+def test_semidirect_rank_sequences(rank1, boolean3, five_planes, all_corpus, np14, a4):
     assert semidirect_rank_sequence(rank1) == (1,)
     assert semidirect_rank_sequence(boolean3) == (1, 1, 1)
     assert semidirect_rank_sequence(five_planes) == (2, 2, 1)
+    # the chain runs from the empty flat to the ground: the counts add up to |E|
+    systems = [s for name, s in all_corpus.items() if name != "non-pappus"]
+    for system in [*systems, np14, a4]:
+        assert sum(semidirect_rank_sequence(system)) == len(system.ground), system.ground
 
 
 def test_semidirect_rank_requires_supersolvable(non_pappus):

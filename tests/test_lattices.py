@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import braid_arrangement
+from conftest import b3_arrangement, braid_arrangement
 from omkit.cli import parse_flat
 from omkit.lattices import GeometricLattice, build_lattice
 from omkit.matroids import (
@@ -18,6 +18,7 @@ from omkit.matroids import (
 from poset_builders import cover_pairs, image
 from side_lemmas import (
     brylawski_iso,
+    interval_modular_chain,
     join,
     lattice_poset,
     lattice_refusal,
@@ -153,6 +154,52 @@ def test_uniform_rank3_not_supersolvable():
     assert lat.is_supersolvable() is None
 
 
+def relabelled_a4():
+    """A_4 with the rows of `braid_arrangement(5)` in another order,
+    relabelled H1 to H10 in that order."""
+    arr = braid_arrangement(5)
+    rows = [arr.forms[i] for i in (1, 9, 4, 6, 2, 8, 3, 0, 7, 5)]
+    return from_arrangement(RationalArrangement(arr.labels, rows))
+
+
+def test_the_chain_search_skips_a_non_modular_flat_below_the_top():
+    # the first rank-2 candidate below the chain's rank-3 flat is the
+    # line H1,H2, which is not modular; a search that checks modularity
+    # only among the coatoms of the whole lattice would take it
+    system = relabelled_a4()
+    lat = build_lattice(system)
+    chain = lat.is_supersolvable()
+    assert [flat_id(f, system.ground) for f in chain] == [
+        "{}",
+        "H1",
+        "H1,H5,H9",
+        "H1,H2,H5,H6,H7,H9",
+        "H1,H2,H3,H4,H5,H6,H7,H8,H9,H10",
+    ]
+    line = system.label_mask({"H1", "H2"})
+    below = (f for f in lat.flats_of_rank(2) if not f & ~chain[3])
+    assert min(below, key=lat.index.__getitem__) == line
+    assert not lat.is_modular_flat(line).ok
+
+
+def assert_the_chain_is_the_interval_search(system):
+    lat = build_lattice(system)
+    chain = lat.is_supersolvable()
+    assert chain == interval_modular_chain(lat), system.ground
+    assert chain is None or all(lat.is_modular_flat(f).ok for f in chain)
+
+
+def test_the_chain_is_the_interval_search(all_corpus, np14_extension, a4):
+    """The chain checked once per flat over the whole lattice is the
+    chain of the search inside intervals with its whole-chain re-check:
+    on the corpus, every step of the non-pappus loop (np14 last), A_4,
+    the relabelled A_4 and B_3."""
+    systems = [*all_corpus.values(), *(step.result.extended for step in np14_extension.steps)]
+    systems += [a4, relabelled_a4(), from_arrangement(b3_arrangement())]
+    for system in systems:
+        assert_the_chain_is_the_interval_search(system)
+
+
 def brute_force_supersolvable(lat):
     modular = {f for f in lat.flats if lat.is_modular_flat(f).ok}
     r = lat.rank()
@@ -218,28 +265,6 @@ def test_zaslavsky_on_corpus(all_corpus):
         assert sum(lat.whitney()) == system.topes().bit_count(), name
 
 
-def test_supersolvable_raises_on_a_non_modular_chain(five_planes, monkeypatch, capsys):
-    # the search's chain is re-checked against the full definition; a
-    # chain through the non-modular line H2,H4 is a broken invariant
-    import io
-
-    from omkit.cli import main
-    from omkit.lattices import GeometricLattice
-    from omkit.omfile import format_system
-
-    bad = [five_planes.label_mask(f) for f in ((), ("H2",), ("H2", "H4"), five_planes.ground)]
-    monkeypatch.setattr(GeometricLattice, "_ss_chain", lambda self, top: bad)
-    with pytest.raises(AssertionError, match="returned H2,H4, which is not modular"):
-        build_lattice(five_planes).is_supersolvable()
-    monkeypatch.setattr("sys.stdin", io.StringIO(format_system(five_planes)))
-    assert main(["supersolvable"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "internal error: the modular chain search returned H2,H4, which is not modular\n"
-    )
-
-
 def assert_join_is_the_scan(lat):
     for a in lat.flats:
         for b in lat.flats:
@@ -268,6 +293,12 @@ def six_form_arrangements(draw):
 @settings(max_examples=30, deadline=None)
 def test_join_is_the_scan_on_six_form_arrangements(arrangement):
     assert_join_is_the_scan(build_lattice(from_arrangement(arrangement)))
+
+
+@given(six_form_arrangements())
+@settings(max_examples=30, deadline=None)
+def test_the_chain_is_the_interval_search_on_six_form_arrangements(arrangement):
+    assert_the_chain_is_the_interval_search(from_arrangement(arrangement))
 
 
 @st.composite

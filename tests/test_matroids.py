@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import braid_arrangement, sign_vectors
+from conftest import b3_arrangement, braid_arrangement, sign_vectors
 from omkit import extensions, matroids
 from omkit.extensions import supersolvable_extension
 from omkit.lattices import build_lattice
@@ -204,13 +204,7 @@ def test_from_arrangement_braid_fubini(k, fubini, topes):
 
 
 def test_from_arrangement_b3():
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for i, j in combinations(range(3), 2):
-        for s in (1, -1):
-            row = [0] * 3
-            row[i], row[j] = 1, s
-            rows.append(row)
-    system = from_arrangement(RationalArrangement([f"H{i + 1}" for i in range(9)], rows))
+    system = from_arrangement(b3_arrangement())
     assert len(system) == 147
     assert system.topes().bit_count() == 48
 

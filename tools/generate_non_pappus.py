@@ -25,7 +25,7 @@ OUT = ROOT / "src" / "omkit" / "data" / "non_pappus.om"
 sys.path.insert(0, str(ROOT / "src"))
 
 from omkit import CovectorSystem, RationalArrangement, from_arrangement, build_lattice
-from omkit.extensions import ExtensionConstraints, single_element_extensions
+from omkit.extensions import single_element_extensions
 from omkit.matroids import flat_id
 from omkit.omfile import format_system
 
@@ -71,8 +71,7 @@ def non_pappus_text() -> str:
     nonzero = frozenset(
         f for f in lat.flats_of_rank(2) if f not in zero
     )
-    constraints = ExtensionConstraints(zero, nonzero)
-    result = next(single_element_extensions(base, constraints, new_label="L3"))
+    result = next(single_element_extensions(base, zero_flats=zero, nonzero_flats=nonzero, new_label="L3"))
 
     ext = result.extended
     # reorder the ground set to L1..L9
