@@ -172,11 +172,7 @@ def cmd_modular(args) -> int:
     check = lat.is_modular_flat(x)
     report = Report("modular")
     report.note("flat", flat_id(x, system.ground))
-    witness = None
-    if not check.ok:
-        z, y = check.witness
-        witness = f"Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
-    report.add("modular", check.ok, witness)
+    report.add("modular", check.ok, check.witness_text(system.ground))
     return _finish(report)
 
 

@@ -59,7 +59,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .lattices import build_lattice
-from .matroids import CovectorSystem, flat_id
+from .matroids import CovectorSystem
 from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
@@ -555,11 +555,11 @@ def quasi_fibration_certify(
     free rank d.  An exhaustive run has checked the link already, as the
     lower matching of the pair (m, b).  The reading needs regular CW
     complexes, as the cellular homology does: `_incidences` checks the
-    union of the ambient fibers once, an ideal of the source of which
-    every fiber a matching lives on is an ideal, so each cell is checked
-    once; `graph_rank` checks that each edge of a minimal fiber has two
-    vertices.  Either raises `NotRegularError`.  The pairs are certified
-    one ambient at a time, with one stratification alive at a time.
+    source once, of which every fiber a matching lives on is an ideal, so
+    each cell is checked once; `graph_rank` checks that each edge of a
+    minimal fiber has two vertices.  Either raises `NotRegularError`.
+    The pairs are certified one ambient at a time, with one
+    stratification alive at a time.
     """
     from .morse import matching_salvetti_fiber, morse_reduction_certificate
 
@@ -571,10 +571,7 @@ def quasi_fibration_certify(
         raise ValueError("flat must have corank one")
     check = lat.is_modular_flat(x)
     if not check.ok:
-        z, y = check.witness
-        raise ValueError(
-            f"flat must be modular; witness Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
-        )
+        raise ValueError(f"flat must be modular; witness {check.witness_text(system.ground)}")
     loc = salvetti_localization(system, x)
     expected = len(system.ground) - x.bit_count()
 
@@ -590,14 +587,12 @@ def quasi_fibration_certify(
     graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))
 
     # each pair's ambient is the least maximal cell above its upper cell;
-    # the union of their fibers is an ideal of the source, checked regular
+    # every fiber is an ideal of the source, checked regular once
     by_ambient: dict[int, list[tuple[int, int]]] = {}
-    union = 0
     for a, b in sorted(pairs_all):
         amb = bits(poset.above(b) & maximal)[0]
         by_ambient.setdefault(amb, []).append((a, b))
-        union |= loc.fibers[amb]
-    _incidences(loc.source.poset.subposet(union))
+    _incidences(loc.source.poset)
     pairs = []
     for amb, amb_pairs in sorted(by_ambient.items()):
         # one stratification serves every matching into the fiber of amb,

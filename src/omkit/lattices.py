@@ -33,6 +33,13 @@ class ModularityCheck:
     def __bool__(self) -> bool:
         return self.ok
 
+    def witness_text(self, ground: tuple[str, ...]) -> Optional[str]:
+        """The witness as "Z=<flat> Y=<flat>" over the ground, or None."""
+        if self.witness is None:
+            return None
+        z, y = self.witness
+        return f"Z={flat_id(z, ground)} Y={flat_id(y, ground)}"
+
 
 class GeometricLattice:
     """Lattice of flats of a simple covector system, ordered by inclusion.

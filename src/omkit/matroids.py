@@ -15,11 +15,13 @@ arbiter.
 The sign columns (for each element, the masks of the covectors that are
 +, - and 0 there) are built once per system; the covector order, the
 parallel classes and the elimination check read them.  The covector
-order is built once per system, as ANDs of columns, and cached.  Every
-other order question is read off it: the topes are its maximal elements,
-the rank its height, the cocircuits the nonzero elements with only zero
-below, and the dual ball, the sphere and the Salvetti poset are views of
-it.
+order is built once per system and cached: its below masks, ANDs of
+columns, live only until the cover pass has found its covers, from which
+it is built, so its masks are derived when first read.  Every other order
+question is read off it: the topes are its maximal elements and the rank
+its height, both read off the covers, the cocircuits the nonzero elements
+with only zero below, and the dual ball, the sphere and the Salvetti
+poset are views of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .posets import FinitePoset, bits, mask_of
+from .posets import FinitePoset, _cover_pass, bits, mask_of
 from .signs import (
     GroundSetMismatchError,
     compose_masks,
@@ -345,7 +347,11 @@ class CovectorSystem:
         Covector i lies below covector j when at every element i is 0 or
         has j's sign, so j's below mask is an AND of one column per
         element: not minus where j is +, not plus where j is -, zero where
-        j is 0.
+        j is 0.  The cover pass finds the covers from these masks, and the
+        poset is built from the covers (`FinitePoset.from_covers`), so it
+        derives its masks again only when one is read.  The conformal
+        order of distinct sign vectors is a partial order, so the pass
+        refuses nothing (an `AssertionError` if it does).
         """
         if self._poset is None:
             everything = (1 << len(self)) - 1
@@ -354,13 +360,18 @@ class CovectorSystem:
                 (zero, everything & ~m, everything & ~p)
                 for p, m, zero in zip(*self._sign_columns())
             ]
-            below = {}
-            for j, (pb, mb) in enumerate(self._vectors):
+            below = []
+            for pb, mb in self._vectors:
                 mask = everything
                 for e, (zero, not_minus, not_plus) in enumerate(columns):
                     mask &= not_minus if pb >> e & 1 else not_plus if mb >> e & 1 else zero
-                below[j] = mask
-            object.__setattr__(self, "_poset", FinitePoset(self._names, below))
+                below.append(mask)
+            found = _cover_pass(below, range(len(below)))
+            if found is None:
+                raise AssertionError("the conformal order of distinct sign vectors is no partial order")
+            lower, _, _, order = found
+            poset = FinitePoset.from_covers(self._names, {y: lower[y] for y in order})
+            object.__setattr__(self, "_poset", poset)
         return self._poset
 
     def memo(self, key: tuple, build: Callable[[], object]) -> object:

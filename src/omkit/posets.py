@@ -9,17 +9,16 @@ the elements below and above.  A subposet, an order ideal or a fiber is
 a mask over its parent's numbering, so derived posets need no index
 translation.
 
-A poset is built one of two ways.  From below masks, the constructor
-checks the poset axioms in one pass over the covers, which finds the
-covers and heights as it goes, and ORs the above masks down along them.
-From covers (`FinitePoset.from_covers`), each element's lower covers are
-walked in an order that puts them first, which proves the relation they
-generate is a partial order and finds the heights, and the masks are a
-cache, derived by walking the covers the first time one is read; so
-homology, which reads covers and heights only, never builds them.
-Derived posets inherit the axioms, and an order ideal (every
-localization fiber is one) and the dual inherit the covers and heights
-too.  All objects are immutable.
+A poset is built one way, from its covers (`FinitePoset.from_covers`):
+each element's lower covers are walked in an order that puts them first,
+which proves the relation they generate is a partial order and finds the
+heights, and the masks are a cache, derived by walking the covers the
+first time one is read; so homology, which reads covers and heights
+only, never builds them.  A relation given by below masks, such as the
+covector order, has its covers found by the cover pass (`_cover_pass`),
+which also checks the poset axioms.  Derived posets inherit the axioms,
+and an order ideal (every localization fiber is one) and the dual
+inherit the covers and heights too.  All objects are immutable.
 """
 
 from __future__ import annotations
@@ -116,23 +115,6 @@ def _first_skipping_cover(elements: Iterable[int], lower, level: list[int]) -> O
     return None if found is None else (found[2], found[1])
 
 
-def _raise_first_bad_relation(names: tuple[str, ...], lo: list[int], elements: list[int]) -> None:
-    """Name the first related pair (x, y) at which the below masks are not
-    downward closed, over y and then x in increasing order; failing that,
-    the first element with another both above and below it."""
-    up = [0] * len(names)
-    for y in elements:
-        outside, bit = ~lo[y], 1 << y
-        for x in bits(lo[y]):
-            if lo[x] & outside:
-                raise PosetError(f"transitivity fails at ({names[x]!r}, {names[y]!r})")
-            up[x] |= bit
-    for x in elements:
-        if lo[x] & up[x] != 1 << x:
-            raise PosetError(f"antisymmetry fails at {names[x]!r}: {[names[z] for z in bits(lo[x] & up[x])]}")
-    raise AssertionError("the cover pass refused a partial order")
-
-
 def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
     names = tuple(names)
     for a, b in zip(names, names[1:]):
@@ -177,35 +159,15 @@ class FinitePoset:
     `names[i]` is the name of element i, shared by every poset derived
     from the same root.  Each element's lower covers and height are kept,
     with the relation as per-element reflexive "below" and "above" masks.
-    Built from masks, the check of the axioms finds the covers; built
-    from covers, the masks are derived when first read.  An order ideal
-    and the dual inherit covers and heights; any other subposet runs the
-    cover pass.
+    It is built from covers (`from_covers`), and the masks are derived
+    when first read.  An order ideal and the dual inherit covers and
+    heights; any other subposet runs the cover pass.
     """
 
     __slots__ = (
         "names", "members", "_lower", "_level", "_graded", "_below", "_above",
         "_elements", "_heights", "_dual", "_maximal",
     )
-
-    def __init__(self, names: Iterable[str], below: Mapping[int, int]):
-        """`below[x]` is a mask of elements below x, for each element x.
-        The names must be distinct and sorted."""
-        names = _sorted_names(names)
-        if any(not 0 <= x < len(names) for x in below):
-            raise PosetError("an element has no name")
-        members = mask_of(below)
-        lo = [0] * len(names)
-        for y, m in below.items():
-            if m & ~members:
-                raise PosetError(f"an element below {names[y]!r} is unknown")
-            lo[y] = m | 1 << y
-        elements = bits(members)
-        found = _cover_pass(lo, elements)
-        if found is None:
-            _raise_first_bad_relation(names, lo, elements)
-        lower, level, graded, order = found
-        self._set(names, members, lower, level, graded, lo, _above_along_covers(len(names), lower, order))
 
     @staticmethod
     def from_covers(names: Iterable[str], covers: Mapping[int, tuple[int, ...]]) -> "FinitePoset":

@@ -207,11 +207,8 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
         raise StratificationError(f"{flat_id(x, system.ground)} does not have corank 1")
     check = lattice.is_modular_flat(x)
     if not check.ok:
-        z, y = check.witness
-        raise StratificationError(
-            f"{flat_id(x, system.ground)} is not modular; "
-            f"witness Z={flat_id(z, system.ground)} Y={flat_id(y, system.ground)}"
-        )
+        witness = check.witness_text(system.ground)
+        raise StratificationError(f"{flat_id(x, system.ground)} is not modular; witness {witness}")
     if not loc.localized.topes() >> base & 1:
         raise ValueError(f"{loc.localized.covector_poset().names[base]} is not a tope of the localization")
 

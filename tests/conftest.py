@@ -7,6 +7,17 @@ from omkit.matroids import RationalArrangement
 from sign_vector import SignVector
 
 
+def pytest_configure(config):
+    # every run draws the same examples, so a failing draw is reproduced by
+    # the next run and the suite's work is the same from run to run; loaded
+    # here, not on import, so the tools that import this module for its
+    # arrangements do not load Hypothesis
+    from hypothesis import settings
+
+    settings.register_profile("derandomized", derandomize=True)
+    settings.load_profile("derandomized")
+
+
 def sign_vectors(system) -> list[SignVector]:
     """The covectors of a system as reference `SignVector`s, in its
     numbering (so sorted by sign text)."""

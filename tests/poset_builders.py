@@ -1,13 +1,29 @@
-"""Small posets for the tests, built from names and cover pairs, the
-relations the tests compare posets by, and `PosetMap`, the checked order
-preserving map the tests' sections and isomorphisms are built as and the
-library's numbered maps are compared against.  The library builds its
-posets from covector systems and facet lists only, and keeps its maps as
-tuples and masks."""
+"""Small posets for the tests, built from names and cover pairs or from
+below masks, the relations the tests compare posets by, and `PosetMap`,
+the checked order preserving map the tests' sections and isomorphisms are
+built as and the library's numbered maps are compared against.  The
+library builds its posets from covers only, and keeps its maps as tuples
+and masks."""
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from omkit.posets import FinitePoset, PosetError, bits, mask_of
+from omkit.posets import FinitePoset, PosetError, _cover_pass, bits, mask_of
+from poset_oracle import checked_above
+
+
+def from_below(names: Iterable[str], below: Mapping[int, int]) -> FinitePoset:
+    """The poset on the elements x of `below` whose below mask is
+    `below[x]`, numbered by the sorted names.  The pair scan refuses
+    anything that is no partial order, the cover pass finds the covers and
+    `FinitePoset.from_covers` builds the poset on every name; the names
+    without a mask are isolated there, so the rest is an order ideal."""
+    names = tuple(names)
+    checked_above(names, below)
+    lo = [below.get(y, 0) | 1 << y for y in range(len(names))]
+    lower, _, _, order = _cover_pass(lo, range(len(names)))
+    poset = FinitePoset.from_covers(names, {y: lower[y] for y in order})
+    members = mask_of(below)
+    return poset if members == poset.members else poset.subposet(members)
 
 
 def from_covers(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> FinitePoset:
@@ -26,7 +42,7 @@ def from_covers(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Fini
             for x in bits(m):
                 below[y] |= below[x]
             changed |= below[y] != m
-    return FinitePoset(names, dict(enumerate(below)))
+    return from_below(names, dict(enumerate(below)))
 
 
 def with_element(poset: FinitePoset, name: str, covers: Iterable[int]) -> FinitePoset:

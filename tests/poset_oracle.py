@@ -7,9 +7,9 @@ from omkit.posets import FinitePoset, PosetError, bits
 
 
 def checked_above(names, below) -> list[int]:
-    """The reflexive above masks of a relation given as `FinitePoset`
-    takes it, or the PosetError it raises, by one scan of every related
-    pair."""
+    """The reflexive above masks of a relation given by names and below
+    masks, as `poset_builders.from_below` takes it, or a PosetError naming
+    the first failure, by one scan of every related pair."""
     names = tuple(names)
     for a, b in zip(names, names[1:]):
         if not a < b:

@@ -44,7 +44,7 @@ from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
 from omkit.topes import NotATopeError, _require_topes
-from poset_builders import PosetMap
+from poset_builders import PosetMap, from_below
 from poset_oracle import scanned_covers
 
 # -- the covector order and the join, by definition ---------------------------
@@ -117,7 +117,7 @@ def lattice_poset(lat: GeometricLattice) -> FinitePoset:
     """The flats under inclusion, element `index[f]` being flat f."""
     index = lat.index
     below = {index[y]: mask_of(index[x] for x in lat.flats if not x & ~y) for y in lat.flats}
-    return FinitePoset(lat.names, below)
+    return from_below(lat.names, below)
 
 
 def interval(lat: GeometricLattice, lo: int, hi: int) -> FinitePoset:
@@ -431,7 +431,7 @@ def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
     vectors = system.vectors()
     seps = [(t, separator_masks(*vectors[base], *vectors[t])) for t in bits(topes)]
     below = {t: mask_of(r for r, sr in seps if not sr & ~st) for t, st in seps}
-    return FinitePoset(system.covector_poset().names, below)
+    return from_below(system.covector_poset().names, below)
 
 
 def is_ideal(poset: FinitePoset, mask: int) -> bool:

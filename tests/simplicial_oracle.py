@@ -19,6 +19,7 @@ from omkit.homology import (
     rank_and_torsion,
 )
 from omkit.posets import FinitePoset, SimplicialComplexRecord
+from poset_builders import from_below
 
 # the minimal triangulation of the real projective plane, on six vertices:
 # torsion Z/2 in dimension one
@@ -50,7 +51,7 @@ def from_facets(facets) -> FinitePoset:
             for v in f:
                 m |= below[index[f - {v}]]
         below[index[f]] = m
-    return FinitePoset(sorted(name.values()), below)
+    return from_below(sorted(name.values()), below)
 
 
 def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:

@@ -16,13 +16,15 @@ from omkit.homology import (
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
+from omkit.corpus import corpus
 from omkit.matroids import from_arrangement
+from omkit.omfile import format_topes
 from omkit.posets import FinitePoset, bits
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import fiber_homology, incidences_cell_by_cell
+from side_lemmas import fiber_homology, incidences_cell_by_cell, pairwise_below
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
@@ -307,7 +309,7 @@ def test_signs_per_shape_are_the_cell_by_cell_signs_on_salvetti_posets(all_corpu
         assert same_signs(SalvettiPoset(system).poset, ordered=True), name
 
 
-def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_unions_and_spheres(
+def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_sources_and_spheres(
     monkeypatch, all_corpus, five_planes, braid3
 ):
     import importlib
@@ -318,8 +320,8 @@ def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_unions_and_sphe
     for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
         assert quasi_fibration_certify(system, system.label_mask(flat.split(","))).ok
     assert len(checked) == 2
-    for union in checked:
-        assert same_signs(union)
+    for source in checked:
+        assert same_signs(source)
     for name, system in all_corpus.items():
         assert same_signs(sphere_poset(system)), name
 
@@ -817,6 +819,19 @@ def test_the_betti_path_builds_no_masks(monkeypatch, braid3, np14):
     # the first read derives them
     built[0].poset.below(0)
     assert holds_masks(built[0].poset)
+
+
+@pytest.mark.parametrize("name", ["braid3", "non-pappus"])
+def test_the_covector_order_derives_its_masks_only_when_asked(name):
+    # topes, rank and the topes report read covers and heights only; the
+    # covector order keeps its masks only once one is read
+    system = corpus(name)
+    system.topes(), system.rank(), format_topes(system)
+    order = system.covector_poset()
+    assert not holds_masks(order)
+    below = pairwise_below(system)
+    assert [order.below(x) for x in order.elements] == [below[x] for x in order.elements]
+    assert holds_masks(order)
 
 
 def test_morse_reduction_preserves_homology(five_planes):

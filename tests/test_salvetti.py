@@ -9,7 +9,7 @@ from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.topes import sphere_poset
-from poset_builders import PosetMap, order_pairs
+from poset_builders import PosetMap, from_below, order_pairs
 from side_lemmas import (
     direct_salvetti_below,
     fiber_rank2_model,
@@ -177,7 +177,7 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
             assert salv.poset.below(k) == direct[k], (name, salv.poset.names[k])
         # covers first: the covers, heights and gradedness the mask build
         # finds, and the masks derived from them
-        masked = FinitePoset(salv.poset.names, direct)
+        masked = from_below(salv.poset.names, direct)
         poset = salv.poset
         assert [poset.lower_covers(k) for k in poset.elements] == [masked.lower_covers(k) for k in masked.elements], name
         assert poset.heights() == masked.heights(), name
@@ -236,7 +236,7 @@ def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
             for fib in fibers
         ]
     for fib, got in zip(fibers, inherited):
-        fresh = FinitePoset(fib.names, {x: fib.below(x) for x in fib.elements})
+        fresh = from_below(fib.names, {x: fib.below(x) for x in fib.elements})
         assert got == (fresh.heights(), [fresh.lower_covers(x) for x in fresh.elements], None)
 
 

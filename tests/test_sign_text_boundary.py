@@ -13,7 +13,9 @@ fiber a mask, so no library module names `PosetMap`, the checked map of
 `tests/poset_builders.py`.  The quasi-fibration certificate reads its
 fiber types off its collapses, so no library module reduces a fiber on
 its behalf: none names `FiberEvidence`, `fiber_evidence` or
-`fiber_homology`, the reduction of `tests/side_lemmas.py`."""
+`fiber_homology`, the reduction of `tests/side_lemmas.py`.  A poset is
+built from its covers only, so no library module calls `FinitePoset(`;
+posets come from `FinitePoset.from_covers`, `subposet` and `dual`."""
 
 import ast
 from pathlib import Path
@@ -89,6 +91,14 @@ def test_no_library_module_names_a_fiber_reduction():
         assert names_outside(name, ()) == [], name
     # the scan sees the oracle where the tests import it
     assert names_of_class(Path(__file__).with_name("test_homology.py"), "fiber_homology")
+
+
+def test_posets_are_built_from_covers_only():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in text_parsing_calls(path, {"FinitePoset"})]
+    assert found == []
+    # the scan sees the cover builds of the covector order and the Salvetti poset
+    for module in ("matroids", "salvetti"):
+        assert text_parsing_calls(SRC / f"{module}.py", {"from_covers"}), module
 
 
 def test_numbered_modules_parse_no_sign_text():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import sign_vectors
 from omkit.corpus import CORPUS_NAMES
-from omkit.posets import FinitePoset, PosetError, bits, mask_of
+from omkit.posets import PosetError, bits, mask_of
 from omkit.signs import separator_masks
 from omkit.topes import (
     NotATopeError,
@@ -18,7 +18,7 @@ from omkit.topes import (
     sphere_poset,
     verify_shelling,
 )
-from poset_builders import antichain, cover_pairs, from_covers
+from poset_builders import antichain, cover_pairs, from_below, from_covers
 from side_lemmas import (
     all_convex_tope_sets,
     dual_by_complement,
@@ -346,7 +346,7 @@ def test_zero_dimensional_complex_shelling(rank1):
     points = antichain(("p", "q"))
     assert verify_shelling(points, shelling(points, "p", "q")).ok
     # the empty complex has the empty shelling; a nonempty one does not
-    assert verify_shelling(FinitePoset([], {}), []) == ShellingReport(True)
+    assert verify_shelling(from_below([], {}), []) == ShellingReport(True)
     assert not verify_shelling(points, ()).ok
 
 

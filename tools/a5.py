@@ -11,7 +11,7 @@ complex again (checking the Betti numbers 1 15 85 225 274 120 and no
 torsion), and a certificate sampling four pairs at the modular coatom
 H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, with its evidence counts: the minimal
 fibers ranked as graphs, the other fibers of the pairs, linked to those
-graphs, and the ambients, whose fibers' union is checked regular; it
+graphs, and the ambients, after the source is checked regular; it
 exits 1 when the certificate fails.  Last it prints the process's peak
 resident set size.  Run from the repository root:
 
