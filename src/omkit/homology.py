@@ -560,8 +560,16 @@ def quasi_fibration_certify(
     minimal fiber has two vertices.  Either raises `NotRegularError`.
     The pairs are certified one ambient at a time, with one
     stratification alive at a time.
+
+    No glued matching is built or walked (`morse.FiberCertifier` gives
+    the argument).  A PASS's acyclicity rests on the patchwork theorem:
+    its hypotheses are checked once per ambient (`morse.check_patchwork`,
+    a `MatchingError` when one fails), and each local matching is walked
+    once on its own ball, for the whole run.  Per cell, the critical cells
+    are the union of the lifted critical sets, compared with the fiber,
+    whose being an ideal is checked once per cell.
     """
-    from .morse import matching_salvetti_fiber, morse_reduction_certificate
+    from .morse import FiberCertifier
 
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
@@ -593,18 +601,15 @@ def quasi_fibration_certify(
         amb = bits(poset.above(b) & maximal)[0]
         by_ambient.setdefault(amb, []).append((a, b))
     _incidences(loc.source.poset)
+    certifier = FiberCertifier(loc)
     pairs = []
     for amb, amb_pairs in sorted(by_ambient.items()):
         # one stratification serves every matching into the fiber of amb,
-        # keyed by cell, and is let go before the next is built
+        # and is let go before the next is built
+        triples = [(a, b, bits(poset.below(a) & minimal)[0]) for a, b in amb_pairs]
         strat = stratify_fiber(loc, loc.target.keys[amb][1])
-        certs: dict[int, MorseCertificate] = {}
-        for a, b in amb_pairs:
-            m = bits(poset.below(a) & minimal)[0]
-            for cell in (a, b, m):
-                if cell not in certs:
-                    certs[cell] = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), loc.fibers[cell])
-            pairs.append(PairEvidence(a, b, amb, m, certs[a], certs[b], certs[m]))
+        certs = certifier.certify(strat, dict.fromkeys(cell for triple in triples for cell in triple))
+        pairs.extend(PairEvidence(a, b, amb, m, certs[a], certs[b], certs[m]) for a, b, m in triples)
         del strat
     pairs.sort(key=lambda p: (p.lower, p.upper))
     return QuasiFibrationCertificate(loc, sample, expected, graph_ranks, tuple(pairs))

@@ -2,14 +2,23 @@
 
 A matching is a set of cover pairs of integer poset elements, no element
 in two pairs; `Matching` refuses anything else as bad input.  What a
-matching claims about a subcomplex it retracts onto is checked in one
-place: `morse_reduction_certificate` walks the matched Hasse digraph once
-and returns a witness against each claim, a directed cycle and a
+matching claims about a subcomplex it retracts onto is returned as a
+`MorseCertificate`: a witness against each claim, a directed cycle and a
 critical set that is not the subcomplex or not an ideal, or None where
-the claim holds.  The walk runs over the cells matched upward only,
-which a graded host allows, since each cycle then stays between two
-heights; a host that is not graded is refused.  A failed claim is a
-report clause, never an error.
+the claim holds.  A failed claim is a report clause, never an error.
+`morse_reduction_certificate` walks the matched Hasse digraph of a
+matching once.  The walk runs over the cells matched upward only, which
+a graded host allows, since each cycle then stays between two heights;
+a host that is not graded is refused.
+
+The fiber matchings of the quasi-fibration certificate are certified
+without a walk of the glued matching: `FiberCertifier` reads their
+acyclicity off the patchwork theorem, whose hypotheses
+`check_patchwork` checks once per stratified fiber, and walks each local
+matching once on its own ball, for the whole run; the critical cells
+are the union of the lifted critical sets.  `morse --construction fiber`
+and the tests still glue and walk, as the oracle.
+
 The constructors, `patchwork` among them, build their matchings without
 checking these claims; every path that reports a matching certifies it
 next.  Tope sets are masks and shelling orders sequences of element
@@ -20,11 +29,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
 from .posets import FinitePoset, PosetError, bits, mask_of
-from .salvetti import FiberStratification
+from .salvetti import FiberStratification, SalvettiLocalization, restriction_iso
 from .topes import is_convex, shelling_order_from_extension, sphere_poset
 
 
@@ -102,6 +113,12 @@ class Matching:
                     return tuple(cells) + (cells[0],)
         return None
 
+    @cached_property
+    def walked(self) -> Optional[tuple[int, ...]]:
+        """`cycle()`, walked once and kept with the matching, so a matching
+        memoized on its system is walked once per system."""
+        return self.cycle()
+
     def serialize(self) -> str:
         names = self.host.names
         return "\n".join(f"({names[a]} -> {names[b]})" for a, b in sorted(self.pairs))
@@ -117,8 +134,11 @@ def patchwork(
     must lie inside its stratum (a mask).  The union is returned as one
     matching on the host, whose covers and disjointness are checked once,
     on the union, since a cover of the host inside a stratum is a cover of
-    the stratum.  Its acyclicity is the certificate's to check: a cycle in
-    one local matching is a cycle in the union.
+    the stratum.  Its acyclicity is left to the certificate every caller
+    runs next: `morse_reduction_certificate` walks the union, and
+    `FiberCertifier` reads it off the patchwork theorem, with its
+    hypotheses checked (`check_patchwork`) and each local matching walked
+    on its own ball.
     """
     names = host.names
     all_pairs: set[tuple[int, int]] = set()
@@ -146,60 +166,83 @@ def matching_from_shelling(
     terminates with exactly the chosen vertex left over; if the greedy
     order ever jams, that is reported as a defect rather than patched
     over.
+
+    Everything is read off the covers, in time linear in them.  A cell's
+    birth, the first cell of the order above it, is found by a walk down
+    the covers that stops at the cells born before, which lie below an
+    earlier cell with all their faces.  A cell is free when one alive
+    cell covers it: the cells alive always form a subcomplex, and in a
+    regular complex (the balls here are) a cell of a subcomplex with one
+    alive upper cover sigma has no other alive cell above it, since a
+    cell above sigma would bring a second upper cover by the diamond
+    property.  So the free cells, their partners and the pairs are the
+    same as by counting every alive cell above.
     """
     cells = list(order)
     if vertex not in complex_poset:
         raise MatchingError(f"unknown vertex {vertex!r}")
     if cells and not complex_poset.leq(vertex, cells[0]):
         raise MatchingError("vertex must lie in the first maximal cell")
-    below, above = complex_poset.below, complex_poset.above
+    lower = complex_poset.lower_covers
     birth: dict[int, int] = {}
-    born = 0
     for i, c in enumerate(cells):
-        birth.update(dict.fromkeys(bits(below(c) & ~born), i))
-        born |= below(c)
-    if born != complex_poset.members:
+        todo = [c] if c in complex_poset else []
+        while todo:
+            x = todo.pop()
+            if x not in birth:
+                birth[x] = i
+                todo.extend(lower(x))
+    if len(birth) != len(complex_poset):
         raise MatchingError("order does not cover the complex")
     heights = complex_poset.heights()
-    alive = complex_poset.members
-    # the number of alive cells strictly above each alive cell
-    updeg = {x: above(x).bit_count() - 1 for x in complex_poset.elements}
+    alive = [False] * len(complex_poset.names)
+    # the number of alive upper covers of each alive cell, and their sum,
+    # which names the last one
+    updeg = [0] * len(alive)
+    upsum = [0] * len(alive)
+    for y in complex_poset.elements:
+        alive[y] = True
+        for x in lower(y):
+            updeg[x] += 1
+            upsum[x] += y
     heap: list = []
 
     def push(tau: int) -> None:
-        # tau is free: sigma, the one alive cell above it, goes with it;
+        # tau is free: sigma, its one alive upper cover, goes with it;
         # larger birth and higher cells first, then the least element
-        sigma = (above(tau) & alive ^ 1 << tau).bit_length() - 1
+        sigma = upsum[tau]
         heapq.heappush(heap, (-birth[sigma], -heights[sigma], sigma, tau))
 
     for x in complex_poset.elements:
         if x != vertex and updeg[x] == 1:
             push(x)
     pairs: list[tuple[int, int]] = []
-    while alive & (alive - 1):
+    left = len(complex_poset)
+    while left > 1:
         while heap:
             _, _, sigma, tau = heapq.heappop(heap)
-            # tau still free, so sigma is still the one alive cell above it
-            live = alive >> sigma & 1 and alive >> tau & 1 and updeg[tau] == 1
-            if live and complex_poset.is_cover(tau, sigma):
+            # tau still free, so sigma is still its one alive upper cover
+            if alive[sigma] and alive[tau] and updeg[tau] == 1:
                 break
         else:
             raise MatchingError(
-                f"greedy collapse jammed with {alive.bit_count()} cells alive; "
+                f"greedy collapse jammed with {left} cells alive; "
                 f"the order is not usable as a collapsing scheme"
             )
         pairs.append((tau, sigma))
+        left -= 2
         for cell in (sigma, tau):
-            alive ^= 1 << cell
-            for x in bits(below(cell) & alive):
-                updeg[x] -= 1
-                if updeg[x] == 1 and x != vertex:
-                    push(x)
+            alive[cell] = False
+            for x in lower(cell):
+                if alive[x]:
+                    updeg[x] -= 1
+                    upsum[x] -= cell
+                    if updeg[x] == 1 and x != vertex:
+                        push(x)
 
-    if alive != 1 << vertex:
-        raise MatchingError(
-            f"collapse ended at {complex_poset.names_of(alive)} instead of the vertex"
-        )
+    if not alive[vertex]:
+        rest = mask_of(x for x in complex_poset.elements if alive[x])
+        raise MatchingError(f"collapse ended at {complex_poset.names_of(rest)} instead of the vertex")
     return Matching(complex_poset, frozenset(pairs))
 
 
@@ -259,6 +302,20 @@ def _convex_critical(system: CovectorSystem, q: int) -> Matching:
     return Matching(ball, dual_pairs | {(vertex, system.numbering()[0, 0])})
 
 
+def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matching, Matching]:
+    """The convex-critical matchings a fiber matching onto the fiber of a
+    localized cell is glued from: on the dual ball of the system, whose
+    critical part is the fiber of rho over the cell's face, and on the
+    dual ball of the localization, whose critical part is the face's
+    star.  The first matches stratum 0 of every stratified fiber, the
+    second each later stratum."""
+    system, localized = loc.system, loc.localized
+    above = localized.covector_poset().above(loc.target.keys[target_cell][0])
+    rho = loc.rho
+    m0 = matching_convex_critical(system, mask_of(t for t in bits(system.topes()) if above >> rho[t] & 1))
+    return m0, matching_convex_critical(localized, above & localized.topes())
+
+
 def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Matching:
     """An acyclic matching on the stratified fiber over (0, B') whose
     critical cells are exactly the fiber over a smaller cell of the
@@ -269,21 +326,12 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     a contraction's dual ball, matched through the isomorphism induced by
     restriction; `patchwork` glues the lifted pairs along the tope string.
     """
-    loc = strat.loc
-    poset = loc.target.poset
+    poset = strat.loc.target.poset
     if target_cell not in poset:
         raise MatchingError(f"unknown cell {target_cell!r} of the localized poset")
     if not poset.leq(target_cell, strat.top):
         raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
-    system, localized = loc.system, loc.localized
-    above = localized.covector_poset().above(loc.target.keys[target_cell][0])
-    rho = loc.rho
-    topes = system.topes()
-    # stratum 0: the full dual ball, critical part the fiber of rho_X over sigma_a;
-    # later strata: copies of contraction balls through the restriction iso,
-    # all matched by the one convex-critical matching of the localization
-    m0 = matching_convex_critical(system, mask_of(t for t in bits(topes) if above >> rho[t] & 1))
-    mi = matching_convex_critical(localized, above & localized.topes())
+    m0, mi = local_matchings(strat.loc, target_cell)
     matchings = [m0] + [mi] * (len(strat.strata) - 1)
     local_pairs = [[(lift[x], lift[y]) for x, y in m.pairs] for lift, m in zip(strat.lifts, matchings)]
     return patchwork(strat.fiber, strat.strata, local_pairs)
@@ -310,22 +358,151 @@ class MorseCertificate:
         return out if self.critical is None else out + [self.critical]
 
 
+def _ideal_claim(poset: FinitePoset, subcomplex: int) -> Optional[str]:
+    """Where a mask of a poset is not an ideal: its first cell with a face
+    outside, or None."""
+    outside = ~subcomplex
+    for x in bits(subcomplex):
+        if poset.below(x) & outside:
+            return f"not an ideal: {poset.names[x]} has faces {poset.names_of(poset.below(x) & outside)[:4]} outside"
+    return None
+
+
+def _critical_claim(poset: FinitePoset, crit: int, subcomplex: int) -> Optional[str]:
+    """How critical cells miss a subcomplex, or where it is not an ideal,
+    or None."""
+    if crit != subcomplex:
+        return f"extra {poset.names_of(crit & ~subcomplex)[:4]}, missing {poset.names_of(subcomplex & ~crit)[:4]}"
+    return _ideal_claim(poset, subcomplex)
+
+
 def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCertificate:
     """Check that the matching's host collapses onto a subcomplex (a
     mask) through it: the matching is acyclic, its critical cells are the
     subcomplex, and the subcomplex is an ideal.  A failed claim is
     returned as its witness, never raised."""
     host = matching.host
-    crit = matching.critical_cells()
-    # the cells of the subcomplex with a face outside it
-    open_cells = [x for x in bits(subcomplex) if host.below(x) & ~subcomplex]
-    critical = None
-    if crit != subcomplex:
-        critical = (
-            f"extra {host.names_of(crit & ~subcomplex)[:4]}, "
-            f"missing {host.names_of(subcomplex & ~crit)[:4]}"
-        )
-    elif open_cells:
-        x = open_cells[0]
-        critical = f"not an ideal: {host.names[x]} has faces {host.names_of(host.below(x) & ~subcomplex)[:4]} outside"
-    return MorseCertificate(matching.cycle(), critical)
+    return MorseCertificate(matching.cycle(), _critical_claim(host, matching.critical_cells(), subcomplex))
+
+
+# -- the fiber matchings by the patchwork theorem ------------------------------
+
+
+def check_patchwork(strat: FiberStratification) -> None:
+    """Check the hypotheses of the patchwork theorem on a stratified fiber,
+    raising a `MatchingError` that names the first one to fail.
+
+    - The strata partition the fiber, and stratum i is the ideal below
+      the cell (0, T_i) less the strata before it.  The union of the
+      first i strata is then a union of ideals, so the stratum index is
+      order preserving onto the chain of strata.
+    - `lifts[i]` is a bijection of its ball onto stratum i (one mask
+      comparison), and it sends each ball element to a cell over the
+      face the construction prescribes: covector c itself for i = 0, and
+      for i > 0 the covector `restriction_iso` gives, zero at the
+      separator of T_{i-1} and T_i.  A cell of stratum i lies below
+      (0, T_i), so it is the cell (c, c o T_i) of its face c.  Now c ->
+      (c, c o T) is an order embedding of the dual covector poset onto
+      the ideal below (0, T), by the definition of the Salvetti order,
+      and `restriction_iso` is checked an isomorphism; so each lift is
+      an isomorphism of its ball onto its stratum, which is convex, and
+      it sends covers to covers and back."""
+    loc = strat.loc
+    source, system = loc.source, loc.system
+    keys, below = source.keys, source.poset.below
+    zero = system.numbering()[0, 0]
+    faces = [tuple(range(len(system)))] + [restriction_iso(loc, s) for s in strat.separators]
+    used = 0
+    for i, (t, stratum, lift, face) in enumerate(zip(strat.tope_string, strat.strata, strat.lifts, faces, strict=True)):
+        ideal = below(source.index[zero, t])
+        if stratum & (used | ~ideal) or ideal & ~(used | stratum):
+            raise MatchingError(
+                f"stratum {i} is not the ideal below its tope less the strata before it, "
+                f"so the stratum index is not order preserving"
+            )
+        used |= stratum
+        if len(lift) != stratum.bit_count() or mask_of(lift) != stratum or tuple(keys[k][0] for k in lift) != face:
+            raise MatchingError(f"lift {i} is no isomorphism of its ball onto stratum {i}")
+    if used != strat.fiber.members:
+        raise MatchingError("the strata do not cover the fiber")
+
+
+def _digits(matching: Matching) -> str:
+    """The critical cells of a matching as binary digits by element
+    number: character x is 1 when element x is critical."""
+    return format(matching.critical_cells(), f"0{len(matching.host.names)}b")[::-1]
+
+
+class FiberCertifier:
+    """The certificates of the fiber matchings of one localization, one
+    stratified ambient fiber at a time, read off the patchwork theorem
+    instead of a walk of each glued matching.
+
+    The patchwork theorem (Jonsson's cluster lemma, "Simplicial
+    complexes of graphs", LNM 1928; Kozlov, "Combinatorial algebraic
+    topology", 11.2): if phi: P -> Q is order preserving and each fiber
+    of phi carries an acyclic matching, their union is an acyclic
+    matching on P.  The matching `matching_salvetti_fiber` glues is such
+    a union, with phi the stratum index, so it is acyclic when
+    `check_patchwork` passes on the stratification and each local
+    matching is acyclic on its own ball: a lift is an isomorphism of the
+    ball onto its stratum, and the stratum is convex, so the matched
+    Hasse digraph of the stratum is the ball's.  Each local matching is
+    walked once (`Matching.walked`), and it is memoized on its system, so
+    the walk is kept for every fiber and every certificate after.  A
+    cycle is reported lifted into the fiber, through the lift of the
+    first stratum it matches, starting at its least cell, as
+    `Matching.cycle` gives it.
+
+    The critical cells of the union are the union of the lifted critical
+    sets, and they must be the fiber of the cell.  The lifts are
+    bijections onto strata that partition the fiber, so this holds
+    exactly when the cell's fiber lies in the ambient fiber and its
+    digits at the lifted cells, read ball by ball in one gather, are the
+    local matchings' critical digits.  That the cell's fiber is an ideal
+    does not depend on the ambient, so it is checked once per cell.  The
+    witnesses are those of `morse_reduction_certificate` on the glued
+    matching."""
+
+    def __init__(self, loc: SalvettiLocalization):
+        self.loc = loc
+        # by face: the local matchings of the cells over it, with their digits
+        self._local: dict[int, tuple[Matching, Matching, str, str]] = {}
+        self._ideal: dict[int, Optional[str]] = {}  # by cell: why its fiber is no ideal
+
+    def certify(self, strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
+        """The certificate of the fiber matching onto each cell's fiber,
+        for cells below the ambient of `strat`, by cell."""
+        check_patchwork(strat)
+        loc = self.loc
+        source = loc.source.poset
+        width = len(source.names)
+        # a cell k is character width - 1 - k of a mask's digits
+        gather = itemgetter(*(width - 1 - k for lift in strat.lifts for k in lift))
+        later = len(strat.strata) - 1
+        outside = ~strat.fiber.members
+        out = {}
+        for cell in cells:
+            face = loc.target.keys[cell][0]
+            if face not in self._local:
+                m0, mi = local_matchings(loc, cell)
+                self._local[face] = (m0, mi, _digits(m0), _digits(mi))
+            m0, mi, d0, di = self._local[face]
+            sub = loc.fibers[cell]
+            if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != d0 + di * later:
+                matchings = [m0] + [mi] * later
+                crit = mask_of(lift[x] for lift, m in zip(strat.lifts, matchings) for x in bits(m.critical_cells()))
+                critical = _critical_claim(source, crit, sub)
+            else:
+                if cell not in self._ideal:
+                    self._ideal[cell] = _ideal_claim(source, sub)
+                critical = self._ideal[cell]
+            cycle = None
+            for m, lift in zip((m0, mi), strat.lifts[:2]):
+                if m.walked is not None:
+                    lifted = [lift[x] for x in m.walked[:-1]]
+                    i = lifted.index(min(lifted))
+                    cycle = tuple(lifted[i:] + lifted[:i] + lifted[i:i + 1])
+                    break
+            out[cell] = MorseCertificate(cycle, critical)
+        return out

@@ -172,6 +172,40 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), fibers, rho)
 
 
+def restriction_iso(loc: SalvettiLocalization, separator: int) -> tuple[int, ...]:
+    """For each localized covector, by number, the covector of the system
+    that restricts to it and is zero at `separator` (one ground bit
+    outside the flat): the inverse of rho on that set of covectors.
+
+    The covectors zero at the separator are an ideal of the covector
+    order, so their covers are the order's covers.  Rho must be a
+    bijection of them onto the localized covectors that sends the lower
+    covers of each onto the lower covers of its image; then it is an
+    isomorphism of posets, since each order is generated by its covers.
+    Checked once per (flat, separator) and kept on the system."""
+    return loc.system.memo(("restriction", loc.flat, separator), lambda: _restriction_iso(loc, separator))
+
+
+def _restriction_iso(loc: SalvettiLocalization, separator: int) -> tuple[int, ...]:
+    order, target = loc.system.covector_poset(), loc.localized.covector_poset()
+    rho = loc.rho
+    iso: dict[int, int] = {}
+    for c, (p, m) in enumerate(loc.system.vectors()):
+        if (p | m) & separator:
+            continue
+        if rho[c] in iso:
+            raise AssertionError("restriction is not injective on the stratum")
+        iso[rho[c]] = c
+    if len(iso) != len(loc.localized):
+        raise AssertionError("restriction is not onto the localization")
+    for y, c in iso.items():
+        if tuple(sorted(rho[d] for d in order.lower_covers(c))) != target.lower_covers(y):
+            raise AssertionError(
+                f"restriction does not send the covers of {order.names[c]} onto those of {target.names[y]}"
+            )
+    return tuple(iso[y] for y in range(len(iso)))
+
+
 @dataclass(frozen=True)
 class FiberStratification:
     """The stratification of a maximal-cell fiber over a modular
@@ -259,18 +293,8 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
         raise AssertionError("strata do not cover the fiber exactly")
 
     lifts = [tuple(source.cell_over(c, string[0]) for c in order.elements)]
-    width = len(loc.localized)
     for i in range(1, len(string)):
-        iso: dict[int, int] = {}
-        for c, (p, m) in enumerate(vectors):
-            if (p | m) & separators[i - 1]:
-                continue
-            if rho[c] in iso:
-                raise AssertionError("restriction is not injective on the stratum")
-            iso[rho[c]] = c
-        if len(iso) != width:
-            raise AssertionError("restriction is not onto the localization")
-        lifts.append(tuple(source.cell_over(iso[y], string[i]) for y in range(width)))
+        lifts.append(tuple(source.cell_over(c, string[i]) for c in restriction_iso(loc, separators[i - 1])))
 
     return FiberStratification(loc, top, fiber, tuple(string), separators, tuple(strata), tuple(lifts))
 

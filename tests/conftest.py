@@ -1,17 +1,14 @@
-import itertools
-
 import pytest
 
+from arrangement_builders import b3_arrangement, braid_arrangement  # the tests import them from here
 from omkit.corpus import CORPUS_NAMES, corpus
-from omkit.matroids import RationalArrangement
 from sign_vector import SignVector
 
 
 def pytest_configure(config):
     # every run draws the same examples, so a failing draw is reproduced by
     # the next run and the suite's work is the same from run to run; loaded
-    # here, not on import, so the tools that import this module for its
-    # arrangements do not load Hypothesis
+    # here, not on import, so importing this module does not load it
     from hypothesis import settings
 
     settings.register_profile("derandomized", derandomize=True)
@@ -22,28 +19,6 @@ def sign_vectors(system) -> list[SignVector]:
     """The covectors of a system as reference `SignVector`s, in its
     numbering (so sorted by sign text)."""
     return [SignVector(system.ground, p, m) for p, m in system.vectors()]
-
-
-def braid_arrangement(k):
-    """The forms x_i - x_j, i < j, on R^k: A_{k-1}, which is outside the
-    corpus."""
-    forms = []
-    for i, j in itertools.combinations(range(k), 2):
-        row = [0] * k
-        row[i], row[j] = 1, -1
-        forms.append(row)
-    return RationalArrangement(tuple(f"H{i + 1}" for i in range(len(forms))), forms)
-
-
-def b3_arrangement():
-    """The reflection arrangement B_3: x_i and x_i +- x_j on R^3."""
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for i, j in itertools.combinations(range(3), 2):
-        for s in (1, -1):
-            row = [0] * 3
-            row[i], row[j] = 1, s
-            rows.append(row)
-    return RationalArrangement(tuple(f"H{i + 1}" for i in range(9)), rows)
 
 
 @pytest.fixture(scope="session")

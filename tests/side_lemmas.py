@@ -4,7 +4,9 @@ modular-coatom criterion on the lattice of flats, the section of a
 localization and its Salvetti lift, the principal-ideal isomorphism and
 the localization square, the rank-two fiber model, the enumeration of
 all convex tope sets, the dual of a matching, and an acyclicity test of
-a matching by Kahn's sort, the oracle for `Matching.cycle`.  The
+a matching by Kahn's sort, the oracle for `Matching.cycle`.  The greedy
+collapse that counts every alive cell above a cell through the masks is
+the oracle for the one that counts alive upper covers.  The
 covector order by pairs is the definition that the column-built order
 is checked against; closure, rank, Moebius function and join by scans
 over the flats are the definitions that the one-pass lattice
@@ -39,7 +41,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from omkit.homology import NotRegularError, homology
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
-from omkit.morse import Matching
+from omkit.morse import Matching, MatchingError
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
@@ -563,6 +565,60 @@ def kahn_acyclic(matching: Matching) -> bool:
             if indegree[y] == 0:
                 ready.append(y)
     return done == len(succ)
+
+
+def matching_from_shelling_by_masks(complex_poset: FinitePoset, order: Sequence[int], vertex: int) -> Matching:
+    """The greedy collapse of a shellable ball onto a vertex, counting
+    every alive cell above each cell through the below and above masks:
+    the oracle for `omkit.morse.matching_from_shelling`, which counts
+    alive upper covers.  Free faces of the most recently shelled cells
+    go first: the heap is keyed by the partner's birth, then its height,
+    then the least element."""
+    cells = list(order)
+    if vertex not in complex_poset:
+        raise MatchingError(f"unknown vertex {vertex!r}")
+    if cells and not complex_poset.leq(vertex, cells[0]):
+        raise MatchingError("vertex must lie in the first maximal cell")
+    below, above = complex_poset.below, complex_poset.above
+    birth: dict[int, int] = {}
+    born = 0
+    for i, c in enumerate(cells):
+        birth.update(dict.fromkeys(bits(below(c) & ~born), i))
+        born |= below(c)
+    if born != complex_poset.members:
+        raise MatchingError("order does not cover the complex")
+    heights = complex_poset.heights()
+    alive = complex_poset.members
+    # the number of alive cells strictly above each alive cell
+    updeg = {x: above(x).bit_count() - 1 for x in complex_poset.elements}
+    heap: list = []
+
+    def push(tau: int) -> None:
+        sigma = (above(tau) & alive ^ 1 << tau).bit_length() - 1
+        heapq.heappush(heap, (-birth[sigma], -heights[sigma], sigma, tau))
+
+    for x in complex_poset.elements:
+        if x != vertex and updeg[x] == 1:
+            push(x)
+    pairs: list[tuple[int, int]] = []
+    while alive & (alive - 1):
+        while heap:
+            _, _, sigma, tau = heapq.heappop(heap)
+            live = alive >> sigma & 1 and alive >> tau & 1 and updeg[tau] == 1
+            if live and complex_poset.is_cover(tau, sigma):
+                break
+        else:
+            raise MatchingError(f"greedy collapse jammed with {alive.bit_count()} cells alive")
+        pairs.append((tau, sigma))
+        for cell in (sigma, tau):
+            alive ^= 1 << cell
+            for x in bits(below(cell) & alive):
+                updeg[x] -= 1
+                if updeg[x] == 1 and x != vertex:
+                    push(x)
+    if alive != 1 << vertex:
+        raise MatchingError(f"collapse ended at {complex_poset.names_of(alive)} instead of the vertex")
+    return Matching(complex_poset, frozenset(pairs))
 
 
 # -- fiber homology --------------------------------------------------------------

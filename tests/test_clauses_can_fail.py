@@ -183,10 +183,10 @@ FAILING = {
     ),
     ("homology", "betti.match_whitney"): (["homology"], "uniform-2-3", changed(HOMOLOGY, "homology", one_more_b1)),
     ("certify-qf", "pairs.certified"): (
-        SEC3_CERTIFY, "sec3-arrangement", patched(omkit.morse, "matching_salvetti_fiber", drop_first_pair),
+        SEC3_CERTIFY, "sec3-arrangement", patched(omkit.morse, "matching_convex_critical", drop_first_pair),
     ),
     ("certify-qf", "fibers.homology"): (
-        SEC3_CERTIFY, "sec3-arrangement", patched(omkit.morse, "matching_salvetti_fiber", drop_link_pairs),
+        SEC3_CERTIFY, "sec3-arrangement", patched(omkit.morse, "local_matchings", drop_link_pairs),
     ),
     ("certify-qf", "fibers.graph_rank"): (
         SEC3_CERTIFY, "sec3-arrangement", patched(HOMOLOGY, "graph_rank", extra_edge),

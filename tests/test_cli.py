@@ -520,13 +520,15 @@ def drop_first_pair(build):
 
 
 def drop_link_pairs(build):
-    """`matching_salvetti_fiber`, with the first pair dropped from each
-    matching onto the fiber of a minimal cell, as a link is."""
-    dropped = drop_first_pair(build)
+    """`local_matchings`, with the first pair dropped from each local
+    matching of a minimal cell, whose fiber a link collapses onto; no
+    other cell has the minimal cell's face, a tope."""
+    dropped = drop_first_pair(lambda m: m)
 
-    def link(strat, cell):
-        minimal = strat.loc.target.poset.minimal_elements() >> cell & 1
-        return (dropped if minimal else build)(strat, cell)
+    def link(loc, cell):
+        matchings = build(loc, cell)
+        minimal = loc.target.poset.minimal_elements() >> cell & 1
+        return tuple(map(dropped, matchings)) if minimal else matchings
 
     return link
 
@@ -544,10 +546,12 @@ def extra_edge(graph_rank):
 
 
 def test_certify_qf_fails_a_pair_whose_matching_misses_its_fiber(capsys, monkeypatch):
-    # a failed matching claim fails the pair, exit 1, not a bad-input exit 2
+    # a failed matching claim fails the pair, exit 1, not a bad-input exit 2;
+    # a pair dropped from each local matching leaves its two cells critical
+    # in every stratum it is lifted to
     import omkit.morse
 
-    monkeypatch.setattr(omkit.morse, "matching_salvetti_fiber", drop_first_pair(omkit.morse.matching_salvetti_fiber))
+    monkeypatch.setattr(omkit.morse, "matching_convex_critical", drop_first_pair(omkit.morse.matching_convex_critical))
     code, out = run(capsys, ["certify-qf", "--flat", "12,13,23"], stdin=om_text("braid3"))
     assert code == 1
     # the witness names the failed claims, each matching with its certificate's witness
@@ -569,7 +573,7 @@ def test_certify_qf_fails_the_fibers_of_a_failed_link(capsys, monkeypatch):
     # links unproven; the minimal fibers stand on their own graphs
     import omkit.morse
 
-    monkeypatch.setattr(omkit.morse, "matching_salvetti_fiber", drop_link_pairs(omkit.morse.matching_salvetti_fiber))
+    monkeypatch.setattr(omkit.morse, "local_matchings", drop_link_pairs(omkit.morse.local_matchings))
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3", "--sample", "2"], stdin=om_text("sec3-arrangement"))
     assert code == 1
     witness = out.split("\nfibers.homology: FAIL witness=")[1].split("\n")[0]

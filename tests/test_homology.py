@@ -590,25 +590,31 @@ def test_quasi_fibration_stratifies_each_ambient_fiber_once(monkeypatch, five_pl
     assert sorted(seen) == sorted(loc.target.keys[m][1] for m in bits(ambient))
 
 
-def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch, five_planes):
+def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch):
+    # acyclicity rests on the patchwork theorem: each local matching is
+    # walked once on its own ball, the glued matching never; a second
+    # certificate on the same system walks only the matchings of its own
+    # localization, a new system
     import omkit.morse as morse
 
-    built, walked = [], []
-    real_fiber, real_walk = morse.matching_salvetti_fiber, morse.Matching.cycle
-
-    def building(strat, cell):
-        built.append(real_fiber(strat, cell))
-        return built[-1]
+    system = corpus("sec3-arrangement")
+    walked = []
+    real_walk = morse.Matching.cycle
 
     def walking(self):
         walked.append(self)
         return real_walk(self)
 
-    monkeypatch.setattr(morse, "matching_salvetti_fiber", building)
     monkeypatch.setattr(morse.Matching, "cycle", walking)
-    cert = quasi_fibration_certify(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+    cert = quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
     assert cert.ok
-    assert built and walked == built
+    local = {id(m): m for cell in cert.loc.target.poset.elements for m in morse.local_matchings(cert.loc, cell)}
+    assert sorted(map(id, walked)) == sorted(local)
+    ball = system.covector_poset().dual()
+    assert {m.host for m in walked} == {ball, cert.loc.localized.covector_poset().dual()}
+    again = quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
+    assert again.ok
+    assert {m.host for m in walked[len(local):]} == {again.loc.localized.covector_poset().dual()}
 
 
 def _comparable_pairs(system):
@@ -748,10 +754,17 @@ def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np1
     # the link of a pair (a, b) is the matching of the pair (m, b), which
     # an exhaustive run checks anyway; a sampled run adds at most one
     # matching per pair
-    import omkit.morse as morse
+    from omkit.morse import FiberCertifier
 
     built = []
-    counting(monkeypatch, morse, "matching_salvetti_fiber", built)
+    real = FiberCertifier.certify
+
+    def certifying(self, strat, cells):
+        cells = list(cells)
+        built.extend((cell, strat.top) for cell in cells)
+        return real(self, strat, cells)
+
+    monkeypatch.setattr(FiberCertifier, "certify", certifying)
     for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
         built.clear()
         cert = quasi_fibration_certify(system, system.label_mask(flat.split(",")))

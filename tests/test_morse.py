@@ -438,3 +438,262 @@ def test_collapse_ball_runs_no_cover_pass_once_the_sphere_is_built(monkeypatch):
         assert matching.critical_cells() == 1 << vertex
     assert sphere_poset(system) is sphere
     assert calls == []
+
+
+# -- the fiber certificate by the patchwork theorem ----------------------------
+
+
+def certified_cells(cert):
+    """Each cell of a certificate's pairs with its ambient, and the
+    certificate the pair evidence holds for it."""
+    out = {}
+    for p in cert.pairs:
+        for cell, own in ((p.lower, p.lower_matching), (p.upper, p.upper_matching), (p.minimal, p.link)):
+            out[cell, p.ambient] = own
+    return out
+
+
+def patchwork_runs(five_planes, braid3, a4, np14_extension):
+    """(system, flat, sample): sec3, braid3 and A_4 exhaustive, np14 sampled."""
+    return [
+        (five_planes, five_planes.label_mask({"H1", "H2", "H3"}), None),
+        (braid3, braid3.label_mask({"12", "13", "23"}), None),
+        (a4, a4.label_mask("H1,H2,H3,H5,H6,H8".split(",")), None),
+        (np14_extension.final, np14_extension.chain[-2], 24),
+    ]
+
+
+def test_the_patchwork_certificate_is_the_glued_certificate(monkeypatch, five_planes, braid3, a4, np14_extension):
+    # the oracle: the glued matching, walked whole, has the same critical
+    # set, the fiber, and the same verdict as every certified pair; and a
+    # passing pair reads its critical set off the gathered digits alone,
+    # never off the lifted masks that name a witness
+    import omkit.morse
+    from omkit.homology import quasi_fibration_certify
+
+    real, named = omkit.morse._critical_claim, []
+    monkeypatch.setattr(omkit.morse, "_critical_claim", lambda *args: named.append(args) or real(*args))
+    for system, flat, sample in patchwork_runs(five_planes, braid3, a4, np14_extension):
+        named.clear()
+        cert = quasi_fibration_certify(system, flat, sample)
+        assert cert.ok and named == []
+        loc, strats = cert.loc, {}
+        for (cell, amb), own in certified_cells(cert).items():
+            if amb not in strats:
+                strats[amb] = stratify_fiber(loc, loc.target.keys[amb][1])
+            glued = matching_salvetti_fiber(strats[amb], cell)
+            assert glued.critical_cells() == loc.fibers[cell]
+            assert morse_reduction_certificate(glued, loc.fibers[cell]) == own
+
+
+def test_the_cover_count_collapse_is_the_mask_count_collapse(monkeypatch, five_planes, braid3, a4, np14_extension):
+    # every convex-critical ball the certificates build collapses to the
+    # same pairs as by counting every alive cell above a cell
+    import omkit.morse
+    from omkit.homology import quasi_fibration_certify
+    from side_lemmas import matching_from_shelling_by_masks
+
+    real = omkit.morse.matching_from_shelling
+    balls = []
+
+    def both(ball, order, vertex):
+        m = real(ball, order, vertex)
+        assert m.pairs == matching_from_shelling_by_masks(ball, order, vertex).pairs
+        balls.append(ball)
+        return m
+
+    monkeypatch.setattr(omkit.morse, "matching_from_shelling", both)
+    for system, flat, sample in patchwork_runs(five_planes, braid3, a4, np14_extension):
+        balls.clear()
+        assert quasi_fibration_certify(fresh(system), flat, sample).ok
+        assert balls
+
+
+def sec3_stratification(system=None):
+    """The stratified fiber of the first ambient of sec3 at H1,H2,H3: a
+    string of three topes."""
+    system = system or corpus("sec3-arrangement")
+    loc = salvetti_localization(system, system.label_mask({"H1", "H2", "H3"}))
+    amb = bits(loc.target.poset.maximal_elements())[0]
+    return stratify_fiber(loc, loc.target.keys[amb][1])
+
+
+def certify_with(monkeypatch, change):
+    """The sec3 certificate, with `change` applied to each stratification."""
+    import importlib
+
+    from omkit.homology import quasi_fibration_certify
+
+    module = importlib.import_module("omkit.homology")
+    real = module.stratify_fiber
+    monkeypatch.setattr(module, "stratify_fiber", lambda loc, base: change(real(loc, base)))
+    system = corpus("sec3-arrangement")
+    return quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
+
+
+def test_patchwork_refuses_a_lift_that_breaks_a_cover(monkeypatch):
+    from dataclasses import replace
+
+    from omkit.morse import check_patchwork
+
+    strat = sec3_stratification()
+    check_patchwork(strat)
+    balls = [strat.loc.system.covector_poset().dual(), strat.loc.localized.covector_poset().dual()]
+
+    def swapped(strat, i):
+        # the lifts of a cover x < y of the ball traded: still onto the stratum
+        ball = balls[min(i, 1)]
+        y = next(y for y in ball.elements if ball.lower_covers(y))
+        x = ball.lower_covers(y)[0]
+        lift = list(strat.lifts[i])
+        lift[x], lift[y] = lift[y], lift[x]
+        assert not strat.fiber.is_cover(lift[x], lift[y])
+        return replace(strat, lifts=(*strat.lifts[:i], tuple(lift), *strat.lifts[i + 1:]))
+
+    for i in range(len(strat.lifts)):
+        with pytest.raises(MatchingError, match=f"lift {i} is no isomorphism of its ball onto stratum {i}"):
+            check_patchwork(swapped(strat, i))
+    # the certificate checks every ambient before it reads a critical set
+    with pytest.raises(MatchingError, match="lift 1 is no isomorphism"):
+        certify_with(monkeypatch, lambda strat: swapped(strat, 1))
+
+
+def test_patchwork_refuses_a_stratum_index_that_is_not_order_preserving(monkeypatch):
+    from dataclasses import replace
+
+    from omkit.morse import check_patchwork
+
+    def reordered(strat):
+        # strata 1 and 2 traded with their topes, lifts and separators:
+        # each lift is still onto its stratum over the right faces
+        t, s, lift, sep = strat.tope_string, strat.strata, strat.lifts, strat.separators
+        return replace(
+            strat,
+            tope_string=(t[0], t[2], t[1]),
+            strata=(s[0], s[2], s[1]),
+            lifts=(lift[0], lift[2], lift[1]),
+            separators=(sep[1], sep[0]),
+        )
+
+    bad = reordered(sec3_stratification())
+    index = {x: i for i, stratum in enumerate(bad.strata) for x in bits(stratum)}
+    fiber = bad.fiber
+    assert any(index[x] > index[y] for y in fiber.elements for x in fiber.lower_covers(y))
+    with pytest.raises(MatchingError, match="stratum 1 is not the ideal below its tope.*not order preserving"):
+        check_patchwork(bad)
+    with pytest.raises(MatchingError, match="not order preserving"):
+        certify_with(monkeypatch, reordered)
+
+
+def test_the_restriction_must_be_an_isomorphism_on_its_covers(monkeypatch):
+    # rho with two covectors zero at the separator traded is still a
+    # bijection onto the localized covectors, but no isomorphism; the check
+    # is kept on the system, so each run reads a fresh one
+    import importlib
+    from dataclasses import replace
+
+    from omkit.homology import quasi_fibration_certify
+    from omkit.salvetti import restriction_iso
+
+    strat = sec3_stratification()
+    loc, sep = strat.loc, strat.separators[0]
+    iso = restriction_iso(loc, sep)
+    zero = loc.localized.numbering()[0, 0]
+    tope = bits(loc.localized.topes())[0]
+
+    def traded(loc):
+        rho = list(loc.rho)
+        rho[iso[zero]], rho[iso[tope]] = rho[iso[tope]], rho[iso[zero]]
+        return replace(loc, rho=tuple(rho))
+
+    system = corpus("sec3-arrangement")
+    bad = traded(salvetti_localization(system, loc.flat))
+    with pytest.raises(AssertionError, match="restriction does not send the covers of"):
+        restriction_iso(bad, sep)
+    module = importlib.import_module("omkit.homology")
+    real = module.salvetti_localization
+    monkeypatch.setattr(module, "salvetti_localization", lambda system, flat: traded(real(system, flat)))
+    system = corpus("sec3-arrangement")
+    with pytest.raises(AssertionError, match="restriction does not send the covers of"):
+        quasi_fibration_certify(system, loc.flat)
+
+
+def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
+    # the claimed fiber with its last cell dropped, with one more cell of
+    # the ambient fiber, and with one cell outside it: each fails with the
+    # glued matching's own witness
+    from dataclasses import replace
+
+    from omkit.morse import FiberCertifier
+
+    strat = sec3_stratification(five_planes)
+    loc = strat.loc
+    fiber = strat.fiber.members
+    outside = bits(loc.source.poset.members & ~fiber)[0]
+    for cell in bits(loc.target.poset.below(strat.top)):
+        sub = loc.fibers[cell]
+        inside = bits(fiber & ~sub)
+        for wrong in (sub ^ 1 << (sub.bit_length() - 1), sub | 1 << outside, *(sub | 1 << x for x in inside[:1])):
+            fibers = (*loc.fibers[:cell], wrong, *loc.fibers[cell + 1:])
+            mine = FiberCertifier(replace(loc, fibers=fibers)).certify(strat, [cell])[cell]
+            glued = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), wrong)
+            assert mine == glued and mine.critical.startswith("extra [")
+
+
+def test_a_claimed_fiber_that_is_no_ideal_fails_as_the_glued_matching_does(monkeypatch, five_planes):
+    # one more pair (x, y) in the top cell's localized matching, where x
+    # has a second upper cover: the critical cells, claimed as the fiber,
+    # leave x's lifts out from under that cover's
+    from dataclasses import replace
+
+    import omkit.morse
+    from omkit.morse import FiberCertifier
+
+    strat = sec3_stratification(five_planes)
+    loc, top = strat.loc, strat.top
+    order = loc.localized.covector_poset()
+    ball = order.dual()
+    y, x = next((y, x) for y in ball.elements for x in ball.lower_covers(y) if len(order.lower_covers(x)) > 1)
+    real = omkit.morse.local_matchings
+
+    def with_pair(loc, cell):
+        m0, mi = real(loc, cell)
+        return (m0, Matching(mi.host, mi.pairs | {(x, y)})) if cell == top else (m0, mi)
+
+    monkeypatch.setattr(omkit.morse, "local_matchings", with_pair)
+    glued = matching_salvetti_fiber(strat, top)
+    claimed = glued.critical_cells()
+    fibers = (*loc.fibers[:top], claimed, *loc.fibers[top + 1:])
+    mine = FiberCertifier(replace(loc, fibers=fibers)).certify(strat, [top])[top]
+    assert mine == morse_reduction_certificate(glued, claimed)
+    assert mine.critical.startswith("not an ideal: ")
+
+
+def test_a_cyclic_local_matching_fails_its_pairs_with_a_lifted_cycle(monkeypatch):
+    # the localization of sec3 at H1,H2,H3 has rank two; its local
+    # matchings made cyclic, each pair fails with a cycle of the glued
+    # matching's digraph, lifted from the cyclic one, least cell first
+    import omkit.morse
+    from omkit.homology import quasi_fibration_certify
+    from side_lemmas import matched_digraph
+    from test_cli import cyclic_ball_matching
+
+    real = omkit.morse.matching_convex_critical
+    monkeypatch.setattr(
+        omkit.morse,
+        "matching_convex_critical",
+        lambda system, q: cyclic_ball_matching(system, q) if system.rank() == 2 else real(system, q),
+    )
+    system = corpus("sec3-arrangement")
+    cert = quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
+    assert cert.failed_pairs == cert.pairs
+    loc, strats = cert.loc, {}
+    for (cell, amb), own in certified_cells(cert).items():
+        if amb not in strats:
+            strats[amb] = stratify_fiber(loc, loc.target.keys[amb][1])
+        glued = matching_salvetti_fiber(strats[amb], cell)
+        succ = matched_digraph(glued)
+        cycle = own.cycle
+        assert glued.cycle() is not None and cycle[0] == cycle[-1] == min(cycle)
+        assert all(y in succ[x] for x, y in zip(cycle, cycle[1:]))
+        assert own.critical == morse_reduction_certificate(glued, loc.fibers[cell]).critical

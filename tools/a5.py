@@ -27,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import braid_arrangement
+from arrangement_builders import braid_arrangement
 from omkit.homology import chain_complex, homology, quasi_fibration_certify
 from omkit.lattices import build_lattice
 from omkit.matroids import flat_id, from_arrangement

@@ -19,7 +19,7 @@ import resource
 import sys
 
 from a5 import peak_rss_mb, rss_mb, timed
-from conftest import braid_arrangement
+from arrangement_builders import braid_arrangement
 from omkit.homology import chain_complex, homology
 from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset
