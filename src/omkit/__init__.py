@@ -16,7 +16,6 @@ from .morse import (
     matching_convex_critical,
     matching_from_shelling,
     matching_salvetti_fiber,
-    patchwork,
 )
 from .homology import (
     HomologyResult,
@@ -44,7 +43,6 @@ __all__ = [
     "matching_convex_critical",
     "matching_from_shelling",
     "matching_salvetti_fiber",
-    "patchwork",
     "HomologyResult",
     "homology",
     "quasi_fibration_certify",

@@ -35,6 +35,7 @@ from .homology import (
 from .lattices import build_lattice
 from .matroids import CovectorSystem, RationalArrangement, flat_id, from_arrangement
 from .morse import (
+    FiberCertifier,
     collapse_ball,
     matching_convex_critical,
     matching_salvetti_fiber,
@@ -296,7 +297,7 @@ def cmd_morse(args) -> int:
         cell = _cell(loc.target, args.cell)
         strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
         matching = matching_salvetti_fiber(strat, cell)
-        cert = morse_reduction_certificate(matching, loc.fibers[cell])
+        cert = FiberCertifier(loc).certify(strat, [cell])[cell]
         critical, clause = matching.critical_cells().bit_count(), "critical.is_fiber"
     names = matching.host.names
     report.note("pairs", len(matching.pairs))

@@ -317,13 +317,19 @@ class CovectorSystem:
         """The restriction to a flat (a ground-bit mask), with the
         projection rho: `rho[i]` is the number of covector i's restriction.
 
-        Restriction is order preserving, so no covector poset is needed."""
-        if not any(self.zero_set(c) == flat for c in range(len(self))):
-            raise NotAFlatError(f"{flat_id(flat, self.ground)} is not a flat")
-        restricted = restrict_masks(self._vectors, flat)
-        loc = CovectorSystem(self.labels(flat), restricted)
-        number = loc.numbering()
-        return loc, tuple(number[r] for r in restricted)
+        Restriction is order preserving, so no covector poset is needed.
+        Built once per flat and kept on the system, with what the
+        localized system keeps, such as its convex-critical matchings."""
+
+        def build():
+            if not any(self.zero_set(c) == flat for c in range(len(self))):
+                raise NotAFlatError(f"{flat_id(flat, self.ground)} is not a flat")
+            restricted = restrict_masks(self._vectors, flat)
+            loc = CovectorSystem(self.labels(flat), restricted)
+            number = loc.numbering()
+            return loc, tuple(number[r] for r in restricted)
+
+        return self.memo(("localization", flat), build)
 
     def cocircuits(self) -> int:
         """The mask of the minimal nonzero covectors: nothing but zero lies below them."""

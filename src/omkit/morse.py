@@ -11,18 +11,18 @@ matching once.  The walk runs over the cells matched upward only, which
 a graded host allows, since each cycle then stays between two heights;
 a host that is not graded is refused.
 
-The fiber matchings of the quasi-fibration certificate are certified
-without a walk of the glued matching: `FiberCertifier` reads their
-acyclicity off the patchwork theorem, whose hypotheses
-`check_patchwork` checks once per stratified fiber, and walks each local
-matching once on its own ball, for the whole run; the critical cells
-are the union of the lifted critical sets.  `morse --construction fiber`
-and the tests still glue and walk, as the oracle.
+The fiber matchings are certified one way, by `FiberCertifier`, for
+`certify-qf` and `morse --construction fiber` alike, without a walk of
+the glued matching: it reads their acyclicity off the patchwork
+theorem, whose hypotheses `check_patchwork` checks once per stratified
+fiber, and walks each local matching once on its own ball, for the
+whole run; the critical cells are the union of the lifted critical
+sets.  Only the tests glue and walk, as the oracle.
 
-The constructors, `patchwork` among them, build their matchings without
-checking these claims; every path that reports a matching certifies it
-next.  Tope sets are masks and shelling orders sequences of element
-numbers, over the numbering of the covector poset, as in `omkit.topes`.
+The constructors build their matchings without checking these claims;
+every path that reports a matching certifies it next.  Tope sets are
+masks and shelling orders sequences of element numbers, over the
+numbering of the covector poset, as in `omkit.topes`.
 """
 
 from __future__ import annotations
@@ -122,32 +122,6 @@ class Matching:
     def serialize(self) -> str:
         names = self.host.names
         return "\n".join(f"({names[a]} -> {names[b]})" for a, b in sorted(self.pairs))
-
-
-def patchwork(
-    host: FinitePoset, strata: Sequence[int], local_pairs: Sequence[Iterable[tuple[int, int]]]
-) -> Matching:
-    """Union of matchings on the strata of a host, glued along an order
-    preserving map to the chain of strata (the patchwork lemma).
-
-    `local_pairs[i]` are the pairs of stratum i, by host number; each pair
-    must lie inside its stratum (a mask).  The union is returned as one
-    matching on the host, whose covers and disjointness are checked once,
-    on the union, since a cover of the host inside a stratum is a cover of
-    the stratum.  Its acyclicity is left to the certificate every caller
-    runs next: `morse_reduction_certificate` walks the union, and
-    `FiberCertifier` reads it off the patchwork theorem, with its
-    hypotheses checked (`check_patchwork`) and each local matching walked
-    on its own ball.
-    """
-    names = host.names
-    all_pairs: set[tuple[int, int]] = set()
-    for i, (stratum, pairs) in enumerate(zip(strata, local_pairs, strict=True)):
-        for a, b in pairs:
-            if not (stratum >> a & 1 and stratum >> b & 1):
-                raise MatchingError(f"pair ({names[a]!r}, {names[b]!r}) leaves stratum {i}")
-            all_pairs.add((a, b))
-    return Matching(host, frozenset(all_pairs))
 
 
 # -- collapsing a shellable ball ---------------------------------------------
@@ -324,7 +298,9 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     Built stratum by stratum: the bottom stratum is the dual ball with a
     convex-critical matching; each later stratum is an isomorphic copy of
     a contraction's dual ball, matched through the isomorphism induced by
-    restriction; `patchwork` glues the lifted pairs along the tope string.
+    restriction.  The lifted pairs, each inside its stratum since each
+    lift is a bijection onto it (`check_patchwork`), are glued into one
+    matching on the fiber, whose certificate `FiberCertifier` gives.
     """
     poset = strat.loc.target.poset
     if target_cell not in poset:
@@ -333,8 +309,8 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
         raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
     m0, mi = local_matchings(strat.loc, target_cell)
     matchings = [m0] + [mi] * (len(strat.strata) - 1)
-    local_pairs = [[(lift[x], lift[y]) for x, y in m.pairs] for lift, m in zip(strat.lifts, matchings)]
-    return patchwork(strat.fiber, strat.strata, local_pairs)
+    pairs = frozenset((lift[x], lift[y]) for lift, m in zip(strat.lifts, matchings) for x, y in m.pairs)
+    return Matching(strat.loc.fiber(strat.top), pairs)
 
 
 @dataclass(frozen=True)
@@ -423,7 +399,7 @@ def check_patchwork(strat: FiberStratification) -> None:
         used |= stratum
         if len(lift) != stratum.bit_count() or mask_of(lift) != stratum or tuple(keys[k][0] for k in lift) != face:
             raise MatchingError(f"lift {i} is no isomorphism of its ball onto stratum {i}")
-    if used != strat.fiber.members:
+    if used != loc.fibers[strat.top]:
         raise MatchingError("the strata do not cover the fiber")
 
 
@@ -436,7 +412,8 @@ def _digits(matching: Matching) -> str:
 class FiberCertifier:
     """The certificates of the fiber matchings of one localization, one
     stratified ambient fiber at a time, read off the patchwork theorem
-    instead of a walk of each glued matching.
+    instead of a walk of each glued matching, for `certify-qf` and
+    `morse --construction fiber` alike.
 
     The patchwork theorem (Jonsson's cluster lemma, "Simplicial
     complexes of graphs", LNM 1928; Kozlov, "Combinatorial algebraic
@@ -461,8 +438,8 @@ class FiberCertifier:
     digits at the lifted cells, read ball by ball in one gather, are the
     local matchings' critical digits.  That the cell's fiber is an ideal
     does not depend on the ambient, so it is checked once per cell.  The
-    witnesses are those of `morse_reduction_certificate` on the glued
-    matching."""
+    ambient fiber is the stratification's own; the witnesses are those of
+    `morse_reduction_certificate` on the glued matching."""
 
     def __init__(self, loc: SalvettiLocalization):
         self.loc = loc
@@ -480,7 +457,7 @@ class FiberCertifier:
         # a cell k is character width - 1 - k of a mask's digits
         gather = itemgetter(*(width - 1 - k for lift in strat.lifts for k in lift))
         later = len(strat.strata) - 1
-        outside = ~strat.fiber.members
+        outside = ~strat.loc.fibers[strat.top]
         out = {}
         for cell in cells:
             face = loc.target.keys[cell][0]

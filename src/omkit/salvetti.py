@@ -218,8 +218,7 @@ class FiberStratification:
     stratum i whose face c restricts to it."""
 
     loc: SalvettiLocalization
-    top: int  # the cell (0, B') of the localized poset
-    fiber: FinitePoset
+    top: int  # the cell (0, B') of the localized poset; its fiber is loc.fibers[top]
     tope_string: tuple[int, ...]
     separators: tuple[int, ...]
     strata: tuple[int, ...]  # masks of cells, N_0, ..., N_k
@@ -278,7 +277,6 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
             raise AssertionError(f"consecutive fiber topes separate by {flat_id(s, system.ground)}")
 
     top = loc.target.index[loc.localized.numbering()[0, 0], base]
-    fiber = loc.fiber(top)
     source = loc.source
     zero = number[0, 0]
     # successive differences of a growing union of order ideals, so sending
@@ -289,12 +287,12 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
         ideal = source.poset.below(source.index[zero, t])
         strata.append(ideal & ~used)
         used |= ideal
-    if used != fiber.members:
+    if used != loc.fibers[top]:
         raise AssertionError("strata do not cover the fiber exactly")
 
     lifts = [tuple(source.cell_over(c, string[0]) for c in order.elements)]
     for i in range(1, len(string)):
         lifts.append(tuple(source.cell_over(c, string[i]) for c in restriction_iso(loc, separators[i - 1])))
 
-    return FiberStratification(loc, top, fiber, tuple(string), separators, tuple(strata), tuple(lifts))
+    return FiberStratification(loc, top, tuple(string), separators, tuple(strata), tuple(lifts))
 

@@ -179,7 +179,7 @@ FAILING = {
         CONVEX, "uniform-2-3", patched(omkit.cli, "matching_convex_critical", drop_first_pair),
     ),
     ("morse", "critical.is_fiber"): (
-        SEC3_FIBER, "sec3-arrangement", patched(omkit.cli, "matching_salvetti_fiber", drop_first_pair),
+        SEC3_FIBER, "sec3-arrangement", patched(omkit.morse, "matching_convex_critical", drop_first_pair),
     ),
     ("homology", "betti.match_whitney"): (["homology"], "uniform-2-3", changed(HOMOLOGY, "homology", one_more_b1)),
     ("certify-qf", "pairs.certified"): (

@@ -641,14 +641,59 @@ def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
 
 
 def test_morse_fiber_fails_a_matching_that_misses_the_fiber(capsys, monkeypatch):
-    import omkit.cli
+    # a pair dropped from each local matching leaves its two cells
+    # critical in every stratum it is lifted to
+    import omkit.morse
 
-    monkeypatch.setattr(omkit.cli, "matching_salvetti_fiber", drop_first_pair(omkit.cli.matching_salvetti_fiber))
+    monkeypatch.setattr(omkit.morse, "matching_convex_critical", drop_first_pair(omkit.morse.matching_convex_critical))
     argv = ["morse", "--construction", "fiber", "--flat", "12,13,23", "--cell", "(+++;+++)", "--tope=+++"]
     code, out = run(capsys, argv, stdin=om_text("braid3"))
     assert code == 1
-    assert "\ncritical: 12\nmatching.acyclic: PASS\ncritical.is_fiber: FAIL witness=extra [" in out
+    assert "\ncritical: 18\nmatching.acyclic: PASS\ncritical.is_fiber: FAIL witness=extra [" in out
     assert out.endswith(", missing []\nverdict: FAIL\n")
+
+
+@pytest.mark.parametrize("name, flat", [("sec3-arrangement", "H1,H2,H3"), ("braid3", "12,13,23")])
+def test_morse_fiber_reports_the_patchwork_certificate(capsys, monkeypatch, name, flat):
+    # the fiber construction walks only the two dual balls its local
+    # matchings live on, never the glued matching, and on every cell below
+    # the first ambient its clauses are the glued walk's, with the local
+    # matchings as built, with a pair dropped and made cyclic
+    import omkit.morse
+    from omkit.morse import Matching, matching_salvetti_fiber, morse_reduction_certificate
+    from omkit.posets import bits
+    from omkit.salvetti import salvetti_localization, stratify_fiber
+
+    system = corpus(name)
+    loc = salvetti_localization(system, system.label_mask(flat.split(",")))
+    amb = bits(loc.target.poset.maximal_elements())[0]
+    base = loc.target.keys[amb][1]
+    strat = stratify_fiber(loc, base)
+    balls = {system.names(), loc.localized.names()}
+    walked = []
+    real_walk, real_convex = Matching.cycle, omkit.morse.matching_convex_critical
+    monkeypatch.setattr(Matching, "cycle", lambda self: walked.append(self.host.names) or real_walk(self))
+    variants = [
+        real_convex,
+        drop_first_pair(real_convex),
+        lambda system, q: cyclic_ball_matching(system, q) if system.rank() == 2 else real_convex(system, q),
+    ]
+    failed = 0
+    for convex in variants:
+        monkeypatch.setattr(omkit.morse, "matching_convex_critical", convex)
+        for cell in bits(loc.target.poset.below(amb)):
+            walked.clear()
+            argv = ["morse", "--construction", "fiber", "--flat", flat, "--cell", loc.target.poset.names[cell]]
+            code, out = run(capsys, [*argv, "--tope", loc.localized.names()[base]], stdin=om_text(name))
+            assert walked and set(walked) <= balls
+            cert = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), loc.fibers[cell])
+            cycle = cert.cycle and str([loc.source.poset.names[x] for x in cert.cycle])
+            clauses = {"matching.acyclic": cycle, "critical.is_fiber": cert.critical}
+            want = [f"{key}: PASS" if why is None else f"{key}: FAIL witness={why}" for key, why in clauses.items()]
+            assert [line for line in out.splitlines() if line.split(":")[0] in clauses] == want
+            assert code == (0 if cert.ok else 1)
+            failed += not cert.ok
+    assert failed
 
 
 def cyclic_ball_matching(system, q):

@@ -14,7 +14,6 @@ from omkit.morse import (
     matching_from_shelling,
     matching_salvetti_fiber,
     morse_reduction_certificate,
-    patchwork,
 )
 from omkit.posets import bits, mask_of
 from omkit.salvetti import salvetti_localization, stratify_fiber
@@ -47,11 +46,6 @@ def square_disk():
 def pairs(poset, named):
     """Named pairs as element pairs."""
     return frozenset((poset.names.index(a), poset.names.index(b)) for a, b in named)
-
-
-def mask(poset, named):
-    """Named elements as a mask."""
-    return mask_of(poset.names.index(a) for a in named)
 
 
 def names(poset, mask):
@@ -169,10 +163,10 @@ def test_cycle_refuses_a_host_that_is_not_graded():
 
 def test_matching_validation():
     sq = square_boundary()
-    with pytest.raises(MatchingError):
-        Matching(sq, pairs(sq, {("v1", "e23")}))  # not a cover
-    with pytest.raises(MatchingError):
-        Matching(sq, pairs(sq, {("v1", "e12"), ("v1", "e41")}))  # reused cell
+    with pytest.raises(MatchingError, match=r"pair \('v1', 'e23'\) is not a cover relation"):
+        Matching(sq, pairs(sq, {("v1", "e23")}))
+    with pytest.raises(MatchingError, match="cell matched twice near"):
+        Matching(sq, pairs(sq, {("v1", "e12"), ("v1", "e41")}))
 
 
 def test_perfect_matching_no_critical():
@@ -186,62 +180,6 @@ def test_dual_matching_equivalence(five_planes):
     dual = dual_matching(m)
     assert (dual.cycle() is None) == (m.cycle() is None)
     assert dual.critical_cells() == m.critical_cells()
-
-
-def test_patchwork_rejects_bad_local_data():
-    sq = square_boundary()
-    cycle = pairs(sq, {("v1", "e12"), ("v2", "e23"), ("v3", "e34"), ("v4", "e41")})
-    # a cycle is no bad input: the union is built and its certificate names the cycle
-    out = patchwork(sq, [sq.members], [cycle])
-    assert out.pairs == cycle
-    cycle = morse_reduction_certificate(out, 0).cycle
-    assert cycle is not None and cycle == out.cycle()
-    # a pair leaving its stratum is rejected, even where it is a cover
-    in_a = mask(sq, {"v1", "v2", "e12"})
-    split = [in_a, sq.members & ~in_a]
-    with pytest.raises(MatchingError, match="leaves stratum 0"):
-        patchwork(sq, split, [pairs(sq, {("v2", "e23")}), []])
-    # a pair inside its stratum that is no cover of the host
-    with pytest.raises(MatchingError, match="not a cover relation"):
-        patchwork(sq, [sq.members], [pairs(sq, {("v1", "e23")})])
-    # one cell matched by the pairs of two (overlapping) strata
-    in_b = mask(sq, {"v1", "v4", "e41"})
-    with pytest.raises(MatchingError, match="matched twice"):
-        patchwork(sq, [in_a, in_b], [pairs(sq, {("v1", "e12")}), pairs(sq, {("v1", "e41")})])
-
-
-def test_patchwork_checks_the_union_once(monkeypatch):
-    sq = square_boundary()
-    runs, built = [], []
-    real_walk, real_check = Matching.cycle, Matching.__post_init__
-
-    def counting(self):
-        runs.append(self)
-        return real_walk(self)
-
-    def checking(self):
-        built.append(self)
-        real_check(self)
-
-    monkeypatch.setattr(Matching, "cycle", counting)
-    monkeypatch.setattr(Matching, "__post_init__", checking)
-    in_a = mask(sq, {"v1", "v2", "e12"})
-    local = [pairs(sq, {("v1", "e12")}), pairs(sq, {("v3", "e34")})]
-    out = patchwork(sq, [in_a, sq.members & ~in_a], local)
-    # patchwork walks nothing; the certificate walks the union once
-    assert built == [out] and runs == []
-    morse_reduction_certificate(out, out.critical_cells())
-    assert built == runs == [out]
-
-
-def test_patchwork_constant_and_injective():
-    sq = square_boundary()
-    local = pairs(sq, {("v1", "e12")})
-    out = patchwork(sq, [sq.members], [local])
-    assert out.pairs == local
-    # one stratum per cell: only empty local matchings fit
-    out2 = patchwork(sq, [1 << x for x in sq.elements], [[] for _ in sq.elements])
-    assert out2.pairs == frozenset()
 
 
 def test_matching_from_shelling_edge():
@@ -538,6 +476,7 @@ def test_patchwork_refuses_a_lift_that_breaks_a_cover(monkeypatch):
 
     strat = sec3_stratification()
     check_patchwork(strat)
+    fiber = strat.loc.fiber(strat.top)
     balls = [strat.loc.system.covector_poset().dual(), strat.loc.localized.covector_poset().dual()]
 
     def swapped(strat, i):
@@ -547,7 +486,7 @@ def test_patchwork_refuses_a_lift_that_breaks_a_cover(monkeypatch):
         x = ball.lower_covers(y)[0]
         lift = list(strat.lifts[i])
         lift[x], lift[y] = lift[y], lift[x]
-        assert not strat.fiber.is_cover(lift[x], lift[y])
+        assert not fiber.is_cover(lift[x], lift[y])
         return replace(strat, lifts=(*strat.lifts[:i], tuple(lift), *strat.lifts[i + 1:]))
 
     for i in range(len(strat.lifts)):
@@ -577,7 +516,7 @@ def test_patchwork_refuses_a_stratum_index_that_is_not_order_preserving(monkeypa
 
     bad = reordered(sec3_stratification())
     index = {x: i for i, stratum in enumerate(bad.strata) for x in bits(stratum)}
-    fiber = bad.fiber
+    fiber = bad.loc.fiber(bad.top)
     assert any(index[x] > index[y] for y in fiber.elements for x in fiber.lower_covers(y))
     with pytest.raises(MatchingError, match="stratum 1 is not the ideal below its tope.*not order preserving"):
         check_patchwork(bad)
@@ -628,7 +567,7 @@ def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
 
     strat = sec3_stratification(five_planes)
     loc = strat.loc
-    fiber = strat.fiber.members
+    fiber = loc.fibers[strat.top]
     outside = bits(loc.source.poset.members & ~fiber)[0]
     for cell in bits(loc.target.poset.below(strat.top)):
         sub = loc.fibers[cell]
