@@ -13,8 +13,9 @@ subflats, and one pass over the unordered pairs for the join table and
 the semimodularity check.  Supersolvability is decided once: the chain
 search checks each candidate flat against the definition of modularity
 over the whole lattice, so the chain it returns is the answer, with no
-second check.  Whitney numbers double as the independent oracle for
-Betti numbers downstream.
+second check.  Each flat's modularity is decided once per lattice and
+kept for every later question about it.  Whitney numbers double as the
+independent oracle for Betti numbers downstream.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class GeometricLattice:
         "mobius",
         "_flats_by_rank",
         "_joins",
+        "_witnesses",
     )
 
     def __init__(self, ground: tuple[str, ...], flats: Iterable[int]):
@@ -115,6 +117,7 @@ class GeometricLattice:
                         f"rank not semimodular at {flat_id(x, ground)}, {flat_id(y, ground)}"
                     )
         object.__setattr__(self, "_joins", joins)
+        object.__setattr__(self, "_witnesses", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GeometricLattice is immutable")
@@ -174,7 +177,15 @@ class GeometricLattice:
 
     def _modularity_witness(self, x: int) -> Optional[tuple[int, int]]:
         """The first (Z, Y) of the flats, Y outer, with Z <= Y and
-        Z v (X ^ Y) != (Z v X) ^ Y, or None when X is modular."""
+        Z v (X ^ Y) != (Z v X) ^ Y, or None when X is modular.  It is
+        decided once per flat and kept, so `is_modular_flat`, the chain
+        search and every fiber stratification share one decision."""
+        witnesses = self._witnesses
+        if x not in witnesses:
+            witnesses[x] = self._first_nonmodular_pair(x)
+        return witnesses[x]
+
+    def _first_nonmodular_pair(self, x: int) -> Optional[tuple[int, int]]:
         flats, joins = self.flats, self._joins
         for y in flats:
             xy = x & y

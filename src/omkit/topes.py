@@ -18,6 +18,11 @@ The convex hull of Q is one pass over the topes, keeping those that agree
 with every sign the topes of Q share; the halfspaces of those signs are
 the tests' oracle for it.  The sphere poset is built once per system,
 and a ball L(Q) is its order ideal below Q.
+
+The shelling check recurses into cell boundaries, and each boundary is
+an order ideal of the complex, so it is searched on the complex's own
+covers, heights and masks, with no poset built per boundary; the same
+search on a subposet per boundary is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -197,7 +202,7 @@ def _step_failure(
         if bad is not None:
             return f"condition (i) fails at position {position + 1}: {bad}"
         facets = mask_of(x for x in bits(inter) if dims[x] == dims[c] - 1)
-    if not _exists_shelling_with_prefix(complex_poset.subposet(boundary), facets):
+    if not _exists_shelling_with_prefix(complex_poset, c, facets):
         if position == 0:
             return "condition (iii) fails: first boundary not shellable"
         return (
@@ -223,10 +228,17 @@ def _purity_failure(
     return f"maximal cell {complex_poset.names[off]} has dimension {dims[off]}, wanted {want}"
 
 
-def _exists_shelling_with_prefix(complex_poset: FinitePoset, prefix: int) -> bool:
-    """Backtracking search for a shelling whose first cells are the given set."""
+def _exists_shelling_with_prefix(complex_poset: FinitePoset, cell: int, prefix: int) -> bool:
+    """Backtracking search for a shelling of the boundary of a cell whose
+    first cells are the given set.
+
+    The boundary is an order ideal of the host, so it has the host's
+    covers, heights and masks: its maximal cells are the cell's lower
+    covers, and the search runs on the host itself, building no poset.
+    The search on a subposet per boundary is the tests' oracle.
+    """
     dims = complex_poset.heights()
-    maximal = bits(complex_poset.maximal_elements())
+    maximal = complex_poset.lower_covers(cell)
     if not maximal:
         return not prefix
     d = dims[maximal[0]]

@@ -31,6 +31,8 @@ element on that circle are the oracle for the extension search, which
 reads the circle off the edge cells of the base.  The tope poset T(B)
 built all-pairs, with its least-first linear extension that puts an
 order ideal first, is the oracle for the shelling orders that walk T(B)'s
+covers, and the shelling check that searches each boundary on a subposet
+of its own the oracle for the one that searches it on the host's
 covers.  The incidence signs spread cell by cell are the oracle for the
 ones spread once per cell shape.  No command needs them,
 so they live with the tests."""
@@ -45,7 +47,7 @@ from omkit.morse import Matching, MatchingError
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.salvetti import SalvettiLocalization, SalvettiPoset
 from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_text
-from omkit.topes import NotATopeError, _require_topes
+from omkit.topes import NotATopeError, ShellingReport, _purity_failure, _require_topes
 from poset_builders import PosetMap, from_below
 from poset_oracle import scanned_covers
 
@@ -468,6 +470,84 @@ def linear_extension_ideal_first(poset: FinitePoset, ideal: int) -> list[int]:
     if len(out) != len(poset):
         raise PosetError("linear extension failed")
     return out
+
+
+def shelling_by_subposets(complex_poset: FinitePoset, order: Sequence[int]) -> ShellingReport:
+    """The shelling check with every boundary searched on a subposet of
+    its own: the oracle for `omkit.topes.verify_shelling`, which searches
+    each boundary on the host's covers.  Same conditions, same
+    backtracking order and same witnesses."""
+    cells = list(order)
+    dims = complex_poset.heights()
+    maximal = complex_poset.maximal_elements()
+    if mask_of(cells) != maximal or len(cells) != maximal.bit_count():
+        return ShellingReport(False, "order is not a permutation of the maximal cells")
+    if not cells:
+        return ShellingReport(True)
+    d = dims[cells[0]]
+    if any(dims[c] != d for c in bits(maximal)):
+        return ShellingReport(False, "complex is not pure")
+    if d == 0:
+        return ShellingReport(True)
+    union = 0
+    for j, c in enumerate(cells):
+        bad = _subposet_step_failure(complex_poset, dims, c, union, j)
+        if bad is not None:
+            return ShellingReport(False, bad)
+        union |= complex_poset.below(c) ^ 1 << c
+    return ShellingReport(True)
+
+
+def _subposet_step_failure(
+    complex_poset: FinitePoset, dims: dict[int, int], c: int, union: int, position: int
+) -> Optional[str]:
+    boundary = complex_poset.below(c) ^ 1 << c
+    facets = 0
+    if position > 0:
+        inter = boundary & union
+        bad = _purity_failure(complex_poset, inter, dims, dims[c] - 1)
+        if bad is not None:
+            return f"condition (i) fails at position {position + 1}: {bad}"
+        facets = mask_of(x for x in bits(inter) if dims[x] == dims[c] - 1)
+    if not _subposet_has_shelling_with_prefix(complex_poset.subposet(boundary), facets):
+        if position == 0:
+            return "condition (iii) fails: first boundary not shellable"
+        return (
+            f"condition (ii) fails at position {position + 1}: no shelling "
+            f"of the boundary starts with the shared facets"
+        )
+    return None
+
+
+def _subposet_has_shelling_with_prefix(complex_poset: FinitePoset, prefix: int) -> bool:
+    """Backtracking search for a shelling of the whole poset whose first
+    cells are the given set."""
+    dims = complex_poset.heights()
+    maximal = bits(complex_poset.maximal_elements())
+    if not maximal:
+        return not prefix
+    d = dims[maximal[0]]
+    if any(dims[c] != d for c in maximal):
+        return False
+    if d == 0:
+        return True
+    prefix_size = prefix.bit_count()
+
+    def search(chosen: list[int], union: int, pool: set[int]) -> bool:
+        if len(chosen) == len(maximal):
+            return True
+        stage = [c for c in sorted(pool) if prefix >> c & 1] if len(chosen) < prefix_size else sorted(pool)
+        for c in stage:
+            if _subposet_step_failure(complex_poset, dims, c, union, len(chosen)) is None:
+                chosen.append(c)
+                pool.discard(c)
+                if search(chosen, union | complex_poset.below(c) ^ 1 << c, pool):
+                    return True
+                pool.add(c)
+                chosen.pop()
+        return False
+
+    return search([], 0, set(maximal))
 
 
 def halfspace(system: CovectorSystem, label: str, sign: int) -> int:

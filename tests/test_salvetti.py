@@ -3,7 +3,8 @@ import pytest
 from conftest import sign_vectors
 from omkit import posets
 from omkit.corpus import CORPUS_NAMES, corpus
-from omkit.lattices import build_lattice
+from omkit.homology import quasi_fibration_certify
+from omkit.lattices import GeometricLattice, build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
@@ -187,6 +188,7 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
 
 def test_salvetti_refuses_a_minimal_cell_that_is_no_tope_pair(monkeypatch, braid3):
     # a cell (G, R) with G != R that loses its covers is minimal
+    braid3.covector_poset()  # built unpatched: the session fixture keeps its covers
     real = FinitePoset.from_covers
 
     def dropping(names, covers):
@@ -200,6 +202,7 @@ def test_salvetti_refuses_a_minimal_cell_that_is_no_tope_pair(monkeypatch, braid
 
 def test_salvetti_refuses_a_maximal_cell_off_the_zero_vector(monkeypatch, braid3):
     # a cell (G, R) with G != 0 that is no other cell's cover is maximal
+    braid3.covector_poset()  # built unpatched: the session fixture keeps its covers
     real = FinitePoset.from_covers
 
     def uncovering(names, covers):
@@ -527,6 +530,28 @@ def test_stratification_refuses_bad_flats(five_planes, braid3):
     bp1 = tope_numbers(loc1.localized)[0]
     with pytest.raises(StratificationError):
         stratify_fiber(loc1, bp1)  # corank 2, not 1
+
+
+def test_each_flat_is_decided_modular_once_per_lattice(monkeypatch):
+    # the certificate and the stratification of every ambient read the
+    # decisions the chain search made; a fresh copy has no lattice yet
+    system = corpus("braid3")
+    scanned = []
+    real = GeometricLattice._first_nonmodular_pair
+    monkeypatch.setattr(GeometricLattice, "_first_nonmodular_pair", lambda lat, x: scanned.append(x) or real(lat, x))
+    lat = build_lattice(system)
+    chain = lat.is_supersolvable()
+    assert scanned and len(scanned) == len(set(scanned))
+    before = list(scanned)
+    coatom = chain[-2]
+    assert quasi_fibration_certify(system, coatom).ok
+    assert lat.is_modular_flat(coatom).ok
+    assert scanned == before
+    # a refusal keeps its witness
+    line = system.label_mask({"12", "34"})
+    refused = lat.is_modular_flat(line)
+    assert not refused.ok and lat.is_modular_flat(line) == refused
+    assert scanned.count(line) == 1
 
 
 def test_fiber_cells_have_low_dimension(five_planes):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import sign_vectors
 from omkit.corpus import CORPUS_NAMES
-from omkit.posets import PosetError, bits, mask_of
+from omkit import posets
+from omkit.posets import FinitePoset, PosetError, bits, mask_of
 from omkit.signs import separator_masks
 from omkit.topes import (
     NotATopeError,
@@ -25,6 +26,7 @@ from side_lemmas import (
     halfspace,
     is_convex_betweenness,
     linear_extension_ideal_first,
+    shelling_by_subposets,
     subcomplex_LQ,
     tope_poset,
 )
@@ -314,11 +316,8 @@ def test_square_shelling_orders():
     assert "empty" in report.witness
 
 
-def test_condition_two_failure_detected():
-    # two squares glued along a pair of opposite edges form an annulus:
-    # the second cell meets the first in a pure one-dimensional set, so
-    # condition (i) holds, but its boundary admits no shelling starting
-    # with two non-adjacent edges, so condition (ii) must fail
+def annulus_complex():
+    # two squares glued along a pair of opposite edges
     elements = [
         "v1", "v2", "v3", "v4",
         "e12", "e23", "e34", "e41", "a23", "a41",
@@ -334,7 +333,15 @@ def test_condition_two_failure_detected():
         ("e12", "f"), ("e23", "f"), ("e34", "f"), ("e41", "f"),
         ("e12", "h"), ("a23", "h"), ("e34", "h"), ("a41", "h"),
     ]
-    annulus = from_covers(elements, covers)
+    return from_covers(elements, covers)
+
+
+def test_condition_two_failure_detected():
+    # on the annulus the second cell meets the first in a pure
+    # one-dimensional set, so condition (i) holds, but its boundary admits
+    # no shelling starting with two non-adjacent edges, so condition (ii)
+    # must fail
+    annulus = annulus_complex()
     report = verify_shelling(annulus, shelling(annulus, "h", "f"))
     assert not report.ok
     assert report.witness == (
@@ -358,6 +365,50 @@ def test_shelling_detects_non_ideal_swap(five_planes):
     report = verify_shelling(sphere_poset(five_planes), broken)
     assert not report.ok
     assert report.witness.startswith("condition (i) fails at position ")
+
+
+def perturbed_orders(order, rng):
+    """The order, its reverse, six random transpositions of it and one
+    shuffle."""
+    out = [tuple(order), tuple(reversed(order))]
+    for _ in range(6):
+        swapped = list(order)
+        i, j = rng.sample(range(len(order)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        out.append(tuple(swapped))
+    out.append(tuple(rng.sample(order, len(order))))
+    return out
+
+
+def test_shelling_check_equals_the_subposet_oracle(all_corpus):
+    # every boundary searched on the host's covers gives the report of the
+    # search on a subposet per boundary, verdict and witness
+    verdicts = set()
+    for name, system in all_corpus.items():
+        sphere = sphere_poset(system)
+        rng = random.Random(name)
+        for base in bits(system.topes()):
+            for order in perturbed_orders(shelling_order_from_extension(system, base), rng):
+                got = verify_shelling(sphere, order)
+                assert got == shelling_by_subposets(sphere, order), (name, base, order)
+                verdicts.add(got.ok)
+    assert verdicts == {True, False}
+    for poset in (square_complex(), annulus_complex(), antichain(("p", "q")), from_below([], {})):
+        maximal = bits(poset.maximal_elements())
+        for order in [*itertools.permutations(maximal), maximal[:1]]:
+            assert verify_shelling(poset, order) == shelling_by_subposets(poset, order), (poset.names, order)
+
+
+def test_shelling_check_builds_no_poset_once_the_sphere_is_built(monkeypatch, non_pappus):
+    # each boundary is an order ideal of the sphere, searched on its covers
+    order = shelling_order_from_extension(non_pappus, bits(non_pappus.topes())[0])
+    sphere = sphere_poset(non_pappus)
+    calls = []
+    real_pass, real_subposet = posets._cover_pass, FinitePoset.subposet
+    monkeypatch.setattr(posets, "_cover_pass", lambda *a: calls.append("_cover_pass") or real_pass(*a))
+    monkeypatch.setattr(FinitePoset, "subposet", lambda *a: calls.append("subposet") or real_subposet(*a))
+    assert verify_shelling(sphere, order).ok
+    assert calls == []
 
 
 def test_tope_poset_graded_with_single_flip_covers(all_corpus):
