@@ -594,12 +594,14 @@ def quasi_fibration_certify(
     minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
     graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))
 
-    # each pair's ambient is the least maximal cell above its upper cell;
-    # every fiber is an ideal of the source, checked regular once
+    # each pair's ambient is the least maximal cell above its upper cell:
+    # the ideals of the maximal cells are walked largest first, so the
+    # least claims each cell last; every fiber is an ideal of the source,
+    # checked regular once
+    least = {x: m for m in reversed(bits(maximal)) for x in bits(poset.below(m))}
     by_ambient: dict[int, list[tuple[int, int]]] = {}
     for a, b in sorted(pairs_all):
-        amb = bits(poset.above(b) & maximal)[0]
-        by_ambient.setdefault(amb, []).append((a, b))
+        by_ambient.setdefault(least[b], []).append((a, b))
     _incidences(loc.source.poset)
     certifier = FiberCertifier(loc)
     pairs = []

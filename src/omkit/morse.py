@@ -284,10 +284,11 @@ def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matchi
     star.  The first matches stratum 0 of every stratified fiber, the
     second each later stratum."""
     system, localized = loc.system, loc.localized
-    above = localized.covector_poset().above(loc.target.keys[target_cell][0])
+    order, face = localized.covector_poset(), loc.target.keys[target_cell][0]
+    star = mask_of(t for t in bits(localized.topes()) if order.below(t) >> face & 1)
     rho = loc.rho
-    m0 = matching_convex_critical(system, mask_of(t for t in bits(system.topes()) if above >> rho[t] & 1))
-    return m0, matching_convex_critical(localized, above & localized.topes())
+    m0 = matching_convex_critical(system, mask_of(t for t in bits(system.topes()) if star >> rho[t] & 1))
+    return m0, matching_convex_critical(localized, star)
 
 
 def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Matching:

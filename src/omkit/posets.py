@@ -4,10 +4,10 @@ Elements are the integers 0..n-1, numbered in the sorted order of their
 names, so integer order is name order and every tie-break picks what it
 would pick on names.  The names tuple is read only to parse input and to
 write reports and error messages.  Every poset keeps each element's lower
-covers and height; the order itself is kept as per-element bitmasks of
-the elements below and above.  A subposet, an order ideal or a fiber is
-a mask over its parent's numbering, so derived posets need no index
-translation.
+covers and height, and the order itself as one bitmask per element, of
+the elements below it; what lies above an element is read off the dual.
+A subposet, an order ideal or a fiber is a mask over its parent's
+numbering, so derived posets need no index translation.
 
 A poset is built one way, from its covers (`FinitePoset.from_covers`):
 each element's lower covers are walked in an order that puts them first,
@@ -17,8 +17,10 @@ first time one is read; so homology, which reads covers and heights
 only, never builds them.  A relation given by below masks, such as the
 covector order, has its covers found by the cover pass (`_cover_pass`),
 which also checks the poset axioms.  Derived posets inherit the axioms,
-and an order ideal (every localization fiber is one) and the dual
-inherit the covers and heights too.  All objects are immutable.
+and an order ideal (every localization fiber is one) inherits the covers
+and heights too.  The dual is built from the upper covers, like every
+other poset, and derives its own masks the first time one is read.  All
+objects are immutable.
 """
 
 from __future__ import annotations
@@ -123,18 +125,6 @@ def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
-def _above_along_covers(n: int, lower, order: list[int]) -> list[int]:
-    """The above masks, ORed down along the covers in the reverse of an
-    order that puts every cover before the element it is covered by."""
-    up = [0] * n
-    for y in reversed(order):
-        mine = up[y] | 1 << y
-        up[y] = mine
-        for c in lower[y]:
-            up[c] |= mine
-    return up
-
-
 def _raise_bad_walk(names: tuple[str, ...], y: int, covers: Iterable[int], level: list[int]) -> None:
     """Name what is wrong with the entry of element y in a walk of covers,
     whose elements walked so far have a height in `level` and the others
@@ -158,14 +148,15 @@ class FinitePoset:
 
     `names[i]` is the name of element i, shared by every poset derived
     from the same root.  Each element's lower covers and height are kept,
-    with the relation as per-element reflexive "below" and "above" masks.
-    It is built from covers (`from_covers`), and the masks are derived
-    when first read.  An order ideal and the dual inherit covers and
-    heights; any other subposet runs the cover pass.
+    with the relation as one reflexive "below" mask per element.  It is
+    built from covers (`from_covers`), and the masks are derived when
+    first read.  An order ideal inherits covers and heights, the dual is
+    built from the upper covers, and any other subposet runs the cover
+    pass.
     """
 
     __slots__ = (
-        "names", "members", "_lower", "_level", "_graded", "_below", "_above",
+        "names", "members", "_lower", "_level", "_graded", "_below",
         "_elements", "_heights", "_dual", "_maximal",
     )
 
@@ -183,8 +174,8 @@ class FinitePoset:
         element is one above its highest cover, and the poset is graded
         when every cover lies there.  A cover that skips a height might
         lie below another cover of the same element; that is refused, by
-        the one check that reads the masks.  Otherwise the below and above
-        masks are derived from the covers the first time one is read."""
+        the one check that reads the masks.  Otherwise the below masks are
+        derived from the covers the first time one is read."""
         names = _sorted_names(names)
         n = len(names)
         lower: list = [()] * n
@@ -221,19 +212,14 @@ class FinitePoset:
                         raise PosetError(f"{names[c]!r} is no cover of {names[y]!r}: it lies below {names[over[0]]!r}")
         return poset
 
-    def _set(self, names, members, lower, level, graded, below=None, above=None) -> None:
+    def _set(self, names, members, lower, level, graded, below=None) -> None:
         """Fill the slots; the caches start empty, and so do the masks
         when none are given."""
-        for slot, value in zip(FinitePoset.__slots__, (names, members, lower, level, graded, below, above)):
+        for slot, value in zip(FinitePoset.__slots__, (names, members, lower, level, graded, below)):
             if value is not None:
                 object.__setattr__(self, slot, value)
         for slot in ("_elements", "_heights", "_dual", "_maximal"):
             object.__setattr__(self, slot, None)
-
-    def _derive(self, members: int, below: list[int], above: list[int], lower, level, graded) -> "FinitePoset":
-        out = object.__new__(FinitePoset)
-        out._set(self.names, members, lower, level, graded, below, above)
-        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("FinitePoset is immutable")
@@ -264,9 +250,6 @@ class FinitePoset:
 
     def below(self, x: int) -> int:
         return self._below[x]
-
-    def above(self, x: int) -> int:
-        return self._above[x]
 
     def is_cover(self, x: int, y: int) -> bool:
         """x is covered by y."""
@@ -313,8 +296,9 @@ class FinitePoset:
     # -- derived posets --------------------------------------------------
 
     def dual(self) -> "FinitePoset":
-        """The opposite order; its lower covers are the upper covers here,
-        and its heights are found from the top down."""
+        """The opposite order, built from the upper covers here, with its
+        heights found from the top down; it derives its own masks the
+        first time one is read."""
         if self._dual is None:
             upper: list = [[] for _ in self.names]
             for y in self.elements:
@@ -325,7 +309,8 @@ class FinitePoset:
                 upper[x] = tuple(upper[x])
                 down[x] = 1 + max((down[y] for y in upper[x]), default=-1)
             graded = _first_skipping_cover(self.elements, upper, down) is None
-            dual = self._derive(self.members, self._above, self._below, upper, down, graded)
+            dual = object.__new__(_Unmasked)
+            dual._set(self.names, self.members, upper, down, graded)
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
@@ -342,20 +327,21 @@ class FinitePoset:
         subposet runs the cover pass."""
         self._check_mask(mask)
         below = [0] * len(self.names)
-        above = [0] * len(self.names)
-        whole_below, whole_above = self._below, self._above
+        whole = self._below
         ideal = True
         elements = bits(mask)
         for x in elements:
-            below[x] = whole_below[x] & mask
-            if below[x] != whole_below[x]:
+            below[x] = whole[x] & mask
+            if below[x] != whole[x]:
                 ideal = False
-            above[x] = whole_above[x] & mask
-        if not ideal:
+        if ideal:
+            lower, level = self._lower, self._level
+            graded = self._graded or _first_skipping_cover(elements, lower, level) is None
+        else:
             lower, level, graded, _ = _cover_pass(below, elements)
-            return self._derive(mask, below, above, lower, level, graded)
-        graded = self._graded or _first_skipping_cover(elements, self._lower, self._level) is None
-        return self._derive(mask, below, above, self._lower, self._level, graded)
+        out = object.__new__(FinitePoset)
+        out._set(self.names, mask, lower, level, graded, below)
+        return out
 
     def order_ideal(self, generators: int) -> int:
         self._check_mask(generators)
@@ -366,11 +352,11 @@ class FinitePoset:
 
     def chains(self) -> Iterator[tuple[int, ...]]:
         """All nonempty chains, each as a tuple in increasing order."""
-        strict_above = {x: bits(self._above[x] ^ 1 << x) for x in self.elements}
+        strictly_up = {x: bits(self.dual().below(x) ^ 1 << x) for x in self.elements}
 
         def extend(chain: list[int]) -> Iterator[tuple[int, ...]]:
             yield tuple(chain)
-            for y in strict_above[chain[-1]]:
+            for y in strictly_up[chain[-1]]:
                 chain.append(y)
                 yield from extend(chain)
                 chain.pop()
@@ -385,28 +371,26 @@ class FinitePoset:
 
 class _Unmasked(FinitePoset):
     """A poset built from covers whose masks are not derived yet.  The
-    first read of either derives both, walking the covers by height, and
-    turns the poset into a plain `FinitePoset`, so every later read is a
-    slot read.  Keeping this hook off `FinitePoset` keeps attribute reads
-    on every other poset at full speed."""
+    first read derives them, walking the covers by height, and turns the
+    poset into a plain `FinitePoset`, so every later read is a slot read.
+    Keeping this hook off `FinitePoset` keeps attribute reads on every
+    other poset at full speed."""
 
     __slots__ = ()
 
     def __getattr__(self, name):
-        if name not in ("_below", "_above"):
+        if name != "_below":
             raise AttributeError(name)
-        n, lower = len(self.names), self._lower
-        order = sorted(self.elements, key=self._level.__getitem__)
-        below = [0] * n
-        for y in order:
+        lower = self._lower
+        below = [0] * len(self.names)
+        for y in sorted(self.elements, key=self._level.__getitem__):
             m = 1 << y
             for c in lower[y]:
                 m |= below[c]
             below[y] = m
         object.__setattr__(self, "_below", below)
-        object.__setattr__(self, "_above", _above_along_covers(n, lower, order))
         object.__setattr__(self, "__class__", FinitePoset)
-        return getattr(self, name)
+        return below
 
 
 class SimplicialComplexRecord:

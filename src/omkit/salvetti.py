@@ -7,12 +7,12 @@ covector poset, from the top height down: F o R = F o (U o R) for F >= U,
 so the ideal below (G, R) is the cell itself and the ideals below the
 cells (U, U o R) for the upper covers U of G, and those cells are its
 lower covers.  The poset is built from these covers alone
-(`FinitePoset.from_covers`), each cover one composition; its below and
-above masks are derived only when a localization, a fiber or a
-certificate reads them, so homology and the Betti check never build
-them.  The compositions are topes exactly when every F o R with F above
-a face of R is one; when one is not, the direct loop over topes, faces
-and covectors is rescanned to name its first failing composition.
+(`FinitePoset.from_covers`), each cover one composition; its below
+masks are derived only when a localization, a fiber or a certificate
+reads them, so homology and the Betti check never build them.  The
+compositions are topes exactly when every F o R with F above a face of
+R is one; when one is not, the direct loop over topes, faces and
+covectors is rescanned to name its first failing composition.
 Everything here is by number: a covector or tope is its
 element of `system.covector_poset()`, its value the (plus, minus) pair
 `system.vectors()[i]`, and cell k is the pair `keys[k]` of
@@ -49,7 +49,7 @@ def _raise_first_bad_composition(system: CovectorSystem) -> None:
     topes = system.topes()
     for r in bits(topes):
         for g in bits(order.below(r)):
-            for f in bits(order.above(g)):
+            for f in bits(order.dual().below(g)):
                 fr = compose_masks(*vectors[f], *vectors[r])
                 t = number.get(fr, -1)
                 if t < 0 or not topes >> t & 1:

@@ -6,7 +6,8 @@ orders its maximal cells as a shelling.  Convex tope sets are order
 ideals of tope posets, which is what produces shellable balls and, later,
 the matchings with prescribed critical subcomplexes.  No tope poset is
 built: a shelling order walks the covers of T(B), read off the facets of
-the covector poset, and the all-pairs T(B) is the tests' oracle.
+the covector poset, the tope across the facet F of T being the
+composition F o (-T), and the all-pairs T(B) is the tests' oracle.
 
 Everything here is in the numbering of the covector poset: a tope is an
 element number, a set of topes (a halfspace, a convex set, the Q of the
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 
 from .matroids import CovectorSystem
 from .posets import FinitePoset, PosetError, bits, mask_of
-from .signs import separator_masks
+from .signs import compose_masks, separator_masks
 
 
 class NotATopeError(ValueError):
@@ -82,7 +83,7 @@ def dual_subcomplex(system: CovectorSystem, q: int) -> int:
     the dual)."""
     outside = _require_topes(system, q) & ~q
     poset = system.covector_poset()
-    return mask_of(x for x in poset.elements if not poset.above(x) & outside)
+    return poset.members & ~poset.order_ideal(outside)
 
 
 def sphere_poset(system: CovectorSystem) -> FinitePoset:
@@ -115,14 +116,16 @@ def shelling_order_from_extension(
     """Order the sphere's maximal cells by a linear extension of the tope
     poset T(B) at base B: a least-first Kahn walk over its covers, the
     tope u across a facet of t covering t when S(B, t) lies in S(B, u)
-    (Edelman 1984; Bjorner, Edelman and Ziegler 1990).
+    (Edelman 1984; Bjorner, Edelman and Ziegler 1990).  The tope across
+    the facet F of T is the composition F o (-T); a `NotATopeError`
+    names the facet and the tope when that is no tope.
 
     A nonzero prefix comes first; it must be an order ideal of T(B), as
     every convex set containing the base is.
     """
     topes = _require_topes(system, 1 << base)
     prefix = prefix or 1 << base
-    poset, vectors = system.covector_poset(), system.vectors()
+    poset, vectors, number = system.covector_poset(), system.vectors(), system.numbering()
     if prefix & ~topes:
         unknown = [poset.names[x] if x < len(poset.names) else x for x in bits(prefix & ~topes)[:4]]
         raise PosetError(f"unknown elements: {unknown}")
@@ -130,8 +133,11 @@ def shelling_order_from_extension(
     upper: dict[int, list[int]] = {t: [] for t in sep}
     waiting = dict.fromkeys(sep, 0)  # each tope's lower covers not yet placed
     for t in sep:
+        tp, tm = vectors[t]
         for f in poset.lower_covers(t):
-            u = (poset.above(f) & topes ^ 1 << t).bit_length() - 1
+            u = number.get(compose_masks(*vectors[f], tm, tp), -1)
+            if u < 0 or not topes >> u & 1:
+                raise NotATopeError(f"no tope lies across the facet {poset.names[f]} of the tope {poset.names[t]}")
             if not sep[t] & ~sep[u]:
                 if prefix >> u & 1 and not prefix >> t & 1:
                     raise PosetError("the given set is not an order ideal")
@@ -221,7 +227,10 @@ def _purity_failure(
     """None when the subset is nonempty and pure of the wanted dimension."""
     if not subset:
         return "intersection is empty"
-    maximal = [x for x in bits(subset) if complex_poset.above(x) & subset == 1 << x]
+    covered = 0
+    for x in bits(subset):
+        covered |= complex_poset.below(x) ^ 1 << x
+    maximal = bits(subset & ~covered)
     if all(dims[x] == want for x in maximal):
         return None
     off = next(x for x in maximal if dims[x] != want)

@@ -267,7 +267,7 @@ def direct_salvetti_below(system: CovectorSystem) -> dict[int, int]:
     for r in bits(topes):
         for g in bits(order.below(r)):
             m = 0
-            for f in bits(order.above(g)):
+            for f in bits(order.dual().below(g)):
                 fr = compose_masks(*vectors[f], *vectors[r])
                 t = number.get(fr, -1)
                 if t < 0 or not topes >> t & 1:
@@ -464,7 +464,7 @@ def linear_extension_ideal_first(poset: FinitePoset, ideal: int) -> list[int]:
                 continue
             out.append(x)
             placed |= 1 << x
-            for y in bits(poset.above(x) & part & ~placed):
+            for y in bits(poset.dual().below(x) & part & ~placed):
                 if not poset.below(y) & ~placed & ~(1 << y):
                     heapq.heappush(ready, y)
     if len(out) != len(poset):
@@ -649,7 +649,8 @@ def kahn_acyclic(matching: Matching) -> bool:
 
 def matching_from_shelling_by_masks(complex_poset: FinitePoset, order: Sequence[int], vertex: int) -> Matching:
     """The greedy collapse of a shellable ball onto a vertex, counting
-    every alive cell above each cell through the below and above masks:
+    every alive cell above each cell through the below masks of the
+    complex and of its dual:
     the oracle for `omkit.morse.matching_from_shelling`, which counts
     alive upper covers.  Free faces of the most recently shelled cells
     go first: the heap is keyed by the partner's birth, then its height,
@@ -659,7 +660,7 @@ def matching_from_shelling_by_masks(complex_poset: FinitePoset, order: Sequence[
         raise MatchingError(f"unknown vertex {vertex!r}")
     if cells and not complex_poset.leq(vertex, cells[0]):
         raise MatchingError("vertex must lie in the first maximal cell")
-    below, above = complex_poset.below, complex_poset.above
+    below, above = complex_poset.below, complex_poset.dual().below
     birth: dict[int, int] = {}
     born = 0
     for i, c in enumerate(cells):

@@ -709,7 +709,7 @@ def cyclic_ball_matching(system, q):
     pairs = []
     while True:
         pairs.append((t, r))
-        t = bits(poset.above(r) & topes & ~(1 << t))[0]
+        t = bits(poset.dual().below(r) & topes & ~(1 << t))[0]
         if t == start:
             return Matching(poset.dual(), frozenset(pairs))
         r = bits(poset.below(t) & rays & ~(1 << r))[0]
@@ -1016,6 +1016,23 @@ def test_salvetti_commands_refuse_a_composition_outside_the_system(capsys, monke
         assert captured.err == (
             "error: composition ++0 o --- = ++- is not a covector\n"
         )
+
+
+def test_shelling_commands_refuse_a_facet_with_no_tope_across(capsys, monkeypatch):
+    # the tope across the facet ++0 of +++ is ++0 o --- = ++-, which is
+    # missing; the three commands that walk the tope poset used to stop on
+    # a bare "error: -1"
+    text = "ground: a b c\ncovectors:\n000\n+++\n---\n++0\n"
+    for argv in (
+        ["shelling", "--base", "+++"],
+        ["morse", "--construction", "shelling", "--base", "+++"],
+        ["morse", "--construction", "convex", "--topes", "+++"],
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: no tope lies across the facet ++0 of the tope +++\n", argv
 
 
 def test_salvetti_commands_refuse_the_first_composition_of_the_direct_loop(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from omkit.homology import (
 from omkit.corpus import corpus
 from omkit.matroids import from_arrangement
 from omkit.omfile import format_topes
-from omkit.posets import FinitePoset, bits
+from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import braid_arrangement
@@ -845,6 +845,15 @@ def test_the_covector_order_derives_its_masks_only_when_asked(name):
     below = pairwise_below(system)
     assert [order.below(x) for x in order.elements] == [below[x] for x in order.elements]
     assert holds_masks(order)
+    # the dual is built from the upper covers: taking it derives no masks
+    # on either poset, and reading its below derives its own masks only
+    order = corpus(name).covector_poset()
+    dual = order.dual()
+    assert not holds_masks(order) and not holds_masks(dual)
+    assert [dual.below(x) for x in dual.elements] == [
+        mask_of(y for y in order.elements if below[y] >> x & 1) for x in order.elements
+    ]
+    assert holds_masks(dual) and not holds_masks(order)
 
 
 def test_morse_reduction_preserves_homology(five_planes):

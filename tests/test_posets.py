@@ -280,7 +280,7 @@ def test_cover_pass_agrees_with_the_pair_scan(relation, data):
         return
     assert _cover_pass(lo, below) is not None
     poset = from_below(names, below)
-    assert [poset.above(x) for x in poset.elements] == [above[x] for x in poset.elements]
+    assert [poset.dual().below(x) for x in poset.elements] == [above[x] for x in poset.elements]
     assert_matches_the_oracles(poset)
     assert_matches_the_oracles(poset.dual())
     # an order ideal inherits its covers and heights; any other subposet
@@ -316,8 +316,8 @@ def test_covers_first_is_the_mask_build(relation, data):
     assert [walked.below(i) for i in walked.elements] == [
         mask_of(new[x] for x in bits(poset.below(y))) for y in members
     ]
-    assert [walked.above(i) for i in walked.elements] == [
-        mask_of(new[x] for x in bits(poset.above(y))) for y in members
+    assert [walked.dual().below(i) for i in walked.elements] == [
+        mask_of(new[x] for x in bits(poset.dual().below(y))) for y in members
     ]
 
 

@@ -183,7 +183,9 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
         assert [poset.lower_covers(k) for k in poset.elements] == [masked.lower_covers(k) for k in masked.elements], name
         assert poset.heights() == masked.heights(), name
         assert poset.skipping_cover() is masked.skipping_cover() is None, name
-        assert [poset.above(k) for k in poset.elements] == [masked.above(k) for k in masked.elements], name
+        assert [poset.dual().below(k) for k in poset.elements] == [
+            masked.dual().below(k) for k in masked.elements
+        ], name
 
 
 def test_salvetti_refuses_a_minimal_cell_that_is_no_tope_pair(monkeypatch, braid3):

@@ -15,7 +15,10 @@ fiber types off its collapses, so no library module reduces a fiber on
 its behalf: none names `FiberEvidence`, `fiber_evidence` or
 `fiber_homology`, the reduction of `tests/side_lemmas.py`.  A poset is
 built from its covers only, so no library module calls `FinitePoset(`;
-posets come from `FinitePoset.from_covers`, `subposet` and `dual`."""
+posets come from `FinitePoset.from_covers`, `subposet` and `dual`.  A
+poset keeps one mask per element, of what lies below it, so no library
+module reads `.above(` or `_above`, and `FinitePoset` has no `above`:
+what lies above an element is read off the dual's `below`."""
 
 import ast
 from pathlib import Path
@@ -99,6 +102,30 @@ def test_posets_are_built_from_covers_only():
     # the scan sees the cover builds of the covector order and the Salvetti poset
     for module in ("matroids", "salvetti"):
         assert text_parsing_calls(SRC / f"{module}.py", {"from_covers"}), module
+
+
+def above_reads(source: str, filename: str) -> list[str]:
+    """`file:line name` for every attribute `above`, and every attribute,
+    name, definition or import whose name holds `_above`, in a module's
+    source."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        attribute = isinstance(node, ast.Attribute)
+        name = node.attr if attribute else getattr(node, "id", getattr(node, "name", None))
+        if attribute and name == "above" or "_above" in str(name):
+            out.append(f"{filename}:{node.lineno} {name}")
+    return out
+
+
+def test_posets_keep_one_mask_per_element():
+    from omkit.posets import FinitePoset
+
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in above_reads(path.read_text(), path.name)]
+    assert found == []
+    assert not hasattr(FinitePoset, "above") and not hasattr(FinitePoset, "_above")
+    # the scan sees each kind of read where one is written
+    source = "def _above_along_covers(): return poset.above(x) | poset._above[x]"
+    assert sorted(above_reads(source, "m.py")) == ["m.py:1 _above", "m.py:1 _above_along_covers", "m.py:1 above"]
 
 
 def test_numbered_modules_parse_no_sign_text():
