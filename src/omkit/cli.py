@@ -36,6 +36,7 @@ from .lattices import build_lattice
 from .matroids import CovectorSystem, RationalArrangement, flat_id, from_arrangement
 from .morse import (
     FiberCertifier,
+    check_patchwork,
     collapse_ball,
     matching_convex_critical,
     matching_salvetti_fiber,
@@ -255,6 +256,7 @@ def cmd_stratify(args) -> int:
     x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
     strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
+    sizes = " ".join(str(s.bit_count()) for s in check_patchwork(strat))
     names = system.covector_poset().names
     report = Report("stratify")
     report.note("flat", flat_id(x, system.ground))
@@ -262,7 +264,7 @@ def cmd_stratify(args) -> int:
     report.note("string", " < ".join(names[t] for t in strat.tope_string))
     for i, s in enumerate(strat.separators):
         report.note(f"separator.{i}", flat_id(s, system.ground))
-    report.note("strata_sizes", " ".join(str(s.bit_count()) for s in strat.strata))
+    report.note("strata_sizes", sizes)
     return _finish(report)
 
 
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     com("supersolvable", help="search for a modular chain")
 
     p = com("shelling", help="shelling order from a tope poset")
-    p.add_argument("--base", required=True, help="base tope in sign text")
+    p.add_argument("--base", required=True, help="base tope in sign text (--base=TEXT when it starts with -)")
 
     com("salvetti", help="the Salvetti poset")
 
@@ -475,17 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = com("stratify", help="stratify a maximal-cell fiber")
     p.add_argument("--flat", required=True)
-    p.add_argument("--tope", required=True, help="base tope of the localization")
+    p.add_argument("--tope", required=True, help="base tope of the localization (--tope=TEXT when it starts with -)")
 
     p = com("morse", help="build a verified acyclic matching")
     p.add_argument(
         "--construction", required=True, choices=("shelling", "convex", "fiber")
     )
-    p.add_argument("--base", help="base tope (shelling)")
-    p.add_argument("--topes", help="comma-separated convex tope set (convex)")
+    p.add_argument("--base", help="base tope (shelling; --base=TEXT when it starts with -)")
+    p.add_argument("--topes", help="comma-separated convex tope set (convex; --topes=LIST when it starts with -)")
     p.add_argument("--flat", help="flat (fiber)")
     p.add_argument("--cell", help="cell id of the localization (fiber)")
-    p.add_argument("--tope", help="base tope of the localization (fiber)")
+    p.add_argument("--tope", help="base tope of the localization (fiber; --tope=TEXT when it starts with -)")
 
     com("homology", help="Salvetti homology against the Whitney numbers")
 

@@ -563,11 +563,11 @@ def quasi_fibration_certify(
 
     No glued matching is built or walked (`morse.FiberCertifier` gives
     the argument).  A PASS's acyclicity rests on the patchwork theorem:
-    its hypotheses are checked once per ambient (`morse.check_patchwork`,
-    a `MatchingError` when one fails), and each local matching is walked
-    once on its own ball, for the whole run.  Per cell, the critical cells
-    are the union of the lifted critical sets, compared with the fiber,
-    whose being an ideal is checked once per cell.
+    its hypotheses are checked once per ambient, on the strata that
+    `morse.check_patchwork` derives (a `MatchingError` when one fails),
+    and each local matching is walked once per run on its own ball.  Per
+    cell, the critical cells are the union of the lifted critical sets,
+    compared with the fiber, whose being an ideal is checked once per cell.
     """
     from .morse import FiberCertifier
 

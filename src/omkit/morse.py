@@ -15,9 +15,9 @@ The fiber matchings are certified one way, by `FiberCertifier`, for
 `certify-qf` and `morse --construction fiber` alike, without a walk of
 the glued matching: it reads their acyclicity off the patchwork
 theorem, whose hypotheses `check_patchwork` checks once per stratified
-fiber, and walks each local matching once on its own ball, for the
-whole run; the critical cells are the union of the lifted critical
-sets.  Only the tests glue and walk, as the oracle.
+fiber, on the strata it derives, and walks each local matching once per
+run on its own ball; the critical cells are the union of the lifted
+critical sets.  Only the tests glue and walk, as the oracle.
 
 The constructors build their matchings without checking these claims;
 every path that reports a matching certifies it next.  Tope sets are
@@ -296,11 +296,11 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     critical cells are exactly the fiber over a smaller cell of the
     localized poset.
 
-    Built stratum by stratum: the bottom stratum is the dual ball with a
-    convex-critical matching; each later stratum is an isomorphic copy of
-    a contraction's dual ball, matched through the isomorphism induced by
-    restriction.  The lifted pairs, each inside its stratum since each
-    lift is a bijection onto it (`check_patchwork`), are glued into one
+    Built lift by lift, one per stratum: the bottom stratum is the dual
+    ball with a convex-critical matching; each later one is a copy of a
+    contraction's dual ball, matched through the isomorphism restriction
+    induces.  The lifted pairs, each inside its stratum since each lift
+    is a bijection onto it (`check_patchwork`), are glued into one
     matching on the fiber, whose certificate `FiberCertifier` gives.
     """
     poset = strat.loc.target.poset
@@ -309,7 +309,7 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     if not poset.leq(target_cell, strat.top):
         raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
     m0, mi = local_matchings(strat.loc, target_cell)
-    matchings = [m0] + [mi] * (len(strat.strata) - 1)
+    matchings = [m0] + [mi] * (len(strat.lifts) - 1)
     pairs = frozenset((lift[x], lift[y]) for lift, m in zip(strat.lifts, matchings) for x, y in m.pairs)
     return Matching(strat.loc.fiber(strat.top), pairs)
 
@@ -365,14 +365,14 @@ def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCer
 # -- the fiber matchings by the patchwork theorem ------------------------------
 
 
-def check_patchwork(strat: FiberStratification) -> None:
-    """Check the hypotheses of the patchwork theorem on a stratified fiber,
-    raising a `MatchingError` that names the first one to fail.
+def check_patchwork(strat: FiberStratification) -> tuple[int, ...]:
+    """The strata of a stratified fiber, masks of source cells, with the
+    hypotheses of the patchwork theorem checked on them; a `MatchingError`
+    names the first one to fail.
 
-    - The strata partition the fiber, and stratum i is the ideal below
-      the cell (0, T_i) less the strata before it.  The union of the
-      first i strata is then a union of ideals, so the stratum index is
-      order preserving onto the chain of strata.
+    - Stratum i is the ideal below (0, T_i) less the strata before it, so
+      the stratum index is order preserving onto the chain of strata by
+      construction (a union of ideals is one); the strata cover the fiber.
     - `lifts[i]` is a bijection of its ball onto stratum i (one mask
       comparison), and it sends each ball element to a cell over the
       face the construction prescribes: covector c itself for i = 0, and
@@ -389,19 +389,17 @@ def check_patchwork(strat: FiberStratification) -> None:
     keys, below = source.keys, source.poset.below
     zero = system.numbering()[0, 0]
     faces = [tuple(range(len(system)))] + [restriction_iso(loc, s) for s in strat.separators]
+    strata = []
     used = 0
-    for i, (t, stratum, lift, face) in enumerate(zip(strat.tope_string, strat.strata, strat.lifts, faces, strict=True)):
-        ideal = below(source.index[zero, t])
-        if stratum & (used | ~ideal) or ideal & ~(used | stratum):
-            raise MatchingError(
-                f"stratum {i} is not the ideal below its tope less the strata before it, "
-                f"so the stratum index is not order preserving"
-            )
-        used |= stratum
+    for i, (t, lift, face) in enumerate(zip(strat.tope_string, strat.lifts, faces, strict=True)):
+        stratum = below(source.index[zero, t]) & ~used
         if len(lift) != stratum.bit_count() or mask_of(lift) != stratum or tuple(keys[k][0] for k in lift) != face:
             raise MatchingError(f"lift {i} is no isomorphism of its ball onto stratum {i}")
+        strata.append(stratum)
+        used |= stratum
     if used != loc.fibers[strat.top]:
         raise MatchingError("the strata do not cover the fiber")
+    return tuple(strata)
 
 
 def _digits(matching: Matching) -> str:
@@ -422,7 +420,7 @@ class FiberCertifier:
     of phi carries an acyclic matching, their union is an acyclic
     matching on P.  The matching `matching_salvetti_fiber` glues is such
     a union, with phi the stratum index, so it is acyclic when
-    `check_patchwork` passes on the stratification and each local
+    `check_patchwork` passes on the strata it derives and each local
     matching is acyclic on its own ball: a lift is an isomorphism of the
     ball onto its stratum, and the stratum is convex, so the matched
     Hasse digraph of the stratum is the ball's.  Each local matching is
@@ -433,14 +431,14 @@ class FiberCertifier:
     `Matching.cycle` gives it.
 
     The critical cells of the union are the union of the lifted critical
-    sets, and they must be the fiber of the cell.  The lifts are
-    bijections onto strata that partition the fiber, so this holds
-    exactly when the cell's fiber lies in the ambient fiber and its
-    digits at the lifted cells, read ball by ball in one gather, are the
-    local matchings' critical digits.  That the cell's fiber is an ideal
-    does not depend on the ambient, so it is checked once per cell.  The
-    ambient fiber is the stratification's own; the witnesses are those of
-    `morse_reduction_certificate` on the glued matching."""
+    sets, and they must be the fiber of the cell.  The lifts, one per
+    stratum, are bijections onto strata that partition the fiber, so
+    this holds exactly when the cell's fiber lies in the ambient fiber
+    and its digits at the lifted cells, read ball by ball in one gather,
+    are the local matchings' critical digits.  That the cell's fiber is
+    an ideal does not depend on the ambient, so it is checked once per
+    cell.  The ambient fiber is the stratification's own; the witnesses
+    are those of `morse_reduction_certificate` on the glued matching."""
 
     def __init__(self, loc: SalvettiLocalization):
         self.loc = loc
@@ -457,7 +455,7 @@ class FiberCertifier:
         width = len(source.names)
         # a cell k is character width - 1 - k of a mask's digits
         gather = itemgetter(*(width - 1 - k for lift in strat.lifts for k in lift))
-        later = len(strat.strata) - 1
+        later = len(strat.lifts) - 1
         outside = ~strat.loc.fibers[strat.top]
         out = {}
         for cell in cells:

@@ -23,7 +23,8 @@ only by the command line.  A flat is a ground-bit mask.  Localization at a
 flat is restriction to it: the covector projection rho and the cell map
 are tuples of element numbers, and each poset fiber is a mask of source
 cells.  The fiber stratification over a modular corank-one flat is the
-combinatorial heart of the quasi-fibration certificates.
+combinatorial heart of the quasi-fibration certificates; its strata are
+derived in one place, `morse.check_patchwork`, which checks them.
 """
 
 from __future__ import annotations
@@ -215,23 +216,23 @@ class FiberStratification:
     is the ground-bit mask S(T_{i-1}, T_i), a single bit.  `lifts[0]`
     sends each covector c to its cell (c, c o T_0) of stratum 0; for i > 0,
     `lifts[i]` sends each localized covector to the cell (c, c o T_i) of
-    stratum i whose face c restricts to it."""
+    stratum i whose face c restricts to it.  Stratum i, the ideal below
+    (0, T_i) less the strata before it, is derived by `check_patchwork`."""
 
     loc: SalvettiLocalization
     top: int  # the cell (0, B') of the localized poset; its fiber is loc.fibers[top]
     tope_string: tuple[int, ...]
     separators: tuple[int, ...]
-    strata: tuple[int, ...]  # masks of cells, N_0, ..., N_k
     lifts: tuple[tuple[int, ...], ...]
 
 
 def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     """Order the fiber topes over the localized tope `base` (by number)
-    into a string and slice the fiber into strata.
+    into a string and lift the ball of each stratum along it.
 
     Requires the flat to be modular of corank one; anything else is
     refused since the string structure is exactly what modularity of a
-    coatom buys.
+    coatom buys.  The strata are left to `morse.check_patchwork`.
     """
     system = loc.system
     lattice = build_lattice(system)
@@ -278,21 +279,9 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
 
     top = loc.target.index[loc.localized.numbering()[0, 0], base]
     source = loc.source
-    zero = number[0, 0]
-    # successive differences of a growing union of order ideals, so sending
-    # each cell to its stratum is order preserving onto the chain of strata
-    strata: list[int] = []
-    used = 0
-    for t in string:
-        ideal = source.poset.below(source.index[zero, t])
-        strata.append(ideal & ~used)
-        used |= ideal
-    if used != loc.fibers[top]:
-        raise AssertionError("strata do not cover the fiber exactly")
-
     lifts = [tuple(source.cell_over(c, string[0]) for c in order.elements)]
     for i in range(1, len(string)):
         lifts.append(tuple(source.cell_over(c, string[i]) for c in restriction_iso(loc, separators[i - 1])))
 
-    return FiberStratification(loc, top, tuple(string), separators, tuple(strata), tuple(lifts))
+    return FiberStratification(loc, top, tuple(string), separators, tuple(lifts))
 

@@ -285,6 +285,52 @@ def test_localize_fiber_stratify(capsys):
     assert "verdict:" not in out
 
 
+def test_stratify_runs_the_patchwork_check(capsys, monkeypatch):
+    # two cells of lift 1 traded, as a cover of the ball: the strata are
+    # those the patchwork check derives, so the report is refused, not sized
+    from dataclasses import replace
+
+    import omkit.cli
+
+    real = omkit.cli.stratify_fiber
+
+    def swapped(loc, base):
+        strat = real(loc, base)
+        ball = loc.localized.covector_poset().dual()
+        y = next(y for y in ball.elements if ball.lower_covers(y))
+        x = ball.lower_covers(y)[0]
+        lift = list(strat.lifts[1])
+        lift[x], lift[y] = lift[y], lift[x]
+        return replace(strat, lifts=(strat.lifts[0], tuple(lift), *strat.lifts[2:]))
+
+    monkeypatch.setattr(omkit.cli, "stratify_fiber", swapped)
+    argv = ["stratify", "--flat", "H1,H2,H3", "--tope", "+++"]
+    code, out, err = run_with_stderr(capsys, argv, stdin=om_text("sec3-arrangement"))
+    assert (code, out) == (2, "")
+    assert err == "error: lift 1 is no isomorphism of its ball onto stratum 1\n"
+
+
+def test_a_base_starting_with_minus_is_passed_as_one_argument(capsys):
+    # argparse reads a separate "-+++++" as an option, so it goes as --base=TEXT
+    text = om_text("braid3")
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, ["shelling", "--base", "-+++++"], stdin=text)
+    assert exc.value.code == 2
+    assert "argument --base: expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, ["shelling", "--base=-+++++"], stdin=text)
+    assert code == 0
+    assert out.startswith("report: shelling\nbase: -+++++\norder: -+++++ ")
+    assert "shelling.verified: PASS" in out
+
+
+def test_a_tope_list_starting_with_minus_is_passed_as_one_argument(capsys):
+    # two adjacent topes, the first starting with -, form a convex set
+    argv = ["morse", "--construction", "convex", "--topes=-+++++,++++++"]
+    code, out = run(capsys, argv, stdin=om_text("braid3"))
+    assert code == 0
+    assert "critical.is_subcomplex: PASS" in out
+
+
 def test_a_report_without_clauses_prints_no_verdict():
     report = Report("notes")
     report.note("size", 3)

@@ -497,30 +497,30 @@ def test_patchwork_refuses_a_lift_that_breaks_a_cover(monkeypatch):
         certify_with(monkeypatch, lambda strat: swapped(strat, 1))
 
 
-def test_patchwork_refuses_a_stratum_index_that_is_not_order_preserving(monkeypatch):
+def test_patchwork_refuses_a_reordered_tope_string(monkeypatch):
     from dataclasses import replace
 
     from omkit.morse import check_patchwork
 
     def reordered(strat):
-        # strata 1 and 2 traded with their topes, lifts and separators:
-        # each lift is still onto its stratum over the right faces
-        t, s, lift, sep = strat.tope_string, strat.strata, strat.lifts, strat.separators
+        # topes 1 and 2 traded with their lifts and separators: each lift is
+        # still onto a stratum of the fiber over the right faces
+        t, lift, sep = strat.tope_string, strat.lifts, strat.separators
         return replace(
             strat,
             tope_string=(t[0], t[2], t[1]),
-            strata=(s[0], s[2], s[1]),
             lifts=(lift[0], lift[2], lift[1]),
             separators=(sep[1], sep[0]),
         )
 
-    bad = reordered(sec3_stratification())
-    index = {x: i for i, stratum in enumerate(bad.strata) for x in bits(stratum)}
-    fiber = bad.loc.fiber(bad.top)
-    assert any(index[x] > index[y] for y in fiber.elements for x in fiber.lower_covers(y))
-    with pytest.raises(MatchingError, match="stratum 1 is not the ideal below its tope.*not order preserving"):
+    strat = sec3_stratification()
+    strata, bad = check_patchwork(strat), reordered(strat)
+    assert [mask_of(lift) for lift in bad.lifts] == [strata[i] for i in (0, 2, 1)]
+    # stratum 1 is now the ideal below the old T_2 less stratum 0, larger
+    # than the old stratum 2 its lift is onto
+    with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
         check_patchwork(bad)
-    with pytest.raises(MatchingError, match="not order preserving"):
+    with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
         certify_with(monkeypatch, reordered)
 
 

@@ -6,6 +6,7 @@ from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.homology import quasi_fibration_certify
 from omkit.lattices import GeometricLattice, build_lattice
 from omkit.matroids import CovectorSystem, NotAFlatError
+from omkit.morse import check_patchwork
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
@@ -449,13 +450,14 @@ def test_stratification(five_planes):
         for sep, (a, b) in zip(strat.separators, zip(strat.tope_string, strat.tope_string[1:])):
             assert vectors[a].separator_mask(vectors[b]) == sep
         assert all(loc.rho[t] == bp for t in strat.tope_string)
-        assert strat.strata[0].bit_count() == len(five_planes)
+        strata = check_patchwork(strat)
+        assert strata[0].bit_count() == len(five_planes)
         for i, sep in enumerate(strat.separators):
             e = five_planes.ground[sep.bit_length() - 1]
             vanish = sum(1 for c in vectors if c.sign(e) == 0)
-            assert strat.strata[i + 1].bit_count() == vanish
+            assert strata[i + 1].bit_count() == vanish
         # strata partition the fiber
-        total = sum(s.bit_count() for s in strat.strata)
+        total = sum(s.bit_count() for s in strata)
         assert total == loc.fibers[strat.top].bit_count()
 
 
@@ -494,7 +496,7 @@ def test_strata_are_contraction_balls(five_planes):
     covs = sign_vectors(system)
     for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp)
-        for i, stratum in enumerate(strat.strata):
+        for i, stratum in enumerate(check_patchwork(strat)):
             t_i = covs[strat.tope_string[i]]
             faces = {}
             for cid in bits(stratum):
