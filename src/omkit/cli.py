@@ -493,8 +493,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = com("certify-qf", help="quasi-fibration certificate")
     p.add_argument("--flat", required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--sample", type=int, default=24)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true")
+    # a text default, converted like a given value, so that --sample 24 counts as given next to --exhaustive
+    mode.add_argument("--sample", type=int, default="24")
 
     com("ranks", help="semidirect rank sequence")
 

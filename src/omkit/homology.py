@@ -53,6 +53,7 @@ independent oracle.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -475,7 +476,7 @@ class QuasiFibrationCertificate:
     checked pairs with their links."""
 
     loc: SalvettiLocalization
-    sample: Optional[int]  # None: every pair was checked
+    sample: Optional[int]  # None exactly when every pair was checked
     expected_rank: int
     graph_ranks: tuple[tuple[int, Union[int, str]], ...]
     pairs: tuple[PairEvidence, ...]
@@ -540,10 +541,11 @@ def quasi_fibration_certify(
     over the minimal cells are connected graphs of free rank d, one per
     element outside the flat (by union-find); and the fibers of every
     checked pair are wedges of d circles.  `sample` pairs, drawn with a
-    fixed seed, are checked instead of all of them when it is given; the
-    minimal cells are checked either way.  The fiber inclusions hold by
-    construction: `loc.fibers[q]` is the union of the preimages over the
-    cells below q.
+    fixed seed, are checked instead of all of them when that is fewer;
+    the certificate's `sample` is None exactly when every pair is checked,
+    and the minimal cells are checked either way.  The fiber inclusions
+    hold by construction: `loc.fibers[q]` is the union of the preimages
+    over the cells below q.
 
     The wedges are read off the collapses, and no fiber is reduced: an
     acyclic matching whose critical cells are a subcomplex collapses the
@@ -567,7 +569,8 @@ def quasi_fibration_certify(
     `morse.check_patchwork` derives (a `MatchingError` when one fails),
     and each local matching is walked once per run on its own ball.  Per
     cell, the critical cells are the union of the lifted critical sets,
-    compared with the fiber, whose being an ideal is checked once per cell.
+    compared with the fiber, an ideal by the order check of
+    `salvetti_localization`.
     """
     from .morse import FiberCertifier
 
@@ -585,11 +588,10 @@ def quasi_fibration_certify(
 
     poset = loc.target.poset
     pairs_all = [(a, b) for b in poset.elements for a in bits(poset.below(b))]
-    if sample is not None:
-        import random
-
-        rng = random.Random(0)
-        pairs_all = rng.sample(pairs_all, min(sample, len(pairs_all)))
+    if sample is not None and sample < len(pairs_all):
+        pairs_all = random.Random(0).sample(pairs_all, sample)
+    else:
+        sample = None
 
     minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
     graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))

@@ -17,7 +17,8 @@ the glued matching: it reads their acyclicity off the patchwork
 theorem, whose hypotheses `check_patchwork` checks once per stratified
 fiber, on the strata it derives, and walks each local matching once per
 run on its own ball; the critical cells are the union of the lifted
-critical sets.  Only the tests glue and walk, as the oracle.
+critical sets, and each fiber is an ideal by the one order check of
+`salvetti_localization`.  Only the tests glue and walk, as the oracle.
 
 The constructors build their matchings without checking these claims;
 every path that reports a matching certifies it next.  Tope sets are
@@ -335,22 +336,16 @@ class MorseCertificate:
         return out if self.critical is None else out + [self.critical]
 
 
-def _ideal_claim(poset: FinitePoset, subcomplex: int) -> Optional[str]:
-    """Where a mask of a poset is not an ideal: its first cell with a face
-    outside, or None."""
+def _critical_claim(poset: FinitePoset, crit: int, subcomplex: int) -> Optional[str]:
+    """How critical cells miss a subcomplex, or where it is not an ideal
+    (its first cell with a face outside), or None."""
+    if crit != subcomplex:
+        return f"extra {poset.names_of(crit & ~subcomplex)[:4]}, missing {poset.names_of(subcomplex & ~crit)[:4]}"
     outside = ~subcomplex
     for x in bits(subcomplex):
         if poset.below(x) & outside:
             return f"not an ideal: {poset.names[x]} has faces {poset.names_of(poset.below(x) & outside)[:4]} outside"
     return None
-
-
-def _critical_claim(poset: FinitePoset, crit: int, subcomplex: int) -> Optional[str]:
-    """How critical cells miss a subcomplex, or where it is not an ideal,
-    or None."""
-    if crit != subcomplex:
-        return f"extra {poset.names_of(crit & ~subcomplex)[:4]}, missing {poset.names_of(subcomplex & ~crit)[:4]}"
-    return _ideal_claim(poset, subcomplex)
 
 
 def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCertificate:
@@ -435,16 +430,16 @@ class FiberCertifier:
     stratum, are bijections onto strata that partition the fiber, so
     this holds exactly when the cell's fiber lies in the ambient fiber
     and its digits at the lifted cells, read ball by ball in one gather,
-    are the local matchings' critical digits.  That the cell's fiber is
-    an ideal does not depend on the ambient, so it is checked once per
-    cell.  The ambient fiber is the stratification's own; the witnesses
-    are those of `morse_reduction_certificate` on the glued matching."""
+    are the local matchings' critical digits.  The cell's fiber is an
+    ideal by the order check of `salvetti_localization`, so it is not
+    checked here.  The ambient fiber is the stratification's own; the
+    witnesses are those of `morse_reduction_certificate` on the glued
+    matching."""
 
     def __init__(self, loc: SalvettiLocalization):
         self.loc = loc
         # by face: the local matchings of the cells over it, with their digits
         self._local: dict[int, tuple[Matching, Matching, str, str]] = {}
-        self._ideal: dict[int, Optional[str]] = {}  # by cell: why its fiber is no ideal
 
     def certify(self, strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
         """The certificate of the fiber matching onto each cell's fiber,
@@ -465,14 +460,11 @@ class FiberCertifier:
                 self._local[face] = (m0, mi, _digits(m0), _digits(mi))
             m0, mi, d0, di = self._local[face]
             sub = loc.fibers[cell]
+            critical = None
             if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != d0 + di * later:
                 matchings = [m0] + [mi] * later
                 crit = mask_of(lift[x] for lift, m in zip(strat.lifts, matchings) for x in bits(m.critical_cells()))
                 critical = _critical_claim(source, crit, sub)
-            else:
-                if cell not in self._ideal:
-                    self._ideal[cell] = _ideal_claim(source, sub)
-                critical = self._ideal[cell]
             cycle = None
             for m, lift in zip((m0, mi), strat.lifts[:2]):
                 if m.walked is not None:

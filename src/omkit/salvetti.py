@@ -144,7 +144,10 @@ class SalvettiLocalization:
 def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocalization:
     """The localization at a flat of a simple system; with parallel
     elements the fibers are not wedges of circles and the fiber topes no
-    string, so such a system is refused by name."""
+    string, so such a system is refused by name.  The cell map is checked
+    order preserving once, `below(k) & ~fibers[cells[k]] == 0` for every
+    source cell k, so each fiber is an ideal of the source (a cell below
+    one of `fibers[q]` maps below q), which the fiber certificates read."""
     system.require_simple("the Salvetti localization")
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)

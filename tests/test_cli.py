@@ -820,6 +820,26 @@ def test_certify_qf_refuses_an_empty_sample(capsys, monkeypatch):
         assert captured.err == "error: sample must be at least 1\n"
 
 
+def test_certify_qf_a_sample_of_every_pair_is_exhaustive(capsys):
+    # sec3 at H1,H2,H3 has 120 comparable pairs
+    for sample, mode in (("120", "exhaustive"), ("119", "sampled")):
+        argv = ["certify-qf", "--flat", "H1,H2,H3", "--sample", sample]
+        code, out = run(capsys, argv, stdin=om_text("sec3-arrangement"))
+        assert code == 0
+        assert f"\nmode: {mode}\npairs: {sample}\n" in out
+
+
+def test_certify_qf_refuses_a_sample_with_exhaustive(capsys):
+    # 24, the sample drawn when neither is given, counts as given too
+    for sample in ("3", "24"):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, ["certify-qf", "--flat", "H1,H2,H3", "--sample", sample, "--exhaustive"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --exhaustive: not allowed with argument --sample\n")
+
+
 def test_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
     convex = ["morse", "--construction", "convex", "--topes"]
     cases = [

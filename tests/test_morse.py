@@ -579,35 +579,6 @@ def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
             assert mine == glued and mine.critical.startswith("extra [")
 
 
-def test_a_claimed_fiber_that_is_no_ideal_fails_as_the_glued_matching_does(monkeypatch, five_planes):
-    # one more pair (x, y) in the top cell's localized matching, where x
-    # has a second upper cover: the critical cells, claimed as the fiber,
-    # leave x's lifts out from under that cover's
-    from dataclasses import replace
-
-    import omkit.morse
-    from omkit.morse import FiberCertifier
-
-    strat = sec3_stratification(five_planes)
-    loc, top = strat.loc, strat.top
-    order = loc.localized.covector_poset()
-    ball = order.dual()
-    y, x = next((y, x) for y in ball.elements for x in ball.lower_covers(y) if len(order.lower_covers(x)) > 1)
-    real = omkit.morse.local_matchings
-
-    def with_pair(loc, cell):
-        m0, mi = real(loc, cell)
-        return (m0, Matching(mi.host, mi.pairs | {(x, y)})) if cell == top else (m0, mi)
-
-    monkeypatch.setattr(omkit.morse, "local_matchings", with_pair)
-    glued = matching_salvetti_fiber(strat, top)
-    claimed = glued.critical_cells()
-    fibers = (*loc.fibers[:top], claimed, *loc.fibers[top + 1:])
-    mine = FiberCertifier(replace(loc, fibers=fibers)).certify(strat, [top])[top]
-    assert mine == morse_reduction_certificate(glued, claimed)
-    assert mine.critical.startswith("not an ideal: ")
-
-
 def test_a_cyclic_local_matching_fails_its_pairs_with_a_lifted_cycle(monkeypatch):
     # the localization of sec3 at H1,H2,H3 has rank two; its local
     # matchings made cyclic, each pair fails with a cycle of the glued

@@ -15,6 +15,7 @@ from poset_builders import PosetMap, from_below, order_pairs
 from side_lemmas import (
     direct_salvetti_below,
     fiber_rank2_model,
+    is_ideal,
     localization_section,
     localization_square_commutes,
     principal_ideal_iso,
@@ -241,6 +242,8 @@ def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
             (fib.heights(), [fib.lower_covers(x) for x in fib.elements], fib.skipping_cover())
             for fib in fibers
         ]
+    # the certificates read that off the localization's order check
+    assert all(is_ideal(loc.source.poset, fiber) for fiber in loc.fibers)
     for fib, got in zip(fibers, inherited):
         fresh = from_below(fib.names, {x: fib.below(x) for x in fib.elements})
         assert got == (fresh.heights(), [fresh.lower_covers(x) for x in fresh.elements], None)
