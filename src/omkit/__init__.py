@@ -19,6 +19,7 @@ from .morse import (
 )
 from .homology import (
     HomologyResult,
+    chain_complex,
     homology,
     quasi_fibration_certify,
     semidirect_rank_sequence,
@@ -44,6 +45,7 @@ __all__ = [
     "matching_from_shelling",
     "matching_salvetti_fiber",
     "HomologyResult",
+    "chain_complex",
     "homology",
     "quasi_fibration_certify",
     "semidirect_rank_sequence",

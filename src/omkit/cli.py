@@ -27,6 +27,7 @@ from pathlib import Path
 from .corpus import CORPUS_NAMES, corpus
 from .homology import (
     PairEvidence,
+    chain_complex,
     homology,
     quasi_fibration_certify,
     salvetti_betti_match_whitney,
@@ -233,7 +234,8 @@ def cmd_fiber(args) -> int:
     x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
     cell = _cell(loc.target, args.cell)
-    res = homology(loc.fiber(cell))
+    # the fiber is an ideal of the source, by the localization's order check
+    res = homology(chain_complex(loc.source, loc.fibers[cell]))
     # b0 and b1, then the higher Betti numbers up to the last nonzero one
     betti = [*res.betti, 0, 0]
     while len(betti) > 2 and betti[-1] == 0:
@@ -379,7 +381,7 @@ def cmd_ranks(args) -> int:
     report = Report("ranks")
     report.note("sequence", " ".join(map(str, seq)))
     report.note("sum", sum(seq))
-    res = homology(SalvettiPoset(system).poset)
+    res = homology(chain_complex(SalvettiPoset(system)))
     b1 = res.betti[1] if len(res.betti) > 1 else 0
     report.add("sum.equals_b1", sum(seq) == b1, f"{sum(seq)} != b1={b1}")
     return _finish(report)

@@ -1,54 +1,60 @@
-"""Integral homology of face posets, plus the derived checks.
+"""Integral homology of Salvetti complexes, plus the derived checks.
 
-A `FinitePoset` is read as the face poset of a regular CW complex (Salvetti
-posets, their localization fibers, covector spheres and balls): the
-cells of dimension d are the elements of height d, the facets of a cell
-are its lower covers, and the incidence signs of the cellular boundary
-are read off the poset.  Building them certifies regularity: every cover
-climbs one height, every edge has two vertices,
-every codimension-2 face of a cell lies in exactly two of its facets, and
-the signs propagated across those faces agree (`NotRegularError` names
-the cell otherwise).
+`_incidences` reads the incidence signs of the cellular boundary off a
+`FinitePoset` taken as the face poset of a regular CW complex (the cells
+of dimension d are the elements of height d, the facets of a cell its
+lower covers), and so certifies regularity: every cover climbs one
+height, every edge has two vertices, every codimension-2 face of a cell
+lies in exactly two of its facets, and the signs propagated across those
+faces agree (`NotRegularError` names the cell otherwise).  It propagates
+once per cell shape, not once per cell, which its docstring shows exact.
+Each face g two heights below a cell lies in exactly two of its facets f
+and f2, whose signs are set (or checked) so that sign[f2] * s(f2, g) =
+-sign[f] * s(f, g); so the boundary squares to zero with no second pass.
+The tests multiply the maps out as an oracle.
 
-The signs are propagated once per cell shape, not once per cell.  A
-cell whose facets are of the classes of an earlier cell's, in order, and
-whose faces of facets pair up at that cell's positions, distinct pair by
-pair, takes that cell's signs by facet position.  This is exact: by
-induction, facets of one class carry the same signs position by
-position, so propagation would give the cell the same signs, and a cell
-that propagation refuses fails the check, propagates, and is refused in
-the same words (`_incidences` gives the details).  On a Salvetti poset
-the cells over one covector share a shape and come one after another, so
-only a few cells per poset propagate.
+The Salvetti complex takes its signs once per covector, not once per
+cell, from the dual covector complex.  The ideal below a cell (G, R) is
+{(U, U o R) : U >= G}, and U -> (U, U o R) is an order isomorphism onto
+it from the closed dual cell of G, the ideal below G in the dual
+covector poset, since U1 >= U2 implies U1 o (U2 o R) = U1 o R; it
+increases with U, as cells are numbered by (face, tope).  So
+`_incidences`, run once on `system.covector_poset().dual()` and kept on
+the system, gives (G, R) the signs of G's upper covers U at its lower
+covers (U, U o R), in the same order: the signs it would give cell by
+cell on the Salvetti poset, whose regularity and cancellations carry
+over through the isomorphism.  A localization fiber is an ideal of its
+source, by the order check of `salvetti_localization`, so its complex is
+the restriction of the source's.  No Salvetti `FinitePoset` is built for
+homology; the per-cell chain complex of a face poset is the tests'.
 
-The same construction makes the boundary square to zero, so no second
-pass checks it.  In the boundary of the boundary of a cell c, the face g
-two heights down has the coefficient sum of sign[f] * s(f, g) over the
-facets f of c above g.  There are exactly two, f and f2, and the signs of
-c are set (or checked) so that sign[f2] * s(f2, g) = -sign[f] * s(f, g),
-so every coefficient cancels.  The tests multiply the maps out as an
-oracle.
-
-The boundary maps are reduced by exact integer elimination: unit pivots
-first, in one pass over the columns in their order (a column's pivot is
-its first +-1 entry, whose row is cleared from the other columns through
-a row index), which keeps everything integral and sparse; then a
-textbook Smith reduction of the core of columns that had no unit entry
-at their turn, so torsion is exact.  No core is left on the Salvetti
-posets of the corpus or of the braid arrangements A_4 and A_5.
-
-The maps are reduced from the top dimension down, with clearing (Chen and
-Kerber, "Persistent homology computation with a twist", 2011; Bauer,
-Kerber and Reininghaus, "Clear and compress", 2014): the k-cells that are
-rows of unit pivots of the boundary C_{k+1} -> C_k are left out of the
-boundary C_k -> C_{k-1}.  This is exact over Z, torsion included.  The
-reduced pivot columns are integer combinations of boundaries, so they lie
-in ker d_k; on their pivot rows they form a triangular matrix with +-1 on
-the diagonal, so with the other k-cells they are a basis of C_k.  Hence
+The boundary maps are reduced from the top dimension down by exact
+integer elimination, left-looking and with no row index (the column
+algorithm of persistent homology; Bauer, "Ripser", J. Appl. Comput.
+Topol. 2021), with clearing (Chen and Kerber, "Persistent homology
+computation with a twist", 2011; Bauer, Kerber and Reininghaus, "Clear
+and compress", 2014).  Each column in turn is reduced at its largest row
+by the pivot column there, until there is none; that row becomes its
+pivot when the entry is +-1, so each pivot column is zero above its
+pivot row.  A column whose largest entry is no unit goes to the core; at
+the end each core column is reduced on every pivot row, largest first (a
+pivot column changes only rows at or below its own), and a textbook
+Smith reduction of the core makes torsion exact.  This is exact over Z:
+the eliminations are unimodular column operations, and the pivot columns
+are triangular with +-1 on their pivot rows, so integral row operations
+clear them off the other rows without touching the core, now zero on
+those rows.  The rank is the pivot count plus the core's, and the
+invariant factors are the core's.  No core is left on the Salvetti
+complexes of the corpus, np14 and the braid arrangements A_4 and A_5.
+Clearing leaves the k-cells that are unit pivot rows of the boundary
+C_{k+1} -> C_k out of the boundary C_k -> C_{k-1}, which is exact too,
+torsion included: the reduced pivot columns are integer combinations of
+boundaries, so they lie in ker d_k, and being triangular with +-1 on
+their pivot rows they form a basis of C_k with the other k-cells.  Hence
 d_k(C_k) is spanned by the images of the other cells, and the rank and
 invariant factors of d_k do not change.  Pivots of the Smith core clear
-nothing.  The simplicial chain complex of the order complex is the tests'
-independent oracle.
+nothing.  The simplicial chain complex of the order complex is the
+tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -76,43 +82,46 @@ if TYPE_CHECKING:
 # -- exact Smith data ---------------------------------------------------------
 
 
+def _eliminate(col: dict[int, int], r: int, pivot: dict[int, int]) -> None:
+    """Clear row r of a column with a pivot column whose entry there is
+    +-1: col -= (col[r] / pivot[r]) * pivot."""
+    factor = col[r] * pivot[r]
+    for rr, v in pivot.items():
+        cur = col.get(rr, 0) - factor * v
+        if cur:
+            col[rr] = cur
+        else:
+            del col[rr]
+
+
 def _unit_pivot_reduce(
     cols: dict[int, dict[int, int]]
-) -> tuple[list[int], dict[int, dict[int, int]]]:
-    """Eliminate +-1 pivots in one pass over the columns in their order:
-    a column's pivot is its first +-1 entry, and its row is cleared from
-    the other columns.  Returns (the pivot rows in pivot order, the
-    columns without a unit entry at their turn: the core)."""
-    rows: dict[int, set[int]] = {}
-    for c, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(c)
-    pivots: list[int] = []
-    for c in list(cols):
-        col = cols.get(c, {})
-        r = next((r for r, v in col.items() if v in (1, -1)), None)
-        if r is None:
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Left-looking elimination of the columns in their order, rows
+    numbered from 0: each is reduced at its largest row by the pivot
+    column there, until there is none, and takes that row as its pivot
+    when the entry is +-1.  Returns (the pivot rows, the other nonzero
+    columns: the core, reduced on every pivot row).  A column is copied
+    before its first change."""
+    pivot: dict[int, dict[int, int]] = {}
+    core = []
+    for col in cols.values():
+        r = max(col, default=-1)
+        if r in pivot:
+            col = dict(col)
+            while r in pivot:
+                _eliminate(col, r, pivot[r])
+                r = max(col, default=-1)
+        if r < 0:
             continue
-        del cols[c]
-        for rr in col:
-            rows[rr].discard(c)
-        piv = col.pop(r)
-        pivots.append(r)
-        for cc in rows.pop(r):
-            other = cols[cc]
-            factor = other.pop(r) * piv  # other[r] / piv since piv is +-1
-            for rr, v in col.items():
-                cur = other.get(rr, 0) - factor * v
-                if cur:
-                    if rr not in other:
-                        rows[rr].add(cc)
-                    other[rr] = cur
-                elif rr in other:
-                    del other[rr]
-                    rows[rr].discard(cc)
-            if not other:
-                del cols[cc]
-    return pivots, cols
+        if col[r] in (1, -1):
+            pivot[r] = col
+        else:
+            core.append(dict(col))
+    for col in core:
+        while (r := max((x for x in col if x in pivot), default=-1)) >= 0:
+            _eliminate(col, r, pivot[r])
+    return list(pivot), [col for col in core if col]
 
 
 def _dense_smith(core: list[list[int]]) -> list[int]:
@@ -177,23 +186,14 @@ def rank_and_torsion(
 
     The rows of the unit pivots are added to `pivot_rows` when it is
     given; the pivots of the dense Smith core are not."""
-    pivots, core = _unit_pivot_reduce(
-        {c: dict(col) for c, col in cols.items() if col}
-    )
-    unit_rank = len(pivots)
+    pivots, core = _unit_pivot_reduce(cols)
     if pivot_rows is not None:
         pivot_rows.update(pivots)
     if not core:
-        return unit_rank, ()
-    row_ids = sorted({r for col in core.values() for r in col})
-    rindex = {r: i for i, r in enumerate(row_ids)}
-    dense = [[0] * len(core) for _ in row_ids]
-    for j, c in enumerate(sorted(core)):
-        for r, v in core[c].items():
-            dense[rindex[r]][j] = v
-    diag = _dense_smith(dense)
-    torsion = tuple(d for d in diag if d > 1)
-    return unit_rank + len(diag), torsion
+        return len(pivots), ()
+    rows = sorted({r for col in core for r in col})
+    diag = _dense_smith([[col.get(r, 0) for col in core] for r in rows])
+    return len(pivots) + len(diag), tuple(d for d in diag if d > 1)
 
 
 # -- chain complexes and homology ----------------------------------------------
@@ -205,8 +205,7 @@ class NotRegularError(ValueError):
 
 @dataclass(frozen=True)
 class ChainComplexRecord:
-    """Ordered bases of poset elements per dimension, with integer
-    boundary maps."""
+    """Ordered bases of cells per dimension, with integer boundary maps."""
 
     bases: tuple[tuple[int, ...], ...]
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
@@ -330,17 +329,37 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     return signs
 
 
-def chain_complex(poset: FinitePoset) -> ChainComplexRecord:
-    """The cellular chain complex of a regular CW face poset; it squares
-    to zero by the construction of its signs (see the module docstring).
-    A boundary is keyed by cell number, column c being the signed facets
-    `_incidences` found for c, so its order is that of the bases."""
-    signs = _incidences(poset)
-    heights = poset.heights()
-    bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
-    for c in poset.elements:
-        bases[heights[c]].append(c)
-    boundaries = [{}] + [{c: signs[c] for c in level} for level in bases[1:]]
+def _dual_signs(system: CovectorSystem) -> dict[int, tuple[int, ...]]:
+    """For each covector, the signs `_incidences` gives its upper covers
+    on the dual covector poset, in their order; found once per system."""
+    dual = system.covector_poset().dual()
+    return system.memo(("dual signs",), lambda: {
+        g: tuple(map(s.__getitem__, dual.lower_covers(g))) for g, s in _incidences(dual).items()
+    })
+
+
+def chain_complex(salvetti: SalvettiPoset, cells: Optional[int] = None) -> ChainComplexRecord:
+    """The cellular chain complex of a Salvetti poset, or of its
+    restriction to an ideal, a mask of `cells` such as a localization
+    fiber.  Cell (G, R) lies in the dimension of G's dual cell, and its
+    column pairs its covers with the signs of G's upper covers (see the
+    module docstring).  A boundary is keyed by cell number, in the order
+    of the bases."""
+    system = salvetti.system
+    signs = _dual_signs(system)
+    heights = system.covector_poset().dual().heights()
+    keys, covers = salvetti.keys, salvetti.covers
+    bases: list[list[int]] = [[] for _ in range(system.rank() + 1)]
+    boundaries: list[dict[int, dict[int, int]]] = [{} for _ in bases]
+    for k in range(len(keys)) if cells is None else bits(cells):
+        g = keys[k][0]
+        h = heights[g]
+        bases[h].append(k)
+        if h:
+            boundaries[h][k] = dict(zip(covers[k], signs[g]))
+    while bases and not bases[-1]:
+        bases.pop()
+        boundaries.pop()
     return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
 
 
@@ -353,10 +372,9 @@ class HomologyResult:
         return all(not t for t in self.torsion)
 
 
-def homology(poset: FinitePoset) -> HomologyResult:
+def homology(rec: ChainComplexRecord) -> HomologyResult:
     """Exact integral homology (Betti numbers and torsion coefficients) of
-    a regular CW face poset."""
-    rec = chain_complex(poset)
+    a chain complex."""
     if not rec.bases:
         return HomologyResult((), ())
     dim = len(rec.bases) - 1
@@ -392,7 +410,7 @@ def salvetti_betti_match_whitney(system: CovectorSystem) -> WhitneyCheck:
     """The global cross-oracle: Betti numbers of the Salvetti poset must
     equal the unsigned Whitney numbers, with no torsion."""
     w = build_lattice(system).whitney()
-    res = homology(SalvettiPoset(system).poset)
+    res = homology(chain_complex(SalvettiPoset(system)))
     betti = res.betti + (0,) * (len(w) - len(res.betti))
     return WhitneyCheck(betti[: len(w)] == w and res.is_torsion_free(), betti, w, res)
 

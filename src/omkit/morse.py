@@ -120,6 +120,12 @@ class Matching:
         memoized on its system is walked once per system."""
         return self.cycle()
 
+    @cached_property
+    def digits(self) -> str:
+        """The critical cells as binary digits, character x for element x,
+        formatted once and kept with the matching, like `walked`."""
+        return format(self.critical_cells(), f"0{len(self.host.names)}b")[::-1]
+
     def serialize(self) -> str:
         names = self.host.names
         return "\n".join(f"({names[a]} -> {names[b]})" for a, b in sorted(self.pairs))
@@ -397,12 +403,6 @@ def check_patchwork(strat: FiberStratification) -> tuple[int, ...]:
     return tuple(strata)
 
 
-def _digits(matching: Matching) -> str:
-    """The critical cells of a matching as binary digits by element
-    number: character x is 1 when element x is critical."""
-    return format(matching.critical_cells(), f"0{len(matching.host.names)}b")[::-1]
-
-
 class FiberCertifier:
     """The certificates of the fiber matchings of one localization, one
     stratified ambient fiber at a time, read off the patchwork theorem
@@ -430,7 +430,8 @@ class FiberCertifier:
     stratum, are bijections onto strata that partition the fiber, so
     this holds exactly when the cell's fiber lies in the ambient fiber
     and its digits at the lifted cells, read ball by ball in one gather,
-    are the local matchings' critical digits.  The cell's fiber is an
+    are the local matchings' critical digits (`Matching.digits`, kept
+    with each matching like its walk).  The cell's fiber is an
     ideal by the order check of `salvetti_localization`, so it is not
     checked here.  The ambient fiber is the stratification's own; the
     witnesses are those of `morse_reduction_certificate` on the glued
@@ -438,8 +439,8 @@ class FiberCertifier:
 
     def __init__(self, loc: SalvettiLocalization):
         self.loc = loc
-        # by face: the local matchings of the cells over it, with their digits
-        self._local: dict[int, tuple[Matching, Matching, str, str]] = {}
+        # by face: the local matchings of the cells over it
+        self._local: dict[int, tuple[Matching, Matching]] = {}
 
     def certify(self, strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
         """The certificate of the fiber matching onto each cell's fiber,
@@ -456,12 +457,11 @@ class FiberCertifier:
         for cell in cells:
             face = loc.target.keys[cell][0]
             if face not in self._local:
-                m0, mi = local_matchings(loc, cell)
-                self._local[face] = (m0, mi, _digits(m0), _digits(mi))
-            m0, mi, d0, di = self._local[face]
+                self._local[face] = local_matchings(loc, cell)
+            m0, mi = self._local[face]
             sub = loc.fibers[cell]
             critical = None
-            if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != d0 + di * later:
+            if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != m0.digits + mi.digits * later:
                 matchings = [m0] + [mi] * later
                 crit = mask_of(lift[x] for lift, m in zip(strat.lifts, matchings) for x in bits(m.critical_cells()))
                 critical = _critical_claim(source, crit, sub)

@@ -4,27 +4,30 @@ Cells are pairs (sigma, T) with sigma below the tope T, ordered by
 (sigma, T) <= (tau, R)  iff  sigma >= tau and sigma o R = T, so the ideal
 below (G, R) is {(F, F o R) : F >= G}.  It is read off the system's cached
 covector poset, from the top height down: F o R = F o (U o R) for F >= U,
-so the ideal below (G, R) is the cell itself and the ideals below the
-cells (U, U o R) for the upper covers U of G, and those cells are its
-lower covers.  The poset is built from these covers alone
-(`FinitePoset.from_covers`), each cover one composition; its below
-masks are derived only when a localization, a fiber or a certificate
-reads them, so homology and the Betti check never build them.  The
-compositions are topes exactly when every F o R with F above a face of
-R is one; when one is not, the direct loop over topes, faces and
-covectors is rescanned to name its first failing composition.
-Everything here is by number: a covector or tope is its
-element of `system.covector_poset()`, its value the (plus, minus) pair
-`system.vectors()[i]`, and cell k is the pair `keys[k]` of
-covector numbers (`index` inverts it).  Cells are numbered in the order of
-their ids "(sigma;T)", which are rendered once, as the poset's names, and
-`cell_over(c, t)` is the cell (c, c o T); sign text is parsed and rendered
-only by the command line.  A flat is a ground-bit mask.  Localization at a
-flat is restriction to it: the covector projection rho and the cell map
-are tuples of element numbers, and each poset fiber is a mask of source
-cells.  The fiber stratification over a modular corank-one flat is the
-combinatorial heart of the quasi-fibration certificates; its strata are
-derived in one place, `morse.check_patchwork`, which checks them.
+so the lower covers of (G, R) are the cells (U, U o R) for the upper
+covers U of G, each one composition, and U -> (U, U o R) is an order
+isomorphism from the closed dual cell of G onto the ideal below (G, R);
+`omkit.homology` reads the incidence signs through it, once per covector.
+A `SalvettiPoset` keeps its cells, read off the topes above each
+covector as they are handed down the lower covers (so no mask is
+derived), and their covers; its `FinitePoset`, named by the cell ids
+"(sigma;T)", is built from the covers on the first read of `poset`, and
+its masks when a localization, a fiber or a certificate reads one, so
+the Betti check builds neither.  The compositions are topes
+exactly when every F o R with F above a face of R is one; when one is
+not, the direct loop over topes, faces and covectors is rescanned to name
+its first failing composition.  Everything here is by number: a covector
+or tope is its element of `system.covector_poset()`, its value the (plus,
+minus) pair `system.vectors()[i]`, and cell k is the pair `keys[k]` of
+covector numbers (`index` inverts it), numbered by (sigma, T), the order
+of their ids; `cell_over(c, t)` is the cell (c, c o T).  Sign text is
+parsed and rendered only by the command line.  A flat is a ground-bit
+mask.  Localization at a flat is restriction to it: the covector
+projection rho and the cell map are tuples of element numbers, and each
+poset fiber is a mask of source cells.  The fiber stratification over a
+modular corank-one flat is the combinatorial heart of the quasi-fibration
+certificates; its strata are derived in one place,
+`morse.check_patchwork`, which checks them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem, flat_id, section_lift
-from .posets import FinitePoset, PosetError, bits, mask_of
+from .posets import FinitePoset, PosetError, bits
 from .signs import compose_masks, separator_masks, sign_text
 
 
@@ -61,29 +64,38 @@ def _raise_first_bad_composition(system: CovectorSystem) -> None:
 
 
 class SalvettiPoset:
-    """Face poset of the Salvetti complex of a covector system."""
+    """Face poset of the Salvetti complex of a covector system: its cells
+    (`keys`, `index`) and their lower covers, walked top down (`covers`)."""
 
-    __slots__ = ("system", "keys", "index", "poset")
+    __slots__ = ("system", "keys", "index", "covers", "_poset")
 
     def __init__(self, system: CovectorSystem):
         order = system.covector_poset()
-        names = order.names
         vectors = system.vectors()
         number = system.numbering()
-        topes = system.topes()
-        keys = sorted((c, t) for t in bits(topes) for c in bits(order.below(t)))
+        topes = bits(system.topes())
+        heights = order.heights()
+        lower, upper = order.lower_covers, order.dual().lower_covers
+        down = sorted(order.elements, key=lambda c: -heights[c])
+        # the topes above each covector, a mask over `topes`, handed down
+        # the lower covers: a covector's upper covers are walked before it
+        above = [0] * len(vectors)
+        for i, t in enumerate(topes):
+            above[t] = 1 << i
+        for g in down:
+            for c in lower(g):
+                above[c] |= above[g]
+        keys = [(c, topes[i]) for c in order.elements for i in bits(above[c])]
         index = {key: k for k, key in enumerate(keys)}
         # the cells (c, t) on each face c, keyed by the value of t
         over: list[dict[tuple[int, int], int]] = [{} for _ in vectors]
         for k, (c, t) in enumerate(keys):
             over[c][vectors[t]] = k
-        heights = order.heights()
-        upper = order.dual().lower_covers
         # top down: the lower covers of (g, r) are the cells (u, u o r) for
         # the upper covers u of g, walked before it; they increase with u.
         # u o r is a tope exactly when it is the value of a cell on u
         covers: dict[int, tuple[int, ...]] = {}
-        for g in sorted(order.elements, key=lambda c: -heights[c]):
+        for g in down:
             ups = [(over[u], *vectors[u], ~(vectors[u][0] | vectors[u][1])) for u in upper(g)]
             for (pr, mr), k in over[g].items():
                 cs = []
@@ -93,18 +105,30 @@ class SalvettiPoset:
                         _raise_first_bad_composition(system)
                     cs.append(cell)
                 covers[k] = tuple(cs)
-        poset = FinitePoset.from_covers([f"({names[c]};{names[t]})" for c, t in keys], covers)
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "poset", poset)
-        # sanity of the construction, read off the covers: extremes are as
-        # forced by the order
+        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "_poset", None)
+        # sanity of the construction, read off the covers: the cells with
+        # no covers, and those no cell covers, are the (T, T) and the (0, T)
         zero = number.get((0, 0), -1)
-        if poset.minimal_elements() != mask_of(k for k, (g, r) in enumerate(keys) if g == r):
+        minimal = [index[t, t] for t in topes]
+        if list(covers.values()).count(()) != len(minimal) or any(covers[k] for k in minimal):
             raise AssertionError("minimal cells are not the (T, T)")
-        if poset.maximal_elements() != mask_of(k for k, (g, _) in enumerate(keys) if g == zero):
+        covered = set().union(*covers.values())
+        maximal = [index.get((zero, t), -1) for t in topes]
+        if len(keys) - len(covered) != len(maximal) or any(k in covered or k < 0 for k in maximal):
             raise AssertionError("maximal cells are not the (0, T)")
+
+    @property
+    def poset(self) -> FinitePoset:
+        """The face poset, named by the cell ids, built on the first read."""
+        if self._poset is None:
+            names = self.system.covector_poset().names
+            ids = [f"({names[c]};{names[t]})" for c, t in self.keys]
+            object.__setattr__(self, "_poset", FinitePoset.from_covers(ids, self.covers))
+        return self._poset
 
     def __setattr__(self, name, value):
         raise AttributeError("SalvettiPoset is immutable")

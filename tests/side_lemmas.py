@@ -40,7 +40,7 @@ so they live with the tests."""
 import heapq
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from omkit.homology import NotRegularError, homology
+from omkit.homology import NotRegularError
 from omkit.lattices import GeometricLattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching, MatchingError
@@ -50,6 +50,7 @@ from omkit.signs import compose_masks, restrict_masks, separator_masks, sign_tex
 from omkit.topes import NotATopeError, ShellingReport, _purity_failure, _require_topes
 from poset_builders import PosetMap, from_below
 from poset_oracle import scanned_covers
+from simplicial_oracle import poset_homology
 
 # -- the covector order and the join, by definition ---------------------------
 
@@ -727,8 +728,8 @@ class FiberHomology(NamedTuple):
 
 def fiber_homology(fiber: FinitePoset) -> FiberHomology:
     """The homology of a fiber, by the reduction of its cellular chain
-    complex."""
-    res = homology(fiber)
+    complex, built cell by cell."""
+    res = poset_homology(fiber)
     betti = list(res.betti)
     while len(betti) > 2 and betti[-1] == 0:
         betti.pop()

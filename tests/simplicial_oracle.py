@@ -1,20 +1,23 @@
 """The independent homology oracle: the simplicial chain complex, with
 ordered-vertex orientations, reduced by `rank_and_torsion`.  Production
-homology reads incidence signs off a face poset instead; the two meet on
-order complexes (barycentric subdivisions) and on simplicial complexes
-given by their facets, whose face posets `from_facets` builds.
-`uncleared_homology` reduces every column of the cellular complex, the
-reference for production homology's clearing, and `squares_to_zero`
-multiplies the boundary maps out, the oracle for the sign construction
-that makes them square to zero.  `betti_numbers` is production homology
-with trailing zeros trimmed."""
+homology takes the signs of a Salvetti complex from the dual covector
+complex, once per covector; `cellular_chain_complex` reads them off any
+regular CW face poset cell by cell, with `_incidences`, the per-cell
+reference for those signs, and `poset_homology` reduces it.  The
+cellular and simplicial complexes meet on order complexes (barycentric
+subdivisions) and on simplicial complexes given by their facets, whose
+face posets `from_facets` builds.  `uncleared_homology` reduces every
+column of a chain complex, the reference for production homology's
+clearing, and `squares_to_zero` multiplies the boundary maps out, the
+oracle for the sign construction that makes them square to zero.
+`betti_numbers` is `poset_homology` with trailing zeros trimmed."""
 
 from itertools import combinations
 
 from omkit.homology import (
     ChainComplexRecord,
     HomologyResult,
-    chain_complex,
+    _incidences,
     homology,
     rank_and_torsion,
 )
@@ -54,9 +57,28 @@ def from_facets(facets) -> FinitePoset:
     return from_below(sorted(name.values()), below)
 
 
+def cellular_chain_complex(poset: FinitePoset) -> ChainComplexRecord:
+    """The cellular chain complex of a regular CW face poset, cell by
+    cell: the cells of each height in increasing order, and column c the
+    signed facets `_incidences` finds for c."""
+    signs = _incidences(poset)
+    heights = poset.heights()
+    bases: list[list[int]] = [[] for _ in range(max(heights.values(), default=-1) + 1)]
+    for c in poset.elements:
+        bases[heights[c]].append(c)
+    boundaries = [{}] + [{c: signs[c] for c in level} for level in bases[1:]]
+    return ChainComplexRecord(tuple(map(tuple, bases)), tuple(boundaries))
+
+
+def poset_homology(poset: FinitePoset) -> HomologyResult:
+    """Production homology of the cell-by-cell chain complex of a face
+    poset."""
+    return homology(cellular_chain_complex(poset))
+
+
 def betti_numbers(poset: FinitePoset) -> tuple[int, ...]:
     """The Betti numbers of a face poset, trailing zeros trimmed."""
-    betti = list(homology(poset).betti)
+    betti = list(poset_homology(poset).betti)
     while len(betti) > 1 and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
@@ -70,10 +92,9 @@ def homology_of_ranks(sizes, ranks, torsion) -> HomologyResult:
     return HomologyResult(betti, tuple(torsion[1:dim + 2]))
 
 
-def uncleared_homology(poset: FinitePoset) -> HomologyResult:
-    """Homology of the cellular chain complex, every column of every
-    boundary reduced."""
-    rec = chain_complex(poset)
+def uncleared_homology(rec: ChainComplexRecord) -> HomologyResult:
+    """Homology of a chain complex, every column of every boundary
+    reduced."""
     dim = len(rec.bases) - 1
     ranks = [0] * (dim + 2)
     torsion = [()] * (dim + 2)

@@ -10,6 +10,7 @@ import time
 
 from conftest import sign_vectors
 from omkit.homology import (
+    chain_complex,
     graph_rank,
     homology,
     quasi_fibration_certify,
@@ -237,7 +238,7 @@ def test_criterion_8_rank_data(five_planes):
     started = time.monotonic()
     seq = semidirect_rank_sequence(five_planes)
     ok = seq == (2, 2, 1)
-    res = homology(SalvettiPoset(five_planes).poset)
+    res = homology(chain_complex(SalvettiPoset(five_planes)))
     ok = ok and sum(seq) == 5 == res.betti[1]
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):

@@ -22,15 +22,17 @@ from omkit.omfile import format_topes
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
-from conftest import braid_arrangement
+from conftest import b3_arrangement, braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
 from side_lemmas import fiber_homology, incidences_cell_by_cell, pairwise_below
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
+    cellular_chain_complex,
     complex_of_facets,
     from_facets,
     order_complex_homology,
+    poset_homology,
     simplicial_homology,
     squares_to_zero,
     uncleared_homology,
@@ -96,22 +98,66 @@ def test_rank_and_torsion_matches_the_determinantal_divisors(rows):
         assert determinantal_divisors([rows[i] for i in sorted(pivot_rows)])[len(pivot_rows) - 1:] == [1]
 
 
+def test_the_core_is_reduced_on_pivot_rows_found_after_it():
+    # column 0 has no unit at its largest row, 1, and goes to the core;
+    # column 1 then takes row 1 as its pivot, and it clears column 0
+    assert rank_and_torsion({0: {1: 2}, 1: {1: 1}}) == (1, ())
+    # the rows are [4 0 6] and [2 1 0]: the core keeps row 0 of columns 0
+    # and 2, [4 6], so the invariant factors are 1 and 2
+    assert rank_and_torsion({0: {1: 2, 0: 4}, 1: {1: 1}, 2: {0: 6}}) == (2, (2,))
+
+
+def recorded_cores(monkeypatch) -> list:
+    """Patch the unit-pivot elimination to append each core it leaves to
+    the returned list."""
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    real, cores = module._unit_pivot_reduce, []
+
+    def recording(cols):
+        pivots, core = real(cols)
+        cores.append(core)
+        return pivots, core
+
+    monkeypatch.setattr(module, "_unit_pivot_reduce", recording)
+    return cores
+
+
+def test_no_core_is_left_on_salvetti_complexes(monkeypatch, all_corpus, np14, a4):
+    cores = recorded_cores(monkeypatch)
+    for name, system in {**all_corpus, "np14": np14, "A4": a4}.items():
+        cores.clear()
+        assert salvetti_betti_match_whitney(system).ok, name
+        assert cores and not any(cores), name
+
+
+def test_a5_betti_numbers_are_its_whitney_numbers(monkeypatch):
+    # the braid arrangement A_5, 23,040 Salvetti cells, with no torsion
+    # and no core left in any dimension
+    cores = recorded_cores(monkeypatch)
+    check = salvetti_betti_match_whitney(from_arrangement(braid_arrangement(6)))
+    assert check.homology.betti == (1, 15, 85, 225, 274, 120)
+    assert check.ok and check.homology.is_torsion_free()
+    assert len(cores) == 5 and not any(cores)
+
+
 def test_sphere_zero():
     two_points = [["a"], ["b"]]
-    assert homology(from_facets(two_points)).betti == (2,)
+    assert poset_homology(from_facets(two_points)).betti == (2,)
     assert simplicial_homology(complex_of_facets(two_points)).betti == (2,)
 
 
 def test_circle_from_square():
     circle = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]
-    assert homology(from_facets(circle)).betti == (1, 1)
+    assert poset_homology(from_facets(circle)).betti == (1, 1)
     assert simplicial_homology(complex_of_facets(circle)).betti == (1, 1)
 
 
 def test_two_sphere():
     # boundary of a tetrahedron
     sphere = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
-    assert homology(from_facets(sphere)).betti == (1, 0, 1)
+    assert poset_homology(from_facets(sphere)).betti == (1, 0, 1)
     assert simplicial_homology(complex_of_facets(sphere)).betti == (1, 0, 1)
 
 
@@ -121,7 +167,7 @@ def rp2():
 
 def test_projective_plane_torsion():
     # through the cellular path of its face poset and through the oracle
-    for res in (homology(from_facets(rp2())), simplicial_homology(complex_of_facets(rp2()))):
+    for res in (poset_homology(from_facets(rp2())), simplicial_homology(complex_of_facets(rp2()))):
         assert res.betti == (1, 0, 0)
         assert res.torsion[1] == (2,)
 
@@ -130,34 +176,36 @@ def test_projective_plane_torsion():
 @given(st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=4), max_size=8))
 def test_face_poset_homology_matches_the_simplicial_oracle(facets):
     # and clearing changes nothing against reducing every column
-    poset = from_facets(facets)
-    assert squares_to_zero(chain_complex(poset))
-    assert homology(poset) == simplicial_homology(complex_of_facets(facets)) == uncleared_homology(poset)
+    rec = cellular_chain_complex(from_facets(facets))
+    assert squares_to_zero(rec)
+    assert homology(rec) == simplicial_homology(complex_of_facets(facets)) == uncleared_homology(rec)
 
 
 def test_clearing_is_exact_on_salvetti_posets_fibers_and_rp2(all_corpus, five_planes):
     for name, system in all_corpus.items():
-        poset = SalvettiPoset(system).poset
-        assert homology(poset) == uncleared_homology(poset), name
+        rec = chain_complex(SalvettiPoset(system))
+        assert homology(rec) == uncleared_homology(rec), name
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
-    for cell in loc.target.poset.elements:
-        assert homology(loc.fiber(cell)) == uncleared_homology(loc.fiber(cell)), cell
-    rp = from_facets(rp2())
+    for cell, fiber in enumerate(loc.fibers):
+        rec = chain_complex(loc.source, fiber)
+        assert homology(rec) == uncleared_homology(rec), cell
+    rp = cellular_chain_complex(from_facets(rp2()))
     assert homology(rp) == uncleared_homology(rp)
     assert homology(rp).torsion[1] == (2,)
 
 
 def test_boundary_squares_to_zero_on_salvetti_posets_fibers_a4_and_rp2(all_corpus, five_planes, braid3):
-    # the signs of `_incidences` make the boundary square to zero; here
-    # the maps are multiplied out
-    posets = [SalvettiPoset(s).poset for s in all_corpus.values()]
+    # the signs of `_incidences`, transported from the dual covector
+    # complex, make the boundary square to zero; here the maps are
+    # multiplied out
+    recs = [chain_complex(SalvettiPoset(s)) for s in all_corpus.values()]
     for system, flat in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
         loc = salvetti_localization(system, system.label_mask(flat))
-        posets += [loc.fiber(cell) for cell in loc.target.poset.elements]
-    posets.append(SalvettiPoset(from_arrangement(braid_arrangement(5))).poset)
-    posets.append(from_facets(rp2()))
-    for poset in posets:
-        assert squares_to_zero(chain_complex(poset)), poset.names[:3]
+        recs += [chain_complex(loc.source, fiber) for fiber in loc.fibers]
+    recs.append(chain_complex(SalvettiPoset(from_arrangement(braid_arrangement(5)))))
+    recs.append(cellular_chain_complex(from_facets(rp2())))
+    for rec in recs:
+        assert squares_to_zero(rec), rec.bases[0][:3]
 
 
 def test_homology_reduces_once_per_dimension_after_chain_complex(monkeypatch, all_corpus):
@@ -175,12 +223,12 @@ def test_homology_reduces_once_per_dimension_after_chain_complex(monkeypatch, al
 
     monkeypatch.setattr(module, "rank_and_torsion", counting)
     for name, system in all_corpus.items():
-        poset = SalvettiPoset(system).poset
-        rec = chain_complex(poset)
+        salvetti = SalvettiPoset(system)
+        poset, rec = salvetti.poset, chain_complex(salvetti)
         # every cover is a nonzero incidence
         assert sum(len(col) for b in rec.boundaries for col in b.values()) == len(cover_pairs(poset)), name
         columns.clear()
-        homology(poset)
+        homology(rec)
         assert len(columns) == poset.height(), name
         # the top boundary first and in full, then fewer columns below it
         assert columns[0] == len(rec.bases[-1]), name
@@ -192,24 +240,43 @@ def test_cellular_matches_order_complex_on_corpus(all_corpus):
     for name, system in all_corpus.items():
         if name == "non-pappus":  # about 18 s through the order complex
             continue
-        poset = SalvettiPoset(system).poset
-        assert homology(poset) == order_complex_homology(poset), name
+        salvetti = SalvettiPoset(system)
+        assert homology(chain_complex(salvetti)) == order_complex_homology(salvetti.poset), name
 
 
 def test_cellular_matches_order_complex_on_fibers(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in sorted(loc.target.poset.elements):
-        fib = loc.fiber(cid)
-        assert homology(fib) == order_complex_homology(fib), cid
+        rec = chain_complex(loc.source, loc.fibers[cid])
+        assert homology(rec) == order_complex_homology(loc.fiber(cid)), cid
 
 
 def test_poset_homology_does_not_subdivide(monkeypatch, five_planes):
     def refuse(self):
         raise AssertionError("order complex built")
 
-    poset = SalvettiPoset(five_planes).poset
+    salvetti = SalvettiPoset(five_planes)
     monkeypatch.setattr(FinitePoset, "order_complex", refuse)
-    assert homology(poset).betti == (1, 5, 8, 4)
+    assert homology(chain_complex(salvetti)).betti == (1, 5, 8, 4)
+
+
+def test_transported_signs_are_the_per_cell_signs(all_corpus, np14, a4):
+    # every column of the chain complex, signs included, is the one
+    # `_incidences` finds on the Salvetti poset cell by cell
+    b3 = from_arrangement(b3_arrangement())
+    for name, system in {**all_corpus, "np14": np14, "A4": a4, "B3": b3}.items():
+        salvetti = SalvettiPoset(system)
+        assert chain_complex(salvetti) == cellular_chain_complex(salvetti.poset), name
+
+
+@pytest.mark.parametrize("name, flat", [("sec3-arrangement", "H1,H2,H3"), ("braid3", "12,13,23")])
+def test_fiber_complexes_are_the_per_cell_complexes_of_the_fibers(name, flat):
+    # restricted to a fiber, the source's chain complex is the fiber
+    # subposet's, built cell by cell
+    system = corpus(name)
+    loc = salvetti_localization(system, system.label_mask(flat.split(",")))
+    for q, fiber in enumerate(loc.fibers):
+        assert chain_complex(loc.source, fiber) == cellular_chain_complex(loc.fiber(q)), q
 
 
 def test_cellular_boundary_signs():
@@ -221,7 +288,7 @@ def test_cellular_boundary_signs():
          ("d", "cd"), ("a", "ad"), ("d", "ad"),
          ("ab", "f"), ("bc", "f"), ("cd", "f"), ("ad", "f")],
     )
-    rec = chain_complex(disk)
+    rec = cellular_chain_complex(disk)
     named = tuple(tuple(disk.names[c] for c in level) for level in rec.bases)
     assert named == (("a", "b", "c", "d"), ("ab", "ad", "bc", "cd"), ("f",))
     cell = disk.names.index
@@ -229,7 +296,7 @@ def test_cellular_boundary_signs():
     assert rec.boundaries[2][cell("f")] == {  # ab + bc + cd - ad
         cell("ab"): 1, cell("ad"): -1, cell("bc"): 1, cell("cd"): 1,
     }
-    assert homology(disk).betti == (1, 0, 0)
+    assert homology(rec).betti == (1, 0, 0)
 
 
 def two_digons():
@@ -290,7 +357,7 @@ def rp2_ball():
 )
 def test_regularity_failures_name_the_cell(poset, message):
     with pytest.raises(NotRegularError, match=re.escape(message)):
-        homology(poset())
+        poset_homology(poset())
 
 
 def same_signs(poset, ordered=False):
@@ -345,7 +412,7 @@ def test_signs_per_shape_are_the_cell_by_cell_signs_on_face_posets(facets, rng):
     # shapes, so templates are replaced; the boundary still squares to zero
     for poset in (from_facets(facets), relabelled(from_facets(facets), rng)):
         assert same_signs(poset)
-        assert squares_to_zero(chain_complex(poset))
+        assert squares_to_zero(cellular_chain_complex(poset))
 
 
 def poset_of(covers):
@@ -393,7 +460,7 @@ def test_a_second_square_of_one_shape_spreads_its_own_signs(monkeypatch):
     assert signs[cell("sq")] == {cell("ac"): 1, cell("ad"): -1, cell("bc"): -1, cell("bd"): 1}
     assert signs[cell("t")] == {cell("f1"): 1, cell("f2"): -1, cell("f3"): 1, cell("f4"): 1}
     assert same_signs(poset, ordered=True)
-    assert squares_to_zero(chain_complex(poset))
+    assert squares_to_zero(cellular_chain_complex(poset))
 
 
 def cube(prefix, vertex_names):
@@ -428,7 +495,7 @@ def test_a_replaced_template_starts_a_new_class(vertex_names):
     covers = cube("1", range(8)) + cube("2", vertex_names)
     poset = poset_of(covers)
     assert same_signs(poset)
-    assert squares_to_zero(chain_complex(poset))
+    assert squares_to_zero(cellular_chain_complex(poset))
 
 
 def triangle_then_theta():
@@ -466,12 +533,12 @@ def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(monkeypatch, poset,
 
 
 def test_the_signs_are_spread_once_per_shape_not_per_cell(monkeypatch, braid3, np14):
-    # fewer spreads than the covector system has covectors: the cells over
-    # one covector share a shape
+    # fewer spreads than the covector system has covectors, cell by cell
+    # on the Salvetti poset: the cells over one covector share a shape
     spread = spreading(monkeypatch)
     for name, system in (("braid3", braid3), ("np14", np14)):
         spread.clear()
-        homology(SalvettiPoset(system).poset)
+        cellular_chain_complex(SalvettiPoset(system).poset)
         assert 0 < len(spread) < len(system), name
 
 
@@ -532,13 +599,13 @@ def test_graph_rank_rejects_high_dimension(five_planes):
 
 
 def test_graph_rank_refuses_an_edge_without_two_vertices():
-    # the same refusal, word for word, as the chain complex's
+    # the same refusal, word for word, as that of `_incidences`
     graph = from_covers(("a", "b", "e", "f"), [("a", "e"), ("a", "f"), ("b", "f")])
     message = re.escape("edge 'e' has vertices ['a'], not exactly 2")
     with pytest.raises(NotRegularError, match=message):
         graph_rank(graph)
     with pytest.raises(NotRegularError, match=message):
-        chain_complex(graph)
+        _incidences(graph)
 
 
 def test_minimal_fiber_rank(five_planes):
@@ -615,6 +682,28 @@ def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch):
     again = quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
     assert again.ok and again.loc.localized is cert.loc.localized
     assert len(walked) == len(local)
+
+
+def test_a_second_certificate_formats_no_digits(monkeypatch):
+    # the critical digits of a local matching are kept with it, so a
+    # second certificate on the same system reads the first one's
+    import omkit.morse as morse
+
+    system = corpus("sec3-arrangement")
+    flat = system.label_mask({"H1", "H2", "H3"})
+    read = []
+    real = morse.Matching.critical_cells
+
+    def reading(self):
+        read.append(self)
+        return real(self)
+
+    monkeypatch.setattr(morse.Matching, "critical_cells", reading)
+    assert quasi_fibration_certify(system, flat).ok
+    assert read
+    read.clear()
+    assert quasi_fibration_certify(system, flat).ok
+    assert read == []
 
 
 def _comparable_pairs(system):
@@ -706,7 +795,8 @@ def test_certificate_reduces_no_fiber(monkeypatch, five_planes, braid3, np14_ext
         assert quasi_fibration_certify(system, flat, sample).ok
     assert reduced == []
     # the counters count
-    module.homology(salvetti_localization(braid3, runs[1][1]).fiber(0))
+    loc = salvetti_localization(braid3, runs[1][1])
+    module.homology(module.chain_complex(loc.source, loc.fibers[0]))
     assert len(reduced) == 2
 
 
@@ -810,8 +900,9 @@ def holds_masks(poset):
 
 
 def test_the_betti_path_builds_no_masks(monkeypatch, braid3, np14):
-    # homology reads covers and heights only, so the Salvetti poset of the
-    # Betti check never derives its below and above masks
+    # the chain complex reads the Salvetti cells and covers only, so the
+    # Betti check builds no Salvetti `FinitePoset`, and with it no names
+    # and no masks
     import importlib
 
     module = importlib.import_module("omkit.homology")
@@ -828,10 +919,18 @@ def test_the_betti_path_builds_no_masks(monkeypatch, braid3, np14):
         built.clear()
         assert salvetti_betti_match_whitney(system).ok
         assert len(built) == 1
-        assert not holds_masks(built[0].poset)
-    # the first read derives them
-    built[0].poset.below(0)
-    assert holds_masks(built[0].poset)
+        assert built[0]._poset is None
+    # the first read of `poset` builds it from the covers, without masks,
+    # and the first read of a mask derives them
+    poset = built[0].poset
+    assert not holds_masks(poset)
+    poset.below(0)
+    assert holds_masks(poset)
+    # on a fresh system, neither the covector order nor its dual derives
+    # its masks either
+    system = corpus("braid3")
+    assert salvetti_betti_match_whitney(system).ok
+    assert not holds_masks(system.covector_poset()) and not holds_masks(system.covector_poset().dual())
 
 
 @pytest.mark.parametrize("name", ["braid3", "non-pappus"])

@@ -190,30 +190,32 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
         ], name
 
 
+def upper_covers_patched(monkeypatch, system, edit):
+    """Patch the upper covers the Salvetti build reads off the system's
+    dual covector poset: covector g gets `edit(g, its upper covers)`."""
+    dual = system.covector_poset().dual()
+    real = FinitePoset.lower_covers
+
+    def lower_covers(self, y):
+        return edit(y, real(self, y)) if self is dual else real(self, y)
+
+    monkeypatch.setattr(FinitePoset, "lower_covers", lower_covers)
+    return dual
+
+
 def test_salvetti_refuses_a_minimal_cell_that_is_no_tope_pair(monkeypatch, braid3):
     # a cell (G, R) with G != R that loses its covers is minimal
-    braid3.covector_poset()  # built unpatched: the session fixture keeps its covers
-    real = FinitePoset.from_covers
-
-    def dropping(names, covers):
-        k = next(k for k, cs in covers.items() if cs)
-        return real(names, {**covers, k: ()})
-
-    monkeypatch.setattr(FinitePoset, "from_covers", dropping)
+    lost = next(g for g in braid3.covector_poset().elements if not braid3.topes() >> g & 1)
+    upper_covers_patched(monkeypatch, braid3, lambda g, ups: () if g == lost else ups)
     with pytest.raises(AssertionError, match=r"minimal cells are not the \(T, T\)"):
         SalvettiPoset(braid3)
 
 
 def test_salvetti_refuses_a_maximal_cell_off_the_zero_vector(monkeypatch, braid3):
-    # a cell (G, R) with G != 0 that is no other cell's cover is maximal
-    braid3.covector_poset()  # built unpatched: the session fixture keeps its covers
-    real = FinitePoset.from_covers
-
-    def uncovering(names, covers):
-        x = next(cs for cs in covers.values() if cs)[0]
-        return real(names, {k: tuple(c for c in cs if c != x) for k, cs in covers.items()})
-
-    monkeypatch.setattr(FinitePoset, "from_covers", uncovering)
+    # a cell (G, R) with G != 0 that is no other cell's cover is maximal:
+    # here (T, T), for a tope T no covector has as an upper cover
+    tope = bits(braid3.topes())[0]
+    upper_covers_patched(monkeypatch, braid3, lambda g, ups: tuple(u for u in ups if u != tope))
     with pytest.raises(AssertionError, match=r"maximal cells are not the \(0, T\)"):
         SalvettiPoset(braid3)
 

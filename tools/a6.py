@@ -4,13 +4,12 @@ A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
 (47,293 covectors, 322,560 Salvetti cells).  The script caps its own
 address space at 4 GiB (RLIMIT_AS), so a run that would need more fails
 with MemoryError instead of crowding the host.  It builds A_6 with
-`from_arrangement`, then the covector poset, the Salvetti poset, its
-chain complex on its own and its `homology()` (which builds the chain
-complex again), printing each stage's time and the resident set size after
-it, then the Betti numbers, the torsion and the process's peak resident
-set size.  It exits 1 unless the Betti numbers are 1 21 175 735 1624
-1764 720, the Whitney numbers of A_6, with no torsion.  Run from the
-repository root:
+`from_arrangement`, then the covector poset, the Salvetti cells and
+covers, their chain complex and its reduction by `homology()`, printing
+each stage's time and the resident set size after it, then the Betti
+numbers, the torsion and the process's peak resident set size.  It
+exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
+Whitney numbers of A_6, with no torsion.  Run from the repository root:
 
     python tools/a6.py
 """
@@ -41,8 +40,8 @@ def main() -> int:
     system = stage("from_arrangement", lambda: from_arrangement(braid_arrangement(7)))
     stage("covector poset", system.covector_poset)
     salvetti = stage("salvetti", lambda: SalvettiPoset(system))
-    stage("chain complex", lambda: chain_complex(salvetti.poset))
-    result = stage("homology", lambda: homology(salvetti.poset))
+    rec = stage("chain complex", lambda: chain_complex(salvetti))
+    result = stage("homology", lambda: homology(rec))
     print(f"covectors: {len(system)}  cells: {len(salvetti)}")
     print(f"betti: {' '.join(map(str, result.betti))}")
     print(f"torsion: {'none' if result.is_torsion_free() else result.torsion}")
