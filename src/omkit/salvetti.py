@@ -87,20 +87,26 @@ class SalvettiPoset:
                 above[c] |= above[g]
         keys = [(c, topes[i]) for c in order.elements for i in bits(above[c])]
         index = {key: k for k, key in enumerate(keys)}
-        # the cells (c, t) on each face c, keyed by the value of t
-        over: list[dict[tuple[int, int], int]] = [{} for _ in vectors]
+        # the cells (c, t) on each face c, keyed by the signs of t off the
+        # support of c, as one int (plus bits, then minus bits above them):
+        # t agrees with c on its support, so that key names t
+        n = len(system.ground)
+        off = [~(s | s << n) for s in (p | m for p, m in vectors)]
+        over: list[dict[int, int]] = [{} for _ in vectors]
         for k, (c, t) in enumerate(keys):
-            over[c][vectors[t]] = k
+            over[c][(vectors[t][0] | vectors[t][1] << n) & off[c]] = k
         # top down: the lower covers of (g, r) are the cells (u, u o r) for
         # the upper covers u of g, walked before it; they increase with u.
-        # u o r is a tope exactly when it is the value of a cell on u
+        # u o r is r off the support of u, which lies off that of g, so its
+        # key on u is the key of r on g off the support of u; it is a tope
+        # exactly when that key names a cell on u
         covers: dict[int, tuple[int, ...]] = {}
         for g in down:
-            ups = [(over[u], *vectors[u], ~(vectors[u][0] | vectors[u][1])) for u in upper(g)]
-            for (pr, mr), k in over[g].items():
+            ups = [(over[u], off[u]) for u in upper(g)]
+            for key, k in over[g].items():
                 cs = []
-                for cells, pu, mu, free in ups:
-                    cell = cells.get((pu | pr & free, mu | mr & free))
+                for cells, free in ups:
+                    cell = cells.get(key & free)
                     if cell is None:
                         _raise_first_bad_composition(system)
                     cs.append(cell)
