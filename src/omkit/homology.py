@@ -25,8 +25,10 @@ covers (U, U o R), in the same order: the signs it would give cell by
 cell on the Salvetti poset, whose regularity and cancellations carry
 over through the isomorphism.  A localization fiber is an ideal of its
 source, by the order check of `salvetti_localization`, so its complex is
-the restriction of the source's.  No Salvetti `FinitePoset` is built for
-homology; the per-cell chain complex of a face poset is the tests'.
+the restriction of the source's, and a certificate proves its source
+regular here, once per system, in its minimal fibers' chain complexes.
+No Salvetti `FinitePoset` is built for homology; the per-cell chain
+complex of a face poset is the tests'.
 
 The boundary maps are reduced from the top dimension down by exact
 integer elimination, left-looking and with no row index (the column
@@ -433,14 +435,15 @@ def semidirect_rank_sequence(system: CovectorSystem) -> tuple[int, ...]:
 # -- the quasi-fibration certificate --------------------------------------------
 
 
-def graph_rank(graph: FinitePoset) -> Union[int, str]:
-    """The free rank of a connected graph, by union-find over its vertices
-    and edges, or why the poset is no connected graph.  An edge without
-    exactly two vertices is a `NotRegularError`, as in `_incidences`."""
-    if graph.height() > 1:
+def graph_rank(rec: ChainComplexRecord) -> Union[int, str]:
+    """The free rank of a connected graph, by union-find over the vertices
+    and edge columns of its chain complex, or why it is no connected
+    graph.  Each edge column holds two vertices, as `_incidences`, which
+    gives the signs, refuses an edge without two."""
+    if len(rec.bases) > 2:
         return "complex has cells of dimension above one"
-    heights, names = graph.heights(), graph.names
-    parent = {v: v for v, h in heights.items() if h == 0}
+    parent = {v: v for v in rec.bases[0]} if rec.bases else {}
+    edges = rec.boundaries[1].values() if len(rec.bases) == 2 else ()
 
     def root(v: int) -> int:
         while parent[v] != v:
@@ -448,21 +451,15 @@ def graph_rank(graph: FinitePoset) -> Union[int, str]:
             v = parent[v]
         return v
 
-    components, edges = len(parent), 0
-    for e in graph.elements:
-        if heights[e] == 0:
-            continue
-        ends = graph.lower_covers(e)
-        if len(ends) != 2:
-            raise NotRegularError(f"edge {names[e]!r} has vertices {[names[v] for v in ends]}, not exactly 2")
-        edges += 1
-        a, b = root(ends[0]), root(ends[1])
+    components = len(parent)
+    for col in edges:
+        a, b = map(root, col)
         if a != b:
             parent[a] = b
             components -= 1
     if components != 1:
         return f"graph has {components} components"
-    return edges - len(parent) + 1
+    return len(edges) - len(parent) + 1
 
 
 @dataclass(frozen=True)
@@ -574,10 +571,11 @@ def quasi_fibration_certify(
     type of the graph over m: a wedge of d circles when it is connected of
     free rank d.  An exhaustive run has checked the link already, as the
     lower matching of the pair (m, b).  The reading needs regular CW
-    complexes, as the cellular homology does: `_incidences` checks the
-    source once, of which every fiber a matching lives on is an ideal, so
-    each cell is checked once; `graph_rank` checks that each edge of a
-    minimal fiber has two vertices.  Either raises `NotRegularError`.
+    complexes, as the cellular homology does.  The chain complexes of the
+    minimal fibers, built before any matching, read their signs off
+    `_incidences` on the dual covector poset, once per system, which
+    proves the whole source regular (see the module docstring) or raises
+    `NotRegularError`; every fiber a matching lives on is an ideal of it.
     The pairs are certified one ambient at a time, with one
     stratification alive at a time.
 
@@ -612,17 +610,15 @@ def quasi_fibration_certify(
         sample = None
 
     minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
-    graph_ranks = tuple((m, graph_rank(loc.fiber(m))) for m in bits(minimal))
+    graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.fibers[m]))) for m in bits(minimal))
 
     # each pair's ambient is the least maximal cell above its upper cell:
     # the ideals of the maximal cells are walked largest first, so the
-    # least claims each cell last; every fiber is an ideal of the source,
-    # checked regular once
+    # least claims each cell last
     least = {x: m for m in reversed(bits(maximal)) for x in bits(poset.below(m))}
     by_ambient: dict[int, list[tuple[int, int]]] = {}
     for a, b in sorted(pairs_all):
         by_ambient.setdefault(least[b], []).append((a, b))
-    _incidences(loc.source.poset)
     certifier = FiberCertifier(loc)
     pairs = []
     for amb, amb_pairs in sorted(by_ambient.items()):

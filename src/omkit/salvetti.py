@@ -12,11 +12,11 @@ A `SalvettiPoset` keeps its cells, read off the topes above each
 covector as they are handed down the lower covers (so no mask is
 derived), and their covers; its `FinitePoset`, named by the cell ids
 "(sigma;T)", is built from the covers on the first read of `poset`, and
-its masks when a localization, a fiber or a certificate reads one, so
-the Betti check builds neither.  The compositions are topes
-exactly when every F o R with F above a face of R is one; when one is
-not, the direct loop over topes, faces and covectors is rescanned to name
-its first failing composition.  Everything here is by number: a covector
+its masks when a fiber subposet or the strata of a certificate read one,
+so the Betti check builds neither.  The compositions are topes exactly
+when every F o R with F above a face of R is one; when one is not, the
+direct loop over topes, faces and covectors is rescanned to name its
+first failing composition.  Everything here is by number: a covector
 or tope is its element of `system.covector_poset()`, its value the (plus,
 minus) pair `system.vectors()[i]`, and cell k is the pair `keys[k]` of
 covector numbers (`index` inverts it), numbered by (sigma, T), the order
@@ -27,7 +27,8 @@ projection rho and the cell map are tuples of element numbers, and each
 poset fiber is a mask of source cells.  The fiber stratification over a
 modular corank-one flat is the combinatorial heart of the quasi-fibration
 certificates; its strata are derived in one place,
-`morse.check_patchwork`, which checks them.
+`morse.check_patchwork`, which checks them, and only they derive the
+source's masks, as there an ideal is the data.
 """
 
 from __future__ import annotations
@@ -175,34 +176,36 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     """The localization at a flat of a simple system; with parallel
     elements the fibers are not wedges of circles and the fiber topes no
     string, so such a system is refused by name.  The cell map is checked
-    order preserving once, `below(k) & ~fibers[cells[k]] == 0` for every
-    source cell k, so each fiber is an ideal of the source (a cell below
-    one of `fibers[q]` maps below q), which the fiber certificates read."""
+    order preserving once, on the source covers, which generate the order
+    (no source mask is derived), so each fiber is an ideal of the source
+    (a cell below one of `fibers[q]` maps below q), which the fiber
+    certificates read."""
     system.require_simple("the Salvetti localization")
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
-    names = source.poset.names
     cells = []
     over = [0] * len(target)  # the preimage of each target cell
     for k, (f, t) in enumerate(source.keys):
         q = target.index.get((rho[f], rho[t]))
         if q is None:
             image = ";".join(localized.names()[c] for c in (rho[f], rho[t]))
-            raise ValueError(f"localization sends cell {names[k]} to ({image}), which is not a cell")
+            raise ValueError(f"localization sends cell {source.poset.names[k]} to ({image}), which is not a cell")
         cells.append(q)
         over[q] |= 1 << k
     # the preimages are disjoint, so their sum is their union
-    fibers = tuple(sum(over[y] for y in bits(target.poset.below(q))) for q in range(len(target)))
-    # order preserving: whatever lies below a cell lies over the ideal below its image
+    below = target.poset.below
+    fibers = tuple(sum(over[y] for y in bits(below(q))) for q in range(len(target)))
+    # order preserving on the covers, which generate the order
     for k, q in enumerate(cells):
-        stray = source.poset.below(k) & ~fibers[q]
-        if stray:
-            x = bits(stray)[0]
-            raise ValueError(
-                f"localization is not order preserving: {names[x]} <= {names[k]} "
-                f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
-            )
+        ideal = below(q)
+        for x in source.covers[k]:
+            if not ideal >> cells[x] & 1:
+                names = source.poset.names
+                raise ValueError(
+                    f"localization is not order preserving: {names[x]} <= {names[k]} "
+                    f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
+                )
     return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), fibers, rho)
 
 

@@ -45,14 +45,6 @@ def from_covers(names: Iterable[str], covers: Iterable[tuple[str, str]]) -> Fini
     return from_below(names, dict(enumerate(below)))
 
 
-def with_element(poset: FinitePoset, name: str, covers: Iterable[int]) -> FinitePoset:
-    """The poset, renumbered by its names, with one more element `name`
-    above the given elements (by number) and nothing else."""
-    names = poset.names
-    pairs = [(names[x], names[y]) for y in poset.elements for x in poset.lower_covers(y)]
-    return from_covers([*poset.names_of(poset.members), name], pairs + [(names[x], name) for x in covers])
-
-
 def chain_poset(names: Iterable[str]) -> FinitePoset:
     """The names ordered as given."""
     names = tuple(names)

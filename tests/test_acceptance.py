@@ -242,7 +242,7 @@ def test_criterion_8_rank_data(five_planes):
     ok = ok and sum(seq) == 5 == res.betti[1]
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
-        ok = ok and graph_rank(loc.fiber(cid)) == 2
+        ok = ok and graph_rank(chain_complex(loc.source, loc.fibers[cid])) == 2
     _verdict("criterion 8 (fundamental-group rank data)", ok, started)
 
 

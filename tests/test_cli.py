@@ -580,13 +580,15 @@ def drop_link_pairs(build):
 
 
 def extra_edge(graph_rank):
-    """`graph_rank`, reading each graph with one more edge, parallel to
-    its first."""
-    from poset_builders import with_element
+    """`graph_rank`, reading each chain complex with one more edge, cell
+    -1, parallel to its first."""
+    from dataclasses import replace
 
-    def rank(graph):
-        edge = next(e for e in graph.elements if graph.heights()[e] == 1)
-        return graph_rank(with_element(graph, "~edge", graph.lower_covers(edge)))
+    def rank(rec):
+        vertices, edges = rec.bases
+        cols = rec.boundaries[1]
+        bases, boundaries = (vertices, edges + (-1,)), (rec.boundaries[0], {**cols, -1: cols[edges[0]]})
+        return graph_rank(replace(rec, bases=bases, boundaries=boundaries))
 
     return rank
 
@@ -629,33 +631,30 @@ def test_certify_qf_fails_the_fibers_of_a_failed_link(capsys, monkeypatch):
 
 
 def test_certify_qf_refuses_an_ambient_fiber_that_is_not_regular(capsys, monkeypatch):
-    # the collapses read homotopy types only off a regular complex: an
-    # ambient fiber with a cover that skips a height is refused, exit 2;
-    # the skip is planted in the source poset, where the check reads it
+    # the collapses read homotopy types only off a regular complex: a
+    # source whose cells lose a connected facet graph is refused, exit 2;
+    # the fault is planted in the dual covector poset, where the check
+    # reads it, and the Salvetti cells over +-0-0 take it up as covers
     import importlib
-    from dataclasses import replace
-    from types import SimpleNamespace
+
+    from test_salvetti import upper_covers_patched
 
     module = importlib.import_module("omkit.homology")
     real = module.salvetti_localization
 
-    def skipping(system, flat):
-        loc = real(system, flat)
-        source = loc.source.poset
-        # drop the two edges at a vertex of a 2-cell: the vertex is then
-        # covered by the 2-cell, two heights up
-        cell = next(c for c in source.elements if source.heights()[c] == 2)
-        edges = source.lower_covers(cell)
-        vertex = source.lower_covers(edges[0])[0]
-        drop = sum(1 << e for e in edges if vertex in source.lower_covers(e))
-        poset = source.subposet(source.members & ~drop)
-        return replace(loc, source=SimpleNamespace(poset=poset), fibers=tuple(f & ~drop for f in loc.fibers))
+    def planted(system, flat):
+        # the tope +-+++ is not above +-0-0, but its restriction is, so
+        # the localization stays order preserving
+        names = system.covector_poset().names
+        g, tope = names.index("+-0-0"), names.index("+-+++")
+        upper_covers_patched(monkeypatch, system, lambda y, ups: tuple(sorted(ups + (tope,))) if y == g else ups)
+        return real(system, flat)
 
-    monkeypatch.setattr(module, "salvetti_localization", skipping)
+    monkeypatch.setattr(module, "salvetti_localization", planted)
     code, out, err = run_with_stderr(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: cell '(") and err.endswith("' skips a height\n")
+    assert err == "error: cell '+-0-0': its facet graph is disconnected\n"
 
 
 def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
@@ -781,14 +780,19 @@ def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
     # a minimal fiber with one more vertex, on no edge, has two
     # components: its graph rank clause fails, exit 1
     import importlib
+    from dataclasses import replace
 
     from omkit.homology import quasi_fibration_certify
     from omkit.posets import bits
-    from poset_builders import with_element
 
     module = importlib.import_module("omkit.homology")
     real = module.graph_rank
-    monkeypatch.setattr(module, "graph_rank", lambda graph: real(with_element(graph, "~vertex", ())))
+
+    def rank(rec):
+        # cell -1 is the extra vertex
+        return real(replace(rec, bases=(rec.bases[0] + (-1,), rec.bases[1])))
+
+    monkeypatch.setattr(module, "graph_rank", rank)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
     cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)

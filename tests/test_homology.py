@@ -17,7 +17,7 @@ from omkit.homology import (
     semidirect_rank_sequence,
 )
 from omkit.corpus import corpus
-from omkit.matroids import from_arrangement
+from omkit.matroids import CovectorSystem, from_arrangement
 from omkit.omfile import format_topes
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiPoset, salvetti_localization
@@ -385,10 +385,15 @@ def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_sources_and_sph
     checked = []
     counting(monkeypatch, module, "_incidences", checked)
     for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
-        assert quasi_fibration_certify(system, system.label_mask(flat.split(","))).ok
-    assert len(checked) == 2
-    for source in checked:
-        assert same_signs(source)
+        # a copy with nothing cached on it, no signs among them
+        system = CovectorSystem(system.ground, system.vectors())
+        checked.clear()
+        cert = quasi_fibration_certify(system, system.label_mask(flat.split(",")))
+        assert cert.ok
+        # the certificate proves its source regular once, on the dual
+        # covector poset, whose signs give every source cell its own
+        assert len(checked) == 1 and checked[0] is system.covector_poset().dual()
+        assert same_signs(cert.loc.source.poset)
     for name, system in all_corpus.items():
         assert same_signs(sphere_poset(system)), name
 
@@ -571,39 +576,40 @@ def test_graph_rank():
         ("a", "b", "c", "ab", "bc"),
         [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc")],
     )
-    assert graph_rank(tree) == 0
+    assert graph_rank(cellular_chain_complex(tree)) == 0
     wedge3 = from_covers(
         ("p", "q", "e1", "e2", "e3"),
         [("p", "e1"), ("q", "e1"), ("p", "e2"), ("q", "e2"), ("p", "e3"), ("q", "e3")],
     )
-    assert graph_rank(wedge3) == 2  # theta graph: rank 2
+    assert graph_rank(cellular_chain_complex(wedge3)) == 2  # theta graph: rank 2
     # a genuine wedge of three circles: one vertex...  use two vertices and
     # four parallel edges instead, rank 3
     multi = from_covers(
         ("p", "q", "e1", "e2", "e3", "e4"),
         [(v, e) for e in ("e1", "e2", "e3", "e4") for v in ("p", "q")],
     )
-    assert graph_rank(multi) == 3
+    assert graph_rank(cellular_chain_complex(multi)) == 3
     for graph in (tree, wedge3, multi):
-        assert graph_rank(graph) == fiber_homology(graph).graph_rank
+        assert graph_rank(cellular_chain_complex(graph)) == fiber_homology(graph).graph_rank
 
 
 def test_graph_rank_disconnected_reports_components():
     graph = antichain(("a", "b"))
-    assert graph_rank(graph) == "graph has 2 components" == fiber_homology(graph).graph_rank
+    rank = graph_rank(cellular_chain_complex(graph))
+    assert rank == "graph has 2 components" == fiber_homology(graph).graph_rank
 
 
 def test_graph_rank_rejects_high_dimension(five_planes):
     sphere = sphere_poset(five_planes)
-    assert graph_rank(sphere) == "complex has cells of dimension above one" == fiber_homology(sphere).graph_rank
+    rank = graph_rank(cellular_chain_complex(sphere))
+    assert rank == "complex has cells of dimension above one" == fiber_homology(sphere).graph_rank
 
 
 def test_graph_rank_refuses_an_edge_without_two_vertices():
-    # the same refusal, word for word, as that of `_incidences`
+    # `graph_rank` reads a chain complex, whose signs `_incidences` finds
+    # only when every edge has two vertices
     graph = from_covers(("a", "b", "e", "f"), [("a", "e"), ("a", "f"), ("b", "f")])
     message = re.escape("edge 'e' has vertices ['a'], not exactly 2")
-    with pytest.raises(NotRegularError, match=message):
-        graph_rank(graph)
     with pytest.raises(NotRegularError, match=message):
         _incidences(graph)
 
@@ -611,7 +617,7 @@ def test_graph_rank_refuses_an_edge_without_two_vertices():
 def test_minimal_fiber_rank(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
-        assert graph_rank(loc.fiber(cid)) == 2  # |E \ X| = 2
+        assert graph_rank(chain_complex(loc.source, loc.fibers[cid])) == 2  # |E \ X| = 2
 
 
 def test_semidirect_rank_sequences(rank1, boolean3, five_planes, all_corpus, np14, a4):
@@ -783,21 +789,29 @@ def test_certificate_reduces_no_fiber(monkeypatch, five_planes, braid3, np14_ext
 
     # the package re-exports homology(), which hides the module attribute
     module = importlib.import_module("omkit.homology")
-    reduced = []
+    reduced, built = [], []
     counting(monkeypatch, module, "homology", reduced)
-    counting(monkeypatch, module, "chain_complex", reduced)
+    counting(monkeypatch, module, "rank_and_torsion", reduced)
+    real = module.chain_complex
+    monkeypatch.setattr(module, "chain_complex", lambda salvetti, cells: built.append(cells) or real(salvetti, cells))
     runs = [
         (five_planes, five_planes.label_mask({"H1", "H2", "H3"}), None),
         (braid3, braid3.label_mask({"12", "13", "23"}), None),
         (np14_extension.final, np14_extension.chain[-2], 1),
     ]
     for system, flat, sample in runs:
-        assert quasi_fibration_certify(system, flat, sample).ok
+        built.clear()
+        cert = quasi_fibration_certify(system, flat, sample)
+        assert cert.ok
+        # one chain complex per minimal cell, of its fiber, and no other
+        minimal = bits(cert.loc.target.poset.minimal_elements())
+        assert built == [cert.loc.fibers[m] for m in minimal]
     assert reduced == []
-    # the counters count
+    # the counters count: one homology, reducing each boundary once
     loc = salvetti_localization(braid3, runs[1][1])
-    module.homology(module.chain_complex(loc.source, loc.fibers[0]))
-    assert len(reduced) == 2
+    rec = module.chain_complex(loc.source, loc.fibers[0])
+    module.homology(rec)
+    assert reduced[0] is rec and len(reduced) == len(rec.bases)
 
 
 def test_certificate_fiber_types_match_the_homology_oracle(five_planes, braid3, np14, a4):

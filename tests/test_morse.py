@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from omkit import posets
 from omkit.corpus import corpus
 from omkit.matroids import CovectorSystem
-from omkit.homology import graph_rank
+from omkit.homology import chain_complex, graph_rank
 from omkit.morse import (
     Matching,
     MatchingError,
@@ -317,9 +317,8 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
     bottom = bits(loc.target.poset.minimal_elements())[0]
     tope = loc.target.keys[bottom][1]
     m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
-    fib = loc.fiber(bottom)
-    assert m.critical_cells() == fib.members
-    assert graph_rank(fib) == 2
+    assert m.critical_cells() == loc.fibers[bottom]
+    assert graph_rank(chain_complex(loc.source, loc.fibers[bottom])) == 2
 
 
 def test_morse_certificate(five_planes):

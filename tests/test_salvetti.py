@@ -375,6 +375,13 @@ def test_localization_refuses_a_broken_projection(five_planes, monkeypatch, muta
         salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
 
 
+def test_localization_builds_no_source_poset(five_planes, braid3):
+    # the order check reads the source covers, so neither the source's
+    # FinitePoset nor any of its masks is built
+    for system, flat in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
+        assert salvetti_localization(system, system.label_mask(flat)).source._poset is None
+
+
 def test_localization_identity_flat(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask(five_planes.ground))
     assert loc.cells == tuple(loc.source.poset.elements)

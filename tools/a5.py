@@ -12,11 +12,11 @@ certificate at the modular coatom
 H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, every one of its 101,760 pairs, with
 its seconds and evidence counts: the pairs, the minimal fibers ranked as
 graphs, the other fibers of the pairs, linked to those graphs, and the
-ambients, after the source is checked regular; it exits 1 when the
-certificate fails.  Then it prints the process's peak resident set
-size, and last it times the same certificate again in the same process,
-whose local matchings are kept on the system, exiting 1 when that one
-fails.  Run from the repository root:
+ambients; it exits 1 when the certificate fails.  Then it prints the
+process's peak resident set size, and last it times the same
+certificate again in the same process, whose local matchings are kept
+on the system, exiting 1 when that one fails.  Run from the repository
+root:
 
     python tools/a5.py
 """

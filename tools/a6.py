@@ -1,4 +1,4 @@
-"""Betti numbers of the Salvetti complex of A_6, outside the test suite.
+"""The Salvetti complex of A_6 and its localization, outside the test suite.
 
 A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
 (47,293 covectors, 322,560 Salvetti cells).  The script caps its own
@@ -7,9 +7,12 @@ with MemoryError instead of crowding the host.  It builds A_6 with
 `from_arrangement`, then the covector poset, the Salvetti cells and
 covers, their chain complex and its reduction by `homology()`, printing
 each stage's time and the resident set size after it, then the Betti
-numbers, the torsion and the process's peak resident set size.  It
+numbers, the torsion and the process's peak resident set size.  Last it
+times `salvetti_localization` at `COATOM`, the modular coatom of the 15
+forms without x_7, and prints the peak resident set size after it.  It
 exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
-Whitney numbers of A_6, with no torsion.  Run from the repository root:
+Whitney numbers of A_6, with no torsion, and when the localization
+raises MemoryError.  Run from the repository root:
 
     python tools/a6.py
 """
@@ -21,9 +24,10 @@ from a5 import peak_rss_mb, rss_mb, timed
 from arrangement_builders import braid_arrangement
 from omkit.homology import chain_complex, homology
 from omkit.matroids import from_arrangement
-from omkit.salvetti import SalvettiPoset
+from omkit.salvetti import SalvettiPoset, salvetti_localization
 
 BETTI = (1, 21, 175, 735, 1624, 1764, 720)
+COATOM = "H1,H2,H3,H4,H5,H7,H8,H9,H10,H12,H13,H14,H16,H17,H19"
 ADDRESS_SPACE = 4 << 30
 
 
@@ -46,6 +50,14 @@ def main() -> int:
     print(f"betti: {' '.join(map(str, result.betti))}")
     print(f"torsion: {'none' if result.is_torsion_free() else result.torsion}")
     print(f"peak RSS: {peak_rss_mb():.0f} MB")
+    del salvetti, rec  # the localization builds its own source
+    flat = system.label_mask(COATOM.split(","))
+    try:
+        loc = timed("salvetti_localization", lambda: salvetti_localization(system, flat))
+    except MemoryError:
+        print("salvetti_localization: MemoryError", flush=True)
+        return 1
+    print(f"target cells: {len(loc.target)}  peak RSS: {peak_rss_mb():.0f} MB")
     return 0 if result.betti == BETTI and result.is_torsion_free() else 1
 
 
