@@ -258,7 +258,7 @@ def cmd_stratify(args) -> int:
     x = parse_flat(args.flat, system)
     loc = salvetti_localization(system, x)
     strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
-    sizes = " ".join(str(s.bit_count()) for s in check_patchwork(strat))
+    sizes = " ".join(str(len(lift)) for lift in check_patchwork(strat))
     names = system.covector_poset().names
     report = Report("stratify")
     report.note("flat", flat_id(x, system.ground))

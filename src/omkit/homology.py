@@ -504,7 +504,7 @@ class QuasiFibrationCertificate:
         collapse onto it in a checked pair, with that pair's link and the
         graph rank of the linked minimal fiber; the first failure is kept."""
         d = self.expected_rank
-        names, cells = self.loc.target.poset.names, self.loc.source.poset.names
+        names, source = self.loc.target.poset.names, self.loc.source
         graph = {
             m: None if r == d else r if isinstance(r, str) else f"graph rank {r}"
             for m, r in self.graph_ranks
@@ -516,9 +516,9 @@ class QuasiFibrationCertificate:
                 if cell in graph or why.get(cell) is not None:
                     continue
                 if not own.ok:
-                    why[cell] = f"collapse from {amb}: {'; '.join(own.witnesses(cells))}"
+                    why[cell] = f"collapse from {amb}: {'; '.join(own.witnesses(source.poset.names))}"
                 elif not p.link.ok:
-                    why[cell] = f"link {amb} -> {m}: {'; '.join(p.link.witnesses(cells))}"
+                    why[cell] = f"link {amb} -> {m}: {'; '.join(p.link.witnesses(source.poset.names))}"
                 elif graph[p.minimal] is not None:
                     why[cell] = f"linked minimal fiber {m}: {graph[p.minimal]}"
                 else:
@@ -582,11 +582,12 @@ def quasi_fibration_certify(
     No glued matching is built or walked (`morse.FiberCertifier` gives
     the argument).  A PASS's acyclicity rests on the patchwork theorem:
     its hypotheses are checked once per ambient, on the strata that
-    `morse.check_patchwork` derives (a `MatchingError` when one fails),
-    and each local matching is walked once per run on its own ball.  Per
-    cell, the critical cells are the union of the lifted critical sets,
-    compared with the fiber, an ideal by the order check of
-    `salvetti_localization`.
+    `morse.check_patchwork` walks down the source covers (a
+    `MatchingError` when one fails), and each local matching is walked
+    once per run on its own ball.  Per cell, the critical cells are the
+    union of the lifted critical sets, compared with the fiber, an ideal
+    by the order check of `salvetti_localization`.  A PASS builds no
+    source `FinitePoset`, which names failures only.
     """
     from .morse import FiberCertifier
 

@@ -15,10 +15,11 @@ The fiber matchings are certified one way, by `FiberCertifier`, for
 `certify-qf` and `morse --construction fiber` alike, without a walk of
 the glued matching: it reads their acyclicity off the patchwork
 theorem, whose hypotheses `check_patchwork` checks once per stratified
-fiber, on the strata it derives, and walks each local matching once per
-run on its own ball; the critical cells are the union of the lifted
-critical sets, and each fiber is an ideal by the one order check of
-`salvetti_localization`.  Only the tests glue and walk, as the oracle.
+fiber, on the strata it walks down the source covers, and walks each
+local matching once per run on its own ball; the critical cells are the
+union of the lifted critical sets, and each fiber is an ideal by the one
+order check of `salvetti_localization`.  Only the tests glue and walk,
+as the oracle.
 
 The constructors build their matchings without checking these claims;
 every path that reports a matching certifies it next.  Tope sets are
@@ -307,7 +308,7 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     ball with a convex-critical matching; each later one is a copy of a
     contraction's dual ball, matched through the isomorphism restriction
     induces.  The lifted pairs, each inside its stratum since each lift
-    is a bijection onto it (`check_patchwork`), are glued into one
+    `check_patchwork` returns is a bijection onto it, are glued into one
     matching on the fiber, whose certificate `FiberCertifier` gives.
     """
     poset = strat.loc.target.poset
@@ -315,9 +316,10 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
         raise MatchingError(f"unknown cell {target_cell!r} of the localized poset")
     if not poset.leq(target_cell, strat.top):
         raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
+    lifts = check_patchwork(strat)
     m0, mi = local_matchings(strat.loc, target_cell)
-    matchings = [m0] + [mi] * (len(strat.lifts) - 1)
-    pairs = frozenset((lift[x], lift[y]) for lift, m in zip(strat.lifts, matchings) for x, y in m.pairs)
+    matchings = [m0] + [mi] * (len(lifts) - 1)
+    pairs = frozenset((lift[x], lift[y]) for lift, m in zip(lifts, matchings) for x, y in m.pairs)
     return Matching(strat.loc.fiber(strat.top), pairs)
 
 
@@ -366,41 +368,49 @@ def morse_reduction_certificate(matching: Matching, subcomplex: int) -> MorseCer
 # -- the fiber matchings by the patchwork theorem ------------------------------
 
 
-def check_patchwork(strat: FiberStratification) -> tuple[int, ...]:
-    """The strata of a stratified fiber, masks of source cells, with the
-    hypotheses of the patchwork theorem checked on them; a `MatchingError`
-    names the first one to fail.
+def check_patchwork(strat: FiberStratification) -> tuple[tuple[int, ...], ...]:
+    """The lifts of a stratified fiber, `lifts[i]` sending each element of
+    the ball of stratum i to its cell, with the hypotheses of the
+    patchwork theorem checked; a `MatchingError` names the first to fail.
 
-    - Stratum i is the ideal below (0, T_i) less the strata before it, so
-      the stratum index is order preserving onto the chain of strata by
-      construction (a union of ideals is one); the strata cover the fiber.
-    - `lifts[i]` is a bijection of its ball onto stratum i (one mask
-      comparison), and it sends each ball element to a cell over the
-      face the construction prescribes: covector c itself for i = 0, and
-      for i > 0 the covector `restriction_iso` gives, zero at the
-      separator of T_{i-1} and T_i.  A cell of stratum i lies below
-      (0, T_i), so it is the cell (c, c o T_i) of its face c.  Now c ->
-      (c, c o T) is an order embedding of the dual covector poset onto
-      the ideal below (0, T), by the definition of the Salvetti order,
-      and `restriction_iso` is checked an isomorphism; so each lift is
-      an isomorphism of its ball onto its stratum, which is convex, and
-      it sends covers to covers and back."""
+    - Stratum i, the ideal below (0, T_i) less the strata before it, is
+      walked down the source covers from (0, T_i), stopping at the earlier
+      strata, an ideal; so the stratum index is order preserving.
+    - The strata cover the fiber, an ideal by the order check of
+      `salvetti_localization`: each (0, T_i) lies in it, and the cells
+      walked are as many as its.
+    - The faces of stratum i are exactly those prescribed, and `lifts[i]`
+      is read off them: every covector for i = 0, and for i > 0 those
+      `restriction_iso` gives, zero at the separator of T_{i-1} and T_i.
+      A cell below (0, T_i) is (c, c o T_i), and c -> (c, c o T) is an
+      order embedding of the dual covector poset onto the ideal below
+      (0, T), by the definition of the Salvetti order; `restriction_iso`
+      is checked an isomorphism.  So each lift is an isomorphism of its
+      ball onto its stratum, which is convex, and keeps covers both ways."""
     loc = strat.loc
     source, system = loc.source, loc.system
-    keys, below = source.keys, source.poset.below
     zero = system.numbering()[0, 0]
-    faces = [tuple(range(len(system)))] + [restriction_iso(loc, s) for s in strat.separators]
-    strata = []
-    used = 0
-    for i, (t, lift, face) in enumerate(zip(strat.tope_string, strat.lifts, faces, strict=True)):
-        stratum = below(source.index[zero, t]) & ~used
-        if len(lift) != stratum.bit_count() or mask_of(lift) != stratum or tuple(keys[k][0] for k in lift) != face:
+    tops = [source.index[zero, t] for t in strat.tope_string]
+    faces = [range(len(system))] + [restriction_iso(loc, s) for s in strat.separators]
+    lifts = []
+    used: set[int] = set()
+    for i, (top, face) in enumerate(zip(tops, faces, strict=True)):
+        todo, walked, by_face = [top], len(used), {}
+        while todo:
+            k = todo.pop()
+            if k not in used:
+                used.add(k)
+                by_face[source.keys[k][0]] = k
+                todo += source.covers[k]
+        # the faces are distinct, so a lift onto as many cells is onto them all
+        lift = tuple(map(by_face.get, face))
+        if len(used) - walked != len(face) or None in lift:
             raise MatchingError(f"lift {i} is no isomorphism of its ball onto stratum {i}")
-        strata.append(stratum)
-        used |= stratum
-    if used != loc.fibers[strat.top]:
+        lifts.append(lift)
+    fiber = loc.fibers[strat.top]
+    if len(used) != fiber.bit_count() or not all(fiber >> top & 1 for top in tops):
         raise MatchingError("the strata do not cover the fiber")
-    return tuple(strata)
+    return tuple(lifts)
 
 
 class FiberCertifier:
@@ -415,7 +425,7 @@ class FiberCertifier:
     of phi carries an acyclic matching, their union is an acyclic
     matching on P.  The matching `matching_salvetti_fiber` glues is such
     a union, with phi the stratum index, so it is acyclic when
-    `check_patchwork` passes on the strata it derives and each local
+    `check_patchwork` passes on the strata it walks and each local
     matching is acyclic on its own ball: a lift is an isomorphism of the
     ball onto its stratum, and the stratum is convex, so the matched
     Hasse digraph of the stratum is the ball's.  Each local matching is
@@ -434,8 +444,8 @@ class FiberCertifier:
     with each matching like its walk).  The cell's fiber is an
     ideal by the order check of `salvetti_localization`, so it is not
     checked here.  The ambient fiber is the stratification's own; the
-    witnesses are those of `morse_reduction_certificate` on the glued
-    matching."""
+    witnesses, which alone read the source's `FinitePoset`, are those of
+    `morse_reduction_certificate` on the glued matching."""
 
     def __init__(self, loc: SalvettiLocalization):
         self.loc = loc
@@ -445,13 +455,12 @@ class FiberCertifier:
     def certify(self, strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
         """The certificate of the fiber matching onto each cell's fiber,
         for cells below the ambient of `strat`, by cell."""
-        check_patchwork(strat)
+        lifts = check_patchwork(strat)
         loc = self.loc
-        source = loc.source.poset
-        width = len(source.names)
+        width = len(loc.source)
         # a cell k is character width - 1 - k of a mask's digits
-        gather = itemgetter(*(width - 1 - k for lift in strat.lifts for k in lift))
-        later = len(strat.lifts) - 1
+        gather = itemgetter(*(width - 1 - k for lift in lifts for k in lift))
+        later = len(lifts) - 1
         outside = ~strat.loc.fibers[strat.top]
         out = {}
         for cell in cells:
@@ -463,10 +472,10 @@ class FiberCertifier:
             critical = None
             if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != m0.digits + mi.digits * later:
                 matchings = [m0] + [mi] * later
-                crit = mask_of(lift[x] for lift, m in zip(strat.lifts, matchings) for x in bits(m.critical_cells()))
-                critical = _critical_claim(source, crit, sub)
+                crit = mask_of(lift[x] for lift, m in zip(lifts, matchings) for x in bits(m.critical_cells()))
+                critical = _critical_claim(loc.source.poset, crit, sub)
             cycle = None
-            for m, lift in zip((m0, mi), strat.lifts[:2]):
+            for m, lift in zip((m0, mi), lifts[:2]):
                 if m.walked is not None:
                     lifted = [lift[x] for x in m.walked[:-1]]
                     i = lifted.index(min(lifted))

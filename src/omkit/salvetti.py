@@ -12,23 +12,22 @@ A `SalvettiPoset` keeps its cells, read off the topes above each
 covector as they are handed down the lower covers (so no mask is
 derived), and their covers; its `FinitePoset`, named by the cell ids
 "(sigma;T)", is built from the covers on the first read of `poset`, and
-its masks when a fiber subposet or the strata of a certificate read one,
-so the Betti check builds neither.  The compositions are topes exactly
-when every F o R with F above a face of R is one; when one is not, the
-direct loop over topes, faces and covectors is rescanned to name its
-first failing composition.  Everything here is by number: a covector
-or tope is its element of `system.covector_poset()`, its value the (plus,
-minus) pair `system.vectors()[i]`, and cell k is the pair `keys[k]` of
-covector numbers (`index` inverts it), numbered by (sigma, T), the order
-of their ids; `cell_over(c, t)` is the cell (c, c o T).  Sign text is
-parsed and rendered only by the command line.  A flat is a ground-bit
-mask.  Localization at a flat is restriction to it: the covector
-projection rho and the cell map are tuples of element numbers, and each
-poset fiber is a mask of source cells.  The fiber stratification over a
-modular corank-one flat is the combinatorial heart of the quasi-fibration
-certificates; its strata are derived in one place,
-`morse.check_patchwork`, which checks them, and only they derive the
-source's masks, as there an ideal is the data.
+its masks when a fiber subposet reads one, so neither the Betti check
+nor a passing certificate builds them.  The compositions are topes
+exactly when every F o R with F above a face of R is one; when one is
+not, the direct loop over topes, faces and covectors is rescanned to
+name its first failing composition.  Everything here is by number: a
+covector or tope is its element of `system.covector_poset()`, its value
+the (plus, minus) pair `system.vectors()[i]`, and cell k is the pair
+`keys[k]` of covector numbers (`index` inverts it), numbered by (sigma,
+T), the order of their ids.  Sign text is parsed and rendered only by
+the command line.  A flat is a ground-bit mask.  Localization at a flat
+is restriction to it: the covector projection rho and the cell map are
+tuples of element numbers, and each poset fiber is a mask of source
+cells.  The fiber stratification over a modular corank-one flat, the
+combinatorial heart of the quasi-fibration certificates, is proposed
+here as a tope string; `morse.check_patchwork` walks its strata down
+the source covers and reads their lifts off them.
 """
 
 from __future__ import annotations
@@ -143,11 +142,6 @@ class SalvettiPoset:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def cell_over(self, c: int, t: int) -> int:
-        """The cell (c, c o T) of covector c over tope T, both by number."""
-        vectors = self.system.vectors()
-        return self.index[c, self.system.numbering()[compose_masks(*vectors[c], *vectors[t])]]
-
 
 @dataclass(frozen=True)
 class SalvettiLocalization:
@@ -185,7 +179,7 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
     cells = []
-    over = [0] * len(target)  # the preimage of each target cell
+    over = [0] * len(target)  # the preimage of each target cell, then its fiber
     for k, (f, t) in enumerate(source.keys):
         q = target.index.get((rho[f], rho[t]))
         if q is None:
@@ -193,10 +187,12 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
             raise ValueError(f"localization sends cell {source.poset.names[k]} to ({image}), which is not a cell")
         cells.append(q)
         over[q] |= 1 << k
-    # the preimages are disjoint, so their sum is their union
-    below = target.poset.below
-    fibers = tuple(sum(over[y] for y in bits(below(q))) for q in range(len(target)))
+    # covers lists a cell's lower covers before it: over[c] is c's fiber
+    for q, lower in target.covers.items():
+        for c in lower:
+            over[q] |= over[c]
     # order preserving on the covers, which generate the order
+    below = target.poset.below
     for k, q in enumerate(cells):
         ideal = below(q)
         for x in source.covers[k]:
@@ -206,7 +202,7 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
                     f"localization is not order preserving: {names[x]} <= {names[k]} "
                     f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
                 )
-    return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), fibers, rho)
+    return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), tuple(over), rho)
 
 
 def restriction_iso(loc: SalvettiLocalization, separator: int) -> tuple[int, ...]:
@@ -249,22 +245,19 @@ class FiberStratification:
     corank-one flat into copies of contraction balls.
 
     The tope string T_0, ..., T_k is by covector number; `separators[i-1]`
-    is the ground-bit mask S(T_{i-1}, T_i), a single bit.  `lifts[0]`
-    sends each covector c to its cell (c, c o T_0) of stratum 0; for i > 0,
-    `lifts[i]` sends each localized covector to the cell (c, c o T_i) of
-    stratum i whose face c restricts to it.  Stratum i, the ideal below
-    (0, T_i) less the strata before it, is derived by `check_patchwork`."""
+    is the ground-bit mask S(T_{i-1}, T_i), a single bit.  Stratum i, the
+    ideal below (0, T_i) less the strata before it, and its lift are
+    walked and checked by `morse.check_patchwork`."""
 
     loc: SalvettiLocalization
     top: int  # the cell (0, B') of the localized poset; its fiber is loc.fibers[top]
     tope_string: tuple[int, ...]
     separators: tuple[int, ...]
-    lifts: tuple[tuple[int, ...], ...]
 
 
 def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
     """Order the fiber topes over the localized tope `base` (by number)
-    into a string and lift the ball of each stratum along it.
+    into a string, with the separators of its consecutive topes.
 
     Requires the flat to be modular of corank one; anything else is
     refused since the string structure is exactly what modularity of a
@@ -314,10 +307,5 @@ def stratify_fiber(loc: SalvettiLocalization, base: int) -> FiberStratification:
             raise AssertionError(f"consecutive fiber topes separate by {flat_id(s, system.ground)}")
 
     top = loc.target.index[loc.localized.numbering()[0, 0], base]
-    source = loc.source
-    lifts = [tuple(source.cell_over(c, string[0]) for c in order.elements)]
-    for i in range(1, len(string)):
-        lifts.append(tuple(source.cell_over(c, string[i]) for c in restriction_iso(loc, separators[i - 1])))
-
-    return FiberStratification(loc, top, tuple(string), separators, tuple(lifts))
+    return FiberStratification(loc, top, tuple(string), separators)
 

@@ -309,8 +309,9 @@ def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, Poset
     ideal_mask = salv.poset.below(top)
     ideal = salv.poset.subposet(ideal_mask)
     dual = system.covector_poset().dual()
+    vectors, number = system.vectors(), system.numbering()
     fwd = {k: salv.keys[k][0] for k in bits(ideal_mask)}
-    bwd = {c: salv.cell_over(c, tope) for c in range(len(system))}
+    bwd = {c: salv.index[c, number[compose_masks(*vectors[c], *vectors[tope])]] for c in range(len(system))}
     to_dual = PosetMap(ideal, dual, fwd)
     from_dual = PosetMap(dual, ideal, bwd)
     if len(ideal) != len(system):
@@ -319,6 +320,17 @@ def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, Poset
         if bwd[fwd[k]] != k:
             raise AssertionError("principal-ideal maps are not mutually inverse")
     return to_dual, from_dual
+
+
+def fibers_by_preimage_sums(loc: SalvettiLocalization) -> tuple[int, ...]:
+    """Each poset fiber f^{-1}(<= q) as the sum of the preimages of the
+    target cells below q, read off the target's masks: the preimages are
+    disjoint, so their sum is their union."""
+    over = [0] * len(loc.target)
+    for k, q in enumerate(loc.cells):
+        over[q] |= 1 << k
+    below = loc.target.poset.below
+    return tuple(sum(over[y] for y in bits(below(q))) for q in range(len(loc.target)))
 
 
 def localization_square_commutes(loc: SalvettiLocalization, tope: int) -> bool:

@@ -286,24 +286,21 @@ def test_localize_fiber_stratify(capsys):
 
 
 def test_stratify_runs_the_patchwork_check(capsys, monkeypatch):
-    # two cells of lift 1 traded, as a cover of the ball: the strata are
-    # those the patchwork check derives, so the report is refused, not sized
+    # topes 1 and 2 of the string traded with their separators: the
+    # strata and lifts are those the patchwork check reads, so the report
+    # is refused, not sized
     from dataclasses import replace
 
     import omkit.cli
 
     real = omkit.cli.stratify_fiber
 
-    def swapped(loc, base):
+    def reordered(loc, base):
         strat = real(loc, base)
-        ball = loc.localized.covector_poset().dual()
-        y = next(y for y in ball.elements if ball.lower_covers(y))
-        x = ball.lower_covers(y)[0]
-        lift = list(strat.lifts[1])
-        lift[x], lift[y] = lift[y], lift[x]
-        return replace(strat, lifts=(strat.lifts[0], tuple(lift), *strat.lifts[2:]))
+        t, sep = strat.tope_string, strat.separators
+        return replace(strat, tope_string=(t[0], t[2], t[1]), separators=(sep[1], sep[0]))
 
-    monkeypatch.setattr(omkit.cli, "stratify_fiber", swapped)
+    monkeypatch.setattr(omkit.cli, "stratify_fiber", reordered)
     argv = ["stratify", "--flat", "H1,H2,H3", "--tope", "+++"]
     code, out, err = run_with_stderr(capsys, argv, stdin=om_text("sec3-arrangement"))
     assert (code, out) == (2, "")

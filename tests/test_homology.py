@@ -947,6 +947,22 @@ def test_the_betti_path_builds_no_masks(monkeypatch, braid3, np14):
     assert not holds_masks(system.covector_poset()) and not holds_masks(system.covector_poset().dual())
 
 
+def test_a_passing_certificate_builds_no_source_poset(braid3, np14_extension):
+    # the strata are walked down the source covers and the source's names
+    # are read only to format a failure, so a passing certificate builds
+    # no source `FinitePoset`, and with it no names and no masks
+    system = corpus("sec3-arrangement")
+    runs = [
+        (system, system.label_mask({"H1", "H2", "H3"}), None),
+        (braid3, braid3.label_mask({"12", "13", "23"}), None),
+        (np14_extension.final, np14_extension.chain[-2], 24),
+    ]
+    for system, flat, sample in runs:
+        cert = quasi_fibration_certify(system, flat, sample)
+        assert cert.ok and all(why is None for _cell, why in cert.fibers)
+        assert cert.loc.source._poset is None
+
+
 @pytest.mark.parametrize("name", ["braid3", "non-pappus"])
 def test_the_covector_order_derives_its_masks_only_when_asked(name):
     # topes, rank and the topes report read covers and heights only; the

@@ -468,59 +468,78 @@ def certify_with(monkeypatch, change):
     return quasi_fibration_certify(system, system.label_mask({"H1", "H2", "H3"}))
 
 
-def test_patchwork_refuses_a_lift_that_breaks_a_cover(monkeypatch):
-    from dataclasses import replace
-
-    from omkit.morse import check_patchwork
-
-    strat = sec3_stratification()
-    check_patchwork(strat)
-    fiber = strat.loc.fiber(strat.top)
-    balls = [strat.loc.system.covector_poset().dual(), strat.loc.localized.covector_poset().dual()]
-
-    def swapped(strat, i):
-        # the lifts of a cover x < y of the ball traded: still onto the stratum
-        ball = balls[min(i, 1)]
-        y = next(y for y in ball.elements if ball.lower_covers(y))
-        x = ball.lower_covers(y)[0]
-        lift = list(strat.lifts[i])
-        lift[x], lift[y] = lift[y], lift[x]
-        assert not fiber.is_cover(lift[x], lift[y])
-        return replace(strat, lifts=(*strat.lifts[:i], tuple(lift), *strat.lifts[i + 1:]))
-
-    for i in range(len(strat.lifts)):
-        with pytest.raises(MatchingError, match=f"lift {i} is no isomorphism of its ball onto stratum {i}"):
-            check_patchwork(swapped(strat, i))
-    # the certificate checks every ambient before it reads a critical set
-    with pytest.raises(MatchingError, match="lift 1 is no isomorphism"):
-        certify_with(monkeypatch, lambda strat: swapped(strat, 1))
-
-
 def test_patchwork_refuses_a_reordered_tope_string(monkeypatch):
     from dataclasses import replace
 
     from omkit.morse import check_patchwork
 
     def reordered(strat):
-        # topes 1 and 2 traded with their lifts and separators: each lift is
-        # still onto a stratum of the fiber over the right faces
-        t, lift, sep = strat.tope_string, strat.lifts, strat.separators
-        return replace(
-            strat,
-            tope_string=(t[0], t[2], t[1]),
-            lifts=(lift[0], lift[2], lift[1]),
-            separators=(sep[1], sep[0]),
-        )
+        # topes 1 and 2 traded with their separators: the strata still
+        # cover the fiber
+        t, sep = strat.tope_string, strat.separators
+        return replace(strat, tope_string=(t[0], t[2], t[1]), separators=(sep[1], sep[0]))
 
     strat = sec3_stratification()
-    strata, bad = check_patchwork(strat), reordered(strat)
-    assert [mask_of(lift) for lift in bad.lifts] == [strata[i] for i in (0, 2, 1)]
+    lifts = check_patchwork(strat)
     # stratum 1 is now the ideal below the old T_2 less stratum 0, larger
-    # than the old stratum 2 its lift is onto
+    # than the old stratum 2 the faces of its separator lift onto
+    source, zero = strat.loc.source, strat.loc.system.numbering()[0, 0]
+    below = [source.poset.below(source.index[zero, t]) for t in strat.tope_string]
+    assert (below[2] & ~below[0]).bit_count() > len(lifts[2])
     with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
-        check_patchwork(bad)
+        check_patchwork(reordered(strat))
     with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
         certify_with(monkeypatch, reordered)
+
+
+def test_patchwork_refuses_traded_separators(monkeypatch):
+    # the topes in order but their separators traded: each later stratum
+    # is as large as its ball, but lies over the faces zero at the other
+    # separator
+    from dataclasses import replace
+
+    from omkit.morse import check_patchwork
+
+    def traded(strat):
+        return replace(strat, separators=strat.separators[::-1])
+
+    with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
+        check_patchwork(traded(sec3_stratification()))
+    with pytest.raises(MatchingError, match="lift 1 is no isomorphism of its ball onto stratum 1"):
+        certify_with(monkeypatch, traded)
+
+
+def test_patchwork_refuses_another_fibers_string():
+    # the tope string of the second ambient under the first: its strata
+    # are as many cells as the fiber's, and lift onto the right faces,
+    # but lie outside it
+    from dataclasses import replace
+
+    from omkit.morse import check_patchwork
+
+    strat = sec3_stratification()
+    loc = strat.loc
+    amb = bits(loc.target.poset.maximal_elements())[1]
+    other = stratify_fiber(loc, loc.target.keys[amb][1])
+    assert sum(map(len, check_patchwork(other))) == loc.fibers[strat.top].bit_count()
+    with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
+        check_patchwork(replace(strat, tope_string=other.tope_string, separators=other.separators))
+
+
+def test_patchwork_refuses_a_string_short_of_its_last_tope(monkeypatch):
+    # the string without its last tope and separator: each stratum still
+    # lifts onto its faces, but the strata miss the last one
+    from dataclasses import replace
+
+    from omkit.morse import check_patchwork
+
+    def short(strat):
+        return replace(strat, tope_string=strat.tope_string[:-1], separators=strat.separators[:-1])
+
+    with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
+        check_patchwork(short(sec3_stratification()))
+    with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
+        certify_with(monkeypatch, short)
 
 
 def test_the_restriction_must_be_an_isomorphism_on_its_covers(monkeypatch):

@@ -15,6 +15,7 @@ from poset_builders import PosetMap, from_below, order_pairs
 from side_lemmas import (
     direct_salvetti_below,
     fiber_rank2_model,
+    fibers_by_preimage_sums,
     is_ideal,
     localization_section,
     localization_square_commutes,
@@ -220,18 +221,30 @@ def test_salvetti_refuses_a_maximal_cell_off_the_zero_vector(monkeypatch, braid3
         SalvettiPoset(braid3)
 
 
-@pytest.mark.parametrize(
-    "name, flat",
-    [
-        ("sec3-arrangement", "H1,H2,H3"),
-        ("braid3", "12,13,23"),
-        ("np14", "L1,L4,L6,g1,g2,g3,g4,g5"),
-        ("a4", "H1,H2,H3,H5,H6,H8"),
-    ],
-)
-def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
+MODULAR_COATOMS = [
+    ("sec3-arrangement", "H1,H2,H3"),
+    ("braid3", "12,13,23"),
+    ("np14", "L1,L4,L6,g1,g2,g3,g4,g5"),
+    ("a4", "H1,H2,H3,H5,H6,H8"),
+]
+
+
+def coatom_localization(name, flat, request):
     system = corpus(name) if name in CORPUS_NAMES else request.getfixturevalue(name)
-    loc = salvetti_localization(system, mask_of(system.ground.index(a) for a in flat.split(",")))
+    return salvetti_localization(system, mask_of(system.ground.index(a) for a in flat.split(",")))
+
+
+@pytest.mark.parametrize("name, flat", MODULAR_COATOMS)
+def test_fibers_are_the_sums_of_the_preimages_below(name, flat, request):
+    # gathered along the target covers, each fiber is the union of the
+    # preimages of the target cells below it, read off the target's masks
+    loc = coatom_localization(name, flat, request)
+    assert loc.fibers == fibers_by_preimage_sums(loc)
+
+
+@pytest.mark.parametrize("name, flat", MODULAR_COATOMS)
+def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
+    loc = coatom_localization(name, flat, request)
 
     def no_pass(*_):
         raise AssertionError("an order ideal ran the cover pass")
@@ -462,7 +475,7 @@ def test_stratification(five_planes):
         for sep, (a, b) in zip(strat.separators, zip(strat.tope_string, strat.tope_string[1:])):
             assert vectors[a].separator_mask(vectors[b]) == sep
         assert all(loc.rho[t] == bp for t in strat.tope_string)
-        strata = check_patchwork(strat)
+        strata = [mask_of(lift) for lift in check_patchwork(strat)]
         assert strata[0].bit_count() == len(five_planes)
         for i, sep in enumerate(strat.separators):
             e = five_planes.ground[sep.bit_length() - 1]
@@ -506,9 +519,15 @@ def test_strata_are_contraction_balls(five_planes):
     loc = salvetti_localization(five_planes, x)
     system = five_planes
     covs = sign_vectors(system)
+    zero = system.numbering()[0, 0]
     for bp in tope_numbers(loc.localized):
         strat = stratify_fiber(loc, bp)
-        for i, stratum in enumerate(check_patchwork(strat)):
+        used = 0
+        for i, lift in enumerate(check_patchwork(strat)):
+            # stratum i off the source's masks: the ideal below (0, T_i)
+            # less the strata before it
+            stratum = loc.source.poset.below(loc.source.index[zero, strat.tope_string[i]]) & ~used
+            used |= stratum
             t_i = covs[strat.tope_string[i]]
             faces = {}
             for cid in bits(stratum):
@@ -516,10 +535,10 @@ def test_strata_are_contraction_balls(five_planes):
                 assert tope == face.compose(t_i)
                 faces[cid] = face
             # the lift of stratum i sends each covector to its cell
-            lifted = set(strat.lifts[i])
+            lifted = set(lift)
             assert lifted == set(bits(stratum))
             vectors = covs if i == 0 else sign_vectors(loc.localized)
-            for c, cid in zip(vectors, strat.lifts[i]):
+            for c, cid in zip(vectors, lift, strict=True):
                 face = faces[cid] if i == 0 else faces[cid].restrict(x)
                 assert face == c
             if i == 0:

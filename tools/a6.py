@@ -1,4 +1,4 @@
-"""The Salvetti complex of A_6 and its localization, outside the test suite.
+"""The Salvetti complex of A_6, its localization and a sampled certificate.
 
 A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
 (47,293 covectors, 322,560 Salvetti cells).  The script caps its own
@@ -7,12 +7,15 @@ with MemoryError instead of crowding the host.  It builds A_6 with
 `from_arrangement`, then the covector poset, the Salvetti cells and
 covers, their chain complex and its reduction by `homology()`, printing
 each stage's time and the resident set size after it, then the Betti
-numbers, the torsion and the process's peak resident set size.  Last it
+numbers, the torsion and the process's peak resident set size.  Then it
 times `salvetti_localization` at `COATOM`, the modular coatom of the 15
-forms without x_7, and prints the peak resident set size after it.  It
-exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
-Whitney numbers of A_6, with no torsion, and when the localization
-raises MemoryError.  Run from the repository root:
+forms without x_7, and prints the peak resident set size after it.  Last
+it times `quasi_fibration_certify` at `COATOM` on `SAMPLE` sampled pairs
+and prints its seconds, PASS or FAIL and the peak resident set size.
+It exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
+Whitney numbers of A_6, with no torsion, when the localization or the
+certificate raises MemoryError, and when the certificate fails.  Run
+from the repository root:
 
     python tools/a6.py
 """
@@ -22,12 +25,13 @@ import sys
 
 from a5 import peak_rss_mb, rss_mb, timed
 from arrangement_builders import braid_arrangement
-from omkit.homology import chain_complex, homology
+from omkit.homology import chain_complex, homology, quasi_fibration_certify
 from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 
 BETTI = (1, 21, 175, 735, 1624, 1764, 720)
 COATOM = "H1,H2,H3,H4,H5,H7,H8,H9,H10,H12,H13,H14,H16,H17,H19"
+SAMPLE = 4
 ADDRESS_SPACE = 4 << 30
 
 
@@ -58,7 +62,14 @@ def main() -> int:
         print("salvetti_localization: MemoryError", flush=True)
         return 1
     print(f"target cells: {len(loc.target)}  peak RSS: {peak_rss_mb():.0f} MB")
-    return 0 if result.betti == BETTI and result.is_torsion_free() else 1
+    del loc  # the certificate builds its own localization
+    try:
+        cert = timed(f"certify-qf --sample {SAMPLE}", lambda: quasi_fibration_certify(system, flat, SAMPLE))
+    except MemoryError:
+        print(f"certify-qf --sample {SAMPLE}: MemoryError", flush=True)
+        return 1
+    print(f"certify-qf: {'PASS' if cert.ok else 'FAIL'}  peak RSS: {peak_rss_mb():.0f} MB")
+    return 0 if result.betti == BETTI and result.is_torsion_free() and cert.ok else 1
 
 
 if __name__ == "__main__":
