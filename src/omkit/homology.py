@@ -6,12 +6,12 @@ of dimension d are the elements of height d, the facets of a cell its
 lower covers), and so certifies regularity: every cover climbs one
 height, every edge has two vertices, every codimension-2 face of a cell
 lies in exactly two of its facets, and the signs propagated across those
-faces agree (`NotRegularError` names the cell otherwise).  It propagates
-once per cell shape, not once per cell, which its docstring shows exact.
-Each face g two heights below a cell lies in exactly two of its facets f
-and f2, whose signs are set (or checked) so that sign[f2] * s(f2, g) =
--sign[f] * s(f, g); so the boundary squares to zero with no second pass.
-The tests multiply the maps out as an oracle.
+faces agree (`NotRegularError` names the cell otherwise).  It spreads
+the signs cell by cell: each face g two heights below a cell lies in
+exactly two of its facets f and f2, whose signs are set (or checked) so
+that sign[f2] * s(f2, g) = -sign[f] * s(f, g); so the boundary squares
+to zero with no second pass.  The tests multiply the maps out as an
+oracle.
 
 The Salvetti complex takes its signs once per covector, not once per
 cell, from the dual covector complex.  The ideal below a cell (G, R) is
@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
+from .morse import FiberCertifier, MorseCertificate
 from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
@@ -76,10 +75,6 @@ from .salvetti import (
     salvetti_localization,
     stratify_fiber,
 )
-
-if TYPE_CHECKING:
-    from .morse import MorseCertificate
-
 
 # -- exact Smith data ---------------------------------------------------------
 
@@ -213,80 +208,14 @@ class ChainComplexRecord:
     boundaries: tuple[dict[int, dict[int, int]], ...]  # boundaries[k]: C_k -> C_{k-1}
 
 
-def _spread_signs(
-    poset: FinitePoset, c: int, flat: list[int], signs: dict[int, dict[int, int]]
-) -> tuple[dict[int, int], itemgetter, itemgetter, tuple[tuple[int, int], ...]]:
-    """The signed facets of a cell c of height two or more, spread from +1
-    on its first facet, and the template they leave for c's shape.
-
-    `flat` lists the facets of each facet of c in turn.  Every face in it
-    must lie in exactly two facets, the signs spread across the faces
-    must agree, and they must reach every facet.  The template is a getter
-    of the first and one of the second position of each face in `flat`,
-    and each facet's sign by its position, in the order the signs were
-    set."""
-    names, facets = poset.names, poset.lower_covers
-    fs = facets(c)
-    owner = [f for f in fs for _ in facets(f)]
-    over: dict[int, list[int]] = {}
-    for p, g in enumerate(flat):
-        over.setdefault(g, []).append(p)
-    across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
-    pairs = []
-    for g, ps in sorted(over.items()):
-        if len(ps) != 2:
-            raise NotRegularError(
-                f"cell {names[c]!r}: its face {names[g]!r} lies in {len(ps)} of its facets, not 2"
-            )
-        f1, f2 = owner[ps[0]], owner[ps[1]]
-        across[f1].append((f2, g))
-        across[f2].append((f1, g))
-        pairs.append(ps)
-    sign = {fs[0]: 1}
-    stack = list(sign)
-    while stack:
-        f = stack.pop()
-        for f2, g in across[f]:
-            want = -sign[f] * signs[f][g] * signs[f2][g]
-            if f2 not in sign:
-                sign[f2] = want
-                stack.append(f2)
-            elif sign[f2] != want:
-                raise NotRegularError(
-                    f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
-                )
-    if len(sign) != len(fs):
-        raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
-    # two facets of two faces at least, so two pairs and the getters give tuples
-    first, second = zip(*pairs)
-    index = {f: i for i, f in enumerate(fs)}
-    return sign, itemgetter(*first), itemgetter(*second), tuple((index[f], s) for f, s in sign.items())
-
-
 def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     """The signed facets of every cell of a regular CW face poset.
 
     An edge gets -1 on its first vertex and +1 on the other.  A higher
     cell gets +1 on its first facet, and the signs spread across its
-    codimension-2 faces so that the two facets over each such face cancel
-    in the boundary of the boundary (`_spread_signs`).
-
-    The spread runs once per cell shape.  Vertices and edges have one
-    class each, and a higher cell's key is the tuple of its facets'
-    classes, in facet order.  The first cell of a key spreads its signs
-    and leaves the key's template, under a class of its own: which two
-    positions of its facets' facets, listed facet by facet, hold each
-    face, and each facet's sign by position.  A later cell of the key
-    takes the template's signs and class when its list pairs up at exactly
-    the template's positions and the paired faces are distinct; otherwise
-    it spreads its own signs and leaves the key's template, under a new
-    class.  By induction the facets of one class carry the same signs by
-    position, so a cell that passes has its template's faces over its
-    facets, with the same signs on them, and the spread would give it the
-    template's signs; a cell the spread would refuse fails the check and
-    is refused by the spread, in the same words.  Only the order of a
-    cell's signs can differ from its own spread's, when its faces sort
-    otherwise than its template's.
+    codimension-2 faces: each lies in exactly two of its facets f and f2,
+    whose signs are set (or checked) so that the two cancel in the
+    boundary of the boundary, and the spread must reach every facet.
     """
     heights = poset.heights()
     names = poset.names
@@ -294,9 +223,6 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
     # the first cover that skips a height, at the first cell that has one
     skip = poset.skipping_cover()
     signs: dict[int, dict[int, int]] = {}
-    kind = [0] * len(names)  # each walked cell's class: 0 vertex, 1 edge
-    templates: dict[tuple[int, ...], tuple] = {}  # key: (class, *template)
-    fresh = 1  # the last class given out
     for c in sorted(poset.elements, key=heights.__getitem__):
         if skip is not None and skip[1] == c:
             raise NotRegularError(
@@ -312,22 +238,36 @@ def _incidences(poset: FinitePoset) -> dict[int, dict[int, int]]:
                     f"edge {names[c]!r} has vertices {[names[f] for f in fs]}, not exactly 2"
                 )
             signs[c] = {fs[0]: -1, fs[1]: 1}
-            kind[c] = 1
             continue
-        key = tuple(map(kind.__getitem__, fs))
-        flat = list(chain.from_iterable(map(facets, fs)))
-        known = templates.get(key)
-        if known is not None:
-            cls, first, second, order = known
-            paired = first(flat)
-            if paired == second(flat) and len(set(paired)) == len(paired):
-                signs[c] = {fs[i]: s for i, s in order}
-                kind[c] = cls
-                continue
-        signs[c], *template = _spread_signs(poset, c, flat, signs)
-        fresh += 1
-        kind[c] = fresh
-        templates[key] = (fresh, *template)
+        over: dict[int, list[int]] = {}
+        for f in fs:
+            for g in facets(f):
+                over.setdefault(g, []).append(f)
+        across: dict[int, list[tuple[int, int]]] = {f: [] for f in fs}
+        for g, pair in sorted(over.items()):
+            if len(pair) != 2:
+                raise NotRegularError(
+                    f"cell {names[c]!r}: its face {names[g]!r} lies in {len(pair)} of its facets, not 2"
+                )
+            f1, f2 = pair
+            across[f1].append((f2, g))
+            across[f2].append((f1, g))
+        sign = {fs[0]: 1}
+        stack = [fs[0]]
+        while stack:
+            f = stack.pop()
+            for f2, g in across[f]:
+                want = -sign[f] * signs[f][g] * signs[f2][g]
+                if f2 not in sign:
+                    sign[f2] = want
+                    stack.append(f2)
+                elif sign[f2] != want:
+                    raise NotRegularError(
+                        f"cell {names[c]!r}: incidence signs disagree across its face {names[g]!r}"
+                    )
+        if len(sign) != len(fs):
+            raise NotRegularError(f"cell {names[c]!r}: its facet graph is disconnected")
+        signs[c] = sign
     return signs
 
 
@@ -589,8 +529,6 @@ def quasi_fibration_certify(
     by the order check of `salvetti_localization`.  A PASS builds no
     source `FinitePoset`, which names failures only.
     """
-    from .morse import FiberCertifier
-
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
     lat = build_lattice(system)

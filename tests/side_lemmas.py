@@ -33,9 +33,10 @@ built all-pairs, with its least-first linear extension that puts an
 order ideal first, is the oracle for the shelling orders that walk T(B)'s
 covers, and the shelling check that searches each boundary on a subposet
 of its own the oracle for the one that searches it on the host's
-covers.  The incidence signs spread cell by cell are the oracle for the
-ones spread once per cell shape.  No command needs them,
-so they live with the tests."""
+covers.  The incidence signs spread cell by cell are the reference for
+`_incidences`, which spreads them the same way; the boundary maps
+multiplied out, `squares_to_zero`, are the independent check.  No
+command needs them, so they live with the tests."""
 
 import heapq
 from typing import Iterable, NamedTuple, Optional, Sequence, Union

@@ -1,4 +1,6 @@
+import io
 import re
+import sys
 from itertools import combinations, product
 from math import gcd
 
@@ -16,9 +18,10 @@ from omkit.homology import (
     salvetti_betti_match_whitney,
     semidirect_rank_sequence,
 )
+from omkit.cli import main
 from omkit.corpus import corpus
 from omkit.matroids import CovectorSystem, from_arrangement
-from omkit.omfile import format_topes
+from omkit.omfile import format_system, format_topes
 from omkit.posets import FinitePoset, bits, mask_of
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
@@ -194,15 +197,15 @@ def test_clearing_is_exact_on_salvetti_posets_fibers_and_rp2(all_corpus, five_pl
     assert homology(rp).torsion[1] == (2,)
 
 
-def test_boundary_squares_to_zero_on_salvetti_posets_fibers_a4_and_rp2(all_corpus, five_planes, braid3):
+def test_boundary_squares_to_zero_on_salvetti_posets_fibers_a4_and_rp2(all_corpus, five_planes, braid3, np14, a4):
     # the signs of `_incidences`, transported from the dual covector
     # complex, make the boundary square to zero; here the maps are
-    # multiplied out
-    recs = [chain_complex(SalvettiPoset(s)) for s in all_corpus.values()]
+    # multiplied out, a check independent of the spread
+    b3 = from_arrangement(b3_arrangement())
+    recs = [chain_complex(SalvettiPoset(s)) for s in (*all_corpus.values(), np14, a4, b3)]
     for system, flat in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
         loc = salvetti_localization(system, system.label_mask(flat))
         recs += [chain_complex(loc.source, fiber) for fiber in loc.fibers]
-    recs.append(chain_complex(SalvettiPoset(from_arrangement(braid_arrangement(5)))))
     recs.append(cellular_chain_complex(from_facets(rp2())))
     for rec in recs:
         assert squares_to_zero(rec), rec.bases[0][:3]
@@ -361,8 +364,8 @@ def test_regularity_failures_name_the_cell(poset, message):
 
 
 def same_signs(poset, ordered=False):
-    """`_incidences` gives every cell the signs of the cell-by-cell
-    spread, in the same order too when `ordered`."""
+    """`_incidences` gives every cell the signs of the reference spread,
+    `incidences_cell_by_cell`, in the same order too when `ordered`."""
     got, want = _incidences(poset), incidences_cell_by_cell(poset)
     if ordered:
         return [(c, list(s.items())) for c, s in got.items()] == [(c, list(s.items())) for c, s in want.items()]
@@ -370,8 +373,8 @@ def same_signs(poset, ordered=False):
 
 
 def test_signs_per_shape_are_the_cell_by_cell_signs_on_salvetti_posets(all_corpus, np14, a4):
-    # the Salvetti posets walk the cells over one covector one after
-    # another, all of one shape, so even the order of the signs is kept
+    # on the Salvetti posets, where the dual signs are transported to,
+    # even the order of the signs is the reference's
     for name, system in {**all_corpus, "np14": np14, "A4": a4}.items():
         assert same_signs(SalvettiPoset(system).poset, ordered=True), name
 
@@ -413,8 +416,8 @@ def relabelled(poset, rng):
     st.randoms(use_true_random=False),
 )
 def test_signs_per_shape_are_the_cell_by_cell_signs_on_face_posets(facets, rng):
-    # renumbered at random, simplices of one dimension come in several
-    # shapes, so templates are replaced; the boundary still squares to zero
+    # renumbered at random, the signs are the reference's and the
+    # boundary squares to zero
     for poset in (from_facets(facets), relabelled(from_facets(facets), rng)):
         assert same_signs(poset)
         assert squares_to_zero(cellular_chain_complex(poset))
@@ -433,34 +436,16 @@ def square(edges, cell):
 
 def two_squares():
     # sq (edges ac, ad, bc, bd) and t (edges f1 = wx, f2 = wz, f3 = yz,
-    # f4 = xy): one shape by their facets' classes, whose faces pair up
-    # at other positions, and whose signs by position differ
+    # f4 = xy): two squares whose faces pair up at other positions of
+    # their facets' facets, and whose signs by position differ
     covers = square({"ac": "ac", "ad": "ad", "bc": "bc", "bd": "bd"}, "sq")
     covers += square({"f1": "wx", "f2": "wz", "f3": "yz", "f4": "xy"}, "t")
     return poset_of(covers)
 
 
-def spreading(monkeypatch):
-    """Patch the spread of one cell's signs to append the cell to the
-    returned list."""
-    import importlib
-
-    module = importlib.import_module("omkit.homology")
-    real, cells = module._spread_signs, []
-
-    def spread(poset, c, *args):
-        cells.append(c)
-        return real(poset, c, *args)
-
-    monkeypatch.setattr(module, "_spread_signs", spread)
-    return cells
-
-
-def test_a_second_square_of_one_shape_spreads_its_own_signs(monkeypatch):
-    spread = spreading(monkeypatch)
+def test_a_second_square_of_one_shape_spreads_its_own_signs():
     poset = two_squares()
     signs = _incidences(poset)
-    assert [poset.names[c] for c in spread] == ["sq", "t"]
     cell = poset.names.index
     assert signs[cell("sq")] == {cell("ac"): 1, cell("ad"): -1, cell("bc"): -1, cell("bd"): 1}
     assert signs[cell("t")] == {cell("f1"): 1, cell("f2"): -1, cell("f3"): 1, cell("f4"): 1}
@@ -494,9 +479,8 @@ def cube(prefix, vertex_names):
 def test_a_replaced_template_starts_a_new_class(vertex_names):
     # two cubes, walked alike down to their edges, the second with its
     # vertices numbered in a drawn order: its squares then pair their
-    # vertices at other positions and carry other signs by position, so
-    # they take a new class, and so the second cube is no longer of the
-    # first cube's shape, although its squares pair their edges alike
+    # vertices at other positions and carry other signs by position,
+    # although its squares pair their edges alike
     covers = cube("1", range(8)) + cube("2", vertex_names)
     poset = poset_of(covers)
     assert same_signs(poset)
@@ -504,47 +488,55 @@ def test_a_replaced_template_starts_a_new_class(vertex_names):
 
 
 def triangle_then_theta():
-    # the triangle abc is walked first and makes the template of three
-    # edges; the theta cell f has that shape, and its faces do not pair up
+    # the triangle abc is walked first; the theta cell f also has three
+    # edges, and its faces do not pair up
     covers = [(v, e) for e in ("ab", "ac", "bc") for v in e] + [(e, "abc") for e in ("ab", "ac", "bc")]
     covers += [(v, e) for e in ("e1", "e2", "e3") for v in ("p", "q")] + [(e, "f") for e in ("e1", "e2", "e3")]
     return poset_of(covers)
 
 
 def square_then_pinched():
-    # the square sq makes the template of four edges; x has that shape and
-    # its faces pair up at the template's positions, p with p, q with q,
-    # r with r and p with p again, so two pairs share the face p
+    # the square sq is walked first; x also has four edges, and its
+    # faces pair up at sq's positions, p with p, q with q, r with r and
+    # p with p again, so two pairs share the face p
     covers = square({"ac": "ac", "ad": "ad", "bc": "bc", "bd": "bd"}, "sq")
     covers += square({"e1": "pq", "e2": "pr", "e3": "pq", "e4": "pr"}, "x")
     return poset_of(covers)
 
 
 @pytest.mark.parametrize(
-    "poset, spread_cells, message",
+    "poset, message",
     [
-        (triangle_then_theta, ["abc", "f"], "cell 'f': its face 'p' lies in 3 of its facets, not 2"),
-        (square_then_pinched, ["sq", "x"], "cell 'x': its face 'p' lies in 4 of its facets, not 2"),
+        (triangle_then_theta, "cell 'f': its face 'p' lies in 3 of its facets, not 2"),
+        (square_then_pinched, "cell 'x': its face 'p' lies in 4 of its facets, not 2"),
     ],
 )
-def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(monkeypatch, poset, spread_cells, message):
-    # the refused cell fails the template's check and spreads its signs
-    spread = spreading(monkeypatch)
+def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(poset, message):
     poset = poset()
     for incidences in (_incidences, incidences_cell_by_cell):
         with pytest.raises(NotRegularError, match=re.escape(message)):
             incidences(poset)
-    assert [poset.names[c] for c in spread] == spread_cells
 
 
-def test_the_signs_are_spread_once_per_shape_not_per_cell(monkeypatch, braid3, np14):
-    # fewer spreads than the covector system has covectors, cell by cell
-    # on the Salvetti poset: the cells over one covector share a shape
-    spread = spreading(monkeypatch)
-    for name, system in (("braid3", braid3), ("np14", np14)):
-        spread.clear()
-        cellular_chain_complex(SalvettiPoset(system).poset)
-        assert 0 < len(spread) < len(system), name
+def test_homology_and_certify_qf_spread_the_signs_once_on_the_dual_covector_poset(monkeypatch, braid3, np14):
+    # the signs are spread on every cell of the dual covector poset, once
+    # per system, and never on a Salvetti poset
+    import importlib
+
+    module = importlib.import_module("omkit.homology")
+    spread, systems = [], []
+    counting(monkeypatch, module, "_incidences", spread)
+    counting(monkeypatch, module, "_dual_signs", systems)
+    for system, flat in ((braid3, "12,13,23"), (np14, "L1,L4,L6,g1,g2,g3,g4,g5")):
+        text = format_system(system)
+        for argv in (["homology"], ["certify-qf", "--flat", flat]):
+            spread.clear()
+            systems.clear()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert main(argv) == 0, argv
+            read = systems[0]
+            assert len(spread) == 1 and spread[0] is read.covector_poset().dual(), argv
+            assert len(spread[0].names) == len(read) < len(SalvettiPoset(read)), argv
 
 
 def test_rank1_salvetti_circle(rank1):

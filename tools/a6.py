@@ -5,14 +5,16 @@ A_6 is the braid arrangement of the 21 forms x_i - x_j, i < j, on R^7
 address space at 4 GiB (RLIMIT_AS), so a run that would need more fails
 with MemoryError instead of crowding the host.  It builds A_6 with
 `from_arrangement`, then the covector poset, the Salvetti cells and
-covers, their chain complex and its reduction by `homology()`, printing
-each stage's time and the resident set size after it, then the Betti
-numbers, the torsion and the process's peak resident set size.  Then it
-times `salvetti_localization` at `COATOM`, the modular coatom of the 15
-forms without x_7, and prints the peak resident set size after it.  Last
-it times `quasi_fibration_certify` at `COATOM` on `SAMPLE` sampled pairs
-and prints its seconds, PASS or FAIL and the peak resident set size.
-It exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
+covers, the incidence signs spread on the dual covector poset
+(`_dual_signs`), the cells' chain complex, which reads those signs, and
+its reduction by `homology()`, printing each stage's time and the
+resident set size after it, then the Betti numbers, the torsion and the
+process's peak resident set size.  Then it times `salvetti_localization`
+at `COATOM`, the modular coatom of the 15 forms without x_7, and prints
+the peak resident set size after it.  Last it times
+`quasi_fibration_certify` at `COATOM` on `SAMPLE` sampled pairs and
+prints its seconds, PASS or FAIL and the peak resident set size.  It
+exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
 Whitney numbers of A_6, with no torsion, when the localization or the
 certificate raises MemoryError, and when the certificate fails.  Run
 from the repository root:
@@ -25,7 +27,7 @@ import sys
 
 from a5 import peak_rss_mb, rss_mb, timed
 from arrangement_builders import braid_arrangement
-from omkit.homology import chain_complex, homology, quasi_fibration_certify
+from omkit.homology import _dual_signs, chain_complex, homology, quasi_fibration_certify
 from omkit.matroids import from_arrangement
 from omkit.salvetti import SalvettiPoset, salvetti_localization
 
@@ -48,6 +50,7 @@ def main() -> int:
     system = stage("from_arrangement", lambda: from_arrangement(braid_arrangement(7)))
     stage("covector poset", system.covector_poset)
     salvetti = stage("salvetti", lambda: SalvettiPoset(system))
+    stage("dual signs", lambda: _dual_signs(system))
     rec = stage("chain complex", lambda: chain_complex(salvetti))
     result = stage("homology", lambda: homology(rec))
     print(f"covectors: {len(system)}  cells: {len(salvetti)}")
