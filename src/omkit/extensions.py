@@ -10,11 +10,11 @@ joining its two cocircuits, so no contraction is built.  A constraint
 that a coatom flat's sign be 0 (the new element lies on it) or nonzero
 is kept once, by dropping the placements that break it before the
 search starts; every coatom lies on a coline, so no assignment that
-breaks it reaches a leaf.  At a leaf the candidate system is
-constructed outright (extended cocircuits, plus the crossing
-cocircuits supported on the new element, then composition closure)
-and the covector axioms are the final arbiter.  Nothing is emitted
-unverified.
+breaks it reaches a leaf.  At a leaf the candidate is lifted off the
+base covectors (Las Vergnas, 1978): a base covector X, with the signs s
+of the new element on the cocircuits below X, gives (X, +) if some s is
++, (X, -) if some s is -, and (X, 0) if s takes both signs or neither.
+The covector axioms are the final arbiter: nothing is emitted unverified.
 
 Flats are ground-bit masks, cocircuits covector numbers and a covector's
 value its (plus, minus) pair.  A new label
@@ -32,7 +32,7 @@ from itertools import count
 from typing import Iterator, Optional
 
 from .lattices import GeometricLattice, build_lattice
-from .matroids import CovectorSystem, _closure_from_cocircuits, flat_id
+from .matroids import CovectorSystem, flat_id
 from .posets import bits
 
 
@@ -74,21 +74,20 @@ class _SearchSpace:
         index = self.lattice.index
         self.coatoms = sorted(self.pair_rep, key=index.__getitem__)
         self.colines = sorted(self.lattice.flats_of_rank(self.rank - 2), key=index.__getitem__)
-        # one-dimensional cells with their two boundary cocircuits, for the
-        # crossing-cocircuit rule; the cells on a coline join its cocircuits
-        # into the circle of its rank-two contraction
+        # the cocircuits below each covector, which a leaf's lift reads;
+        # the edge cells, those on a coline, join its two cocircuits into
+        # the circle of its rank-two contraction
         poset = system.covector_poset()
-        self.edge_cells: list[tuple[int, int, int]] = []
+        self.cocircuits_below = [poset.below(f) & cocirc for f in poset.elements]
         adjacency: dict[int, dict[int, list[int]]] = {a: {} for a in self.colines}
-        for f in poset.elements:
+        for f, below in enumerate(self.cocircuits_below):
             adj = adjacency.get(system.zero_set(f))
             if adj is None:
                 continue
-            below = bits(poset.below(f) & cocirc)
-            if len(below) != 2:
-                raise ExtensionError(f"cell {poset.names[f]} has {len(below)} vertices")
-            y1, y2 = below
-            self.edge_cells.append((f, y1, y2))
+            ends = bits(below)
+            if len(ends) != 2:
+                raise ExtensionError(f"cell {poset.names[f]} has {len(ends)} vertices")
+            y1, y2 = ends
             adj.setdefault(y1, []).append(y2)
             adj.setdefault(y2, []).append(y1)
         self.coline_data = [self._coline_candidates(a, adjacency[a]) for a in self.colines]
@@ -148,43 +147,46 @@ class _SearchSpace:
         return flats_here, list(placements.values())
 
 
+def _lift(space: _SearchSpace, values: dict[int, int]) -> list[tuple[int, int]]:
+    """The covectors of the candidate for a full signature, the new
+    element being the bit above the base ground."""
+    system = space.system
+    gbit = 1 << len(system.ground)
+    # the cocircuits on the + side of the new element and on its - side
+    plus = minus = 0
+    for x, y in space.pair_rep.items():
+        p, m = system.vectors()[y]
+        sides = (1 << y, 1 << system.numbering()[m, p])
+        if values[x]:
+            up, down = sides if values[x] > 0 else sides[::-1]
+            plus, minus = plus | up, minus | down
+    lifted: list[tuple[int, int]] = []
+    for (p, m), below in zip(system.vectors(), space.cocircuits_below):
+        up, down = below & plus, below & minus
+        if up:
+            lifted.append((p | gbit, m))
+        if down:
+            lifted.append((p, m | gbit))
+        if bool(up) == bool(down):
+            lifted.append((p, m))
+    return lifted
+
+
 def _build_extension(
     space: _SearchSpace,
     values: dict[int, int],
     new_label: str,
 ) -> Optional[ExtensionResult]:
-    """Construct the candidate system for a full signature and verify it."""
+    """Lift the candidate for a full signature off the base and verify it."""
     system = space.system
-    vectors = system.vectors()
-    ground = system.ground + (new_label,)
-    gbit = 1 << len(system.ground)
-
-    def signed_value(y: int) -> int:
-        x = system.zero_set(y)
-        return values[x] if y == space.pair_rep[x] else -values[x]
-
-    cocirc_masks: set[tuple[int, int]] = set()
-    for x, y in space.pair_rep.items():
-        v, (p, m) = values[x], vectors[y]
-        for plus, minus, s in ((p, m, v), (m, p, -v)):
-            cocirc_masks.add((plus | (gbit if s > 0 else 0), minus | (gbit if s < 0 else 0)))
-    # crossing cocircuits: one-dimensional cells (zero set of corank two)
-    # whose two vertices land on opposite sides of the new element
-    for f, y1, y2 in space.edge_cells:
-        v1, v2 = signed_value(y1), signed_value(y2)
-        if v1 and v2 and v1 == -v2:
-            cocirc_masks.add(vectors[f])
-    closure = _closure_from_cocircuits(cocirc_masks)
-
+    lifted = _lift(space, values)
     # cheap rejections first, then the axioms as the single source of truth;
     # the new label is the top bit, so the restriction to the base masks it off
-    low = gbit - 1
-    if {(p & low, m & low) for p, m in closure} != system.numbering().keys():
+    low = (1 << len(system.ground)) - 1
+    if {(p & low, m & low) for p, m in lifted} != system.numbering().keys():
         return None
-    candidate = CovectorSystem(ground, closure)
-    if not candidate.is_simple():
-        return None
-    if not candidate.check_axioms().ok:
+    candidate = CovectorSystem(system.ground + (new_label,), lifted)
+    if not candidate.is_simple() or not candidate.check_axioms().ok:
         return None
     # flats of the new lattice are sorted by size: the first one over a
     # base flat is its closure
@@ -277,25 +279,20 @@ def levi_enlargement(
     lat = build_lattice(system)
     if lat.rank() != 3:
         raise ExtensionError("enlargement applies to rank-three systems")
-    x1, x2 = flat1, flat2
-    for x in (x1, x2):
+    for x in (flat1, flat2):
         if lat.rank_of.get(x) != 2:
             raise ExtensionError(f"{flat_id(x, system.ground)} is not a rank-two flat")
-    if x1 == x2:
+    if flat1 == flat2:
         raise ExtensionError("the two flats must be distinct")
-    if x1 & x2:
+    if flat1 & flat2:
         raise ExtensionError("the two flats must be disjoint")
-    zero = frozenset({x1, x2})
-    nonzero: frozenset[int] = frozenset()
-    if generic:
-        nonzero = frozenset(
-            f for f in lat.flats_of_rank(2) if f not in zero
-        )
+    zero = frozenset({flat1, flat2})
+    nonzero = frozenset(f for f in lat.flats_of_rank(2) if f not in zero) if generic else frozenset()
     for result in single_element_extensions(system, zero, nonzero, new_label):
         return result
     raise LeviSearchError(
-        f"no enlargement through {flat_id(x1, system.ground)} and "
-        f"{flat_id(x2, system.ground)} found"
+        f"no enlargement through {flat_id(flat1, system.ground)} and "
+        f"{flat_id(flat2, system.ground)} found"
         + ("; the generic search is inconclusive" if generic else "")
     )
 
@@ -331,6 +328,8 @@ def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
     flats (ties by flat number) and is lifted along every step; the count
     of flats disjoint from it must drop strictly each time.  Each new
     element is labelled by the smallest g1, g2, ... not yet in the ground.
+    Every step's axioms are checked: each step is a find of
+    `single_element_extensions`, which the non-pappus generator also reads.
     """
     lat = build_lattice(system)
     if lat.rank() != 3:
@@ -361,9 +360,7 @@ def supersolvable_extension(system: CovectorSystem) -> SupersolvableExtension:
                 f"disjoint-flat count failed to decrease at {label}: "
                 f"{len(disjoint)} -> {after}"
             )
-        steps.append(
-            LeviStep(pivot, through, label, len(disjoint), after, result)
-        )
+        steps.append(LeviStep(pivot, through, label, len(disjoint), after, result))
         current = result.extended
         lat = new_lat
         pivot = new_pivot

@@ -412,20 +412,23 @@ def _composition_escape(
     order; the first is axiom 3's witness.
 
     X o Y reads Y only on the zero set z of X, so a row composes the
-    restrictions of the covectors to z, collected once per zero set; only
-    a failing row is scanned in order, to list its pairs.
+    restrictions of the covectors to z, collected once per zero set, each
+    packed as one int, plus above minus; only a failing row is scanned in
+    order, to list its pairs.
     """
     full = (1 << n) - 1
-    restricted: dict[int, set[tuple[int, int]]] = {}
+    packed = [p << n | m for p, m in masks]
+    present = set(packed)
+    restricted: dict[int, set[int]] = {}
     escapes: list[tuple[int, int]] = []
-    for i, (p1, m1) in enumerate(masks):
-        z = full & ~(p1 | m1)
+    for i, w in enumerate(packed):
+        z = full & ~(w >> n | w)
         if z not in restricted:
-            restricted[z] = {(p & z, m & z) for p, m in masks}
-        if not number.keys() >= {(p1 | p, m1 | m) for p, m in restricted[z]}:
-            escapes += [
-                (i, j) for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number
-            ]
+            both = z << n | z
+            restricted[z] = {v & both for v in packed}
+        if not present.issuperset([w | r for r in restricted[z]]):
+            p1, m1 = masks[i]
+            escapes += [(i, j) for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number]
     return escapes
 
 
@@ -636,10 +639,10 @@ def _null_space(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[Fraction
 
 
 def _closure_from_cocircuits(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Composition closure of the cocircuits together with the zero vector.
-    A cocircuit Y whose support lies inside X's leaves X o Y = X, so X is
-    composed only with the others, and a tope with none; X o Y is
-    `compose_masks` written out, with X's free bits found once per X."""
+    """Composition closure of the cocircuits and the zero vector, for its
+    one caller, `from_arrangement`.  A cocircuit Y whose support lies inside
+    X's leaves X o Y = X, so X is composed only with the others, and a tope
+    with none; X o Y is `compose_masks` written out, X's free bits found once."""
     closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
     frontier = list(closed)
     composers = [(p, m, p | m) for p, m in cocircuit_masks]

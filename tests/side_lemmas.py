@@ -28,7 +28,9 @@ subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  The contraction at a coline, its
 circle of cocircuits walked along its topes and the placements of a new
 element on that circle are the oracle for the extension search, which
-reads the circle off the edge cells of the base.  The tope poset T(B)
+reads the circle off the edge cells of the base; the candidate closed
+from its signed cocircuits and the crossing ones is the oracle for the
+candidate it lifts off the base covectors.  The tope poset T(B)
 built all-pairs, with its least-first linear extension that puts an
 order ideal first, is the oracle for the shelling orders that walk T(B)'s
 covers, and the shelling check that searches each boundary on a subposet
@@ -42,7 +44,7 @@ import heapq
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from omkit.homology import NotRegularError
-from omkit.lattices import GeometricLattice
+from omkit.lattices import GeometricLattice, build_lattice
 from omkit.matroids import CovectorSystem, flat_id, section_lift
 from omkit.morse import Matching, MatchingError
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
@@ -436,6 +438,39 @@ def cycle_placements(system: CovectorSystem, cycle: Sequence[int]) -> set[frozen
                     assert signature.setdefault(x, v) == v, "antipodes agree"
                 out.add(frozenset(signature.items()))
     return out
+
+
+def candidate_by_closure(system: CovectorSystem, values: dict[int, int]) -> set[tuple[int, int]]:
+    """The covectors of an extension's candidate for a full signature (coatom
+    flat -> sign of its cocircuit of least number), built from cocircuits:
+    each base cocircuit extended by its sign, plus the crossing cocircuits,
+    the edge cells (zero set a coline) whose two vertices land on opposite
+    sides of the new element, closed under composition.  The new element
+    is the bit above the base ground."""
+    vectors = system.vectors()
+    poset = system.covector_poset()
+    cocirc = system.cocircuits()
+    gbit = 1 << len(system.ground)
+    rep: dict[int, int] = {}
+    for y in bits(cocirc):
+        rep.setdefault(system.zero_set(y), y)
+
+    def signed_value(y: int) -> int:
+        x = system.zero_set(y)
+        return values[x] if y == rep[x] else -values[x]
+
+    cocircuits = set()
+    for y in bits(cocirc):
+        (p, m), s = vectors[y], signed_value(y)
+        cocircuits.add((p | (gbit if s > 0 else 0), m | (gbit if s < 0 else 0)))
+    lattice = build_lattice(system)
+    colines = set(lattice.flats_of_rank(lattice.rank() - 2))
+    for f in poset.elements:
+        if system.zero_set(f) in colines:
+            v1, v2 = map(signed_value, bits(poset.below(f) & cocirc))
+            if v1 and v2 and v1 == -v2:
+                cocircuits.add(vectors[f])
+    return closure_composing_all(cocircuits)
 
 
 # -- tope sets and matchings ---------------------------------------------------

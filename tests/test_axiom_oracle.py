@@ -4,16 +4,22 @@ The reference scans every ordered pair of covectors for composition and
 elimination, and per elimination obligation every covector, with no
 column bitsets and no pair symmetry.  The two must give equal reports,
 verdicts and witness strings alike, on random sign-vector sets and on
-corpus members and extension steps with covectors deleted or added."""
+corpus members and extension steps with covectors deleted or added.
+The composition check, which packs each covector into one int, must
+list the same escaping pairs as the one keyed by (plus, minus) pairs."""
+
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from omkit import matroids
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.matroids import (
     AxiomCheck,
     AxiomReport,
     CovectorSystem,
     RationalArrangement,
+    _composition_escape,
     from_arrangement,
 )
 from omkit.signs import compose_masks, separator_masks
@@ -178,3 +184,43 @@ def test_matches_reference_when_only_a_pair_of_two_supports_fails_elimination():
     report = system.check_axioms()
     assert not report.composition.passed and not report.elimination.passed
     assert report == reference_check_axioms(system)
+
+
+def tuple_keyed_composition_escape(
+    masks: tuple[tuple[int, int], ...], number: dict[tuple[int, int], int], n: int
+) -> list[tuple[int, int]]:
+    """Every pair (i, j) whose composition is not in the set, in row-major
+    order, each row composing the restrictions of the covectors to its
+    zero set as (plus, minus) pairs."""
+    full = (1 << n) - 1
+    restricted: dict[int, set[tuple[int, int]]] = {}
+    escapes: list[tuple[int, int]] = []
+    for i, (p1, m1) in enumerate(masks):
+        z = full & ~(p1 | m1)
+        if z not in restricted:
+            restricted[z] = {(p & z, m & z) for p, m in masks}
+        if not number.keys() >= {(p1 | p, m1 | m) for p, m in restricted[z]}:
+            escapes += [
+                (i, j) for j, (p, m) in enumerate(masks) if (p1 | p & z, m1 | m & z) not in number
+            ]
+    return escapes
+
+
+@st.composite
+def sign_vector_sets_on_up_to_six_labels(draw) -> CovectorSystem:
+    ground = tuple(f"e{i + 1}" for i in range(draw(st.integers(1, 6))))
+    covs = set(draw(st.lists(sign_vectors(ground), max_size=10)))
+    if draw(st.booleans()):
+        covs = composition_closure(covs, ground)
+        covs -= set(draw(st.lists(st.sampled_from(sorted(covs, key=str)), max_size=2)))
+    return CovectorSystem(ground, {(c.plus, c.minus) for c in covs})
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_vector_sets_on_up_to_six_labels())
+def test_packed_composition_matches_the_tuple_keyed_one(system):
+    args = (system.vectors(), system.numbering(), len(system.ground))
+    assert _composition_escape(*args) == tuple_keyed_composition_escape(*args)
+    with patch.object(matroids, "_composition_escape", tuple_keyed_composition_escape):
+        oracle = system.check_axioms()
+    assert system.check_axioms() == oracle

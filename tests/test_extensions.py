@@ -7,6 +7,7 @@ from conftest import sign_vectors
 from omkit.extensions import (
     ExtensionError,
     _SearchSpace,
+    _lift,
     levi_enlargement,
     single_element_extensions,
     supersolvable_extension,
@@ -14,10 +15,10 @@ from omkit.extensions import (
 from omkit.lattices import build_lattice
 from omkit.matroids import CovectorSystem, RationalArrangement, from_arrangement
 from omkit.salvetti import salvetti_localization
-from omkit.posets import mask_of
+from omkit.posets import bits, mask_of
 from omkit.signs import compose_masks
 from poset_builders import order_pairs
-from side_lemmas import contraction_cycle, cycle_placements, rank3_modular_coatom_test
+from side_lemmas import candidate_by_closure, contraction_cycle, cycle_placements, rank3_modular_coatom_test
 from sign_vector import SignVector
 
 
@@ -325,6 +326,34 @@ def test_prune_soundness_and_completeness(uniform23):
     assert dfs == raw
 
 
+def test_the_lift_is_the_closure_of_the_signed_and_crossing_cocircuits(
+    five_planes, braid3, uniform23, np14_extension
+):
+    """At every leaf of the raw scans of sec3, braid3 and uniform-2-3
+    that each coline admits, the only leaves the search builds, the lifted
+    candidate is the composition closure of the cocircuits with their
+    signs and the crossing cocircuits.  Off those leaves the two differ
+    and both fail the axioms; the raw scans of sec3 and uniform-2-3 above
+    check that the lift is rejected there.  Every step of the
+    supersolvable extensions of non-pappus and of the six-element uniform
+    system is that closure too."""
+    for system, leaves in ((five_planes, 64), (braid3, 86), (uniform23, 12)):
+        space = _SearchSpace(system)
+        admitted = 0
+        for values in itertools.product((1, -1, 0), repeat=len(space.coatoms)):
+            signature = dict(zip(space.coatoms, values))
+            if all({x: signature[x] for x in flats} in cands for flats, cands in space.coline_data):
+                admitted += 1
+                assert set(_lift(space, signature)) == candidate_by_closure(system, signature)
+        assert admitted == leaves
+    forms = [(1, t, t * t) for t in range(1, 7)]
+    u6 = from_arrangement(RationalArrangement(tuple(f"e{t}" for t in range(1, 7)), forms))
+    for steps in (np14_extension.steps, supersolvable_extension(u6).steps):
+        for step in steps:
+            found = step.result
+            assert set(found.extended.vectors()) == candidate_by_closure(found.base, found.signature)
+
+
 def test_the_search_builds_only_assignments_every_coline_admits(uniform23, five_planes, monkeypatch):
     """A leaf is built only when, on every coline, some placement agrees
     with the whole assignment: each flat filters the placements of its
@@ -351,8 +380,9 @@ def coline_adjacency(space: _SearchSpace, coline: int) -> dict[int, list[int]]:
     """The cocircuits through a coline, each with its neighbours along the
     edge cells on the coline."""
     adj: dict[int, list[int]] = {}
-    for f, y1, y2 in space.edge_cells:
+    for f, below in enumerate(space.cocircuits_below):
         if space.system.zero_set(f) == coline:
+            y1, y2 = bits(below)
             adj.setdefault(y1, []).append(y2)
             adj.setdefault(y2, []).append(y1)
     return adj
