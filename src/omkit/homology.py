@@ -527,7 +527,9 @@ def quasi_fibration_certify(
     once per run on its own ball.  Per cell, the critical cells are the
     union of the lifted critical sets, compared with the fiber, an ideal
     by the order check of `salvetti_localization`.  A PASS builds no
-    source `FinitePoset`, which names failures only.
+    source `FinitePoset`, which names failures only, and no sphere or
+    ball poset: each local matching collapses its ball on the covers of
+    its system's covector poset.
     """
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")

@@ -21,6 +21,11 @@ union of the lifted critical sets, and each fiber is an ideal by the one
 order check of `salvetti_localization`.  Only the tests glue and walk,
 as the oracle.
 
+A shelled ball is collapsed by one routine on covers, `_collapse`; a
+convex-critical matching runs it on the covector poset's own covers,
+with no sphere or ball poset, and its pairs are checked once, by the
+dual-ball `Matching` they end in.
+
 The constructors build their matchings without checking these claims;
 every path that reports a matching certifies it next.  Tope sets are
 masks and shelling orders sequences of element numbers, over the
@@ -147,42 +152,61 @@ def matching_from_shelling(
     where sigma is the unique cell above tau.  On a shellable ball this
     terminates with exactly the chosen vertex left over; if the greedy
     order ever jams, that is reported as a defect rather than patched
-    over.
-
-    Everything is read off the covers, in time linear in them.  A cell's
-    birth, the first cell of the order above it, is found by a walk down
-    the covers that stops at the cells born before, which lie below an
-    earlier cell with all their faces.  A cell is free when one alive
-    cell covers it: the cells alive always form a subcomplex, and in a
-    regular complex (the balls here are) a cell of a subcomplex with one
-    alive upper cover sigma has no other alive cell above it, since a
-    cell above sigma would bring a second upper cover by the diamond
-    property.  So the free cells, their partners and the pairs are the
-    same as by counting every alive cell above.
+    over.  The vertex and the order are checked here, and the collapse
+    is `_collapse`'s, on the covers of the complex.
     """
     cells = list(order)
     if vertex not in complex_poset:
         raise MatchingError(f"unknown vertex {vertex!r}")
     if cells and not complex_poset.leq(vertex, cells[0]):
         raise MatchingError("vertex must lie in the first maximal cell")
-    lower = complex_poset.lower_covers
-    birth: dict[int, int] = {}
-    for i, c in enumerate(cells):
-        todo = [c] if c in complex_poset else []
+    birth = _births(complex_poset, [c for c in cells if c in complex_poset])
+    if len(birth) != len(complex_poset):
+        raise MatchingError("order does not cover the complex")
+    return Matching(complex_poset, frozenset(_collapse(complex_poset, birth, vertex)))
+
+
+def _births(poset: FinitePoset, order: Sequence[int], floor: int = -1) -> dict[int, int]:
+    """The cells of the ideal below the cells of an order in a poset, each
+    with its birth, the first cell of the order above it, in the order
+    walked.  A walk down the covers stops at the cells born before, which
+    lie below an earlier cell with all their faces.  The floor, an element
+    below every cell (the zero vector of the covector poset), is read as
+    no cell."""
+    lower, birth = poset.lower_covers, {floor: -1}
+    for i, c in enumerate(order):
+        todo = [c]
         while todo:
             x = todo.pop()
             if x not in birth:
                 birth[x] = i
                 todo.extend(lower(x))
-    if len(birth) != len(complex_poset):
-        raise MatchingError("order does not cover the complex")
-    heights = complex_poset.heights()
-    alive = [False] * len(complex_poset.names)
+    del birth[floor]
+    return birth
+
+
+def _collapse(poset: FinitePoset, birth: dict[int, int], vertex: int) -> list[tuple[int, int]]:
+    """The pairs of the greedy collapse of a ball onto a vertex: the ball
+    is the cells that have a birth (`_births`), an order ideal of the
+    poset but for a floor, read off the poset's covers and heights.
+
+    Everything is read off the covers, in time linear in them.  A cell is
+    free when one alive cell covers it: the cells alive always form a
+    subcomplex, and in a regular complex (the balls here are) a cell of a
+    subcomplex with one alive upper cover sigma has no other alive cell
+    above it, since a cell above sigma would bring a second upper cover
+    by the diamond property.  So the free cells, their partners and the
+    pairs are the same as by counting every alive cell above.  The floor
+    is never alive, so it is never paired, and heights shifted by one
+    above it order the heap as the ball's own would.
+    """
+    lower, heights = poset.lower_covers, poset.heights()
+    alive = [False] * len(poset.names)
     # the number of alive upper covers of each alive cell, and their sum,
     # which names the last one
     updeg = [0] * len(alive)
     upsum = [0] * len(alive)
-    for y in complex_poset.elements:
+    for y in birth:
         alive[y] = True
         for x in lower(y):
             updeg[x] += 1
@@ -195,11 +219,11 @@ def matching_from_shelling(
         sigma = upsum[tau]
         heapq.heappush(heap, (-birth[sigma], -heights[sigma], sigma, tau))
 
-    for x in complex_poset.elements:
+    for x in birth:
         if x != vertex and updeg[x] == 1:
             push(x)
     pairs: list[tuple[int, int]] = []
-    left = len(complex_poset)
+    left = len(birth)
     while left > 1:
         while heap:
             _, _, sigma, tau = heapq.heappop(heap)
@@ -223,9 +247,9 @@ def matching_from_shelling(
                         push(x)
 
     if not alive[vertex]:
-        rest = mask_of(x for x in complex_poset.elements if alive[x])
-        raise MatchingError(f"collapse ended at {complex_poset.names_of(rest)} instead of the vertex")
-    return Matching(complex_poset, frozenset(pairs))
+        rest = mask_of(x for x in birth if alive[x])
+        raise MatchingError(f"collapse ended at {poset.names_of(rest)} instead of the vertex")
+    return pairs
 
 
 def collapse_ball(
@@ -262,6 +286,15 @@ def matching_convex_critical(system: CovectorSystem, q: int) -> Matching:
 
 
 def _convex_critical(system: CovectorSystem, q: int) -> Matching:
+    """The convex-critical matching of Q, collapsed on the covector
+    poset's own covers.  The ball L(T - Q) of the topes outside Q is the
+    ideal below them in the covector poset, less the zero vector, which
+    lies below every cell: a cocircuit's one cover, the zero vector, is
+    read as none, and every height is one above the sphere's, so the
+    heap orders the cells as on the ball's own poset.  No sphere, ball
+    `FinitePoset` or mask is built; the pairs are checked once, by the
+    dual-ball `Matching`, which is walked once, as the certificates read
+    it."""
     if not q:
         raise MatchingError("Q must be nonempty")
     poset = system.covector_poset()
@@ -279,9 +312,12 @@ def _convex_critical(system: CovectorSystem, q: int) -> Matching:
     except PosetError:
         raise AssertionError("convex set is not an ideal of the tope poset") from None
     shell_order = [t for t in reversed(ext) if not q >> t & 1]
-    collapse, vertex = collapse_ball(system, shell_order)
-    dual_pairs = frozenset((b, a) for a, b in collapse.pairs)
-    return Matching(ball, dual_pairs | {(vertex, system.numbering()[0, 0])})
+    # the vertex is the least cocircuit below the first tope
+    zero = system.numbering()[0, 0]
+    birth = _births(poset, shell_order, zero)
+    vertex = min(x for x, i in birth.items() if not i and poset.lower_covers(x) == (zero,))
+    pairs = _collapse(poset, birth, vertex)
+    return Matching(ball, frozenset([(b, a) for a, b in pairs] + [(vertex, zero)]))
 
 
 def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matching, Matching]:
@@ -290,7 +326,19 @@ def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matchi
     critical part is the fiber of rho over the cell's face, and on the
     dual ball of the localization, whose critical part is the face's
     star.  The first matches stratum 0 of every stratified fiber, the
-    second each later stratum."""
+    second each later stratum.
+
+    Both critical sets depend on the face G alone: they are
+    {F : rho F >= G} on the system and {F : F >= G} on the localization.
+    A convex-critical matching is critical on the covectors all of whose
+    topes lie in Q.  In an oriented matroid a covector F is the meet of
+    the topes above it, since F o T and F o (-T) lie above it for every
+    tope T and differ wherever F is zero.  So every tope above F lies in
+    the star of G, that is above G, exactly when F >= G: the second set.
+    The topes above F are the F o T, and rho(F o T) = rho F o rho T, where
+    rho is onto the topes of the localization; so the topes rho sends
+    above F are those of the localization above rho F, and they all lie
+    above G exactly when rho F >= G: the first set."""
     system, localized = loc.system, loc.localized
     order, face = localized.covector_poset(), loc.target.keys[target_cell][0]
     star = mask_of(t for t in bits(localized.topes()) if order.below(t) >> face & 1)

@@ -5,9 +5,12 @@ decomposition of a sphere, and every linear extension of a tope poset
 orders its maximal cells as a shelling.  Convex tope sets are order
 ideals of tope posets, which is what produces shellable balls and, later,
 the matchings with prescribed critical subcomplexes.  No tope poset is
-built: a shelling order walks the covers of T(B), read off the facets of
-the covector poset, the tope across the facet F of T being the
-composition F o (-T), and the all-pairs T(B) is the tests' oracle.
+built: a shelling order walks the covers of T(B) over the tope graph,
+the tope across each facet of each tope, which is built once per system
+and kept on it, the tope across the facet F of T being the composition
+F o (-T).  A call computes only the separators from its base.  The
+all-pairs T(B), and the graph composed afresh per call, are the tests'
+oracles.
 
 Everything here is in the numbering of the covector poset: a tope is an
 element number, a set of topes (a halfspace, a convex set, the Q of the
@@ -18,7 +21,10 @@ by the command line.
 The convex hull of Q is one pass over the topes, keeping those that agree
 with every sign the topes of Q share; the halfspaces of those signs are
 the tests' oracle for it.  The sphere poset is built once per system,
-and a ball L(Q) is its order ideal below Q.
+for the shelling check and the command line's ball collapse, a ball L(Q)
+being its order ideal below Q; the balls of the convex-critical
+matchings are collapsed on the covector poset's own covers instead
+(`omkit.morse`).
 
 The shelling check recurses into cell boundaries, and each boundary is
 an order ideal of the complex, so it is searched on the complex's own
@@ -110,35 +116,59 @@ class ShellingReport:
         return self.ok
 
 
+def _tope_graph(system: CovectorSystem) -> dict[int, tuple[int, ...]]:
+    """Each tope's neighbours, the tope across each of its facets in
+    facet order, built once per system and kept on it.  The tope across
+    the facet F of T is the composition F o (-T); a `NotATopeError` names
+    the first facet, by tope and facet, across which lies no tope."""
+
+    def build():
+        poset, vectors, number = system.covector_poset(), system.vectors(), system.numbering()
+        order = bits(_require_topes(system, 0))
+        every = set(order)
+        graph = {}
+        for t in order:
+            tp, tm = vectors[t]
+            across = []
+            for f in poset.lower_covers(t):
+                across.append(number.get(compose_masks(*vectors[f], tm, tp), -1))
+            if not every.issuperset(across):
+                f = next(f for f, u in zip(poset.lower_covers(t), across) if u not in every)
+                raise NotATopeError(f"no tope lies across the facet {poset.names[f]} of the tope {poset.names[t]}")
+            graph[t] = tuple(across)
+        return graph
+
+    return system.memo(("tope graph",), build)
+
+
 def shelling_order_from_extension(
     system: CovectorSystem, base: int, prefix: int = 0
 ) -> tuple[int, ...]:
     """Order the sphere's maximal cells by a linear extension of the tope
     poset T(B) at base B: a least-first Kahn walk over its covers, the
     tope u across a facet of t covering t when S(B, t) lies in S(B, u)
-    (Edelman 1984; Bjorner, Edelman and Ziegler 1990).  The tope across
-    the facet F of T is the composition F o (-T); a `NotATopeError`
-    names the facet and the tope when that is no tope.
+    (Edelman 1984; Bjorner, Edelman and Ziegler 1990).  The topes across
+    the facets are read off the system's one tope graph (`_tope_graph`),
+    so a call computes only the separators from its base.
 
     A nonzero prefix comes first; it must be an order ideal of T(B), as
     every convex set containing the base is.
     """
     topes = _require_topes(system, 1 << base)
     prefix = prefix or 1 << base
-    poset, vectors, number = system.covector_poset(), system.vectors(), system.numbering()
+    poset, vectors = system.covector_poset(), system.vectors()
     if prefix & ~topes:
         unknown = [poset.names[x] if x < len(poset.names) else x for x in bits(prefix & ~topes)[:4]]
         raise PosetError(f"unknown elements: {unknown}")
-    sep = {t: separator_masks(*vectors[base], *vectors[t]) for t in bits(topes)}
-    upper: dict[int, list[int]] = {t: [] for t in sep}
-    waiting = dict.fromkeys(sep, 0)  # each tope's lower covers not yet placed
-    for t in sep:
-        tp, tm = vectors[t]
-        for f in poset.lower_covers(t):
-            u = number.get(compose_masks(*vectors[f], tm, tp), -1)
-            if u < 0 or not topes >> u & 1:
-                raise NotATopeError(f"no tope lies across the facet {poset.names[f]} of the tope {poset.names[t]}")
-            if not sep[t] & ~sep[u]:
+    graph = _tope_graph(system)
+    bp, bm = vectors[base]
+    sep = {t: separator_masks(bp, bm, *vectors[t]) for t in graph}
+    upper: dict[int, list[int]] = {t: [] for t in graph}
+    waiting = dict.fromkeys(graph, 0)  # each tope's lower covers not yet placed
+    for t, across in graph.items():
+        st = sep[t]
+        for u in across:
+            if not st & ~sep[u]:
                 if prefix >> u & 1 and not prefix >> t & 1:
                     raise PosetError("the given set is not an order ideal")
                 upper[t].append(u)

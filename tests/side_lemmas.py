@@ -487,6 +487,44 @@ def tope_poset(system: CovectorSystem, base: int) -> FinitePoset:
     return from_below(system.covector_poset().names, below)
 
 
+def shelling_order_by_composition(system: CovectorSystem, base: int, prefix: int = 0) -> tuple[int, ...]:
+    """The least-first Kahn walk over the covers of T(B), its tope graph
+    built afresh on every call, one composition F o (-T) and one lookup
+    per facet F of each tope T: the oracle for the tope graph that
+    `omkit.topes.shelling_order_from_extension` keeps on the system.  A
+    nonzero prefix comes first, as there."""
+    topes = _require_topes(system, 1 << base)
+    prefix = prefix or 1 << base
+    poset, vectors, number = system.covector_poset(), system.vectors(), system.numbering()
+    if prefix & ~topes:
+        unknown = [poset.names[x] if x < len(poset.names) else x for x in bits(prefix & ~topes)[:4]]
+        raise PosetError(f"unknown elements: {unknown}")
+    sep = {t: separator_masks(*vectors[base], *vectors[t]) for t in bits(topes)}
+    upper: dict[int, list[int]] = {t: [] for t in sep}
+    waiting = dict.fromkeys(sep, 0)
+    for t in sep:
+        tp, tm = vectors[t]
+        for f in poset.lower_covers(t):
+            u = number.get(compose_masks(*vectors[f], tm, tp), -1)
+            if u < 0 or not topes >> u & 1:
+                raise NotATopeError(f"no tope lies across the facet {poset.names[f]} of the tope {poset.names[t]}")
+            if not sep[t] & ~sep[u]:
+                if prefix >> u & 1 and not prefix >> t & 1:
+                    raise PosetError("the given set is not an order ideal")
+                upper[t].append(u)
+                waiting[u] += 1
+    ready = sorted((not prefix >> t & 1, t) for t, n in waiting.items() if not n)
+    order: list[int] = []
+    while ready:
+        _, t = heapq.heappop(ready)
+        order.append(t)
+        for u in upper[t]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heapq.heappush(ready, (not prefix >> u & 1, u))
+    return tuple(order)
+
+
 def is_ideal(poset: FinitePoset, mask: int) -> bool:
     """Every element below an element of the mask is in it."""
     return all(not poset.below(x) & ~mask for x in bits(mask))

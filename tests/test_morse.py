@@ -10,6 +10,7 @@ from omkit.morse import (
     MatchingError,
     MorseCertificate,
     collapse_ball,
+    local_matchings,
     matching_convex_critical,
     matching_from_shelling,
     matching_salvetti_fiber,
@@ -377,6 +378,33 @@ def test_collapse_ball_runs_no_cover_pass_once_the_sphere_is_built(monkeypatch):
     assert calls == []
 
 
+def test_the_certificate_builds_no_sphere_or_ball_poset(monkeypatch):
+    # an exhaustive certificate runs one cover pass per system, for the
+    # covector posets of the system and of its localization, and
+    # collapses every ball on their covers, with no subposet; the tope
+    # graph is kept on the system, so a shelling order after the
+    # certificate's composes nothing
+    import omkit.topes
+    from omkit import matroids
+    from omkit.homology import quasi_fibration_certify
+
+    passes, subposets, compositions = [], [], []
+    real_pass, real_sub, real_compose = posets._cover_pass, posets.FinitePoset.subposet, omkit.topes.compose_masks
+    for module in (posets, matroids):
+        monkeypatch.setattr(module, "_cover_pass", lambda *a: passes.append(a) or real_pass(*a))
+    monkeypatch.setattr(posets.FinitePoset, "subposet", lambda self, mask: subposets.append(mask) or real_sub(self, mask))
+    monkeypatch.setattr(omkit.topes, "compose_masks", lambda *a: compositions.append(a) or real_compose(*a))
+    for name, flat in (("braid3", "12,13,23"), ("sec3-arrangement", "H1,H2,H3")):
+        system = fresh(corpus(name))
+        passes.clear()
+        compositions.clear()
+        assert quasi_fibration_certify(system, system.label_mask(flat.split(",")), None).ok
+        assert len(passes) == 2 and subposets == [] and compositions
+        compositions.clear()
+        shelling_order_from_extension(system, bits(system.topes())[-1])
+        assert compositions == []
+
+
 # -- the fiber certificate by the patchwork theorem ----------------------------
 
 
@@ -424,26 +452,49 @@ def test_the_patchwork_certificate_is_the_glued_certificate(monkeypatch, five_pl
 
 
 def test_the_cover_count_collapse_is_the_mask_count_collapse(monkeypatch, five_planes, braid3, a4, np14_extension):
-    # every convex-critical ball the certificates build collapses to the
-    # same pairs as by counting every alive cell above a cell
+    # every convex-critical ball the certificates build, collapsed on the
+    # covector poset's covers, collapses to the same pairs as its own
+    # subposet does by counting every alive cell above a cell; the ball's
+    # maximal cells, by birth, are its shelling order
     import omkit.morse
     from omkit.homology import quasi_fibration_certify
     from side_lemmas import matching_from_shelling_by_masks
 
-    real = omkit.morse.matching_from_shelling
+    real = omkit.morse._collapse
     balls = []
 
-    def both(ball, order, vertex):
-        m = real(ball, order, vertex)
-        assert m.pairs == matching_from_shelling_by_masks(ball, order, vertex).pairs
+    def both(poset, birth, vertex):
+        pairs = real(poset, birth, vertex)
+        ball = poset.subposet(mask_of(birth))
+        order = sorted(bits(ball.maximal_elements()), key=birth.get)
+        assert frozenset(pairs) == matching_from_shelling_by_masks(ball, order, vertex).pairs
         balls.append(ball)
-        return m
+        return pairs
 
-    monkeypatch.setattr(omkit.morse, "matching_from_shelling", both)
+    monkeypatch.setattr(omkit.morse, "_collapse", both)
     for system, flat, sample in patchwork_runs(five_planes, braid3, a4, np14_extension):
         balls.clear()
         assert quasi_fibration_certify(fresh(system), flat, sample).ok
         assert balls
+
+
+def test_the_local_critical_sets_are_the_face_up_sets(five_planes, braid3, a4, np14_extension):
+    # the two local matchings of a face G are critical exactly on the
+    # covectors F with rho F >= G on the system and with F >= G on the
+    # localized system, as `local_matchings` argues: 134 faces in all
+    faces = 0
+    for system, flat, _ in patchwork_runs(five_planes, braid3, a4, np14_extension):
+        loc = salvetti_localization(system, flat)
+        order = loc.localized.covector_poset()
+        cell_over = {}
+        for cell, (face, _) in enumerate(loc.target.keys):
+            cell_over.setdefault(face, cell)
+        for face, cell in cell_over.items():
+            m0, mi = local_matchings(loc, cell)
+            assert m0.critical_cells() == mask_of(f for f, g in enumerate(loc.rho) if order.leq(face, g))
+            assert mi.critical_cells() == order.dual().below(face)
+        faces += len(cell_over)
+    assert faces == 134
 
 
 def sec3_stratification(system=None):

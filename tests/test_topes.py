@@ -27,6 +27,7 @@ from side_lemmas import (
     is_convex_betweenness,
     linear_extension_ideal_first,
     shelling_by_subposets,
+    shelling_order_by_composition,
     subcomplex_LQ,
     tope_poset,
 )
@@ -242,6 +243,39 @@ def test_shelling_order_walks_the_covers_of_the_all_pairs_tope_poset(all_corpus,
                     linear_extension_ideal_first(tp, q)
                 with pytest.raises(PosetError, match="not an order ideal"):
                     shelling_order_from_extension(system, base, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_kept_tope_graph_walks_as_the_graph_built_per_call(all_corpus, np14_extension, a4, data):
+    # the order walked over the tope graph kept on the system is the one
+    # walked over a graph composed afresh per call, at random bases with
+    # convex prefixes (halfspaces that contain the base), random tope
+    # sets and sets with a covector that is no tope; what one refuses,
+    # the other refuses with the same message
+    systems = [*all_corpus.values(), *(step.result.extended for step in np14_extension.steps), a4]
+    system = data.draw(st.sampled_from(systems))
+    topes = bits(all_topes(system))
+    base = data.draw(st.sampled_from(topes + [system.numbering()[0, 0], len(system)]))
+    kind = data.draw(st.sampled_from(["halfspaces", "halfspaces", "topes", "covectors"]))
+    if kind == "halfspaces" and base in topes:
+        p, m = system.vectors()[base]
+        labels = data.draw(st.sets(st.sampled_from(system.ground)))
+        prefix = all_topes(system)
+        for label in labels:
+            bit = 1 << system.ground.index(label)
+            prefix &= halfspace(system, label, 1 if p & bit else -1) if (p | m) & bit else prefix
+    else:
+        pool = topes if kind == "topes" else range(len(system))
+        prefix = mask_of(data.draw(st.lists(st.sampled_from(pool), max_size=6)))
+
+    def outcome(order_of):
+        try:
+            return order_of(system, base, prefix)
+        except (NotATopeError, PosetError) as e:
+            return type(e), str(e)
+
+    assert outcome(shelling_order_from_extension) == outcome(shelling_order_by_composition)
 
 
 def test_convex_first_extension(five_planes):
