@@ -347,7 +347,7 @@ def _pair_failures(pair: PairEvidence, names: tuple[str, ...], cells: tuple[str,
 def cmd_certify_qf(args) -> int:
     system = _read_system(args)
     x = parse_flat(args.flat, system)
-    cert = quasi_fibration_certify(system, x, None if args.exhaustive else args.sample)
+    cert = quasi_fibration_certify(system, x, args.sample)
     report = Report("certify-qf")
     report.note("flat", flat_id(x, system.ground))
     report.note("mode", "exhaustive" if cert.sample is None else "sampled")
@@ -496,9 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = com("certify-qf", help="quasi-fibration certificate")
     p.add_argument("--flat", required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true")
-    # a text default, converted like a given value, so that --sample 24 counts as given next to --exhaustive
-    mode.add_argument("--sample", type=int, default="24")
+    mode.add_argument("--exhaustive", action="store_true", help="check every pair (the default)")
+    mode.add_argument("--sample", type=int, metavar="N", help="check N pairs drawn with a fixed seed")
 
     com("ranks", help="semidirect rank sequence")
 
@@ -514,6 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse strips "--" from "--tope=--", leaving [], so read [] back as that sign text
+    for name in ("base", "tope", "topes"):
+        if getattr(args, name, None) == []:
+            setattr(args, name, "--")
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)

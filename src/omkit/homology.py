@@ -495,12 +495,12 @@ def quasi_fibration_certify(
     whose critical cells are exactly the fibers of a and of b; the fibers
     over the minimal cells are connected graphs of free rank d, one per
     element outside the flat (by union-find); and the fibers of every
-    checked pair are wedges of d circles.  `sample` pairs, drawn with a
-    fixed seed, are checked instead of all of them when that is fewer;
-    the certificate's `sample` is None exactly when every pair is checked,
-    and the minimal cells are checked either way.  The fiber inclusions
-    hold by construction: `loc.fibers[q]` is the union of the preimages
-    over the cells below q.
+    checked pair are wedges of d circles.  Every pair is checked by
+    default; `sample` pairs, drawn with a fixed seed, are checked instead
+    when that is fewer.  The certificate's `sample` is None exactly when
+    every pair is checked, and the minimal cells are checked either way.
+    The fiber inclusions hold by construction: `loc.fibers[q]` is the
+    union of the preimages over the cells below q.
 
     The wedges are read off the collapses, and no fiber is reduced: an
     acyclic matching whose critical cells are a subcomplex collapses the

@@ -2,9 +2,9 @@
 
 Everything is line-oriented and byte-deterministic so outputs can be
 diffed and frozen as golden files.  A covector file has a ground line
-and either a full covector body, a topes-only body, or an arrangement
-matrix; reports are key/value lines whose FAIL clauses always carry a
-witness.
+and either a full covector body or an arrangement matrix; the topes-only
+body that `topes` writes reads back only to be refused.  Reports are
+key/value lines whose FAIL clauses always carry a witness.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class OMFileError(ValueError):
 class OMFile:
     ground: tuple[str, ...]
     covectors: Optional[tuple[str, ...]] = None
-    topes: Optional[tuple[str, ...]] = None
     arrangement: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     def to_system(self) -> CovectorSystem:
@@ -93,18 +92,11 @@ def parse_om_text(text: str) -> OMFile:
         (covectors if section == "covectors" else topes).append("")
     if sum(1 for body in (covectors, topes, rows) if body) != 1:
         raise OMFileError("exactly one of covectors/topes/arrangement required")
-    if covectors:
-        _check_body(ground, covectors, want_zero=True)
-        return OMFile(ground, covectors=tuple(covectors))
-    if topes:
-        _check_body(ground, topes, want_zero=False)
-        return OMFile(ground, topes=tuple(topes))
-    return OMFile(ground, arrangement=tuple(rows))
-
-
-def _check_body(ground: tuple[str, ...], body: list[str], want_zero: bool) -> None:
+    if not covectors:
+        # a topes-only body leaves both bodies unset, which to_system refuses
+        return OMFile(ground, arrangement=tuple(rows) or None)
     seen = set()
-    for line in body:
+    for line in covectors:
         if len(line) != len(ground):
             raise OMFileError(
                 f"line {line!r} has length {len(line)}, ground has {len(ground)}"
@@ -112,8 +104,9 @@ def _check_body(ground: tuple[str, ...], body: list[str], want_zero: bool) -> No
         if line in seen:
             raise OMFileError(f"duplicate line {line!r}")
         seen.add(line)
-    if want_zero and "0" * len(ground) not in seen:
+    if "0" * len(ground) not in seen:
         raise OMFileError("covector body must contain the zero vector")
+    return OMFile(ground, covectors=tuple(covectors))
 
 
 def _parse_row(line: str) -> tuple[Fraction, ...]:

@@ -35,8 +35,8 @@ built all-pairs, with its least-first linear extension that puts an
 order ideal first, is the oracle for the shelling orders that walk T(B)'s
 covers, and the shelling check that searches each boundary on a subposet
 of its own the oracle for the one that searches it on the host's
-covers.  The incidence signs spread cell by cell are the reference for
-`_incidences`, which spreads them the same way; the boundary maps
+covers.  A frozen copy of `_incidences` is the refactor reference that
+a rewrite of the sign spread is compared with; the boundary maps
 multiplied out, `squares_to_zero`, are the independent check.  No
 command needs them, so they live with the tests."""
 
@@ -823,16 +823,17 @@ def fiber_homology(fiber: FinitePoset) -> FiberHomology:
     return FiberHomology(fiber.height(), tuple(betti), res.is_torsion_free())
 
 
-# -- incidence signs, cell by cell ------------------------------------------------
+# -- incidence signs, the refactor reference -------------------------------------
 
 
-def incidences_cell_by_cell(poset: FinitePoset) -> dict[int, dict[int, int]]:
-    """The signed facets of every cell of a regular CW face poset, with
-    the signs of every cell spread across its own codimension-2 faces:
-    -1 and +1 on an edge's first and second vertex, +1 on a higher cell's
-    first facet, and the sign of a facet f2 next to f across a face g
-    such that the two cancel in the boundary of the boundary.  Refused
-    with the same `NotRegularError` as `omkit.homology._incidences`."""
+def incidences_refactor_reference(poset: FinitePoset) -> dict[int, dict[int, int]]:
+    """A frozen copy of `omkit.homology._incidences`, against which a
+    rewrite of it is checked sign for sign and refusal for refusal: the
+    signed facets of every cell of a regular CW face poset, with the
+    signs of every cell spread across its own codimension-2 faces: -1 and
+    +1 on an edge's first and second vertex, +1 on a higher cell's first
+    facet, and the sign of a facet f2 next to f across a face g such that
+    the two cancel in the boundary of the boundary."""
     heights = poset.heights()
     names = poset.names
     facets = poset.lower_covers

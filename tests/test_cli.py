@@ -69,7 +69,6 @@ def test_empty_ground_topes_read_back_as_topes_only(capsys):
     _, out = run(capsys, ["localize", "--flat", "{}"], stdin=om_text("rank1"))
     code, out = run(capsys, ["topes"], stdin=out)
     assert (code, out) == (0, "ground: \ntopes:\n\n")
-    assert parse_om_text(out).topes == ("",)
     code, _, err = run_with_stderr(capsys, ["check-axioms"], stdin=out)
     assert (code, err) == (2, "error: file lists topes only; covector operations need the full system\n")
 
@@ -80,7 +79,6 @@ def test_topes_only_files_parse_but_refuse_system_ops():
 
     text = format_topes(system)
     record = parse_om_text(text)
-    assert record.topes is not None and len(record.topes) == 6
     with pytest.raises(OMFileError):
         record.to_system()
 
@@ -472,15 +470,17 @@ def test_certify_qf_command(capsys):
         stdin=om_text("sec3-arrangement"),
     )
     assert code == 0
-    assert "fiber_rank: 2" in out
+    assert "\nmode: exhaustive\npairs: 120\nfiber_rank: 2\n" in out
     assert "verdict: PASS" in out
+    # every pair is the default, which --exhaustive names
+    assert run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement")) == (code, out)
     code, out = run(
         capsys,
-        ["certify-qf", "--flat", "H1,H2,H3", "--sample", "6"],
+        ["certify-qf", "--flat", "H1,H2,H3", "--sample", "24"],
         stdin=om_text("sec3-arrangement"),
     )
     assert code == 0
-    assert "mode: sampled" in out
+    assert "\nmode: sampled\npairs: 24\n" in out
 
 
 def test_certify_qf_names_the_witness_of_a_non_modular_flat(capsys):
@@ -508,7 +508,7 @@ def test_certify_qf_reports_the_failures_the_certificate_names(capsys, monkeypat
     monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
-    cert = broken(corpus("sec3-arrangement"), 0b111, 24)
+    cert = broken(corpus("sec3-arrangement"), 0b111)
     assert not cert.ok
     assert cert.failed_pairs == (cert.pairs[1],)
     assert cert.failed_fibers == cert.fibers
@@ -675,7 +675,7 @@ def test_certify_qf_names_every_failed_claim_of_a_pair(capsys, monkeypatch):
     monkeypatch.setattr(omkit.cli, "quasi_fibration_certify", broken)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
-    cert = broken(corpus("sec3-arrangement"), 0b111, 24)
+    cert = broken(corpus("sec3-arrangement"), 0b111)
     pair = cert.failed_pairs[0]
     names, cells = cert.loc.target.poset.names, cert.loc.source.poset.names
     claims = f"lower matching: cycle {[cells[0], cells[1], cells[0]]}; upper matching: extra ['x'], missing []"
@@ -792,7 +792,7 @@ def test_certify_qf_fails_a_minimal_fiber_that_is_no_graph(capsys, monkeypatch):
     monkeypatch.setattr(module, "graph_rank", rank)
     code, out = run(capsys, ["certify-qf", "--flat", "H1,H2,H3"], stdin=om_text("sec3-arrangement"))
     assert code == 1
-    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111, 24)
+    cert = quasi_fibration_certify(corpus("sec3-arrangement"), 0b111)
     minimal = cert.loc.target.poset.minimal_elements()
     assert cert.failed_graph_ranks == tuple((m, "graph has 2 components") for m in bits(minimal))
     name = cert.loc.target.poset.names[cert.failed_graph_ranks[0][0]]
@@ -831,7 +831,6 @@ def test_certify_qf_a_sample_of_every_pair_is_exhaustive(capsys):
 
 
 def test_certify_qf_refuses_a_sample_with_exhaustive(capsys):
-    # 24, the sample drawn when neither is given, counts as given too
     for sample in ("3", "24"):
         with pytest.raises(SystemExit) as exc:
             run(capsys, ["certify-qf", "--flat", "H1,H2,H3", "--sample", sample, "--exhaustive"])
@@ -852,6 +851,7 @@ def test_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
         (["shelling", "--base", "0++"], "'0++' is a covector but not a tope"),
         (["shelling", "--base", "0+-"], "'0+-' is not a covector"),
         (["morse", "--construction", "shelling", "--base", "000"], "'000' is a covector but not a tope"),
+        (convex[:-1] + ["--topes=--"], "'--' is not a covector: sign string '--' has length 2, ground set has 3"),
     ]
     for argv, message in cases:
         monkeypatch.setattr("sys.stdin", io.StringIO(om_text("uniform-2-3")))
@@ -859,6 +859,21 @@ def test_tope_arguments_name_what_is_wrong(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_the_sign_text_of_two_minuses_is_read_as_an_option_value(capsys):
+    # argparse strips "--" from "--tope=--", and the rank-2 tope -- of
+    # boolean3 localized at e1,e2 is named all the same
+    code, out = run(capsys, ["stratify", "--flat", "e1,e2", "--tope=--"], stdin=om_text("boolean3"))
+    assert code == 0 and "\nbase: --\n" in out
+    argv = ["morse", "--construction", "fiber", "--flat", "e1,e2", "--cell", "(--;--)", "--tope=--"]
+    code, out = run(capsys, argv, stdin=om_text("boolean3"))
+    assert code == 0 and out.endswith("verdict: PASS\n")
+    _, loc = run(capsys, ["localize", "--flat", "e1,e2"], stdin=om_text("boolean3"))
+    code, out = run(capsys, ["shelling", "--base=--"], stdin=loc)
+    assert code == 0 and "\nbase: --\norder: -- " in out and out.endswith("verdict: PASS\n")
+    code, out = run(capsys, ["morse", "--construction", "convex", "--topes=--"], stdin=loc)
+    assert code == 0 and out.endswith("verdict: PASS\n")
 
 
 def test_ranks_command(capsys):
@@ -1146,7 +1161,7 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     pairs = [
         (
             "sec3-arrangement",
-            ["certify-qf", "--flat", "H1,H2,H3", "--exhaustive"],
+            ["certify-qf", "--flat", "H1,H2,H3", "--sample", "3"],
             ["certify-qf", "--flat", "H1,H2,H3"],
         ),
         (
@@ -1161,7 +1176,7 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
         seconds.append(run_with_stderr(capsys, second, stdin=om_text(name)))
     (code, out, _), (morse_code, morse_out, morse_err) = seconds
     assert code == 0
-    assert "mode: sampled\n" in out and "pairs: 24\n" in out
+    assert "mode: exhaustive\n" in out and "pairs: 120\n" in out
     assert (morse_code, morse_out) == (2, "")
     assert morse_err == "error: missing arguments: --flat, --cell, --tope\n"
 

@@ -27,7 +27,7 @@ from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import b3_arrangement, braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import fiber_homology, incidences_cell_by_cell, pairwise_below
+from side_lemmas import fiber_homology, incidences_refactor_reference, pairwise_below
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
@@ -364,22 +364,22 @@ def test_regularity_failures_name_the_cell(poset, message):
 
 
 def same_signs(poset, ordered=False):
-    """`_incidences` gives every cell the signs of the reference spread,
-    `incidences_cell_by_cell`, in the same order too when `ordered`."""
-    got, want = _incidences(poset), incidences_cell_by_cell(poset)
+    """`_incidences` gives every cell the signs of its frozen copy,
+    `incidences_refactor_reference`, in the same order too when `ordered`."""
+    got, want = _incidences(poset), incidences_refactor_reference(poset)
     if ordered:
         return [(c, list(s.items())) for c, s in got.items()] == [(c, list(s.items())) for c, s in want.items()]
     return got == want
 
 
-def test_signs_per_shape_are_the_cell_by_cell_signs_on_salvetti_posets(all_corpus, np14, a4):
+def test_incidences_give_the_reference_signs_in_order_on_salvetti_posets(all_corpus, np14, a4):
     # on the Salvetti posets, where the dual signs are transported to,
     # even the order of the signs is the reference's
     for name, system in {**all_corpus, "np14": np14, "A4": a4}.items():
         assert same_signs(SalvettiPoset(system).poset, ordered=True), name
 
 
-def test_signs_per_shape_are_the_cell_by_cell_signs_on_certified_sources_and_spheres(
+def test_incidences_give_the_reference_signs_on_certified_sources_and_spheres(
     monkeypatch, all_corpus, five_planes, braid3
 ):
     import importlib
@@ -415,7 +415,7 @@ def relabelled(poset, rng):
     st.lists(st.sets(st.sampled_from("abcdefg"), min_size=1, max_size=5), max_size=8),
     st.randoms(use_true_random=False),
 )
-def test_signs_per_shape_are_the_cell_by_cell_signs_on_face_posets(facets, rng):
+def test_incidences_give_the_reference_signs_on_random_face_posets(facets, rng):
     # renumbered at random, the signs are the reference's and the
     # boundary squares to zero
     for poset in (from_facets(facets), relabelled(from_facets(facets), rng)):
@@ -443,7 +443,7 @@ def two_squares():
     return poset_of(covers)
 
 
-def test_a_second_square_of_one_shape_spreads_its_own_signs():
+def test_two_squares_get_their_own_signs():
     poset = two_squares()
     signs = _incidences(poset)
     cell = poset.names.index
@@ -476,11 +476,10 @@ def cube(prefix, vertex_names):
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(range(8)))
 @example([4, 1, 5, 2, 0, 3, 7, 6])
-def test_a_replaced_template_starts_a_new_class(vertex_names):
-    # two cubes, walked alike down to their edges, the second with its
-    # vertices numbered in a drawn order: its squares then pair their
-    # vertices at other positions and carry other signs by position,
-    # although its squares pair their edges alike
+def test_two_cubes_with_renumbered_vertices_get_the_reference_signs(vertex_names):
+    # two cubes, the second with its vertices numbered in a drawn order,
+    # so that its squares meet their vertices in other orders than the
+    # first's squares do
     covers = cube("1", range(8)) + cube("2", vertex_names)
     poset = poset_of(covers)
     assert same_signs(poset)
@@ -513,7 +512,7 @@ def square_then_pinched():
 )
 def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(poset, message):
     poset = poset()
-    for incidences in (_incidences, incidences_cell_by_cell):
+    for incidences in (_incidences, incidences_refactor_reference):
         with pytest.raises(NotRegularError, match=re.escape(message)):
             incidences(poset)
 
