@@ -36,7 +36,7 @@ from .homology import (
 from .lattices import build_lattice
 from .matroids import CovectorSystem, RationalArrangement, flat_id, from_arrangement
 from .morse import (
-    FiberCertifier,
+    certify_fibers,
     check_patchwork,
     collapse_ball,
     matching_convex_critical,
@@ -301,7 +301,7 @@ def cmd_morse(args) -> int:
         cell = _cell(loc.target, args.cell)
         strat = stratify_fiber(loc, _covector(loc.localized, args.tope))
         matching = matching_salvetti_fiber(strat, cell)
-        cert = FiberCertifier(loc).certify(strat, [cell])[cell]
+        cert = certify_fibers(strat, [cell])[cell]
         critical, clause = matching.critical_cells().bit_count(), "critical.is_fiber"
     names = matching.host.names
     report.note("pairs", len(matching.pairs))

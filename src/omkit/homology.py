@@ -67,7 +67,7 @@ from typing import NamedTuple, Optional, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
-from .morse import FiberCertifier, MorseCertificate
+from .morse import MorseCertificate, certify_fibers
 from .posets import FinitePoset, bits
 from .salvetti import (
     SalvettiLocalization,
@@ -519,17 +519,13 @@ def quasi_fibration_certify(
     The pairs are certified one ambient at a time, with one
     stratification alive at a time.
 
-    No glued matching is built or walked (`morse.FiberCertifier` gives
-    the argument).  A PASS's acyclicity rests on the patchwork theorem:
-    its hypotheses are checked once per ambient, on the strata that
-    `morse.check_patchwork` walks down the source covers (a
-    `MatchingError` when one fails), and each local matching is walked
-    once per run on its own ball.  Per cell, the critical cells are the
-    union of the lifted critical sets, compared with the fiber, an ideal
-    by the order check of `salvetti_localization`.  A PASS builds no
-    source `FinitePoset`, which names failures only, and no sphere or
-    ball poset: each local matching collapses its ball on the covers of
-    its system's covector poset.
+    No glued matching is built or walked: a PASS's acyclicity and
+    critical cells rest on the patchwork theorem, as `morse.certify_fibers`
+    argues, with its hypotheses checked once per ambient (a
+    `MatchingError` when one fails).  A PASS builds no source
+    `FinitePoset`, which names failures only, and no sphere or ball
+    poset: each local matching collapses its ball on the covers of its
+    system's covector poset.
     """
     if sample is not None and sample < 1:
         raise ValueError("sample must be at least 1")
@@ -553,21 +549,19 @@ def quasi_fibration_certify(
     minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
     graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.fibers[m]))) for m in bits(minimal))
 
-    # each pair's ambient is the least maximal cell above its upper cell:
-    # the ideals of the maximal cells are walked largest first, so the
-    # least claims each cell last
-    least = {x: m for m in reversed(bits(maximal)) for x in bits(poset.below(m))}
+    # each pair's ambient is the least maximal cell above its upper cell
+    tops = bits(maximal)
+    least = {b: next(m for m in tops if poset.leq(b, m)) for b in {b for _, b in pairs_all}}
     by_ambient: dict[int, list[tuple[int, int]]] = {}
     for a, b in sorted(pairs_all):
         by_ambient.setdefault(least[b], []).append((a, b))
-    certifier = FiberCertifier(loc)
     pairs = []
     for amb, amb_pairs in sorted(by_ambient.items()):
         # one stratification serves every matching into the fiber of amb,
         # and is let go before the next is built
         triples = [(a, b, bits(poset.below(a) & minimal)[0]) for a, b in amb_pairs]
         strat = stratify_fiber(loc, loc.target.keys[amb][1])
-        certs = certifier.certify(strat, dict.fromkeys(cell for triple in triples for cell in triple))
+        certs = certify_fibers(strat, dict.fromkeys(cell for triple in triples for cell in triple))
         pairs.extend(PairEvidence(a, b, amb, m, certs[a], certs[b], certs[m]) for a, b, m in triples)
         del strat
     pairs.sort(key=lambda p: (p.lower, p.upper))

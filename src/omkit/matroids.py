@@ -319,7 +319,8 @@ class CovectorSystem:
 
         Restriction is order preserving, so no covector poset is needed.
         Built once per flat and kept on the system, with what the
-        localized system keeps, such as its convex-critical matchings."""
+        localized system keeps, such as the local matchings of its faces
+        (`morse.local_matchings`)."""
 
         def build():
             if not any(self.zero_set(c) == flat for c in range(len(self))):
@@ -383,8 +384,8 @@ class CovectorSystem:
     def memo(self, key: tuple, build: Callable[[], object]) -> object:
         """`build()`, called once per key and kept on this system, so it
         lives exactly as long as the system; for structures derived
-        downstream, such as the lattice of flats and the convex-critical
-        matchings of `omkit.morse`."""
+        downstream, such as the lattice of flats and, on a localized
+        system, the local matchings of `omkit.morse`, per face."""
         memo = self._memo
         if key not in memo:
             memo[key] = build()

@@ -11,15 +11,10 @@ matching once.  The walk runs over the cells matched upward only, which
 a graded host allows, since each cycle then stays between two heights;
 a host that is not graded is refused.
 
-The fiber matchings are certified one way, by `FiberCertifier`, for
+The fiber matchings are certified one way, by `certify_fibers`, for
 `certify-qf` and `morse --construction fiber` alike, without a walk of
-the glued matching: it reads their acyclicity off the patchwork
-theorem, whose hypotheses `check_patchwork` checks once per stratified
-fiber, on the strata it walks down the source covers, and walks each
-local matching once per run on its own ball; the critical cells are the
-union of the lifted critical sets, and each fiber is an ideal by the one
-order check of `salvetti_localization`.  Only the tests glue and walk,
-as the oracle.
+the glued matching; its docstring gives the argument.  Only the tests
+glue and walk, as the oracle.
 
 A shelled ball is collapsed by one routine on covers, `_collapse`; a
 convex-critical matching runs it on the covector poset's own covers,
@@ -122,8 +117,8 @@ class Matching:
 
     @cached_property
     def walked(self) -> Optional[tuple[int, ...]]:
-        """`cycle()`, walked once and kept with the matching, so a matching
-        memoized on its system is walked once per system."""
+        """`cycle()`, walked once and kept with the matching, so a local
+        matching is walked once per system (see `certify_fibers`)."""
         return self.cycle()
 
     @cached_property
@@ -278,23 +273,16 @@ def matching_convex_critical(system: CovectorSystem, q: int) -> Matching:
     are exactly the dual subcomplex of a convex tope set (a mask).
 
     Collapses the ball generated by the complementary topes to a vertex,
-    dualizes, and matches that vertex with the top dual cell.  Built once
-    per (system, Q) and kept on the system: every fiber matching over the
-    same localized cell reuses it.
+    dualizes, and matches that vertex with the top dual cell.  The ball
+    L(T - Q) of the topes outside Q is the ideal below them in the
+    covector poset, less the zero vector, which lies below every cell: a
+    cocircuit's one cover, the zero vector, is read as none, and every
+    height is one above the sphere's, so the heap orders the cells as on
+    the ball's own poset.  No sphere, ball `FinitePoset` or mask is
+    built; the pairs are checked once, by the dual-ball `Matching`.
+    Nothing is kept: the fiber matchings keep theirs per face, through
+    `local_matchings`.
     """
-    return system.memo(("convex-critical", q), lambda: _convex_critical(system, q))
-
-
-def _convex_critical(system: CovectorSystem, q: int) -> Matching:
-    """The convex-critical matching of Q, collapsed on the covector
-    poset's own covers.  The ball L(T - Q) of the topes outside Q is the
-    ideal below them in the covector poset, less the zero vector, which
-    lies below every cell: a cocircuit's one cover, the zero vector, is
-    read as none, and every height is one above the sphere's, so the
-    heap orders the cells as on the ball's own poset.  No sphere, ball
-    `FinitePoset` or mask is built; the pairs are checked once, by the
-    dual-ball `Matching`, which is walked once, as the certificates read
-    it."""
     if not q:
         raise MatchingError("Q must be nonempty")
     poset = system.covector_poset()
@@ -338,13 +326,20 @@ def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matchi
     The topes above F are the F o T, and rho(F o T) = rho F o rho T, where
     rho is onto the topes of the localization; so the topes rho sends
     above F are those of the localization above rho F, and they all lie
-    above G exactly when rho F >= G: the first set."""
+    above G exactly when rho F >= G: the first set.  The pair is thus
+    built once per face and kept on the localized system, which the
+    system keeps per flat: every fiber and every certificate after reads
+    the same two matchings, with their walks and digits."""
     system, localized = loc.system, loc.localized
-    order, face = localized.covector_poset(), loc.target.keys[target_cell][0]
-    star = mask_of(t for t in bits(localized.topes()) if order.below(t) >> face & 1)
-    rho = loc.rho
-    m0 = matching_convex_critical(system, mask_of(t for t in bits(system.topes()) if star >> rho[t] & 1))
-    return m0, matching_convex_critical(localized, star)
+    face = loc.target.keys[target_cell][0]
+
+    def build() -> tuple[Matching, Matching]:
+        star = localized.covector_poset().dual().below(face) & localized.topes()
+        rho = loc.rho
+        m0 = matching_convex_critical(system, mask_of(t for t in bits(system.topes()) if star >> rho[t] & 1))
+        return m0, matching_convex_critical(localized, star)
+
+    return localized.memo(("local matchings", face), build)
 
 
 def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Matching:
@@ -357,7 +352,8 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     contraction's dual ball, matched through the isomorphism restriction
     induces.  The lifted pairs, each inside its stratum since each lift
     `check_patchwork` returns is a bijection onto it, are glued into one
-    matching on the fiber, whose certificate `FiberCertifier` gives.
+    matching on the fiber, which `certify_fibers` certifies without
+    walking it.
     """
     poset = strat.loc.target.poset
     if target_cell not in poset:
@@ -461,11 +457,11 @@ def check_patchwork(strat: FiberStratification) -> tuple[tuple[int, ...], ...]:
     return tuple(lifts)
 
 
-class FiberCertifier:
-    """The certificates of the fiber matchings of one localization, one
-    stratified ambient fiber at a time, read off the patchwork theorem
-    instead of a walk of each glued matching, for `certify-qf` and
-    `morse --construction fiber` alike.
+def certify_fibers(strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
+    """The certificate of the fiber matching onto each cell's fiber, for
+    cells below the ambient of `strat`, by cell, read off the patchwork
+    theorem instead of a walk of each glued matching, for `certify-qf`
+    and `morse --construction fiber` alike.
 
     The patchwork theorem (Jonsson's cluster lemma, "Simplicial
     complexes of graphs", LNM 1928; Kozlov, "Combinatorial algebraic
@@ -477,11 +473,11 @@ class FiberCertifier:
     matching is acyclic on its own ball: a lift is an isomorphism of the
     ball onto its stratum, and the stratum is convex, so the matched
     Hasse digraph of the stratum is the ball's.  Each local matching is
-    walked once (`Matching.walked`), and it is memoized on its system, so
-    the walk is kept for every fiber and every certificate after.  A
-    cycle is reported lifted into the fiber, through the lift of the
-    first stratum it matches, starting at its least cell, as
-    `Matching.cycle` gives it.
+    walked once (`Matching.walked`), and `local_matchings` keeps it per
+    face on the localized system, so the walk is kept for every fiber
+    and every certificate after.  A cycle is reported lifted into the
+    fiber, through the lift of the first stratum it matches, starting at
+    its least cell, as `Matching.cycle` gives it.
 
     The critical cells of the union are the union of the lifted critical
     sets, and they must be the fiber of the cell.  The lifts, one per
@@ -489,45 +485,33 @@ class FiberCertifier:
     this holds exactly when the cell's fiber lies in the ambient fiber
     and its digits at the lifted cells, read ball by ball in one gather,
     are the local matchings' critical digits (`Matching.digits`, kept
-    with each matching like its walk).  The cell's fiber is an
-    ideal by the order check of `salvetti_localization`, so it is not
-    checked here.  The ambient fiber is the stratification's own; the
+    with each matching like its walk).  The cell's fiber is an ideal by
+    the order check of `salvetti_localization`, so it is not checked
+    here.  Every fiber is read off `strat.loc`, the one localization; the
     witnesses, which alone read the source's `FinitePoset`, are those of
     `morse_reduction_certificate` on the glued matching."""
-
-    def __init__(self, loc: SalvettiLocalization):
-        self.loc = loc
-        # by face: the local matchings of the cells over it
-        self._local: dict[int, tuple[Matching, Matching]] = {}
-
-    def certify(self, strat: FiberStratification, cells: Iterable[int]) -> dict[int, MorseCertificate]:
-        """The certificate of the fiber matching onto each cell's fiber,
-        for cells below the ambient of `strat`, by cell."""
-        lifts = check_patchwork(strat)
-        loc = self.loc
-        width = len(loc.source)
-        # a cell k is character width - 1 - k of a mask's digits
-        gather = itemgetter(*(width - 1 - k for lift in lifts for k in lift))
-        later = len(lifts) - 1
-        outside = ~strat.loc.fibers[strat.top]
-        out = {}
-        for cell in cells:
-            face = loc.target.keys[cell][0]
-            if face not in self._local:
-                self._local[face] = local_matchings(loc, cell)
-            m0, mi = self._local[face]
-            sub = loc.fibers[cell]
-            critical = None
-            if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != m0.digits + mi.digits * later:
-                matchings = [m0] + [mi] * later
-                crit = mask_of(lift[x] for lift, m in zip(lifts, matchings) for x in bits(m.critical_cells()))
-                critical = _critical_claim(loc.source.poset, crit, sub)
-            cycle = None
-            for m, lift in zip((m0, mi), lifts[:2]):
-                if m.walked is not None:
-                    lifted = [lift[x] for x in m.walked[:-1]]
-                    i = lifted.index(min(lifted))
-                    cycle = tuple(lifted[i:] + lifted[:i] + lifted[i:i + 1])
-                    break
-            out[cell] = MorseCertificate(cycle, critical)
-        return out
+    lifts = check_patchwork(strat)
+    loc = strat.loc
+    width = len(loc.source)
+    # a cell k is character width - 1 - k of a mask's digits
+    gather = itemgetter(*(width - 1 - k for lift in lifts for k in lift))
+    later = len(lifts) - 1
+    outside = ~loc.fibers[strat.top]
+    out = {}
+    for cell in cells:
+        m0, mi = local_matchings(loc, cell)
+        sub = loc.fibers[cell]
+        critical = None
+        if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != m0.digits + mi.digits * later:
+            matchings = [m0] + [mi] * later
+            crit = mask_of(lift[x] for lift, m in zip(lifts, matchings) for x in bits(m.critical_cells()))
+            critical = _critical_claim(loc.source.poset, crit, sub)
+        cycle = None
+        for m, lift in zip((m0, mi), lifts[:2]):
+            if m.walked is not None:
+                lifted = [lift[x] for x in m.walked[:-1]]
+                i = lifted.index(min(lifted))
+                cycle = tuple(lifted[i:] + lifted[:i] + lifted[i:i + 1])
+                break
+        out[cell] = MorseCertificate(cycle, critical)
+    return out

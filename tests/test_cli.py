@@ -706,12 +706,6 @@ def test_morse_fiber_reports_the_patchwork_certificate(capsys, monkeypatch, name
     from omkit.posets import bits
     from omkit.salvetti import salvetti_localization, stratify_fiber
 
-    system = corpus(name)
-    loc = salvetti_localization(system, system.label_mask(flat.split(",")))
-    amb = bits(loc.target.poset.maximal_elements())[0]
-    base = loc.target.keys[amb][1]
-    strat = stratify_fiber(loc, base)
-    balls = {system.names(), loc.localized.names()}
     walked = []
     real_walk, real_convex = Matching.cycle, omkit.morse.matching_convex_critical
     monkeypatch.setattr(Matching, "cycle", lambda self: walked.append(self.host.names) or real_walk(self))
@@ -723,6 +717,14 @@ def test_morse_fiber_reports_the_patchwork_certificate(capsys, monkeypatch, name
     failed = 0
     for convex in variants:
         monkeypatch.setattr(omkit.morse, "matching_convex_critical", convex)
+        # the oracle's own system per variant: the local matchings are
+        # kept on it, so a shared one would keep the first variant's
+        system = corpus(name)
+        loc = salvetti_localization(system, system.label_mask(flat.split(",")))
+        amb = bits(loc.target.poset.maximal_elements())[0]
+        base = loc.target.keys[amb][1]
+        strat = stratify_fiber(loc, base)
+        balls = {system.names(), loc.localized.names()}
         for cell in bits(loc.target.poset.below(amb)):
             walked.clear()
             argv = ["morse", "--construction", "fiber", "--flat", flat, "--cell", loc.target.poset.names[cell]]

@@ -703,6 +703,30 @@ def test_a_second_certificate_formats_no_digits(monkeypatch):
     assert read == []
 
 
+def test_a_second_certificate_builds_no_local_matching(monkeypatch):
+    # the local matchings have one cache, per face on the localized
+    # system: the first certificate builds the two of every face, a
+    # second one of the same system and flat builds none
+    import omkit.morse as morse
+
+    system = corpus("sec3-arrangement")
+    flat = system.label_mask({"H1", "H2", "H3"})
+    built = []
+    real = morse.matching_convex_critical
+
+    def building(system, q):
+        built.append(q)
+        return real(system, q)
+
+    monkeypatch.setattr(morse, "matching_convex_critical", building)
+    cert = quasi_fibration_certify(system, flat)
+    assert cert.ok
+    assert len(built) == 2 * len({face for face, _ in cert.loc.target.keys})
+    built.clear()
+    assert quasi_fibration_certify(system, flat).ok
+    assert built == []
+
+
 def _comparable_pairs(system):
     loc = salvetti_localization(system, system.label_mask({"H1", "H2", "H3"}))
     for b in loc.target.poset.elements:
@@ -849,17 +873,18 @@ def test_links_are_free_in_exhaustive_mode(monkeypatch, five_planes, braid3, np1
     # the link of a pair (a, b) is the matching of the pair (m, b), which
     # an exhaustive run checks anyway; a sampled run adds at most one
     # matching per pair
-    from omkit.morse import FiberCertifier
+    import importlib
 
+    module = importlib.import_module("omkit.homology")
     built = []
-    real = FiberCertifier.certify
+    real = module.certify_fibers
 
-    def certifying(self, strat, cells):
+    def certifying(strat, cells):
         cells = list(cells)
         built.extend((cell, strat.top) for cell in cells)
-        return real(self, strat, cells)
+        return real(strat, cells)
 
-    monkeypatch.setattr(FiberCertifier, "certify", certifying)
+    monkeypatch.setattr(module, "certify_fibers", certifying)
     for system, flat in ((five_planes, "H1,H2,H3"), (braid3, "12,13,23")):
         built.clear()
         cert = quasi_fibration_certify(system, system.label_mask(flat.split(",")))

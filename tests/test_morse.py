@@ -264,10 +264,7 @@ def test_convex_critical_checks_convexity_once(monkeypatch, five_planes):
     monkeypatch.setattr(omkit.topes, "is_convex", counting)
     monkeypatch.setattr(omkit.morse, "is_convex", counting)
     q = first_tope(five_planes)
-    m = matching_convex_critical(five_planes, q)
-    assert seen == [q]
-    # built once per (system, Q): a second call returns the same matching
-    assert matching_convex_critical(five_planes, q) is m
+    matching_convex_critical(five_planes, q)
     assert seen == [q]
 
 
@@ -629,10 +626,11 @@ def test_the_restriction_must_be_an_isomorphism_on_its_covers(monkeypatch):
 def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
     # the claimed fiber with its last cell dropped, with one more cell of
     # the ambient fiber, and with one cell outside it: each fails with the
-    # glued matching's own witness
+    # glued matching's own witness, and at the ambient's own cell, whose
+    # fiber the strata must cover, the patchwork check refuses it
     from dataclasses import replace
 
-    from omkit.morse import FiberCertifier
+    from omkit.morse import certify_fibers
 
     strat = sec3_stratification(five_planes)
     loc = strat.loc
@@ -643,7 +641,12 @@ def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
         inside = bits(fiber & ~sub)
         for wrong in (sub ^ 1 << (sub.bit_length() - 1), sub | 1 << outside, *(sub | 1 << x for x in inside[:1])):
             fibers = (*loc.fibers[:cell], wrong, *loc.fibers[cell + 1:])
-            mine = FiberCertifier(replace(loc, fibers=fibers)).certify(strat, [cell])[cell]
+            planted = replace(strat, loc=replace(loc, fibers=fibers))
+            if cell == strat.top:
+                with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
+                    certify_fibers(planted, [cell])
+                continue
+            mine = certify_fibers(planted, [cell])[cell]
             glued = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), wrong)
             assert mine == glued and mine.critical.startswith("extra [")
 

@@ -16,8 +16,8 @@ graphs, the other fibers of the pairs, linked to those graphs, and the
 ambients; it exits 1 when the certificate fails.  Then it prints the
 process's peak resident set size, and last it times the same
 certificate again in the same process, whose local matchings are kept
-on the system, exiting 1 when that one fails.  Run from the repository
-root:
+per face on the localized system, exiting 1 when that one fails.  Run
+from the repository root:
 
     python tools/a5.py
 """
