@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from bisect import bisect_left
 from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus
@@ -90,8 +89,8 @@ def _covector(system: CovectorSystem, text: str) -> int:
 
 def _cell(salv: SalvettiPoset, text: str) -> int:
     """The number of a cell of a localized Salvetti poset, from its id
-    "(sigma;T)": the text is normalised to the id and looked up among the
-    poset's names, which are the sorted ids."""
+    "(sigma;T)": the covector numbers of its sign texts (a malformed one
+    raises), looked up as a pair in the poset's `index`."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -99,13 +98,9 @@ def _cell(salv: SalvettiPoset, text: str) -> int:
         face, tope = body.split(";")
     except ValueError:
         raise ValueError(f"malformed cell id {text!r}") from None
-    for part in (face, tope):
-        salv.system.vector(part)  # raises on a malformed sign string
-    name = f"({face};{tope})"
-    names = salv.poset.names
-    k = bisect_left(names, name)
-    if k == len(names) or names[k] != name:
-        raise ValueError(f"unknown cell {name!r} of the localized poset")
+    k = salv.index.get(tuple(salv.system.numbering().get(salv.system.vector(part)) for part in (face, tope)))
+    if k is None:
+        raise ValueError(f"unknown cell {f'({face};{tope})'!r} of the localized poset")
     return k
 
 

@@ -517,7 +517,8 @@ def quasi_fibration_certify(
     proves the whole source regular (see the module docstring) or raises
     `NotRegularError`; every fiber a matching lives on is an ideal of it.
     The pairs are certified one ambient at a time, with one
-    stratification alive at a time.
+    stratification alive at a time.  The target order is read by its sign
+    rule (`SalvettiPoset.ideal`) and along its covers, not off its masks.
 
     No glued matching is built or walked: a PASS's acyclicity and
     critical cells rest on the patchwork theorem, as `morse.certify_fibers`
@@ -539,28 +540,34 @@ def quasi_fibration_certify(
     loc = salvetti_localization(system, x)
     expected = len(system.ground) - x.bit_count()
 
-    poset = loc.target.poset
-    pairs_all = [(a, b) for b in poset.elements for a in bits(poset.below(b))]
+    target = loc.target
+    pairs_all = [(a, b) for b in range(len(target)) for a in target.ideal(b)]
     if sample is not None and sample < len(pairs_all):
         pairs_all = random.Random(0).sample(pairs_all, sample)
     else:
         sample = None
 
-    minimal, maximal = poset.minimal_elements(), poset.maximal_elements()
-    graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.fibers[m]))) for m in bits(minimal))
+    # each cell's least minimal cell below, handed up the covers (a cell's lower
+    # covers come first), and its least maximal cell above, its pairs' ambient, handed down
+    low, ambient = list(range(len(target))), {}
+    for q, lower in target.covers.items():
+        low[q] = min((low[c] for c in lower), default=q)
+    for q, lower in reversed(target.covers.items()):
+        top = ambient.setdefault(q, q)  # nothing handed down to q: it is maximal
+        for c in lower:
+            ambient[c] = min(ambient.get(c, top), top)
+    minimal = [m for m, least in enumerate(low) if least == m]
+    graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.fibers[m]))) for m in minimal)
 
-    # each pair's ambient is the least maximal cell above its upper cell
-    tops = bits(maximal)
-    least = {b: next(m for m in tops if poset.leq(b, m)) for b in {b for _, b in pairs_all}}
     by_ambient: dict[int, list[tuple[int, int]]] = {}
     for a, b in sorted(pairs_all):
-        by_ambient.setdefault(least[b], []).append((a, b))
+        by_ambient.setdefault(ambient[b], []).append((a, b))
     pairs = []
     for amb, amb_pairs in sorted(by_ambient.items()):
         # one stratification serves every matching into the fiber of amb,
         # and is let go before the next is built
-        triples = [(a, b, bits(poset.below(a) & minimal)[0]) for a, b in amb_pairs]
-        strat = stratify_fiber(loc, loc.target.keys[amb][1])
+        triples = [(a, b, low[a]) for a, b in amb_pairs]
+        strat = stratify_fiber(loc, target.keys[amb][1])
         certs = certify_fibers(strat, dict.fromkeys(cell for triple in triples for cell in triple))
         pairs.extend(PairEvidence(a, b, amb, m, certs[a], certs[b], certs[m]) for a, b, m in triples)
         del strat

@@ -355,11 +355,11 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     matching on the fiber, which `certify_fibers` certifies without
     walking it.
     """
-    poset = strat.loc.target.poset
-    if target_cell not in poset:
+    target = strat.loc.target
+    if not 0 <= target_cell < len(target):
         raise MatchingError(f"unknown cell {target_cell!r} of the localized poset")
-    if not poset.leq(target_cell, strat.top):
-        raise MatchingError(f"{poset.names[target_cell]} does not lie below {poset.names[strat.top]}")
+    if target_cell not in target.ideal(strat.top):
+        raise MatchingError(f"{target.poset.names[target_cell]} does not lie below {target.poset.names[strat.top]}")
     lifts = check_patchwork(strat)
     m0, mi = local_matchings(strat.loc, target_cell)
     matchings = [m0] + [mi] * (len(lifts) - 1)

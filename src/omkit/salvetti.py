@@ -10,10 +10,10 @@ isomorphism from the closed dual cell of G onto the ideal below (G, R);
 `omkit.homology` reads the incidence signs through it, once per covector.
 A `SalvettiPoset` keeps its cells, read off the topes above each
 covector as they are handed down the lower covers (so no mask is
-derived), and their covers; its `FinitePoset`, named by the cell ids
-"(sigma;T)", is built from the covers on the first read of `poset`, and
-its masks when a fiber subposet reads one, so neither the Betti check
-nor a passing certificate builds them.  The compositions are topes
+derived), and their covers, and lists the cells below a cell by the rule
+above (`ideal`); its `FinitePoset`, named by the cell ids "(sigma;T)", is
+built on the first read of `poset` to name cells, and its masks only for
+the fiber `morse --construction fiber` glues on.  The compositions are topes
 exactly when every F o R with F above a face of R is one; when one is
 not, the direct loop over topes, faces and covectors is rescanned to
 name its first failing composition.  Everything here is by number: a
@@ -127,6 +127,13 @@ class SalvettiPoset:
         if len(keys) - len(covered) != len(maximal) or any(k in covered or k < 0 for k in maximal):
             raise AssertionError("maximal cells are not the (0, T)")
 
+    def ideal(self, cell: int) -> list[int]:
+        """The cells below (G, R) = `keys[cell]`, in increasing order: the
+        (H, H o R) for H >= G, read off the dual covector poset."""
+        (g, r), vectors, number = self.keys[cell], self.system.vectors(), self.system.numbering()
+        up = bits(self.system.covector_poset().dual().below(g))
+        return [self.index[h, number[compose_masks(*vectors[h], *vectors[r])]] for h in up]
+
     @property
     def poset(self) -> FinitePoset:
         """The face poset, named by the cell ids, built on the first read."""
@@ -173,7 +180,8 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     order preserving once, on the source covers, which generate the order
     (no source mask is derived), so each fiber is an ideal of the source
     (a cell below one of `fibers[q]` maps below q), which the fiber
-    certificates read."""
+    certificates read; each distinct image (H, T) <= (G, R) of a cover is
+    checked once, by the sign rule H >= G and H o R = T."""
     system.require_simple("the Salvetti localization")
     localized, rho = system.localization(flat)
     source = SalvettiPoset(system)
@@ -191,15 +199,17 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     for q, lower in target.covers.items():
         for c in lower:
             over[q] |= over[c]
-    # order preserving on the covers, which generate the order
-    below = target.poset.below
+    # order preserving on the covers, which generate the order: each image pair once
+    up, vectors, seen = localized.covector_poset().dual().below, localized.vectors(), set()
     for k, q in enumerate(cells):
-        ideal = below(q)
         for x in source.covers[k]:
-            if not ideal >> cells[x] & 1:
-                names = source.poset.names
+            if (cells[x], q) in seen:
+                continue
+            seen.add((cells[x], q))
+            (h, t), (g, r) = target.keys[cells[x]], target.keys[q]
+            if not (up(g) >> h & 1 and compose_masks(*vectors[h], *vectors[r]) == vectors[t]):
                 raise ValueError(
-                    f"localization is not order preserving: {names[x]} <= {names[k]} "
+                    f"localization is not order preserving: {source.poset.names[x]} <= {source.poset.names[k]} "
                     f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
                 )
     return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), tuple(over), rho)

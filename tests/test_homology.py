@@ -510,7 +510,7 @@ def square_then_pinched():
         (square_then_pinched, "cell 'x': its face 'p' lies in 4 of its facets, not 2"),
     ],
 )
-def test_a_cell_of_a_known_shape_is_refused_in_its_own_words(poset, message):
+def test_irregular_cell_after_a_regular_one_is_refused_in_its_own_words(poset, message):
     poset = poset()
     for incidences in (_incidences, incidences_refactor_reference):
         with pytest.raises(NotRegularError, match=re.escape(message)):

@@ -1,7 +1,13 @@
+import io
+import random
+import sys
+
 import pytest
 
+import omkit.salvetti
 from conftest import sign_vectors
 from omkit import posets
+from omkit.cli import main
 from omkit.corpus import CORPUS_NAMES, corpus
 from omkit.homology import quasi_fibration_certify
 from omkit.lattices import GeometricLattice, build_lattice
@@ -10,6 +16,7 @@ from omkit.morse import check_patchwork
 from omkit.omfile import format_system
 from omkit.salvetti import SalvettiPoset, salvetti_localization, stratify_fiber
 from omkit.posets import FinitePoset, PosetError, bits, mask_of
+from omkit.signs import compose_masks
 from omkit.topes import sphere_poset
 from poset_builders import PosetMap, from_below, order_pairs
 from side_lemmas import (
@@ -191,6 +198,50 @@ def test_salvetti_ideals_are_the_direct_loop(all_corpus, np14, a4):
         ], name
 
 
+def modular_coatoms(system):
+    lat = build_lattice(system)
+    return [x for x in lat.flats if lat.rank_of[x] == lat.rank() - 1 and lat.is_modular_flat(x).ok]
+
+
+def ideal_mismatch(salv):
+    """The first cell whose `ideal` is not the cells its mask holds, or None."""
+    return next((k for k in range(len(salv)) if salv.ideal(k) != bits(salv.poset.below(k))), None)
+
+
+REAL_IDEAL = SalvettiPoset.ideal
+
+
+def ideal_composing_backwards(self, cell):
+    """A broken `ideal`: the tope of the cell on H read as R o H."""
+    (g, r), vectors, number = self.keys[cell], self.system.vectors(), self.system.numbering()
+    up = bits(self.system.covector_poset().dual().below(g))
+    return [self.index.get((h, number.get(compose_masks(*vectors[r], *vectors[h])))) for h in up]
+
+
+def ideal_strictly_above(self, cell):
+    """A broken `ideal`: only the H > G, so without the cell itself."""
+    return [k for k in REAL_IDEAL(self, cell) if self.keys[k][0] != self.keys[cell][0]]
+
+
+def test_the_sign_rule_reads_the_order_the_masks_hold(all_corpus, np14, a4):
+    # the (H, H o R) for H >= G are the cells below (G, R), on each Salvetti
+    # poset and on its target at each modular coatom
+    for name, system in (
+        ("sec3", all_corpus["sec3-arrangement"]), ("braid3", all_corpus["braid3"]), ("np14", np14), ("A4", a4)
+    ):
+        coatoms = modular_coatoms(system)
+        assert coatoms, name
+        for salv in [SalvettiPoset(system)] + [SalvettiPoset(system.localization(x)[0]) for x in coatoms]:
+            assert ideal_mismatch(salv) is None, name
+
+
+@pytest.mark.parametrize("mutant", [ideal_composing_backwards, ideal_strictly_above], ids=["r-o-h", "h-above-g"])
+def test_the_sign_rule_oracle_refuses_a_broken_ideal(monkeypatch, braid3, mutant):
+    monkeypatch.setattr(SalvettiPoset, "ideal", mutant)
+    assert ideal_mismatch(SalvettiPoset(braid3)) is not None
+    assert ideal_mismatch(SalvettiPoset(braid3.localization(modular_coatoms(braid3)[0])[0])) is not None
+
+
 def upper_covers_patched(monkeypatch, system, edit):
     """Patch the upper covers the Salvetti build reads off the system's
     dual covector poset: covector g gets `edit(g, its upper covers)`."""
@@ -240,6 +291,26 @@ def test_fibers_are_the_sums_of_the_preimages_below(name, flat, request):
     # preimages of the target cells below it, read off the target's masks
     loc = coatom_localization(name, flat, request)
     assert loc.fibers == fibers_by_preimage_sums(loc)
+
+
+@pytest.mark.parametrize("name, flat", MODULAR_COATOMS[:3])
+def test_each_pair_reads_its_cells_off_the_order_the_masks_hold(name, flat, request):
+    # the pairs, each pair's ambient (the least maximal cell above its upper
+    # cell) and minimal cell (the least minimal cell below its lower cell),
+    # and the minimal cells ranked, all read off the target's masks; and a
+    # sample draws from the pairs in the order the masks list them
+    loc = coatom_localization(name, flat, request)
+    cert = quasi_fibration_certify(loc.system, loc.flat)
+    poset = cert.loc.target.poset
+    tops, bottoms = bits(poset.maximal_elements()), poset.minimal_elements()
+    listing = [(a, b) for b in poset.elements for a in bits(poset.below(b))]
+    assert cert.sample is None and [(p.lower, p.upper) for p in cert.pairs] == sorted(listing)
+    for p in cert.pairs:
+        assert p.ambient == next(m for m in tops if poset.leq(p.upper, m)), (p.lower, p.upper)
+        assert p.minimal == bits(poset.below(p.lower) & bottoms)[0], (p.lower, p.upper)
+    assert [m for m, _rank in cert.graph_ranks] == bits(bottoms)
+    sampled = quasi_fibration_certify(loc.system, loc.flat, 24)
+    assert [(p.lower, p.upper) for p in sampled.pairs] == sorted(random.Random(0).sample(listing, 24))
 
 
 @pytest.mark.parametrize("name, flat", MODULAR_COATOMS)
@@ -386,6 +457,65 @@ def test_localization_refuses_a_broken_projection(five_planes, monkeypatch, muta
     monkeypatch.setattr(CovectorSystem, "localization", broken)
     with pytest.raises(ValueError, match=message):
         salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+
+
+def test_the_order_check_refuses_a_wrong_tope(five_planes, monkeypatch):
+    # the tope half of the sign rule: with H o R read as R o H, a cover whose
+    # image (H, H o R) <= (G, R) has H o R != R is refused
+    real = omkit.salvetti.compose_masks
+    monkeypatch.setattr(omkit.salvetti, "compose_masks", lambda p1, m1, p2, m2: real(p2, m2, p1, m1))
+    with pytest.raises(ValueError, match=r"not order preserving: \([-+0]+;[-+]+\) <= \([-+0]+;[-+]+\) but"):
+        salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
+
+
+@pytest.mark.parametrize("name, flat", MODULAR_COATOMS[:3])
+def test_the_order_check_names_the_first_cover_the_masks_refuse(name, flat, request, monkeypatch):
+    # a flattened face breaks the face half; the witness is the first source
+    # cover, cell by cell, whose image the target's masks put outside
+    loc = coatom_localization(name, flat, request)
+    rho = tuple(flatten_one_face(loc.system, loc.rho))
+    source, target = loc.source, loc.target
+    cells = [target.index[rho[f], rho[t]] for f, t in source.keys]
+    k, x = next((k, x) for k, q in enumerate(cells) for x in source.covers[k] if not target.poset.leq(cells[x], q))
+    names = source.poset.names
+    expected = (
+        f"localization is not order preserving: {names[x]} <= {names[k]} "
+        f"but {target.poset.names[cells[x]]} !<= {target.poset.names[cells[k]]}"
+    )
+    monkeypatch.setattr(CovectorSystem, "localization", lambda self, flat: (loc.localized, rho))
+    with pytest.raises(ValueError) as refused:
+        salvetti_localization(loc.system, loc.flat)
+    assert str(refused.value) == expected
+
+
+def test_certify_fiber_and_stratify_derive_no_salvetti_mask(monkeypatch, braid3, np14):
+    # the Salvetti order is read by the sign rule and along the covers, so
+    # no Salvetti poset derives its masks; `morse --construction fiber` is
+    # the one command that does, the source's, for the fiber subposet its
+    # glued matching lives on
+    derived = []
+    real = posets._Unmasked.__getattr__
+
+    def spy(self, name):
+        if name == "_below" and self.names[0].startswith("("):
+            derived.append(len(self.names))
+        return real(self, name)
+
+    monkeypatch.setattr(posets._Unmasked, "__getattr__", spy)
+    for system, flat in ((braid3, "12,13,23"), (np14, "L1,L4,L6,g1,g2,g3,g4,g5")):
+        localized, _rho = system.localization(system.label_mask(flat.split(",")))
+        tope = localized.names()[bits(localized.topes())[0]]
+        cell, source = f"({tope};{tope})", len(SalvettiPoset(system))
+        for argv, masks in (
+            (["certify-qf", "--flat", flat], []),
+            (["fiber", "--flat", flat, "--cell", cell], []),
+            (["stratify", "--flat", flat, f"--tope={tope}"], []),
+            (["morse", "--construction", "fiber", "--flat", flat, "--cell", cell, f"--tope={tope}"], [source]),
+        ):
+            derived.clear()
+            monkeypatch.setattr(sys, "stdin", io.StringIO(format_system(system)))
+            assert main(argv) == 0, argv
+            assert derived == masks, argv
 
 
 def test_localization_builds_no_source_poset(five_planes, braid3):

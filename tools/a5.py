@@ -13,15 +13,17 @@ torsion), and the exhaustive certificate at the modular coatom
 H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, every one of its 101,760 pairs, with
 its seconds and evidence counts: the pairs, the minimal fibers ranked as
 graphs, the other fibers of the pairs, linked to those graphs, and the
-ambients; it exits 1 when the certificate fails.  Then it prints the
-process's peak resident set size, and last it times the same
-certificate again in the same process, whose local matchings are kept
-per face on the localized system, exiting 1 when that one fails.  Run
-from the repository root:
+ambients, and the SHA-256 digest of its evidence (`digest`), one line to
+compare between two versions; it exits 1 when the certificate fails.
+Then it prints the process's peak resident set size, and last it times
+the same certificate again in the same process, whose local matchings
+are kept per face on the localized system, exiting 1 when that one
+fails.  Run from the repository root:
 
     python tools/a5.py
 """
 
+import hashlib
 import os
 import resource
 import sys
@@ -59,6 +61,14 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def digest(cert) -> str:
+    """The SHA-256 of a certificate's evidence, as hex: each pair's two
+    cells, its ambient, its minimal cell and its three `MorseCertificate`s,
+    in pair order, then the graph ranks of the minimal fibers."""
+    pairs = [(p.lower, p.upper, p.ambient, p.minimal, p.lower_matching, p.upper_matching, p.link) for p in cert.pairs]
+    return hashlib.sha256(repr((pairs, cert.graph_ranks)).encode()).hexdigest()
+
+
 def main() -> int:
     system = timed("from_arrangement", lambda: from_arrangement(braid_arrangement(6)))
     axioms = timed("axioms", system.check_axioms)
@@ -91,6 +101,7 @@ def main() -> int:
         f"pairs: {len(cert.pairs)}  minimal graphs: {len(cert.graph_ranks)}  "
         f"linked fibers: {len(linked)}  ambients: {len(ambients)}  ok: {cert.ok}"
     )
+    print(f"digest: {digest(cert)}")
     print(f"peak RSS: {peak_rss_mb():.0f} MB")
     if not cert.ok:
         return 1

@@ -13,7 +13,8 @@ process's peak resident set size.  Then it times `salvetti_localization`
 at `COATOM`, the modular coatom of the 15 forms without x_7, and prints
 the peak resident set size after it.  Last it times
 `quasi_fibration_certify` at `COATOM` on `SAMPLE` sampled pairs and
-prints its seconds, PASS or FAIL and the peak resident set size.  It
+prints its seconds, PASS or FAIL, the peak resident set size and the
+digest of its evidence (`a5.digest`), which names the pairs drawn.  It
 exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
 Whitney numbers of A_6, with no torsion, when the localization or the
 certificate raises MemoryError, and when the certificate fails.  Run
@@ -25,7 +26,7 @@ from the repository root:
 import resource
 import sys
 
-from a5 import peak_rss_mb, rss_mb, timed
+from a5 import digest, peak_rss_mb, rss_mb, timed
 from arrangement_builders import braid_arrangement
 from omkit.homology import _dual_signs, chain_complex, homology, quasi_fibration_certify
 from omkit.matroids import from_arrangement
@@ -72,6 +73,7 @@ def main() -> int:
         print(f"certify-qf --sample {SAMPLE}: MemoryError", flush=True)
         return 1
     print(f"certify-qf: {'PASS' if cert.ok else 'FAIL'}  peak RSS: {peak_rss_mb():.0f} MB")
+    print(f"digest: {digest(cert)}")
     return 0 if result.betti == BETTI and result.is_torsion_free() and cert.ok else 1
 
 
