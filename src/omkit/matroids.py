@@ -22,6 +22,11 @@ question is read off it: the topes are its maximal elements and the rank
 its height, both read off the covers, the cocircuits the nonzero elements
 with only zero below, and the dual ball, the sphere and the Salvetti
 poset are views of it.
+
+Realizable input, rational forms, is converted by `from_arrangement`
+over the integers: fraction-free elimination solves one subset of forms
+per hyperplane for a cocircuit, and the covectors are the composition
+closure of the cocircuits.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional
 
 from .posets import FinitePoset, _cover_pass, bits, mask_of
@@ -610,53 +615,69 @@ def _proportional(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(a[k] * y == b[k] * x for x, y in zip(a, b))
 
 
-def _null_space(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[Fraction]]:
-    """A basis of the vectors on which every row vanishes, by exact
-    Gauss-Jordan elimination (rows kept reduced against each other)."""
-    pivots: list[tuple[int, list[Fraction]]] = []
+def _null_space(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[int]]:
+    """A basis of the vectors on which every integer row vanishes, by
+    fraction-free Gauss-Jordan elimination: each pivot row is kept reduced
+    against the others and divided by its gcd.  The vector of each free
+    column f is the rational one, 1 at f and 0 at the other free columns,
+    times the (positive) lcm of the pivots, so it is an integer vector with
+    the same sign vector."""
+    pivots: list[tuple[int, list[int]]] = []
+
+    def cancel(row: list[int], col: int, prow: list[int]) -> list[int]:
+        # row with its entry at col cancelled by prow's pivot there
+        return [prow[col] * a - row[col] * b for a, b in zip(row, prow)]
+
+    def primitive(row: list[int]) -> list[int]:
+        g = gcd(*row)
+        return [x // g for x in row]
+
     for r in rows:
-        row = [Fraction(x) for x in r]
+        row = list(r)
         for col, prow in pivots:
             if row[col]:
-                row = [a - row[col] * b for a, b in zip(row, prow)]
+                row = cancel(row, col, prow)
         col = next((i for i, x in enumerate(row) if x), None)
         if col is None:
             continue
-        row = [x / row[col] for x in row]
+        row = primitive(row)
         for j, (pcol, prow) in enumerate(pivots):
             if prow[col]:
-                pivots[j] = (pcol, [a - prow[col] * b for a, b in zip(prow, row)])
+                pivots[j] = (pcol, primitive(cancel(prow, col, row)))
         pivots.append((col, row))
     pivot_cols = {col for col, _ in pivots}
+    scale = lcm(*(prow[col] for col, prow in pivots))
     basis = []
     for free in range(dim):
         if free not in pivot_cols:
-            v = [Fraction(0)] * dim
-            v[free] = Fraction(1)
+            v = [0] * dim
+            v[free] = scale
             for col, prow in pivots:
-                v[col] = -prow[free]
+                v[col] = -prow[free] * (scale // prow[col])
             basis.append(v)
     return basis
 
 
 def _closure_from_cocircuits(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Composition closure of the cocircuits and the zero vector, for its
-    one caller, `from_arrangement`.  A cocircuit Y whose support lies inside
-    X's leaves X o Y = X, so X is composed only with the others, and a tope
-    with none; X o Y is `compose_masks` written out, X's free bits found once."""
+    one caller, `from_arrangement`.  X o Y reads Y only on X's zero set, so
+    X is composed only with the distinct nonzero restrictions of the
+    cocircuits to it, collected once per zero set, and a tope with none."""
     closed: set[tuple[int, int]] = {(0, 0)} | set(cocircuit_masks)
     frontier = list(closed)
-    composers = [(p, m, p | m) for p, m in cocircuit_masks]
+    restricted: dict[int, set[tuple[int, int]]] = {}
     while frontier:
         new: list[tuple[int, int]] = []
         for p1, m1 in frontier:
-            free = ~(p1 | m1)
-            for p2, m2, s2 in composers:
-                if s2 & free:
-                    q = (p1 | (p2 & free), m1 | (m2 & free))
-                    if q not in closed:
-                        closed.add(q)
-                        new.append(q)
+            support = p1 | m1
+            if support not in restricted:
+                free = ~support
+                restricted[support] = {(p & free, m & free) for p, m in cocircuit_masks} - {(0, 0)}
+            for p2, m2 in restricted[support]:
+                q = (p1 | p2, m1 | m2)
+                if q not in closed:
+                    closed.add(q)
+                    new.append(q)
         frontier = new
     return closed
 
@@ -668,13 +689,19 @@ def from_arrangement(arrangement: RationalArrangement) -> CovectorSystem:
     (r-1)-subset of forms of rank r-1 (r the rank of all forms) spans a
     hyperplane of the matroid; a vector of its null space outside the
     common kernel of all forms has that hyperplane as its zero set, and
-    its sign vector and the opposite are cocircuits.
+    its sign vector and the opposite are cocircuits.  A subset inside the
+    zero set of a cocircuit already found spans that hyperplane or none,
+    so it is skipped, and each hyperplane is solved once.
     """
     forms, dim = arrangement.forms, arrangement.dimension
     corank = len(_null_space(forms, dim))
     cocircuits: set[tuple[int, int]] = set()
-    for subset in combinations(forms, dim - corank - 1):
-        kernel = _null_space(subset, dim)
+    supports: list[int] = []
+    for subset in combinations(range(len(forms)), dim - corank - 1):
+        inside = mask_of(subset)
+        if any(not inside & s for s in supports):
+            continue
+        kernel = _null_space([forms[i] for i in subset], dim)
         if len(kernel) != corank + 1:
             continue
         for v in kernel:
@@ -687,5 +714,6 @@ def from_arrangement(arrangement: RationalArrangement) -> CovectorSystem:
                     minus |= 1 << i
             if plus | minus:
                 cocircuits |= {(plus, minus), (minus, plus)}
+                supports.append(plus | minus)
                 break
     return CovectorSystem(arrangement.labels, _closure_from_cocircuits(cocircuits))

@@ -22,7 +22,9 @@ certificate reads off its collapses and by union-find.  The Salvetti
 ideals by one composition per pair are the oracle for the constructor's
 covers and the masks derived from them.  The composition closure that
 composes every vector with every cocircuit is the oracle for the one
-that skips a cocircuit whose support lies inside the vector's.  The
+that composes it only with the cocircuits' restrictions to its zero
+set, and the null space by Gauss-Jordan elimination over `Fraction`
+the oracle for the fraction-free one of `from_arrangement`.  The
 subcomplex L(Q) of the covectors below the topes of Q, and the dual
 subcomplex as the complement of L(Q) of the other topes,
 are the oracle for `dual_subcomplex`.  The contraction at a coline, its
@@ -41,6 +43,7 @@ multiplied out, `squares_to_zero`, are the independent check.  No
 command needs them, so they live with the tests."""
 
 import heapq
+from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from omkit.homology import NotRegularError
@@ -299,6 +302,36 @@ def closure_composing_all(cocircuit_masks: set[tuple[int, int]]) -> set[tuple[in
                     new.append(q)
         frontier = new
     return closed
+
+
+def null_space_by_fractions(rows: Iterable[tuple[int, ...]], dim: int) -> list[list[Fraction]]:
+    """A basis of the vectors on which every row vanishes, by exact
+    Gauss-Jordan elimination (rows kept reduced against each other): the
+    vector of each free column is 1 there and 0 at the other free columns."""
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for r in rows:
+        row = [Fraction(x) for x in r]
+        for col, prow in pivots:
+            if row[col]:
+                row = [a - row[col] * b for a, b in zip(row, prow)]
+        col = next((i for i, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        row = [x / row[col] for x in row]
+        for j, (pcol, prow) in enumerate(pivots):
+            if prow[col]:
+                pivots[j] = (pcol, [a - prow[col] * b for a, b in zip(prow, row)])
+        pivots.append((col, row))
+    pivot_cols = {col for col, _ in pivots}
+    basis = []
+    for free in range(dim):
+        if free not in pivot_cols:
+            v = [Fraction(0)] * dim
+            v[free] = Fraction(1)
+            for col, prow in pivots:
+                v[col] = -prow[free]
+            basis.append(v)
+    return basis
 
 
 def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, PosetMap]:

@@ -23,7 +23,14 @@ from omkit.omfile import format_system, parse_om_text
 from omkit.posets import bits, mask_of
 from omkit.signs import GroundSetMismatchError, parse_signs
 from poset_builders import PosetMap, cover_pairs, image
-from side_lemmas import closure_composing_all, contraction, lattice_poset, pairwise_below, section_iota
+from side_lemmas import (
+    closure_composing_all,
+    contraction,
+    lattice_poset,
+    null_space_by_fractions,
+    pairwise_below,
+    section_iota,
+)
 from sign_vector import SignVector
 
 
@@ -193,7 +200,7 @@ def _braid(k):
     return rows
 
 
-@pytest.mark.parametrize("k, fubini, topes", [(3, 13, 6), (4, 75, 24), (5, 541, 120), (6, 4683, 720)])
+@pytest.mark.parametrize("k, fubini, topes", [(3, 13, 6), (4, 75, 24), (5, 541, 120), (6, 4683, 720), (7, 47293, 5040)])
 def test_from_arrangement_braid_fubini(k, fubini, topes):
     # the faces of the braid arrangement are the ordered set partitions of
     # k points, its chambers the k! orderings
@@ -318,7 +325,21 @@ def _scan_oracle(arrangement):
     return CovectorSystem(arrangement.labels, [(v.plus, v.minus) for v in found])
 
 
-def test_closure_skips_only_cocircuits_that_change_nothing(monkeypatch, non_pappus):
+def _seeded_arrangements():
+    """Eight arrangements of 3 to 7 forms with entries in -2..2 on R^2 to R^4."""
+    rng = random.Random(5)
+    seeded = []
+    while len(seeded) < 8:
+        dim, n = rng.randint(2, 4), rng.randint(3, 7)
+        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(n)]
+        try:
+            seeded.append(RationalArrangement(tuple(f"h{i}" for i in range(n)), rows))
+        except (DegenerateArrangementError, ValueError):
+            continue
+    return seeded
+
+
+def test_closure_composes_only_with_the_restrictions_to_each_zero_set(monkeypatch, non_pappus):
     # every closure of braid3, A4 and seeded arrangements is the closure
     # composing with every cocircuit; extend-ss non-pappus lifts its steps
     # off the base covectors, so it closes nothing
@@ -332,20 +353,64 @@ def test_closure_skips_only_cocircuits_that_change_nothing(monkeypatch, non_papp
         return closed
 
     monkeypatch.setattr(matroids, "_closure_from_cocircuits", checked)
-    rng = random.Random(5)
-    seeded = []
-    while len(seeded) < 8:
-        dim, n = rng.randint(2, 4), rng.randint(3, 7)
-        rows = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(n)]
-        try:
-            seeded.append(RationalArrangement(tuple(f"h{i}" for i in range(n)), rows))
-        except (DegenerateArrangementError, ValueError):
-            continue
-    for arrangement in (braid_arrangement(3), braid_arrangement(5), *seeded):
+    for arrangement in (braid_arrangement(3), braid_arrangement(5), *_seeded_arrangements()):
         from_arrangement(arrangement)
     assert sizes[:2] == [13, 541]
     supersolvable_extension(non_pappus)
     assert len(sizes) == 10
+
+
+def test_from_arrangement_solves_each_hyperplane_once(monkeypatch):
+    # a subset of forms of rank r - 1, whose null space has dimension
+    # corank + 1, spans a hyperplane, a coatom of the lattice of flats; the
+    # subsets inside the zero set of a cocircuit already found are
+    # skipped, so each coatom is solved exactly once
+    real = matroids._null_space
+    ranks = []
+
+    def counted(rows, dim):
+        basis = real(rows, dim)
+        ranks.append(dim - len(basis))
+        return basis
+
+    monkeypatch.setattr(matroids, "_null_space", counted)
+    builds = [lambda: corpus("braid3"), lambda: corpus("sec3-arrangement")]
+    arrangements = (b3_arrangement(), braid_arrangement(5), braid_arrangement(6), *_seeded_arrangements())
+    builds += [lambda a=a: from_arrangement(a) for a in arrangements]
+    for build in builds:
+        ranks.clear()
+        lat = build_lattice(build())
+        assert ranks.count(lat.rank() - 1) == len(lat.flats_of_rank(lat.rank() - 1))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows on 1 to 5 columns: up to four drawn, then up to three
+    repeats or integer combinations of them, in a drawn order."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-3, max_value=3)
+    rows = draw(st.lists(st.tuples(*[entry] * dim), max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(entry), draw(entry)
+        rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return draw(st.permutations(rows)), dim
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_null_space_is_the_rational_basis_scaled_to_integers(matrix):
+    rows, dim = matrix
+    basis, oracle = matroids._null_space(rows, dim), null_space_by_fractions(rows, dim)
+    assert len(basis) == len(oracle)
+    for v, w in zip(basis, oracle):
+        # a vector's free column is its last nonzero entry, where the
+        # oracle's is 1; the integer vector is k times the oracle's there
+        free = max(i for i, x in enumerate(w) if x)
+        assert max(i for i, x in enumerate(v) if x) == free
+        k = v[free]
+        assert all(type(x) is int for x in v) and k > 0
+        assert v == [k * x for x in w]
 
 
 @st.composite

@@ -4,30 +4,33 @@ A_5 is the 15 forms x_i - x_j, i < j, on R^6 (4,683 covectors, 23,040
 Salvetti cells).  The script builds it with `from_arrangement`, times
 `check_axioms` (exiting 1 when an axiom fails), prints the lattice of
 flats with its modular chain from `is_supersolvable()` and the seconds
-the two took together, then times the covector poset, the Salvetti
-cells and covers (printing the resident set size after them), the
-incidence signs spread on the dual covector poset (`_dual_signs`), the
-cells' chain complex, which reads those signs, then its reduction by
-`homology()` (checking the Betti numbers 1 15 85 225 274 120 and no
-torsion), and the exhaustive certificate at the modular coatom
-H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, every one of its 101,760 pairs, with
-its seconds and evidence counts: the pairs, the minimal fibers ranked as
-graphs, the other fibers of the pairs, linked to those graphs, and the
-ambients, and the SHA-256 digest of its evidence (`digest`), one line to
-compare between two versions; it exits 1 when the certificate fails.
-Then it prints the process's peak resident set size, and last it times
-the same certificate again in the same process, whose local matchings
-are kept per face on the localized system, exiting 1 when that one
-fails.  Run from the repository root:
+the two took together, then times the covector poset, the Salvetti cells
+and covers, the incidence signs spread on the dual covector poset
+(`_dual_signs`), the cells' chain complex, which reads those signs, then
+its reduction by `homology()` (checking the Betti numbers 1 15 85 225
+274 120 and no torsion), and the exhaustive certificate at the modular
+coatom H1,H2,H3,H4,H6,H7,H8,H10,H11,H13, every one of its 101,760 pairs,
+with its seconds and evidence counts: the pairs, the minimal fibers
+ranked as graphs, the other fibers of the pairs, linked to those graphs,
+and the ambients, and the SHA-256 digest of its evidence (`digest`), one
+line to compare between two versions; it exits 1 when the certificate
+fails.  Then it prints the process's peak resident set size, times the
+same certificate again in the same process, whose local matchings are
+kept per face on the localized system, and last builds the Salvetti
+cells and covers once more under `tracemalloc` and prints that build's
+peak: the memory the stage allocates, which unlike the resident set size
+does not move with what the heap kept from earlier stages, and which
+comes last so that its build moves no figure before it.  It exits 1 when
+the second certificate fails.  Run from the repository root:
 
     python tools/a5.py
 """
 
 import hashlib
-import os
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,15 +53,19 @@ def timed(label: str, run):
     return out
 
 
-def rss_mb() -> float:
-    """The process's resident set size now, from /proc (Linux)."""
-    with open("/proc/self/statm") as statm:
-        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
-
-
 def peak_rss_mb() -> float:
     # ru_maxrss is in kilobytes on Linux
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def traced_peak_mb(run) -> float:
+    """The peak of the memory that `run()` allocates, by `tracemalloc`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def digest(cert) -> str:
@@ -85,7 +92,6 @@ def main() -> int:
     )
     timed("covector poset", system.covector_poset)
     salvetti = timed("salvetti", lambda: SalvettiPoset(system))
-    print(f"RSS after salvetti: {rss_mb():.0f} MB")
     timed("dual signs", lambda: _dual_signs(system))
     rec = timed("chain complex", lambda: chain_complex(salvetti))
     result = timed("homology", lambda: homology(rec))
@@ -106,6 +112,7 @@ def main() -> int:
     if not cert.ok:
         return 1
     again = timed("certify-qf again", lambda: quasi_fibration_certify(system, flat))
+    print(f"salvetti tracemalloc peak: {traced_peak_mb(lambda: SalvettiPoset(system)):.0f} MB")
     return 0 if again.ok else 1
 
 

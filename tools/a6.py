@@ -23,10 +23,11 @@ from the repository root:
     python tools/a6.py
 """
 
+import os
 import resource
 import sys
 
-from a5 import digest, peak_rss_mb, rss_mb, timed
+from a5 import digest, peak_rss_mb, timed
 from arrangement_builders import braid_arrangement
 from omkit.homology import _dual_signs, chain_complex, homology, quasi_fibration_certify
 from omkit.matroids import from_arrangement
@@ -36,6 +37,12 @@ BETTI = (1, 21, 175, 735, 1624, 1764, 720)
 COATOM = "H1,H2,H3,H4,H5,H7,H8,H9,H10,H12,H13,H14,H16,H17,H19"
 SAMPLE = 4
 ADDRESS_SPACE = 4 << 30
+
+
+def rss_mb() -> float:
+    """The process's resident set size now, from /proc (Linux)."""
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 def main() -> int:
