@@ -11,10 +11,10 @@ matching once.  The walk runs over the cells matched upward only, which
 a graded host allows, since each cycle then stays between two heights;
 a host that is not graded is refused.
 
-The fiber matchings are certified one way, by `certify_fibers`, for
-`certify-qf` and `morse --construction fiber` alike, without a walk of
-the glued matching; its docstring gives the argument.  Only the tests
-glue and walk, as the oracle.
+The fiber matchings are certified one way, by `certify_fibers`, whose
+docstring gives the argument, for `certify-qf` and `morse --construction
+fiber` alike: one list of lifted critical cells per cell, and no walk of
+the glued matching, which only the tests glue and walk, as the oracle.
 
 A shelled ball is collapsed by one routine on covers, `_collapse`; a
 convex-critical matching runs it on the covector poset's own covers,
@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .matroids import CovectorSystem
@@ -122,10 +121,10 @@ class Matching:
         return self.cycle()
 
     @cached_property
-    def digits(self) -> str:
-        """The critical cells as binary digits, character x for element x,
-        formatted once and kept with the matching, like `walked`."""
-        return format(self.critical_cells(), f"0{len(self.host.names)}b")[::-1]
+    def unmatched(self) -> tuple[int, ...]:
+        """The critical cells by number, increasing, read once and kept
+        with the matching, like `walked` (see `certify_fibers`)."""
+        return tuple(bits(self.critical_cells()))
 
     def serialize(self) -> str:
         names = self.host.names
@@ -329,7 +328,7 @@ def local_matchings(loc: SalvettiLocalization, target_cell: int) -> tuple[Matchi
     above G exactly when rho F >= G: the first set.  The pair is thus
     built once per face and kept on the localized system, which the
     system keeps per flat: every fiber and every certificate after reads
-    the same two matchings, with their walks and digits."""
+    the same two matchings, with their walks and critical cells."""
     system, localized = loc.system, loc.localized
     face = loc.target.keys[target_cell][0]
 
@@ -480,32 +479,31 @@ def certify_fibers(strat: FiberStratification, cells: Iterable[int]) -> dict[int
     its least cell, as `Matching.cycle` gives it.
 
     The critical cells of the union are the union of the lifted critical
-    sets, and they must be the fiber of the cell.  The lifts, one per
-    stratum, are bijections onto strata that partition the fiber, so
-    this holds exactly when the cell's fiber lies in the ambient fiber
-    and its digits at the lifted cells, read ball by ball in one gather,
-    are the local matchings' critical digits (`Matching.digits`, kept
-    with each matching like its walk).  The cell's fiber is an ideal by
-    the order check of `salvetti_localization`, so it is not checked
-    here.  Every fiber is read off `strat.loc`, the one localization; the
+    sets, and they must be the fiber of the cell.  They are listed once
+    per cell, off the critical cells of the local matchings (kept with
+    each like its walk, `Matching.unmatched`), and the verdict and the
+    witness read that list.  The lifts, one per stratum, are bijections
+    onto strata that partition the ambient fiber, so the lifted cells
+    are distinct: they are the fiber exactly when they are as many as
+    its cells and all lie in it.  The fiber is an ideal by the order
+    check of `salvetti_localization`, so it is not checked here.  Every
+    fiber is read off `strat.loc`, the one localization; the
     witnesses, which alone read the source's `FinitePoset`, are those of
     `morse_reduction_certificate` on the glued matching."""
     lifts = check_patchwork(strat)
     loc = strat.loc
     width = len(loc.source)
-    # a cell k is character width - 1 - k of a mask's digits
-    gather = itemgetter(*(width - 1 - k for lift in lifts for k in lift))
     later = len(lifts) - 1
-    outside = ~loc.fibers[strat.top]
     out = {}
     for cell in cells:
         m0, mi = local_matchings(loc, cell)
         sub = loc.fibers[cell]
+        crit = [lift[x] for lift, m in zip(lifts, [m0] + [mi] * later) for x in m.unmatched]
+        # a cell k is character ~k of the fiber's digits
+        digits = format(sub, f"0{width}b")
         critical = None
-        if sub & outside or "".join(gather(format(sub, f"0{width}b"))) != m0.digits + mi.digits * later:
-            matchings = [m0] + [mi] * later
-            crit = mask_of(lift[x] for lift, m in zip(lifts, matchings) for x in bits(m.critical_cells()))
-            critical = _critical_claim(loc.source.poset, crit, sub)
+        if len(crit) != sub.bit_count() or "0" in {digits[~k] for k in crit}:
+            critical = _critical_claim(loc.source.poset, mask_of(crit), sub)
         cycle = None
         for m, lift in zip((m0, mi), lifts[:2]):
             if m.walked is not None:

@@ -681,8 +681,8 @@ def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch):
     assert len(walked) == len(local)
 
 
-def test_a_second_certificate_formats_no_digits(monkeypatch):
-    # the critical digits of a local matching are kept with it, so a
+def test_a_second_certificate_reads_no_critical_cells(monkeypatch):
+    # the critical cells of a local matching are kept with it, so a
     # second certificate on the same system reads the first one's
     import omkit.morse as morse
 
@@ -723,8 +723,9 @@ def test_a_second_certificate_builds_no_local_matching(monkeypatch):
     assert cert.ok
     assert len(built) == 2 * len({face for face, _ in cert.loc.target.keys})
     built.clear()
-    assert quasi_fibration_certify(system, flat).ok
-    assert built == []
+    again = quasi_fibration_certify(system, flat)
+    assert again.ok and built == []
+    assert again.pairs == cert.pairs and again.graph_ranks == cert.graph_ranks
 
 
 def _comparable_pairs(system):

@@ -428,8 +428,8 @@ def patchwork_runs(five_planes, braid3, a4, np14_extension):
 def test_the_patchwork_certificate_is_the_glued_certificate(monkeypatch, five_planes, braid3, a4, np14_extension):
     # the oracle: the glued matching, walked whole, has the same critical
     # set, the fiber, and the same verdict as every certified pair; and a
-    # passing pair reads its critical set off the gathered digits alone,
-    # never off the lifted masks that name a witness
+    # passing pair checks its lifted critical cells against the fiber
+    # without building the lifted mask that names a witness
     import omkit.morse
     from omkit.homology import quasi_fibration_certify
 

@@ -16,12 +16,13 @@ and the ambients, and the SHA-256 digest of its evidence (`digest`), one
 line to compare between two versions; it exits 1 when the certificate
 fails.  Then it prints the process's peak resident set size, times the
 same certificate again in the same process, whose local matchings are
-kept per face on the localized system, and last builds the Salvetti
-cells and covers once more under `tracemalloc` and prints that build's
-peak: the memory the stage allocates, which unlike the resident set size
-does not move with what the heap kept from earlier stages, and which
-comes last so that its build moves no figure before it.  It exits 1 when
-the second certificate fails.  Run from the repository root:
+kept per face on the localized system, with its digest, and last builds
+the Salvetti cells and covers once more under `tracemalloc` and prints
+that build's peak: the memory the stage allocates, which unlike the
+resident set size does not move with what the heap kept from earlier
+stages, and which comes last so that its build moves no figure before
+it.  It exits 1 when the second certificate fails or its digest differs
+from the first's.  Run from the repository root:
 
     python tools/a5.py
 """
@@ -107,13 +108,16 @@ def main() -> int:
         f"pairs: {len(cert.pairs)}  minimal graphs: {len(cert.graph_ranks)}  "
         f"linked fibers: {len(linked)}  ambients: {len(ambients)}  ok: {cert.ok}"
     )
-    print(f"digest: {digest(cert)}")
+    first = digest(cert)
+    print(f"digest: {first}")
     print(f"peak RSS: {peak_rss_mb():.0f} MB")
     if not cert.ok:
         return 1
     again = timed("certify-qf again", lambda: quasi_fibration_certify(system, flat))
+    second = digest(again)
+    print(f"digest again: {second}")
     print(f"salvetti tracemalloc peak: {traced_peak_mb(lambda: SalvettiPoset(system)):.0f} MB")
-    return 0 if again.ok else 1
+    return 0 if again.ok and second == first else 1
 
 
 if __name__ == "__main__":
