@@ -230,7 +230,8 @@ def cmd_fiber(args) -> int:
     loc = salvetti_localization(system, x)
     cell = _cell(loc.target, args.cell)
     # the fiber is an ideal of the source, by the localization's order check
-    res = homology(chain_complex(loc.source, loc.fibers[cell]))
+    fiber = loc.fiber(cell)
+    res = homology(chain_complex(loc.source, fiber))
     # b0 and b1, then the higher Betti numbers up to the last nonzero one
     betti = [*res.betti, 0, 0]
     while len(betti) > 2 and betti[-1] == 0:
@@ -240,7 +241,7 @@ def cmd_fiber(args) -> int:
     report = Report("fiber")
     report.note("flat", flat_id(x, system.ground))
     report.note("cell", names[cell])
-    report.note("size", loc.fibers[cell].bit_count())
+    report.note("size", len(fiber))
     report.note("betti", " ".join(map(str, betti)))
     # the paper's claim: a wedge of one circle per element outside the flat
     d = len(system.ground) - x.bit_count()

@@ -63,12 +63,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .lattices import build_lattice
 from .matroids import CovectorSystem
 from .morse import MorseCertificate, certify_fibers
-from .posets import FinitePoset, bits
+from .posets import FinitePoset
 from .salvetti import (
     SalvettiLocalization,
     SalvettiPoset,
@@ -280,20 +280,20 @@ def _dual_signs(system: CovectorSystem) -> dict[int, tuple[int, ...]]:
     })
 
 
-def chain_complex(salvetti: SalvettiPoset, cells: Optional[int] = None) -> ChainComplexRecord:
+def chain_complex(salvetti: SalvettiPoset, cells: Optional[Sequence[int]] = None) -> ChainComplexRecord:
     """The cellular chain complex of a Salvetti poset, or of its
-    restriction to an ideal, a mask of `cells` such as a localization
-    fiber.  Cell (G, R) lies in the dimension of G's dual cell, and its
-    column pairs its covers with the signs of G's upper covers (see the
-    module docstring).  A boundary is keyed by cell number, in the order
-    of the bases."""
+    restriction to an ideal, its `cells` in increasing order, such as a
+    localization fiber.  Cell (G, R) lies in the dimension of G's dual
+    cell, and its column pairs its covers with the signs of G's upper
+    covers (see the module docstring).  A boundary is keyed by cell
+    number, in the order of the bases."""
     system = salvetti.system
     signs = _dual_signs(system)
     heights = system.covector_poset().dual().heights()
     keys, covers = salvetti.keys, salvetti.covers
     bases: list[list[int]] = [[] for _ in range(system.rank() + 1)]
     boundaries: list[dict[int, dict[int, int]]] = [{} for _ in bases]
-    for k in range(len(keys)) if cells is None else bits(cells):
+    for k in range(len(keys)) if cells is None else cells:
         g = keys[k][0]
         h = heights[g]
         bases[h].append(k)
@@ -499,8 +499,9 @@ def quasi_fibration_certify(
     default; `sample` pairs, drawn with a fixed seed, are checked instead
     when that is fewer.  The certificate's `sample` is None exactly when
     every pair is checked, and the minimal cells are checked either way.
-    The fiber inclusions hold by construction: `loc.fibers[q]` is the
-    union of the preimages over the cells below q.
+    The fiber inclusions hold by construction: the fiber of q is the
+    union of the preimages over the cells below q, so a minimal cell's
+    is its own preimage.
 
     The wedges are read off the collapses, and no fiber is reduced: an
     acyclic matching whose critical cells are a subcomplex collapses the
@@ -557,7 +558,7 @@ def quasi_fibration_certify(
         for c in lower:
             ambient[c] = min(ambient.get(c, top), top)
     minimal = [m for m, least in enumerate(low) if least == m]
-    graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.fibers[m]))) for m in minimal)
+    graph_ranks = tuple((m, graph_rank(chain_complex(loc.source, loc.preimages[m]))) for m in minimal)
 
     by_ambient: dict[int, list[tuple[int, int]]] = {}
     for a, b in sorted(pairs_all):

@@ -122,9 +122,10 @@ class Matching:
 
     @cached_property
     def unmatched(self) -> tuple[int, ...]:
-        """The critical cells by number, increasing, read once and kept
-        with the matching, like `walked` (see `certify_fibers`)."""
-        return tuple(bits(self.critical_cells()))
+        """The critical cells, the host's elements no pair matches, in
+        increasing order, read once and kept like `walked`."""
+        matched = {x for pair in self.pairs for x in pair}
+        return tuple(x for x in self.host.elements if x not in matched)
 
     def serialize(self) -> str:
         names = self.host.names
@@ -363,7 +364,7 @@ def matching_salvetti_fiber(strat: FiberStratification, target_cell: int) -> Mat
     m0, mi = local_matchings(strat.loc, target_cell)
     matchings = [m0] + [mi] * (len(lifts) - 1)
     pairs = frozenset((lift[x], lift[y]) for lift, m in zip(lifts, matchings) for x, y in m.pairs)
-    return Matching(strat.loc.fiber(strat.top), pairs)
+    return Matching(strat.loc.source.poset.subposet(mask_of(strat.loc.fiber(strat.top))), pairs)
 
 
 @dataclass(frozen=True)
@@ -421,7 +422,7 @@ def check_patchwork(strat: FiberStratification) -> tuple[tuple[int, ...], ...]:
       strata, an ideal; so the stratum index is order preserving.
     - The strata cover the fiber, an ideal by the order check of
       `salvetti_localization`: each (0, T_i) lies in it, and the cells
-      walked are as many as its.
+      walked are as many as the preimages over the ambient's ideal.
     - The faces of stratum i are exactly those prescribed, and `lifts[i]`
       is read off them: every covector for i = 0, and for i > 0 those
       `restriction_iso` gives, zero at the separator of T_{i-1} and T_i.
@@ -450,8 +451,8 @@ def check_patchwork(strat: FiberStratification) -> tuple[tuple[int, ...], ...]:
         if len(used) - walked != len(face) or None in lift:
             raise MatchingError(f"lift {i} is no isomorphism of its ball onto stratum {i}")
         lifts.append(lift)
-    fiber = loc.fibers[strat.top]
-    if len(used) != fiber.bit_count() or not all(fiber >> top & 1 for top in tops):
+    ideal = loc.target.ideal(strat.top)
+    if len(used) != sum(len(loc.preimages[q]) for q in ideal) or not set(ideal).issuperset(loc.cells[t] for t in tops):
         raise MatchingError("the strata do not cover the fiber")
     return tuple(lifts)
 
@@ -485,25 +486,24 @@ def certify_fibers(strat: FiberStratification, cells: Iterable[int]) -> dict[int
     witness read that list.  The lifts, one per stratum, are bijections
     onto strata that partition the ambient fiber, so the lifted cells
     are distinct: they are the fiber exactly when they are as many as
-    its cells and all lie in it.  The fiber is an ideal by the order
-    check of `salvetti_localization`, so it is not checked here.  Every
-    fiber is read off `strat.loc`, the one localization; the
-    witnesses, which alone read the source's `FinitePoset`, are those of
-    `morse_reduction_certificate` on the glued matching."""
+    the preimages over the cell's target ideal and all map into it.  The
+    fiber is an ideal by the order check of `salvetti_localization`, so
+    it is not checked here.  Every fiber is read off `strat.loc`, the one
+    localization; the witnesses, which alone list its cells and read the
+    source's `FinitePoset`, are those of `morse_reduction_certificate` on
+    the glued matching."""
     lifts = check_patchwork(strat)
     loc = strat.loc
-    width = len(loc.source)
     later = len(lifts) - 1
     out = {}
     for cell in cells:
         m0, mi = local_matchings(loc, cell)
-        sub = loc.fibers[cell]
+        ideal = loc.target.ideal(cell)
         crit = [lift[x] for lift, m in zip(lifts, [m0] + [mi] * later) for x in m.unmatched]
-        # a cell k is character ~k of the fiber's digits
-        digits = format(sub, f"0{width}b")
+        size = sum(len(loc.preimages[q]) for q in ideal)
         critical = None
-        if len(crit) != sub.bit_count() or "0" in {digits[~k] for k in crit}:
-            critical = _critical_claim(loc.source.poset, mask_of(crit), sub)
+        if len(crit) != size or not set(ideal).issuperset(map(loc.cells.__getitem__, crit)):
+            critical = _critical_claim(loc.source.poset, mask_of(crit), mask_of(loc.fiber(cell)))
         cycle = None
         for m, lift in zip((m0, mi), lifts[:2]):
             if m.walked is not None:

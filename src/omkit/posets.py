@@ -6,8 +6,8 @@ would pick on names.  The names tuple is read only to parse input and to
 write reports and error messages.  Every poset keeps each element's lower
 covers and height, and the order itself as one bitmask per element, of
 the elements below it; what lies above an element is read off the dual.
-A subposet, an order ideal or a fiber is a mask over its parent's
-numbering, so derived posets need no index translation.
+A subposet or an order ideal is a mask over its parent's numbering, so
+derived posets need no index translation.
 
 A poset is built one way, from its covers (`FinitePoset.from_covers`):
 each element's lower covers are walked in an order that puts them first,

@@ -22,12 +22,12 @@ the (plus, minus) pair `system.vectors()[i]`, and cell k is the pair
 `keys[k]` of covector numbers (`index` inverts it), numbered by (sigma,
 T), the order of their ids.  Sign text is parsed and rendered only by
 the command line.  A flat is a ground-bit mask.  Localization at a flat
-is restriction to it: the covector projection rho and the cell map are
-tuples of element numbers, and each poset fiber is a mask of source
-cells.  The fiber stratification over a modular corank-one flat, the
-combinatorial heart of the quasi-fibration certificates, is proposed
-here as a tope string; `morse.check_patchwork` walks its strata down
-the source covers and reads their lifts off them.
+is restriction to it: the covector projection rho, the cell map and its
+preimages are tuples of element numbers; a poset fiber is the preimages
+over a target ideal.  The fiber stratification over a modular
+corank-one flat, the combinatorial heart of the quasi-fibration
+certificates, is proposed here as a tope string; `morse.check_patchwork`
+walks its strata down the source covers and reads their lifts off them.
 """
 
 from __future__ import annotations
@@ -154,8 +154,9 @@ class SalvettiPoset:
 class SalvettiLocalization:
     """The localization map between Salvetti posets at a flat, by number:
     `rho[i]` is the restriction of covector i to the flat, `cells[k]` the
-    target cell of source cell k, and `fibers[q]` the mask of source cells
-    over the ideal below target cell q, the poset fiber f^{-1}(<= q)."""
+    target cell of source cell k, and `preimages[q]` the source cells over
+    target cell q, increasing; the poset fiber f^{-1}(<= q) is the source
+    cells over `target.ideal(q)`."""
 
     system: CovectorSystem
     flat: int
@@ -163,14 +164,14 @@ class SalvettiLocalization:
     source: SalvettiPoset
     target: SalvettiPoset
     cells: tuple[int, ...]
-    fibers: tuple[int, ...]
+    preimages: tuple[tuple[int, ...], ...]
     rho: tuple[int, ...]
 
-    def fiber(self, cell: int) -> FinitePoset:
-        """The poset fiber over a target cell, as a subposet of the source."""
-        if not 0 <= cell < len(self.fibers):
+    def fiber(self, cell: int) -> tuple[int, ...]:
+        """The poset fiber over a target cell: its source cells, increasing."""
+        if not 0 <= cell < len(self.preimages):
             raise PosetError(f"unknown target cell {cell!r}")
-        return self.source.poset.subposet(self.fibers[cell])
+        return tuple(sorted(k for q in self.target.ideal(cell) for k in self.preimages[q]))
 
 
 def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocalization:
@@ -179,7 +180,7 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     string, so such a system is refused by name.  The cell map is checked
     order preserving once, on the source covers, which generate the order
     (no source mask is derived), so each fiber is an ideal of the source
-    (a cell below one of `fibers[q]` maps below q), which the fiber
+    (a cell below one over the ideal below q maps below q), which the fiber
     certificates read; each distinct image (H, T) <= (G, R) of a cover is
     checked once, by the sign rule H >= G and H o R = T."""
     system.require_simple("the Salvetti localization")
@@ -187,18 +188,14 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
     source = SalvettiPoset(system)
     target = SalvettiPoset(localized)
     cells = []
-    over = [0] * len(target)  # the preimage of each target cell, then its fiber
+    over: list[list[int]] = [[] for _ in range(len(target))]
     for k, (f, t) in enumerate(source.keys):
         q = target.index.get((rho[f], rho[t]))
         if q is None:
             image = ";".join(localized.names()[c] for c in (rho[f], rho[t]))
             raise ValueError(f"localization sends cell {source.poset.names[k]} to ({image}), which is not a cell")
         cells.append(q)
-        over[q] |= 1 << k
-    # covers lists a cell's lower covers before it: over[c] is c's fiber
-    for q, lower in target.covers.items():
-        for c in lower:
-            over[q] |= over[c]
+        over[q].append(k)
     # order preserving on the covers, which generate the order: each image pair once
     up, vectors, seen = localized.covector_poset().dual().below, localized.vectors(), set()
     for k, q in enumerate(cells):
@@ -212,7 +209,7 @@ def salvetti_localization(system: CovectorSystem, flat: int) -> SalvettiLocaliza
                     f"localization is not order preserving: {source.poset.names[x]} <= {source.poset.names[k]} "
                     f"but {target.poset.names[cells[x]]} !<= {target.poset.names[q]}"
                 )
-    return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), tuple(over), rho)
+    return SalvettiLocalization(system, flat, localized, source, target, tuple(cells), tuple(map(tuple, over)), rho)
 
 
 def restriction_iso(loc: SalvettiLocalization, separator: int) -> tuple[int, ...]:
@@ -260,7 +257,7 @@ class FiberStratification:
     walked and checked by `morse.check_patchwork`."""
 
     loc: SalvettiLocalization
-    top: int  # the cell (0, B') of the localized poset; its fiber is loc.fibers[top]
+    top: int  # the cell (0, B') of the localized poset; its fiber is loc.fiber(top)
     tope_string: tuple[int, ...]
     separators: tuple[int, ...]
 

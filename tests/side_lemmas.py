@@ -358,6 +358,23 @@ def principal_ideal_iso(salv: SalvettiPoset, tope: int) -> tuple[PosetMap, Poset
     return to_dual, from_dual
 
 
+def fiber_poset(loc: SalvettiLocalization, cell: int) -> FinitePoset:
+    """The poset fiber over a target cell, as a subposet of the source,
+    for the oracles that read a fiber's own order."""
+    return loc.source.poset.subposet(mask_of(loc.fiber(cell)))
+
+
+def fibers_by_cover_gather(loc: SalvettiLocalization) -> tuple[int, ...]:
+    """Each poset fiber f^{-1}(<= q) as a mask over the source cells: the
+    preimage masks ORed along the target covers, each cell's lower covers
+    being listed before it, so each is gathered before it is read."""
+    over = [mask_of(cells) for cells in loc.preimages]
+    for q, lower in loc.target.covers.items():
+        for c in lower:
+            over[q] |= over[c]
+    return tuple(over)
+
+
 def fibers_by_preimage_sums(loc: SalvettiLocalization) -> tuple[int, ...]:
     """Each poset fiber f^{-1}(<= q) as the sum of the preimages of the
     target cells below q, read off the target's masks: the preimages are

@@ -151,7 +151,7 @@ def test_criterion_5_matching_constructions(five_planes, uniform23):
                 for a in bits(loc.target.poset.below(top)):
                     m = matching_salvetti_fiber(strat, a)
                     ok = ok and kahn_acyclic(m)
-                    ok = ok and m.critical_cells() == loc.fiber(a).members
+                    ok = ok and m.critical_cells() == mask_of(loc.fiber(a))
     _verdict("criterion 5 (matching constructions)", ok, started)
 
 
@@ -242,7 +242,7 @@ def test_criterion_8_rank_data(five_planes):
     ok = ok and sum(seq) == 5 == res.betti[1]
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
-        ok = ok and graph_rank(chain_complex(loc.source, loc.fibers[cid])) == 2
+        ok = ok and graph_rank(chain_complex(loc.source, loc.fiber(cid))) == 2
     _verdict("criterion 8 (fundamental-group rank data)", ok, started)
 
 

@@ -703,7 +703,7 @@ def test_morse_fiber_reports_the_patchwork_certificate(capsys, monkeypatch, name
     # matchings as built, with a pair dropped and made cyclic
     import omkit.morse
     from omkit.morse import Matching, matching_salvetti_fiber, morse_reduction_certificate
-    from omkit.posets import bits
+    from omkit.posets import bits, mask_of
     from omkit.salvetti import salvetti_localization, stratify_fiber
 
     walked = []
@@ -730,7 +730,7 @@ def test_morse_fiber_reports_the_patchwork_certificate(capsys, monkeypatch, name
             argv = ["morse", "--construction", "fiber", "--flat", flat, "--cell", loc.target.poset.names[cell]]
             code, out = run(capsys, [*argv, "--tope", loc.localized.names()[base]], stdin=om_text(name))
             assert walked and set(walked) <= balls
-            cert = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), loc.fibers[cell])
+            cert = morse_reduction_certificate(matching_salvetti_fiber(strat, cell), mask_of(loc.fiber(cell)))
             cycle = cert.cycle and str([loc.source.poset.names[x] for x in cert.cycle])
             clauses = {"matching.acyclic": cycle, "critical.is_fiber": cert.critical}
             want = [f"{key}: PASS" if why is None else f"{key}: FAIL witness={why}" for key, why in clauses.items()]

@@ -27,7 +27,7 @@ from omkit.salvetti import SalvettiPoset, salvetti_localization
 from omkit.topes import sphere_poset
 from conftest import b3_arrangement, braid_arrangement
 from poset_builders import antichain, cover_pairs, from_covers
-from side_lemmas import fiber_homology, incidences_refactor_reference, pairwise_below
+from side_lemmas import fiber_homology, fiber_poset, incidences_refactor_reference, pairwise_below
 from simplicial_oracle import (
     RP2_FACETS,
     betti_numbers,
@@ -189,8 +189,8 @@ def test_clearing_is_exact_on_salvetti_posets_fibers_and_rp2(all_corpus, five_pl
         rec = chain_complex(SalvettiPoset(system))
         assert homology(rec) == uncleared_homology(rec), name
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
-    for cell, fiber in enumerate(loc.fibers):
-        rec = chain_complex(loc.source, fiber)
+    for cell in range(len(loc.target)):
+        rec = chain_complex(loc.source, loc.fiber(cell))
         assert homology(rec) == uncleared_homology(rec), cell
     rp = cellular_chain_complex(from_facets(rp2()))
     assert homology(rp) == uncleared_homology(rp)
@@ -205,7 +205,7 @@ def test_boundary_squares_to_zero_on_salvetti_posets_fibers_a4_and_rp2(all_corpu
     recs = [chain_complex(SalvettiPoset(s)) for s in (*all_corpus.values(), np14, a4, b3)]
     for system, flat in ((five_planes, {"H1", "H2", "H3"}), (braid3, {"12", "13", "23"})):
         loc = salvetti_localization(system, system.label_mask(flat))
-        recs += [chain_complex(loc.source, fiber) for fiber in loc.fibers]
+        recs += [chain_complex(loc.source, loc.fiber(q)) for q in range(len(loc.target))]
     recs.append(cellular_chain_complex(from_facets(rp2())))
     for rec in recs:
         assert squares_to_zero(rec), rec.bases[0][:3]
@@ -250,8 +250,8 @@ def test_cellular_matches_order_complex_on_corpus(all_corpus):
 def test_cellular_matches_order_complex_on_fibers(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in sorted(loc.target.poset.elements):
-        rec = chain_complex(loc.source, loc.fibers[cid])
-        assert homology(rec) == order_complex_homology(loc.fiber(cid)), cid
+        rec = chain_complex(loc.source, loc.fiber(cid))
+        assert homology(rec) == order_complex_homology(fiber_poset(loc, cid)), cid
 
 
 def test_poset_homology_does_not_subdivide(monkeypatch, five_planes):
@@ -278,8 +278,8 @@ def test_fiber_complexes_are_the_per_cell_complexes_of_the_fibers(name, flat):
     # subposet's, built cell by cell
     system = corpus(name)
     loc = salvetti_localization(system, system.label_mask(flat.split(",")))
-    for q, fiber in enumerate(loc.fibers):
-        assert chain_complex(loc.source, fiber) == cellular_chain_complex(loc.fiber(q)), q
+    for q in range(len(loc.target)):
+        assert chain_complex(loc.source, loc.fiber(q)) == cellular_chain_complex(fiber_poset(loc, q)), q
 
 
 def test_cellular_boundary_signs():
@@ -608,7 +608,7 @@ def test_graph_rank_refuses_an_edge_without_two_vertices():
 def test_minimal_fiber_rank(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     for cid in bits(loc.target.poset.minimal_elements()):
-        assert graph_rank(chain_complex(loc.source, loc.fibers[cid])) == 2  # |E \ X| = 2
+        assert graph_rank(chain_complex(loc.source, loc.fiber(cid))) == 2  # |E \ X| = 2
 
 
 def test_semidirect_rank_sequences(rank1, boolean3, five_planes, all_corpus, np14, a4):
@@ -682,20 +682,25 @@ def test_quasi_fibration_walks_each_fiber_matching_once(monkeypatch):
 
 
 def test_a_second_certificate_reads_no_critical_cells(monkeypatch):
-    # the critical cells of a local matching are kept with it, so a
-    # second certificate on the same system reads the first one's
+    # the critical cells of a local matching are read once and kept with
+    # it (`Matching.unmatched`), so a second certificate on the same
+    # system reads the first one's
+    from functools import cached_property
+
     import omkit.morse as morse
 
     system = corpus("sec3-arrangement")
     flat = system.label_mask({"H1", "H2", "H3"})
     read = []
-    real = morse.Matching.critical_cells
+    real = morse.Matching.unmatched.func
 
     def reading(self):
         read.append(self)
         return real(self)
 
-    monkeypatch.setattr(morse.Matching, "critical_cells", reading)
+    spy = cached_property(reading)
+    spy.__set_name__(morse.Matching, "unmatched")
+    monkeypatch.setattr(morse.Matching, "unmatched", spy)
     assert quasi_fibration_certify(system, flat).ok
     assert read
     read.clear()
@@ -762,7 +767,7 @@ def oracle_graph_ranks(cert):
     """Each minimal cell of the certificate and its fiber's free rank, by
     the homology oracle."""
     minimal = cert.loc.target.poset.minimal_elements()
-    return tuple((m, fiber_homology(cert.loc.fiber(m)).graph_rank) for m in bits(minimal))
+    return tuple((m, fiber_homology(fiber_poset(cert.loc, m)).graph_rank) for m in bits(minimal))
 
 
 def test_certificate_graph_ranks_are_the_homology_ranks(five_planes, braid3):
@@ -821,11 +826,11 @@ def test_certificate_reduces_no_fiber(monkeypatch, five_planes, braid3, np14_ext
         assert cert.ok
         # one chain complex per minimal cell, of its fiber, and no other
         minimal = bits(cert.loc.target.poset.minimal_elements())
-        assert built == [cert.loc.fibers[m] for m in minimal]
+        assert built == [cert.loc.fiber(m) for m in minimal]
     assert reduced == []
     # the counters count: one homology, reducing each boundary once
     loc = salvetti_localization(braid3, runs[1][1])
-    rec = module.chain_complex(loc.source, loc.fibers[0])
+    rec = module.chain_complex(loc.source, loc.fiber(0))
     module.homology(rec)
     assert reduced[0] is rec and len(reduced) == len(rec.bases)
 
@@ -844,7 +849,7 @@ def test_certificate_fiber_types_match_the_homology_oracle(five_planes, braid3, 
         d, loc = cert.expected_rank, cert.loc
         assert [cell for cell, _why in cert.fibers] == list(loc.target.poset.elements)
         for cell, why in cert.fibers:
-            assert (why is None) == fiber_homology(loc.fiber(cell)).is_wedge(d), (flat, cell)
+            assert (why is None) == fiber_homology(fiber_poset(loc, cell)).is_wedge(d), (flat, cell)
         assert cert.graph_ranks == oracle_graph_ranks(cert)
         assert cert.ok
 
@@ -1008,7 +1013,7 @@ def test_morse_reduction_preserves_homology(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask({"H1", "H2", "H3"}))
     tops = bits(loc.target.poset.maximal_elements())
     top = tops[0]
-    ambient = loc.fiber(top)
+    ambient = fiber_poset(loc, top)
     for a in bits(loc.target.poset.below(top)):
-        sub = loc.fiber(a)
+        sub = fiber_poset(loc, a)
         assert betti_numbers(sub) == betti_numbers(ambient)

@@ -21,7 +21,7 @@ from omkit.salvetti import salvetti_localization, stratify_fiber
 from omkit.signs import separator_masks
 from omkit.topes import dual_subcomplex, shelling_order_from_extension, sphere_poset
 from poset_builders import chain_poset, cover_pairs, from_covers
-from side_lemmas import all_convex_tope_sets, dual_matching, kahn_acyclic, matched_digraph
+from side_lemmas import all_convex_tope_sets, dual_matching, fiber_poset, kahn_acyclic, matched_digraph
 
 
 def square_boundary():
@@ -110,7 +110,7 @@ def fiber_hosts(name, flat):
     """The fibers over every target cell of a golden localization."""
     system = corpus(name)
     loc = salvetti_localization(system, mask_of(system.ground.index(a) for a in flat.split(",")))
-    return {f"{name} fiber {loc.target.poset.names[q]}": loc.fiber(q) for q in loc.target.poset.elements}
+    return {f"{name} fiber {loc.target.poset.names[q]}": fiber_poset(loc, q) for q in loc.target.poset.elements}
 
 
 HOSTS = {
@@ -297,7 +297,7 @@ def test_fiber_matchings_exhaustive(five_planes):
             bp = loc.target.keys[top][1]
             m = matching_salvetti_fiber(stratify_fiber(loc, bp), a)
             assert kahn_acyclic(m)
-            assert m.critical_cells() == loc.fiber(a).members
+            assert m.critical_cells() == mask_of(loc.fiber(a))
 
 
 def test_fiber_matching_maximal_cell_is_empty(five_planes):
@@ -315,8 +315,8 @@ def test_fiber_matching_minimal_cell_graph(five_planes):
     bottom = bits(loc.target.poset.minimal_elements())[0]
     tope = loc.target.keys[bottom][1]
     m = matching_salvetti_fiber(stratify_fiber(loc, tope), bottom)
-    assert m.critical_cells() == loc.fibers[bottom]
-    assert graph_rank(chain_complex(loc.source, loc.fibers[bottom])) == 2
+    assert m.critical_cells() == mask_of(loc.fiber(bottom))
+    assert graph_rank(chain_complex(loc.source, loc.fiber(bottom))) == 2
 
 
 def test_morse_certificate(five_planes):
@@ -325,14 +325,14 @@ def test_morse_certificate(five_planes):
     top = bits(loc.target.poset.maximal_elements())[0]
     bottom = bits(loc.target.poset.minimal_elements())[0]
     bp = loc.target.keys[top][1]
-    host_fiber = loc.fiber(top)
+    host_fiber = fiber_poset(loc, top)
     if loc.target.poset.leq(bottom, top):
         m = matching_salvetti_fiber(stratify_fiber(loc, bp), bottom)
-        cert = morse_reduction_certificate(m, loc.fibers[bottom])
+        cert = morse_reduction_certificate(m, mask_of(loc.fiber(bottom)))
         assert cert.ok
         # drop one pair: the critical claim fails with a witness, not an error
         short = Matching(m.host, frozenset(sorted(m.pairs)[1:]))
-        cert = morse_reduction_certificate(short, loc.fibers[bottom])
+        cert = morse_reduction_certificate(short, mask_of(loc.fiber(bottom)))
         assert not cert.ok and cert.cycle is None
         assert cert.critical.startswith("extra [") and cert.critical.endswith("missing []")
         assert cert.witnesses(host_fiber.names) == [cert.critical]
@@ -444,8 +444,8 @@ def test_the_patchwork_certificate_is_the_glued_certificate(monkeypatch, five_pl
             if amb not in strats:
                 strats[amb] = stratify_fiber(loc, loc.target.keys[amb][1])
             glued = matching_salvetti_fiber(strats[amb], cell)
-            assert glued.critical_cells() == loc.fibers[cell]
-            assert morse_reduction_certificate(glued, loc.fibers[cell]) == own
+            assert glued.critical_cells() == mask_of(loc.fiber(cell))
+            assert morse_reduction_certificate(glued, mask_of(loc.fiber(cell))) == own
 
 
 def test_the_cover_count_collapse_is_the_mask_count_collapse(monkeypatch, five_planes, braid3, a4, np14_extension):
@@ -569,7 +569,7 @@ def test_patchwork_refuses_another_fibers_string():
     loc = strat.loc
     amb = bits(loc.target.poset.maximal_elements())[1]
     other = stratify_fiber(loc, loc.target.keys[amb][1])
-    assert sum(map(len, check_patchwork(other))) == loc.fibers[strat.top].bit_count()
+    assert sum(map(len, check_patchwork(other))) == len(loc.fiber(strat.top))
     with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
         check_patchwork(replace(strat, tope_string=other.tope_string, separators=other.separators))
 
@@ -623,26 +623,59 @@ def test_the_restriction_must_be_an_isomorphism_on_its_covers(monkeypatch):
         quasi_fibration_certify(system, loc.flat)
 
 
+def moved(loc, *moves):
+    """The localization with each source cell k of `moves`, pairs (k, q),
+    sent to target cell q instead, and its preimages moved with it."""
+    from dataclasses import replace
+
+    cells = list(loc.cells)
+    for k, q in moves:
+        cells[k] = q
+    preimages = [[] for _ in loc.preimages]
+    for k, q in enumerate(cells):
+        preimages[q].append(k)
+    return replace(loc, cells=tuple(cells), preimages=tuple(map(tuple, preimages)))
+
+
 def test_a_fiber_off_by_one_cell_fails_as_the_glued_matching_does(five_planes):
-    # the claimed fiber with its last cell dropped, with one more cell of
-    # the ambient fiber, and with one cell outside it: each fails with the
-    # glued matching's own witness, and at the ambient's own cell, whose
-    # fiber the strata must cover, the patchwork check refuses it
+    # the fiber with its last cell dropped, with one more cell of the
+    # ambient fiber, and with one cell outside it, each planted by moving
+    # source cells' images: each fails with the glued matching's own
+    # witness, and at the ambient's own cell, whose fiber the strata must
+    # cover, the patchwork check refuses it
     from dataclasses import replace
 
     from omkit.morse import certify_fibers
 
     strat = sec3_stratification(five_planes)
-    loc = strat.loc
-    fiber = loc.fibers[strat.top]
+    loc, top = strat.loc, strat.top
+    fiber = mask_of(loc.fiber(top))
     outside = bits(loc.source.poset.members & ~fiber)[0]
-    for cell in bits(loc.target.poset.below(strat.top)):
-        sub = loc.fibers[cell]
+    away = loc.cells[outside]  # a target cell off the ideal below the ambient
+    zero = loc.system.numbering()[0, 0]
+    spare = next(k for k in loc.preimages[top] if loc.source.keys[k][0] != zero)
+    for cell in loc.target.ideal(top):
+        sub = mask_of(loc.fiber(cell))
         inside = bits(fiber & ~sub)
-        for wrong in (sub ^ 1 << (sub.bit_length() - 1), sub | 1 << outside, *(sub | 1 << x for x in inside[:1])):
-            fibers = (*loc.fibers[:cell], wrong, *loc.fibers[cell + 1:])
-            planted = replace(strat, loc=replace(loc, fibers=fibers))
-            if cell == strat.top:
+        # a dropped cell moves up to the ambient's own cell, or at the
+        # ambient off its ideal
+        last = sub.bit_length() - 1
+        # a cell moved in from outside joins the ambient fiber too, which
+        # the patchwork count refuses; below the ambient, a cell over the
+        # ambient's own cell, none of its (0, T_i), moves out in its stead
+        if cell != top:
+            with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
+                certify_fibers(replace(strat, loc=moved(loc, (outside, cell))), [cell])
+        stead = [(spare, away)] if cell != top else []
+        faults = [
+            (sub ^ 1 << last, moved(loc, (last, away if cell == top else top))),
+            (sub | 1 << outside, moved(loc, (outside, cell), *stead)),
+            *((sub | 1 << x, moved(loc, (x, cell))) for x in inside[:1]),
+        ]
+        for wrong, planted_loc in faults:
+            assert mask_of(planted_loc.fiber(cell)) == wrong
+            planted = replace(strat, loc=planted_loc)
+            if cell == top:
                 with pytest.raises(MatchingError, match="the strata do not cover the fiber"):
                     certify_fibers(planted, [cell])
                 continue
@@ -678,4 +711,4 @@ def test_a_cyclic_local_matching_fails_its_pairs_with_a_lifted_cycle(monkeypatch
         cycle = own.cycle
         assert glued.cycle() is not None and cycle[0] == cycle[-1] == min(cycle)
         assert all(y in succ[x] for x, y in zip(cycle, cycle[1:]))
-        assert own.critical == morse_reduction_certificate(glued, loc.fibers[cell]).critical
+        assert own.critical == morse_reduction_certificate(glued, mask_of(loc.fiber(cell))).critical

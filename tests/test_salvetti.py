@@ -21,7 +21,9 @@ from omkit.topes import sphere_poset
 from poset_builders import PosetMap, from_below, order_pairs
 from side_lemmas import (
     direct_salvetti_below,
+    fiber_poset,
     fiber_rank2_model,
+    fibers_by_cover_gather,
     fibers_by_preimage_sums,
     is_ideal,
     localization_section,
@@ -168,8 +170,8 @@ def test_numbering_follows_names_on_the_localization(five_planes):
             assert order_pairs(fiber) == induced(source_pairs, over)
             assert_numbered_by_name(fiber)
             if pmap is cells:
-                assert loc.fibers[q] == over
-                assert order_pairs(loc.fiber(q)) == order_pairs(fiber)
+                assert mask_of(loc.fiber(q)) == over
+                assert order_pairs(fiber_poset(loc, q)) == order_pairs(fiber)
 
 
 def test_salvetti_refuses_a_composition_outside_the_system():
@@ -287,10 +289,13 @@ def coatom_localization(name, flat, request):
 
 @pytest.mark.parametrize("name, flat", MODULAR_COATOMS)
 def test_fibers_are_the_sums_of_the_preimages_below(name, flat, request):
-    # gathered along the target covers, each fiber is the union of the
-    # preimages of the target cells below it, read off the target's masks
+    # each fiber read off the preimages over the target ideal below its
+    # cell, the preimage masks gathered along the target covers, and the
+    # union of the preimages of the target cells below it, read off the
+    # target's masks, are one set
     loc = coatom_localization(name, flat, request)
-    assert loc.fibers == fibers_by_preimage_sums(loc)
+    fibers = tuple(mask_of(loc.fiber(q)) for q in range(len(loc.target)))
+    assert fibers == fibers_by_cover_gather(loc) == fibers_by_preimage_sums(loc)
 
 
 @pytest.mark.parametrize("name, flat", MODULAR_COATOMS[:3])
@@ -323,13 +328,13 @@ def test_fibers_inherit_covers_and_heights(name, flat, request, monkeypatch):
     # each fiber is an order ideal, so it inherits without a second pass
     with monkeypatch.context() as patch:
         patch.setattr(posets, "_cover_pass", no_pass)
-        fibers = [loc.fiber(q) for q in loc.target.poset.elements]
+        fibers = [fiber_poset(loc, q) for q in loc.target.poset.elements]
         inherited = [
             (fib.heights(), [fib.lower_covers(x) for x in fib.elements], fib.skipping_cover())
             for fib in fibers
         ]
     # the certificates read that off the localization's order check
-    assert all(is_ideal(loc.source.poset, fiber) for fiber in loc.fibers)
+    assert all(is_ideal(loc.source.poset, fib.members) for fib in fibers)
     for fib, got in zip(fibers, inherited):
         fresh = from_below(fib.names, {x: fib.below(x) for x in fib.elements})
         assert got == (fresh.heights(), [fresh.lower_covers(x) for x in fresh.elements], None)
@@ -528,7 +533,9 @@ def test_localization_builds_no_source_poset(five_planes, braid3):
 def test_localization_identity_flat(five_planes):
     loc = salvetti_localization(five_planes, five_planes.label_mask(five_planes.ground))
     assert loc.cells == tuple(loc.source.poset.elements)
-    assert loc.fibers == tuple(loc.source.poset.below(c) for c in loc.source.poset.elements)
+    assert loc.preimages == tuple((c,) for c in loc.source.poset.elements)
+    fibers = tuple(mask_of(loc.fiber(q)) for q in loc.target.poset.elements)
+    assert fibers == tuple(loc.source.poset.below(c) for c in loc.source.poset.elements)
 
 
 def test_sections_of_localization(five_planes):
@@ -550,7 +557,7 @@ def test_fibers_connected(five_planes, braid3):
     ):
         loc = salvetti_localization(system, system.label_mask(flat))
         for cid in loc.target.poset.elements:
-            assert betti_numbers(loc.fiber(cid))[0] == 1
+            assert betti_numbers(fiber_poset(loc, cid))[0] == 1
 
 
 def test_principal_ideal_isomorphism(five_planes, rank1):
@@ -581,7 +588,7 @@ def test_maximal_fiber_is_union_of_tope_ideals(five_planes):
     bp = tope_numbers(loc.localized)[0]
     base = sign_vectors(loc.localized)[bp]
     zero, zero_loc = five_planes.numbering()[0, 0], loc.localized.numbering()[0, 0]
-    fiber = loc.fiber(loc.target.index[zero_loc, bp])
+    fiber = fiber_poset(loc, loc.target.index[zero_loc, bp])
     vectors = sign_vectors(five_planes)
     over = [t for t in tope_numbers(five_planes) if vectors[t].restrict(x) == base]
     union = 0
@@ -613,7 +620,7 @@ def test_stratification(five_planes):
             assert strata[i + 1].bit_count() == vanish
         # strata partition the fiber
         total = sum(s.bit_count() for s in strata)
-        assert total == loc.fibers[strat.top].bit_count()
+        assert total == len(loc.fiber(strat.top))
 
 
 def test_section_lifts_are_string_ends(five_planes):

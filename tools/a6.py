@@ -11,10 +11,12 @@ its reduction by `homology()`, printing each stage's time and the
 resident set size after it, then the Betti numbers, the torsion and the
 process's peak resident set size.  Then it times `salvetti_localization`
 at `COATOM`, the modular coatom of the 15 forms without x_7, and prints
-the peak resident set size after it.  Last it times
+the resident set size while the localization is held, then the peak so
+far, which the Betti stages may already have set.  Last it times
 `quasi_fibration_certify` at `COATOM` on `SAMPLE` sampled pairs and
-prints its seconds, PASS or FAIL, the peak resident set size and the
-digest of its evidence (`a5.digest`), which names the pairs drawn.  It
+prints its seconds, PASS or FAIL, the resident set size while the
+certificate is held, the peak so far and the digest of its evidence
+(`a5.digest`), which names the pairs drawn.  It
 exits 1 unless the Betti numbers are 1 21 175 735 1624 1764 720, the
 Whitney numbers of A_6, with no torsion, when the localization or the
 certificate raises MemoryError, and when the certificate fails.  Run
@@ -72,14 +74,15 @@ def main() -> int:
     except MemoryError:
         print("salvetti_localization: MemoryError", flush=True)
         return 1
-    print(f"target cells: {len(loc.target)}  peak RSS: {peak_rss_mb():.0f} MB")
+    print(f"target cells: {len(loc.target)}  RSS: {rss_mb():.0f} MB  peak RSS: {peak_rss_mb():.0f} MB")
     del loc  # the certificate builds its own localization
     try:
         cert = timed(f"certify-qf --sample {SAMPLE}", lambda: quasi_fibration_certify(system, flat, SAMPLE))
     except MemoryError:
         print(f"certify-qf --sample {SAMPLE}: MemoryError", flush=True)
         return 1
-    print(f"certify-qf: {'PASS' if cert.ok else 'FAIL'}  peak RSS: {peak_rss_mb():.0f} MB")
+    verdict = "PASS" if cert.ok else "FAIL"
+    print(f"certify-qf: {verdict}  RSS: {rss_mb():.0f} MB  peak RSS: {peak_rss_mb():.0f} MB")
     print(f"digest: {digest(cert)}")
     return 0 if result.betti == BETTI and result.is_torsion_free() and cert.ok else 1
 
